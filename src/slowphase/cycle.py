@@ -20,6 +20,7 @@ from .errors import (
     DefectiveSpectrumError,
     GridError,
     HyperbolicityError,
+    IntegrationError,
     NewtonError,
     SectionError,
 )
@@ -93,10 +94,21 @@ def _first_return(model, x0, settings, t_max, distance_frac=1e-3):
     best = None
     g_prev = 0.0
     t_prev = 0.0
+    steps = 0
     while solver.status == "running":
+        if steps >= settings.max_steps:
+            raise IntegrationError(
+                f"step budget {settings.max_steps} exhausted at t = {solver.t:.6g}",
+                time=solver.t,
+            )
         msg = solver.step()
+        steps += 1
         if solver.status == "failed":
             raise NewtonError(f"return-time search failed: {msg}")
+        if not np.all(np.isfinite(solver.y)):
+            raise IntegrationError(
+                f"non-finite state at t = {solver.t:.6g}", time=solver.t
+            )
         diameter = max(diameter, float(np.linalg.norm(solver.y - x0)))
         g_now = g(solver.t, solver.y)
         if g_prev < 0.0 <= g_now and solver.t > 1e-8:

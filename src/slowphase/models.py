@@ -1,11 +1,15 @@
 """Analytic vector fields: evaluation, Jacobians, and jet composition.
 
 A model is defined by two closures written in plain arithmetic on the state
-components, so the same code path serves numpy arrays (pointwise evaluation)
-and :class:`~slowphase.series.Jet` objects (Taylor transport in the amplitude
-variable).  Both built-in models are polynomial, hence add/multiply/integer
+components, so the same code serves every kind of component it is given:
+Python floats for one state, numpy arrays for a batch of states, and
+:class:`~slowphase.series.Jet` objects for Taylor transport in the amplitude
+variable.  Both built-in models are polynomial, hence add/multiply/integer
 powers are the only operations required; user models registered through
-:func:`register_model` may use the same protocol.
+:func:`register_model` may use the same protocol.  Jets support only ``+``,
+``-``, ``*``, division by a constant and positive integer powers; anything
+else (a numpy ufunc such as ``np.sin``, a fractional power) makes
+:func:`jet_compose` raise :class:`~slowphase.errors.ModelError`.
 
 Built-ins:
 
@@ -54,10 +58,17 @@ class VectorFieldModel:
     jac_rows: callable
 
     def eval(self, x) -> np.ndarray:
-        """Evaluate X(x); supports batches with the state on the last axis."""
+        """Evaluate X(x); supports batches with the state on the last axis.
+
+        One real state (shape (d,), float64) is passed to the closures as
+        Python floats, which skips numpy's per-component dispatch; the
+        arithmetic, hence every bit of the result, is the same.
+        """
         x = np.asarray(x)
         if x.shape[-1] != self.dim:
             raise ModelError(f"state dimension {x.shape[-1]} != model dim {self.dim}")
+        if x.ndim == 1 and x.dtype == np.float64:
+            return np.array(self.rhs(tuple(x.tolist())), dtype=float)
         comps = tuple(x[..., i] for i in range(self.dim))
         out = self.rhs(comps)
         return np.stack(np.broadcast_arrays(*out), axis=-1)
@@ -67,6 +78,8 @@ class VectorFieldModel:
         x = np.asarray(x)
         if x.shape[-1] != self.dim:
             raise ModelError(f"state dimension {x.shape[-1]} != model dim {self.dim}")
+        if x.ndim == 1 and x.dtype == np.float64:
+            return np.array(self.jac_rows(tuple(x.tolist())), dtype=float)
         comps = tuple(x[..., i] for i in range(self.dim))
         rows = self.jac_rows(comps)
         base = x[..., 0]
@@ -245,6 +258,17 @@ def jet_compose(model: VectorFieldModel, arg: FourierTaylor, mode: str) -> Fouri
         samples = samples.real
     jets = tuple(Jet(samples[:, :, i]) for i in range(model.dim))
 
+    def transport(closure):
+        try:
+            return closure(jets)
+        except (TypeError, ValueError) as exc:
+            # e.g. a numpy ufunc Jet lacks (np.sin) or a fractional power
+            raise ModelError(
+                f"model '{model.name}' cannot be composed with a jet (jets "
+                f"support +, -, *, division by a constant and positive integer "
+                f"powers): {exc}"
+            ) from exc
+
     def as_array(entry):
         if isinstance(entry, Jet):
             return entry.values
@@ -253,11 +277,11 @@ def jet_compose(model: VectorFieldModel, arg: FourierTaylor, mode: str) -> Fouri
         return out
 
     if mode == "field":
-        comps = model.rhs(jets)
+        comps = transport(model.rhs)
         stacked = np.stack([as_array(c) for c in comps], axis=-1)  # (L+1, N, d)
         return FourierTaylor.from_order_samples(stacked, arg.period)
 
-    rows = model.jac_rows(jets)
+    rows = transport(model.jac_rows)
     d = model.dim
     out = np.zeros((L + 1, n_grid, d, d), dtype=samples.dtype)
     for a in range(d):

@@ -74,8 +74,13 @@ def write_series_csv(path, series: FourierSeries, meta: dict | None = None) -> s
     reconstructed exactly.
     """
     n = series.grid_size
-    order = np.argsort(series.k, kind="stable")
-    flat = series.coef.reshape(n, -1)
+    k = series.k
+    order = np.argsort(k, kind="stable")
+    flat = series.coef.reshape(n, -1)[order]
+    # re/im interleaved per component, one row per wavenumber
+    cells = np.empty((n, 2 * flat.shape[1]))
+    cells[:, 0::2] = flat.real
+    cells[:, 1::2] = flat.imag
     labels = _component_labels(series.value_shape)
     header = ["k"] + [f"{p}_{c}" for c in labels for p in ("re", "im")]
     lines = [
@@ -83,12 +88,10 @@ def write_series_csv(path, series: FourierSeries, meta: dict | None = None) -> s
         % (n, format_float(series.period), "x".join(map(str, series.value_shape)))
     ]
     lines.append(",".join(header))
-    for idx in order:
-        cells = [str(int(series.k[idx]))]
-        for c in range(flat.shape[1]):
-            cells.append(format_float(flat[idx, c].real))
-            cells.append(format_float(flat[idx, c].imag))
-        lines.append(",".join(cells))
+    # same '%.17g' as format_float, one template per row
+    row_format = "%d" + ",%.17g" * cells.shape[1]
+    for wavenumber, row in zip(k[order].tolist(), cells):
+        lines.append(row_format % (wavenumber, *row.tolist()))
     data = ("\n".join(lines) + "\n").encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(data)

@@ -98,6 +98,50 @@ def test_series_csv_round_trip(tmp_path_factory, seed):
     assert np.array_equal(back.coef, series.coef)
 
 
+def _hand_series(re, im, period):
+    """Series from separate real and imaginary parts, keeping signed zeros."""
+    coef = np.zeros(np.shape(re), dtype=complex)
+    coef.real = re
+    coef.imag = im
+    return FourierSeries(coef, period)
+
+
+def test_series_csv_layout(tmp_path):
+    # rows in FFT order: k = 0, 1, -2 (Nyquist), -1
+    vector = _hand_series(
+        re=[[0.1, -0.0], [0.5, 0.0], [3.0, -1.5], [0.5, 0.0]],
+        im=[[0.0, 1e-300], [-0.25, 0.0], [0.0, 2.0], [0.25, -0.0]],
+        period=1.0,
+    )
+    path = str(tmp_path / "vector.csv")
+    write_series_csv(path, vector)
+    assert open(path, "rb").read() == (
+        b"# grid_size=4 period=1 value_shape=2\n"
+        b"k,re_c0,im_c0,re_c1,im_c1\n"
+        b"-2,3,0,-1.5,2\n"
+        b"-1,0.5,0.25,0,-0\n"
+        b"0,0.10000000000000001,0,-0,1e-300\n"
+        b"1,0.5,-0.25,0,0\n"
+    )
+
+    re = np.zeros((4, 2, 2))
+    im = np.zeros((4, 2, 2))
+    re[0] = [[1.0, -0.0], [0.1, 1e-300]]
+    im[0, 1, 0] = -0.0
+    re[2, 0, 1] = -2.5
+    im[2, 1, 1] = 1.0 / 3.0
+    path = str(tmp_path / "matrix.csv")
+    write_series_csv(path, _hand_series(re, im, period=2.0))
+    assert open(path, "rb").read() == (
+        b"# grid_size=4 period=2 value_shape=2x2\n"
+        b"k,re_c0_0,im_c0_0,re_c0_1,im_c0_1,re_c1_0,im_c1_0,re_c1_1,im_c1_1\n"
+        b"-2,0,0,-2.5,0,0,0,0,0.33333333333333331\n"
+        b"-1,0,0,0,0,0,0,0,0\n"
+        b"0,1,0,-0,0,0.10000000000000001,-0,1e-300,0\n"
+        b"1,0,0,0,0,0,0,0,0\n"
+    )
+
+
 def test_json_and_checksum_determinism(tmp_path):
     payload = {"b": 1.5, "a": [1, 2, 3], "c": {"nested": True}}
     p1, p2 = str(tmp_path / "one.json"), str(tmp_path / "two.json")

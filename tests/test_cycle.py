@@ -7,11 +7,13 @@ from slowphase.cycle import (
     CLASS_REAL_POSITIVE,
     CLASS_TRIVIAL,
     FloquetSpectrum,
+    _first_return,
     check_resonances,
     find_cycle,
     floquet_spectrum,
 )
-from slowphase.errors import HyperbolicityError, SectionError
+from slowphase.errors import HyperbolicityError, IntegrationError, SectionError
+from slowphase.integrate import IntegratorSettings
 from slowphase.models import make_oracle_model
 
 
@@ -43,6 +45,14 @@ def test_degenerate_section_rejected():
     # the origin is an equilibrium: |X| = 0 there
     with pytest.raises(SectionError):
         find_cycle(model, [0.0, 0.0], relax_time=0.0, grid_size=64)
+
+
+def test_return_search_honours_step_budget():
+    model = make_oracle_model()
+    with pytest.raises(IntegrationError, match="step budget 3 exhausted"):
+        _first_return(
+            model, np.array([1.0, 0.0]), IntegratorSettings(max_steps=3), 20.0
+        )
 
 
 def test_oracle_spectrum_values(oracle_cycle):

@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from slowphase import models
 from slowphase.errors import ModelError
 from slowphase.models import (
     EIParameters,
+    VectorFieldModel,
     get_model,
     jet_compose,
     make_ei_model,
     make_oracle_model,
+    register_model,
 )
 from slowphase.series import FourierSeries, FourierTaylor, theta_grid
 
@@ -133,6 +136,61 @@ def test_finite_difference_jacobian_agreement(name):
         if errs[0] > 1e-12:  # above roundoff, halving should quarter it
             worst_ratio = max(worst_ratio, errs[1] / errs[0], errs[2] / errs[1])
     assert worst_ratio < 0.3
+
+
+def make_pendulum_model():
+    """Damped pendulum: a user model whose closures call np.sin / np.cos."""
+
+    def rhs(u):
+        x, y = u
+        return (y, -np.sin(x) - 0.5 * y)
+
+    def jac_rows(u):
+        x, y = u
+        return ((0.0, 1.0), (-np.cos(x), -0.5))
+
+    return VectorFieldModel(
+        name="pendulum",
+        dim=2,
+        params={},
+        state_names=("x", "y"),
+        rhs=rhs,
+        jac_rows=jac_rows,
+    )
+
+
+@pytest.fixture
+def pendulum(monkeypatch):
+    monkeypatch.setattr(models, "_REGISTRY", dict(models._REGISTRY))
+    register_model("pendulum", lambda overrides: make_pendulum_model())
+    return get_model("pendulum")
+
+
+@pytest.mark.parametrize("name", ["ei", "oracle", "pendulum"])
+def test_single_state_matches_batch_of_one(name, pendulum):
+    model = get_model(name)
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        x = rng.uniform(-0.5, 0.5, size=model.dim)
+        field, jac = model.eval(x), model.jacobian(x)
+        assert field.dtype == np.float64 and field.shape == (model.dim,)
+        assert jac.dtype == np.float64 and jac.shape == (model.dim, model.dim)
+        # bitwise: the single-state path does the same IEEE operations
+        assert np.array_equal(field, model.eval(x[None])[0])
+        assert np.array_equal(jac, model.jacobian(x[None])[0])
+    with pytest.raises(ModelError):
+        model.eval(np.zeros(model.dim + 1))
+    with pytest.raises(ModelError):
+        model.jacobian(np.zeros(model.dim + 1))
+
+
+def test_jet_compose_unsupported_operation_is_model_error(pendulum):
+    rng = np.random.default_rng(4)
+    arg = random_bandlimited_expansion(rng, 32, 2, order=2)
+    # the message names the model and, through numpy's, the ufunc
+    for mode, ufunc in (("field", "sin"), ("jacobian_transpose", "cos")):
+        with pytest.raises(ModelError, match=f"'pendulum'.*{ufunc} method"):
+            jet_compose(pendulum, arg, mode)
 
 
 def test_batched_evaluation_shapes():
