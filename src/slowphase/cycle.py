@@ -242,18 +242,6 @@ class FloquetSpectrum:
     def slow_exponent(self) -> complex:
         return self.exponents[self.slow_index]
 
-    def as_dict(self) -> dict:
-        return {
-            "period": self.period,
-            "multipliers": [[z.real, z.imag] for z in self.multipliers],
-            "exponents": [[z.real, z.imag] for z in self.exponents],
-            "lyapunov": list(map(float, self.lyapunov)),
-            "classes": list(self.classes),
-            "slow_index": self.slow_index,
-            "hyperbolicity_defect": self.hyperbolicity_defect,
-            "eigenvector_condition": self.eigenvector_condition,
-        }
-
 
 def _gauge_vector(w: np.ndarray) -> np.ndarray:
     w = w / np.linalg.norm(w)
@@ -304,7 +292,7 @@ def floquet_spectrum(
     rest.sort(key=lambda i: (-np.abs(mu[i]), -np.sign(mu[i].imag)))
 
     order = [i_triv] + rest
-    mu_sorted = mu[order]
+    mu_sorted = mu[order].astype(complex)  # eig gives a real array if all are real
     vec_sorted = vecs[:, order]
 
     d = len(mu)

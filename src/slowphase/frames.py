@@ -164,41 +164,27 @@ def _integration_route(lam: complex, exponents: np.ndarray, period: float) -> st
     return "forward" if amp_fwd <= amp_bwd else "backward"
 
 
-def _shifted_column(model, interp, w, lam, period, theta, settings, direction):
+def _shifted_column(model, interp, w, lam, period, theta, settings, direction,
+                    adjoint=False):
     """Sample e^{-lam T theta} Phi(T theta) w by integrating the shifted system.
 
     The shifted variational equation dC/dt = (DX(gamma(t)) - lam) C keeps the
     column O(1) across the period; run as a real system of dimension 2d.
+    With ``adjoint`` it samples e^{lam T theta} Psi(T theta) w instead: the
+    same system with -DX^T for DX and -lam for lam (negation is exact).
     """
     d = len(w)
+    if adjoint:
+        lam = -lam
     lam_re, lam_im = lam.real, lam.imag
 
     def rhs(t, y):
         jac = model.jacobian(interp(t))
+        if adjoint:
+            jac = -jac.T
         a, b = y[:d], y[d:]
         da = jac @ a - lam_re * a + lam_im * b
         db = jac @ b - lam_re * b - lam_im * a
-        return np.concatenate([da, db])
-
-    y0 = np.concatenate([w.real, w.imag])
-    times = theta * period
-    if direction == "forward":
-        _, samples = _integrate(rhs, 0.0, y0, period, settings, t_eval=times)
-    else:
-        _, samples = _integrate(rhs, period, y0, 0.0, settings, t_eval=times)
-    return samples[:, :d] + 1j * samples[:, d:]
-
-
-def _shifted_adjoint_column(model, interp, w, lam, period, theta, settings, direction):
-    """Sample e^{lam T theta} Psi(T theta) w via the shifted adjoint system."""
-    d = len(w)
-    lam_re, lam_im = lam.real, lam.imag
-
-    def rhs(t, y):
-        jac_t = model.jacobian(interp(t)).T
-        a, b = y[:d], y[d:]
-        da = -(jac_t @ a) + lam_re * a - lam_im * b
-        db = -(jac_t @ b) + lam_re * b + lam_im * a
         return np.concatenate([da, db])
 
     y0 = np.concatenate([w.real, w.imag])
@@ -761,8 +747,8 @@ def cross_check_adjoint_frame(
         amp_fwd = (lams[j].real - re_min) * period
         amp_bwd = -lams[j].real * period
         route = "forward" if amp_fwd <= amp_bwd else "backward"
-        cols[:, :, j] = _shifted_adjoint_column(
-            model, interp, w, lams[j], period, theta, settings, route
+        cols[:, :, j] = _shifted_column(
+            model, interp, w, lams[j], period, theta, settings, route, adjoint=True
         )
 
     _symmetrize_columns(cols, lams.copy(), classes, theta, period, adjoint=True)

@@ -65,8 +65,8 @@ class VectorFieldModel:
         arithmetic, hence every bit of the result, is the same.
         """
         x = np.asarray(x)
-        if x.shape[-1] != self.dim:
-            raise ModelError(f"state dimension {x.shape[-1]} != model dim {self.dim}")
+        if x.shape[-1:] != (self.dim,):
+            raise ModelError(f"state shape {x.shape} does not end in model dim {self.dim}")
         if x.ndim == 1 and x.dtype == np.float64:
             return np.array(self.rhs(tuple(x.tolist())), dtype=float)
         comps = tuple(x[..., i] for i in range(self.dim))
@@ -76,8 +76,8 @@ class VectorFieldModel:
     def jacobian(self, x) -> np.ndarray:
         """Evaluate DX(x); shape (..., d, d)."""
         x = np.asarray(x)
-        if x.shape[-1] != self.dim:
-            raise ModelError(f"state dimension {x.shape[-1]} != model dim {self.dim}")
+        if x.shape[-1:] != (self.dim,):
+            raise ModelError(f"state shape {x.shape} does not end in model dim {self.dim}")
         if x.ndim == 1 and x.dtype == np.float64:
             return np.array(self.jac_rows(tuple(x.tolist())), dtype=float)
         comps = tuple(x[..., i] for i in range(self.dim))

@@ -12,7 +12,7 @@ the manifest records the failed stage.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .cycle import (
     find_cycle,
     floquet_spectrum,
 )
-from .errors import ResonanceError, SlowphaseError
+from .errors import ConfigError, ResonanceError, SlowphaseError
 from .frames import (
     Frame,
     RealBlock,
@@ -43,6 +43,7 @@ from .store import (
     read_series_csv,
     sha256_file,
     write_json,
+    write_rows_csv,
     write_series_csv,
 )
 from .validation import run_validation
@@ -75,232 +76,140 @@ def _ensure_dir(path):
 
 
 # ---------------------------------------------------------------------------
-# save / load of individual artifacts
+# artifact codec: each stage writes one JSON metadata file, keyed by the
+# field names of its result dataclass, plus its coefficient tables
+
+def _meta(obj, skip=()) -> dict:
+    """Fields of dataclass ``obj`` except ``skip``, keyed by field name."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj) if f.name not in skip}
+
+
+def _complex(pairs) -> np.ndarray:
+    """Complex array from nested [re, im] pairs, exact down to signed zeros."""
+    return np.asarray(pairs, dtype=float).view(complex)[..., 0]
+
+
+def _save_orders(out, prefix, taylor: FourierTaylor):
+    for n in range(taylor.order + 1):
+        write_series_csv(
+            os.path.join(out, f"{prefix}_order_{n:02d}_coeff.csv"),
+            taylor.order_series(n),
+        )
+
+
+def _load_orders(out, prefix, order) -> FourierTaylor:
+    return FourierTaylor(tuple(
+        read_series_csv(os.path.join(out, f"{prefix}_order_{n:02d}_coeff.csv"))
+        for n in range(order + 1)
+    ))
+
 
 def save_cycle(out, cycle: CycleResult):
     write_series_csv(os.path.join(out, "cycle_coeff.csv"), cycle.series)
-    write_json(
-        os.path.join(out, "cycle.json"),
-        {
-            "period": cycle.period,
-            "anchor": list(cycle.anchor),
-            "grid_size": cycle.grid_size,
-            "shooting_residual": cycle.shooting_residual,
-        },
-    )
+    write_json(os.path.join(out, "cycle.json"), _meta(cycle, skip=("series", "samples")))
 
 
 def load_cycle(out) -> CycleResult:
     meta = read_json(os.path.join(out, "cycle.json"))
     series = read_series_csv(os.path.join(out, "cycle_coeff.csv"))
-    samples = series.samples().real
-    return CycleResult(
-        anchor=np.asarray(meta["anchor"]),
-        period=float(meta["period"]),
-        series=series,
-        samples=samples,
-        shooting_residual=float(meta["shooting_residual"]),
-        grid_size=int(meta["grid_size"]),
-    )
+    meta["anchor"] = np.asarray(meta["anchor"])
+    return CycleResult(series=series, samples=series.samples().real, **meta)
 
 
 def save_spectrum(out, spectrum: FloquetSpectrum):
-    payload = spectrum.as_dict()
-    payload["eigenvectors"] = [
-        [[z.real, z.imag] for z in spectrum.eigenvectors[:, j]]
-        for j in range(spectrum.dim)
-    ]
-    payload["monodromy"] = spectrum.monodromy.tolist()
-    write_json(os.path.join(out, "spectrum.json"), payload)
-
-
-def _complex_list(pairs):
-    return np.array([complex(re, im) for re, im in pairs])
+    # eigenvectors are stored column by column
+    meta = {**_meta(spectrum), "eigenvectors": spectrum.eigenvectors.T}
+    write_json(os.path.join(out, "spectrum.json"), meta)
 
 
 def load_spectrum(out) -> FloquetSpectrum:
     meta = read_json(os.path.join(out, "spectrum.json"))
-    vecs = np.stack(
-        [_complex_list(col) for col in meta["eigenvectors"]], axis=1
-    )
-    return FloquetSpectrum(
-        period=float(meta["period"]),
-        multipliers=_complex_list(meta["multipliers"]),
-        exponents=_complex_list(meta["exponents"]),
-        lyapunov=np.asarray(meta["lyapunov"]),
-        eigenvectors=vecs,
-        classes=tuple(meta["classes"]),
-        monodromy=np.asarray(meta["monodromy"]),
-        hyperbolicity_defect=float(meta["hyperbolicity_defect"]),
-        eigenvector_condition=float(meta["eigenvector_condition"]),
-        slow_index=int(meta["slow_index"]),
-    )
-
-
-def _frame_payload(frame: Frame) -> dict:
-    return {
-        "kind": frame.kind,
-        "representation": frame.representation,
-        "exponents": [[z.real, z.imag] for z in frame.exponents],
-        "classes": list(frame.classes),
-        "blocks": [
-            {"kind": b.kind, "index": b.index, "alpha": b.alpha, "beta": b.beta}
-            for b in frame.blocks
-        ],
-        "residual": frame.residual,
-    }
-
-
-def _frame_from_payload(meta, series) -> Frame:
-    return Frame(
-        kind=meta["kind"],
-        representation=meta["representation"],
-        series=series,
-        exponents=_complex_list(meta["exponents"]),
-        classes=tuple(meta["classes"]),
-        blocks=tuple(
-            RealBlock(b["kind"], b["index"], b["alpha"], b["beta"])
-            for b in meta["blocks"]
-        ),
-        residual=float(meta["residual"]),
-    )
+    for key in ("multipliers", "exponents"):
+        meta[key] = _complex(meta[key])
+    meta["eigenvectors"] = _complex(meta["eigenvectors"]).T
+    meta["lyapunov"] = np.asarray(meta["lyapunov"])
+    meta["monodromy"] = np.asarray(meta["monodromy"])
+    meta["classes"] = tuple(meta["classes"])
+    return FloquetSpectrum(**meta)
 
 
 def save_frames(out, result: PipelineResult):
-    frames = {
-        "bundle": result.bundle,
-        "adjoint": result.adjoint,
-        "bundle_real": result.bundle_real,
-        "adjoint_real": result.adjoint_real,
-    }
+    """Write the complex frames; the real frames are rebuilt on load."""
     meta = {"band_cut": result.band_cut}
-    for name, frame in frames.items():
-        if frame is None:
-            continue
+    for name in ("bundle", "adjoint"):
+        frame = getattr(result, name)
         write_series_csv(os.path.join(out, f"frame_{name}_coeff.csv"), frame.series)
-        meta[name] = _frame_payload(frame)
+        meta[name] = _meta(frame, skip=("series",))
     if result.crosscheck is not None:
         write_json(os.path.join(out, "adjoint_crosscheck.json"), result.crosscheck)
     write_json(os.path.join(out, "frames.json"), meta)
 
 
-def load_frames(out, result: PipelineResult):
+def load_frames(out) -> dict:
+    """PipelineResult fields of the frames stage.
+
+    Real-frame entries in ``frames.json`` (written by earlier versions) are
+    ignored: ``build_real_frames`` recomputes those frames exactly.
+    """
     meta = read_json(os.path.join(out, "frames.json"))
-    result.band_cut = meta.get("band_cut")
-    for name in ("bundle", "adjoint", "bundle_real", "adjoint_real"):
-        if name not in meta:
-            continue
+    loaded = {"band_cut": meta["band_cut"]}
+    for name in ("bundle", "adjoint"):
+        frame = meta[name]
+        frame["exponents"] = _complex(frame["exponents"])
+        frame["classes"] = tuple(frame["classes"])
+        frame["blocks"] = tuple(RealBlock(**b) for b in frame["blocks"])
         series = read_series_csv(os.path.join(out, f"frame_{name}_coeff.csv"))
-        setattr(result, name, _frame_from_payload(meta[name], series))
+        loaded[name] = Frame(series=series, **frame)
+    loaded["bundle_real"], loaded["adjoint_real"] = build_real_frames(
+        loaded["bundle"], loaded["adjoint"]
+    )
     path = os.path.join(out, "adjoint_crosscheck.json")
     if os.path.exists(path):
-        result.crosscheck = read_json(path)
+        loaded["crosscheck"] = read_json(path)
+    return loaded
 
 
 def save_manifold(out, manifold: ManifoldExpansion):
-    for n in range(manifold.total_order + 1):
-        write_series_csv(
-            os.path.join(out, f"manifold_order_{n:02d}_coeff.csv"),
-            manifold.order_series(n),
-        )
-    write_json(
-        os.path.join(out, "manifold.json"),
-        {
-            "nominal_order": manifold.nominal_order,
-            "total_order": manifold.total_order,
-            "period": manifold.period,
-            "slow_exponent": manifold.slow_exponent,
-            "gauge": manifold.gauge,
-            "residuals": list(manifold.residuals),
-            "divisor_minima": {str(k): v for k, v in manifold.divisor_minima.items()},
-            "conjugation_drift": manifold.conjugation_drift,
-        },
-    )
+    _save_orders(out, "manifold", manifold.coeffs)
+    meta = _meta(manifold, skip=("coeffs",))
+    meta["total_order"] = manifold.total_order
+    # text keys, so the file sorts them as text ("10" before "2")
+    meta["divisor_minima"] = {str(k): v for k, v in manifold.divisor_minima.items()}
+    write_json(os.path.join(out, "manifold.json"), meta)
 
 
 def load_manifold(out) -> ManifoldExpansion:
     meta = read_json(os.path.join(out, "manifold.json"))
-    orders = [
-        read_series_csv(os.path.join(out, f"manifold_order_{n:02d}_coeff.csv"))
-        for n in range(int(meta["total_order"]) + 1)
-    ]
-    return ManifoldExpansion(
-        coeffs=FourierTaylor(tuple(orders)),
-        nominal_order=int(meta["nominal_order"]),
-        period=float(meta["period"]),
-        slow_exponent=float(meta["slow_exponent"]),
-        gauge=float(meta["gauge"]),
-        residuals=np.asarray(meta["residuals"]),
-        divisor_minima={int(k): v for k, v in meta["divisor_minima"].items()},
-        conjugation_drift=float(meta["conjugation_drift"]),
-    )
+    coeffs = _load_orders(out, "manifold", meta.pop("total_order"))
+    meta["residuals"] = np.asarray(meta["residuals"])
+    meta["divisor_minima"] = {int(k): v for k, v in meta["divisor_minima"].items()}
+    return ManifoldExpansion(coeffs=coeffs, **meta)
 
 
 def save_response(out, response: ResponseExpansion):
-    for n in range(response.order + 1):
-        write_series_csv(
-            os.path.join(out, f"response_phase_order_{n:02d}_coeff.csv"),
-            response.phase.order_series(n),
-        )
-        write_series_csv(
-            os.path.join(out, f"response_amplitude_order_{n:02d}_coeff.csv"),
-            response.amplitude.order_series(n),
-        )
-    write_json(
-        os.path.join(out, "response.json"),
-        {
-            "order": response.order,
-            "period": response.period,
-            "slow_exponent": response.slow_exponent,
-            "solvability_residual": response.solvability_residual,
-            "free_coefficient": response.free_coefficient,
-            "normalization_defect": response.normalization_defect,
-            "phase_residuals": list(response.phase_residuals),
-            "amplitude_residuals": list(response.amplitude_residuals),
-            "representation": response.representation,
-            "fold_defect": response.fold_defect,
-        },
-    )
+    _save_orders(out, "response_phase", response.phase)
+    _save_orders(out, "response_amplitude", response.amplitude)
+    meta = _meta(response, skip=("phase", "amplitude", "divisor_minima"))
+    meta["order"] = response.order
+    write_json(os.path.join(out, "response.json"), meta)
 
 
 def load_response(out) -> ResponseExpansion:
     meta = read_json(os.path.join(out, "response.json"))
-    L = int(meta["order"])
-    phase = [
-        read_series_csv(os.path.join(out, f"response_phase_order_{n:02d}_coeff.csv"))
-        for n in range(L + 1)
-    ]
-    amp = [
-        read_series_csv(
-            os.path.join(out, f"response_amplitude_order_{n:02d}_coeff.csv")
-        )
-        for n in range(L + 1)
-    ]
+    order = meta.pop("order")
+    for key in ("phase_residuals", "amplitude_residuals"):
+        meta[key] = np.asarray(meta[key])
     return ResponseExpansion(
-        phase=FourierTaylor(tuple(phase)),
-        amplitude=FourierTaylor(tuple(amp)),
-        period=float(meta["period"]),
-        slow_exponent=float(meta["slow_exponent"]),
-        solvability_residual=float(meta["solvability_residual"]),
-        free_coefficient=float(meta["free_coefficient"]),
-        normalization_defect=float(meta["normalization_defect"]),
-        phase_residuals=np.asarray(meta["phase_residuals"]),
-        amplitude_residuals=np.asarray(meta["amplitude_residuals"]),
-        representation=meta["representation"],
-        fold_defect=float(meta["fold_defect"]),
+        phase=_load_orders(out, "response_phase", order),
+        amplitude=_load_orders(out, "response_amplitude", order),
+        **meta,
     )
 
 
 def save_validation(out, report):
     payload = report.summary()
-    payload["orthogonality"] = {
-        k: (list(v) if isinstance(v, np.ndarray) else v)
-        for k, v in report.orthogonality.items()
-    }
-    payload["trajectory"] = {
-        k: (list(v) if isinstance(v, np.ndarray) else v)
-        for k, v in report.trajectory.items()
-    }
+    payload["orthogonality"] = report.orthogonality
+    payload["trajectory"] = report.trajectory
     write_json(os.path.join(out, "validation.json"), payload)
     domain = report.domain
     header = ["theta"]
@@ -312,8 +221,6 @@ def save_validation(out, report):
         for t_i in range(len(domain.tolerances)):
             row += [domain.sigma_pos[t_i][i], domain.sigma_neg[t_i][i]]
         rows.append(row)
-    from .store import write_rows_csv
-
     write_rows_csv(os.path.join(out, "accuracy_domain.csv"), header, rows)
 
 
@@ -552,28 +459,29 @@ def _build_manifest(out, result: PipelineResult, failed_stage, error) -> dict:
 
 
 def load_result(config: RunConfig, out_dir: str | None = None) -> PipelineResult:
-    """Load whatever artifacts exist in the output directory."""
+    """Load the artifacts of consecutive stages that exist in the output directory.
+
+    Raises ``ConfigError`` when the stored cycle was computed on another grid
+    than ``config`` asks for, so stale artifacts are never resumed.
+    """
     out = out_dir or config.out_dir
     result = PipelineResult(config=config)
     result.model = get_model(config.model, config.model_params)
-    try:
-        result.cycle = load_cycle(out)
-    except (OSError, ValueError):
-        return result
-    try:
-        result.spectrum = load_spectrum(out)
-    except (OSError, ValueError):
-        return result
-    try:
-        load_frames(out, result)
-    except (OSError, ValueError):
-        return result
-    try:
-        result.manifold = load_manifold(out)
-    except (OSError, ValueError):
-        return result
-    try:
-        result.response = load_response(out)
-    except (OSError, ValueError):
-        return result
+    for name, load in (
+        ("cycle", load_cycle),
+        ("spectrum", load_spectrum),
+        (None, load_frames),  # sets several fields
+        ("manifold", load_manifold),
+        ("response", load_response),
+    ):
+        try:
+            loaded = load(out)
+        except (OSError, ValueError):
+            break
+        vars(result).update({name: loaded} if name else loaded)
+    if result.cycle is not None and result.cycle.grid_size != config.grid_size:
+        raise ConfigError(
+            f"{out}: stored cycle has grid size {result.cycle.grid_size}, "
+            f"config asks for cycle.grid_N = {config.grid_size}"
+        )
     return result

@@ -9,6 +9,7 @@ digits ('%.17g', which round-trips doubles exactly), LF line endings, UTF-8,
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -130,6 +131,8 @@ class _Encoder(json.JSONEncoder):
             return [obj.real, obj.imag]
         if isinstance(obj, np.ndarray):
             return obj.tolist()
+        if dataclasses.is_dataclass(obj):
+            return dataclasses.asdict(obj)
         return super().default(obj)
 
 

@@ -178,10 +178,11 @@ def test_single_state_matches_batch_of_one(name, pendulum):
         # bitwise: the single-state path does the same IEEE operations
         assert np.array_equal(field, model.eval(x[None])[0])
         assert np.array_equal(jac, model.jacobian(x[None])[0])
-    with pytest.raises(ModelError):
-        model.eval(np.zeros(model.dim + 1))
-    with pytest.raises(ModelError):
-        model.jacobian(np.zeros(model.dim + 1))
+    for wrong in (np.zeros(model.dim + 1), 1.0):
+        with pytest.raises(ModelError):
+            model.eval(wrong)
+        with pytest.raises(ModelError):
+            model.jacobian(wrong)
 
 
 def test_jet_compose_unsupported_operation_is_model_error(pendulum):

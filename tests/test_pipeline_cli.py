@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -9,12 +10,13 @@ from slowphase.config import RunConfig
 from slowphase.export import export_artifacts
 from slowphase.pipeline import (
     load_cycle,
+    load_frames,
     load_manifold,
     load_response,
     load_spectrum,
     run_pipeline,
 )
-from slowphase.store import sha256_file
+from slowphase.store import sha256_file, write_json, write_series_csv
 
 
 ORACLE_CFG = """
@@ -49,7 +51,16 @@ def test_pipeline_artifacts_and_manifest(oracle_run):
     assert manifest["multipliers"][1][0] == pytest.approx(np.exp(-4 * np.pi), rel=1e-8)
 
 
-def test_artifact_reload_round_trip(oracle_run):
+def _assert_same_frame(loaded, original):
+    assert loaded.kind == original.kind
+    assert loaded.representation == original.representation
+    assert np.array_equal(loaded.series.coef, original.series.coef)
+    assert loaded.period == original.period
+    assert np.array_equal(loaded.exponents, original.exponents)
+    assert loaded.blocks == original.blocks
+
+
+def test_artifact_reload_round_trip(oracle_run, ei_run, tmp_path):
     out = oracle_run.config.out_dir
     result = oracle_run.result
     cycle = load_cycle(out)
@@ -66,6 +77,42 @@ def test_artifact_reload_round_trip(oracle_run):
     response = load_response(out)
     assert response.order == result.response.order
     assert response.solvability_residual == result.response.solvability_residual
+
+    # frames: the ei cycle has a negative multiplier, so its real frames
+    # carry the period-2 lift; they are rebuilt on load, never stored
+    out = ei_run.config.out_dir
+    result = ei_run.result
+    assert not [n for n in os.listdir(out) if n.endswith("_real_coeff.csv")]
+    frames = load_frames(out)
+    assert frames["band_cut"] == result.band_cut
+    assert any(b.kind == "negative" for b in result.bundle_real.blocks)
+    for name in ("bundle", "adjoint", "bundle_real", "adjoint_real"):
+        _assert_same_frame(frames[name], getattr(result, name))
+
+    # a frames.json that also lists the real frames, with their tables,
+    # as earlier versions wrote it, still loads
+    legacy = tmp_path / "legacy"
+    legacy.mkdir()
+    meta = json.load(open(os.path.join(out, "frames.json")))
+    for name in ("bundle", "adjoint"):
+        shutil.copy(os.path.join(out, f"frame_{name}_coeff.csv"), legacy)
+        frame = getattr(result, f"{name}_real")
+        write_series_csv(legacy / f"frame_{name}_real_coeff.csv", frame.series)
+        meta[f"{name}_real"] = {
+            "kind": frame.kind,
+            "representation": frame.representation,
+            "exponents": frame.exponents,
+            "classes": frame.classes,
+            "blocks": [
+                {"kind": b.kind, "index": b.index, "alpha": b.alpha, "beta": b.beta}
+                for b in frame.blocks
+            ],
+            "residual": frame.residual,
+        }
+    write_json(legacy / "frames.json", meta)
+    frames = load_frames(str(legacy))
+    for name in ("bundle", "adjoint", "bundle_real", "adjoint_real"):
+        _assert_same_frame(frames[name], getattr(result, name))
 
 
 def test_staged_subcommands_resume(tmp_path):
@@ -89,6 +136,20 @@ def test_staged_subcommands_resume(tmp_path):
 
     assert main(["export", "--config", cfg, "--what", "all", "--format", "csv"]) == 0
     assert os.path.exists(os.path.join(out, "exports", "curve_cycle.csv"))
+
+
+def test_stale_cycle_grid_rejected(tmp_path, capsys):
+    """A cycle stored at another grid size is not resumed."""
+    cfg, out = _write_cfg(tmp_path)
+    assert main(["cycle", "--config", cfg]) == 0
+    cfg_256 = tmp_path / "run256.cfg"
+    cfg_256.write_text(
+        ORACLE_CFG.replace("cycle.grid_N = 128", "cycle.grid_N = 256").format(out=out)
+    )
+    assert main(["manifold", "--config", str(cfg_256)]) == 4
+    err = capsys.readouterr().err
+    assert "128" in err and "256" in err
+    assert not [n for n in os.listdir(out) if n.startswith("manifold_order_")]
 
 
 def test_determinism_byte_identical(tmp_path):
