@@ -348,11 +348,16 @@ def floquet_spectrum(
     )
 
 
-def _lattice_distance(value: complex, period: float) -> float:
-    """Distance from ``value`` to the nearest point of i * (2 pi / T) Z."""
+def _lattice_distance(value, period: float):
+    """Distance from ``value`` to the nearest point of i * (2 pi / T) Z.
+
+    Elementwise for arrays; a Python float for a scalar.
+    """
     step = 2.0 * np.pi / period
+    value = np.asarray(value)
     im = value.imag - step * np.round(value.imag / step)
-    return float(np.hypot(value.real, im))
+    dist = np.hypot(value.real, im)
+    return float(dist) if dist.ndim == 0 else dist
 
 
 @dataclass
@@ -407,19 +412,24 @@ def check_resonances(
     T = spectrum.period
     n_dir = len(lam)
 
-    entries = []
-    flagged = []
+    indices = []
     for total in range(2, max_order + 1):
         for combo in itertools.combinations_with_replacement(range(n_dir), total):
             a = [0] * n_dir
             for c in combo:
                 a[c] += 1
-            value = sum(ai * li for ai, li in zip(a, lam))
-            for k in range(n_dir):
-                residual = _lattice_distance(value - lam[k], T)
-                entries.append((tuple(a), k, residual))
-                if residual < tol:
-                    flagged.append((tuple(a), k, residual))
+            indices.append(tuple(a))
+    # value = sum_i a_i lam_i, accumulated left to right as sum() does, so
+    # every residual is the one a scalar loop would compute
+    counts = np.array(indices, dtype=np.int64).reshape(len(indices), n_dir)
+    value = np.zeros(len(indices), dtype=complex)
+    for i in range(n_dir):
+        value = value + counts[:, i] * lam[i]
+    residuals = _lattice_distance(value[:, None] - lam[None, :], T).tolist()
+    entries = [
+        (a, k, r) for a, row in zip(indices, residuals) for k, r in enumerate(row)
+    ]
+    flagged = [entry for entry in entries if entry[2] < tol]
 
     lam_s = spectrum.exponents[spectrum.slow_index]
     all_lam = spectrum.exponents

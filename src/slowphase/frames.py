@@ -155,45 +155,78 @@ def _band_limit(values: np.ndarray, k_cut: int) -> np.ndarray:
     return np.fft.ifft(coef, axis=0)
 
 
-def _integration_route(lam: complex, exponents: np.ndarray, period: float) -> str:
-    """Pick the one-period integration direction with least error growth."""
+def _integration_route(lam: complex, exponents: np.ndarray, period: float,
+                       adjoint: bool = False) -> str:
+    """Pick the one-period integration direction with least error growth.
+
+    The adjoint flow runs the spectrum backwards, so its column for ``lam``
+    takes the opposite trade-off (ties still go forward).
+    """
     re = lam.real
     re_min = float(np.min(exponents.real))
     amp_fwd = -re * period  # contamination from slower directions
     amp_bwd = (re - re_min) * period  # contamination from faster directions
+    if adjoint:
+        amp_fwd, amp_bwd = amp_bwd, amp_fwd
     return "forward" if amp_fwd <= amp_bwd else "backward"
 
 
-def _shifted_column(model, interp, w, lam, period, theta, settings, direction,
-                    adjoint=False):
-    """Sample e^{-lam T theta} Phi(T theta) w by integrating the shifted system.
+def _shifted_columns(model, interp, w, lam, period, theta, settings, direction,
+                     adjoint=False):
+    """Sample e^{-lam_j T theta} Phi(T theta) w_j for the m columns of ``w``.
 
-    The shifted variational equation dC/dt = (DX(gamma(t)) - lam) C keeps the
-    column O(1) across the period; run as a real system of dimension 2d.
-    With ``adjoint`` it samples e^{lam T theta} Psi(T theta) w instead: the
-    same system with -DX^T for DX and -lam for lam (negation is exact).
+    ``w`` is d x m and ``lam`` has length m.  The shifted variational
+    equations dC_j/dt = (DX(gamma(t)) - lam_j) C_j keep every column O(1)
+    across the period; all m columns ride one route and are integrated as
+    one real system of dimension 2dm, so the cycle point and the Jacobian
+    are evaluated once per stage for all of them.  With ``adjoint`` it
+    samples e^{lam_j T theta} Psi(T theta) w_j instead: the same system with
+    -DX^T for DX and -lam for lam (negation is exact).  Returns an array of
+    shape (len(theta), d, m).
     """
-    d = len(w)
-    if adjoint:
-        lam = -lam
+    d, m = w.shape
+    size = d * m
+    lam = -np.asarray(lam) if adjoint else np.asarray(lam)
     lam_re, lam_im = lam.real, lam.imag
 
     def rhs(t, y):
         jac = model.jacobian(interp(t))
         if adjoint:
             jac = -jac.T
-        a, b = y[:d], y[d:]
+        a, b = y[:size].reshape(d, m), y[size:].reshape(d, m)
         da = jac @ a - lam_re * a + lam_im * b
         db = jac @ b - lam_re * b - lam_im * a
-        return np.concatenate([da, db])
+        return np.concatenate([da.ravel(), db.ravel()])
 
-    y0 = np.concatenate([w.real, w.imag])
+    y0 = np.concatenate([w.real.ravel(), w.imag.ravel()])
     times = theta * period
     if direction == "forward":
         _, samples = _integrate(rhs, 0.0, y0, period, settings, t_eval=times)
     else:
         _, samples = _integrate(rhs, period, y0, 0.0, settings, t_eval=times)
-    return samples[:, :d] + 1j * samples[:, d:]
+    return (samples[:, :size] + 1j * samples[:, size:]).reshape(-1, d, m)
+
+
+def _columns_by_route(model, interp, cols, seeds, lams, classes, period, theta,
+                      settings, adjoint=False):
+    """Fill ``cols[:, :, j]`` for each column ``j`` in ``seeds`` (j -> seed
+    vector) with one shifted integration per route, then each conjugate
+    column from its lead; returns j -> route."""
+    routes = {
+        j: _integration_route(lams[j], lams, period, adjoint) for j in seeds
+    }
+    for direction in ("forward", "backward"):
+        group = [j for j in seeds if routes[j] == direction]
+        if group:
+            w = np.stack([seeds[j] for j in group], axis=1)
+            cols[:, :, group] = _shifted_columns(
+                model, interp, w, lams[group], period, theta, settings,
+                direction, adjoint,
+            )
+    for j, cls in enumerate(classes):
+        if cls == CLASS_PAIR_CONJ:
+            cols[:, :, j] = np.conj(cols[:, :, j - 1])
+    return routes
 
 
 def _symmetrize_columns(cols, lams, classes, theta, period_time, adjoint=False):
@@ -375,17 +408,14 @@ def build_bundle_frame(
     cols = np.zeros((n, d, d), dtype=complex)
     cols[:, :, 0] = _spectral_derivative(samples.astype(complex), 1.0).real
 
-    routes = {}
-    for j in range(1, d):
-        if classes[j] == CLASS_PAIR_CONJ:
-            cols[:, :, j] = np.conj(cols[:, :, j - 1])
-            continue
-        w = spectrum.eigenvectors[:, j]
-        route = _integration_route(lams[j], lams, period)
-        routes[j] = route
-        cols[:, :, j] = _shifted_column(
-            model, interp, w, lams[j], period, theta, settings, route
-        )
+    seeds = {
+        j: spectrum.eigenvectors[:, j]
+        for j in range(1, d)
+        if classes[j] != CLASS_PAIR_CONJ
+    }
+    routes = _columns_by_route(
+        model, interp, cols, seeds, lams, classes, period, theta, settings
+    )
 
     _symmetrize_columns(cols, lams, classes, theta, period, adjoint=False)
 
@@ -710,18 +740,19 @@ def cross_check_adjoint_frame(
     identity_defect = 0.0
     eye = np.eye(d)
 
-    def phi_rhs(t, y):
+    dd = d * d
+
+    def pair_rhs(t, y):
+        # Phi' = DX Phi and Psi' = -DX^T Psi, sharing one Jacobian per stage
         jac = model.jacobian(interp(t))
-        return (jac @ y.reshape(d, d)).ravel()
+        phi, psi = y[:dd].reshape(d, d), y[dd:].reshape(d, d)
+        return np.concatenate([(jac @ phi).ravel(), (-jac.T @ psi).ravel()])
 
-    def psi_rhs(t, y):
-        jac_t = model.jacobian(interp(t)).T
-        return (-jac_t @ y.reshape(d, d)).ravel()
-
+    y0 = np.concatenate([eye.ravel(), eye.ravel()])
     for t_a, t_b in zip(chunk_edges[:-1], chunk_edges[1:]):
-        phi_c, _ = _integrate(phi_rhs, t_a, eye.ravel(), t_b, settings)
-        psi_c, _ = _integrate(psi_rhs, t_a, eye.ravel(), t_b, settings)
-        defect = np.abs(psi_c.reshape(d, d).T @ phi_c.reshape(d, d) - eye).max()
+        y_c, _ = _integrate(pair_rhs, t_a, y0, t_b, settings)
+        phi_c, psi_c = y_c[:dd].reshape(d, d), y_c[dd:].reshape(d, d)
+        defect = np.abs(psi_c.T @ phi_c - eye).max()
         identity_defect = max(identity_defect, float(defect))
 
     psi_end = adjoint_flow(model, interp, period, settings)
@@ -735,21 +766,16 @@ def cross_check_adjoint_frame(
         )
 
     cols = np.zeros((n, d, d), dtype=complex)
+    seeds = {}
     for j in range(d):
-        if classes[j] == CLASS_PAIR_CONJ:
-            cols[:, :, j] = np.conj(cols[:, :, j - 1])
-            continue
-        target = np.exp(-lams[j] * period)
-        idx = int(np.argmin(np.abs(psi_eigs - target)))
-        w = psi_vecs[:, idx]
-        w = w / np.linalg.norm(w)
-        re_min = float(np.min(lams.real))
-        amp_fwd = (lams[j].real - re_min) * period
-        amp_bwd = -lams[j].real * period
-        route = "forward" if amp_fwd <= amp_bwd else "backward"
-        cols[:, :, j] = _shifted_column(
-            model, interp, w, lams[j], period, theta, settings, route, adjoint=True
-        )
+        if classes[j] != CLASS_PAIR_CONJ:
+            target = np.exp(-lams[j] * period)
+            w = psi_vecs[:, int(np.argmin(np.abs(psi_eigs - target)))]
+            seeds[j] = w / np.linalg.norm(w)
+    _columns_by_route(
+        model, interp, cols, seeds, lams, classes, period, theta, settings,
+        adjoint=True,
+    )
 
     _symmetrize_columns(cols, lams.copy(), classes, theta, period, adjoint=True)
     jac_grid = model.jacobian(cycle.samples)

@@ -92,9 +92,14 @@ def _integrate(fun, t0, y0, t1, settings, t_eval=None):
         if want is not None and cursor < len(want):
             dense = solver.dense_output()
             lo, hi = sorted((dense.t_min, dense.t_max))
-            while cursor < len(want) and lo <= want[cursor] <= hi:
-                out[order[cursor]] = dense(want[cursor])
-                cursor += 1
+            stop = cursor
+            while stop < len(want) and lo <= want[stop] <= hi:
+                stop += 1
+            if stop > cursor:
+                # one call for the whole batch: DOP853's dense output applies
+                # the same elementwise operations to an array as to a scalar
+                out[order[cursor:stop]] = dense(want[cursor:stop]).T
+                cursor = stop
 
     if want is not None and cursor < len(want):
         # t_bound itself: the final state is exact
@@ -172,31 +177,38 @@ def flow_with_variational(
 
 
 class CycleInterpolant:
-    """Trigonometric interpolation of cycle samples, evaluated in time units.
+    """Trigonometric interpolation of real cycle samples, in time units.
 
-    Evaluation truncates negligible harmonics (relative threshold 1e-15) for
-    speed; this costs nothing at double precision.  ``span`` limits the time
-    range accepted by consumers; ``None`` means the interpolation is used
-    periodically for all times.
+    The samples are real, so the two-sided sum equals the real part of a
+    one-sided one: each row -k is folded onto +k as ``c_k + conj(c_-k)``
+    (exactly ``2 c_k`` for conjugate-symmetric coefficients), k = 0 stays as
+    it is and the Nyquist row k = -N/2, which has no partner, keeps weight
+    one.  This halves the work per call.  Negligible folded harmonics
+    (relative threshold 1e-15) are dropped for speed; this costs nothing at
+    double precision.  ``span`` limits the time range accepted by consumers;
+    ``None`` means the interpolation is used periodically for all times.
     """
 
     def __init__(self, series: FourierSeries, period: float, span: float | None = None):
         self.period = float(period)
         self.span = span
-        coef = series.coef
-        mags = np.abs(coef).reshape(coef.shape[0], -1).max(axis=1)
+        n = series.grid_size
+        coef = series.coef.reshape(n, -1)
+        pos = np.arange(1, n // 2)
+        folded = np.concatenate(
+            [coef[:1], coef[pos] + np.conj(coef[n - pos]), coef[n // 2 : n // 2 + 1]]
+        )
+        k = np.concatenate([[0], pos, [-(n // 2)]])
+        mags = np.abs(folded).max(axis=1)
         keep = mags > 1e-15 * mags.max()
         keep[0] = True
-        self._coef = np.ascontiguousarray(coef[keep])
-        self._k = series.k[keep].astype(float)
-        self._series_period = series.period
+        self._coef = np.ascontiguousarray(folded[keep])
+        self._freq = (2j * np.pi / series.period) * k[keep].astype(float)
+        self._shape = series.value_shape
 
     def __call__(self, t: float) -> np.ndarray:
-        theta = t / self.period
-        phase = np.exp((2j * np.pi / self._series_period) * self._k * theta)
-        return (phase @ self._coef.reshape(len(self._k), -1)).real.reshape(
-            self._coef.shape[1:]
-        )
+        phase = np.exp(self._freq * (t / self.period))
+        return (phase @ self._coef).real.reshape(self._shape)
 
 
 def adjoint_flow(

@@ -189,7 +189,7 @@ def load_manifold(out) -> ManifoldExpansion:
 def save_response(out, response: ResponseExpansion):
     _save_orders(out, "response_phase", response.phase)
     _save_orders(out, "response_amplitude", response.amplitude)
-    meta = _meta(response, skip=("phase", "amplitude", "divisor_minima"))
+    meta = _meta(response, skip=("phase", "amplitude"))
     meta["order"] = response.order
     write_json(os.path.join(out, "response.json"), meta)
 
@@ -461,27 +461,41 @@ def _build_manifest(out, result: PipelineResult, failed_stage, error) -> dict:
 def load_result(config: RunConfig, out_dir: str | None = None) -> PipelineResult:
     """Load the artifacts of consecutive stages that exist in the output directory.
 
-    Raises ``ConfigError`` when the stored cycle was computed on another grid
-    than ``config`` asks for, so stale artifacts are never resumed.
+    Raises ``ConfigError`` when a metadata file lacks a field or holds one
+    its loader does not know, and when the stored cycle was computed on
+    another grid, or a stored manifold or response to another order, than
+    ``config`` asks for, so stale or corrupt artifacts are never resumed.
     """
     out = out_dir or config.out_dir
     result = PipelineResult(config=config)
     result.model = get_model(config.model, config.model_params)
-    for name, load in (
-        ("cycle", load_cycle),
-        ("spectrum", load_spectrum),
-        (None, load_frames),  # sets several fields
-        ("manifold", load_manifold),
-        ("response", load_response),
+    for name, meta_file, load in (
+        ("cycle", "cycle.json", load_cycle),
+        ("spectrum", "spectrum.json", load_spectrum),
+        (None, "frames.json", load_frames),  # sets several fields
+        ("manifold", "manifold.json", load_manifold),
+        ("response", "response.json", load_response),
     ):
         try:
             loaded = load(out)
         except (OSError, ValueError):
             break
+        except (TypeError, KeyError) as exc:
+            raise ConfigError(
+                f"{os.path.join(out, meta_file)}: malformed metadata "
+                f"({type(exc).__name__}: {exc})"
+            ) from exc
         vars(result).update({name: loaded} if name else loaded)
-    if result.cycle is not None and result.cycle.grid_size != config.grid_size:
-        raise ConfigError(
-            f"{out}: stored cycle has grid size {result.cycle.grid_size}, "
-            f"config asks for cycle.grid_N = {config.grid_size}"
-        )
+    stored = (
+        ("cycle", "grid size", lambda c: c.grid_size, "cycle.grid_N", config.grid_size),
+        ("manifold", "order", lambda m: m.nominal_order, "manifold.order", config.order),
+        ("response", "order", lambda r: r.order, "manifold.order", config.order),
+    )
+    for name, what, value_of, key, wanted in stored:
+        artifact = getattr(result, name)
+        if artifact is not None and value_of(artifact) != wanted:
+            raise ConfigError(
+                f"{out}: stored {name} has {what} {value_of(artifact)}, "
+                f"config asks for {key} = {wanted}"
+            )
     return result

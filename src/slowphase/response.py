@@ -21,7 +21,7 @@ are implemented; they must agree on the computed orders.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +53,6 @@ class ResponseExpansion:
     phase_residuals: np.ndarray
     amplitude_residuals: np.ndarray
     representation: str
-    divisor_minima: dict = field(default_factory=dict)
     fold_defect: float = 0.0
 
     @property
@@ -97,10 +96,7 @@ def next_order_phase(
     shifts = bundle.exponents + n * lam_s
     sol, _ = solve_diagonal(rhs, shifts, period, small_divisor_tol=small_divisor_tol)
     z_n = np.einsum("nab,nb->na", adjoint.grid_values(), sol.samples())
-    div_min = float(
-        np.min(np.abs((2j * np.pi / period) * rhs.k[:, None] + shifts[None, :]))
-    )
-    return z_n.real, g_n, div_min
+    return z_n.real, g_n
 
 
 def next_order_amplitude(
@@ -222,14 +218,12 @@ def expand_response_functions(
     if representation == "complex":
         z_orders = [z0]
         g_terms = [np.zeros_like(z0)]
-        divisors = {}
         for n in range(1, order + 1):
-            z_n, g_n, div_min = next_order_phase(
+            z_n, g_n = next_order_phase(
                 f_orders, z_orders, bundle, adjoint, n, period, small_divisor_tol
             )
             z_orders.append(z_n)
             g_terms.append(g_n)
-            divisors[("phase", n)] = div_min
 
         i_orders = [i0]
         h_terms = [np.zeros_like(i0)]
@@ -260,7 +254,7 @@ def expand_response_functions(
             h_terms.append(h_n)
         fold_defect = 0.0
     else:
-        z_orders, g_terms, divisors, fold_z, _ = _real_path(
+        z_orders, g_terms, fold_z, _ = _real_path(
             f_orders, z0, bundle_real, adjoint_real, order, period, lam_s,
             shift_offset=0, small_divisor_tol=small_divisor_tol,
         )
@@ -278,12 +272,11 @@ def expand_response_functions(
             fix_state["defect"] = defect
             return fixed
 
-        i_orders, h_terms, div_i, fold_i, solvability = _real_path(
+        i_orders, h_terms, fold_i, solvability = _real_path(
             f_orders, i0, bundle_real, adjoint_real, order, period, lam_s,
             shift_offset=-1, small_divisor_tol=small_divisor_tol,
             solvability_tol=solvability_tol, order1_fix=order1_fix,
         )
-        divisors.update(div_i)
         free_c = fix_state.get("c", 0.0)
         norm_defect = fix_state.get("defect", 0.0)
         fold_defect = max(fold_z, fold_i)
@@ -303,7 +296,6 @@ def expand_response_functions(
         phase_residuals=phase_res,
         amplitude_residuals=amp_res,
         representation=representation,
-        divisor_minima=divisors,
         fold_defect=fold_defect,
     )
 
@@ -344,7 +336,6 @@ def _real_path(
 
     orders = [order0]
     terms = [np.zeros_like(order0)]
-    divisors = {}
     fold_defect = 0.0
     solvability = 0.0
     for n in range(1, order + 1):
@@ -395,6 +386,5 @@ def _real_path(
             folded = order1_fix(folded)
         orders.append(folded)
         terms.append(g_n)
-        divisors[("real", shift_offset, n)] = float(abs(shift_n))
 
-    return orders, terms, divisors, fold_defect, solvability
+    return orders, terms, fold_defect, solvability

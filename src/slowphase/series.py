@@ -121,10 +121,21 @@ class FourierSeries:
 
     def evaluate(self, theta) -> np.ndarray:
         """Evaluate at arbitrary phases (matches grid synthesis on the grid)."""
+        return self.at_phase(self.phase(theta))
+
+    def phase(self, theta) -> np.ndarray:
+        """Fourier phase factors at ``theta``, shape ``theta.shape + (N,)``.
+
+        They depend only on the grid size and period, so series sharing
+        those can share one phase array (see :meth:`at_phase`).
+        """
         theta = np.asarray(theta, dtype=float)
-        phase = np.exp(
+        return np.exp(
             (2j * np.pi / self.period) * np.multiply.outer(theta, self.k)
         )
+
+    def at_phase(self, phase: np.ndarray) -> np.ndarray:
+        """Evaluate at the phases whose factors :meth:`phase` returned."""
         return np.tensordot(phase, self.coef, axes=(phase.ndim - 1, 0))
 
     # -- calculus and algebra -------------------------------------------
@@ -248,7 +259,10 @@ class FourierTaylor:
         last = self.order if max_order is None else min(max_order, self.order)
         theta = np.asarray(theta, dtype=float)
         sigma = np.asarray(sigma)
-        vals = [self.orders[n].evaluate(theta) for n in range(last + 1)]
+        # one phase array for all orders; a single stacked product would
+        # reorder the sums and change the values
+        phase = self.orders[0].phase(theta)
+        vals = [self.orders[n].at_phase(phase) for n in range(last + 1)]
         acc = vals[last]
         sig = sigma[(...,) + (None,) * len(self.value_shape)]
         for n in range(last - 1, -1, -1):

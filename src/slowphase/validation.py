@@ -73,11 +73,12 @@ def invariance_residual(manifold: ManifoldExpansion, model, theta, sigma, max_or
     sigma = np.asarray(sigma, dtype=float)
     point = None
     lhs = None
+    phase = manifold.order_series(0).phase(theta)
     for n in range(L, -1, -1):
         series = manifold.order_series(n)
-        k_val = series.evaluate(theta).real
+        k_val = series.at_phase(phase).real
         l_val = (
-            series.differentiate().evaluate(theta).real / manifold.period
+            series.differentiate().at_phase(phase).real / manifold.period
             + n * manifold.slow_exponent * k_val
         )
         if point is None:
@@ -257,8 +258,10 @@ def invert_manifold(manifold: ManifoldExpansion, x, theta_seed, sigma_seed, max_
     d_series = [manifold.order_series(n) for n in range(L + 1)]
     dth_series = [s.differentiate() for s in d_series]
     for _ in range(40):
-        kv = np.stack([s.evaluate(th).real for s in d_series])
-        kt = np.stack([s.evaluate(th).real for s in dth_series])
+        # every order shares the grid and period, hence the phase factors
+        phase = d_series[0].phase(th)
+        kv = np.stack([s.at_phase(phase).real for s in d_series])
+        kt = np.stack([s.at_phase(phase).real for s in dth_series])
         powers = sg ** np.arange(L + 1)
         point = np.einsum("n,ni->i", powers, kv)
         gap = point - x
@@ -271,7 +274,8 @@ def invert_manifold(manifold: ManifoldExpansion, x, theta_seed, sigma_seed, max_
         sg += delta[1]
         if np.linalg.norm(delta) < 1e-14 * (1.0 + abs(th) + abs(sg)):
             break
-    kv = np.stack([s.evaluate(th).real for s in d_series])
+    phase = d_series[0].phase(th)
+    kv = np.stack([s.at_phase(phase).real for s in d_series])
     point = np.einsum("n,ni->i", sg ** np.arange(L + 1), kv)
     return th % 1.0, sg, float(np.linalg.norm(point - x))
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -211,3 +213,43 @@ def test_ei_no_resonances(ei_run):
     assert min(ei_run.result.resonance.manifold_divisors.values()) > 1e-3
     assert min(ei_run.result.resonance.phase_divisors.values()) > 1e-3
     assert min(ei_run.result.resonance.amplitude_divisors.values()) > 1e-3
+
+
+def test_resonance_scan_matches_scalar_loop():
+    """The vectorised scan gives every residual of a scalar loop, bitwise."""
+    T = 20.8
+    nu = np.pi / T
+    exponents = np.array(
+        [0.0, -0.1405, -0.3774 + 0.045j, -0.3774 - 0.045j, -1.04 + nu * 1j,
+         -1.0846 + nu * 1j],
+        dtype=complex,
+    )
+    spectrum = FloquetSpectrum(
+        period=T,
+        multipliers=np.exp(exponents * T),
+        exponents=exponents,
+        lyapunov=exponents.real,
+        eigenvectors=np.eye(6, dtype=complex),
+        classes=(CLASS_TRIVIAL, CLASS_REAL_POSITIVE, CLASS_PAIR_LEAD,
+                 CLASS_PAIR_CONJ, "real_negative", "real_negative"),
+        monodromy=np.eye(6),
+        hyperbolicity_defect=0.0,
+        eigenvector_condition=1.0,
+    )
+    report = check_resonances(spectrum, max_order=6)
+    lam = exponents[1:]
+    step = 2.0 * np.pi / T
+    expected = []
+    for total in range(2, 7):
+        for combo in itertools.combinations_with_replacement(range(5), total):
+            a = tuple(combo.count(i) for i in range(5))
+            value = sum(ai * li for ai, li in zip(a, lam))
+            for k in range(5):
+                v = value - lam[k]
+                im = v.imag - step * np.round(v.imag / step)
+                expected.append((a, k, float(np.hypot(v.real, im))))
+    assert len(report.entries) == len(expected)
+    assert all(
+        got[:2] == want[:2] and got[2].hex() == want[2].hex()
+        for got, want in zip(report.entries, expected)
+    )

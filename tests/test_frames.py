@@ -2,9 +2,13 @@ import numpy as np
 
 from slowphase.frames import (
     RealBlock,
+    _integration_route,
+    _shifted_columns,
     cross_check_adjoint_frame,
     real_generator_matrix,
 )
+from slowphase.integrate import DEFAULT_SETTINGS
+from slowphase.series import theta_grid
 
 
 def test_oracle_bundle_columns_closed_form(oracle_run):
@@ -180,3 +184,29 @@ def test_cross_check_ei(ei_run):
     assert rep["max_column_discrepancy"] < 1e-8
     assert np.max(rep["eigenvalue_duality_rel_errors"]) < 1e-8
     assert rep["psi_phi_identity_defect"] < 1e-8
+
+
+def test_shifted_columns_batch_matches_single_columns(ei_run):
+    """Columns sharing a route integrate together as they would alone."""
+    result = ei_run.result
+    spectrum = result.spectrum
+    lams = spectrum.exponents
+    period = result.cycle.period
+    interp = result.cycle.interpolant()
+    theta = theta_grid(64)
+    for pair in ((1, 2), (4, 5)):
+        routes = {_integration_route(lams[j], lams, period) for j in pair}
+        assert len(routes) == 1
+        route = routes.pop()
+        w = spectrum.eigenvectors[:, list(pair)]
+        batch = _shifted_columns(
+            result.model, interp, w, lams[list(pair)], period, theta,
+            DEFAULT_SETTINGS, route,
+        )
+        assert batch.shape == (64, result.model.dim, 2)
+        for i, j in enumerate(pair):
+            single = _shifted_columns(
+                result.model, interp, w[:, i : i + 1], lams[j : j + 1], period,
+                theta, DEFAULT_SETTINGS, route,
+            )
+            assert np.max(np.abs(batch[:, :, i] - single[:, :, 0])) < 1e-9

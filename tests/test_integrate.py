@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from scipy.integrate import DOP853
 
 from slowphase.errors import IntegrationError, ModelError
 from slowphase.integrate import (
     CycleInterpolant,
     IntegratorSettings,
+    _integrate,
     adjoint_flow,
     flow,
     flow_samples,
@@ -154,3 +156,46 @@ def test_sampling_requires_dense_output():
     no_dense = IntegratorSettings(dense_output=False)
     with pytest.raises(IntegrationError):
         flow_samples(model, np.array([1.0, 0.0]), np.linspace(0, 1, 5), no_dense)
+
+
+@pytest.mark.parametrize("n", [8, 16, 64])
+def test_interpolant_matches_two_sided_sum(n):
+    """The folded half spectrum reproduces the full sum, Nyquist row included."""
+    rng = np.random.default_rng(n)
+    series = FourierSeries.from_samples(rng.standard_normal((n, 2, 3)))
+    assert np.max(np.abs(series.coef[n // 2])) > 1e-3  # nonzero Nyquist row
+    period = 3.7
+    interp = CycleInterpolant(series, period)
+    for t in rng.uniform(-2.0 * period, 3.0 * period, 25):
+        phase = np.exp((2j * np.pi / series.period) * series.k * (t / period))
+        full = np.tensordot(phase, series.coef, axes=(0, 0)).real
+        value = interp(t)
+        assert value.shape == (2, 3)
+        assert np.max(np.abs(value - full)) < 1e-13
+
+
+@pytest.mark.parametrize("t0, t1", [(0.0, 5.0), (5.0, 0.0)])
+def test_integrate_samples_equal_scalar_dense_loop(t0, t1):
+    """Batched dense-output sampling is bitwise the one-time-at-a-time loop."""
+    settings = IntegratorSettings()
+    y0 = np.array([1.4, -0.2])
+    times = np.random.default_rng(1).permutation(np.linspace(0.0, 5.0, 101))
+    damped_rotation = np.array([[-0.1, 1.0], [-1.0, -0.1]])
+
+    def fun(t, y):
+        return damped_rotation @ y + np.sin(t)
+
+    _, samples = _integrate(fun, t0, y0, t1, settings, t_eval=times)
+
+    expected = np.full((len(times), 2), np.nan)
+    expected[times == t0] = y0
+    solver = DOP853(fun, t0, y0, t_bound=t1, rtol=settings.rtol, atol=settings.atol)
+    while solver.status == "running":
+        solver.step()
+        dense = solver.dense_output()
+        lo, hi = sorted((dense.t_min, dense.t_max))
+        for i, t in enumerate(times):
+            if np.isnan(expected[i, 0]) and lo <= t <= hi:
+                expected[i] = dense(t)
+    assert not np.isnan(expected).any()
+    assert samples.tobytes() == expected.tobytes()

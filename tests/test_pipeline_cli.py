@@ -152,6 +152,53 @@ def test_stale_cycle_grid_rejected(tmp_path, capsys):
     assert not [n for n in os.listdir(out) if n.startswith("manifold_order_")]
 
 
+@pytest.mark.parametrize("first, second", [(6, 4), (4, 6)])
+def test_stale_manifold_order_rejected(tmp_path, capsys, first, second):
+    """A manifold stored at another order is a config error, either way."""
+    out = str(tmp_path / "out")
+    cfgs = {}
+    for order in (first, second):
+        cfgs[order] = tmp_path / f"run{order}.cfg"
+        cfgs[order].write_text(
+            ORACLE_CFG.replace("manifold.order = 4", f"manifold.order = {order}").format(out=out)
+        )
+    assert main(["manifold", "--config", str(cfgs[first])]) == 0
+    capsys.readouterr()
+    assert main(["response", "--config", str(cfgs[second])]) == 4
+    err = capsys.readouterr().err
+    assert f"order {first}" in err and f"manifold.order = {second}" in err
+    assert not os.path.exists(os.path.join(out, "response.json"))
+
+
+def test_stale_response_order_rejected(tmp_path, capsys):
+    cfg, out = _write_cfg(tmp_path)
+    assert main(["response", "--config", cfg]) == 0
+    # a response at order 4 next to a manifold claiming order 5
+    manifold_json = os.path.join(out, "manifold.json")
+    meta = json.load(open(manifold_json))
+    meta["nominal_order"] = 5
+    write_json(manifold_json, meta)
+    cfg_5 = tmp_path / "run5.cfg"
+    cfg_5.write_text(ORACLE_CFG.replace("manifold.order = 4", "manifold.order = 5").format(out=out))
+    capsys.readouterr()
+    assert main(["validate", "--config", str(cfg_5)]) == 4
+    err = capsys.readouterr().err
+    assert "stored response has order 4" in err and "manifold.order = 5" in err
+
+
+def test_corrupt_metadata_is_config_error(tmp_path, capsys):
+    cfg, out = _write_cfg(tmp_path)
+    assert main(["cycle", "--config", cfg]) == 0
+    cycle_json = os.path.join(out, "cycle.json")
+    meta = json.load(open(cycle_json))
+    del meta["period"]
+    write_json(cycle_json, meta)
+    capsys.readouterr()
+    assert main(["response", "--config", cfg]) == 4
+    err = capsys.readouterr().err
+    assert cycle_json in err and "period" in err
+
+
 def test_determinism_byte_identical(tmp_path):
     """Two runs with the same config produce identical artifact bytes."""
     outs = []

@@ -98,7 +98,7 @@ def test_zero_driving_terms_give_zero_orders(oracle_run):
     d = result.model.dim
     f_zero = np.zeros((3, n_grid, d, d))
     lower = [np.zeros((n_grid, d))]
-    z1, g1, _ = next_order_phase(
+    z1, g1 = next_order_phase(
         f_zero, lower, result.bundle, result.adjoint, 1, result.cycle.period
     )
     assert np.max(np.abs(z1)) == 0.0

@@ -196,6 +196,20 @@ def test_fourier_taylor_evaluate_horner():
     assert val[0] == pytest.approx(expected, abs=1e-12)
 
 
+def test_fourier_taylor_shared_phase_is_bitwise_per_order_evaluation():
+    rng = np.random.default_rng(5)
+    orders = tuple(
+        FourierSeries.from_samples(rng.standard_normal((32, 3))) for _ in range(5)
+    )
+    ft = FourierTaylor(orders)
+    theta = rng.uniform(0.0, 1.0, 7)
+    sigma = rng.uniform(-0.5, 0.5, 7)
+    acc = orders[4].evaluate(theta)
+    for n in range(3, -1, -1):
+        acc = acc * sigma[:, None] + orders[n].evaluate(theta)
+    assert ft.evaluate(theta, sigma).tobytes() == acc.tobytes()
+
+
 def test_sigma_scaling_gauge():
     rng = np.random.default_rng(11)
     orders = tuple(
