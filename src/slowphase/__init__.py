@@ -35,7 +35,7 @@ from .models import (
     register_model,
 )
 from .response import ResponseExpansion, expand_response_functions
-from .series import FourierSeries, FourierTaylor, block_solve_2x2, solve_diagonal
+from .series import FourierSeries, FourierTaylor, solve_diagonal
 from .validation import (
     AccuracyDomain,
     ValidationReport,

@@ -45,7 +45,6 @@ class RunConfig:
     resonance_order: int | None = None  # None: max(order, 2)
     resonance_tol: float = 1e-8
     bundle_scale: tuple | float | None = None
-    representation: str = "real"
     order: int = 9
     extra_orders: int = 1
     gauge: float = 1.0
@@ -66,8 +65,6 @@ class RunConfig:
             raise ConfigError("manifold.order must be >= 1")
         if self.extra_orders < 0:
             raise ConfigError("manifold.extra_orders must be >= 0")
-        if self.representation not in ("real", "complex"):
-            raise ConfigError("frames.representation must be 'real' or 'complex'")
         if not self.tolerances:
             raise ConfigError("validation.tolerances must be nonempty")
         tols = tuple(sorted(self.tolerances, reverse=True))
@@ -96,7 +93,6 @@ class RunConfig:
             f"resonance.order = {self.resonance_order if self.resonance_order is not None else 'auto'}",
             f"resonance.tol = {self.resonance_tol!r}",
             f"bundle.scale = {self.bundle_scale if self.bundle_scale is not None else 'auto'}",
-            f"frames.representation = {self.representation}",
             f"manifold.order = {self.order}",
             f"manifold.extra_orders = {self.extra_orders}",
             f"manifold.gauge = {self.gauge!r}",
@@ -192,8 +188,6 @@ def build_run_config(kv: dict) -> RunConfig:
             if value != "auto":
                 vec = _as_vector(key, value)
                 cfg["bundle_scale"] = vec[0] if len(vec) == 1 else vec
-        elif key == "frames.representation":
-            cfg["representation"] = value
         elif key == "manifold.order":
             cfg["order"] = _as_int(key, value)
         elif key == "manifold.extra_orders":

@@ -20,6 +20,7 @@ import shutil
 import numpy as np
 
 from .errors import ConfigError
+from .frames import build_real_frames
 from .manifold import evaluate_manifold
 from .pipeline import PipelineResult
 from .store import write_function_csv, write_rows_csv
@@ -47,12 +48,8 @@ def _curve_files(result: PipelineResult, out) -> list:
 def _frame_files(result: PipelineResult, out) -> list:
     files = []
     names = result.model.state_names
-    for label, frame in (
-        ("bundle", result.bundle_real or result.bundle),
-        ("adjoint", result.adjoint_real or result.adjoint),
-    ):
-        if frame is None:
-            continue
+    bundle_real, adjoint_real = build_real_frames(result.bundle, result.adjoint)
+    for label, frame in (("bundle", bundle_real), ("adjoint", adjoint_real)):
         vals = frame.grid_values().real
         theta = frame.series.grid()
         for j in range(frame.dim):

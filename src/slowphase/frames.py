@@ -19,6 +19,8 @@ which makes the biorthogonality normalizations exact by construction.
 Real frames are exact recombinations of the complex ones: negative-multiplier
 columns become antiperiodic (period-2) real functions via a half-harmonic
 phase factor, and conjugate pairs become their real and imaginary parts.
+The expansions use only the complex frames; the real ones serve the curve
+export.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .cycle import (
     FloquetSpectrum,
 )
 from .errors import FrameError
-from .integrate import DEFAULT_SETTINGS, IntegratorSettings, _integrate, adjoint_flow
+from .integrate import DEFAULT_SETTINGS, IntegratorSettings, _integrate
 from .series import FourierSeries, theta_grid, wavenumbers
 
 __all__ = [
@@ -735,7 +737,8 @@ def cross_check_adjoint_frame(
     # transition matrices started there.  Checking it chunkwise keeps the
     # dynamic range of each factor near one (the full-period product carries
     # exp(|Re lam_min| T) ~ 1/|mu_min|, which swamps double precision); the
-    # full-period identity follows by telescoping.
+    # full-period identity follows by telescoping.  The product of the chunk
+    # factors Psi is the adjoint monodromy, whose eigenvalues seed the columns.
     chunk_edges = np.linspace(0.0, period, n_identity_samples)
     identity_defect = 0.0
     eye = np.eye(d)
@@ -749,13 +752,14 @@ def cross_check_adjoint_frame(
         return np.concatenate([(jac @ phi).ravel(), (-jac.T @ psi).ravel()])
 
     y0 = np.concatenate([eye.ravel(), eye.ravel()])
+    psi_end = eye
     for t_a, t_b in zip(chunk_edges[:-1], chunk_edges[1:]):
         y_c, _ = _integrate(pair_rhs, t_a, y0, t_b, settings)
         phi_c, psi_c = y_c[:dd].reshape(d, d), y_c[dd:].reshape(d, d)
         defect = np.abs(psi_c.T @ phi_c - eye).max()
         identity_defect = max(identity_defect, float(defect))
+        psi_end = psi_c @ psi_end
 
-    psi_end = adjoint_flow(model, interp, period, settings)
     psi_eigs, psi_vecs = np.linalg.eig(psi_end)
     expected = np.exp(-np.conj(spectrum.exponents) * period)
     raw_duality_errors = np.zeros(d)

@@ -31,7 +31,6 @@ from .frames import (
     RealBlock,
     build_adjoint_frame,
     build_bundle_frame,
-    build_real_frames,
     cross_check_adjoint_frame,
 )
 from .manifold import ManifoldExpansion, expand_slow_manifold
@@ -60,8 +59,6 @@ class PipelineResult:
     resonance: object = None
     bundle: Frame | None = None
     adjoint: Frame | None = None
-    bundle_real: Frame | None = None
-    adjoint_real: Frame | None = None
     crosscheck: dict | None = None
     band_cut: int | None = None
     manifold: ManifoldExpansion | None = None
@@ -134,7 +131,7 @@ def load_spectrum(out) -> FloquetSpectrum:
 
 
 def save_frames(out, result: PipelineResult):
-    """Write the complex frames; the real frames are rebuilt on load."""
+    """Write the complex frames, the only frames the pipeline uses."""
     meta = {"band_cut": result.band_cut}
     for name in ("bundle", "adjoint"):
         frame = getattr(result, name)
@@ -149,7 +146,8 @@ def load_frames(out) -> dict:
     """PipelineResult fields of the frames stage.
 
     Real-frame entries in ``frames.json`` (written by earlier versions) are
-    ignored: ``build_real_frames`` recomputes those frames exactly.
+    ignored: ``build_real_frames`` recomputes those frames exactly when an
+    export needs them.
     """
     meta = read_json(os.path.join(out, "frames.json"))
     loaded = {"band_cut": meta["band_cut"]}
@@ -160,9 +158,6 @@ def load_frames(out) -> dict:
         frame["blocks"] = tuple(RealBlock(**b) for b in frame["blocks"])
         series = read_series_csv(os.path.join(out, f"frame_{name}_coeff.csv"))
         loaded[name] = Frame(series=series, **frame)
-    loaded["bundle_real"], loaded["adjoint_real"] = build_real_frames(
-        loaded["bundle"], loaded["adjoint"]
-    )
     path = os.path.join(out, "adjoint_crosscheck.json")
     if os.path.exists(path):
         loaded["crosscheck"] = read_json(path)
@@ -195,8 +190,15 @@ def save_response(out, response: ResponseExpansion):
 
 
 def load_response(out) -> ResponseExpansion:
+    """The response stage.
+
+    ``representation`` and ``fold_defect`` keys, written by earlier versions
+    that had a real-representation path, are ignored.
+    """
     meta = read_json(os.path.join(out, "response.json"))
     order = meta.pop("order")
+    for key in ("representation", "fold_defect"):
+        meta.pop(key, None)
     for key in ("phase_residuals", "amplitude_residuals"):
         meta[key] = np.asarray(meta[key])
     return ResponseExpansion(
@@ -306,9 +308,6 @@ def run_pipeline(
             result.adjoint = build_adjoint_frame(
                 result.bundle, jac, result.cycle.period, k_cut=result.band_cut
             )
-            result.bundle_real, result.adjoint_real = build_real_frames(
-                result.bundle, result.adjoint
-            )
             result.crosscheck = cross_check_adjoint_frame(
                 model,
                 result.cycle,
@@ -339,9 +338,6 @@ def run_pipeline(
                 result.bundle,
                 result.adjoint,
                 order=config.order,
-                representation=config.representation,
-                bundle_real=result.bundle_real,
-                adjoint_real=result.adjoint_real,
                 small_divisor_tol=config.small_divisor_tol,
                 solvability_tol=config.solvability_tol,
             )
@@ -442,7 +438,6 @@ def _build_manifest(out, result: PipelineResult, failed_stage, error) -> dict:
             "normalization_defect": result.response.normalization_defect,
             "phase_residuals": list(result.response.phase_residuals),
             "amplitude_residuals": list(result.response.amplitude_residuals),
-            "representation": result.response.representation,
         }
     if result.validation is not None:
         manifest["validation"] = result.validation.summary()

@@ -19,9 +19,9 @@ Power series in the amplitude variable sigma are kept in two shapes:
   convolution in sigma and pointwise products in theta; this is the form fed
   through model right-hand sides (jet transport).
 
-The module also hosts the two Fourier-space solvers used by every recursion
-of the pipeline: a componentwise diagonal solve and a 2x2 block solve for
-real representations of complex-conjugate directions.
+The module also hosts the Fourier-space solver used by every recursion of
+the pipeline: a componentwise diagonal solve in the complex Floquet normal
+form.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ __all__ = [
     "Jet",
     "theta_grid",
     "solve_diagonal",
-    "block_solve_2x2",
 ]
 
 
@@ -403,44 +402,3 @@ def solve_diagonal(
     out = np.where(mask, 0.0, coef / safe)
     return FourierSeries(out.reshape(rhs.coef.shape), rhs.period), free
 
-
-def block_solve_2x2(
-    rhs: FourierSeries,
-    alpha: float,
-    beta: float,
-    shift: complex,
-    period_time: float,
-    det_tol: float = 1e-14,
-) -> FourierSeries:
-    """Solve the coupled real pair of components for a conjugate direction.
-
-    For each wavenumber ``k`` with ``xi = 2 pi i k / (P T) + shift`` the
-    system is
-
-        [[xi + alpha, -beta], [beta, xi + alpha]] (u, v) = (g1, g2),
-
-    whose determinant factors as ``(xi + lam)(xi + conj(lam))`` with
-    ``lam = alpha + i beta``; a vanishing determinant raises an error citing
-    the wavenumber.  ``rhs`` must carry exactly two components.
-    """
-    if rhs.value_shape != (2,):
-        raise GridError("block solve expects a 2-component series")
-    n = rhs.grid_size
-    k = wavenumbers(n)
-    xi = (2j * np.pi / (rhs.period * period_time)) * k + shift
-    a = xi + alpha
-    det = a * a + beta * beta
-    keep = np.ones(n, dtype=bool)
-    keep[n // 2] = False  # Nyquist row lies outside the space
-    bad = (np.abs(det) < det_tol) & keep
-    if np.any(bad):
-        kk = int(k[np.nonzero(bad)[0][0]])
-        raise SmallDivisorError(
-            f"2x2 block determinant vanishes at k = {kk}", context=(kk, None, None)
-        )
-    det = np.where(keep, det, 1.0)
-    g1 = np.where(keep, rhs.coef[:, 0], 0.0)
-    g2 = np.where(keep, rhs.coef[:, 1], 0.0)
-    u = (a * g1 + beta * g2) / det
-    v = (-beta * g1 + a * g2) / det
-    return FourierSeries(np.stack([u, v], axis=1), rhs.period)

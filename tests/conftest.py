@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from slowphase.config import RunConfig
+from slowphase.frames import build_real_frames
 from slowphase.pipeline import Stage, run_pipeline
 
 
@@ -69,9 +70,13 @@ def ei_run(tmp_path_factory):
     t1 = time.time()
     result = run_pipeline(config, resume=partial)
     expansion_elapsed = time.time() - t1
+    # real representations of the frames, for the real-frame identities
+    bundle_real, adjoint_real = build_real_frames(result.bundle, result.adjoint)
     return SimpleNamespace(
         result=result,
         config=config,
+        bundle_real=bundle_real,
+        adjoint_real=adjoint_real,
         floquet_elapsed=floquet_elapsed,
         expansion_elapsed=expansion_elapsed,
     )

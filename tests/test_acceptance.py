@@ -140,8 +140,8 @@ def test_criterion_5_orthogonality_suite(ei_run):
 def test_criterion_6_two_periodicity(ei_run):
     result = ei_run.result
     n = result.cycle.grid_size
-    bundle = result.bundle_real.grid_values().real
-    adjoint = result.adjoint_real.grid_values().real
+    bundle = ei_run.bundle_real.grid_values().real
+    adjoint = ei_run.adjoint_real.grid_values().real
     worst = 0.0
     for vals in (bundle, adjoint):
         for j in (4, 5):

@@ -89,9 +89,9 @@ def test_frame_ode_residuals_per_class(ei_run):
 def test_real_bundle_antiperiodicity(ei_run):
     result = ei_run.result
     n = result.cycle.grid_size
-    assert result.bundle_real.period == 2.0
-    vals = result.bundle_real.grid_values().real
-    avals = result.adjoint_real.grid_values().real
+    assert ei_run.bundle_real.period == 2.0
+    vals = ei_run.bundle_real.grid_values().real
+    avals = ei_run.adjoint_real.grid_values().real
     for j in (4, 5):
         assert np.max(np.abs(vals[:n, :, j] + vals[n:, :, j])) < 1e-9
         assert np.max(np.abs(avals[:n, :, j] + avals[n:, :, j])) < 1e-9
@@ -104,10 +104,10 @@ def test_negative_columns_relate_to_complex_by_half_harmonic(ei_run):
     # complex column = e^{-i pi theta} x real antiperiodic column
     result = ei_run.result
     n = result.cycle.grid_size
-    theta2 = result.bundle_real.series.grid()
+    theta2 = ei_run.bundle_real.series.grid()
     phase = np.exp(-1j * np.pi * theta2[:n])
     complex_cols = result.bundle.grid_values()
-    real_cols = result.bundle_real.grid_values().real
+    real_cols = ei_run.bundle_real.grid_values().real
     for j in (4, 5):
         reconstructed = phase[:, None] * real_cols[:n, :, j]
         assert np.max(np.abs(reconstructed - complex_cols[:, :, j])) < 1e-10
@@ -117,15 +117,15 @@ def test_real_pair_columns_are_real_and_imaginary_parts(ei_run):
     result = ei_run.result
     n = result.cycle.grid_size
     complex_cols = result.bundle.grid_values()
-    real_cols = result.bundle_real.grid_values().real
+    real_cols = ei_run.bundle_real.grid_values().real
     assert np.max(np.abs(real_cols[:n, :, 2] - complex_cols[:, :, 2].real)) < 1e-12
     assert np.max(np.abs(real_cols[:n, :, 3] - complex_cols[:, :, 2].imag)) < 1e-12
 
 
 def test_real_frames_biorthogonal(ei_run):
     result = ei_run.result
-    q = result.adjoint_real.grid_values().real
-    b = result.bundle_real.grid_values().real
+    q = ei_run.adjoint_real.grid_values().real
+    b = ei_run.bundle_real.grid_values().real
     gram = np.einsum("nij,nik->njk", q, b)
     assert np.max(np.abs(gram - np.eye(6))) < 1e-9
 
@@ -139,13 +139,13 @@ def test_real_frame_odes(ei_run):
     n = result.cycle.grid_size
     jac = result.model.jacobian(result.cycle.samples)
     jac2 = np.tile(jac, (2, 1, 1))
-    gen = real_generator_matrix(result.bundle_real.blocks, 6)
-    vals = result.bundle_real.grid_values().real
+    gen = real_generator_matrix(ei_run.bundle_real.blocks, 6)
+    vals = ei_run.bundle_real.grid_values().real
     dq = _spectral_derivative(vals, 2.0, 2 * result.band_cut)
     res = dq.real / T - jac2 @ vals + vals @ gen
     assert np.max(np.abs(res)) < 5e-9
-    gen_adj = real_generator_matrix(result.adjoint_real.blocks, 6, adjoint=True)
-    avals = result.adjoint_real.grid_values().real
+    gen_adj = real_generator_matrix(ei_run.adjoint_real.blocks, 6, adjoint=True)
+    avals = ei_run.adjoint_real.grid_values().real
     da = _spectral_derivative(avals, 2.0, 2 * result.band_cut)
     res_a = da.real / T + np.swapaxes(jac2, 1, 2) @ avals - avals @ gen_adj
     assert np.max(np.abs(res_a)) < 5e-9

@@ -8,6 +8,7 @@ import pytest
 from slowphase.cli import main
 from slowphase.config import RunConfig
 from slowphase.export import export_artifacts
+from slowphase.frames import build_real_frames
 from slowphase.pipeline import (
     load_cycle,
     load_frames,
@@ -78,16 +79,46 @@ def test_artifact_reload_round_trip(oracle_run, ei_run, tmp_path):
     assert response.order == result.response.order
     assert response.solvability_residual == result.response.solvability_residual
 
+    # a response.json with the keys of the retired real-representation path,
+    # as earlier versions wrote it, still loads
+    legacy = tmp_path / "legacy_response"
+    legacy.mkdir()
+    for name in os.listdir(out):
+        if name.startswith("response_"):
+            shutil.copy(os.path.join(out, name), legacy)
+    meta = json.load(open(os.path.join(out, "response.json")))
+    assert "representation" not in meta and "fold_defect" not in meta
+    meta.update(representation="real", fold_defect=3.0e-16)
+    write_json(legacy / "response.json", meta)
+    response = load_response(str(legacy))
+    assert response.order == result.response.order
+    assert response.normalization_defect == result.response.normalization_defect
+    assert np.array_equal(response.phase_residuals, result.response.phase_residuals)
+    for n in range(response.order + 1):
+        assert np.array_equal(
+            response.amplitude.order_series(n).coef,
+            result.response.amplitude.order_series(n).coef,
+        )
+
     # frames: the ei cycle has a negative multiplier, so its real frames
-    # carry the period-2 lift; they are rebuilt on load, never stored
+    # carry the period-2 lift; they are neither stored nor loaded, and
+    # build_real_frames rebuilds them from the loaded complex frames
     out = ei_run.config.out_dir
     result = ei_run.result
     assert not [n for n in os.listdir(out) if n.endswith("_real_coeff.csv")]
     frames = load_frames(out)
     assert frames["band_cut"] == result.band_cut
-    assert any(b.kind == "negative" for b in result.bundle_real.blocks)
-    for name in ("bundle", "adjoint", "bundle_real", "adjoint_real"):
-        _assert_same_frame(frames[name], getattr(result, name))
+    assert "bundle_real" not in frames and "adjoint_real" not in frames
+    assert any(b.kind == "negative" for b in ei_run.bundle_real.blocks)
+
+    def assert_same_frames(frames):
+        rebuilt = build_real_frames(frames["bundle"], frames["adjoint"])
+        for name in ("bundle", "adjoint"):
+            _assert_same_frame(frames[name], getattr(result, name))
+        for name, frame in zip(("bundle_real", "adjoint_real"), rebuilt):
+            _assert_same_frame(frame, getattr(ei_run, name))
+
+    assert_same_frames(frames)
 
     # a frames.json that also lists the real frames, with their tables,
     # as earlier versions wrote it, still loads
@@ -96,7 +127,7 @@ def test_artifact_reload_round_trip(oracle_run, ei_run, tmp_path):
     meta = json.load(open(os.path.join(out, "frames.json")))
     for name in ("bundle", "adjoint"):
         shutil.copy(os.path.join(out, f"frame_{name}_coeff.csv"), legacy)
-        frame = getattr(result, f"{name}_real")
+        frame = getattr(ei_run, f"{name}_real")
         write_series_csv(legacy / f"frame_{name}_real_coeff.csv", frame.series)
         meta[f"{name}_real"] = {
             "kind": frame.kind,
@@ -111,8 +142,8 @@ def test_artifact_reload_round_trip(oracle_run, ei_run, tmp_path):
         }
     write_json(legacy / "frames.json", meta)
     frames = load_frames(str(legacy))
-    for name in ("bundle", "adjoint", "bundle_real", "adjoint_real"):
-        _assert_same_frame(frames[name], getattr(result, name))
+    assert "bundle_real" not in frames and "adjoint_real" not in frames
+    assert_same_frames(frames)
 
 
 def test_staged_subcommands_resume(tmp_path):
@@ -235,6 +266,17 @@ def test_exit_code_bad_config(tmp_path):
     assert main(["run", "--config", str(cfg)]) == 4
 
 
+def test_removed_representation_key_rejected(tmp_path, capsys):
+    # the real-representation response path and its knob are gone; an old
+    # config that still sets it fails loudly instead of being ignored
+    cfg, out = _write_cfg(tmp_path)
+    with open(cfg, "a", encoding="utf-8") as fh:
+        fh.write("frames.representation = real\n")
+    assert main(["run", "--config", cfg]) == 4
+    assert "unknown config key: frames.representation" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_exit_code_validation_failure(tmp_path):
     cfg = tmp_path / "strict.cfg"
     cfg.write_text(
@@ -304,6 +346,18 @@ def test_export_plotdata_format(oracle_run):
         first = fh.readline().strip().split(",")
     assert header == "theta,sigma,component,value"
     assert first[2].startswith(("K.", "Z.", "I."))
+
+
+def test_export_frames_are_real_columns(ei_run, tmp_path):
+    # the frame curves are the real frames, period-2 lift included
+    files = export_artifacts(ei_run.result, "frames", "csv", out_dir=str(tmp_path))
+    assert len(files) == 12
+    path = tmp_path / "curve_bundle_column_4.csv"
+    rows = np.loadtxt(path, delimiter=",", skiprows=1)
+    expect = ei_run.bundle_real.grid_values().real[:, :, 4]
+    assert rows.shape == (2 * ei_run.result.cycle.grid_size, 7)
+    assert np.array_equal(rows[:, 0], ei_run.bundle_real.series.grid())
+    assert np.array_equal(rows[:, 1:], expect)  # %.17g round-trips exactly
 
 
 def test_export_selector_validation(oracle_run):

@@ -3,11 +3,7 @@ import pytest
 
 from slowphase.errors import SolvabilityError
 from slowphase.manifold import evaluate_manifold
-from slowphase.response import (
-    expand_response_functions,
-    next_order_amplitude,
-    next_order_phase,
-)
+from slowphase.response import expand_response_functions, next_order
 
 
 def half_power_series(power, n, b):
@@ -98,13 +94,13 @@ def test_zero_driving_terms_give_zero_orders(oracle_run):
     d = result.model.dim
     f_zero = np.zeros((3, n_grid, d, d))
     lower = [np.zeros((n_grid, d))]
-    z1, g1 = next_order_phase(
-        f_zero, lower, result.bundle, result.adjoint, 1, result.cycle.period
+    z1, g1, _ = next_order(
+        f_zero, lower, result.bundle, result.adjoint, 1, result.cycle.period, 0
     )
     assert np.max(np.abs(z1)) == 0.0
-    i2, h2, _ = next_order_amplitude(
+    i2, h2, _ = next_order(
         f_zero, [np.zeros((n_grid, d)), np.zeros((n_grid, d))],
-        result.bundle, result.adjoint, 2, result.cycle.period,
+        result.bundle, result.adjoint, 2, result.cycle.period, -1,
     )
     assert np.max(np.abs(i2)) == 0.0
 
@@ -123,8 +119,8 @@ def test_order1_free_mode_bookkeeping(oracle_run):
     f_real = _jacobian_transpose_orders(
         result.model, result.manifold, 1
     )
-    i1, h1, solv = next_order_amplitude(
-        f_real, [i0], result.bundle, result.adjoint, 1, result.cycle.period
+    i1, h1, solv = next_order(
+        f_real, [i0], result.bundle, result.adjoint, 1, result.cycle.period, -1
     )
     assert solv < 1e-9
     # incompatible synthetic data trips the solvability gate: perturb so the
@@ -134,8 +130,8 @@ def test_order1_free_mode_bookkeeping(oracle_run):
     f_bad = f_real.copy()
     f_bad[1] += np.einsum("na,nb->nab", k0p, i0)
     with pytest.raises(SolvabilityError):
-        next_order_amplitude(
-            f_bad, [i0], result.bundle, result.adjoint, 1, result.cycle.period
+        next_order(
+            f_bad, [i0], result.bundle, result.adjoint, 1, result.cycle.period, -1
         )
 
 
@@ -154,26 +150,3 @@ def test_directional_derivative_identities_oracle(oracle_run):
         assert abs(np.dot(z, speed) - 1.0 / T) < 1e-8
         assert abs(np.dot(a, speed) - lam * sg) < 1e-8
 
-
-def test_real_and_complex_paths_agree(ei_run):
-    result = ei_run.result
-    resp_c = expand_response_functions(
-        result.model, result.manifold, result.bundle, result.adjoint, order=5
-    )
-    resp_r = expand_response_functions(
-        result.model, result.manifold, result.bundle, result.adjoint, order=5,
-        representation="real",
-        bundle_real=result.bundle_real, adjoint_real=result.adjoint_real,
-    )
-    for n in range(6):
-        dz = np.max(np.abs(
-            resp_c.phase.order_series(n).samples().real
-            - resp_r.phase.order_series(n).samples().real
-        ))
-        di = np.max(np.abs(
-            resp_c.amplitude.order_series(n).samples().real
-            - resp_r.amplitude.order_series(n).samples().real
-        ))
-        assert dz < 1e-10, f"phase order {n}"
-        assert di < 1e-10, f"amplitude order {n}"
-    assert resp_r.fold_defect < 1e-10

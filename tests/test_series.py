@@ -8,7 +8,6 @@ from slowphase.series import (
     FourierSeries,
     FourierTaylor,
     Jet,
-    block_solve_2x2,
     solve_diagonal,
     theta_grid,
 )
@@ -145,39 +144,6 @@ def test_solve_diagonal_free_mode_reports_residual():
     sol, free = solve_diagonal(rhs, [0.0], period_time=1.0, free_modes=[(0, 0)])
     assert free[(0, 0)] == pytest.approx(0.25)
     assert abs(sol.coef[0, 0]) == 0.0
-
-
-def test_block_solve_zero_rhs():
-    rhs = FourierSeries.zeros(32, (2,))
-    sol = block_solve_2x2(rhs, alpha=-0.3, beta=0.2, shift=0.5, period_time=2.0)
-    assert np.max(np.abs(sol.coef)) == 0.0
-
-
-def test_block_solve_decoupled_limit_matches_diagonal():
-    rng = np.random.default_rng(5)
-    n, T = 64, 2.5
-    rhs = FourierSeries.from_samples(rng.standard_normal((n, 2)))
-    alpha, shift = -0.4, 0.9
-    blocked = block_solve_2x2(rhs, alpha, 0.0, shift, T)
-    diag, _ = solve_diagonal(rhs, [alpha + shift, alpha + shift], period_time=T)
-    assert np.max(np.abs(blocked.coef - diag.coef)) < 1e-13
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(min_value=0, max_value=2**31 - 1))
-def test_block_solve_operator_round_trip(seed):
-    rng = np.random.default_rng(seed)
-    n, T = 64, 3.1
-    alpha, beta, shift = -0.5, 0.7, 0.25
-    rhs = FourierSeries.from_samples(rng.standard_normal((n, 2))).band_limited(n // 2)
-    sol = block_solve_2x2(rhs, alpha, beta, shift, T)
-    u = sol.samples()
-    du = sol.differentiate().samples()
-    block = np.array([[alpha + shift, -beta], [beta, alpha + shift]])
-    recovered = du / T + u @ block.T
-    assert np.max(np.abs(recovered - rhs.samples().real)) < 1e-11
-    # real rhs must produce a real pair
-    assert np.max(np.abs(u.imag)) < 1e-12
 
 
 def test_fourier_taylor_requires_order_zero():
