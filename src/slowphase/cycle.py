@@ -2,9 +2,11 @@
 
 The cycle is found by relaxing onto the attractor, bracketing the first
 return to a Poincare section through the relaxed point (normal along the
-vector field), and Newton-polishing the pair (anchor, period) on the
-bordered shooting system.  The spectrum comes from an eigendecomposition of
-the monodromy matrix of the first-variational system over one period.
+vector field) with a crossing test run after every step of the shared
+integration loop of :mod:`slowphase.integrate`, and Newton-polishing the
+pair (anchor, period) on the bordered shooting system.  The spectrum comes from
+an eigendecomposition of the monodromy matrix of the first-variational
+system over one period.
 """
 
 from __future__ import annotations
@@ -13,14 +15,12 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import DOP853
 from scipy.optimize import brentq
 
 from .errors import (
     DefectiveSpectrumError,
     GridError,
     HyperbolicityError,
-    IntegrationError,
     NewtonError,
     SectionError,
 )
@@ -28,6 +28,7 @@ from .integrate import (
     DEFAULT_SETTINGS,
     CycleInterpolant,
     IntegratorSettings,
+    _integrate,
     flow,
     flow_samples,
     flow_with_variational,
@@ -68,61 +69,49 @@ class CycleResult:
     def interpolant(self, span: float | None = None) -> CycleInterpolant:
         return CycleInterpolant(self.series, self.period, span)
 
-    def order0_defect(self, model) -> float:
-        """Grid max of || (1/T) K0' - X(K0) ||_2 (spectral derivative)."""
-        deriv = self.series.differentiate().samples().real
-        defect = deriv / self.period - model.eval(self.samples)
-        return float(np.max(np.linalg.norm(defect, axis=1)))
-
 
 def _first_return(model, x0, settings, t_max, distance_frac=1e-3):
-    """First positive-direction return time to the section through x0."""
+    """First positive-direction return time to the section through x0.
+
+    Each integration step is tested for an upward crossing of the section;
+    a crossing is located by ``brentq`` on that step's dense output.  The
+    first crossing closer to x0 than ``distance_frac`` of the orbit diameter
+    so far ends the search; otherwise the closest one found before ``t_max``
+    is returned.
+    """
     speed = model.eval(x0)
     norm = np.linalg.norm(speed)
     if norm < 1e-12:
         raise SectionError(f"vector field too small at anchor (|X| = {norm:.2e})")
     normal = speed / norm
 
-    def g(t, y):
+    def g(y):
         return float(np.dot(y - x0, normal))
 
-    solver = DOP853(
-        lambda t, y: model.eval(y), 0.0, x0, t_bound=t_max,
-        rtol=settings.rtol, atol=settings.atol,
-    )
     diameter = 0.0
-    best = None
+    best = None  # (t_cross, distance) of the closest crossing so far
     g_prev = 0.0
     t_prev = 0.0
-    steps = 0
-    while solver.status == "running":
-        if steps >= settings.max_steps:
-            raise IntegrationError(
-                f"step budget {settings.max_steps} exhausted at t = {solver.t:.6g}",
-                time=solver.t,
-            )
-        msg = solver.step()
-        steps += 1
-        if solver.status == "failed":
-            raise NewtonError(f"return-time search failed: {msg}")
-        if not np.all(np.isfinite(solver.y)):
-            raise IntegrationError(
-                f"non-finite state at t = {solver.t:.6g}", time=solver.t
-            )
+
+    def on_step(solver):
+        nonlocal diameter, best, g_prev, t_prev
         diameter = max(diameter, float(np.linalg.norm(solver.y - x0)))
-        g_now = g(solver.t, solver.y)
+        g_now = g(solver.y)
+        done = False
         if g_prev < 0.0 <= g_now and solver.t > 1e-8:
             dense = solver.dense_output()
             t_cross = brentq(
-                lambda s: g(s, dense(s)), t_prev, solver.t, xtol=1e-13, rtol=1e-15
+                lambda s: g(dense(s)), t_prev, solver.t, xtol=1e-13, rtol=1e-15
             )
             dist = float(np.linalg.norm(dense(t_cross) - x0))
-            if dist < distance_frac * max(diameter, 1e-12):
-                return t_cross
-            if best is None or dist < best[1]:
+            done = dist < distance_frac * max(diameter, 1e-12)
+            if done or best is None or dist < best[1]:
                 best = (t_cross, dist)
         g_prev = g_now
         t_prev = solver.t
+        return done
+
+    _integrate(lambda t, y: model.eval(y), 0.0, x0, t_max, settings, on_step=on_step)
     if best is not None:
         return best[0]
     raise NewtonError(f"no return to the section found within t = {t_max}")

@@ -11,6 +11,10 @@ spectral accuracy: a single-shot integration of strongly contracting
 directions cannot, in double precision, because errors along slower
 directions grow like exp(|Re lam_j| T) across the period.
 
+Band limits and theta-derivatives of grid values are the series operations
+of :class:`~slowphase.series.FourierSeries`: ``from_samples``, then
+``band_limited`` and ``differentiate``, then ``samples``.
+
 The same machinery, run on the adjoint operator, provides an independent
 construction of the response-curve frame for cross-checking; the production
 adjoint frame is simply the pointwise inverse transpose of the bundle frame,
@@ -103,24 +107,6 @@ class BundleBuildResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _spectral_derivative(values: np.ndarray, period: float, k_cut=None) -> np.ndarray:
-    """d/d theta of grid values along axis 0 (Nyquist mode zeroed).
-
-    With ``k_cut`` the derivative is taken within the band-limited space:
-    grid values synthesized from truncated series carry eps-level tails at
-    all wavenumbers, which a raw derivative would amplify by 2 pi k.
-    """
-    n = values.shape[0]
-    k = wavenumbers(n).astype(float)
-    k[n // 2] = 0.0
-    if k_cut is not None:
-        k[np.abs(wavenumbers(n)) >= k_cut] = 0.0
-    factor = (2j * np.pi / period) * k
-    coef = np.fft.fft(values, axis=0)
-    coef *= factor.reshape((n,) + (1,) * (values.ndim - 1))
-    return np.fft.ifft(coef, axis=0)
-
-
 def _active_bandwidth(series: FourierSeries, n: int) -> int:
     """Estimate where the true spectral content reaches the eps floor.
 
@@ -140,21 +126,6 @@ def _active_bandwidth(series: FourierSeries, n: int) -> int:
     estimate = int(1.3 * (k_lo + 6.0 * per_decade))
     floor = min(64, n // 3)
     return int(min(n // 3, max(floor, estimate)))
-
-
-def _band_limit(values: np.ndarray, k_cut: int) -> np.ndarray:
-    """Zero all modes with |k| >= k_cut along axis 0.
-
-    Integration seeds carry step-scale noise near the Nyquist wavenumber;
-    grid products alias it and the refinement would re-inject it with gain
-    above one.  The analytic functions handled here decay geometrically, so
-    a cutoff at a fraction of the grid removes noise only.
-    """
-    n = values.shape[0]
-    keep = np.abs(wavenumbers(n)) < k_cut
-    coef = np.fft.fft(values, axis=0)
-    coef[~keep] = 0.0
-    return np.fft.ifft(coef, axis=0)
 
 
 def _integration_route(lam: complex, exponents: np.ndarray, period: float,
@@ -282,13 +253,17 @@ def _refine_frame(
     mode (k=0, component=j) of column j is the scale gauge and funds the
     exponent update.  Converges linearly with rate ~ ||residual|| / gap, so a
     handful of sweeps suffice from integration-quality seeds.  Columns are
-    kept band-limited to |k| < N / band_fraction throughout.
+    kept band-limited to |k| < k_cut throughout: integration seeds carry
+    step-scale noise near the Nyquist wavenumber, which grid products alias
+    and the refinement would re-inject with gain above one.  The analytic
+    functions handled here decay geometrically, so a cutoff at a fraction of
+    the grid removes noise only; derivatives are taken within the same band.
     """
     n, d = cols.shape[0], cols.shape[2]
     k = wavenumbers(n)
     if k_cut is None:
         k_cut = n // 3
-    cols[...] = _band_limit(cols, k_cut)
+    cols[...] = FourierSeries.from_samples(cols).band_limited(k_cut).samples()
     jac_t = np.swapaxes(jac_grid, 1, 2)
     scale = 1.0 + float(np.max(np.abs(jac_grid)))
     tol = tol_rel * scale
@@ -297,7 +272,10 @@ def _refine_frame(
     worse = 0
 
     for sweep in range(max_sweeps):
-        dq = _spectral_derivative(cols, 1.0, k_cut)
+        dq = (
+            FourierSeries.from_samples(cols).band_limited(k_cut)
+            .differentiate().samples()
+        )
         if adjoint:
             res = dq / period + jac_t @ cols - cols * lams[None, None, :]
         else:
@@ -346,27 +324,28 @@ def _refine_frame(
             if classes[j] != CLASS_TRIVIAL:
                 lams[j] += -dlam if adjoint else dlam
 
-        cols[...] = _band_limit(cols, k_cut)
+        cols[...] = FourierSeries.from_samples(cols).band_limited(k_cut).samples()
         _symmetrize_columns(cols, lams, classes, theta, period, adjoint)
 
     return history
 
 
-def _polish_cycle_step(model, samples, period, cols, lams, k_cut=None):
+def _polish_cycle_step(model, samples, period, cols, lams, k_cut):
     """One Fourier-space Newton step on the orbit samples and period.
 
-    Returns updated (samples, period, defect_before); the correction is
-    expressed in frame coordinates, where the (k=0, flow-direction) mode is
-    the time-origin gauge and its right-hand side funds the period update.
+    Returns updated (samples, period); the correction is expressed in frame
+    coordinates, where the (k=0, flow-direction) mode is the time-origin
+    gauge and its right-hand side funds the period update.  Like the frame
+    columns, the samples are kept band-limited to |k| < k_cut.
     """
-    n, d = samples.shape
+    n = samples.shape[0]
     k = wavenumbers(n)
-    if k_cut is None:
-        k_cut = n // 3
-    samples = _band_limit(samples.astype(complex), k_cut).real
-    deriv = _spectral_derivative(samples.astype(complex), 1.0, k_cut).real
+    samples = FourierSeries.from_samples(samples).band_limited(k_cut).samples().real
+    deriv = (
+        FourierSeries.from_samples(samples).band_limited(k_cut)
+        .differentiate().samples().real
+    )
     defect = model.eval(samples) - deriv / period
-    defect_max = float(np.max(np.linalg.norm(defect, axis=1)))
     rho = np.linalg.solve(cols, defect.astype(complex)[:, :, None])[:, :, 0]
     rho_hat = np.fft.fft(rho, axis=0) / n
     div = (2j * np.pi / period) * k[:, None] - lams[None, :]
@@ -376,8 +355,11 @@ def _polish_cycle_step(model, samples, period, cols, lams, k_cut=None):
     v_hat[0, 0] = 0.0
     v = np.fft.ifft(v_hat * n, axis=0)
     correction = np.einsum("nab,nb->na", cols, v).real
-    new_samples = _band_limit((samples + correction).astype(complex), k_cut).real
-    return new_samples, period + d_period, defect_max
+    new_samples = (
+        FourierSeries.from_samples(samples + correction).band_limited(k_cut)
+        .samples().real
+    )
+    return new_samples, period + d_period
 
 
 def build_bundle_frame(
@@ -389,7 +371,6 @@ def build_bundle_frame(
     refine_tol_rel: float = 1e-12,
     max_sweeps: int = 80,
     max_outer: int = 6,
-    polish_cycle: bool = True,
 ) -> BundleBuildResult:
     """Build the complex bundle frame and jointly polish the orbit.
 
@@ -408,7 +389,7 @@ def build_bundle_frame(
     interp = cycle.interpolant()
 
     cols = np.zeros((n, d, d), dtype=complex)
-    cols[:, :, 0] = _spectral_derivative(samples.astype(complex), 1.0).real
+    cols[:, :, 0] = FourierSeries.from_samples(samples).differentiate().samples().real
 
     seeds = {
         j: spectrum.eigenvectors[:, j]
@@ -422,19 +403,17 @@ def build_bundle_frame(
     _symmetrize_columns(cols, lams, classes, theta, period, adjoint=False)
 
     k_cut = _active_bandwidth(cycle.series, n)
-    jac_grid = model.jacobian(samples)
     histories = []
     cycle_defect = np.inf
     for outer in range(max_outer):
-        if polish_cycle:
-            samples, period, _ = _polish_cycle_step(
-                model, samples, period, cols, lams, k_cut
-            )
-            jac_grid = model.jacobian(samples)
-            cols[:, :, 0] = _spectral_derivative(
-                samples.astype(complex), 1.0, k_cut
-            ).real
-            _symmetrize_columns(cols, lams, classes, theta, period, adjoint=False)
+        samples, period = _polish_cycle_step(model, samples, period, cols, lams, k_cut)
+        jac_grid = model.jacobian(samples)
+        deriv = (
+            FourierSeries.from_samples(samples).band_limited(k_cut)
+            .differentiate().samples().real
+        )
+        cols[:, :, 0] = deriv
+        _symmetrize_columns(cols, lams, classes, theta, period, adjoint=False)
         histories.append(
             _refine_frame(
                 jac_grid,
@@ -450,14 +429,10 @@ def build_bundle_frame(
                 k_cut=k_cut,
             )
         )
-        deriv = _spectral_derivative(samples.astype(complex), 1.0, k_cut).real
+        field_x = model.eval(samples)
         previous_defect = cycle_defect
-        cycle_defect = float(
-            np.max(np.linalg.norm(model.eval(samples) - deriv / period, axis=1))
-        )
-        scale_x = 1.0 + float(np.max(np.abs(model.eval(samples))))
-        if not polish_cycle:
-            break
+        cycle_defect = float(np.max(np.linalg.norm(field_x - deriv / period, axis=1)))
+        scale_x = 1.0 + float(np.max(np.abs(field_x)))
         # iterate the joint polish until the orbit defect hits its roundoff
         # floor (stagnation) -- its theta-derivative enters the tangent
         # column's residual, so a loose stop here would dominate everything
@@ -480,7 +455,7 @@ def build_bundle_frame(
     jac_grid = model.jacobian(samples)
     cols[:, :, 0] = cycle_series.differentiate().samples().real
 
-    dq = _spectral_derivative(cols, 1.0, k_cut)
+    dq = FourierSeries.from_samples(cols).band_limited(k_cut).differentiate().samples()
     res = dq / period - jac_grid @ cols + cols * lams[None, None, :]
     residual = float(np.max(np.abs(res)))
 
@@ -515,9 +490,8 @@ def build_bundle_frame(
 
 def build_adjoint_frame(
     bundle: Frame,
-    jac_grid=None,
-    period=None,
-    refine: bool = True,
+    jac_grid,
+    period,
     refine_tol_rel: float = 1e-15,
     max_sweeps: int = 30,
     k_cut=None,
@@ -529,9 +503,9 @@ def build_adjoint_frame(
     columns j >= 1 are the amplitude response curves normalized against the
     bundle columns.  The pointwise inverse transpose satisfies the pairing
     identities exactly but inherits the bundle's pointwise error amplified by
-    the squared frame condition number, so when the Jacobian samples are
-    available the columns are additionally polished against the adjoint
-    equations and then rescaled to restore the pairings at the grid mean.
+    the squared frame condition number, so the columns are polished against
+    the adjoint equations on the Jacobian samples ``jac_grid`` and then
+    rescaled to restore the pairings at the grid mean.
     """
     vals = bundle.grid_values()
     try:
@@ -539,60 +513,55 @@ def build_adjoint_frame(
     except np.linalg.LinAlgError as exc:
         raise FrameError(f"bundle frame singular on the grid: {exc}") from exc
 
-    residual = np.nan
     n = vals.shape[0]
     # the inverse frame has sharper features than the bundle where the
     # condition number peaks; give it its own bandwidth estimate
     seed_band = _active_bandwidth(FourierSeries.from_samples(inv_t, bundle.period), n)
     k_cut = seed_band if k_cut is None else max(k_cut, seed_band)
-    if jac_grid is not None and period is not None:
 
-        def measure(cols):
-            dq = _spectral_derivative(cols, bundle.period, k_cut)
-            res = (
-                dq / period
-                + np.swapaxes(jac_grid, 1, 2) @ cols
-                - cols * bundle.exponents[None, None, :]
-            )
-            return float(np.max(np.abs(res)))
+    def measure(cols):
+        dq = (
+            FourierSeries.from_samples(cols, bundle.period).band_limited(k_cut)
+            .differentiate().samples()
+        )
+        res = (
+            dq / period
+            + np.swapaxes(jac_grid, 1, 2) @ cols
+            - cols * bundle.exponents[None, None, :]
+        )
+        return float(np.max(np.abs(res)))
 
-        if refine:
-            theta = theta_grid(n, bundle.period)
-            seed = inv_t.copy()
-            # the inverse decays slower than the decay-fit predicts, but a
-            # wider band also admits more roundoff: try growing bands and
-            # keep the best
-            best = None
-            while True:
-                lams = bundle.exponents.copy()
-                trial = seed.copy()
-                _refine_frame(
-                    jac_grid,
-                    period,
-                    trial,
-                    lams,
-                    bundle.classes,
-                    theta,
-                    adjoint=True,
-                    fixed_columns=(),
-                    tol_rel=refine_tol_rel,
-                    max_sweeps=max_sweeps,
-                    k_cut=k_cut,
-                )
-                residual = measure(trial)
-                if best is None or residual < best[0]:
-                    best = (residual, trial, k_cut)
-                if residual < residual_target or k_cut >= n // 3:
-                    break
-                k_cut = min(n // 3, int(1.5 * k_cut))
-            residual, inv_t, k_cut = best
-            # restore the exact pairing gauge against the bundle columns
-            for j in range(inv_t.shape[2]):
-                factor = np.mean(
-                    np.einsum("ni,ni->n", inv_t[:, :, j], vals[:, :, j])
-                )
-                inv_t[:, :, j] /= factor
-        residual = measure(inv_t)
+    theta = theta_grid(n, bundle.period)
+    # the inverse decays slower than the decay-fit predicts, but a wider band
+    # also admits more roundoff: try growing bands and keep the best
+    best = None
+    while True:
+        lams = bundle.exponents.copy()
+        trial = inv_t.copy()
+        _refine_frame(
+            jac_grid,
+            period,
+            trial,
+            lams,
+            bundle.classes,
+            theta,
+            adjoint=True,
+            fixed_columns=(),
+            tol_rel=refine_tol_rel,
+            max_sweeps=max_sweeps,
+            k_cut=k_cut,
+        )
+        residual = measure(trial)
+        if best is None or residual < best[0]:
+            best = (residual, trial, k_cut)
+        if residual < residual_target or k_cut >= n // 3:
+            break
+        k_cut = min(n // 3, int(1.5 * k_cut))
+    _, inv_t, k_cut = best
+    # restore the exact pairing gauge against the bundle columns
+    for j in range(inv_t.shape[2]):
+        factor = np.mean(np.einsum("ni,ni->n", inv_t[:, :, j], vals[:, :, j]))
+        inv_t[:, :, j] /= factor
     return Frame(
         kind="adjoint",
         representation=bundle.representation,
@@ -600,7 +569,7 @@ def build_adjoint_frame(
         exponents=bundle.exponents.copy(),
         classes=bundle.classes,
         blocks=bundle.blocks,
-        residual=residual,
+        residual=measure(inv_t),
     )
 
 

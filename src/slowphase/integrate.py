@@ -1,11 +1,11 @@
 """High-accuracy initial-value integration.
 
-All integrations run through a single driver built on scipy's DOP853
-stepper (explicit embedded Runge-Kutta pair of order 8(5) with dense
-output), looped manually so that step counts are bounded, non-finite states
-are reported with the time of failure, and sample times are filled from the
-per-step dense interpolants.  Backward integration is supported by passing
-``t1 < t0``.
+Every integration of the package, the return-time search of the cycle stage
+included, runs through one driver built on scipy's DOP853 stepper (explicit
+embedded Runge-Kutta pair of order 8(5) with dense output), looped manually
+so that step counts are bounded, non-finite states are reported with the
+time of failure, and sample times are filled from the per-step dense
+interpolants.  Backward integration is supported by passing ``t1 < t0``.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import DOP853
 
-from .errors import IntegrationError, ModelError
+from .errors import ConfigError, IntegrationError, ModelError
 from .series import FourierSeries
 
 __all__ = [
@@ -33,20 +33,28 @@ class IntegratorSettings:
     rtol: float = 1e-12
     atol: float = 1e-13
     max_steps: int = 1_000_000
-    dense_output: bool = True
 
     def __post_init__(self):
-        if self.rtol <= 0 or self.atol <= 0:
-            raise ModelError("integrator tolerances must be positive")
+        for key in ("rtol", "atol"):
+            if not getattr(self, key) > 0:  # NaN fails too
+                raise ConfigError(
+                    f"integrator.{key} must be positive, got {getattr(self, key)}"
+                )
         if self.max_steps < 1:
-            raise ModelError("max_steps must be >= 1")
+            raise ConfigError(
+                f"integrator.max_steps must be >= 1, got {self.max_steps}"
+            )
 
 
 DEFAULT_SETTINGS = IntegratorSettings()
 
 
-def _integrate(fun, t0, y0, t1, settings, t_eval=None):
-    """Drive DOP853 from t0 to t1; return (y_end, samples at t_eval)."""
+def _integrate(fun, t0, y0, t1, settings, t_eval=None, on_step=None):
+    """Drive DOP853 from t0 to t1; return (y_end, samples at t_eval).
+
+    ``on_step(solver)`` runs after every accepted, finite step; a true return
+    value ends the integration at that step.
+    """
     y0 = np.asarray(y0, dtype=float)
     if t1 == t0:
         if t_eval is not None:
@@ -57,11 +65,6 @@ def _integrate(fun, t0, y0, t1, settings, t_eval=None):
     want = None
     out = None
     if t_eval is not None:
-        if not settings.dense_output:
-            raise IntegrationError(
-                "sampling between steps requires dense output; enable it in "
-                "the integrator settings"
-            )
         t_eval = np.asarray(t_eval, dtype=float)
         order = np.argsort(t_eval if t1 > t0 else -t_eval, kind="stable")
         want = t_eval[order]
@@ -100,6 +103,8 @@ def _integrate(fun, t0, y0, t1, settings, t_eval=None):
                 # the same elementwise operations to an array as to a scalar
                 out[order[cursor:stop]] = dense(want[cursor:stop]).T
                 cursor = stop
+        if on_step is not None and on_step(solver):
+            break
 
     if want is not None and cursor < len(want):
         # t_bound itself: the final state is exact

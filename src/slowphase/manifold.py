@@ -91,8 +91,9 @@ def next_order_coefficient(
 ):
     """Compute order n >= 2 from orders 0..n-1.
 
-    Returns ``(samples, divisor_min)``: the real grid samples of the new
-    order and the smallest Fourier divisor encountered.
+    Returns ``(samples, divisor_min)``: the complex grid samples of the new
+    order (their imaginary part is the conjugation drift) and the smallest
+    Fourier divisor encountered.
     """
     if n < 2:
         raise ModelError("next-order recursion starts at n = 2")
@@ -140,37 +141,35 @@ def expand_slow_manifold(
     extra_orders: int = 1,
     gauge: float = 1.0,
     small_divisor_tol: float = 1e-8,
-    slow_index: int = 1,
 ) -> ManifoldExpansion:
     """Assemble the expansion to ``order`` (+ extra) with residual checks.
 
     Order 0 is the orbit, order 1 the gauge-scaled slow bundle column; the
     recursion then adds one order at a time.  Per-order residuals of the
     homological equations are measured spectrally at the end from a single
-    full-order composition of the field.
+    full-order composition of the field.  The slow direction is frame
+    column 1, as in :func:`next_order_coefficient`.
     """
     if order < 1:
         raise ModelError("expansion order must be >= 1")
-    if bundle.classes[slow_index] != CLASS_REAL_POSITIVE:
+    if bundle.classes[1] != CLASS_REAL_POSITIVE:
         raise NumericalError(
             "slow direction is not a real positive multiplier; the "
             "2-dimensional slow submanifold expansion does not apply"
         )
-    lam_s = float(bundle.exponents[slow_index].real)
+    lam_s = float(bundle.exponents[1].real)
     period = cycle.period
-    bundle_grid = bundle.grid_values()
 
     orders = [cycle.samples.astype(float)]
-    orders.append(gauge * bundle_grid[:, :, slow_index].real)
+    orders.append(gauge * bundle.grid_values()[:, :, 1].real)
 
     total = order + extra_orders
     divisor_minima = {}
     drift = 0.0
     for n in range(2, total + 1):
         partial = FourierTaylor.from_order_samples(np.stack(orders), 1.0)
-        b_samples = _order_inhomogeneity(model, partial, n)
-        k_n, div_min = solve_order(
-            b_samples, bundle, adjoint, n, lam_s, period, small_divisor_tol
+        k_n, div_min = next_order_coefficient(
+            model, partial, bundle, adjoint, n, period, small_divisor_tol
         )
         drift = max(drift, float(np.max(np.abs(k_n.imag))))
         orders.append(k_n.real)

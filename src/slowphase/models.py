@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ModelError
+from .errors import ConfigError, ModelError
 from .series import FourierTaylor, Jet
 
 __all__ = [
@@ -113,10 +113,14 @@ class EIParameters:
     def validate(self) -> None:
         for name in ("tau_e", "tau_i", "tau_se", "tau_si"):
             if getattr(self, name) <= 0:
-                raise ModelError(f"time constant {name} must be positive")
+                raise ConfigError(
+                    f"model.params.{name}: time constant must be positive"
+                )
         for name in ("delta_e", "delta_i"):
             if getattr(self, name) <= 0:
-                raise ModelError(f"spread parameter {name} must be positive")
+                raise ConfigError(
+                    f"model.params.{name}: spread parameter must be positive"
+                )
 
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -212,13 +216,19 @@ def _ei_factory(overrides: dict) -> VectorFieldModel:
     known = {f.name for f in fields(EIParameters)}
     unknown = set(overrides) - known
     if unknown:
-        raise ModelError(f"unknown ei parameters: {sorted(unknown)}")
+        raise ConfigError(
+            "unknown ei parameters: "
+            + ", ".join(f"model.params.{name}" for name in sorted(unknown))
+        )
     return make_ei_model(EIParameters(**overrides))
 
 
 def _oracle_factory(overrides: dict) -> VectorFieldModel:
     if overrides:
-        raise ModelError("the oracle model takes no parameters")
+        raise ConfigError(
+            "the oracle model takes no parameters: "
+            + ", ".join(f"model.params.{name}" for name in sorted(overrides))
+        )
     return make_oracle_model()
 
 
@@ -228,7 +238,9 @@ register_model("oracle", _oracle_factory)
 
 def get_model(name: str, param_overrides: dict | None = None) -> VectorFieldModel:
     if name not in _REGISTRY:
-        raise ModelError(f"unknown model '{name}'; available: {sorted(_REGISTRY)}")
+        raise ConfigError(
+            f"model.name: unknown model '{name}'; available: {sorted(_REGISTRY)}"
+        )
     return _REGISTRY[name](dict(param_overrides or {}))
 
 

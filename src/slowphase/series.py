@@ -38,6 +38,7 @@ __all__ = [
     "Jet",
     "theta_grid",
     "solve_diagonal",
+    "horner",
 ]
 
 
@@ -106,17 +107,11 @@ class FourierSeries:
     def grid(self) -> np.ndarray:
         return theta_grid(self.grid_size, self.period)
 
-    def component(self, index) -> "FourierSeries":
-        return FourierSeries(self.coef[(slice(None), index)], self.period)
-
     # -- evaluation -----------------------------------------------------
 
     def samples(self) -> np.ndarray:
         """Synthesize the function on its own grid."""
         return np.fft.ifft(self.coef * self.grid_size, axis=0)
-
-    def real_samples(self) -> np.ndarray:
-        return self.samples().real
 
     def evaluate(self, theta) -> np.ndarray:
         """Evaluate at arbitrary phases (matches grid synthesis on the grid)."""
@@ -146,15 +141,6 @@ class FourierSeries:
         factor[n // 2] = 0.0
         shape = (n,) + (1,) * (self.coef.ndim - 1)
         return FourierSeries(self.coef * factor.reshape(shape), self.period)
-
-    def conjugate_symmetrized(self) -> "FourierSeries":
-        """Project onto real-valued functions: c_k <- (c_k + conj(c_-k)) / 2."""
-        flip = np.conj(self.coef[(-np.arange(self.grid_size)) % self.grid_size])
-        return FourierSeries(0.5 * (self.coef + flip), self.period)
-
-    def real_defect(self) -> float:
-        """Max modulus of the imaginary part of the synthesized samples."""
-        return float(np.max(np.abs(self.samples().imag))) if self.coef.size else 0.0
 
     def spectral_tail(self) -> float:
         """Relative magnitude of the top-octave coefficients (aliasing guard)."""
@@ -247,12 +233,6 @@ class FourierTaylor:
     def differentiate(self) -> "FourierTaylor":
         return FourierTaylor(tuple(s.differentiate() for s in self.orders))
 
-    def sigma_scaled(self, b: float) -> "FourierTaylor":
-        """Gauge change sigma -> sigma / b, i.e. order n multiplied by b**n."""
-        return FourierTaylor(
-            tuple((b**n) * s for n, s in enumerate(self.orders))
-        )
-
     def evaluate(self, theta, sigma, max_order: int | None = None) -> np.ndarray:
         """Horner evaluation in sigma of the series evaluated at theta."""
         last = self.order if max_order is None else min(max_order, self.order)
@@ -262,11 +242,21 @@ class FourierTaylor:
         # reorder the sums and change the values
         phase = self.orders[0].phase(theta)
         vals = [self.orders[n].at_phase(phase) for n in range(last + 1)]
-        acc = vals[last]
-        sig = sigma[(...,) + (None,) * len(self.value_shape)]
-        for n in range(last - 1, -1, -1):
-            acc = acc * sig + vals[n]
-        return acc
+        return horner(vals, sigma[(...,) + (None,) * len(self.value_shape)])
+
+
+def horner(values, sigma):
+    """``sum_n values[n] * sigma**n`` by Horner's rule, highest order first.
+
+    ``values`` is indexed by order (a list, or an array with orders on axis
+    0); ``sigma`` must already broadcast against one order's values.
+    :meth:`FourierTaylor.evaluate` and the invariance residuals of
+    :mod:`slowphase.validation` all sum here, so they round alike.
+    """
+    acc = values[-1]
+    for n in range(len(values) - 2, -1, -1):
+        acc = acc * sigma + values[n]
+    return acc
 
 
 class Jet:

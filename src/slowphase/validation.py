@@ -20,6 +20,7 @@ from .errors import ValidationFailure
 from .integrate import DEFAULT_SETTINGS, flow
 from .manifold import ManifoldExpansion, evaluate_manifold
 from .response import ResponseExpansion
+from .series import horner
 
 __all__ = [
     "AccuracyDomain",
@@ -56,38 +57,26 @@ class ResidualEvaluator:
 
     def grid_residual(self, sigma) -> np.ndarray:
         """|| sum_n lhs_n sigma^n - X(sum_n K_n sigma^n) ||_2 per grid phase."""
-        sigma = np.asarray(sigma, dtype=float)
-        sig = sigma[..., None] if sigma.ndim else sigma
-        point = self.k[self.L]
-        lhs = self.lhs[self.L]
-        for n in range(self.L - 1, -1, -1):
-            point = point * sig + self.k[n]
-            lhs = lhs * sig + self.lhs[n]
-        return np.linalg.norm(lhs - self.model.eval(point), axis=-1)
+        sig = np.asarray(sigma, dtype=float)[..., None]
+        point = horner(self.k, sig)
+        return np.linalg.norm(horner(self.lhs, sig) - self.model.eval(point), axis=-1)
 
 
 def invariance_residual(manifold: ManifoldExpansion, model, theta, sigma, max_order=None):
     """Invariance-equation residual at arbitrary (theta, sigma) points."""
     L = manifold.nominal_order if max_order is None else max_order
-    theta = np.asarray(theta, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    point = None
-    lhs = None
+    sig = np.asarray(sigma, dtype=float)[..., None]
     phase = manifold.order_series(0).phase(theta)
-    for n in range(L, -1, -1):
+    k_vals, l_vals = [], []
+    for n in range(L + 1):
         series = manifold.order_series(n)
-        k_val = series.at_phase(phase).real
-        l_val = (
+        k_vals.append(series.at_phase(phase).real)
+        l_vals.append(
             series.differentiate().at_phase(phase).real / manifold.period
-            + n * manifold.slow_exponent * k_val
+            + n * manifold.slow_exponent * k_vals[n]
         )
-        if point is None:
-            point, lhs = k_val, l_val
-        else:
-            sig = sigma[..., None]
-            point = point * sig + k_val
-            lhs = lhs * sig + l_val
-    return np.linalg.norm(lhs - model.eval(point), axis=-1)
+    point = horner(k_vals, sig)
+    return np.linalg.norm(horner(l_vals, sig) - model.eval(point), axis=-1)
 
 
 @dataclass
@@ -392,13 +381,12 @@ def run_validation(
     seed: int = 2024,
     sample_band=(0.3, 0.7),
     settings=DEFAULT_SETTINGS,
-    require_nonempty_domain: bool = True,
 ) -> ValidationReport:
     """Full validation pass; raises ValidationFailure on configured gates."""
     ev = ResidualEvaluator(manifold, model)
     order0 = float(ev.grid_residual(0.0).max())
     domain = accuracy_domain(manifold, model, tolerances, scan_max)
-    if require_nonempty_domain and domain.min_width(-1) <= 0.0:
+    if domain.min_width(-1) <= 0.0:
         raise ValidationFailure(
             "accuracy domain empty at the strictest tolerance for some phase"
         )

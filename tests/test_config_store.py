@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -115,7 +117,7 @@ def test_series_csv_layout(tmp_path):
     )
     path = str(tmp_path / "vector.csv")
     write_series_csv(path, vector)
-    assert open(path, "rb").read() == (
+    assert Path(path).read_bytes() == (
         b"# grid_size=4 period=1 value_shape=2\n"
         b"k,re_c0,im_c0,re_c1,im_c1\n"
         b"-2,3,0,-1.5,2\n"
@@ -132,7 +134,7 @@ def test_series_csv_layout(tmp_path):
     im[2, 1, 1] = 1.0 / 3.0
     path = str(tmp_path / "matrix.csv")
     write_series_csv(path, _hand_series(re, im, period=2.0))
-    assert open(path, "rb").read() == (
+    assert Path(path).read_bytes() == (
         b"# grid_size=4 period=2 value_shape=2x2\n"
         b"k,re_c0_0,im_c0_0,re_c0_1,im_c0_1,re_c1_0,im_c1_0,re_c1_1,im_c1_1\n"
         b"-2,0,0,-2.5,0,0,0,0,0.33333333333333331\n"
@@ -148,4 +150,4 @@ def test_json_and_checksum_determinism(tmp_path):
     write_json(p1, payload)
     write_json(p2, payload)
     assert sha256_file(p1) == sha256_file(p2)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()

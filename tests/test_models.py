@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from slowphase import models
-from slowphase.errors import ModelError
+from slowphase.errors import ConfigError, ModelError
 from slowphase.models import (
     EIParameters,
     VectorFieldModel,
@@ -88,15 +88,15 @@ def test_ei_jacobian_coupling_entries():
 
 
 def test_ei_parameter_validation():
-    with pytest.raises(ModelError):
+    with pytest.raises(ConfigError, match="model.params.tau_e"):
         make_ei_model(EIParameters(tau_e=0.0))
-    with pytest.raises(ModelError):
+    with pytest.raises(ConfigError, match="model.params.delta_i"):
         make_ei_model(EIParameters(delta_i=-1.0))
-    with pytest.raises(ModelError):
+    with pytest.raises(ConfigError, match="model.params.no_such_param"):
         get_model("ei", {"no_such_param": 1.0})
-    with pytest.raises(ModelError):
+    with pytest.raises(ConfigError, match="model.params.x"):
         get_model("oracle", {"x": 1.0})
-    with pytest.raises(ModelError):
+    with pytest.raises(ConfigError, match="'bogus'"):
         get_model("bogus")
 
 

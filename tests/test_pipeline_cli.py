@@ -31,6 +31,11 @@ output.directory = {out}
 """
 
 
+def _read_json(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def _write_cfg(tmp_path, out_name="out"):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(ORACLE_CFG.format(out=tmp_path / out_name))
@@ -39,7 +44,7 @@ def _write_cfg(tmp_path, out_name="out"):
 
 def test_pipeline_artifacts_and_manifest(oracle_run):
     out = oracle_run.config.out_dir
-    manifest = json.load(open(os.path.join(out, "manifest.json")))
+    manifest = _read_json(os.path.join(out, "manifest.json"))
     assert manifest["failed_stage"] is None
     assert manifest["version"]
     assert manifest["period"] == pytest.approx(2 * np.pi, abs=1e-9)
@@ -86,7 +91,7 @@ def test_artifact_reload_round_trip(oracle_run, ei_run, tmp_path):
     for name in os.listdir(out):
         if name.startswith("response_"):
             shutil.copy(os.path.join(out, name), legacy)
-    meta = json.load(open(os.path.join(out, "response.json")))
+    meta = _read_json(os.path.join(out, "response.json"))
     assert "representation" not in meta and "fold_defect" not in meta
     meta.update(representation="real", fold_defect=3.0e-16)
     write_json(legacy / "response.json", meta)
@@ -124,7 +129,7 @@ def test_artifact_reload_round_trip(oracle_run, ei_run, tmp_path):
     # as earlier versions wrote it, still loads
     legacy = tmp_path / "legacy"
     legacy.mkdir()
-    meta = json.load(open(os.path.join(out, "frames.json")))
+    meta = _read_json(os.path.join(out, "frames.json"))
     for name in ("bundle", "adjoint"):
         shutil.copy(os.path.join(out, f"frame_{name}_coeff.csv"), legacy)
         frame = getattr(ei_run, f"{name}_real")
@@ -162,7 +167,7 @@ def test_staged_subcommands_resume(tmp_path):
     assert os.path.exists(os.path.join(out, "manifold.json"))
     assert main(["response", "--config", cfg]) == 0
     assert main(["validate", "--config", cfg]) == 0
-    manifest = json.load(open(os.path.join(out, "manifest.json")))
+    manifest = _read_json(os.path.join(out, "manifest.json"))
     assert manifest["validation"]["order0_residual"] < 1e-10
 
     assert main(["export", "--config", cfg, "--what", "all", "--format", "csv"]) == 0
@@ -206,7 +211,7 @@ def test_stale_response_order_rejected(tmp_path, capsys):
     assert main(["response", "--config", cfg]) == 0
     # a response at order 4 next to a manifold claiming order 5
     manifold_json = os.path.join(out, "manifold.json")
-    meta = json.load(open(manifold_json))
+    meta = _read_json(manifold_json)
     meta["nominal_order"] = 5
     write_json(manifold_json, meta)
     cfg_5 = tmp_path / "run5.cfg"
@@ -221,7 +226,7 @@ def test_corrupt_metadata_is_config_error(tmp_path, capsys):
     cfg, out = _write_cfg(tmp_path)
     assert main(["cycle", "--config", cfg]) == 0
     cycle_json = os.path.join(out, "cycle.json")
-    meta = json.load(open(cycle_json))
+    meta = _read_json(cycle_json)
     del meta["period"]
     write_json(cycle_json, meta)
     capsys.readouterr()
@@ -275,6 +280,26 @@ def test_removed_representation_key_rejected(tmp_path, capsys):
     assert main(["run", "--config", cfg]) == 4
     assert "unknown config key: frames.representation" in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "line, named",
+    [
+        ("integrator.rtol = -1", "integrator.rtol"),
+        ("integrator.max_steps = 0", "integrator.max_steps"),
+        ("model.name = nosuch", "'nosuch'"),
+        ("model.params.foo = 1", "model.params.foo"),
+    ],
+    ids=["rtol", "max_steps", "model", "param"],
+)
+def test_bad_config_value_exits_4(tmp_path, capsys, line, named):
+    # a valid key with an invalid value is a configuration failure, not a
+    # numerical abort, and the message names what is wrong
+    cfg, _ = _write_cfg(tmp_path)
+    with open(cfg, "a", encoding="utf-8") as fh:
+        fh.write(line + "\n")
+    assert main(["cycle", "--config", cfg]) == 4
+    assert named in capsys.readouterr().err
 
 
 def test_exit_code_validation_failure(tmp_path):
@@ -331,7 +356,7 @@ def test_resonance_abort_keeps_partial_artifacts(tmp_path, monkeypatch):
 
     with pytest.raises(ResonanceError):
         run_pipeline(config)
-    manifest = json.load(open(tmp_path / "out" / "manifest.json"))
+    manifest = _read_json(tmp_path / "out" / "manifest.json")
     assert manifest["failed_stage"] == "floquet"
     assert "multi-index" in manifest["error"]
     assert os.path.exists(tmp_path / "out" / "cycle.json")
