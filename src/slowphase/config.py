@@ -9,28 +9,115 @@ Grammar (one assignment per line)::
     integrator.rtol = 1e-12
     manifold.order = 9
 
-Values are parsed as int, float, bool, comma-separated float vectors, or
-strings.  Environment variables override file keys: ``SLOWPHASE_`` followed
-by the key with dots replaced by double underscores, e.g.
+Each key is declared once, in the ordered table ``KEYS``: its ``RunConfig``
+field (``integrator.<name>`` for an ``IntegratorSettings`` field, which
+checks itself), its parser, and the check its value must pass.  Parsing,
+``RunConfig.validate`` and ``RunConfig.echo_text`` are loops over the table,
+so a config built in Python is checked exactly like a parsed one.
+``model.params.<name>`` sets a model parameter.
+
+Environment variables override file keys: ``SLOWPHASE_`` followed by the key
+with dots replaced by double underscores, e.g.
 ``SLOWPHASE_integrator__rtol=1e-10``.
 """
 
 from __future__ import annotations
 
+import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import reduce
+from typing import Callable, NamedTuple
 
 from .errors import ConfigError
 from .integrate import IntegratorSettings
 
-__all__ = ["RunConfig", "parse_config_text", "build_run_config", "load_config"]
+__all__ = ["RunConfig", "KEYS", "parse_config_text", "build_run_config", "load_config"]
 
 ENV_PREFIX = "SLOWPHASE_"
+PARAMS_PREFIX = "model.params."
 
 DEFAULT_GUESSES = {
     "oracle": (1.3, 0.0),
     "ei": (0.05, -0.5, 0.5, 0.05, -0.5, 0.5),
 }
+
+
+class Key(NamedTuple):
+    name: str  # dotted config key
+    field: str  # RunConfig field, or "integrator.<IntegratorSettings field>"
+    parse: Callable[[str], object]  # raises ValueError on bad text
+    check: Callable[[object], bool] | None  # None: any parsed value is valid
+    rule: str  # what a valid value is, for error messages
+    auto: bool = False  # "auto" parses to None: derived from other keys
+
+
+def _floats(text: str) -> tuple:
+    return tuple(float(part) for part in text.split(","))
+
+
+def _descending(text: str) -> tuple:
+    # accuracy_domain sorts its tolerances too; this keeps the echo canonical
+    return tuple(sorted(_floats(text), reverse=True))
+
+
+def _positive(value) -> bool:
+    return value > 0  # NaN fails too
+
+
+def _at_least(bound: int) -> Callable[[object], bool]:
+    return lambda value: value >= bound
+
+
+KEYS = (
+    Key("model.name", "model", str, None, "a model name"),
+    Key("integrator.rtol", "integrator.rtol", float, None, "a number > 0"),
+    Key("integrator.atol", "integrator.atol", float, None, "a number > 0"),
+    Key("integrator.max_steps", "integrator.max_steps", int, None, "an integer >= 1"),
+    Key("cycle.guess", "guess", _floats, None, "comma-separated numbers"),
+    Key("cycle.relax_time", "relax_time", float,
+        lambda v: 0 <= v < math.inf, "a finite number >= 0"),
+    Key("cycle.newton_tol", "newton_tol", float, _positive, "a number > 0"),
+    Key("cycle.grid_N", "grid_size", int,
+        lambda n: n >= 2 and (n & (n - 1)) == 0, "a power of two"),
+    Key("resonance.order", "resonance_order", int, _at_least(2),
+        "an integer >= 2 or auto", auto=True),
+    Key("resonance.tol", "resonance_tol", float, _positive, "a number > 0"),
+    Key("manifold.order", "order", int, _at_least(1), "an integer >= 1"),
+    Key("manifold.extra_orders", "extra_orders", int, _at_least(0), "an integer >= 0"),
+    Key("manifold.gauge", "gauge", float,
+        lambda v: v != 0 and math.isfinite(v), "a finite nonzero number"),
+    Key("validation.tolerances", "tolerances", _descending,
+        lambda v: len(v) > 0 and all(t > 0 for t in v),
+        "comma-separated numbers > 0"),
+    Key("validation.sigma_scan_max", "sigma_scan_max", float, _positive,
+        "a number > 0 or auto", auto=True),
+    Key("validation.samples", "n_samples", int, _at_least(1), "an integer >= 1"),
+    Key("validation.horizon_periods", "horizon_periods", float,
+        lambda v: 0 < v < math.inf, "a finite number > 0"),
+    Key("run.seed", "seed", int, _at_least(0), "an integer >= 0"),
+    Key("output.directory", "out_dir", str, None, "a directory"),
+    Key("solver.small_divisor_tol", "small_divisor_tol", float, _positive,
+        "a number > 0"),
+    Key("solver.solvability_tol", "solvability_tol", float, _positive,
+        "a number > 0"),
+)
+
+_BY_NAME = {key.name: key for key in KEYS}
+_PARAM = Key(PARAMS_PREFIX + "<name>", "model_params", float, None, "a number")
+
+
+def _value(config, key: Key):
+    return reduce(getattr, key.field.split("."), config)
+
+
+def _show(value) -> str:
+    """Config-file text of a value, which parses back to the same value."""
+    if value is None:
+        return "auto"
+    if isinstance(value, (tuple, list)):
+        return ", ".join(repr(v) for v in value)
+    return value if isinstance(value, str) else repr(value)
 
 
 @dataclass(frozen=True)
@@ -44,7 +131,6 @@ class RunConfig:
     grid_size: int = 4096
     resonance_order: int | None = None  # None: max(order, 2)
     resonance_tol: float = 1e-8
-    bundle_scale: tuple | float | None = None
     order: int = 9
     extra_orders: int = 1
     gauge: float = 1.0
@@ -58,17 +144,14 @@ class RunConfig:
     solvability_tol: float = 1e-9
 
     def validate(self) -> "RunConfig":
-        n = self.grid_size
-        if n < 2 or (n & (n - 1)) != 0:
-            raise ConfigError(f"cycle.grid_N must be a power of two, got {n}")
-        if self.order < 1:
-            raise ConfigError("manifold.order must be >= 1")
-        if self.extra_orders < 0:
-            raise ConfigError("manifold.extra_orders must be >= 0")
-        if not self.tolerances:
-            raise ConfigError("validation.tolerances must be nonempty")
-        tols = tuple(sorted(self.tolerances, reverse=True))
-        return replace(self, tolerances=tols)
+        """Check every value against its key's rule; returns the config."""
+        for key in KEYS:
+            value = _value(self, key)
+            if key.check is None or (key.auto and value is None):
+                continue
+            if not key.check(value):
+                raise ConfigError(f"{key.name} must be {key.rule}, got {_show(value)}")
+        return self
 
     def effective_guess(self):
         if self.guess is not None:
@@ -79,31 +162,17 @@ class RunConfig:
 
     def echo_text(self) -> str:
         """Canonical flat key/value rendering of the effective config."""
-        lines = [f"model.name = {self.model}"]
-        for k in sorted(self.model_params):
-            lines.append(f"model.params.{k} = {self.model_params[k]!r}")
-        lines += [
-            f"integrator.rtol = {self.integrator.rtol!r}",
-            f"integrator.atol = {self.integrator.atol!r}",
-            f"integrator.max_steps = {self.integrator.max_steps}",
-            f"cycle.guess = {', '.join(repr(g) for g in self.effective_guess())}",
-            f"cycle.relax_time = {self.relax_time!r}",
-            f"cycle.newton_tol = {self.newton_tol!r}",
-            f"cycle.grid_N = {self.grid_size}",
-            f"resonance.order = {self.resonance_order if self.resonance_order is not None else 'auto'}",
-            f"resonance.tol = {self.resonance_tol!r}",
-            f"bundle.scale = {self.bundle_scale if self.bundle_scale is not None else 'auto'}",
-            f"manifold.order = {self.order}",
-            f"manifold.extra_orders = {self.extra_orders}",
-            f"manifold.gauge = {self.gauge!r}",
-            f"validation.tolerances = {', '.join(repr(t) for t in self.tolerances)}",
-            f"validation.sigma_scan_max = {self.sigma_scan_max if self.sigma_scan_max is not None else 'auto'}",
-            f"validation.samples = {self.n_samples}",
-            f"validation.horizon_periods = {self.horizon_periods!r}",
-            f"run.seed = {self.seed}",
-            f"output.directory = {self.out_dir}",
-            f"solver.small_divisor_tol = {self.small_divisor_tol!r}",
-            f"solver.solvability_tol = {self.solvability_tol!r}",
+        lines = []
+        for key in KEYS:
+            if key.name == "cycle.guess":
+                value = self.effective_guess()
+            else:
+                value = _value(self, key)
+            lines.append(f"{key.name} = {_show(value)}")
+        # model parameters follow model.name, the first key
+        lines[1:1] = [
+            f"{PARAMS_PREFIX}{name} = {value!r}"
+            for name, value in sorted(self.model_params.items())
         ]
         return "\n".join(lines) + "\n"
 
@@ -135,83 +204,25 @@ def apply_env_overrides(kv: dict, environ=None) -> dict:
     return out
 
 
-def _as_float(key, value):
-    try:
-        return float(value)
-    except ValueError as exc:
-        raise ConfigError(f"{key}: expected a number, got {value!r}") from exc
-
-
-def _as_int(key, value):
-    try:
-        return int(value)
-    except ValueError as exc:
-        raise ConfigError(f"{key}: expected an integer, got {value!r}") from exc
-
-
-def _as_vector(key, value):
-    try:
-        return tuple(float(part) for part in value.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"{key}: expected comma-separated numbers") from exc
-
-
 def build_run_config(kv: dict) -> RunConfig:
-    """Typed RunConfig from a parsed key map; unknown keys are rejected."""
+    """Typed, checked RunConfig from a parsed key map; unknown keys are rejected."""
     cfg: dict = {}
-    params: dict = {}
     integ: dict = {}
-    for key, value in kv.items():
-        if key == "model.name":
-            cfg["model"] = value
-        elif key.startswith("model.params."):
-            params[key[len("model.params."):]] = _as_float(key, value)
-        elif key == "integrator.rtol":
-            integ["rtol"] = _as_float(key, value)
-        elif key == "integrator.atol":
-            integ["atol"] = _as_float(key, value)
-        elif key == "integrator.max_steps":
-            integ["max_steps"] = _as_int(key, value)
-        elif key == "cycle.guess":
-            cfg["guess"] = _as_vector(key, value)
-        elif key == "cycle.relax_time":
-            cfg["relax_time"] = _as_float(key, value)
-        elif key == "cycle.newton_tol":
-            cfg["newton_tol"] = _as_float(key, value)
-        elif key == "cycle.grid_N":
-            cfg["grid_size"] = _as_int(key, value)
-        elif key == "resonance.order":
-            cfg["resonance_order"] = None if value == "auto" else _as_int(key, value)
-        elif key == "resonance.tol":
-            cfg["resonance_tol"] = _as_float(key, value)
-        elif key == "bundle.scale":
-            if value != "auto":
-                vec = _as_vector(key, value)
-                cfg["bundle_scale"] = vec[0] if len(vec) == 1 else vec
-        elif key == "manifold.order":
-            cfg["order"] = _as_int(key, value)
-        elif key == "manifold.extra_orders":
-            cfg["extra_orders"] = _as_int(key, value)
-        elif key == "manifold.gauge":
-            cfg["gauge"] = _as_float(key, value)
-        elif key == "validation.tolerances":
-            cfg["tolerances"] = _as_vector(key, value)
-        elif key == "validation.sigma_scan_max":
-            cfg["sigma_scan_max"] = None if value == "auto" else _as_float(key, value)
-        elif key == "validation.samples":
-            cfg["n_samples"] = _as_int(key, value)
-        elif key == "validation.horizon_periods":
-            cfg["horizon_periods"] = _as_float(key, value)
-        elif key == "run.seed":
-            cfg["seed"] = _as_int(key, value)
-        elif key == "output.directory":
-            cfg["out_dir"] = value
-        elif key == "solver.small_divisor_tol":
-            cfg["small_divisor_tol"] = _as_float(key, value)
-        elif key == "solver.solvability_tol":
-            cfg["solvability_tol"] = _as_float(key, value)
+    params: dict = {}
+    for name, text in kv.items():
+        if name.startswith(PARAMS_PREFIX):
+            key, target, attr = _PARAM, params, name[len(PARAMS_PREFIX):]
+        elif name in _BY_NAME:
+            key = _BY_NAME[name]
+            owner, _, attr = key.field.rpartition(".")
+            target = integ if owner else cfg
         else:
-            raise ConfigError(f"unknown config key: {key}")
+            raise ConfigError(f"unknown config key: {name}")
+        try:
+            value = None if key.auto and text == "auto" else key.parse(text)
+        except ValueError as exc:
+            raise ConfigError(f"{name} must be {key.rule}, got {text!r}") from exc
+        target[attr] = value
     if params:
         cfg["model_params"] = params
     if integ:

@@ -66,8 +66,8 @@ class CycleResult:
     def theta(self) -> np.ndarray:
         return theta_grid(self.grid_size, 1.0)
 
-    def interpolant(self, span: float | None = None) -> CycleInterpolant:
-        return CycleInterpolant(self.series, self.period, span)
+    def interpolant(self) -> CycleInterpolant:
+        return CycleInterpolant(self.series, self.period)
 
 
 def _first_return(model, x0, settings, t_max, distance_frac=1e-3):

@@ -28,7 +28,7 @@ from .validation import accuracy_domain
 
 __all__ = ["export_artifacts"]
 
-SELECTORS = ("cycle", "frames", "manifold", "response", "validation", "all")
+SELECTORS = ("cycle", "frames", "manifold", "response", "all")
 FORMATS = ("csv", "json", "plotdata")
 
 

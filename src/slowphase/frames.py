@@ -367,7 +367,6 @@ def build_bundle_frame(
     cycle: CycleResult,
     spectrum: FloquetSpectrum,
     settings: IntegratorSettings = DEFAULT_SETTINGS,
-    scales=None,
     refine_tol_rel: float = 1e-12,
     max_sweeps: int = 80,
     max_outer: int = 6,
@@ -375,8 +374,8 @@ def build_bundle_frame(
     """Build the complex bundle frame and jointly polish the orbit.
 
     Columns are gauged to unit grid-max vector norm (this makes the slow
-    column directly usable as the order-1 manifold coefficient); ``scales``
-    optionally multiplies the nontrivial columns by user factors afterwards.
+    column directly usable as the order-1 manifold coefficient, scaled by
+    ``expand_slow_manifold``'s gauge).
     Returns the frame, the polished cycle, and the refined exponents.
     """
     d = model.dim
@@ -446,9 +445,6 @@ def build_bundle_frame(
             continue
         norm = float(np.max(np.linalg.norm(cols[:, :, j], axis=1)))
         cols[:, :, j] /= norm
-        if scales is not None:
-            factor = scales if np.isscalar(scales) else scales[j - 1]
-            cols[:, :, j] *= factor
 
     cycle_series = FourierSeries.from_samples(samples, 1.0).band_limited(k_cut)
     samples = cycle_series.samples().real

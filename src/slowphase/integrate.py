@@ -23,7 +23,6 @@ __all__ = [
     "flow",
     "flow_samples",
     "flow_with_variational",
-    "adjoint_flow",
     "CycleInterpolant",
 ]
 
@@ -145,40 +144,26 @@ def _variational_rhs(model, d):
         out = np.empty_like(y)
         out[:d] = model.eval(x)
         out[d : d + d * d] = (jac @ phi).ravel()
+        # the integral of trace DX (Liouville) is not returned, but it stays
+        # in the state: the step-size control weighs every component, so
+        # dropping it would move the steps and every monodromy bit
         out[-1] = np.trace(jac)
         return out
 
     return rhs
 
 
-def flow_with_variational(
-    model,
-    x0,
-    t,
-    settings: IntegratorSettings = DEFAULT_SETTINGS,
-    t_eval=None,
-    return_trace: bool = False,
-):
+def flow_with_variational(model, x0, t, settings: IntegratorSettings = DEFAULT_SETTINGS):
     """Integrate the coupled state + first-variational system.
 
     Returns ``(x(t), Phi(t))`` where Phi solves Phi' = DX(x(s)) Phi from the
-    identity; with ``return_trace=True`` also returns the accumulated
-    integral of trace DX (Liouville quadrature).  If ``t_eval`` is given,
-    additionally returns arrays of sampled states and matrices.
+    identity.
     """
     d = model.dim
     x0 = np.asarray(x0, dtype=float)
     y0 = np.concatenate([x0, np.eye(d).ravel(), [0.0]])
-    y, samples = _integrate(_variational_rhs(model, d), 0.0, y0, float(t), settings, t_eval)
-    x_end = y[:d]
-    phi_end = y[d : d + d * d].reshape(d, d)
-    result = [x_end, phi_end]
-    if return_trace:
-        result.append(y[-1])
-    if t_eval is not None:
-        result.append(samples[:, :d])
-        result.append(samples[:, d : d + d * d].reshape(len(samples), d, d))
-    return tuple(result)
+    y, _ = _integrate(_variational_rhs(model, d), 0.0, y0, float(t), settings)
+    return y[:d], y[d : d + d * d].reshape(d, d)
 
 
 class CycleInterpolant:
@@ -190,13 +175,11 @@ class CycleInterpolant:
     it is and the Nyquist row k = -N/2, which has no partner, keeps weight
     one.  This halves the work per call.  Negligible folded harmonics
     (relative threshold 1e-15) are dropped for speed; this costs nothing at
-    double precision.  ``span`` limits the time range accepted by consumers;
-    ``None`` means the interpolation is used periodically for all times.
+    double precision.  The interpolant is periodic in time.
     """
 
-    def __init__(self, series: FourierSeries, period: float, span: float | None = None):
+    def __init__(self, series: FourierSeries, period: float):
         self.period = float(period)
-        self.span = span
         n = series.grid_size
         coef = series.coef.reshape(n, -1)
         pos = np.arange(1, n // 2)
@@ -214,32 +197,3 @@ class CycleInterpolant:
     def __call__(self, t: float) -> np.ndarray:
         phase = np.exp(self._freq * (t / self.period))
         return (phase @ self._coef).real.reshape(self._shape)
-
-
-def adjoint_flow(
-    model,
-    cycle: CycleInterpolant,
-    t,
-    settings: IntegratorSettings = DEFAULT_SETTINGS,
-    t_eval=None,
-):
-    """Fundamental solution of the adjoint variational system along the cycle.
-
-    Integrates Y' = -DX^T(gamma(s)) Y from the identity; Y(T) is the adjoint
-    monodromy matrix, whose eigenvalues are the reciprocal conjugates of the
-    Floquet multipliers.
-    """
-    if cycle.span is not None and t > cycle.span:
-        raise IntegrationError(
-            f"time {t} exceeds the interpolant span {cycle.span}"
-        )
-    d = model.dim
-
-    def rhs(s, y):
-        jac_t = model.jacobian(cycle(s)).T
-        return (-jac_t @ y.reshape(d, d)).ravel()
-
-    y, samples = _integrate(rhs, 0.0, np.eye(d).ravel(), float(t), settings, t_eval)
-    if t_eval is not None:
-        return y.reshape(d, d), samples.reshape(len(samples), d, d)
-    return y.reshape(d, d)

@@ -256,6 +256,12 @@ def run_pipeline(
     result.config = config
     result.model = get_model(config.model, config.model_params)
     model = result.model
+    guess = config.effective_guess()
+    if len(guess) != model.dim:
+        raise ConfigError(
+            f"cycle.guess has {len(guess)} values, but model '{config.model}' "
+            f"has dimension {model.dim}"
+        )
     last = Stage.ORDER.index(through)
     failed_stage = None
 
@@ -263,7 +269,7 @@ def run_pipeline(
         if last >= 0 and result.cycle is None:
             result.cycle = find_cycle(
                 model,
-                np.asarray(config.effective_guess(), dtype=float),
+                np.asarray(guess, dtype=float),
                 settings=config.integrator,
                 grid_size=config.grid_size,
                 relax_time=config.relax_time,
@@ -298,7 +304,6 @@ def run_pipeline(
                 result.cycle,
                 result.spectrum,
                 settings=config.integrator,
-                scales=config.bundle_scale,
             )
             result.bundle = build.bundle
             result.cycle = build.cycle  # spectrally polished orbit and period

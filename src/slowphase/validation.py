@@ -12,7 +12,7 @@ conjugated linear dynamics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,9 +90,6 @@ class AccuracyDomain:
     sigma_neg: np.ndarray  # (n_tol, N)
     scan_max: float
     open_ended: np.ndarray  # (n_tol, 2) bool: scan window never violated
-
-    def bound(self, tol_index: int, sign: int) -> np.ndarray:
-        return self.sigma_pos[tol_index] if sign > 0 else self.sigma_neg[tol_index]
 
     def min_width(self, tol_index: int) -> float:
         return float(
@@ -350,7 +347,6 @@ class ValidationReport:
     manifold_residual_max: float
     response_residual_max: float
     normalization_defect: float
-    notes: dict = field(default_factory=dict)
 
     def summary(self) -> dict:
         return {

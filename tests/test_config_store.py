@@ -1,3 +1,4 @@
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -6,12 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slowphase.config import (
+    DEFAULT_GUESSES,
+    KEYS,
     RunConfig,
     apply_env_overrides,
     build_run_config,
     parse_config_text,
 )
 from slowphase.errors import ConfigError
+from slowphase.integrate import IntegratorSettings
 from slowphase.series import FourierSeries
 from slowphase.store import (
     format_float,
@@ -73,12 +77,75 @@ def test_default_guess_per_model():
     assert len(RunConfig(model="ei").effective_guess()) == 6
 
 
-def test_echo_round_trip():
-    config = RunConfig(model="ei", order=7, grid_size=512).validate()
-    echoed = build_run_config(parse_config_text(config.echo_text()))
+def test_every_field_has_one_key():
+    # a new RunConfig or IntegratorSettings field cannot be forgotten: it
+    # must be declared in the key table, which parses, checks and echoes it
+    paths = [f.name for f in fields(RunConfig)]
+    paths.remove("model_params")  # the model.params.<name> prefix
+    paths.remove("integrator")
+    paths += [f"integrator.{f.name}" for f in fields(IntegratorSettings)]
+    assert sorted(key.field for key in KEYS) == sorted(paths)
+    assert len({key.name for key in KEYS}) == len(KEYS)
+
+
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_nan=False)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+# each key's value drawn from the domain its check accepts; a key missing
+# here fails test_echo_round_trip with a KeyError
+_VALUES = {
+    "model.name": st.sampled_from(sorted(DEFAULT_GUESSES)),
+    "integrator.rtol": _POSITIVE,
+    "integrator.atol": _POSITIVE,
+    "integrator.max_steps": st.integers(min_value=1),
+    "cycle.guess": st.none() | st.lists(_FINITE, min_size=1, max_size=6).map(tuple),
+    "cycle.relax_time": st.floats(min_value=0.0, allow_infinity=False),
+    "cycle.newton_tol": _POSITIVE,
+    "cycle.grid_N": st.integers(min_value=1, max_value=40).map(lambda e: 2**e),
+    "resonance.order": st.none() | st.integers(min_value=2),
+    "resonance.tol": _POSITIVE,
+    "manifold.order": st.integers(min_value=1),
+    "manifold.extra_orders": st.integers(min_value=0),
+    "manifold.gauge": _FINITE.filter(lambda v: v != 0),
+    # the parser lists tolerances in descending order
+    "validation.tolerances": st.lists(_POSITIVE, min_size=1, max_size=4).map(
+        lambda v: tuple(sorted(v, reverse=True))
+    ),
+    "validation.sigma_scan_max": st.none() | _POSITIVE,
+    "validation.samples": st.integers(min_value=1),
+    "validation.horizon_periods": st.floats(
+        min_value=0.0, exclude_min=True, allow_infinity=False
+    ),
+    "run.seed": st.integers(min_value=0),
+    "output.directory": st.text(
+        alphabet=st.sampled_from("abcXYZ019_-./"), min_size=1, max_size=20
+    ).filter(lambda s: s.strip() == s),
+    "solver.small_divisor_tol": _POSITIVE,
+    "solver.solvability_tol": _POSITIVE,
+}
+
+
+@st.composite
+def _configs(draw):
+    top, integ = {}, {}
+    for key in KEYS:
+        owner, _, name = key.field.rpartition(".")
+        (integ if owner else top)[name] = draw(_VALUES[key.name])
+    params = draw(st.dictionaries(st.from_regex(r"[a-z_]{1,8}", fullmatch=True), _FINITE))
+    return RunConfig(
+        model_params=params, integrator=IntegratorSettings(**integ), **top
+    ).validate()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_configs())
+def test_echo_round_trip(config):
+    echo = config.echo_text()
+    parsed = build_run_config(parse_config_text(echo))
+    # the echo names the effective guess, so the model default is resolved
+    assert parsed == replace(config, guess=config.effective_guess())
     # canonical-form fixed point: echo of the echo is identical
-    assert echoed.echo_text() == config.echo_text()
-    assert echoed.effective_guess() == config.effective_guess()
+    assert parsed.echo_text() == echo
 
 
 def test_float_format_round_trips():

@@ -7,13 +7,12 @@ from slowphase.integrate import (
     CycleInterpolant,
     IntegratorSettings,
     _integrate,
-    adjoint_flow,
     flow,
     flow_samples,
     flow_with_variational,
 )
 from slowphase.models import VectorFieldModel, make_oracle_model
-from slowphase.series import FourierSeries, theta_grid
+from slowphase.series import FourierSeries
 
 
 def test_settings_validation():
@@ -72,15 +71,6 @@ def test_variational_monodromy_eigenvalues():
     assert np.max(np.abs(eigs - expected) / expected) < 1e-8
 
 
-def test_liouville_determinant_identity():
-    model = make_oracle_model()
-    x0 = np.array([1.1, -0.2])
-    for t in (0.7, 2.0, 5.0):
-        _, phi, quad = flow_with_variational(model, x0, t, return_trace=True)
-        det = np.linalg.det(phi)
-        assert det == pytest.approx(np.exp(quad), rel=1e-8)
-
-
 def test_blowup_reports_failure_time():
     model = VectorFieldModel(
         name="quadratic",
@@ -110,49 +100,6 @@ def test_flow_samples_along_trajectory():
     samples = flow_samples(model, np.array([1.0, 0.0]), times)
     expected = np.stack([np.cos(times), np.sin(times)], axis=1)
     assert np.max(np.abs(samples - expected)) < 1e-9
-
-
-def _unit_circle_interpolant(n=64):
-    theta = theta_grid(n)
-    samples = np.stack([np.cos(2 * np.pi * theta), np.sin(2 * np.pi * theta)], axis=1)
-    series = FourierSeries.from_samples(samples)
-    return CycleInterpolant(series, period=2.0 * np.pi)
-
-
-def test_adjoint_identity_at_time_zero():
-    model = make_oracle_model()
-    interp = _unit_circle_interpolant()
-    psi = adjoint_flow(model, interp, 0.0)
-    assert np.array_equal(psi, np.eye(2))
-
-
-def test_adjoint_duality_with_variational():
-    """Psi(t)^T Phi(t) stays the identity (transposed-inverse duality)."""
-    model = make_oracle_model()
-    interp = _unit_circle_interpolant()
-    for t in (0.4, 1.5):
-        psi = adjoint_flow(model, interp, t)
-        _, phi = flow_with_variational(model, np.array([1.0, 0.0]), t)
-        assert np.max(np.abs(psi.T @ phi - np.eye(2))) < 1e-8
-
-
-def test_adjoint_monodromy_eigenvalue_duality():
-    model = make_oracle_model()
-    interp = _unit_circle_interpolant()
-    psi_T = adjoint_flow(model, interp, 2.0 * np.pi)
-    eigs = np.sort(np.abs(np.linalg.eigvals(psi_T)))
-    expected = np.sort([1.0, np.exp(4.0 * np.pi)])
-    assert np.max(np.abs(eigs - expected) / expected) < 1e-8
-
-
-def test_interpolant_span_rejection():
-    model = make_oracle_model()
-    theta = theta_grid(32)
-    samples = np.stack([np.cos(2 * np.pi * theta), np.sin(2 * np.pi * theta)], axis=1)
-    series = FourierSeries.from_samples(samples)
-    bounded = CycleInterpolant(series, period=2.0 * np.pi, span=1.0)
-    with pytest.raises(IntegrationError):
-        adjoint_flow(model, bounded, 2.0)
 
 
 @pytest.mark.parametrize("n", [8, 16, 64])

@@ -289,8 +289,30 @@ def test_removed_representation_key_rejected(tmp_path, capsys):
         ("integrator.max_steps = 0", "integrator.max_steps"),
         ("model.name = nosuch", "'nosuch'"),
         ("model.params.foo = 1", "model.params.foo"),
+        ("validation.samples = 0", "validation.samples"),
+        ("resonance.order = 1", "resonance.order"),
+        ("validation.horizon_periods = -1", "validation.horizon_periods"),
+        ("validation.horizon_periods = nan", "validation.horizon_periods"),
+        ("cycle.relax_time = nan", "cycle.relax_time"),
+        ("cycle.newton_tol = -1", "cycle.newton_tol"),
+        ("manifold.gauge = 0", "manifold.gauge"),
+        ("manifold.gauge = inf", "manifold.gauge"),
+        ("resonance.tol = -1", "resonance.tol"),
+        ("solver.small_divisor_tol = -1", "solver.small_divisor_tol"),
+        ("solver.solvability_tol = -1", "solver.solvability_tol"),
+        ("validation.tolerances = 1e-6, -1", "validation.tolerances"),
+        ("validation.sigma_scan_max = -1", "validation.sigma_scan_max"),
+        ("run.seed = -1", "run.seed"),
+        ("cycle.guess = 1", "cycle.guess"),
+        ("bundle.scale = 1", "bundle.scale"),
     ],
-    ids=["rtol", "max_steps", "model", "param"],
+    ids=[
+        "rtol", "max_steps", "model", "param", "samples", "resonance_order",
+        "horizon", "horizon_nan", "relax_time_nan", "newton_tol", "gauge_zero",
+        "gauge_inf", "resonance_tol", "small_divisor_tol", "solvability_tol",
+        "tolerance_entry", "sigma_scan_max", "seed", "guess_length",
+        "bundle_scale",
+    ],
 )
 def test_bad_config_value_exits_4(tmp_path, capsys, line, named):
     # a valid key with an invalid value is a configuration failure, not a
@@ -392,3 +414,7 @@ def test_export_selector_validation(oracle_run):
         export_artifacts(oracle_run.result, "bogus", "csv")
     with pytest.raises(ConfigError):
         export_artifacts(oracle_run.result, "all", "bogus")
+    # validation.json and accuracy_domain.csv are already in the run
+    # directory; there is no separate export of them
+    with pytest.raises(ConfigError, match="unknown export selector"):
+        export_artifacts(oracle_run.result, "validation", "csv")
