@@ -4,9 +4,9 @@
 
 Subcommands: run (full pipeline), cycle, floquet, manifold, response,
 validate, export.  Later stages load earlier artifacts from the output
-directory.  Exit codes: 0 success, 2 validation-threshold failure,
-3 numerical abort (resonance, small divisor, Newton, hyperbolicity),
-4 configuration or I/O failure.
+directory.  Exit codes: 0 success (``--help`` included), 2 validation-threshold
+failure, 3 numerical abort (resonance, small divisor, Newton, hyperbolicity),
+4 configuration, I/O or usage failure.
 """
 
 from __future__ import annotations
@@ -30,8 +30,17 @@ SUBCOMMAND_STAGE = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 4 on a usage error (argparse's own code, 2, means a validation
+    failure here); subcommand parsers are built from this class too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(4, f"{self.prog}: error: {message}\n")
+
+
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="slowphase",
         description="Slow-submanifold parameterization and response functions "
         "of limit-cycle oscillators",

@@ -29,6 +29,8 @@ from dataclasses import dataclass, field
 from functools import reduce
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from .errors import ConfigError
 from .integrate import IntegratorSettings
 
@@ -112,11 +114,16 @@ def _value(config, key: Key):
 
 
 def _show(value) -> str:
-    """Config-file text of a value, which parses back to the same value."""
+    """Config-file text of a value, which parses back to the same value.
+
+    A NumPy scalar shows as the Python number it holds: its repr does not parse.
+    """
     if value is None:
         return "auto"
     if isinstance(value, (tuple, list)):
-        return ", ".join(repr(v) for v in value)
+        return ", ".join(_show(v) for v in value)
+    if isinstance(value, np.generic):
+        value = value.item()
     return value if isinstance(value, str) else repr(value)
 
 
@@ -171,7 +178,7 @@ class RunConfig:
             lines.append(f"{key.name} = {_show(value)}")
         # model parameters follow model.name, the first key
         lines[1:1] = [
-            f"{PARAMS_PREFIX}{name} = {value!r}"
+            f"{PARAMS_PREFIX}{name} = {_show(value)}"
             for name, value in sorted(self.model_params.items())
         ]
         return "\n".join(lines) + "\n"

@@ -355,8 +355,8 @@ class ResonanceReport:
 
     order: int
     tol: float
-    entries: list  # (multi_index tuple, target index k, residual)
-    flagged: list
+    checked: int  # number of (multi-index, target) pairs scanned
+    flagged: list  # (multi_index tuple, target index k, residual) below tol
     manifold_divisors: dict  # n -> min |2 pi i k/T + n lam_s - lam_j|
     phase_divisors: dict  # n -> min |2 pi i k/T + lam_j + n lam_s|
     amplitude_divisors: dict  # n -> min, excluding the structural free mode
@@ -369,7 +369,7 @@ class ResonanceReport:
         return {
             "order": self.order,
             "tol": self.tol,
-            "checked": len(self.entries),
+            "checked": self.checked,
             "flagged": [
                 {"multi_index": list(a), "target": k, "residual": r}
                 for a, k, r in self.flagged
@@ -415,10 +415,10 @@ def check_resonances(
     for i in range(n_dir):
         value = value + counts[:, i] * lam[i]
     residuals = _lattice_distance(value[:, None] - lam[None, :], T).tolist()
-    entries = [
-        (a, k, r) for a, row in zip(indices, residuals) for k, r in enumerate(row)
+    flagged = [
+        (a, k, r) for a, row in zip(indices, residuals)
+        for k, r in enumerate(row) if r < tol
     ]
-    flagged = [entry for entry in entries if entry[2] < tol]
 
     lam_s = spectrum.exponents[spectrum.slow_index]
     all_lam = spectrum.exponents
@@ -441,7 +441,7 @@ def check_resonances(
     return ResonanceReport(
         order=max_order,
         tol=tol,
-        entries=entries,
+        checked=len(indices) * n_dir,
         flagged=flagged,
         manifold_divisors=manifold,
         phase_divisors=phase,

@@ -3,7 +3,7 @@
 Exit-code mapping used by the CLI:
   2  validation threshold failure
   3  numerical abort (Newton, resonance, small divisor, hyperbolicity, ...)
-  4  I/O or configuration failure
+  4  I/O, configuration or command-line usage failure
 """
 
 

@@ -13,7 +13,12 @@ directions grow like exp(|Re lam_j| T) across the period.
 
 Band limits and theta-derivatives of grid values are the series operations
 of :class:`~slowphase.series.FourierSeries`: ``from_samples``, then
-``band_limited`` and ``differentiate``, then ``samples``.
+``band_limited`` and ``differentiate``, then ``samples``.  The Newton
+corrections are diagonal per Fourier mode and go through
+:func:`~slowphase.series.solve_diagonal`, so this module applies no Fourier
+transform and computes no Fourier divisor of its own; a near-resonant
+divisor raises :class:`~slowphase.errors.SmallDivisorError` there.  The
+frame ODE residual has one definition, ``_frame_residual``.
 
 The same machinery, run on the adjoint operator, provides an independent
 construction of the response-curve frame for cross-checking; the production
@@ -44,7 +49,7 @@ from .cycle import (
 )
 from .errors import FrameError
 from .integrate import DEFAULT_SETTINGS, IntegratorSettings, _integrate
-from .series import FourierSeries, theta_grid, wavenumbers
+from .series import FourierSeries, solve_diagonal, theta_grid
 
 __all__ = [
     "Frame",
@@ -67,10 +72,6 @@ class RealBlock:
     alpha: float = 0.0  # lam (real), nu (negative), or Re lam (pair)
     beta: float = 0.0  # Im lam for pairs
 
-    @property
-    def size(self) -> int:
-        return 2 if self.kind == "pair" else 1
-
 
 @dataclass
 class Frame:
@@ -91,9 +92,6 @@ class Frame:
     @property
     def period(self) -> float:
         return self.series.period
-
-    def column(self, j: int) -> FourierSeries:
-        return FourierSeries(self.series.coef[:, :, j], self.series.period)
 
     def grid_values(self) -> np.ndarray:
         return self.series.samples()
@@ -232,6 +230,23 @@ def _symmetrize_columns(cols, lams, classes, theta, period_time, adjoint=False):
             j += 1
 
 
+def _frame_residual(cols, jac_grid, lams, period, k_cut, adjoint=False):
+    """Grid values of the frame ODE residual, shape (N, d, d).
+
+    Bundle columns solve (1/T) C' - DX C + C diag(lam) = 0, adjoint columns
+    (1/T) Q' + DX^T Q - Q diag(lam) = 0; derivatives are taken within the
+    band |k| < k_cut.
+    """
+    dq = (
+        FourierSeries.from_samples(cols).band_limited(k_cut)
+        .differentiate().samples()
+    )
+    lam = lams[None, None, :]
+    if adjoint:
+        return dq / period + np.swapaxes(jac_grid, 1, 2) @ cols - cols * lam
+    return dq / period - jac_grid @ cols + cols * lam
+
+
 def _refine_frame(
     jac_grid,
     period,
@@ -260,11 +275,9 @@ def _refine_frame(
     the grid removes noise only; derivatives are taken within the same band.
     """
     n, d = cols.shape[0], cols.shape[2]
-    k = wavenumbers(n)
     if k_cut is None:
         k_cut = n // 3
     cols[...] = FourierSeries.from_samples(cols).band_limited(k_cut).samples()
-    jac_t = np.swapaxes(jac_grid, 1, 2)
     scale = 1.0 + float(np.max(np.abs(jac_grid)))
     tol = tol_rel * scale
     history = []
@@ -272,14 +285,7 @@ def _refine_frame(
     worse = 0
 
     for sweep in range(max_sweeps):
-        dq = (
-            FourierSeries.from_samples(cols).band_limited(k_cut)
-            .differentiate().samples()
-        )
-        if adjoint:
-            res = dq / period + jac_t @ cols - cols * lams[None, None, :]
-        else:
-            res = dq / period - jac_grid @ cols + cols * lams[None, None, :]
+        res = _frame_residual(cols, jac_grid, lams, period, k_cut, adjoint)
         # balance column scales: residuals are judged and solved relative to
         # each column's own magnitude, keeping the pointwise solves
         # well-conditioned when column norms differ by orders of magnitude
@@ -302,26 +308,18 @@ def _refine_frame(
             rho = np.linalg.solve(balanced, -res_bal)
         except np.linalg.LinAlgError as exc:
             raise FrameError(f"singular frame during refinement: {exc}") from exc
-        rho_hat = np.fft.fft(rho, axis=0) / n
 
         for j in active:
             if classes[j] == CLASS_PAIR_CONJ:
                 continue
-            if adjoint:
-                div = (2j * np.pi / period) * k[:, None] + (lams[None, :] - lams[j])
-            else:
-                div = (2j * np.pi / period) * k[:, None] + (lams[j] - lams[None, :])
-            div[0, j] = 1.0  # free mode, handled below
-            if np.min(np.abs(div)) < divisor_floor:
-                raise FrameError(
-                    f"near-resonant order-1 divisor while refining column {j}"
-                )
-            v_hat = rho_hat[:, :, j] / div
-            dlam = rho_hat[0, j, j]
-            v_hat[0, j] = 0.0
-            v = np.fft.ifft(v_hat * n, axis=0)
-            cols[:, :, j] += norms[j] * np.einsum("nab,nb->na", balanced, v)
+            shifts = lams - lams[j] if adjoint else lams[j] - lams
+            v, free = solve_diagonal(
+                FourierSeries.from_samples(rho[:, :, j]), shifts, period,
+                free_modes=((0, j),), small_divisor_tol=divisor_floor,
+            )
+            cols[:, :, j] += norms[j] * np.einsum("nab,nb->na", balanced, v.samples())
             if classes[j] != CLASS_TRIVIAL:
+                dlam = free[(0, j)]
                 lams[j] += -dlam if adjoint else dlam
 
         cols[...] = FourierSeries.from_samples(cols).band_limited(k_cut).samples()
@@ -338,8 +336,6 @@ def _polish_cycle_step(model, samples, period, cols, lams, k_cut):
     gauge and its right-hand side funds the period update.  Like the frame
     columns, the samples are kept band-limited to |k| < k_cut.
     """
-    n = samples.shape[0]
-    k = wavenumbers(n)
     samples = FourierSeries.from_samples(samples).band_limited(k_cut).samples().real
     deriv = (
         FourierSeries.from_samples(samples).band_limited(k_cut)
@@ -347,14 +343,11 @@ def _polish_cycle_step(model, samples, period, cols, lams, k_cut):
     )
     defect = model.eval(samples) - deriv / period
     rho = np.linalg.solve(cols, defect.astype(complex)[:, :, None])[:, :, 0]
-    rho_hat = np.fft.fft(rho, axis=0) / n
-    div = (2j * np.pi / period) * k[:, None] - lams[None, :]
-    div[0, 0] = 1.0
-    v_hat = rho_hat / div
-    d_period = -(period**2) * rho_hat[0, 0].real
-    v_hat[0, 0] = 0.0
-    v = np.fft.ifft(v_hat * n, axis=0)
-    correction = np.einsum("nab,nb->na", cols, v).real
+    v, free = solve_diagonal(
+        FourierSeries.from_samples(rho), -lams, period, free_modes=((0, 0),)
+    )
+    d_period = -(period**2) * free[(0, 0)].real
+    correction = np.einsum("nab,nb->na", cols, v.samples()).real
     new_samples = (
         FourierSeries.from_samples(samples + correction).band_limited(k_cut)
         .samples().real
@@ -451,9 +444,9 @@ def build_bundle_frame(
     jac_grid = model.jacobian(samples)
     cols[:, :, 0] = cycle_series.differentiate().samples().real
 
-    dq = FourierSeries.from_samples(cols).band_limited(k_cut).differentiate().samples()
-    res = dq / period - jac_grid @ cols + cols * lams[None, None, :]
-    residual = float(np.max(np.abs(res)))
+    residual = float(np.max(np.abs(
+        _frame_residual(cols, jac_grid, lams, period, k_cut)
+    )))
 
     frame = Frame(
         kind="bundle",
@@ -516,16 +509,9 @@ def build_adjoint_frame(
     k_cut = seed_band if k_cut is None else max(k_cut, seed_band)
 
     def measure(cols):
-        dq = (
-            FourierSeries.from_samples(cols, bundle.period).band_limited(k_cut)
-            .differentiate().samples()
-        )
-        res = (
-            dq / period
-            + np.swapaxes(jac_grid, 1, 2) @ cols
-            - cols * bundle.exponents[None, None, :]
-        )
-        return float(np.max(np.abs(res)))
+        return float(np.max(np.abs(_frame_residual(
+            cols, jac_grid, bundle.exponents, period, k_cut, adjoint=True
+        ))))
 
     theta = theta_grid(n, bundle.period)
     # the inverse decays slower than the decay-fit predicts, but a wider band

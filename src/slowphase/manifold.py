@@ -66,23 +66,19 @@ class ManifoldExpansion:
         return self.coeffs.order_series(n)
 
 
-def _order_inhomogeneity(model, partial: FourierTaylor, n: int) -> np.ndarray:
+def _order_inhomogeneity(model, partial: np.ndarray, n: int) -> np.ndarray:
     """B_n: order-n coefficient of the field composed with orders < n.
 
     The order-n input slot is zero-padded so the composition's order-n
     output is exactly the polynomial in lower-order terms.
     """
-    padded = FourierTaylor(
-        partial.orders
-        + (FourierSeries.zeros(partial.grid_size, partial.value_shape, partial.period),)
-    )
-    composed = jet_compose(model, padded, "field")
-    return composed.order_series(n).samples().real
+    padded = np.concatenate([partial, np.zeros_like(partial[:1])])
+    return jet_compose(model, padded, "field")[n]
 
 
 def next_order_coefficient(
     model: VectorFieldModel,
-    partial: FourierTaylor,
+    partial: np.ndarray,
     bundle: Frame,
     adjoint: Frame,
     n: int,
@@ -91,14 +87,15 @@ def next_order_coefficient(
 ):
     """Compute order n >= 2 from orders 0..n-1.
 
+    ``partial`` holds the grid values of orders 0..n-1, shape (n, N, d).
     Returns ``(samples, divisor_min)``: the complex grid samples of the new
     order (their imaginary part is the conjugation drift) and the smallest
     Fourier divisor encountered.
     """
     if n < 2:
         raise ModelError("next-order recursion starts at n = 2")
-    if partial.order != n - 1:
-        raise ModelError(f"expected orders 0..{n-1}, got 0..{partial.order}")
+    if len(partial) != n:
+        raise ModelError(f"expected orders 0..{n-1}, got 0..{len(partial) - 1}")
     b_samples = _order_inhomogeneity(model, partial, n)
     lam_s = float(bundle.exponents[1].real)
     return solve_order(
@@ -167,25 +164,25 @@ def expand_slow_manifold(
     divisor_minima = {}
     drift = 0.0
     for n in range(2, total + 1):
-        partial = FourierTaylor.from_order_samples(np.stack(orders), 1.0)
         k_n, div_min = next_order_coefficient(
-            model, partial, bundle, adjoint, n, period, small_divisor_tol
+            model, np.stack(orders), bundle, adjoint, n, period, small_divisor_tol
         )
         drift = max(drift, float(np.max(np.abs(k_n.imag))))
         orders.append(k_n.real)
         divisor_minima[n] = div_min
 
-    coeffs = FourierTaylor.from_order_samples(np.stack(orders), 1.0)
+    orders = np.stack(orders)
+    coeffs = FourierTaylor.from_order_samples(orders, 1.0)
 
     # residuals by spectral back-substitution, one full composition
-    composed = jet_compose(model, coeffs, "field")
+    composed = jet_compose(model, orders, "field")
     residuals = np.zeros(total + 1)
     for n in range(total + 1):
         k_series = coeffs.order_series(n)
         lhs = (
             k_series.differentiate().samples() / period
             + n * lam_s * k_series.samples()
-            - composed.order_series(n).samples()
+            - composed[n]
         )
         residuals[n] = float(np.max(np.linalg.norm(lhs.real, axis=1)))
 

@@ -4,7 +4,8 @@ A model is defined by two closures written in plain arithmetic on the state
 components, so the same code serves every kind of component it is given:
 Python floats for one state, numpy arrays for a batch of states, and
 :class:`~slowphase.series.Jet` objects for Taylor transport in the amplitude
-variable.  Both built-in models are polynomial, hence add/multiply/integer
+variable; jets carry grid values, so :func:`jet_compose` needs no Fourier
+transform.  Both built-in models are polynomial, hence add/multiply/integer
 powers are the only operations required; user models registered through
 :func:`register_model` may use the same protocol.  Jets support only ``+``,
 ``-``, ``*``, division by a constant and positive integer powers; anything
@@ -27,7 +28,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConfigError, ModelError
-from .series import FourierTaylor, Jet
+from .series import Jet
 
 __all__ = [
     "VectorFieldModel",
@@ -244,31 +245,31 @@ def get_model(name: str, param_overrides: dict | None = None) -> VectorFieldMode
     return _REGISTRY[name](dict(param_overrides or {}))
 
 
-def jet_compose(model: VectorFieldModel, arg: FourierTaylor, mode: str) -> FourierTaylor:
+def jet_compose(model: VectorFieldModel, orders: np.ndarray, mode: str) -> np.ndarray:
     """Compose the field or its Jacobian transpose with a sigma-expansion.
 
-    ``mode="field"`` returns the jet of X(arg): order n is the coefficient of
-    sigma**n of the composed field, computed by jet transport through the
-    model's elementary operations (grid-pointwise products, Taylor
-    convolution in sigma).  ``mode="jacobian_transpose"`` returns the
-    matrix-valued jet of DX^T(arg).
+    ``orders`` holds the grid values of orders 0..L, shape (L+1, N, d).
+    ``mode="field"`` returns the grid values of the jet of X(orders), shape
+    (L+1, N, d): order n is the coefficient of sigma**n of the composed
+    field, computed by jet transport through the model's elementary
+    operations (grid-pointwise products, Taylor convolution in sigma).
+    ``mode="jacobian_transpose"`` returns the matrix-valued jet of
+    DX^T(orders), shape (L+1, N, d, d).
 
-    The order-0 coefficient of a field composition is bitwise equal to the
+    The order-0 values of a field composition are bitwise equal to the
     pointwise evaluation of the model on the order-0 grid, because both go
     through the same arithmetic.
     """
     if mode not in ("field", "jacobian_transpose"):
         raise ModelError(f"unknown jet composition mode '{mode}'")
-    if arg.value_shape != (model.dim,):
+    orders = np.asarray(orders)
+    if orders.ndim != 3 or orders.shape[2] != model.dim:
         raise ModelError(
-            f"expansion arity {arg.value_shape} does not match model dim {model.dim}"
+            f"expansion of shape {orders.shape} is not (orders, grid, {model.dim})"
         )
-    L = arg.order
-    n_grid = arg.grid_size
-    samples = arg.order_samples()  # (L+1, N, d)
-    if np.max(np.abs(samples.imag)) < 1e-13 * max(1.0, np.max(np.abs(samples.real))):
-        samples = samples.real
-    jets = tuple(Jet(samples[:, :, i]) for i in range(model.dim))
+    L = orders.shape[0] - 1
+    n_grid = orders.shape[1]
+    jets = tuple(Jet(orders[:, :, i]) for i in range(model.dim))
 
     def transport(closure):
         try:
@@ -284,20 +285,19 @@ def jet_compose(model: VectorFieldModel, arg: FourierTaylor, mode: str) -> Fouri
     def as_array(entry):
         if isinstance(entry, Jet):
             return entry.values
-        out = np.zeros((L + 1, n_grid), dtype=samples.dtype)
+        out = np.zeros((L + 1, n_grid), dtype=orders.dtype)
         out[0] = entry
         return out
 
     if mode == "field":
         comps = transport(model.rhs)
-        stacked = np.stack([as_array(c) for c in comps], axis=-1)  # (L+1, N, d)
-        return FourierTaylor.from_order_samples(stacked, arg.period)
+        return np.stack([as_array(c) for c in comps], axis=-1)  # (L+1, N, d)
 
     rows = transport(model.jac_rows)
     d = model.dim
-    out = np.zeros((L + 1, n_grid, d, d), dtype=samples.dtype)
+    out = np.zeros((L + 1, n_grid, d, d), dtype=orders.dtype)
     for a in range(d):
         for b in range(d):
             # transpose: output entry (a, b) carries dX_b / dx_a
             out[:, :, a, b] = as_array(rows[b][a])
-    return FourierTaylor.from_order_samples(out, arg.period)
+    return out

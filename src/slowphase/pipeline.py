@@ -263,10 +263,11 @@ def run_pipeline(
             f"has dimension {model.dim}"
         )
     last = Stage.ORDER.index(through)
-    failed_stage = None
+    stage = None  # the stage running, recorded if it fails
 
     try:
         if last >= 0 and result.cycle is None:
+            stage = Stage.CYCLE
             result.cycle = find_cycle(
                 model,
                 np.asarray(guess, dtype=float),
@@ -278,6 +279,7 @@ def run_pipeline(
             save_cycle(out, result.cycle)
 
         if last >= 1:
+            stage = Stage.FLOQUET
             if result.spectrum is None:
                 result.spectrum = floquet_spectrum(
                     model, result.cycle.anchor, result.cycle.period, config.integrator
@@ -299,6 +301,7 @@ def run_pipeline(
                     )
 
         if last >= 2 and result.bundle is None:
+            stage = Stage.FRAMES
             build = build_bundle_frame(
                 model,
                 result.cycle,
@@ -324,6 +327,7 @@ def run_pipeline(
             save_frames(out, result)
 
         if last >= 3 and result.manifold is None:
+            stage = Stage.MANIFOLD
             result.manifold = expand_slow_manifold(
                 model,
                 result.cycle,
@@ -337,6 +341,7 @@ def run_pipeline(
             save_manifold(out, result.manifold)
 
         if last >= 4 and result.response is None:
+            stage = Stage.RESPONSE
             result.response = expand_response_functions(
                 model,
                 result.manifold,
@@ -349,6 +354,7 @@ def run_pipeline(
             save_response(out, result.response)
 
         if last >= 5 and result.validation is None:
+            stage = Stage.VALIDATE
             result.validation = run_validation(
                 model,
                 result.manifold,
@@ -362,30 +368,13 @@ def run_pipeline(
             )
             save_validation(out, result.validation)
     except SlowphaseError as exc:
-        failed_stage = _current_stage(result)
-        result.manifest = _build_manifest(out, result, failed_stage, str(exc))
+        result.manifest = _build_manifest(out, result, stage, str(exc))
         write_json(os.path.join(out, "manifest.json"), result.manifest)
         raise
 
     result.manifest = _build_manifest(out, result, None, None)
     write_json(os.path.join(out, "manifest.json"), result.manifest)
     return result
-
-
-def _current_stage(result: PipelineResult) -> str:
-    if result.cycle is None:
-        return Stage.CYCLE
-    if result.spectrum is None or result.resonance is None or (
-        result.resonance is not None and result.resonance.is_resonant
-    ):
-        return Stage.FLOQUET
-    if result.bundle is None:
-        return Stage.FRAMES
-    if result.manifold is None:
-        return Stage.MANIFOLD
-    if result.response is None:
-        return Stage.RESPONSE
-    return Stage.VALIDATE
 
 
 def _build_manifest(out, result: PipelineResult, failed_stage, error) -> dict:

@@ -60,9 +60,8 @@ class ResponseExpansion:
 
 def _jacobian_transpose_orders(model, manifold: ManifoldExpansion, order: int):
     """Grid samples of the sigma-expansion of DX^T on the manifold."""
-    arg = manifold.coeffs.truncated(order)
-    jet = jet_compose(model, arg, "jacobian_transpose")
-    return jet.order_samples().real  # (order+1, N, d, d)
+    arg = manifold.coeffs.truncated(order).order_samples().real
+    return jet_compose(model, arg, "jacobian_transpose")  # (order+1, N, d, d)
 
 
 def _convolution_term(f_orders, lower, n):
@@ -106,7 +105,7 @@ def next_order(
     sol, free_info = solve_diagonal(
         rhs, shifts, period, free_modes=free, small_divisor_tol=small_divisor_tol
     )
-    solvability = free_info.get((0, 0), 0.0)
+    solvability = float(np.abs(free_info.get((0, 0), 0.0)))
     if solvability > solvability_tol:
         raise SolvabilityError(
             f"order-{n} solvability residual {solvability:.3e} exceeds "

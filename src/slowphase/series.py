@@ -19,9 +19,13 @@ Power series in the amplitude variable sigma are kept in two shapes:
   convolution in sigma and pointwise products in theta; this is the form fed
   through model right-hand sides (jet transport).
 
-The module also hosts the Fourier-space solver used by every recursion of
-the pipeline: a componentwise diagonal solve in the complex Floquet normal
-form.
+This is the only module that applies a Fourier transform or divides by
+Fourier divisors.  Its solver, :func:`solve_diagonal`, is a componentwise
+diagonal solve in the complex Floquet normal form and serves every linear
+equation of the pipeline: the Newton polish of the frame columns and of the
+orbit (:mod:`slowphase.frames`), each order of the manifold recursion
+(:mod:`slowphase.manifold`) and each order of both response recursions
+(:mod:`slowphase.response`).
 """
 
 from __future__ import annotations
@@ -85,10 +89,6 @@ class FourierSeries:
         _require_power_of_two(values.shape[0])
         coef = np.fft.fft(values, axis=0) / values.shape[0]
         return FourierSeries(coef, period)
-
-    @staticmethod
-    def zeros(n: int, value_shape: tuple = (), period: float = 1.0) -> "FourierSeries":
-        return FourierSeries(np.zeros((n, *value_shape), dtype=complex), period)
 
     # -- structure ------------------------------------------------------
 
@@ -350,15 +350,17 @@ def solve_diagonal(
         u_k^(j) = rhs_k^(j) / (2 pi i k / (P T) + shifts[j]).
 
     Modes listed in ``free_modes`` (pairs ``(k, j)`` of integer wavenumber
-    and component) are set to zero and their right-hand-side magnitude is
-    returned for the caller's solvability test.  Any other divisor below
-    ``small_divisor_tol`` raises :class:`SmallDivisorError`.
+    and component) are set to zero and their right-hand-side coefficient is
+    returned: the frame polish turns it into an exponent or period update,
+    the response recursion into a solvability test.  The Nyquist row is set
+    to zero too.  Any other divisor below ``small_divisor_tol`` raises
+    :class:`SmallDivisorError`.
 
     Returns
     -------
     (FourierSeries, dict)
-        The solution and a map ``(k, j) -> |rhs coefficient|`` for each free
-        mode.
+        The solution and a map ``(k, j) -> rhs coefficient`` (complex) for
+        each free mode.
     """
     shifts = np.atleast_1d(np.asarray(shifts, dtype=complex))
     coef = np.atleast_2d(rhs.coef.reshape(rhs.grid_size, -1))
@@ -375,7 +377,7 @@ def solve_diagonal(
     for kf, jf in free_modes:
         row = int(np.where(k == kf)[0][0])
         mask[row, jf] = True
-        free[(int(kf), int(jf))] = float(np.abs(coef[row, jf]))
+        free[(int(kf), int(jf))] = complex(coef[row, jf])
 
     small = (np.abs(divisors) < small_divisor_tol) & ~mask
     if np.any(small):

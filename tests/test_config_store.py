@@ -148,6 +148,24 @@ def test_echo_round_trip(config):
     assert parsed.echo_text() == echo
 
 
+def test_echo_round_trip_numpy_scalars():
+    # a config built in Python may hold NumPy scalars; the echo shows the
+    # Python numbers they hold, so it parses back
+    config = RunConfig(
+        model="ei",
+        relax_time=np.float64(20.0),
+        grid_size=np.int64(128),
+        tolerances=(np.float64(1e-6),),
+        model_params={"eta_e": np.float64(-5.2)},
+    )
+    echo = config.echo_text()
+    assert "cycle.relax_time = 20.0\n" in echo
+    assert "model.params.eta_e = -5.2\n" in echo
+    parsed = build_run_config(parse_config_text(echo))
+    assert parsed == replace(config, guess=config.effective_guess())
+    assert parsed.echo_text() == echo
+
+
 def test_float_format_round_trips():
     values = [1.0, np.pi, 1e-300, -2.2250738585072014e-308, 0.1 + 0.2]
     for v in values:

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -210,9 +211,12 @@ def test_resonance_report_oracle_empty(oracle_cycle):
     _, _, spectrum = oracle_cycle
     report = check_resonances(spectrum, max_order=9)
     assert not report.is_resonant
-    assert len(report.entries) == 8  # |a| = 2..9, one direction, one target
+    assert report.checked == 8
+    # tol = inf flags every entry
+    report = check_resonances(spectrum, max_order=9, tol=math.inf)
+    assert len(report.flagged) == 8  # |a| = 2..9, one direction, one target
     # n lam_s - lam_s = (n-1) lam_s: minimal residual at order 2 is |lam_s|
-    assert min(r for _, _, r in report.entries) == pytest.approx(2.0, abs=1e-6)
+    assert min(r for _, _, r in report.flagged) == pytest.approx(2.0, abs=1e-6)
 
 
 def test_resonance_synthetic_flag():
@@ -285,7 +289,7 @@ def test_resonance_scan_matches_scalar_loop():
         hyperbolicity_defect=0.0,
         eigenvector_condition=1.0,
     )
-    report = check_resonances(spectrum, max_order=6)
+    report = check_resonances(spectrum, max_order=6, tol=math.inf)
     lam = exponents[1:]
     step = 2.0 * np.pi / T
     expected = []
@@ -297,8 +301,8 @@ def test_resonance_scan_matches_scalar_loop():
                 v = value - lam[k]
                 im = v.imag - step * np.round(v.imag / step)
                 expected.append((a, k, float(np.hypot(v.real, im))))
-    assert len(report.entries) == len(expected)
+    assert len(report.flagged) == len(expected)
     assert all(
         got[:2] == want[:2] and got[2].hex() == want[2].hex()
-        for got, want in zip(report.entries, expected)
+        for got, want in zip(report.flagged, expected)
     )

@@ -265,6 +265,20 @@ def test_exit_code_missing_config(tmp_path):
     assert main(["run", "--config", str(tmp_path / "absent.cfg")]) == 4
 
 
+def test_usage_errors_exit_4(tmp_path, capsys):
+    # a command-line usage error is a configuration failure (4), not a
+    # validation failure (2); --help still succeeds
+    cfg, _ = _write_cfg(tmp_path)
+    for argv in (["export", "--config", cfg, "--what", "validation"], ["run"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 4
+        assert "usage: slowphase" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--help"])
+    assert exc.value.code == 0
+
+
 def test_exit_code_bad_config(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("cycle.grid_N = 999\n")
@@ -365,7 +379,7 @@ def test_resonance_abort_keeps_partial_artifacts(tmp_path, monkeypatch):
     def fake_check(spectrum, order, tol):
         return ResonanceReport(
             order=order, tol=tol,
-            entries=[((2,), 0, 0.0)], flagged=[((2,), 0, 0.0)],
+            checked=1, flagged=[((2,), 0, 0.0)],
             manifold_divisors={}, phase_divisors={}, amplitude_divisors={},
         )
 
@@ -382,6 +396,26 @@ def test_resonance_abort_keeps_partial_artifacts(tmp_path, monkeypatch):
     assert manifest["failed_stage"] == "floquet"
     assert "multi-index" in manifest["error"]
     assert os.path.exists(tmp_path / "out" / "cycle.json")
+
+
+def test_frames_failure_recorded_as_frames_stage(tmp_path, monkeypatch):
+    """A failure after the bundle frame is built is still the frames stage's."""
+    import slowphase.pipeline as pipeline_mod
+    from slowphase.errors import FrameError
+
+    def failing_cross_check(*args, **kwargs):
+        raise FrameError("cross-check failed")
+
+    monkeypatch.setattr(pipeline_mod, "cross_check_adjoint_frame", failing_cross_check)
+    config = RunConfig(
+        model="oracle", relax_time=20.0, grid_size=128, order=4,
+        out_dir=str(tmp_path / "out"),
+    )
+    with pytest.raises(FrameError):
+        run_pipeline(config)
+    manifest = _read_json(tmp_path / "out" / "manifest.json")
+    assert manifest["failed_stage"] == "frames"
+    assert manifest["error"] == "cross-check failed"
 
 
 def test_export_plotdata_format(oracle_run):

@@ -111,7 +111,7 @@ def test_solve_diagonal_single_mode():
 
 
 def test_solve_diagonal_zero_rhs_gives_zero():
-    rhs = FourierSeries.zeros(32, (2,))
+    rhs = FourierSeries(np.zeros((32, 2), dtype=complex))
     sol, _ = solve_diagonal(rhs, [0.5, 1.5], period_time=2.0)
     assert np.max(np.abs(sol.coef)) == 0.0
 
