@@ -5,7 +5,10 @@ Three formats:
 * ``csv`` -- sampled curves, one file per function (header
   ``theta,<component names>``): the orbit, the real frame columns (tangent
   and normal bundle; phase and amplitude response curves), and each order of
-  the manifold and response expansions.
+  the manifold and response expansions; and each stored coefficient series
+  as a text table (:func:`~slowphase.store.write_series_csv`:
+  ``cycle_coeff.csv``, ``frame_{bundle,adjoint}_coeff.csv``,
+  ``manifold_order_NN_coeff.csv``, ``response_{phase,amplitude}_order_NN_coeff.csv``).
 * ``json`` -- the manifest and the spectrum.
 * ``plotdata`` -- long-format tables ``theta,sigma,component,value``
   covering the accuracy domain at the loosest tolerance: the manifold
@@ -23,7 +26,7 @@ from .errors import ConfigError
 from .frames import build_real_frames
 from .manifold import evaluate_manifold
 from .pipeline import PipelineResult
-from .store import write_function_csv, write_rows_csv
+from .store import write_function_csv, write_rows_csv, write_series_csv
 from .validation import accuracy_domain
 
 __all__ = ["export_artifacts"]
@@ -42,6 +45,7 @@ def _curve_files(result: PipelineResult, out) -> list:
             os.path.join(out, "curve_cycle.csv"), theta, cycle.samples, names
         )
     )
+    files.append(write_series_csv(os.path.join(out, "cycle_coeff.csv"), cycle.series))
     return files
 
 
@@ -61,6 +65,10 @@ def _frame_files(result: PipelineResult, out) -> list:
                     names,
                 )
             )
+    for label in ("bundle", "adjoint"):
+        files.append(write_series_csv(
+            os.path.join(out, f"frame_{label}_coeff.csv"), getattr(result, label).series
+        ))
     return files
 
 
@@ -78,6 +86,10 @@ def _manifold_files(result: PipelineResult, out) -> list:
                 names,
             )
         )
+    for n in range(man.total_order + 1):
+        files.append(write_series_csv(
+            os.path.join(out, f"manifold_order_{n:02d}_coeff.csv"), man.order_series(n)
+        ))
     return files
 
 
@@ -96,6 +108,10 @@ def _response_files(result: PipelineResult, out) -> list:
                     names,
                 )
             )
+            files.append(write_series_csv(
+                os.path.join(out, f"response_{label}_order_{n:02d}_coeff.csv"),
+                ft.order_series(n),
+            ))
     return files
 
 

@@ -313,7 +313,7 @@ def _refine_frame(
             if classes[j] == CLASS_PAIR_CONJ:
                 continue
             shifts = lams - lams[j] if adjoint else lams[j] - lams
-            v, free = solve_diagonal(
+            v, free, _ = solve_diagonal(
                 FourierSeries.from_samples(rho[:, :, j]), shifts, period,
                 free_modes=((0, j),), small_divisor_tol=divisor_floor,
             )
@@ -343,7 +343,7 @@ def _polish_cycle_step(model, samples, period, cols, lams, k_cut):
     )
     defect = model.eval(samples) - deriv / period
     rho = np.linalg.solve(cols, defect.astype(complex)[:, :, None])[:, :, 0]
-    v, free = solve_diagonal(
+    v, free, _ = solve_diagonal(
         FourierSeries.from_samples(rho), -lams, period, free_modes=((0, 0),)
     )
     d_period = -(period**2) * free[(0, 0)].real

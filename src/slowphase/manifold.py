@@ -118,14 +118,11 @@ def solve_order(
     reduced = np.einsum("nai,na->ni", adjoint_grid, b_samples.astype(complex))
     rhs_series = FourierSeries.from_samples(reduced, 1.0)
     shifts = n * slow_exponent - bundle.exponents
-    solution, _ = solve_diagonal(
+    solution, _, div_min = solve_diagonal(
         rhs_series, shifts, period, small_divisor_tol=small_divisor_tol
     )
     coords = solution.samples()
     out = np.einsum("nab,nb->na", bundle_grid, coords)
-    div_min = float(
-        np.min(np.abs((2j * np.pi / period) * rhs_series.k[:, None] + shifts[None, :]))
-    )
     return out, div_min
 
 

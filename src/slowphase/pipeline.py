@@ -2,8 +2,14 @@
 
 Stages: cycle -> floquet -> resonances -> frames (+independent cross-check)
 -> manifold -> response -> validation.  Each stage writes its artifacts into
-the output directory so later subcommands can resume without recomputation;
-the manifest records the configuration echo, the spectral tables, per-order
+the output directory so later subcommands can resume without recomputation:
+one JSON metadata file keyed by the fields of its result dataclass, and one
+``.npy`` coefficient file per stored series or expansion (``cycle_coeff.npy``
+of shape (N, d); ``frame_{bundle,adjoint}_coeff.npy``, (N, d, d);
+``manifold_coeff.npy`` and ``response_{phase,amplitude}_coeff.npy``, (orders,
+N, d)).  The cycle, manifold and response series have period 1 by
+construction; a frame's period is stored with its fields in ``frames.json``.
+The manifest records the configuration echo, the spectral tables, per-order
 residuals, and a checksummed file inventory.  A flagged resonance or a
 hyperbolicity failure aborts the run; artifacts produced so far are kept and
 the manifest records the failed stage.
@@ -36,14 +42,14 @@ from .frames import (
 from .manifold import ManifoldExpansion, expand_slow_manifold
 from .models import get_model
 from .response import ResponseExpansion, expand_response_functions
-from .series import FourierTaylor
+from .series import FourierSeries, FourierTaylor
 from .store import (
+    read_coeffs,
     read_json,
-    read_series_csv,
     sha256_file,
+    write_coeffs,
     write_json,
     write_rows_csv,
-    write_series_csv,
 )
 from .validation import run_validation
 
@@ -74,7 +80,7 @@ def _ensure_dir(path):
 
 # ---------------------------------------------------------------------------
 # artifact codec: each stage writes one JSON metadata file, keyed by the
-# field names of its result dataclass, plus its coefficient tables
+# field names of its result dataclass, plus its coefficient arrays
 
 def _meta(obj, skip=()) -> dict:
     """Fields of dataclass ``obj`` except ``skip``, keyed by field name."""
@@ -86,30 +92,33 @@ def _complex(pairs) -> np.ndarray:
     return np.asarray(pairs, dtype=float).view(complex)[..., 0]
 
 
+def _grid(out) -> tuple:
+    """(grid size, dimension) of the stored cycle, shared by every stored series."""
+    meta = read_json(os.path.join(out, "cycle.json"))
+    return meta["grid_size"], len(meta["anchor"])
+
+
 def _save_orders(out, prefix, taylor: FourierTaylor):
-    for n in range(taylor.order + 1):
-        write_series_csv(
-            os.path.join(out, f"{prefix}_order_{n:02d}_coeff.csv"),
-            taylor.order_series(n),
-        )
+    coef = np.stack([series.coef for series in taylor.orders])
+    write_coeffs(os.path.join(out, f"{prefix}_coeff.npy"), coef)
 
 
 def _load_orders(out, prefix, order) -> FourierTaylor:
-    return FourierTaylor(tuple(
-        read_series_csv(os.path.join(out, f"{prefix}_order_{n:02d}_coeff.csv"))
-        for n in range(order + 1)
-    ))
+    shape = (order + 1, *_grid(out))
+    coef = read_coeffs(os.path.join(out, f"{prefix}_coeff.npy"), shape)
+    return FourierTaylor(tuple(FourierSeries(c) for c in coef))
 
 
 def save_cycle(out, cycle: CycleResult):
-    write_series_csv(os.path.join(out, "cycle_coeff.csv"), cycle.series)
+    write_coeffs(os.path.join(out, "cycle_coeff.npy"), cycle.series.coef)
     write_json(os.path.join(out, "cycle.json"), _meta(cycle, skip=("series", "samples")))
 
 
 def load_cycle(out) -> CycleResult:
     meta = read_json(os.path.join(out, "cycle.json"))
-    series = read_series_csv(os.path.join(out, "cycle_coeff.csv"))
     meta["anchor"] = np.asarray(meta["anchor"])
+    shape = (meta["grid_size"], len(meta["anchor"]))
+    series = FourierSeries(read_coeffs(os.path.join(out, "cycle_coeff.npy"), shape))
     return CycleResult(series=series, samples=series.samples().real, **meta)
 
 
@@ -135,8 +144,8 @@ def save_frames(out, result: PipelineResult):
     meta = {"band_cut": result.band_cut}
     for name in ("bundle", "adjoint"):
         frame = getattr(result, name)
-        write_series_csv(os.path.join(out, f"frame_{name}_coeff.csv"), frame.series)
-        meta[name] = _meta(frame, skip=("series",))
+        write_coeffs(os.path.join(out, f"frame_{name}_coeff.npy"), frame.series.coef)
+        meta[name] = {**_meta(frame, skip=("series",)), "period": frame.period}
     if result.crosscheck is not None:
         write_json(os.path.join(out, "adjoint_crosscheck.json"), result.crosscheck)
     write_json(os.path.join(out, "frames.json"), meta)
@@ -145,19 +154,21 @@ def save_frames(out, result: PipelineResult):
 def load_frames(out) -> dict:
     """PipelineResult fields of the frames stage.
 
-    Real-frame entries in ``frames.json`` (written by earlier versions) are
-    ignored: ``build_real_frames`` recomputes those frames exactly when an
-    export needs them.
+    Only the complex frames are stored: ``build_real_frames`` recomputes the
+    real frames exactly when an export needs them.
     """
     meta = read_json(os.path.join(out, "frames.json"))
+    grid_size, dim = _grid(out)
     loaded = {"band_cut": meta["band_cut"]}
     for name in ("bundle", "adjoint"):
         frame = meta[name]
         frame["exponents"] = _complex(frame["exponents"])
         frame["classes"] = tuple(frame["classes"])
         frame["blocks"] = tuple(RealBlock(**b) for b in frame["blocks"])
-        series = read_series_csv(os.path.join(out, f"frame_{name}_coeff.csv"))
-        loaded[name] = Frame(series=series, **frame)
+        coef = read_coeffs(
+            os.path.join(out, f"frame_{name}_coeff.npy"), (grid_size, dim, dim)
+        )
+        loaded[name] = Frame(series=FourierSeries(coef, frame.pop("period")), **frame)
     path = os.path.join(out, "adjoint_crosscheck.json")
     if os.path.exists(path):
         loaded["crosscheck"] = read_json(path)
@@ -190,15 +201,8 @@ def save_response(out, response: ResponseExpansion):
 
 
 def load_response(out) -> ResponseExpansion:
-    """The response stage.
-
-    ``representation`` and ``fold_defect`` keys, written by earlier versions
-    that had a real-representation path, are ignored.
-    """
     meta = read_json(os.path.join(out, "response.json"))
     order = meta.pop("order")
-    for key in ("representation", "fold_defect"):
-        meta.pop(key, None)
     for key in ("phase_residuals", "amplitude_residuals"):
         meta[key] = np.asarray(meta[key])
     return ResponseExpansion(
@@ -438,9 +442,7 @@ def _build_manifest(out, result: PipelineResult, failed_stage, error) -> dict:
 
     inventory = {}
     for name in sorted(os.listdir(out)):
-        if name == "manifest.json" or not (
-            name.endswith(".csv") or name.endswith(".json")
-        ):
+        if name == "manifest.json" or not name.endswith((".npy", ".csv", ".json")):
             continue
         inventory[name] = sha256_file(os.path.join(out, name))
     manifest["files"] = inventory
@@ -450,10 +452,13 @@ def _build_manifest(out, result: PipelineResult, failed_stage, error) -> dict:
 def load_result(config: RunConfig, out_dir: str | None = None) -> PipelineResult:
     """Load the artifacts of consecutive stages that exist in the output directory.
 
-    Raises ``ConfigError`` when a metadata file lacks a field or holds one
-    its loader does not know, and when the stored cycle was computed on
-    another grid, or a stored manifold or response to another order, than
-    ``config`` asks for, so stale or corrupt artifacts are never resumed.
+    A stage whose metadata file is missing has not run; loading stops there.
+    Raises ``ConfigError`` when a metadata file does not parse, lacks a field
+    or holds one its loader does not know; when a coefficient file of a stage
+    whose metadata exists is missing, truncated, of the wrong dtype or shape,
+    or non-finite; and when the stored cycle was computed on another grid, or
+    a stored manifold or response to another order, than ``config`` asks
+    for, so stale or corrupt artifacts are never resumed.
     """
     out = out_dir or config.out_dir
     result = PipelineResult(config=config)
@@ -465,14 +470,14 @@ def load_result(config: RunConfig, out_dir: str | None = None) -> PipelineResult
         ("manifold", "manifold.json", load_manifold),
         ("response", "response.json", load_response),
     ):
+        meta_path = os.path.join(out, meta_file)
+        if not os.path.exists(meta_path):
+            break
         try:
             loaded = load(out)
-        except (OSError, ValueError):
-            break
-        except (TypeError, KeyError) as exc:
+        except (TypeError, KeyError, ValueError) as exc:
             raise ConfigError(
-                f"{os.path.join(out, meta_file)}: malformed metadata "
-                f"({type(exc).__name__}: {exc})"
+                f"{meta_path}: malformed metadata ({type(exc).__name__}: {exc})"
             ) from exc
         vars(result).update({name: loaded} if name else loaded)
     stored = (

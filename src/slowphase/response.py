@@ -102,7 +102,7 @@ def next_order(
     rhs = FourierSeries.from_samples(reduced, 1.0)
     shifts = bundle.exponents + (n + offset) * lam_s
     free = ((0, 0),) if n + offset == 0 else ()
-    sol, free_info = solve_diagonal(
+    sol, free_info, _ = solve_diagonal(
         rhs, shifts, period, free_modes=free, small_divisor_tol=small_divisor_tol
     )
     solvability = float(np.abs(free_info.get((0, 0), 0.0)))

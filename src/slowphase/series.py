@@ -358,9 +358,10 @@ def solve_diagonal(
 
     Returns
     -------
-    (FourierSeries, dict)
-        The solution and a map ``(k, j) -> rhs coefficient`` (complex) for
-        each free mode.
+    (FourierSeries, dict, float)
+        The solution, a map ``(k, j) -> rhs coefficient`` (complex) for each
+        free mode, and the smallest divisor magnitude divided by (free modes
+        and the Nyquist row excluded).
     """
     shifts = np.atleast_1d(np.asarray(shifts, dtype=complex))
     coef = np.atleast_2d(rhs.coef.reshape(rhs.grid_size, -1))
@@ -379,18 +380,20 @@ def solve_diagonal(
         mask[row, jf] = True
         free[(int(kf), int(jf))] = complex(coef[row, jf])
 
-    small = (np.abs(divisors) < small_divisor_tol) & ~mask
+    magnitudes = np.abs(divisors)
+    small = (magnitudes < small_divisor_tol) & ~mask
     if np.any(small):
         rows, cols = np.nonzero(small)
         kk, jj = int(k[rows[0]]), int(cols[0])
         raise SmallDivisorError(
             f"divisor |2 pi i {kk}/(P T) + shift_{jj}| = "
-            f"{abs(divisors[rows[0], cols[0]]):.3e} below tolerance "
+            f"{magnitudes[rows[0], cols[0]]:.3e} below tolerance "
             f"{small_divisor_tol:.1e}",
             context=(kk, jj, None),
         )
 
     safe = np.where(mask, 1.0, divisors)
     out = np.where(mask, 0.0, coef / safe)
-    return FourierSeries(out.reshape(rhs.coef.shape), rhs.period), free
+    smallest = float(np.min(magnitudes, where=~mask, initial=np.inf))
+    return FourierSeries(out.reshape(rhs.coef.shape), rhs.period), free, smallest
 

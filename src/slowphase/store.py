@@ -1,10 +1,17 @@
-"""On-disk artifact formats: deterministic CSV and JSON.
+"""On-disk artifact formats: binary coefficient arrays, CSV and JSON.
 
-Function CSVs carry a header ``theta,<component names>``; coefficient CSVs
-carry ``k`` followed by real/imaginary columns per component, with rows
-ordered by ascending wavenumber.  All floats are written with 17 significant
-digits ('%.17g', which round-trips doubles exactly), LF line endings, UTF-8,
-'.' decimal separator, so identical runs produce identical bytes.
+Stored coefficients are ``.npy`` files (:func:`write_coeffs`,
+:func:`read_coeffs`): one little-endian complex128 array in C order per
+series or expansion, in FFT order along the grid axis, written without
+pickling.  The bytes are the doubles themselves, so a coefficient round-trips
+exactly, signed zeros included, and identical arrays give identical files.
+
+The text formats serve exports and metadata.  Function CSVs carry a header
+``theta,<component names>``; coefficient CSVs carry ``k`` followed by
+real/imaginary columns per component, with rows ordered by ascending
+wavenumber.  All floats are written with 17 significant digits ('%.17g',
+which round-trips doubles exactly), LF line endings, UTF-8, '.' decimal
+separator, so identical runs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -16,9 +23,12 @@ import os
 
 import numpy as np
 
+from .errors import ConfigError
 from .series import FourierSeries
 
 __all__ = [
+    "write_coeffs",
+    "read_coeffs",
     "format_float",
     "write_rows_csv",
     "write_function_csv",
@@ -28,6 +38,48 @@ __all__ = [
     "read_json",
     "sha256_file",
 ]
+
+
+COEFF_DTYPE = np.dtype("<c16")  # little-endian complex128
+
+
+def write_coeffs(path, coef) -> str:
+    """Write a coefficient array as ``.npy``: little-endian complex128, C order.
+
+    Any memory layout of ``coef`` (Fortran order, a strided view) writes the
+    bytes of its C-ordered copy.
+    """
+    data = np.ascontiguousarray(coef, dtype=COEFF_DTYPE)
+    with open(path, "wb") as fh:
+        np.save(fh, data, allow_pickle=False)
+    return path
+
+
+def read_coeffs(path, shape: tuple) -> np.ndarray:
+    """The array :func:`write_coeffs` wrote to ``path``, which must have ``shape``.
+
+    Raises :class:`ConfigError` naming the file when it is missing, truncated
+    or not an ``.npy`` file, holds another dtype or shape, or holds a
+    non-finite value, so a damaged artifact is never resumed.
+    """
+    try:
+        with open(path, "rb") as fh:
+            coef = np.lib.format.read_array(fh, allow_pickle=False)
+    except FileNotFoundError as exc:
+        raise ConfigError(
+            f"{path}: coefficient file missing (directories written before "
+            "coefficients were stored as .npy must be recomputed)"
+        ) from exc
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{path}: unreadable coefficient file ({exc})") from exc
+    if coef.dtype != COEFF_DTYPE or coef.shape != shape:
+        raise ConfigError(
+            f"{path}: holds {coef.dtype.str} {coef.shape}, expected "
+            f"{COEFF_DTYPE.str} {shape}"
+        )
+    if not np.isfinite(coef).all():
+        raise ConfigError(f"{path}: holds non-finite coefficients")
+    return coef
 
 
 def format_float(x: float) -> str:

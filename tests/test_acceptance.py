@@ -217,13 +217,14 @@ def test_criterion_9_determinism(tmp_path):
         for fname in sorted(os.listdir(out / "exports")):
             bundle[fname] = (out / "exports" / fname).read_bytes()
         for fname in sorted(os.listdir(out)):
-            if fname.endswith(".csv"):
+            if fname.endswith((".npy", ".csv")):
                 bundle[fname] = (out / fname).read_bytes()
         digests.append(bundle)
     identical = digests[0] == digests[1]
+    stored = sum(name.endswith("_coeff.npy") for name in digests[0])
     _line(
         9,
-        identical,
-        f"{len(digests[0])} exported/artifact CSV files byte-identical "
-        "across repeated runs",
+        identical and stored == 6,
+        f"{len(digests[0])} exported/artifact CSV and .npy files ({stored} "
+        "coefficient arrays) byte-identical across repeated runs",
     )

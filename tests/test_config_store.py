@@ -16,11 +16,14 @@ from slowphase.config import (
 )
 from slowphase.errors import ConfigError
 from slowphase.integrate import IntegratorSettings
-from slowphase.series import FourierSeries
+from slowphase.series import FourierSeries, FourierTaylor
 from slowphase.store import (
     format_float,
+    read_coeffs,
+    read_json,
     read_series_csv,
     sha256_file,
+    write_coeffs,
     write_json,
     write_series_csv,
 )
@@ -183,6 +186,48 @@ def test_series_csv_round_trip(tmp_path_factory, seed):
     assert back.period == series.period
     assert back.value_shape == series.value_shape
     assert np.array_equal(back.coef, series.coef)
+
+
+# signed zeros, the smallest subnormal, the largest subnormal, extremes
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e-300, -1e300]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    orders=st.sampled_from([(), (1,), (4,)]),  # one series, or stacked orders
+    grid=st.sampled_from([2, 8]),
+    value_shape=st.sampled_from([(), (3,), (2, 2)]),
+    period=st.sampled_from([1.0, 2.0]),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_coeffs_round_trip(tmp_path_factory, orders, grid, value_shape, period, seed):
+    rng = np.random.default_rng(seed)
+    shape = (*orders, grid, *value_shape)
+    parts = rng.standard_normal((2, *shape))
+    parts = np.where(rng.random(parts.shape) < 0.5, rng.choice(SPECIAL, parts.shape), parts)
+    coef = np.empty(shape, dtype=complex)
+    coef.real, coef.imag = parts  # keeps the signs of zeros
+    taylor = FourierTaylor(
+        tuple(FourierSeries(c, period) for c in coef.reshape(-1, grid, *value_shape))
+    )
+    folder = tmp_path_factory.mktemp("npy")
+    # as the pipeline stores a stage: coefficients as .npy, period in JSON
+    path = str(folder / "coeff.npy")
+    write_coeffs(path, coef)
+    write_json(str(folder / "meta.json"), {"period": taylor.period})
+    back = read_coeffs(path, shape)
+    assert back.dtype == np.dtype("<c16") and back.shape == shape
+    assert np.array_equal(back, coef)
+    assert np.array_equal(np.signbit(back.real), np.signbit(coef.real))
+    assert np.array_equal(np.signbit(back.imag), np.signbit(coef.imag))
+    assert read_json(str(folder / "meta.json"))["period"] == period
+    # a Fortran-ordered or non-contiguous array writes the bytes of its C copy
+    wide = np.zeros((*shape, 2), dtype=complex)
+    wide[..., 1] = coef
+    for name, layout in (("fortran", np.asfortranarray(coef)), ("strided", wide[..., 1])):
+        other = str(folder / f"{name}.npy")
+        write_coeffs(other, layout)
+        assert Path(other).read_bytes() == Path(path).read_bytes(), name
 
 
 def _hand_series(re, im, period):

@@ -17,7 +17,8 @@ from slowphase.pipeline import (
     load_spectrum,
     run_pipeline,
 )
-from slowphase.store import sha256_file, write_json, write_series_csv
+from slowphase.series import FourierSeries
+from slowphase.store import sha256_file, write_coeffs, write_json, write_series_csv
 
 
 ORACLE_CFG = """
@@ -66,12 +67,13 @@ def _assert_same_frame(loaded, original):
     assert loaded.blocks == original.blocks
 
 
-def test_artifact_reload_round_trip(oracle_run, ei_run, tmp_path):
+def test_artifact_reload_round_trip(oracle_run, ei_run):
     out = oracle_run.config.out_dir
     result = oracle_run.result
     cycle = load_cycle(out)
     assert cycle.period == result.cycle.period
     assert np.array_equal(cycle.series.coef, result.cycle.series.coef)
+    assert cycle.series.period == result.cycle.series.period
     spectrum = load_spectrum(out)
     assert np.array_equal(spectrum.multipliers, result.spectrum.multipliers)
     manifold = load_manifold(out)
@@ -80,37 +82,26 @@ def test_artifact_reload_round_trip(oracle_run, ei_run, tmp_path):
         assert np.array_equal(
             manifold.order_series(n).coef, result.manifold.order_series(n).coef
         )
+    assert manifold.coeffs.period == result.manifold.coeffs.period
     response = load_response(out)
     assert response.order == result.response.order
     assert response.solvability_residual == result.response.solvability_residual
-
-    # a response.json with the keys of the retired real-representation path,
-    # as earlier versions wrote it, still loads
-    legacy = tmp_path / "legacy_response"
-    legacy.mkdir()
-    for name in os.listdir(out):
-        if name.startswith("response_"):
-            shutil.copy(os.path.join(out, name), legacy)
-    meta = _read_json(os.path.join(out, "response.json"))
-    assert "representation" not in meta and "fold_defect" not in meta
-    meta.update(representation="real", fold_defect=3.0e-16)
-    write_json(legacy / "response.json", meta)
-    response = load_response(str(legacy))
-    assert response.order == result.response.order
     assert response.normalization_defect == result.response.normalization_defect
     assert np.array_equal(response.phase_residuals, result.response.phase_residuals)
-    for n in range(response.order + 1):
-        assert np.array_equal(
-            response.amplitude.order_series(n).coef,
-            result.response.amplitude.order_series(n).coef,
-        )
+    for label in ("phase", "amplitude"):
+        loaded, original = getattr(response, label), getattr(result.response, label)
+        assert loaded.period == original.period
+        for n in range(response.order + 1):
+            assert np.array_equal(
+                loaded.order_series(n).coef, original.order_series(n).coef
+            )
 
     # frames: the ei cycle has a negative multiplier, so its real frames
     # carry the period-2 lift; they are neither stored nor loaded, and
     # build_real_frames rebuilds them from the loaded complex frames
     out = ei_run.config.out_dir
     result = ei_run.result
-    assert not [n for n in os.listdir(out) if n.endswith("_real_coeff.csv")]
+    assert not [n for n in os.listdir(out) if "_real" in n]
     frames = load_frames(out)
     assert frames["band_cut"] == result.band_cut
     assert "bundle_real" not in frames and "adjoint_real" not in frames
@@ -125,43 +116,18 @@ def test_artifact_reload_round_trip(oracle_run, ei_run, tmp_path):
 
     assert_same_frames(frames)
 
-    # a frames.json that also lists the real frames, with their tables,
-    # as earlier versions wrote it, still loads
-    legacy = tmp_path / "legacy"
-    legacy.mkdir()
-    meta = _read_json(os.path.join(out, "frames.json"))
-    for name in ("bundle", "adjoint"):
-        shutil.copy(os.path.join(out, f"frame_{name}_coeff.csv"), legacy)
-        frame = getattr(ei_run, f"{name}_real")
-        write_series_csv(legacy / f"frame_{name}_real_coeff.csv", frame.series)
-        meta[f"{name}_real"] = {
-            "kind": frame.kind,
-            "representation": frame.representation,
-            "exponents": frame.exponents,
-            "classes": frame.classes,
-            "blocks": [
-                {"kind": b.kind, "index": b.index, "alpha": b.alpha, "beta": b.beta}
-                for b in frame.blocks
-            ],
-            "residual": frame.residual,
-        }
-    write_json(legacy / "frames.json", meta)
-    frames = load_frames(str(legacy))
-    assert "bundle_real" not in frames and "adjoint_real" not in frames
-    assert_same_frames(frames)
-
 
 def test_staged_subcommands_resume(tmp_path):
     cfg, out = _write_cfg(tmp_path)
     assert main(["cycle", "--config", cfg]) == 0
     assert os.path.exists(os.path.join(out, "cycle.json"))
     assert not os.path.exists(os.path.join(out, "spectrum.json"))
-    cycle_digest = sha256_file(os.path.join(out, "cycle_coeff.csv"))
+    cycle_digest = sha256_file(os.path.join(out, "cycle_coeff.npy"))
 
     assert main(["floquet", "--config", cfg]) == 0
     assert os.path.exists(os.path.join(out, "spectrum.json"))
     # the cycle stage was reused, not recomputed
-    assert sha256_file(os.path.join(out, "cycle_coeff.csv")) == cycle_digest
+    assert sha256_file(os.path.join(out, "cycle_coeff.npy")) == cycle_digest
 
     assert main(["manifold", "--config", cfg]) == 0
     assert os.path.exists(os.path.join(out, "manifold.json"))
@@ -235,6 +201,95 @@ def test_corrupt_metadata_is_config_error(tmp_path, capsys):
     assert cycle_json in err and "period" in err
 
 
+def test_manifest_lists_every_artifact(oracle_run):
+    out = oracle_run.config.out_dir
+    manifest = _read_json(os.path.join(out, "manifest.json"))
+    on_disk = {
+        n for n in os.listdir(out)
+        if n.endswith((".npy", ".csv", ".json")) and n != "manifest.json"
+    }
+    assert set(manifest["files"]) == on_disk
+    assert {n for n in on_disk if n.endswith(".npy")} == {
+        "cycle_coeff.npy", "frame_bundle_coeff.npy", "frame_adjoint_coeff.npy",
+        "manifold_coeff.npy", "response_phase_coeff.npy",
+        "response_amplitude_coeff.npy",
+    }
+
+
+@pytest.fixture(scope="module")
+def response_stage_dir(tmp_path_factory):
+    """An oracle run directory through the response stage."""
+    cfg, out = _write_cfg(tmp_path_factory.mktemp("response_stage"))
+    assert main(["response", "--config", cfg]) == 0
+    return out
+
+
+def _truncate(path):
+    with open(path, "rb+") as fh:
+        fh.truncate(os.path.getsize(path) - 24)
+
+
+def _retype(path):
+    coef = np.load(path).astype(np.complex64)
+    with open(path, "wb") as fh:
+        np.save(fh, coef, allow_pickle=False)
+
+
+def _drop_order(path):
+    write_coeffs(path, np.load(path)[:-1])
+
+
+def _poison(path):
+    coef = np.load(path)
+    coef[3, 5, 1] = complex(np.nan, 0.0)
+    write_coeffs(path, coef)
+
+
+@pytest.mark.parametrize(
+    "name, damage",
+    [
+        ("response_phase_coeff.npy", os.remove),
+        ("frame_bundle_coeff.npy", _truncate),
+        ("cycle_coeff.npy", _retype),
+        ("manifold_coeff.npy", _drop_order),
+        ("response_amplitude_coeff.npy", _poison),
+    ],
+    ids=["missing", "truncated", "dtype", "shape", "non_finite"],
+)
+def test_damaged_coefficient_file_exits_4(response_stage_dir, tmp_path, capsys, name, damage):
+    """A coefficient file of a stage whose metadata exists is never silently
+    recomputed: exit 4, naming the file."""
+    out = tmp_path / "out"
+    shutil.copytree(response_stage_dir, out)
+    damage(str(out / name))
+    cfg, _ = _write_cfg(tmp_path)
+    capsys.readouterr()
+    assert main(["validate", "--config", cfg]) == 4
+    assert str(out / name) in capsys.readouterr().err
+    assert not os.path.exists(out / "validation.json")
+
+
+def test_csv_store_of_earlier_versions_exits_4(response_stage_dir, tmp_path, capsys):
+    """A directory written when coefficients were CSV tables is not read."""
+    out = tmp_path / "out"
+    shutil.copytree(response_stage_dir, out)
+    for name in os.listdir(out):
+        if name.endswith("_coeff.npy"):
+            coef = np.load(out / name)
+            if name.startswith(("manifold", "response")):
+                for n, order in enumerate(coef):
+                    table = out / name.replace("_coeff.npy", f"_order_{n:02d}_coeff.csv")
+                    write_series_csv(table, FourierSeries(order))
+            else:
+                write_series_csv(out / name.replace(".npy", ".csv"), FourierSeries(coef))
+            os.remove(out / name)
+    cfg, _ = _write_cfg(tmp_path)
+    capsys.readouterr()
+    assert main(["validate", "--config", cfg]) == 4
+    err = capsys.readouterr().err
+    assert str(out / "cycle_coeff.npy") in err and "missing" in err
+
+
 def test_determinism_byte_identical(tmp_path):
     """Two runs with the same config produce identical artifact bytes."""
     outs = []
@@ -255,10 +310,11 @@ def test_determinism_byte_identical(tmp_path):
         assert (outs[0] / "exports" / name).read_bytes() == (
             outs[1] / "exports" / name
         ).read_bytes(), name
-    # the primary CSV artifacts are byte-identical too
-    for name in sorted(os.listdir(outs[0])):
-        if name.endswith(".csv"):
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    # the primary coefficient and CSV artifacts are byte-identical too
+    stored = [n for n in sorted(os.listdir(outs[0])) if n.endswith((".npy", ".csv"))]
+    assert len([n for n in stored if n.endswith("_coeff.npy")]) == 6
+    for name in stored:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 def test_exit_code_missing_config(tmp_path):
@@ -432,7 +488,7 @@ def test_export_plotdata_format(oracle_run):
 def test_export_frames_are_real_columns(ei_run, tmp_path):
     # the frame curves are the real frames, period-2 lift included
     files = export_artifacts(ei_run.result, "frames", "csv", out_dir=str(tmp_path))
-    assert len(files) == 12
+    assert len(files) == 12 + 2  # six columns per frame, and each frame's table
     path = tmp_path / "curve_bundle_column_4.csv"
     rows = np.loadtxt(path, delimiter=",", skiprows=1)
     expect = ei_run.bundle_real.grid_values().real[:, :, 4]
