@@ -237,11 +237,11 @@ def build_run_config(kv: dict) -> RunConfig:
     return RunConfig(**cfg).validate()
 
 
-def load_config(path: str, environ=None) -> RunConfig:
+def load_config(path: str) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    kv = apply_env_overrides(parse_config_text(text), environ)
+    kv = apply_env_overrides(parse_config_text(text))
     return build_run_config(kv)

@@ -50,6 +50,12 @@ CLASS_REAL_NEGATIVE = "real_negative"
 CLASS_PAIR_LEAD = "complex_pair_lead"
 CLASS_PAIR_CONJ = "complex_pair_conjugate"
 
+MAX_NEWTON = 30  # shooting Newton steps before NewtonError
+RETURN_SEARCH_TIME = 2000.0  # horizon of the first-return search
+HYPERBOLICITY_TOL = 1e-6  # admissible |mu_0 - 1| of the trivial multiplier
+CONDITION_LIMIT = 1e10  # largest admissible eigenvector condition number
+IMAG_CLASS_TOL = 1e-2  # relative imaginary part below which mu is real
+
 
 @dataclass
 class CycleResult:
@@ -70,14 +76,14 @@ class CycleResult:
         return CycleInterpolant(self.series, self.period)
 
 
-def _first_return(model, x0, settings, t_max, distance_frac=1e-3):
+def _first_return(model, x0, settings, t_max):
     """First positive-direction return time to the section through x0.
 
     Each integration step is tested for an upward crossing of the section;
     a crossing is located by ``brentq`` on that step's dense output.  The
-    first crossing closer to x0 than ``distance_frac`` of the orbit diameter
-    so far ends the search; otherwise the closest one found before ``t_max``
-    is returned.
+    first crossing closer to x0 than 1e-3 of the orbit diameter so far ends
+    the search; otherwise the closest one found before ``t_max`` is
+    returned.
     """
     speed = model.eval(x0)
     norm = np.linalg.norm(speed)
@@ -104,7 +110,7 @@ def _first_return(model, x0, settings, t_max, distance_frac=1e-3):
                 lambda s: g(dense(s)), t_prev, solver.t, xtol=1e-13, rtol=1e-15
             )
             dist = float(np.linalg.norm(dense(t_cross) - x0))
-            done = dist < distance_frac * max(diameter, 1e-12)
+            done = dist < 1e-3 * max(diameter, 1e-12)
             if done or best is None or dist < best[1]:
                 best = (t_cross, dist)
         g_prev = g_now
@@ -124,16 +130,15 @@ def find_cycle(
     grid_size: int = 4096,
     relax_time: float = 500.0,
     newton_tol: float = 1e-12,
-    max_newton: int = 30,
-    return_search_time: float = 2000.0,
 ) -> CycleResult:
     """Locate the attracting cycle near ``guess`` and sample it spectrally.
 
     A relaxation integration brings the state onto the attractor, the first
     return to the section fixes an initial period, and Newton iteration on
     the bordered system (return-map residual plus section constraint) solves
-    for the anchor and period simultaneously.  The orbit is then sampled at
-    ``grid_size`` equispaced phases through the integrator's dense output.
+    for the anchor and period simultaneously, in at most ``MAX_NEWTON``
+    steps.  The orbit is then sampled at ``grid_size`` equispaced phases
+    through the integrator's dense output.
     """
     guess = np.asarray(guess, dtype=float)
     x_ref = flow(model, guess, relax_time, settings) if relax_time > 0 else guess
@@ -143,12 +148,12 @@ def find_cycle(
         raise SectionError("degenerate section: |X(anchor)| below threshold")
     normal = normal / nrm
 
-    period = _first_return(model, x_ref, settings, return_search_time)
+    period = _first_return(model, x_ref, settings, RETURN_SEARCH_TIME)
 
     x = x_ref.copy()
     d = model.dim
     phi = None
-    for iteration in range(max_newton):
+    for _ in range(MAX_NEWTON):
         x_t, phi = flow_with_variational(model, x, period, settings)
         residual = x_t - x
         section = float(np.dot(x - x_ref, normal))
@@ -172,7 +177,7 @@ def find_cycle(
             break
     else:
         raise NewtonError(
-            f"shooting Newton did not converge in {max_newton} iterations"
+            f"shooting Newton did not converge in {MAX_NEWTON} iterations"
         )
 
     mu = np.linalg.eigvals(phi)
@@ -221,15 +226,10 @@ class FloquetSpectrum:
     monodromy: np.ndarray
     hyperbolicity_defect: float
     eigenvector_condition: float
-    slow_index: int = 1
 
     @property
     def dim(self) -> int:
         return len(self.multipliers)
-
-    @property
-    def slow_exponent(self) -> complex:
-        return self.exponents[self.slow_index]
 
 
 def _gauge_vector(w: np.ndarray) -> np.ndarray:
@@ -247,14 +247,11 @@ def floquet_spectrum(
     anchor,
     period: float,
     settings: IntegratorSettings = DEFAULT_SETTINGS,
-    hyperbolicity_tol: float = 1e-6,
-    condition_limit: float = 1e10,
-    imag_class_tol: float = 1e-2,
 ) -> FloquetSpectrum:
     """Monodromy eigendecomposition, sorted, classified, and gauged.
 
-    ``imag_class_tol`` is the relative imaginary part below which a
-    multiplier is treated as real; it is generous because the weakest
+    A multiplier whose imaginary part is below ``IMAG_CLASS_TOL`` of its
+    modulus is treated as real; the bound is generous because the weakest
     multipliers sit near the integration noise floor.
     """
     anchor = np.asarray(anchor, dtype=float)
@@ -262,14 +259,14 @@ def floquet_spectrum(
     mu, vecs = np.linalg.eig(monodromy)
 
     cond = float(np.linalg.cond(vecs))
-    if cond > condition_limit:
+    if cond > CONDITION_LIMIT:
         raise DefectiveSpectrumError(
             f"monodromy eigenvector condition number {cond:.2e} exceeds limit"
         )
 
     i_triv = int(np.argmin(np.abs(mu - 1.0)))
     defect = float(np.abs(mu[i_triv] - 1.0))
-    if defect > hyperbolicity_tol:
+    if defect > HYPERBOLICITY_TOL:
         raise HyperbolicityError(
             f"|mu_0 - 1| = {defect:.2e}: inaccurate cycle or integration"
         )
@@ -293,7 +290,7 @@ def floquet_spectrum(
     j = 1
     while j < d:
         m = mu_sorted[j]
-        if abs(m.imag) <= imag_class_tol * abs(m):
+        if abs(m.imag) <= IMAG_CLASS_TOL * abs(m):
             re = m.real
             w = _gauge_vector(vec_sorted[:, j])
             w = (w.real / np.linalg.norm(w.real)).astype(complex)
@@ -420,7 +417,7 @@ def check_resonances(
         for k, r in enumerate(row) if r < tol
     ]
 
-    lam_s = spectrum.exponents[spectrum.slow_index]
+    lam_s = spectrum.exponents[1]  # the slow direction is frame column 1
     all_lam = spectrum.exponents
     manifold = {}
     for n in range(2, max_order + 1):

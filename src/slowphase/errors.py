@@ -61,10 +61,10 @@ class ResonanceError(NumericalError):
 class SmallDivisorError(NumericalError):
     """A Fourier-space divisor fell below tolerance.
 
-    ``context`` is a ``(k, component, order)`` triple when available.
+    ``context`` is the ``(k, component)`` pair of the offending divisor.
     """
 
-    def __init__(self, message, context=None):
+    def __init__(self, message, context):
         super().__init__(message)
         self.context = context
 

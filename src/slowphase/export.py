@@ -53,10 +53,10 @@ def _frame_files(result: PipelineResult, out) -> list:
     files = []
     names = result.model.state_names
     bundle_real, adjoint_real = build_real_frames(result.bundle, result.adjoint)
-    for label, frame in (("bundle", bundle_real), ("adjoint", adjoint_real)):
-        vals = frame.grid_values().real
-        theta = frame.series.grid()
-        for j in range(frame.dim):
+    for label, series in (("bundle", bundle_real), ("adjoint", adjoint_real)):
+        vals = series.samples().real
+        theta = series.grid()
+        for j in range(vals.shape[2]):
             files.append(
                 write_function_csv(
                     os.path.join(out, f"curve_{label}_column_{j}.csv"),
@@ -115,8 +115,9 @@ def _response_files(result: PipelineResult, out) -> list:
     return files
 
 
-def _surface_rows(result: PipelineResult, n_theta=128, n_sigma=33):
-    """Long-format rows over the loosest-tolerance accuracy domain."""
+def _surface_rows(result: PipelineResult):
+    """Long-format rows over the loosest-tolerance accuracy domain: about 128
+    phases, 33 amplitudes each."""
     man = result.manifold
     resp = result.response
     model = result.model
@@ -126,13 +127,13 @@ def _surface_rows(result: PipelineResult, n_theta=128, n_sigma=33):
     )
     names = model.state_names
     n = len(domain.theta)
-    step = max(1, n // n_theta)
+    step = max(1, n // 128)
     rows = []
     for i in range(0, n, step):
         th = domain.theta[i]
         lo = -domain.sigma_neg[0][i]
         hi = domain.sigma_pos[0][i]
-        for sg in np.linspace(lo, hi, n_sigma):
+        for sg in np.linspace(lo, hi, 33):
             point = evaluate_manifold(man, th, sg)
             z = resp.phase.evaluate(th, sg).real if resp is not None else None
             a = resp.amplitude.evaluate(th, sg).real if resp is not None else None

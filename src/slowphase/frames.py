@@ -25,16 +25,16 @@ construction of the response-curve frame for cross-checking; the production
 adjoint frame is simply the pointwise inverse transpose of the bundle frame,
 which makes the biorthogonality normalizations exact by construction.
 
-Real frames are exact recombinations of the complex ones: negative-multiplier
-columns become antiperiodic (period-2) real functions via a half-harmonic
-phase factor, and conjugate pairs become their real and imaginary parts.
-The expansions use only the complex frames; the real ones serve the curve
-export.
+A :class:`Frame` is always the complex representation, of period 1.  Real
+frames are exact recombinations of the complex ones, built only for the curve
+export: negative-multiplier columns become antiperiodic (period-2) real
+functions via a half-harmonic phase factor, and conjugate pairs become their
+real and imaginary parts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +53,6 @@ from .series import FourierSeries, solve_diagonal, theta_grid
 
 __all__ = [
     "Frame",
-    "RealBlock",
     "BundleBuildResult",
     "build_bundle_frame",
     "build_adjoint_frame",
@@ -63,27 +62,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RealBlock:
-    """One diagonal block of the real reduced generator."""
-
-    kind: str  # "trivial" | "real" | "negative" | "pair"
-    index: int  # first column index
-    alpha: float = 0.0  # lam (real), nu (negative), or Re lam (pair)
-    beta: float = 0.0  # Im lam for pairs
+# joint orbit/frame polish rounds of build_bundle_frame
+MAX_OUTER = 6
+# adjoint polish: stop growing the band once the residual is below this
+ADJOINT_RESIDUAL_TARGET = 5e-10
+# chunks of one period over which the cross-check tests Psi^T Phi = Id
+IDENTITY_CHUNKS = 17
 
 
 @dataclass
 class Frame:
-    """d x d matrix of periodic functions (bundle or adjoint columns)."""
+    """d x d matrix of 1-periodic functions (bundle or adjoint columns)."""
 
-    kind: str  # "bundle" | "adjoint"
-    representation: str  # "complex" | "real"
     series: FourierSeries  # value shape (d, d); columns index the directions
-    exponents: np.ndarray  # complex (d,); reduced generator diagonal (complex rep)
+    exponents: np.ndarray  # complex (d,); reduced generator diagonal
     classes: tuple
-    blocks: tuple = ()  # RealBlock structure (real representation)
-    residual: float = np.nan
+    residual: float
 
     @property
     def dim(self) -> int:
@@ -101,8 +95,7 @@ class Frame:
 class BundleBuildResult:
     bundle: Frame
     cycle: CycleResult  # spectrally polished orbit and period
-    exponents: np.ndarray  # refined exponents (complex, d)
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict
 
 
 def _active_bandwidth(series: FourierSeries, n: int) -> int:
@@ -258,7 +251,6 @@ def _refine_frame(
     fixed_columns=(),
     tol_rel=1e-12,
     max_sweeps=80,
-    divisor_floor=1e-10,
     k_cut=None,
 ):
     """Fourier-space Newton polish of all frame columns and exponents.
@@ -315,7 +307,7 @@ def _refine_frame(
             shifts = lams - lams[j] if adjoint else lams[j] - lams
             v, free, _ = solve_diagonal(
                 FourierSeries.from_samples(rho[:, :, j]), shifts, period,
-                free_modes=((0, j),), small_divisor_tol=divisor_floor,
+                free_modes=((0, j),), small_divisor_tol=1e-10,
             )
             cols[:, :, j] += norms[j] * np.einsum("nab,nb->na", balanced, v.samples())
             if classes[j] != CLASS_TRIVIAL:
@@ -360,16 +352,14 @@ def build_bundle_frame(
     cycle: CycleResult,
     spectrum: FloquetSpectrum,
     settings: IntegratorSettings = DEFAULT_SETTINGS,
-    refine_tol_rel: float = 1e-12,
-    max_sweeps: int = 80,
-    max_outer: int = 6,
 ) -> BundleBuildResult:
     """Build the complex bundle frame and jointly polish the orbit.
 
     Columns are gauged to unit grid-max vector norm (this makes the slow
     column directly usable as the order-1 manifold coefficient, scaled by
     ``expand_slow_manifold``'s gauge).
-    Returns the frame, the polished cycle, and the refined exponents.
+    Returns the frame, whose exponents are the refined ones, and the
+    polished cycle.
     """
     d = model.dim
     n = cycle.grid_size
@@ -397,7 +387,7 @@ def build_bundle_frame(
     k_cut = _active_bandwidth(cycle.series, n)
     histories = []
     cycle_defect = np.inf
-    for outer in range(max_outer):
+    for _ in range(MAX_OUTER):
         samples, period = _polish_cycle_step(model, samples, period, cols, lams, k_cut)
         jac_grid = model.jacobian(samples)
         deriv = (
@@ -416,8 +406,6 @@ def build_bundle_frame(
                 theta,
                 adjoint=False,
                 fixed_columns=(0,),
-                tol_rel=refine_tol_rel,
-                max_sweeps=max_sweeps,
                 k_cut=k_cut,
             )
         )
@@ -449,8 +437,6 @@ def build_bundle_frame(
     )))
 
     frame = Frame(
-        kind="bundle",
-        representation="complex",
         series=FourierSeries.from_samples(cols, 1.0).band_limited(k_cut),
         exponents=lams.copy(),
         classes=classes,
@@ -474,18 +460,10 @@ def build_bundle_frame(
             np.max(np.abs(lams - spectrum.exponents))
         ),
     }
-    return BundleBuildResult(frame, polished, lams.copy(), diagnostics)
+    return BundleBuildResult(frame, polished, diagnostics)
 
 
-def build_adjoint_frame(
-    bundle: Frame,
-    jac_grid,
-    period,
-    refine_tol_rel: float = 1e-15,
-    max_sweeps: int = 30,
-    k_cut=None,
-    residual_target: float = 5e-10,
-) -> Frame:
+def build_adjoint_frame(bundle: Frame, jac_grid, period, k_cut: int) -> Frame:
     """Adjoint frame: inverse transpose of the bundle, spectrally polished.
 
     Column 0 is the phase response curve (its pairing with K0' is exactly 1),
@@ -494,7 +472,9 @@ def build_adjoint_frame(
     identities exactly but inherits the bundle's pointwise error amplified by
     the squared frame condition number, so the columns are polished against
     the adjoint equations on the Jacobian samples ``jac_grid`` and then
-    rescaled to restore the pairings at the grid mean.
+    rescaled to restore the pairings at the grid mean.  The band starts at
+    ``k_cut`` (the bundle's) or the inverse frame's own estimate, whichever
+    is wider.
     """
     vals = bundle.grid_values()
     try:
@@ -505,15 +485,14 @@ def build_adjoint_frame(
     n = vals.shape[0]
     # the inverse frame has sharper features than the bundle where the
     # condition number peaks; give it its own bandwidth estimate
-    seed_band = _active_bandwidth(FourierSeries.from_samples(inv_t, bundle.period), n)
-    k_cut = seed_band if k_cut is None else max(k_cut, seed_band)
+    k_cut = max(k_cut, _active_bandwidth(FourierSeries.from_samples(inv_t), n))
 
     def measure(cols):
         return float(np.max(np.abs(_frame_residual(
             cols, jac_grid, bundle.exponents, period, k_cut, adjoint=True
         ))))
 
-    theta = theta_grid(n, bundle.period)
+    theta = theta_grid(n, 1.0)
     # the inverse decays slower than the decay-fit predicts, but a wider band
     # also admits more roundoff: try growing bands and keep the best
     best = None
@@ -529,14 +508,14 @@ def build_adjoint_frame(
             theta,
             adjoint=True,
             fixed_columns=(),
-            tol_rel=refine_tol_rel,
-            max_sweeps=max_sweeps,
+            tol_rel=1e-15,
+            max_sweeps=30,
             k_cut=k_cut,
         )
         residual = measure(trial)
         if best is None or residual < best[0]:
             best = (residual, trial, k_cut)
-        if residual < residual_target or k_cut >= n // 3:
+        if residual < ADJOINT_RESIDUAL_TARGET or k_cut >= n // 3:
             break
         k_cut = min(n // 3, int(1.5 * k_cut))
     _, inv_t, k_cut = best
@@ -545,64 +524,41 @@ def build_adjoint_frame(
         factor = np.mean(np.einsum("ni,ni->n", inv_t[:, :, j], vals[:, :, j]))
         inv_t[:, :, j] /= factor
     return Frame(
-        kind="adjoint",
-        representation=bundle.representation,
-        series=FourierSeries.from_samples(inv_t, bundle.period).band_limited(k_cut),
+        series=FourierSeries.from_samples(inv_t).band_limited(k_cut),
         exponents=bundle.exponents.copy(),
         classes=bundle.classes,
-        blocks=bundle.blocks,
         residual=measure(inv_t),
     )
 
 
-def real_blocks_from_classes(classes, exponents) -> tuple:
-    blocks = []
-    j = 0
-    while j < len(classes):
-        cls = classes[j]
-        lam = exponents[j]
-        if cls == CLASS_TRIVIAL:
-            blocks.append(RealBlock("trivial", j))
-            j += 1
-        elif cls == CLASS_REAL_POSITIVE:
-            blocks.append(RealBlock("real", j, alpha=lam.real))
-            j += 1
-        elif cls == CLASS_REAL_NEGATIVE:
-            blocks.append(RealBlock("negative", j, alpha=lam.real))
-            j += 1
-        else:
-            blocks.append(RealBlock("pair", j, alpha=lam.real, beta=lam.imag))
-            j += 2
-    return tuple(blocks)
+def real_generator_matrix(classes, exponents, adjoint: bool = False) -> np.ndarray:
+    """Real reduced generator: diag of 0, lam, nu, and 2x2 rotation blocks.
 
-
-def real_generator_matrix(blocks, dim: int, adjoint: bool = False) -> np.ndarray:
-    """Real reduced generator: diag of 0, lam, nu, and 2x2 rotation blocks."""
-    out = np.zeros((dim, dim))
-    for b in blocks:
-        if b.kind == "trivial":
-            continue
-        if b.kind in ("real", "negative"):
-            out[b.index, b.index] = b.alpha
-        else:
-            i = b.index
-            out[i, i] = b.alpha
-            out[i + 1, i + 1] = b.alpha
-            if adjoint:
-                out[i, i + 1] = -b.beta
-                out[i + 1, i] = b.beta
-            else:
-                out[i, i + 1] = b.beta
-                out[i + 1, i] = -b.beta
+    ``classes`` and ``exponents`` are a complex frame's; a negative column
+    contributes the real part nu of its exponent, a pair the rotation by the
+    imaginary part of its lead exponent.
+    """
+    out = np.zeros((len(classes), len(classes)))
+    for i, (cls, lam) in enumerate(zip(classes, exponents)):
+        if cls in (CLASS_REAL_POSITIVE, CLASS_REAL_NEGATIVE):
+            out[i, i] = lam.real
+        elif cls == CLASS_PAIR_LEAD:
+            out[i, i] = out[i + 1, i + 1] = lam.real
+            beta = -lam.imag if adjoint else lam.imag
+            out[i, i + 1] = beta
+            out[i + 1, i] = -beta
     return out
 
 
 def build_real_frames(bundle: Frame, adjoint: Frame):
     """Real representations of both frames by exact recombination.
 
-    If any direction carries a negative multiplier the whole frame is lifted
-    to period 2 (2N samples); negative columns become real antiperiodic
-    functions, conjugate pairs become (real part, imaginary part) columns.
+    Returns the bundle and adjoint real frames as two ``FourierSeries`` of
+    value shape (d, d).  If any direction carries a negative multiplier both
+    are lifted to period 2 (2N samples); negative columns become real
+    antiperiodic functions, conjugate pairs become (real part, imaginary
+    part) columns.  Otherwise the period is 1.  The real reduced generator
+    is :func:`real_generator_matrix` of the frames' classes and exponents.
     """
     classes = bundle.classes
     has_negative = CLASS_REAL_NEGATIVE in classes
@@ -638,22 +594,8 @@ def build_real_frames(bundle: Frame, adjoint: Frame):
                     real_vals[:, :, j] = 2.0 * vals[:, :, j].real
                     real_vals[:, :, j + 1] = -2.0 * vals[:, :, j].imag
                 j += 2
-        out[kind] = real_vals
-
-    blocks = real_blocks_from_classes(classes, bundle.exponents)
-    frames = []
-    for kind in ("bundle", "adjoint"):
-        frames.append(
-            Frame(
-                kind=kind,
-                representation="real",
-                series=FourierSeries.from_samples(out[kind].astype(complex), period),
-                exponents=bundle.exponents.copy(),
-                classes=classes,
-                blocks=blocks,
-            )
-        )
-    return frames[0], frames[1]
+        out[kind] = FourierSeries.from_samples(real_vals.astype(complex), period)
+    return out["bundle"], out["adjoint"]
 
 
 def cross_check_adjoint_frame(
@@ -663,9 +605,6 @@ def cross_check_adjoint_frame(
     bundle: Frame,
     adjoint: Frame,
     settings: IntegratorSettings = DEFAULT_SETTINGS,
-    n_identity_samples: int = 17,
-    refine_tol_rel: float = 1e-12,
-    max_sweeps: int = 80,
 ) -> dict:
     """Independent reconstruction of the adjoint frame from the adjoint flow.
 
@@ -690,7 +629,7 @@ def cross_check_adjoint_frame(
     # exp(|Re lam_min| T) ~ 1/|mu_min|, which swamps double precision); the
     # full-period identity follows by telescoping.  The product of the chunk
     # factors Psi is the adjoint monodromy, whose eigenvalues seed the columns.
-    chunk_edges = np.linspace(0.0, period, n_identity_samples)
+    chunk_edges = np.linspace(0.0, period, IDENTITY_CHUNKS)
     identity_defect = 0.0
     eye = np.eye(d)
 
@@ -744,8 +683,6 @@ def cross_check_adjoint_frame(
         theta,
         adjoint=True,
         fixed_columns=(),
-        tol_rel=refine_tol_rel,
-        max_sweeps=max_sweeps,
     )
 
     # gauge alignment: the pairing with the bundle columns is constant in

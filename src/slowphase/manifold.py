@@ -195,8 +195,7 @@ def expand_slow_manifold(
     )
 
 
-def evaluate_manifold(expansion: ManifoldExpansion, theta, sigma, max_order=None):
-    """Point(s) on the manifold at phase(s) theta and amplitude(s) sigma."""
-    if max_order is None:
-        max_order = expansion.nominal_order
-    return expansion.coeffs.evaluate(theta, sigma, max_order=max_order).real
+def evaluate_manifold(expansion: ManifoldExpansion, theta, sigma):
+    """Point(s) on the manifold at phase(s) theta and amplitude(s) sigma,
+    truncated at the nominal order."""
+    return expansion.coeffs.evaluate(theta, sigma, expansion.nominal_order).real

@@ -7,12 +7,12 @@ one JSON metadata file keyed by the fields of its result dataclass, and one
 ``.npy`` coefficient file per stored series or expansion (``cycle_coeff.npy``
 of shape (N, d); ``frame_{bundle,adjoint}_coeff.npy``, (N, d, d);
 ``manifold_coeff.npy`` and ``response_{phase,amplitude}_coeff.npy``, (orders,
-N, d)).  The cycle, manifold and response series have period 1 by
-construction; a frame's period is stored with its fields in ``frames.json``.
-The manifest records the configuration echo, the spectral tables, per-order
-residuals, and a checksummed file inventory.  A flagged resonance or a
-hyperbolicity failure aborts the run; artifacts produced so far are kept and
-the manifest records the failed stage.
+N, d)).  Every stored series has period 1.  The manifest records the
+configuration echo, the spectral tables, per-order residuals, and a
+checksummed file inventory, against which :func:`load_result` checks every
+file it reads.  A flagged resonance or a hyperbolicity failure aborts the
+run; artifacts produced so far are kept and the manifest records the failed
+stage.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .cycle import (
 from .errors import ConfigError, ResonanceError, SlowphaseError
 from .frames import (
     Frame,
-    RealBlock,
     build_adjoint_frame,
     build_bundle_frame,
     cross_check_adjoint_frame,
@@ -103,9 +102,9 @@ def _save_orders(out, prefix, taylor: FourierTaylor):
     write_coeffs(os.path.join(out, f"{prefix}_coeff.npy"), coef)
 
 
-def _load_orders(out, prefix, order) -> FourierTaylor:
+def _load_orders(out, prefix, order, digests) -> FourierTaylor:
     shape = (order + 1, *_grid(out))
-    coef = read_coeffs(os.path.join(out, f"{prefix}_coeff.npy"), shape)
+    coef = read_coeffs(os.path.join(out, f"{prefix}_coeff.npy"), shape, digests)
     return FourierTaylor(tuple(FourierSeries(c) for c in coef))
 
 
@@ -114,11 +113,12 @@ def save_cycle(out, cycle: CycleResult):
     write_json(os.path.join(out, "cycle.json"), _meta(cycle, skip=("series", "samples")))
 
 
-def load_cycle(out) -> CycleResult:
-    meta = read_json(os.path.join(out, "cycle.json"))
+def load_cycle(out, digests=None) -> CycleResult:
+    meta = read_json(os.path.join(out, "cycle.json"), digests)
     meta["anchor"] = np.asarray(meta["anchor"])
     shape = (meta["grid_size"], len(meta["anchor"]))
-    series = FourierSeries(read_coeffs(os.path.join(out, "cycle_coeff.npy"), shape))
+    coef = read_coeffs(os.path.join(out, "cycle_coeff.npy"), shape, digests)
+    series = FourierSeries(coef)
     return CycleResult(series=series, samples=series.samples().real, **meta)
 
 
@@ -128,8 +128,8 @@ def save_spectrum(out, spectrum: FloquetSpectrum):
     write_json(os.path.join(out, "spectrum.json"), meta)
 
 
-def load_spectrum(out) -> FloquetSpectrum:
-    meta = read_json(os.path.join(out, "spectrum.json"))
+def load_spectrum(out, digests=None) -> FloquetSpectrum:
+    meta = read_json(os.path.join(out, "spectrum.json"), digests)
     for key in ("multipliers", "exponents"):
         meta[key] = _complex(meta[key])
     meta["eigenvectors"] = _complex(meta["eigenvectors"]).T
@@ -145,33 +145,31 @@ def save_frames(out, result: PipelineResult):
     for name in ("bundle", "adjoint"):
         frame = getattr(result, name)
         write_coeffs(os.path.join(out, f"frame_{name}_coeff.npy"), frame.series.coef)
-        meta[name] = {**_meta(frame, skip=("series",)), "period": frame.period}
+        meta[name] = _meta(frame, skip=("series",))
     if result.crosscheck is not None:
         write_json(os.path.join(out, "adjoint_crosscheck.json"), result.crosscheck)
     write_json(os.path.join(out, "frames.json"), meta)
 
 
-def load_frames(out) -> dict:
+def load_frames(out, digests=None) -> dict:
     """PipelineResult fields of the frames stage.
 
     Only the complex frames are stored: ``build_real_frames`` recomputes the
     real frames exactly when an export needs them.
     """
-    meta = read_json(os.path.join(out, "frames.json"))
+    meta = read_json(os.path.join(out, "frames.json"), digests)
     grid_size, dim = _grid(out)
     loaded = {"band_cut": meta["band_cut"]}
     for name in ("bundle", "adjoint"):
         frame = meta[name]
         frame["exponents"] = _complex(frame["exponents"])
         frame["classes"] = tuple(frame["classes"])
-        frame["blocks"] = tuple(RealBlock(**b) for b in frame["blocks"])
-        coef = read_coeffs(
-            os.path.join(out, f"frame_{name}_coeff.npy"), (grid_size, dim, dim)
-        )
-        loaded[name] = Frame(series=FourierSeries(coef, frame.pop("period")), **frame)
+        path = os.path.join(out, f"frame_{name}_coeff.npy")
+        coef = read_coeffs(path, (grid_size, dim, dim), digests)
+        loaded[name] = Frame(series=FourierSeries(coef), **frame)
     path = os.path.join(out, "adjoint_crosscheck.json")
     if os.path.exists(path):
-        loaded["crosscheck"] = read_json(path)
+        loaded["crosscheck"] = read_json(path, digests)
     return loaded
 
 
@@ -184,9 +182,9 @@ def save_manifold(out, manifold: ManifoldExpansion):
     write_json(os.path.join(out, "manifold.json"), meta)
 
 
-def load_manifold(out) -> ManifoldExpansion:
-    meta = read_json(os.path.join(out, "manifold.json"))
-    coeffs = _load_orders(out, "manifold", meta.pop("total_order"))
+def load_manifold(out, digests=None) -> ManifoldExpansion:
+    meta = read_json(os.path.join(out, "manifold.json"), digests)
+    coeffs = _load_orders(out, "manifold", meta.pop("total_order"), digests)
     meta["residuals"] = np.asarray(meta["residuals"])
     meta["divisor_minima"] = {int(k): v for k, v in meta["divisor_minima"].items()}
     return ManifoldExpansion(coeffs=coeffs, **meta)
@@ -200,14 +198,14 @@ def save_response(out, response: ResponseExpansion):
     write_json(os.path.join(out, "response.json"), meta)
 
 
-def load_response(out) -> ResponseExpansion:
-    meta = read_json(os.path.join(out, "response.json"))
+def load_response(out, digests=None) -> ResponseExpansion:
+    meta = read_json(os.path.join(out, "response.json"), digests)
     order = meta.pop("order")
     for key in ("phase_residuals", "amplitude_residuals"):
         meta[key] = np.asarray(meta[key])
     return ResponseExpansion(
-        phase=_load_orders(out, "response_phase", order),
-        amplitude=_load_orders(out, "response_amplitude", order),
+        phase=_load_orders(out, "response_phase", order, digests),
+        amplitude=_load_orders(out, "response_amplitude", order, digests),
         **meta,
     )
 
@@ -245,17 +243,17 @@ class Stage:
 
 def run_pipeline(
     config: RunConfig,
-    out_dir: str | None = None,
     through: str = Stage.VALIDATE,
     resume: PipelineResult | None = None,
 ) -> PipelineResult:
-    """Execute stages up to ``through`` inclusive, persisting artifacts.
+    """Execute stages up to ``through`` inclusive, persisting artifacts in
+    ``config.out_dir``.
 
     ``resume`` carries artifacts of earlier stages (e.g. loaded from disk by
     the CLI); stages with artifacts present are skipped.
     """
     config = config.validate()
-    out = _ensure_dir(out_dir or config.out_dir)
+    out = _ensure_dir(config.out_dir)
     result = resume or PipelineResult(config=config)
     result.config = config
     result.model = get_model(config.model, config.model_params)
@@ -449,20 +447,24 @@ def _build_manifest(out, result: PipelineResult, failed_stage, error) -> dict:
     return manifest
 
 
-def load_result(config: RunConfig, out_dir: str | None = None) -> PipelineResult:
-    """Load the artifacts of consecutive stages that exist in the output directory.
+def load_result(config: RunConfig) -> PipelineResult:
+    """Load the artifacts of consecutive stages that exist in ``config.out_dir``.
 
     A stage whose metadata file is missing has not run; loading stops there.
     Raises ``ConfigError`` when a metadata file does not parse, lacks a field
     or holds one its loader does not know; when a coefficient file of a stage
     whose metadata exists is missing, truncated, of the wrong dtype or shape,
-    or non-finite; and when the stored cycle was computed on another grid, or
-    a stored manifold or response to another order, than ``config`` asks
-    for, so stale or corrupt artifacts are never resumed.
+    or non-finite; when the stored cycle was computed on another grid, or a
+    stored manifold or response to another order, than ``config`` asks for;
+    and, these checks passed, when ``manifest.json`` is missing, or a file
+    read is absent from its inventory or differs from its sha256 there (the
+    digests are of the bytes the loaders already read).  Every error names
+    the file, so stale or corrupt artifacts are never resumed.
     """
-    out = out_dir or config.out_dir
+    out = config.out_dir
     result = PipelineResult(config=config)
     result.model = get_model(config.model, config.model_params)
+    digests = {}  # path -> sha256 of every file the loaders read
     for name, meta_file, load in (
         ("cycle", "cycle.json", load_cycle),
         ("spectrum", "spectrum.json", load_spectrum),
@@ -474,7 +476,7 @@ def load_result(config: RunConfig, out_dir: str | None = None) -> PipelineResult
         if not os.path.exists(meta_path):
             break
         try:
-            loaded = load(out)
+            loaded = load(out, digests)
         except (TypeError, KeyError, ValueError) as exc:
             raise ConfigError(
                 f"{meta_path}: malformed metadata ({type(exc).__name__}: {exc})"
@@ -492,4 +494,30 @@ def load_result(config: RunConfig, out_dir: str | None = None) -> PipelineResult
                 f"{out}: stored {name} has {what} {value_of(artifact)}, "
                 f"config asks for {key} = {wanted}"
             )
+    if digests:
+        _check_inventory(out, digests)
     return result
+
+
+def _check_inventory(out, digests):
+    """Match each digest against the file inventory of the manifest."""
+    path = os.path.join(out, "manifest.json")
+    try:
+        inventory = dict(read_json(path)["files"])
+    except FileNotFoundError as exc:
+        raise ConfigError(
+            f"{path}: manifest missing, so the stored artifacts cannot be checked"
+        ) from exc
+    except (TypeError, KeyError, ValueError) as exc:
+        raise ConfigError(
+            f"{path}: malformed manifest ({type(exc).__name__}: {exc})"
+        ) from exc
+    for file, digest in digests.items():
+        expected = inventory.get(os.path.basename(file))
+        if expected is None:
+            raise ConfigError(f"{file}: not in the file inventory of {path}")
+        if digest != expected:
+            raise ConfigError(
+                f"{file}: sha256 differs from the file inventory of {path} "
+                "(changed after the run wrote it)"
+            )

@@ -30,7 +30,7 @@ orbit (:mod:`slowphase.frames`), each order of the manifold recursion
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,7 +132,7 @@ class FourierSeries:
         """Evaluate at the phases whose factors :meth:`phase` returned."""
         return np.tensordot(phase, self.coef, axes=(phase.ndim - 1, 0))
 
-    # -- calculus and algebra -------------------------------------------
+    # -- calculus -------------------------------------------------------
 
     def differentiate(self) -> "FourierSeries":
         """Derivative with respect to theta; the Nyquist mode is zeroed."""
@@ -155,22 +155,6 @@ class FourierSeries:
         keep = np.abs(self.k) < k_cut
         shape = (self.grid_size,) + (1,) * (self.coef.ndim - 1)
         return FourierSeries(self.coef * keep.reshape(shape), self.period)
-
-    def __add__(self, other: "FourierSeries") -> "FourierSeries":
-        self._check_compatible(other)
-        return FourierSeries(self.coef + other.coef, self.period)
-
-    def __sub__(self, other: "FourierSeries") -> "FourierSeries":
-        self._check_compatible(other)
-        return FourierSeries(self.coef - other.coef, self.period)
-
-    def __mul__(self, scalar) -> "FourierSeries":
-        return FourierSeries(self.coef * scalar, self.period)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "FourierSeries":
-        return FourierSeries(-self.coef, self.period)
 
     def _check_compatible(self, other: "FourierSeries") -> None:
         if self.coef.shape != other.coef.shape or self.period != other.period:
@@ -229,9 +213,6 @@ class FourierTaylor:
     def order_samples(self) -> np.ndarray:
         """Grid values of all orders, shape (L+1, N, *value_shape)."""
         return np.stack([s.samples() for s in self.orders])
-
-    def differentiate(self) -> "FourierTaylor":
-        return FourierTaylor(tuple(s.differentiate() for s in self.orders))
 
     def evaluate(self, theta, sigma, max_order: int | None = None) -> np.ndarray:
         """Horner evaluation in sigma of the series evaluated at theta."""
@@ -389,7 +370,7 @@ def solve_diagonal(
             f"divisor |2 pi i {kk}/(P T) + shift_{jj}| = "
             f"{magnitudes[rows[0], cols[0]]:.3e} below tolerance "
             f"{small_divisor_tol:.1e}",
-            context=(kk, jj, None),
+            context=(kk, jj),
         )
 
     safe = np.where(mask, 1.0, divisors)

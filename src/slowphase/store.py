@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import io
 import json
-import os
 
 import numpy as np
 
@@ -55,16 +55,18 @@ def write_coeffs(path, coef) -> str:
     return path
 
 
-def read_coeffs(path, shape: tuple) -> np.ndarray:
+def read_coeffs(path, shape: tuple, digests: dict | None = None) -> np.ndarray:
     """The array :func:`write_coeffs` wrote to ``path``, which must have ``shape``.
 
     Raises :class:`ConfigError` naming the file when it is missing, truncated
     or not an ``.npy`` file, holds another dtype or shape, or holds a
-    non-finite value, so a damaged artifact is never resumed.
+    non-finite value, so a damaged artifact is never resumed.  With
+    ``digests``, the sha256 of the bytes read is stored there under ``path``.
     """
     try:
         with open(path, "rb") as fh:
-            coef = np.lib.format.read_array(fh, allow_pickle=False)
+            data = fh.read()
+        coef = np.lib.format.read_array(io.BytesIO(data), allow_pickle=False)
     except FileNotFoundError as exc:
         raise ConfigError(
             f"{path}: coefficient file missing (directories written before "
@@ -79,6 +81,8 @@ def read_coeffs(path, shape: tuple) -> np.ndarray:
         )
     if not np.isfinite(coef).all():
         raise ConfigError(f"{path}: holds non-finite coefficients")
+    if digests is not None:
+        digests[path] = hashlib.sha256(data).hexdigest()
     return coef
 
 
@@ -120,7 +124,7 @@ def _component_labels(value_shape) -> list:
     ]
 
 
-def write_series_csv(path, series: FourierSeries, meta: dict | None = None) -> str:
+def write_series_csv(path, series: FourierSeries) -> str:
     """Coefficient table: k, then re/im per component, ascending k.
 
     A leading comment line records grid size and period so the series can be
@@ -195,9 +199,13 @@ def write_json(path, payload) -> str:
     return path
 
 
-def read_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+def read_json(path, digests: dict | None = None):
+    """Parsed JSON of ``path``; with ``digests``, as :func:`read_coeffs`."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if digests is not None:
+        digests[path] = hashlib.sha256(data).hexdigest()
+    return json.loads(data)
 
 
 def sha256_file(path) -> str:

@@ -39,13 +39,11 @@ __all__ = [
 class ResidualEvaluator:
     """Precomputed grid data for fast residual scans over sigma."""
 
-    def __init__(self, manifold: ManifoldExpansion, model, max_order=None):
+    def __init__(self, manifold: ManifoldExpansion, model):
         self.model = model
-        self.L = manifold.nominal_order if max_order is None else max_order
-        self.coeffs = manifold.coeffs
         k_samples = []
         lhs_samples = []
-        for n in range(self.L + 1):
+        for n in range(manifold.nominal_order + 1):
             series = manifold.order_series(n)
             k_samples.append(series.samples().real)
             lhs_samples.append(
@@ -62,13 +60,12 @@ class ResidualEvaluator:
         return np.linalg.norm(horner(self.lhs, sig) - self.model.eval(point), axis=-1)
 
 
-def invariance_residual(manifold: ManifoldExpansion, model, theta, sigma, max_order=None):
+def invariance_residual(manifold: ManifoldExpansion, model, theta, sigma):
     """Invariance-equation residual at arbitrary (theta, sigma) points."""
-    L = manifold.nominal_order if max_order is None else max_order
     sig = np.asarray(sigma, dtype=float)[..., None]
     phase = manifold.order_series(0).phase(theta)
     k_vals, l_vals = [], []
-    for n in range(L + 1):
+    for n in range(manifold.nominal_order + 1):
         series = manifold.order_series(n)
         k_vals.append(series.at_phase(phase).real)
         l_vals.append(
@@ -96,17 +93,14 @@ class AccuracyDomain:
             min(self.sigma_pos[tol_index].min(), self.sigma_neg[tol_index].min())
         )
 
-    def sample_inside(self, rng, count, tol_index=-1, band=(0.3, 0.7)):
-        """Seeded (theta, sigma) samples inside the domain, away from 0."""
+    def sample_inside(self, rng, count):
+        """Seeded (theta, sigma) samples inside the domain at the strictest
+        tolerance, between 0.3 and 0.7 of the bound, so away from 0."""
         n = len(self.theta)
         idx = rng.integers(0, n, size=count)
-        u = rng.uniform(band[0], band[1], size=count)
+        u = rng.uniform(0.3, 0.7, size=count)
         sign = np.where(rng.uniform(size=count) < 0.5, 1.0, -1.0)
-        bound = np.where(
-            sign > 0,
-            self.sigma_pos[tol_index][idx],
-            self.sigma_neg[tol_index][idx],
-        )
+        bound = np.where(sign > 0, self.sigma_pos[-1][idx], self.sigma_neg[-1][idx])
         return self.theta[idx], sign * u * bound
 
 
@@ -115,21 +109,18 @@ def accuracy_domain(
     model,
     tolerances,
     scan_max: float | None = None,
-    coarse_steps: int = 64,
-    bisect_iters: int = 46,
-    max_order=None,
 ) -> AccuracyDomain:
     """Scan-then-bisect the residual over sigma, per grid phase and sign.
 
-    The coarse scan finds the first violation per phase; bisection then
-    sharpens the boundary.  Phases with no violation inside the scan window
+    The coarse scan (64 steps) finds the first violation per phase; 46
+    bisection steps then sharpen the boundary.  Phases with no violation inside the scan window
     are reported at the window edge and flagged open-ended.  With
     ``scan_max=None`` the window starts at 1 and doubles until the boundary
     is inside it (the default amplitude gauge can push the domain well past
     1), capped at 64.
     """
     tolerances = tuple(sorted(tolerances, reverse=True))
-    ev = ResidualEvaluator(manifold, model, max_order)
+    ev = ResidualEvaluator(manifold, model)
     if scan_max is None:
         scan_max = 1.0
         while scan_max < 64.0:
@@ -145,7 +136,7 @@ def accuracy_domain(
     sigma_neg = np.zeros((len(tolerances), n))
     open_ended = np.zeros((len(tolerances), 2), dtype=bool)
 
-    grid = np.linspace(0.0, scan_max, coarse_steps + 1)[1:]
+    grid = np.linspace(0.0, scan_max, 65)[1:]
     for t_i, tol in enumerate(tolerances):
         for s_i, sign in enumerate((1.0, -1.0)):
             lo = np.zeros(n)
@@ -163,7 +154,7 @@ def accuracy_domain(
             open_ended[t_i, s_i] |= bool(open_mask.any())
             active = ~open_mask
             lo_b, hi_b = lo.copy(), hi.copy()
-            for _ in range(bisect_iters):
+            for _ in range(46):
                 mid = 0.5 * (lo_b + hi_b)
                 res = ev.grid_residual(sign * mid)
                 good = res <= tol
@@ -237,9 +228,9 @@ def orthogonality_report(manifold: ManifoldExpansion, response: ResponseExpansio
     }
 
 
-def invert_manifold(manifold: ManifoldExpansion, x, theta_seed, sigma_seed, max_order=None):
+def invert_manifold(manifold: ManifoldExpansion, x, theta_seed, sigma_seed):
     """Gauss-Newton inversion of the parameterization near a seed."""
-    L = manifold.nominal_order if max_order is None else max_order
+    L = manifold.nominal_order
     th, sg = float(theta_seed), float(sigma_seed)
     d_series = [manifold.order_series(n) for n in range(L + 1)]
     dth_series = [s.differentiate() for s in d_series]
@@ -312,16 +303,17 @@ def trajectory_consistency(
 
 
 def truncation_slope(
-    manifold: ManifoldExpansion, model, domain: AccuracyDomain, n_theta: int = 8
+    manifold: ManifoldExpansion, model, domain: AccuracyDomain
 ) -> float:
-    """Median log-log slope of the residual against sigma near the boundary.
+    """Median log-log slope of the residual against sigma near the boundary,
+    at 8 phases spread over the grid.
 
     For an order-L truncation the residual scales like sigma**(L+1), so the
     fitted slope should fall in [L, L+2].
     """
     ev = ResidualEvaluator(manifold, model)
     n = len(domain.theta)
-    idx = np.linspace(0, n - 1, n_theta, dtype=int)
+    idx = np.linspace(0, n - 1, 8, dtype=int)
     slopes = []
     for i in idx:
         s_hi = 0.8 * domain.sigma_pos[-1][i]
@@ -375,7 +367,6 @@ def run_validation(
     n_samples: int = 50,
     horizon_periods: float = 2.0,
     seed: int = 2024,
-    sample_band=(0.3, 0.7),
     settings=DEFAULT_SETTINGS,
 ) -> ValidationReport:
     """Full validation pass; raises ValidationFailure on configured gates."""
@@ -388,7 +379,7 @@ def run_validation(
         )
     ortho = orthogonality_report(manifold, response)
     rng = np.random.default_rng(seed)
-    theta_s, sigma_s = domain.sample_inside(rng, n_samples, -1, sample_band)
+    theta_s, sigma_s = domain.sample_inside(rng, n_samples)
     # cap horizons so the contracted amplitude stays numerically resolvable
     # (decay ratios lose meaning once sigma e^(lam t) nears the inversion
     # noise floor)

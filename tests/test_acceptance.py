@@ -140,8 +140,8 @@ def test_criterion_5_orthogonality_suite(ei_run):
 def test_criterion_6_two_periodicity(ei_run):
     result = ei_run.result
     n = result.cycle.grid_size
-    bundle = ei_run.bundle_real.grid_values().real
-    adjoint = ei_run.adjoint_real.grid_values().real
+    bundle = ei_run.bundle_real.samples().real
+    adjoint = ei_run.adjoint_real.samples().real
     worst = 0.0
     for vals in (bundle, adjoint):
         for j in (4, 5):
@@ -172,7 +172,7 @@ def test_criterion_8_directional_derivatives(ei_run):
     man, resp = result.manifold, result.response
     domain = result.validation.domain
     rng = np.random.default_rng(ei_run.config.seed + 1)
-    theta_s, sigma_s = domain.sample_inside(rng, 40, -1, (0.3, 0.7))
+    theta_s, sigma_s = domain.sample_inside(rng, 40)
     from slowphase.manifold import evaluate_manifold
 
     worst_phase = 0.0

@@ -1,7 +1,6 @@
 import numpy as np
 
 from slowphase.frames import (
-    RealBlock,
     _integration_route,
     _shifted_columns,
     cross_check_adjoint_frame,
@@ -85,8 +84,8 @@ def test_real_bundle_antiperiodicity(ei_run):
     result = ei_run.result
     n = result.cycle.grid_size
     assert ei_run.bundle_real.period == 2.0
-    vals = ei_run.bundle_real.grid_values().real
-    avals = ei_run.adjoint_real.grid_values().real
+    vals = ei_run.bundle_real.samples().real
+    avals = ei_run.adjoint_real.samples().real
     for j in (4, 5):
         assert np.max(np.abs(vals[:n, :, j] + vals[n:, :, j])) < 1e-9
         assert np.max(np.abs(avals[:n, :, j] + avals[n:, :, j])) < 1e-9
@@ -99,10 +98,10 @@ def test_negative_columns_relate_to_complex_by_half_harmonic(ei_run):
     # complex column = e^{-i pi theta} x real antiperiodic column
     result = ei_run.result
     n = result.cycle.grid_size
-    theta2 = ei_run.bundle_real.series.grid()
+    theta2 = ei_run.bundle_real.grid()
     phase = np.exp(-1j * np.pi * theta2[:n])
     complex_cols = result.bundle.grid_values()
-    real_cols = ei_run.bundle_real.grid_values().real
+    real_cols = ei_run.bundle_real.samples().real
     for j in (4, 5):
         reconstructed = phase[:, None] * real_cols[:n, :, j]
         assert np.max(np.abs(reconstructed - complex_cols[:, :, j])) < 1e-10
@@ -112,15 +111,15 @@ def test_real_pair_columns_are_real_and_imaginary_parts(ei_run):
     result = ei_run.result
     n = result.cycle.grid_size
     complex_cols = result.bundle.grid_values()
-    real_cols = ei_run.bundle_real.grid_values().real
+    real_cols = ei_run.bundle_real.samples().real
     assert np.max(np.abs(real_cols[:n, :, 2] - complex_cols[:, :, 2].real)) < 1e-12
     assert np.max(np.abs(real_cols[:n, :, 3] - complex_cols[:, :, 2].imag)) < 1e-12
 
 
 def test_real_frames_biorthogonal(ei_run):
     result = ei_run.result
-    q = ei_run.adjoint_real.grid_values().real
-    b = ei_run.bundle_real.grid_values().real
+    q = ei_run.adjoint_real.samples().real
+    b = ei_run.bundle_real.samples().real
     gram = np.einsum("nij,nik->njk", q, b)
     assert np.max(np.abs(gram - np.eye(6))) < 1e-9
 
@@ -132,16 +131,17 @@ def test_real_frame_odes(ei_run):
     n = result.cycle.grid_size
     jac = result.model.jacobian(result.cycle.samples)
     jac2 = np.tile(jac, (2, 1, 1))
-    gen = real_generator_matrix(ei_run.bundle_real.blocks, 6)
-    vals = ei_run.bundle_real.grid_values().real
+    classes, exponents = result.bundle.classes, result.bundle.exponents
+    gen = real_generator_matrix(classes, exponents)
+    vals = ei_run.bundle_real.samples().real
     dq = (
         FourierSeries.from_samples(vals, 2.0).band_limited(2 * result.band_cut)
         .differentiate().samples()
     )
     res = dq.real / T - jac2 @ vals + vals @ gen
     assert np.max(np.abs(res)) < 5e-9
-    gen_adj = real_generator_matrix(ei_run.adjoint_real.blocks, 6, adjoint=True)
-    avals = ei_run.adjoint_real.grid_values().real
+    gen_adj = real_generator_matrix(classes, exponents, adjoint=True)
+    avals = ei_run.adjoint_real.samples().real
     da = (
         FourierSeries.from_samples(avals, 2.0).band_limited(2 * result.band_cut)
         .differentiate().samples()
@@ -151,19 +151,18 @@ def test_real_frame_odes(ei_run):
 
 
 def test_real_generator_blocks():
-    blocks = (
-        RealBlock("trivial", 0),
-        RealBlock("real", 1, alpha=-0.5),
-        RealBlock("pair", 2, alpha=-0.3, beta=0.7),
-        RealBlock("negative", 4, alpha=-1.1),
+    classes = (
+        "trivial", "real_positive", "complex_pair_lead", "complex_pair_conjugate",
+        "real_negative",
     )
-    gen = real_generator_matrix(blocks, 5)
+    exponents = np.array([0.0, -0.5, -0.3 + 0.7j, -0.3 - 0.7j, -1.1 + np.pi * 1j])
+    gen = real_generator_matrix(classes, exponents)
     expected = np.zeros((5, 5))
     expected[1, 1] = -0.5
     expected[2:4, 2:4] = [[-0.3, 0.7], [-0.7, -0.3]]
     expected[4, 4] = -1.1
     assert np.array_equal(gen, expected)
-    adj = real_generator_matrix(blocks, 5, adjoint=True)
+    adj = real_generator_matrix(classes, exponents, adjoint=True)
     expected[2:4, 2:4] = [[-0.3, -0.7], [0.7, -0.3]]
     assert np.array_equal(adj, expected)
 

@@ -153,8 +153,6 @@ def test_flow_conjugacy_oracle(oracle_run):
 def test_complex_slow_direction_rejected(oracle_run):
     result = oracle_run.result
     fake = Frame(
-        kind="bundle",
-        representation="complex",
         series=result.bundle.series,
         exponents=result.bundle.exponents,
         classes=("trivial", "complex_pair_lead"),

@@ -59,12 +59,9 @@ def test_pipeline_artifacts_and_manifest(oracle_run):
 
 
 def _assert_same_frame(loaded, original):
-    assert loaded.kind == original.kind
-    assert loaded.representation == original.representation
     assert np.array_equal(loaded.series.coef, original.series.coef)
     assert loaded.period == original.period
     assert np.array_equal(loaded.exponents, original.exponents)
-    assert loaded.blocks == original.blocks
 
 
 def test_artifact_reload_round_trip(oracle_run, ei_run):
@@ -105,14 +102,16 @@ def test_artifact_reload_round_trip(oracle_run, ei_run):
     frames = load_frames(out)
     assert frames["band_cut"] == result.band_cut
     assert "bundle_real" not in frames and "adjoint_real" not in frames
-    assert any(b.kind == "negative" for b in ei_run.bundle_real.blocks)
+    assert "real_negative" in result.bundle.classes
+    assert ei_run.bundle_real.period == 2.0
 
     def assert_same_frames(frames):
         rebuilt = build_real_frames(frames["bundle"], frames["adjoint"])
         for name in ("bundle", "adjoint"):
             _assert_same_frame(frames[name], getattr(result, name))
-        for name, frame in zip(("bundle_real", "adjoint_real"), rebuilt):
-            _assert_same_frame(frame, getattr(ei_run, name))
+        for name, series in zip(("bundle_real", "adjoint_real"), rebuilt):
+            assert np.array_equal(series.coef, getattr(ei_run, name).coef)
+            assert series.period == getattr(ei_run, name).period
 
     assert_same_frames(frames)
 
@@ -245,6 +244,38 @@ def _poison(path):
     write_coeffs(path, coef)
 
 
+def _flip_bit(path):
+    # the lowest mantissa bit of the last coefficient's real part: the file
+    # still loads, with every value finite and of the right dtype and shape
+    with open(path, "rb+") as fh:
+        data = bytearray(fh.read())
+        data[-16] ^= 1
+        fh.seek(0)
+        fh.write(data)
+    assert np.isfinite(np.load(path)).all()
+
+
+def _drop_inventory_entry(path):
+    manifest_path = os.path.join(os.path.dirname(path), "manifest.json")
+    manifest = _read_json(manifest_path)
+    del manifest["files"][os.path.basename(path)]
+    write_json(manifest_path, manifest)
+
+
+def _append_newline(path):
+    # same content, other bytes: it still parses, but is not what was written
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("\n")
+
+
+def _add_earlier_frame_keys(path):
+    # frames.json as versions that stored the real-representation fields wrote it
+    meta = _read_json(path)
+    for name in ("bundle", "adjoint"):
+        meta[name].update(kind=name, representation="complex", blocks=[], period=1.0)
+    write_json(path, meta)
+
+
 @pytest.mark.parametrize(
     "name, damage",
     [
@@ -253,12 +284,21 @@ def _poison(path):
         ("cycle_coeff.npy", _retype),
         ("manifold_coeff.npy", _drop_order),
         ("response_amplitude_coeff.npy", _poison),
+        ("frame_adjoint_coeff.npy", _flip_bit),
+        ("manifest.json", os.remove),
+        ("manifold_coeff.npy", _drop_inventory_entry),
+        ("response.json", _append_newline),
+        ("frames.json", _add_earlier_frame_keys),
     ],
-    ids=["missing", "truncated", "dtype", "shape", "non_finite"],
+    ids=[
+        "missing", "truncated", "dtype", "shape", "non_finite", "bit_flip",
+        "manifest_missing", "not_inventoried", "digest_differs",
+        "earlier_frame_keys",
+    ],
 )
 def test_damaged_coefficient_file_exits_4(response_stage_dir, tmp_path, capsys, name, damage):
-    """A coefficient file of a stage whose metadata exists is never silently
-    recomputed: exit 4, naming the file."""
+    """A damaged artifact of a stage whose metadata exists is never silently
+    recomputed or resumed: exit 4, naming the file."""
     out = tmp_path / "out"
     shutil.copytree(response_stage_dir, out)
     damage(str(out / name))
@@ -491,9 +531,9 @@ def test_export_frames_are_real_columns(ei_run, tmp_path):
     assert len(files) == 12 + 2  # six columns per frame, and each frame's table
     path = tmp_path / "curve_bundle_column_4.csv"
     rows = np.loadtxt(path, delimiter=",", skiprows=1)
-    expect = ei_run.bundle_real.grid_values().real[:, :, 4]
+    expect = ei_run.bundle_real.samples().real[:, :, 4]
     assert rows.shape == (2 * ei_run.result.cycle.grid_size, 7)
-    assert np.array_equal(rows[:, 0], ei_run.bundle_real.series.grid())
+    assert np.array_equal(rows[:, 0], ei_run.bundle_real.grid())
     assert np.array_equal(rows[:, 1:], expect)  # %.17g round-trips exactly
 
 

