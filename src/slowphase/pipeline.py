@@ -91,8 +91,14 @@ def _complex(pairs) -> np.ndarray:
     return np.asarray(pairs, dtype=float).view(complex)[..., 0]
 
 
-def _grid(out) -> tuple:
-    """(grid size, dimension) of the stored cycle, shared by every stored series."""
+def _grid(out, grid=None) -> tuple:
+    """(grid size, dimension) of the stored cycle, shared by every stored series.
+
+    ``load_result`` passes the grid of the cycle it already loaded; a loader
+    called on its own reads it from ``cycle.json``.
+    """
+    if grid is not None:
+        return grid
     meta = read_json(os.path.join(out, "cycle.json"))
     return meta["grid_size"], len(meta["anchor"])
 
@@ -102,8 +108,8 @@ def _save_orders(out, prefix, taylor: FourierTaylor):
     write_coeffs(os.path.join(out, f"{prefix}_coeff.npy"), coef)
 
 
-def _load_orders(out, prefix, order, digests) -> FourierTaylor:
-    shape = (order + 1, *_grid(out))
+def _load_orders(out, prefix, order, digests, grid) -> FourierTaylor:
+    shape = (order + 1, *_grid(out, grid))
     coef = read_coeffs(os.path.join(out, f"{prefix}_coeff.npy"), shape, digests)
     return FourierTaylor(tuple(FourierSeries(c) for c in coef))
 
@@ -151,14 +157,14 @@ def save_frames(out, result: PipelineResult):
     write_json(os.path.join(out, "frames.json"), meta)
 
 
-def load_frames(out, digests=None) -> dict:
+def load_frames(out, digests=None, grid=None) -> dict:
     """PipelineResult fields of the frames stage.
 
     Only the complex frames are stored: ``build_real_frames`` recomputes the
     real frames exactly when an export needs them.
     """
     meta = read_json(os.path.join(out, "frames.json"), digests)
-    grid_size, dim = _grid(out)
+    grid_size, dim = _grid(out, grid)
     loaded = {"band_cut": meta["band_cut"]}
     for name in ("bundle", "adjoint"):
         frame = meta[name]
@@ -182,9 +188,9 @@ def save_manifold(out, manifold: ManifoldExpansion):
     write_json(os.path.join(out, "manifold.json"), meta)
 
 
-def load_manifold(out, digests=None) -> ManifoldExpansion:
+def load_manifold(out, digests=None, grid=None) -> ManifoldExpansion:
     meta = read_json(os.path.join(out, "manifold.json"), digests)
-    coeffs = _load_orders(out, "manifold", meta.pop("total_order"), digests)
+    coeffs = _load_orders(out, "manifold", meta.pop("total_order"), digests, grid)
     meta["residuals"] = np.asarray(meta["residuals"])
     meta["divisor_minima"] = {int(k): v for k, v in meta["divisor_minima"].items()}
     return ManifoldExpansion(coeffs=coeffs, **meta)
@@ -198,14 +204,14 @@ def save_response(out, response: ResponseExpansion):
     write_json(os.path.join(out, "response.json"), meta)
 
 
-def load_response(out, digests=None) -> ResponseExpansion:
+def load_response(out, digests=None, grid=None) -> ResponseExpansion:
     meta = read_json(os.path.join(out, "response.json"), digests)
     order = meta.pop("order")
     for key in ("phase_residuals", "amplitude_residuals"):
         meta[key] = np.asarray(meta[key])
     return ResponseExpansion(
-        phase=_load_orders(out, "response_phase", order, digests),
-        amplitude=_load_orders(out, "response_amplitude", order, digests),
+        phase=_load_orders(out, "response_phase", order, digests, grid),
+        amplitude=_load_orders(out, "response_amplitude", order, digests, grid),
         **meta,
     )
 
@@ -476,7 +482,11 @@ def load_result(config: RunConfig) -> PipelineResult:
         if not os.path.exists(meta_path):
             break
         try:
-            loaded = load(out, digests)
+            if name in ("cycle", "spectrum"):
+                loaded = load(out, digests)
+            else:  # sized by the cycle loaded first
+                grid = (result.cycle.grid_size, len(result.cycle.anchor))
+                loaded = load(out, digests, grid)
         except (TypeError, KeyError, ValueError) as exc:
             raise ConfigError(
                 f"{meta_path}: malformed metadata ({type(exc).__name__}: {exc})"

@@ -233,10 +233,22 @@ def horner(values, sigma):
     0); ``sigma`` must already broadcast against one order's values.
     :meth:`FourierTaylor.evaluate` and the invariance residuals of
     :mod:`slowphase.validation` all sum here, so they round alike.
+
+    The accumulator is a fresh array of the promoted dtype from the first
+    product on, and is updated in place after it; the inputs are never
+    written.  Every order must have the shape of the accumulator or
+    broadcast to it.
     """
-    acc = values[-1]
-    for n in range(len(values) - 2, -1, -1):
-        acc = acc * sigma + values[n]
+    if len(values) == 1:
+        return values[0]
+    dtype = np.result_type(sigma, values[-1])
+    for value in values[:-1]:
+        dtype = np.result_type(dtype, value)
+    acc = np.multiply(values[-1], sigma, dtype=dtype)
+    acc += values[-2]
+    for n in range(len(values) - 3, -1, -1):
+        acc *= sigma
+        acc += values[n]
     return acc
 
 

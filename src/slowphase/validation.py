@@ -22,6 +22,16 @@ from .manifold import ManifoldExpansion, evaluate_manifold
 from .response import ResponseExpansion
 from .series import horner
 
+MAX_INVERSION_STEPS = 40
+# A flowed state farther than this from the manifold after inversion fails
+# validation.  The inversion starts at the conjugated manifold point, whose
+# distance from the flowed state is the state gap, and a working inversion
+# ends no farther.  On `ei` at order 9, the 50 samples of a 2^12-grid run had
+# state gaps below 1e-9; over 6,400 samples on a 2^10 grid they reached 3e-6
+# and inversion gaps 3e-7.  A larger gap means the state left the manifold or
+# the inversion went astray.
+MAX_INVERSION_GAP = 1e-5
+
 __all__ = [
     "AccuracyDomain",
     "ValidationReport",
@@ -30,6 +40,7 @@ __all__ = [
     "accuracy_domain",
     "orthogonality_report",
     "trajectory_consistency",
+    "Inversion",
     "invert_manifold",
     "truncation_slope",
     "run_validation",
@@ -37,27 +48,44 @@ __all__ = [
 
 
 class ResidualEvaluator:
-    """Precomputed grid data for fast residual scans over sigma."""
+    """Grid values of the expansion and of the invariance left-hand side,
+    built once for every residual scan over sigma.
+
+    ``rows`` has shape (L+1, 2d, N): for order n, rows 0..d-1 hold K_n and
+    rows d..2d-1 hold K_n'/T + n lam K_n, with the phases on the contiguous
+    axis, so one Horner sum over sigma gives the point and the left-hand side
+    together.
+    """
 
     def __init__(self, manifold: ManifoldExpansion, model):
         self.model = model
-        k_samples = []
-        lhs_samples = []
+        self.dim = manifold.dim
+        rows = []
         for n in range(manifold.nominal_order + 1):
             series = manifold.order_series(n)
-            k_samples.append(series.samples().real)
-            lhs_samples.append(
+            k = series.samples().real
+            lhs = (
                 series.differentiate().samples().real / manifold.period
-                + n * manifold.slow_exponent * series.samples().real
+                + n * manifold.slow_exponent * k
             )
-        self.k = np.stack(k_samples)  # (L+1, N, d)
-        self.lhs = np.stack(lhs_samples)
+            rows.append(np.concatenate([k.T, lhs.T]))
+        self.rows = np.stack(rows)
 
     def grid_residual(self, sigma) -> np.ndarray:
-        """|| sum_n lhs_n sigma^n - X(sum_n K_n sigma^n) ||_2 per grid phase."""
-        sig = np.asarray(sigma, dtype=float)[..., None]
-        point = horner(self.k, sig)
-        return np.linalg.norm(horner(self.lhs, sig) - self.model.eval(point), axis=-1)
+        """|| sum_n lhs_n sigma^n - X(sum_n K_n sigma^n) ||_2 per grid phase.
+
+        ``sigma`` is a scalar or has shape (..., N), one amplitude per grid
+        phase; the result has the shape (..., N).  Each entry depends only
+        on its own phase and amplitude, so a stack of amplitude rows rounds
+        exactly as the rows one at a time.
+        """
+        sig = np.asarray(sigma, dtype=float)
+        sums = horner(self.rows, sig[..., None, :] if sig.ndim else sig)
+        d = self.dim
+        # the model's closures take components, so rows pass as they are
+        field = self.model.rhs(tuple(sums[..., i, :] for i in range(d)))
+        field = np.stack(np.broadcast_arrays(*field), axis=-2)
+        return np.linalg.norm(sums[..., d:, :] - field, axis=-2)
 
 
 def invariance_residual(manifold: ManifoldExpansion, model, theta, sigma):
@@ -109,69 +137,62 @@ def accuracy_domain(
     model,
     tolerances,
     scan_max: float | None = None,
+    evaluator: ResidualEvaluator | None = None,
 ) -> AccuracyDomain:
     """Scan-then-bisect the residual over sigma, per grid phase and sign.
 
-    The coarse scan (64 steps) finds the first violation per phase; 46
-    bisection steps then sharpen the boundary.  Phases with no violation inside the scan window
-    are reported at the window edge and flagged open-ended.  With
-    ``scan_max=None`` the window starts at 1 and doubles until the boundary
-    is inside it (the default amplitude gauge can push the domain well past
-    1), capped at 64.
+    Every (tolerance, sign) pair is one row of a (2 n_tol, N) amplitude
+    batch, and each step evaluates the whole batch in one
+    :meth:`ResidualEvaluator.grid_residual` call.  The coarse scan (64 steps)
+    finds the first violation per phase; 46 bisection steps then sharpen the
+    boundary.  A residual entry depends only on its own phase and amplitude,
+    so the batch gives bit for bit the bounds of scanning each pair alone.
+    Phases with no violation inside the scan window are reported at the
+    window edge and flagged open-ended.  With ``scan_max=None`` the window
+    starts at 1 and doubles until the boundary is inside it (the default
+    amplitude gauge can push the domain well past 1), capped at 64.
+    ``evaluator`` reuses grid data already built for this manifold.
     """
     tolerances = tuple(sorted(tolerances, reverse=True))
-    ev = ResidualEvaluator(manifold, model)
+    ev = evaluator or ResidualEvaluator(manifold, model)
     if scan_max is None:
         scan_max = 1.0
         while scan_max < 64.0:
-            worst = float(
-                min(ev.grid_residual(scan_max).min(), ev.grid_residual(-scan_max).min())
-            )
+            worst = float(ev.grid_residual(np.array([[scan_max], [-scan_max]])).min())
             if worst > max(tolerances):
                 break
             scan_max *= 2.0
-    n = ev.k.shape[1]
+    n = ev.rows.shape[-1]
     theta = manifold.order_series(0).grid()
-    sigma_pos = np.zeros((len(tolerances), n))
-    sigma_neg = np.zeros((len(tolerances), n))
-    open_ended = np.zeros((len(tolerances), 2), dtype=bool)
+    # row 2 t + s holds tolerance t and sign (+1, -1)[s]
+    tol = np.repeat(tolerances, 2)[:, None]
+    sign = np.tile([1.0, -1.0], len(tolerances))[:, None]
 
-    grid = np.linspace(0.0, scan_max, 65)[1:]
-    for t_i, tol in enumerate(tolerances):
-        for s_i, sign in enumerate((1.0, -1.0)):
-            lo = np.zeros(n)
-            hi = np.full(n, np.nan)
-            for s in grid:
-                undecided = np.isnan(hi)
-                if not undecided.any():
-                    break
-                res = ev.grid_residual(sign * s * undecided.astype(float))
-                bad = (res > tol) & undecided
-                hi[bad] = s
-                lo[undecided & ~bad] = s
-            open_mask = np.isnan(hi)
-            hi[open_mask] = scan_max
-            open_ended[t_i, s_i] |= bool(open_mask.any())
-            active = ~open_mask
-            lo_b, hi_b = lo.copy(), hi.copy()
-            for _ in range(46):
-                mid = 0.5 * (lo_b + hi_b)
-                res = ev.grid_residual(sign * mid)
-                good = res <= tol
-                lo_b[good & active] = mid[good & active]
-                hi_b[~good & active] = mid[~good & active]
-            bound = np.where(open_mask, scan_max, lo_b)
-            if sign > 0:
-                sigma_pos[t_i] = bound
-            else:
-                sigma_neg[t_i] = bound
+    lo = np.zeros((len(tol), n))
+    hi = np.full((len(tol), n), np.nan)
+    for s in np.linspace(0.0, scan_max, 65)[1:]:
+        undecided = np.isnan(hi)
+        if not undecided.any():
+            break
+        res = ev.grid_residual(sign * s * undecided.astype(float))
+        bad = (res > tol) & undecided
+        hi[bad] = s
+        lo[undecided & ~bad] = s
+    open_mask = np.isnan(hi)
+    hi[open_mask] = scan_max
+    for _ in range(46):
+        mid = 0.5 * (lo + hi)
+        good = ev.grid_residual(sign * mid) <= tol
+        lo = np.where(good & ~open_mask, mid, lo)
+        hi = np.where(good | open_mask, hi, mid)
+    bound = np.where(open_mask, scan_max, lo)
     return AccuracyDomain(
         tolerances=tolerances,
         theta=theta,
-        sigma_pos=sigma_pos,
-        sigma_neg=sigma_neg,
+        sigma_pos=bound[0::2],
+        sigma_neg=bound[1::2],
         scan_max=scan_max,
-        open_ended=open_ended,
+        open_ended=open_mask.any(axis=1).reshape(len(tolerances), 2),
     )
 
 
@@ -228,33 +249,83 @@ def orthogonality_report(manifold: ManifoldExpansion, response: ResponseExpansio
     }
 
 
-def invert_manifold(manifold: ManifoldExpansion, x, theta_seed, sigma_seed):
-    """Gauss-Newton inversion of the parameterization near a seed."""
+@dataclass(frozen=True)
+class Inversion:
+    """Gauss-Newton inversions of the parameterization, one entry per state."""
+
+    theta: np.ndarray  # phase in [0, 1)
+    sigma: np.ndarray
+    gap: np.ndarray  # || K(theta, sigma) - x ||_2
+    iterations: np.ndarray  # Gauss-Newton steps taken
+    stop: np.ndarray  # "converged", "stagnated" or "cap"
+
+
+def invert_manifold(manifold: ManifoldExpansion, x, theta_seed, sigma_seed) -> Inversion:
+    """Gauss-Newton inversion of the parameterization near seeds, all at once.
+
+    ``x`` is one state (d,) or a batch (S, d); the seeds broadcast to the
+    batch.  The values and theta-derivatives of all orders form one
+    (N, 2(L+1)d) coefficient array, built once, so an iteration is one
+    product of the active samples' Fourier phase factors with it.  Each
+    sample takes its step, then stops when the step is below
+    1e-14 (1 + |theta| + |sigma|) (``"converged"``), when it is no smaller
+    than half the previous step, so rounding noise has stalled it
+    (``"stagnated"``), or after ``MAX_INVERSION_STEPS`` steps (``"cap"``).
+    """
     L = manifold.nominal_order
-    th, sg = float(theta_seed), float(sigma_seed)
-    d_series = [manifold.order_series(n) for n in range(L + 1)]
-    dth_series = [s.differentiate() for s in d_series]
-    for _ in range(40):
-        # every order shares the grid and period, hence the phase factors
-        phase = d_series[0].phase(th)
-        kv = np.stack([s.at_phase(phase).real for s in d_series])
-        kt = np.stack([s.at_phase(phase).real for s in dth_series])
-        powers = sg ** np.arange(L + 1)
-        point = np.einsum("n,ni->i", powers, kv)
-        gap = point - x
-        j_theta = np.einsum("n,ni->i", powers, kt)
-        dpow = np.arange(1, L + 1) * sg ** np.arange(L)
-        j_sigma = np.einsum("n,ni->i", dpow, kv[1:])
-        jac = np.stack([j_theta, j_sigma], axis=1)
-        delta, *_ = np.linalg.lstsq(jac, -gap, rcond=None)
-        th += delta[0]
-        sg += delta[1]
-        if np.linalg.norm(delta) < 1e-14 * (1.0 + abs(th) + abs(sg)):
+    d = manifold.dim
+    orders = [manifold.order_series(n) for n in range(L + 1)]
+    basis = np.empty((manifold.grid_size, 2, L + 1, d), dtype=complex)
+    for n, series in enumerate(orders):
+        basis[:, 0, n] = series.coef
+        basis[:, 1, n] = series.differentiate().coef
+    basis = basis.reshape(manifold.grid_size, -1)
+    x = np.asarray(x, dtype=float)
+    batch = x.shape[:-1]
+    x = x.reshape(-1, d)
+    th = np.broadcast_to(np.asarray(theta_seed, dtype=float), batch).flatten()
+    sg = np.broadcast_to(np.asarray(sigma_seed, dtype=float), batch).flatten()
+    powers = np.arange(L + 1)
+
+    def values(active):
+        """(values, theta-derivatives) of all orders, (A, L+1, d) each."""
+        both = (orders[0].phase(th[active]) @ basis).real.reshape(-1, 2, L + 1, d)
+        return both[:, 0], both[:, 1]
+
+    iterations = np.zeros(len(x), dtype=int)
+    stop = np.full(len(x), "cap", dtype="U9")
+    previous = np.full(len(x), np.inf)
+    active = np.arange(len(x))
+    for step in range(1, MAX_INVERSION_STEPS + 1):
+        kv, kt = values(active)
+        sg_a = sg[active, None]
+        sg_pow = sg_a**powers
+        gap = np.einsum("an,ani->ai", sg_pow, kv) - x[active]
+        j_theta = np.einsum("an,ani->ai", sg_pow, kt)
+        j_sigma = np.einsum("an,ani->ai", powers[1:] * sg_a ** powers[:-1], kv[:, 1:])
+        jac = np.stack([j_theta, j_sigma], axis=-1)
+        delta = -(np.linalg.pinv(jac) @ gap[..., None])[..., 0]
+        th[active] += delta[:, 0]
+        sg[active] += delta[:, 1]
+        iterations[active] = step
+        size = np.linalg.norm(delta, axis=1)
+        converged = size < 1e-14 * (1.0 + np.abs(th[active]) + np.abs(sg[active]))
+        stagnated = ~converged & (size >= 0.5 * previous[active])
+        stop[active[converged]] = "converged"
+        stop[active[stagnated]] = "stagnated"
+        previous[active] = size
+        active = active[~(converged | stagnated)]
+        if not active.size:
             break
-    phase = d_series[0].phase(th)
-    kv = np.stack([s.at_phase(phase).real for s in d_series])
-    point = np.einsum("n,ni->i", sg ** np.arange(L + 1), kv)
-    return th % 1.0, sg, float(np.linalg.norm(point - x))
+    kv, _ = values(np.arange(len(x)))
+    point = np.einsum("an,ani->ai", sg[:, None] ** powers, kv)
+    return Inversion(
+        theta=(th % 1.0).reshape(batch),
+        sigma=sg.reshape(batch),
+        gap=np.linalg.norm(point - x, axis=1).reshape(batch),
+        iterations=iterations.reshape(batch),
+        stop=stop.reshape(batch),
+    )
 
 
 def trajectory_consistency(
@@ -269,63 +340,92 @@ def trajectory_consistency(
 
     Per sample: (a) state gap between the flowed point and the manifold
     point at the advanced phase and contracted amplitude; (b) phase-advance
-    defect via local inversion; (c) relative amplitude-decay defect.
+    defect and (c) relative amplitude-decay defect of the flowed point's
+    (theta, sigma), found by one batched :func:`invert_manifold` of all
+    flowed points seeded at the conjugated values.  Each inversion's gap,
+    step count and stop reason are returned too.
     """
     lam = manifold.slow_exponent
     T = manifold.period
     n = len(theta_samples)
     state_gap = np.zeros(n)
-    phase_defect = np.zeros(n)
-    decay_defect = np.zeros(n)
-    inversion_gap = np.zeros(n)
+    x_t = np.zeros((n, manifold.dim))
+    th_push = np.zeros(n)
+    sg_push = np.zeros(n)
+    contraction = np.zeros(n)
     for i in range(n):
         th, sg, t = float(theta_samples[i]), float(sigma_samples[i]), float(horizons[i])
         x0 = evaluate_manifold(manifold, th, sg)
-        x_t = flow(model, x0, t, settings)
-        th_push = th + t / T
-        sg_push = sg * np.exp(lam * t)
-        target = evaluate_manifold(manifold, th_push % 1.0, sg_push)
-        state_gap[i] = np.linalg.norm(x_t - target)
-        th_hat, sg_hat, gap = invert_manifold(manifold, x_t, th_push, sg_push)
-        inversion_gap[i] = gap
-        wrap = (th_hat - th_push + 0.5) % 1.0 - 0.5
-        phase_defect[i] = abs(wrap)
-        decay_defect[i] = abs(sg_hat / sg - np.exp(lam * t)) / np.exp(lam * t)
+        x_t[i] = flow(model, x0, t, settings)
+        th_push[i] = th + t / T
+        contraction[i] = np.exp(lam * t)
+        sg_push[i] = sg * contraction[i]
+        target = evaluate_manifold(manifold, float(th_push[i]) % 1.0, sg_push[i])
+        state_gap[i] = np.linalg.norm(x_t[i] - target)
+    inv = invert_manifold(manifold, x_t, th_push, sg_push)
+    phase_defect = np.abs((inv.theta - th_push + 0.5) % 1.0 - 0.5)
+    sigma = np.asarray(sigma_samples, dtype=float)
+    decay_defect = np.abs(inv.sigma / sigma - contraction) / contraction
     return {
         "state_gap": state_gap,
         "phase_defect": phase_defect,
         "decay_defect": decay_defect,
-        "inversion_gap": inversion_gap,
+        "inversion_gap": inv.gap,
+        "inversion_iterations": inv.iterations,
+        "inversion_stop": inv.stop,
         "max_state_gap": float(state_gap.max()),
         "max_phase_defect": float(phase_defect.max()),
         "max_decay_defect": float(decay_defect.max()),
     }
 
 
+def _check_inversions(trajectory: dict) -> None:
+    """Raise ValidationFailure naming the first trajectory sample whose
+    inversion hit the step cap or ended farther than ``MAX_INVERSION_GAP``
+    from its flowed state (a NaN gap included)."""
+    for i, (stop, gap) in enumerate(
+        zip(trajectory["inversion_stop"], trajectory["inversion_gap"])
+    ):
+        if stop == "cap":
+            raise ValidationFailure(
+                f"trajectory sample {i}: manifold inversion did not converge "
+                f"in {MAX_INVERSION_STEPS} Gauss-Newton steps"
+            )
+        if not gap <= MAX_INVERSION_GAP:
+            raise ValidationFailure(
+                f"trajectory sample {i}: flowed state lies {gap:.3e} from the "
+                f"manifold after inversion (bound {MAX_INVERSION_GAP:.0e})"
+            )
+
+
 def truncation_slope(
-    manifold: ManifoldExpansion, model, domain: AccuracyDomain
+    manifold: ManifoldExpansion,
+    model,
+    domain: AccuracyDomain,
+    evaluator: ResidualEvaluator | None = None,
 ) -> float:
     """Median log-log slope of the residual against sigma near the boundary,
     at 8 phases spread over the grid.
 
     For an order-L truncation the residual scales like sigma**(L+1), so the
-    fitted slope should fall in [L, L+2].
+    fitted slope should fall in [L, L+2].  Both probe amplitudes of all 8
+    phases go into one (2, N) residual evaluation (zero amplitude
+    elsewhere); each entry depends only on its own phase.
     """
-    ev = ResidualEvaluator(manifold, model)
+    ev = evaluator or ResidualEvaluator(manifold, model)
     n = len(domain.theta)
     idx = np.linspace(0, n - 1, 8, dtype=int)
-    slopes = []
-    for i in idx:
-        s_hi = 0.8 * domain.sigma_pos[-1][i]
-        s_lo = 0.5 * s_hi
-        sig_hi = np.zeros(n)
-        sig_lo = np.zeros(n)
-        sig_hi[i] = s_hi
-        sig_lo[i] = s_lo
-        e_hi = ev.grid_residual(sig_hi)[i]
-        e_lo = ev.grid_residual(sig_lo)[i]
-        if e_hi > 0 and e_lo > 1e-15:
-            slopes.append(np.log(e_hi / e_lo) / np.log(s_hi / s_lo))
+    s_hi = 0.8 * domain.sigma_pos[-1][idx]
+    s_lo = 0.5 * s_hi
+    probes = np.zeros((2, n))
+    probes[0, idx] = s_hi
+    probes[1, idx] = s_lo
+    e_hi, e_lo = ev.grid_residual(probes)[:, idx]
+    slopes = [
+        np.log(e_hi[j] / e_lo[j]) / np.log(s_hi[j] / s_lo[j])
+        for j in range(len(idx))
+        if e_hi[j] > 0 and e_lo[j] > 1e-15
+    ]
     return float(np.median(slopes)) if slopes else np.nan
 
 
@@ -369,10 +469,13 @@ def run_validation(
     seed: int = 2024,
     settings=DEFAULT_SETTINGS,
 ) -> ValidationReport:
-    """Full validation pass; raises ValidationFailure on configured gates."""
+    """Full validation pass; raises ValidationFailure on configured gates:
+    an empty accuracy domain at the strictest tolerance, and a trajectory
+    sample whose manifold inversion hit the step cap or ended more than
+    ``MAX_INVERSION_GAP`` from its flowed state (the message names it)."""
     ev = ResidualEvaluator(manifold, model)
     order0 = float(ev.grid_residual(0.0).max())
-    domain = accuracy_domain(manifold, model, tolerances, scan_max)
+    domain = accuracy_domain(manifold, model, tolerances, scan_max, evaluator=ev)
     if domain.min_width(-1) <= 0.0:
         raise ValidationFailure(
             "accuracy domain empty at the strictest tolerance for some phase"
@@ -389,7 +492,8 @@ def run_validation(
     )
     horizons = rng.uniform(0.1 * manifold.period, t_cap, size=n_samples)
     traj = trajectory_consistency(manifold, model, theta_s, sigma_s, horizons, settings)
-    slope = truncation_slope(manifold, model, domain)
+    _check_inversions(traj)
+    slope = truncation_slope(manifold, model, domain, evaluator=ev)
     return ValidationReport(
         order0_residual=order0,
         domain=domain,

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from slowphase.config import (
     DEFAULT_GUESSES,
@@ -281,3 +282,39 @@ def test_json_and_checksum_determinism(tmp_path):
     write_json(p2, payload)
     assert sha256_file(p1) == sha256_file(p2)
     assert Path(p1).read_bytes() == Path(p2).read_bytes()
+
+
+_PART = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(SPECIAL)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    coef=hnp.arrays(
+        np.complex128,
+        hnp.array_shapes(min_dims=1, max_dims=4, min_side=0, max_side=5),
+        elements=st.builds(complex, _PART, _PART),
+    ),
+    bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+    where=st.integers(min_value=0),
+    imaginary=st.booleans(),
+)
+def test_coeffs_round_trip_any_shape(tmp_path_factory, coef, bad, where, imaginary):
+    """Any shape and any finite values, signed zeros and subnormals included,
+    come back bit for bit; one non-finite entry makes the file unreadable."""
+    folder = tmp_path_factory.mktemp("npy_any")
+    path = str(folder / "coeff.npy")
+    write_coeffs(path, coef)
+    back = read_coeffs(path, coef.shape)
+    assert back.shape == coef.shape
+    assert back.tobytes() == np.ascontiguousarray(coef).tobytes()
+    if coef.size == 0:
+        return
+    broken = coef.copy()
+    flat = broken.reshape(-1)
+    if imaginary:
+        flat.imag[where % flat.size] = bad
+    else:
+        flat.real[where % flat.size] = bad
+    write_coeffs(path, broken)
+    with pytest.raises(ConfigError, match="non-finite"):
+        read_coeffs(path, coef.shape)

@@ -243,6 +243,30 @@ def test_horner_matches_explicit_powers_for_lists_and_stacks():
     )
 
 
+def test_horner_leaves_its_inputs_unchanged_and_promotes():
+    rng = np.random.default_rng(5)
+    real = rng.standard_normal((4, 8, 3))
+    cplx = real + 1j * rng.standard_normal((4, 8, 3))
+    cases = (
+        (real, 0.3),  # scalar sigma
+        (real, rng.uniform(-1.0, 1.0, (2, 8, 1))),  # sigma broadcasts the result up
+        (cplx, rng.uniform(-1.0, 1.0, (8, 1))),  # complex values, real sigma
+        (real, np.complex128(0.5 - 0.25j)),  # real values, complex sigma
+    )
+    for values, sigma in cases:
+        kept = [values.copy(), np.copy(sigma)]
+        for form in (values, list(values)):
+            out = horner(form, sigma)
+            assert out.dtype == np.result_type(values, sigma)
+            expect = values[-1]  # the same rule with a fresh array per step
+            for n in range(len(values) - 2, -1, -1):
+                expect = expect * sigma + values[n]
+            assert out.tobytes() == expect.tobytes()
+            assert out is not form[0] and not np.shares_memory(out, values)
+        assert values.tobytes() == kept[0].tobytes()
+        assert np.asarray(sigma).tobytes() == kept[1].tobytes()
+
+
 def test_band_limited_zeroes_high_modes():
     rng = np.random.default_rng(1)
     series = FourierSeries.from_samples(rng.standard_normal(64))

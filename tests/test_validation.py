@@ -1,12 +1,19 @@
+import json
+import os
+
 import numpy as np
 import pytest
 
+import slowphase.validation as validation
+from slowphase.errors import ValidationFailure
+from slowphase.manifold import evaluate_manifold
 from slowphase.validation import (
     ResidualEvaluator,
     accuracy_domain,
     invariance_residual,
     invert_manifold,
     orthogonality_report,
+    run_validation,
     trajectory_consistency,
     truncation_slope,
 )
@@ -100,10 +107,11 @@ def test_manifold_inversion_roundtrip(oracle_run):
     from slowphase.manifold import evaluate_manifold
 
     x = evaluate_manifold(man, th, sg)
-    th_hat, sg_hat, gap = invert_manifold(man, x, th + 0.01, sg + 0.01)
-    assert abs(th_hat - th) < 1e-10
-    assert abs(sg_hat - sg) < 1e-10
-    assert gap < 1e-10
+    inv = invert_manifold(man, x, th + 0.01, sg + 0.01)
+    assert abs(inv.theta - th) < 1e-10
+    assert abs(inv.sigma - sg) < 1e-10
+    assert inv.gap < 1e-10
+    assert inv.stop in ("converged", "stagnated") and 1 <= inv.iterations < 40
 
 
 def test_trajectory_consistency_zero_horizon(oracle_run):
@@ -134,3 +142,136 @@ def test_validation_failure_on_unreachable_tolerance(oracle_run):
             result.model, result.manifold, result.response,
             tolerances=(1e-30,), n_samples=2,
         )
+
+
+def test_stacked_residual_rows_match_single_rows(oracle_run):
+    """A (rows, N) amplitude batch rounds exactly as each row alone, which
+    keeps the batched accuracy scan bit-identical to one scan per pair."""
+    result = oracle_run.result
+    ev = ResidualEvaluator(result.manifold, result.model)
+    n = ev.rows.shape[-1]
+    rng = np.random.default_rng(3)
+    sigma = rng.uniform(-0.3, 0.3, (3, n))
+    batch = ev.grid_residual(sigma)
+    assert batch.shape == (3, n)
+    for row, sig in zip(batch, sigma):
+        assert row.tobytes() == ev.grid_residual(sig).tobytes()
+    assert ev.grid_residual(0.05).tobytes() == ev.grid_residual(np.full(n, 0.05)).tobytes()
+
+
+def test_stacked_slope_probes_match_one_probe_at_a_time(oracle_run):
+    result = oracle_run.result
+    man, model, domain = result.manifold, result.model, result.validation.domain
+    ev = ResidualEvaluator(man, model)
+    n = len(domain.theta)
+    slopes = []
+    for i in np.linspace(0, n - 1, 8, dtype=int):
+        s_hi = 0.8 * domain.sigma_pos[-1][i]
+        s_lo = 0.5 * s_hi
+        e = []
+        for s in (s_hi, s_lo):
+            sig = np.zeros(n)
+            sig[i] = s
+            e.append(ev.grid_residual(sig)[i])
+        if e[0] > 0 and e[1] > 1e-15:
+            slopes.append(np.log(e[0] / e[1]) / np.log(s_hi / s_lo))
+    reference = float(np.median(slopes))
+    assert truncation_slope(man, model, domain, evaluator=ev) == reference
+    assert truncation_slope(man, model, domain) == reference == result.validation.slope
+
+
+def test_batched_inversion_recovers_oracle_points(oracle_run):
+    man = oracle_run.result.manifold
+    theta = np.array([0.05, 0.37, 0.61, 0.93, 0.5])
+    sigma = np.array([0.04, -0.03, 0.02, -0.05, 0.0])
+    x = evaluate_manifold(man, theta, sigma)
+    inv = invert_manifold(man, x, theta + 0.01, sigma - 0.01)
+    assert inv.theta.shape == inv.stop.shape == (5,)
+    assert np.all(np.abs((inv.theta - theta + 0.5) % 1.0 - 0.5) < 1e-10)
+    assert np.all(np.abs(inv.sigma - sigma) < 1e-10)
+    assert np.all(inv.gap < 1e-10)
+    assert set(inv.stop) <= {"converged", "stagnated"}
+    assert np.all((inv.iterations >= 1) & (inv.iterations < validation.MAX_INVERSION_STEPS))
+    # each sample inverts as it would alone
+    for i in range(5):
+        alone = invert_manifold(man, x[i], theta[i] + 0.01, sigma[i] - 0.01)
+        assert abs(alone.theta - inv.theta[i]) < 1e-12
+        assert abs(alone.sigma - inv.sigma[i]) < 1e-12
+
+
+def test_inversion_record_in_validation_json(oracle_run):
+    path = os.path.join(oracle_run.config.out_dir, "validation.json")
+    with open(path, encoding="utf-8") as fh:
+        trajectory = json.load(fh)["trajectory"]
+    n = oracle_run.config.n_samples
+    assert len(trajectory["inversion_iterations"]) == n
+    assert len(trajectory["inversion_stop"]) == n
+    assert set(trajectory["inversion_stop"]) <= {"converged", "stagnated"}
+    assert all(1 <= k < validation.MAX_INVERSION_STEPS for k in trajectory["inversion_iterations"])
+
+
+def _validate_ei(ei_run):
+    result = ei_run.result
+    return run_validation(
+        result.model, result.manifold, result.response,
+        tolerances=ei_run.config.tolerances, n_samples=4, seed=7,
+    )
+
+
+def test_state_off_the_manifold_fails_by_name(ei_run, monkeypatch):
+    """Fault injection: the flow of sample 2 lands 1e-3 off the manifold
+    (the slow manifold is 2-dimensional in the 6-dimensional state space),
+    so its inversion cannot close the gap and validation names it."""
+    flow = validation.flow
+    calls = []
+
+    def pushed(model, x0, t, settings):
+        x_t = flow(model, x0, t, settings)
+        calls.append(t)
+        return x_t + 1e-3 if len(calls) == 3 else x_t
+
+    monkeypatch.setattr(validation, "flow", pushed)
+    with pytest.raises(ValidationFailure, match=r"trajectory sample 2: .* from the manifold"):
+        _validate_ei(ei_run)
+
+
+def test_inversion_at_the_step_cap_fails_by_name(ei_run, monkeypatch):
+    monkeypatch.setattr(validation, "MAX_INVERSION_STEPS", 1)
+    with pytest.raises(ValidationFailure, match=r"trajectory sample 0: .* did not converge in 1 "):
+        _validate_ei(ei_run)
+
+
+def _domain_one_pair_at_a_time(ev, tolerances, scan_max):
+    """Reference: the scan and bisection of one (tolerance, sign) pair at a
+    time, each step one full-grid residual call."""
+    n = ev.rows.shape[-1]
+    bounds = np.zeros((len(tolerances), 2, n))
+    for t_i, tol in enumerate(tolerances):
+        for s_i, sign in enumerate((1.0, -1.0)):
+            lo, hi = np.zeros(n), np.full(n, np.nan)
+            for s in np.linspace(0.0, scan_max, 65)[1:]:
+                undecided = np.isnan(hi)
+                if not undecided.any():
+                    break
+                bad = (ev.grid_residual(sign * s * undecided.astype(float)) > tol) & undecided
+                hi[bad] = s
+                lo[undecided & ~bad] = s
+            open_mask = np.isnan(hi)
+            hi[open_mask] = scan_max
+            for _ in range(46):
+                mid = 0.5 * (lo + hi)
+                good = ev.grid_residual(sign * mid) <= tol
+                lo[good & ~open_mask] = mid[good & ~open_mask]
+                hi[~good & ~open_mask] = mid[~good & ~open_mask]
+            bounds[t_i, s_i] = np.where(open_mask, scan_max, lo)
+    return bounds
+
+
+def test_batched_domain_matches_one_pair_at_a_time(oracle_run):
+    result = oracle_run.result
+    ev = ResidualEvaluator(result.manifold, result.model)
+    tolerances = (1e-4, 1e-6, 1e-8)
+    domain = accuracy_domain(result.manifold, result.model, tolerances, evaluator=ev)
+    reference = _domain_one_pair_at_a_time(ev, tolerances, domain.scan_max)
+    assert domain.sigma_pos.tobytes() == np.ascontiguousarray(reference[:, 0]).tobytes()
+    assert domain.sigma_neg.tobytes() == np.ascontiguousarray(reference[:, 1]).tobytes()
