@@ -46,7 +46,7 @@ def _parser() -> argparse.ArgumentParser:
         "of limit-cycle oscillators",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("run", "cycle", "floquet", "manifold", "response", "validate"):
+    for name in SUBCOMMAND_STAGE:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the config file")
         p.add_argument("--out", default=None, help="output directory override")
@@ -94,18 +94,15 @@ def main(argv=None) -> int:
 
 
 def _report(result, through) -> None:
-    if result.cycle is not None:
-        print(f"period T = {result.cycle.period:.12g}")
-    if result.spectrum is not None and through != Stage.CYCLE:
+    """Print the results of the stages up to ``through``, which all ran."""
+    ran = Stage.ORDER[: Stage.ORDER.index(through) + 1]
+    print(f"period T = {result.cycle.period:.12g}")
+    if Stage.FLOQUET in ran:
         for j, (mu, lam) in enumerate(
             zip(result.spectrum.multipliers, result.spectrum.exponents)
         ):
             print(f"mu_{j} = {mu:.6g}    lam_{j} = {lam:.6g}")
-    if result.manifold is not None and through in (
-        Stage.MANIFOLD,
-        Stage.RESPONSE,
-        Stage.VALIDATE,
-    ):
+    if Stage.MANIFOLD in ran:
         print(
             "manifold order %d, max residual %.3e"
             % (
@@ -113,7 +110,7 @@ def _report(result, through) -> None:
                 float(result.manifold.residuals.max()),
             )
         )
-    if result.response is not None and through in (Stage.RESPONSE, Stage.VALIDATE):
+    if Stage.RESPONSE in ran:
         print(
             "response order %d, solvability %.3e, normalization defect %.3e"
             % (
@@ -122,7 +119,7 @@ def _report(result, through) -> None:
                 result.response.normalization_defect,
             )
         )
-    if result.validation is not None and through == Stage.VALIDATE:
+    if Stage.VALIDATE in ran:
         summary = result.validation.summary()
         print("validation:")
         for key in sorted(summary):

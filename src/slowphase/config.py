@@ -167,15 +167,15 @@ class RunConfig:
             return DEFAULT_GUESSES[self.model]
         raise ConfigError(f"cycle.guess required for model '{self.model}'")
 
+    def echo(self, name: str) -> str:
+        """Canonical config-file text of key ``name``'s effective value."""
+        if name == "cycle.guess":
+            return _show(self.effective_guess())
+        return _show(_value(self, _BY_NAME[name]))
+
     def echo_text(self) -> str:
         """Canonical flat key/value rendering of the effective config."""
-        lines = []
-        for key in KEYS:
-            if key.name == "cycle.guess":
-                value = self.effective_guess()
-            else:
-                value = _value(self, key)
-            lines.append(f"{key.name} = {_show(value)}")
+        lines = [f"{key.name} = {self.echo(key.name)}" for key in KEYS]
         # model parameters follow model.name, the first key
         lines[1:1] = [
             f"{PARAMS_PREFIX}{name} = {_show(value)}"

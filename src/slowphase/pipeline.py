@@ -1,58 +1,45 @@
 """Pipeline orchestration and artifact persistence.
 
 Stages: cycle -> floquet -> resonances -> frames (+independent cross-check)
--> manifold -> response -> validation.  Each stage writes its artifacts into
-the output directory so later subcommands can resume without recomputation:
-one JSON metadata file keyed by the fields of its result dataclass, and one
-``.npy`` coefficient file per stored series or expansion (``cycle_coeff.npy``
-of shape (N, d); ``frame_{bundle,adjoint}_coeff.npy``, (N, d, d);
-``manifold_coeff.npy`` and ``response_{phase,amplitude}_coeff.npy``, (orders,
-N, d)).  Every stored series has period 1.  The manifest records the
-configuration echo, the spectral tables, per-order residuals, and a
-checksummed file inventory, against which :func:`load_result` checks every
-file it reads.  A flagged resonance or a hyperbolicity failure aborts the
-run; artifacts produced so far are kept and the manifest records the failed
-stage.
+-> manifold -> response -> validation.  The table ``STAGES`` gives each step
+its metadata file, the config keys it reads, and its compute-and-save, load
+and manifest steps; :func:`run_pipeline`, :func:`load_result` and the
+manifest each loop over it.  A stored stage writes one JSON metadata file,
+keyed by the fields of its result dataclass and ``inputs`` (the config echo
+of the keys it and every earlier stored stage read, see :func:`_inputs`),
+and one ``.npy`` coefficient file per stored series or expansion
+(``cycle_coeff.npy`` of shape (N, d); ``frame_{bundle,adjoint}_coeff.npy``,
+(N, d, d); ``manifold_coeff.npy`` and ``response_{phase,amplitude}_coeff.npy``,
+(orders, N, d)).  Every stored series has period 1.  The resonance check and
+the validation are recomputed on every run, never loaded.  The manifest
+records the configuration echo, the spectral tables, per-order residuals,
+and a checksummed file inventory, against which :func:`load_result` checks
+every file it reads.  A flagged resonance or a hyperbolicity failure aborts
+the run; artifacts produced so far are kept and the manifest records the
+failed stage.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .config import RunConfig
-from .cycle import (
-    CycleResult,
-    FloquetSpectrum,
-    check_resonances,
-    find_cycle,
-    floquet_spectrum,
-)
+from .config import PARAMS_PREFIX, RunConfig, _show
+from .cycle import CycleResult, FloquetSpectrum, check_resonances, find_cycle, floquet_spectrum
 from .errors import ConfigError, ResonanceError, SlowphaseError
-from .frames import (
-    Frame,
-    build_adjoint_frame,
-    build_bundle_frame,
-    cross_check_adjoint_frame,
-)
+from .frames import Frame, build_adjoint_frame, build_bundle_frame, cross_check_adjoint_frame
 from .manifold import ManifoldExpansion, expand_slow_manifold
 from .models import get_model
 from .response import ResponseExpansion, expand_response_functions
 from .series import FourierSeries, FourierTaylor
-from .store import (
-    read_coeffs,
-    read_json,
-    sha256_file,
-    write_coeffs,
-    write_json,
-    write_rows_csv,
-)
+from .store import read_coeffs, read_json, sha256_file, write_coeffs, write_json, write_rows_csv
 from .validation import run_validation
 
-__all__ = ["PipelineResult", "run_pipeline", "Stage", "load_result"]
+__all__ = ["PipelineResult", "run_pipeline", "Stage", "STAGES", "load_result"]
 
 
 @dataclass
@@ -72,14 +59,8 @@ class PipelineResult:
     manifest: dict = field(default_factory=dict)
 
 
-def _ensure_dir(path):
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
 # ---------------------------------------------------------------------------
-# artifact codec: each stage writes one JSON metadata file, keyed by the
-# field names of its result dataclass, plus its coefficient arrays
+# artifact codec; a loader decodes the metadata that load_result read and checked
 
 def _meta(obj, skip=()) -> dict:
     """Fields of dataclass ``obj`` except ``skip``, keyed by field name."""
@@ -91,16 +72,9 @@ def _complex(pairs) -> np.ndarray:
     return np.asarray(pairs, dtype=float).view(complex)[..., 0]
 
 
-def _grid(out, grid=None) -> tuple:
-    """(grid size, dimension) of the stored cycle, shared by every stored series.
-
-    ``load_result`` passes the grid of the cycle it already loaded; a loader
-    called on its own reads it from ``cycle.json``.
-    """
-    if grid is not None:
-        return grid
-    meta = read_json(os.path.join(out, "cycle.json"))
-    return meta["grid_size"], len(meta["anchor"])
+def _read(result, name, shape, digests) -> np.ndarray:
+    path = os.path.join(result.config.out_dir, f"{name}_coeff.npy")
+    return read_coeffs(path, shape, digests)
 
 
 def _save_orders(out, prefix, taylor: FourierTaylor):
@@ -108,110 +82,100 @@ def _save_orders(out, prefix, taylor: FourierTaylor):
     write_coeffs(os.path.join(out, f"{prefix}_coeff.npy"), coef)
 
 
-def _load_orders(out, prefix, order, digests, grid) -> FourierTaylor:
-    shape = (order + 1, *_grid(out, grid))
-    coef = read_coeffs(os.path.join(out, f"{prefix}_coeff.npy"), shape, digests)
+def _load_orders(result, prefix, order, digests) -> FourierTaylor:
+    # every stored series is on the grid of the loaded cycle
+    coef = _read(result, prefix, (order + 1, *result.cycle.samples.shape), digests)
     return FourierTaylor(tuple(FourierSeries(c) for c in coef))
 
 
-def save_cycle(out, cycle: CycleResult):
+def save_cycle(out, cycle: CycleResult, inputs: dict):
     write_coeffs(os.path.join(out, "cycle_coeff.npy"), cycle.series.coef)
-    write_json(os.path.join(out, "cycle.json"), _meta(cycle, skip=("series", "samples")))
+    meta = _meta(cycle, skip=("series", "samples"))
+    write_json(os.path.join(out, "cycle.json"), {**meta, "inputs": inputs})
 
 
-def load_cycle(out, digests=None) -> CycleResult:
-    meta = read_json(os.path.join(out, "cycle.json"), digests)
+def load_cycle(result, meta, digests):
     meta["anchor"] = np.asarray(meta["anchor"])
     shape = (meta["grid_size"], len(meta["anchor"]))
-    coef = read_coeffs(os.path.join(out, "cycle_coeff.npy"), shape, digests)
-    series = FourierSeries(coef)
-    return CycleResult(series=series, samples=series.samples().real, **meta)
+    series = FourierSeries(_read(result, "cycle", shape, digests))
+    result.cycle = CycleResult(series=series, samples=series.samples().real, **meta)
 
 
-def save_spectrum(out, spectrum: FloquetSpectrum):
+def save_spectrum(out, spectrum: FloquetSpectrum, inputs: dict):
     # eigenvectors are stored column by column
-    meta = {**_meta(spectrum), "eigenvectors": spectrum.eigenvectors.T}
+    meta = {**_meta(spectrum), "eigenvectors": spectrum.eigenvectors.T, "inputs": inputs}
     write_json(os.path.join(out, "spectrum.json"), meta)
 
 
-def load_spectrum(out, digests=None) -> FloquetSpectrum:
-    meta = read_json(os.path.join(out, "spectrum.json"), digests)
+def load_spectrum(result, meta, digests):
     for key in ("multipliers", "exponents"):
         meta[key] = _complex(meta[key])
     meta["eigenvectors"] = _complex(meta["eigenvectors"]).T
     meta["lyapunov"] = np.asarray(meta["lyapunov"])
     meta["monodromy"] = np.asarray(meta["monodromy"])
     meta["classes"] = tuple(meta["classes"])
-    return FloquetSpectrum(**meta)
+    result.spectrum = FloquetSpectrum(**meta)
 
 
-def save_frames(out, result: PipelineResult):
+def save_frames(out, result: PipelineResult, inputs: dict):
     """Write the complex frames, the only frames the pipeline uses."""
-    meta = {"band_cut": result.band_cut}
+    meta = {"band_cut": result.band_cut, "inputs": inputs}
     for name in ("bundle", "adjoint"):
         frame = getattr(result, name)
         write_coeffs(os.path.join(out, f"frame_{name}_coeff.npy"), frame.series.coef)
         meta[name] = _meta(frame, skip=("series",))
-    if result.crosscheck is not None:
-        write_json(os.path.join(out, "adjoint_crosscheck.json"), result.crosscheck)
+    write_json(os.path.join(out, "adjoint_crosscheck.json"), result.crosscheck)
     write_json(os.path.join(out, "frames.json"), meta)
 
 
-def load_frames(out, digests=None, grid=None) -> dict:
-    """PipelineResult fields of the frames stage.
-
-    Only the complex frames are stored: ``build_real_frames`` recomputes the
-    real frames exactly when an export needs them.
-    """
-    meta = read_json(os.path.join(out, "frames.json"), digests)
-    grid_size, dim = _grid(out, grid)
-    loaded = {"band_cut": meta["band_cut"]}
+def load_frames(result, meta, digests):
+    """Only the complex frames are stored: ``build_real_frames`` recomputes
+    the real frames exactly when an export needs them."""
+    grid_size, dim = result.cycle.samples.shape
+    result.band_cut = meta["band_cut"]
     for name in ("bundle", "adjoint"):
         frame = meta[name]
         frame["exponents"] = _complex(frame["exponents"])
         frame["classes"] = tuple(frame["classes"])
-        path = os.path.join(out, f"frame_{name}_coeff.npy")
-        coef = read_coeffs(path, (grid_size, dim, dim), digests)
-        loaded[name] = Frame(series=FourierSeries(coef), **frame)
-    path = os.path.join(out, "adjoint_crosscheck.json")
-    if os.path.exists(path):
-        loaded["crosscheck"] = read_json(path, digests)
-    return loaded
+        coef = _read(result, f"frame_{name}", (grid_size, dim, dim), digests)
+        setattr(result, name, Frame(series=FourierSeries(coef), **frame))
+    path = os.path.join(result.config.out_dir, "adjoint_crosscheck.json")
+    result.crosscheck = read_json(path, digests)
 
 
-def save_manifold(out, manifold: ManifoldExpansion):
+def save_manifold(out, manifold: ManifoldExpansion, inputs: dict):
     _save_orders(out, "manifold", manifold.coeffs)
     meta = _meta(manifold, skip=("coeffs",))
     meta["total_order"] = manifold.total_order
+    meta["inputs"] = inputs
     # text keys, so the file sorts them as text ("10" before "2")
     meta["divisor_minima"] = {str(k): v for k, v in manifold.divisor_minima.items()}
     write_json(os.path.join(out, "manifold.json"), meta)
 
 
-def load_manifold(out, digests=None, grid=None) -> ManifoldExpansion:
-    meta = read_json(os.path.join(out, "manifold.json"), digests)
-    coeffs = _load_orders(out, "manifold", meta.pop("total_order"), digests, grid)
+def load_manifold(result, meta, digests):
+    coeffs = _load_orders(result, "manifold", meta.pop("total_order"), digests)
     meta["residuals"] = np.asarray(meta["residuals"])
     meta["divisor_minima"] = {int(k): v for k, v in meta["divisor_minima"].items()}
-    return ManifoldExpansion(coeffs=coeffs, **meta)
+    result.manifold = ManifoldExpansion(coeffs=coeffs, **meta)
 
 
-def save_response(out, response: ResponseExpansion):
+def save_response(out, response: ResponseExpansion, inputs: dict):
     _save_orders(out, "response_phase", response.phase)
     _save_orders(out, "response_amplitude", response.amplitude)
     meta = _meta(response, skip=("phase", "amplitude"))
     meta["order"] = response.order
+    meta["inputs"] = inputs
     write_json(os.path.join(out, "response.json"), meta)
 
 
-def load_response(out, digests=None, grid=None) -> ResponseExpansion:
-    meta = read_json(os.path.join(out, "response.json"), digests)
+def load_response(result, meta, digests):
     order = meta.pop("order")
     for key in ("phase_residuals", "amplitude_residuals"):
         meta[key] = np.asarray(meta[key])
-    return ResponseExpansion(
-        phase=_load_orders(out, "response_phase", order, digests, grid),
-        amplitude=_load_orders(out, "response_amplitude", order, digests, grid),
+    result.response = ResponseExpansion(
+        phase=_load_orders(result, "response_phase", order, digests),
+        amplitude=_load_orders(result, "response_amplitude", order, digests),
         **meta,
     )
 
@@ -222,16 +186,156 @@ def save_validation(out, report):
     payload["trajectory"] = report.trajectory
     write_json(os.path.join(out, "validation.json"), payload)
     domain = report.domain
-    header = ["theta"]
-    for tol in domain.tolerances:
+    header, columns = ["theta"], [domain.theta]
+    for tol, pos, neg in zip(domain.tolerances, domain.sigma_pos, domain.sigma_neg):
         header += [f"sigma_max_pos_{tol:.0e}", f"sigma_max_neg_{tol:.0e}"]
-    rows = []
-    for i, th in enumerate(domain.theta):
-        row = [th]
-        for t_i in range(len(domain.tolerances)):
-            row += [domain.sigma_pos[t_i][i], domain.sigma_neg[t_i][i]]
-        rows.append(row)
-    write_rows_csv(os.path.join(out, "accuracy_domain.csv"), header, rows)
+        columns += [pos, neg]
+    write_rows_csv(os.path.join(out, "accuracy_domain.csv"), header, zip(*columns))
+
+
+# ---------------------------------------------------------------------------
+# compute-and-save steps: each calls the numerical and store functions through
+# this module's globals, so a wrapper that rebinds those names (the
+# benchmark's tracer, a test's monkeypatch) sees every call
+
+def _inputs(result, meta_file) -> dict:
+    """The ``inputs`` recorded in ``meta_file``: the canonical config echo of
+    the keys its stage and every earlier stored stage read.  Model parameters
+    are echoed at the model's resolved values, so a default written out is no
+    change, and ``cycle.guess`` as the effective guess."""
+    inputs = {PARAMS_PREFIX + k: _show(v) for k, v in result.model.params.items()}
+    for step in STAGES:
+        if step.load is not None:
+            inputs.update((key, result.config.echo(key)) for key in step.keys)
+        if step.meta == meta_file:
+            return inputs
+
+
+def _run_cycle(result):
+    config = result.config
+    guess = np.asarray(config.effective_guess(), dtype=float)
+    result.cycle = find_cycle(
+        result.model, guess, settings=config.integrator, grid_size=config.grid_size,
+        relax_time=config.relax_time, newton_tol=config.newton_tol,
+    )
+    save_cycle(config.out_dir, result.cycle, _inputs(result, "cycle.json"))
+
+
+def _run_spectrum(result):
+    config, cycle = result.config, result.cycle
+    result.spectrum = floquet_spectrum(result.model, cycle.anchor, cycle.period, config.integrator)
+    save_spectrum(config.out_dir, result.spectrum, _inputs(result, "spectrum.json"))
+
+
+def _run_resonance(result):
+    config = result.config
+    order = config.resonance_order or max(config.order, 2)
+    result.resonance = check_resonances(result.spectrum, order, config.resonance_tol)
+    write_json(os.path.join(config.out_dir, "resonance.json"), result.resonance.summary())
+    if result.resonance.is_resonant:
+        worst = result.resonance.flagged[0]
+        raise ResonanceError(
+            f"flagged resonance: multi-index {worst[0]} against "
+            f"direction {worst[1] + 1}, residual {worst[2]:.3e}"
+        )
+
+
+def _run_frames(result):
+    config, model, out = result.config, result.model, result.config.out_dir
+    build = build_bundle_frame(model, result.cycle, result.spectrum, settings=config.integrator)
+    result.bundle = build.bundle
+    result.cycle = build.cycle  # spectrally polished orbit and period
+    result.band_cut = build.diagnostics["band_cut"]
+    # the polished orbit replaces the stored one and depends on the same keys
+    save_cycle(out, result.cycle, _inputs(result, "cycle.json"))
+    jac = model.jacobian(result.cycle.samples)
+    result.adjoint = build_adjoint_frame(
+        result.bundle, jac, result.cycle.period, k_cut=result.band_cut
+    )
+    result.crosscheck = cross_check_adjoint_frame(
+        model, result.cycle, result.spectrum, result.bundle, result.adjoint,
+        settings=config.integrator,
+    )
+    save_frames(out, result, _inputs(result, "frames.json"))
+
+
+def _run_manifold(result):
+    config = result.config
+    result.manifold = expand_slow_manifold(
+        result.model, result.cycle, result.bundle, result.adjoint, order=config.order,
+        extra_orders=config.extra_orders, gauge=config.gauge,
+        small_divisor_tol=config.small_divisor_tol,
+    )
+    save_manifold(config.out_dir, result.manifold, _inputs(result, "manifold.json"))
+
+
+def _run_response(result):
+    config = result.config
+    result.response = expand_response_functions(
+        result.model, result.manifold, result.bundle, result.adjoint, order=config.order,
+        small_divisor_tol=config.small_divisor_tol,
+        solvability_tol=config.solvability_tol,
+    )
+    save_response(config.out_dir, result.response, _inputs(result, "response.json"))
+
+
+def _run_validation(result):
+    config = result.config
+    result.validation = run_validation(
+        result.model, result.manifold, result.response, tolerances=config.tolerances,
+        scan_max=config.sigma_scan_max, n_samples=config.n_samples,
+        horizon_periods=config.horizon_periods, seed=config.seed,
+        settings=config.integrator,
+    )
+    save_validation(config.out_dir, result.validation)
+
+
+def _pairs(values) -> list:
+    return [[z.real, z.imag] for z in values]
+
+
+def _spectrum_entries(result) -> dict:
+    spectrum = result.spectrum
+    return {
+        "multipliers_shooting": _pairs(spectrum.multipliers),
+        "exponents_shooting": _pairs(spectrum.exponents),
+        "lyapunov": list(map(float, spectrum.lyapunov)),
+        "classes": list(spectrum.classes),
+        "hyperbolicity_defect": spectrum.hyperbolicity_defect,
+    }
+
+
+def _frames_entries(result) -> dict:
+    # table recomputed from the polished Floquet frame: the refined exponents
+    # are spectrally accurate, unlike raw eigenvalues of the monodromy for
+    # strongly contracting directions
+    T = result.cycle.period
+    refined = result.bundle.exponents
+    entries = {
+        "exponents": _pairs(refined),
+        "multipliers": _pairs(np.exp(z * T) for z in refined),
+        "frame_residuals": {
+            "bundle": result.bundle.residual,
+            "adjoint": result.adjoint.residual if result.adjoint else None,
+        },
+        "band_cut": result.band_cut,
+    }
+    if result.crosscheck is not None:
+        entries["adjoint_crosscheck"] = {
+            k: (list(v) if isinstance(v, np.ndarray) else v)
+            for k, v in result.crosscheck.items()
+        }
+    return entries
+
+
+def _response_entries(result) -> dict:
+    response = result.response
+    return {"response": {
+        "solvability_residual": response.solvability_residual,
+        "normalization_defect": response.normalization_defect,
+        "phase_residuals": list(response.phase_residuals),
+        "amplitude_residuals": list(response.amplitude_residuals),
+    }}
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +351,58 @@ class Stage:
     ORDER = (CYCLE, FLOQUET, FRAMES, MANIFOLD, RESPONSE, VALIDATE)
 
 
+class Step(NamedTuple):
+    stage: str  # what ``through`` selects and a failure records
+    field: str  # the PipelineResult field that is None until the step ran
+    meta: str  # metadata file
+    # the config keys it reads that no earlier stored step declares; each key
+    # is declared once, so a stored step's inputs are its keys and those of
+    # every earlier stored step
+    keys: tuple
+    run: Callable  # (result): compute, set ``field`` and save
+    load: Callable | None  # (result, meta, digests); None: never loaded
+    manifest: Callable  # (result) -> manifest entries
+
+
+STAGES = (
+    Step(
+        Stage.CYCLE, "cycle", "cycle.json",
+        ("model.name", "integrator.rtol", "integrator.atol", "integrator.max_steps",
+         "cycle.guess", "cycle.relax_time", "cycle.newton_tol", "cycle.grid_N"),
+        _run_cycle, load_cycle,
+        lambda r: {"period": r.cycle.period, "shooting_residual": r.cycle.shooting_residual},
+    ),
+    Step(Stage.FLOQUET, "spectrum", "spectrum.json", (),
+         _run_spectrum, load_spectrum, _spectrum_entries),
+    # also reads manifold.order when resonance.order is auto; recomputed on
+    # every run, so no key it reads makes a stored stage stale
+    Step(Stage.FLOQUET, "resonance", "resonance.json", ("resonance.order", "resonance.tol"),
+         _run_resonance, None, lambda r: {"resonance": r.resonance.summary()}),
+    Step(Stage.FRAMES, "bundle", "frames.json", (),
+         _run_frames, load_frames, _frames_entries),
+    Step(
+        Stage.MANIFOLD, "manifold", "manifold.json",
+        ("manifold.order", "manifold.extra_orders", "manifold.gauge",
+         "solver.small_divisor_tol"),
+        _run_manifold, load_manifold,
+        lambda r: {
+            "manifold_residuals": list(r.manifold.residuals),
+            "manifold_divisor_minima": {
+                str(k): v for k, v in r.manifold.divisor_minima.items()
+            },
+        },
+    ),
+    Step(Stage.RESPONSE, "response", "response.json", ("solver.solvability_tol",),
+         _run_response, load_response, _response_entries),
+    Step(
+        Stage.VALIDATE, "validation", "validation.json",
+        ("validation.tolerances", "validation.sigma_scan_max", "validation.samples",
+         "validation.horizon_periods", "run.seed"),
+        _run_validation, None, lambda r: {"validation": r.validation.summary()},
+    ),
+)
+
+
 def run_pipeline(
     config: RunConfig,
     through: str = Stage.VALIDATE,
@@ -259,254 +415,97 @@ def run_pipeline(
     the CLI); stages with artifacts present are skipped.
     """
     config = config.validate()
-    out = _ensure_dir(config.out_dir)
+    out = config.out_dir
+    os.makedirs(out, exist_ok=True)
     result = resume or PipelineResult(config=config)
     result.config = config
     result.model = get_model(config.model, config.model_params)
-    model = result.model
     guess = config.effective_guess()
-    if len(guess) != model.dim:
+    if len(guess) != result.model.dim:
         raise ConfigError(
             f"cycle.guess has {len(guess)} values, but model '{config.model}' "
-            f"has dimension {model.dim}"
+            f"has dimension {result.model.dim}"
         )
     last = Stage.ORDER.index(through)
-    stage = None  # the stage running, recorded if it fails
-
     try:
-        if last >= 0 and result.cycle is None:
-            stage = Stage.CYCLE
-            result.cycle = find_cycle(
-                model,
-                np.asarray(guess, dtype=float),
-                settings=config.integrator,
-                grid_size=config.grid_size,
-                relax_time=config.relax_time,
-                newton_tol=config.newton_tol,
-            )
-            save_cycle(out, result.cycle)
-
-        if last >= 1:
-            stage = Stage.FLOQUET
-            if result.spectrum is None:
-                result.spectrum = floquet_spectrum(
-                    model, result.cycle.anchor, result.cycle.period, config.integrator
-                )
-                save_spectrum(out, result.spectrum)
-            if result.resonance is None:
-                order = config.resonance_order or max(config.order, 2)
-                result.resonance = check_resonances(
-                    result.spectrum, order, config.resonance_tol
-                )
-                write_json(
-                    os.path.join(out, "resonance.json"), result.resonance.summary()
-                )
-                if result.resonance.is_resonant:
-                    worst = result.resonance.flagged[0]
-                    raise ResonanceError(
-                        f"flagged resonance: multi-index {worst[0]} against "
-                        f"direction {worst[1] + 1}, residual {worst[2]:.3e}"
-                    )
-
-        if last >= 2 and result.bundle is None:
-            stage = Stage.FRAMES
-            build = build_bundle_frame(
-                model,
-                result.cycle,
-                result.spectrum,
-                settings=config.integrator,
-            )
-            result.bundle = build.bundle
-            result.cycle = build.cycle  # spectrally polished orbit and period
-            result.band_cut = build.diagnostics["band_cut"]
-            save_cycle(out, result.cycle)
-            jac = model.jacobian(result.cycle.samples)
-            result.adjoint = build_adjoint_frame(
-                result.bundle, jac, result.cycle.period, k_cut=result.band_cut
-            )
-            result.crosscheck = cross_check_adjoint_frame(
-                model,
-                result.cycle,
-                result.spectrum,
-                result.bundle,
-                result.adjoint,
-                settings=config.integrator,
-            )
-            save_frames(out, result)
-
-        if last >= 3 and result.manifold is None:
-            stage = Stage.MANIFOLD
-            result.manifold = expand_slow_manifold(
-                model,
-                result.cycle,
-                result.bundle,
-                result.adjoint,
-                order=config.order,
-                extra_orders=config.extra_orders,
-                gauge=config.gauge,
-                small_divisor_tol=config.small_divisor_tol,
-            )
-            save_manifold(out, result.manifold)
-
-        if last >= 4 and result.response is None:
-            stage = Stage.RESPONSE
-            result.response = expand_response_functions(
-                model,
-                result.manifold,
-                result.bundle,
-                result.adjoint,
-                order=config.order,
-                small_divisor_tol=config.small_divisor_tol,
-                solvability_tol=config.solvability_tol,
-            )
-            save_response(out, result.response)
-
-        if last >= 5 and result.validation is None:
-            stage = Stage.VALIDATE
-            result.validation = run_validation(
-                model,
-                result.manifold,
-                result.response,
-                tolerances=config.tolerances,
-                scan_max=config.sigma_scan_max,
-                n_samples=config.n_samples,
-                horizon_periods=config.horizon_periods,
-                seed=config.seed,
-                settings=config.integrator,
-            )
-            save_validation(out, result.validation)
+        for step in STAGES:
+            if Stage.ORDER.index(step.stage) > last:
+                break
+            if getattr(result, step.field) is None:
+                step.run(result)
     except SlowphaseError as exc:
-        result.manifest = _build_manifest(out, result, stage, str(exc))
-        write_json(os.path.join(out, "manifest.json"), result.manifest)
+        _write_manifest(out, result, step.stage, str(exc))
         raise
-
-    result.manifest = _build_manifest(out, result, None, None)
-    write_json(os.path.join(out, "manifest.json"), result.manifest)
+    _write_manifest(out, result, None, None)
     return result
 
 
-def _build_manifest(out, result: PipelineResult, failed_stage, error) -> dict:
-    manifest = {
+def _write_manifest(out, result: PipelineResult, failed_stage, error):
+    result.manifest = manifest = {
         "tool": "slowphase",
         "version": __version__,
         "config": result.config.echo_text(),
         "failed_stage": failed_stage,
         "error": error,
     }
-    if result.cycle is not None:
-        manifest["period"] = result.cycle.period
-        manifest["shooting_residual"] = result.cycle.shooting_residual
-    if result.spectrum is not None:
-        spectrum = result.spectrum
-        manifest["multipliers_shooting"] = [
-            [z.real, z.imag] for z in spectrum.multipliers
-        ]
-        manifest["exponents_shooting"] = [
-            [z.real, z.imag] for z in spectrum.exponents
-        ]
-        manifest["lyapunov"] = list(map(float, spectrum.lyapunov))
-        manifest["classes"] = list(spectrum.classes)
-        manifest["hyperbolicity_defect"] = spectrum.hyperbolicity_defect
-    if result.resonance is not None:
-        manifest["resonance"] = result.resonance.summary()
-    if result.bundle is not None:
-        # table recomputed from the polished Floquet frame: the refined
-        # exponents are spectrally accurate, unlike raw eigenvalues of the
-        # monodromy for strongly contracting directions
-        T = result.cycle.period
-        refined = result.bundle.exponents
-        manifest["exponents"] = [[z.real, z.imag] for z in refined]
-        manifest["multipliers"] = [
-            [np.exp(z * T).real, np.exp(z * T).imag] for z in refined
-        ]
-        manifest["frame_residuals"] = {
-            "bundle": result.bundle.residual,
-            "adjoint": result.adjoint.residual if result.adjoint else None,
-        }
-        manifest["band_cut"] = result.band_cut
-    if result.crosscheck is not None:
-        manifest["adjoint_crosscheck"] = {
-            k: (list(v) if isinstance(v, np.ndarray) else v)
-            for k, v in result.crosscheck.items()
-        }
-    if result.manifold is not None:
-        manifest["manifold_residuals"] = list(result.manifold.residuals)
-        manifest["manifold_divisor_minima"] = {
-            str(k): v for k, v in result.manifold.divisor_minima.items()
-        }
-    if result.response is not None:
-        manifest["response"] = {
-            "solvability_residual": result.response.solvability_residual,
-            "normalization_defect": result.response.normalization_defect,
-            "phase_residuals": list(result.response.phase_residuals),
-            "amplitude_residuals": list(result.response.amplitude_residuals),
-        }
-    if result.validation is not None:
-        manifest["validation"] = result.validation.summary()
-
+    for step in STAGES:
+        if getattr(result, step.field) is not None:
+            manifest.update(step.manifest(result))
     inventory = {}
     for name in sorted(os.listdir(out)):
         if name == "manifest.json" or not name.endswith((".npy", ".csv", ".json")):
             continue
         inventory[name] = sha256_file(os.path.join(out, name))
     manifest["files"] = inventory
-    return manifest
+    write_json(os.path.join(out, "manifest.json"), manifest)
 
 
 def load_result(config: RunConfig) -> PipelineResult:
-    """Load the artifacts of consecutive stages that exist in ``config.out_dir``.
+    """Load the artifacts of consecutive stored stages in ``config.out_dir``,
+    each on the grid of the loaded cycle; loading stops at the first stage
+    whose metadata file is missing.
 
-    A stage whose metadata file is missing has not run; loading stops there.
-    Raises ``ConfigError`` when a metadata file does not parse, lacks a field
-    or holds one its loader does not know; when a coefficient file of a stage
-    whose metadata exists is missing, truncated, of the wrong dtype or shape,
-    or non-finite; when the stored cycle was computed on another grid, or a
-    stored manifold or response to another order, than ``config`` asks for;
-    and, these checks passed, when ``manifest.json`` is missing, or a file
-    read is absent from its inventory or differs from its sha256 there (the
-    digests are of the bytes the loaders already read).  Every error names
-    the file, so stale or corrupt artifacts are never resumed.
+    Raises ``ConfigError`` naming the file when the ``inputs`` a metadata file
+    records differ from the config's (see :func:`_inputs`: the stage was built
+    under another config), with each differing key's stored and requested
+    values; when a metadata file does not parse, lacks a field (``inputs`` too)
+    or holds an unknown one; when a coefficient file is missing, truncated, of
+    the wrong dtype or shape, or non-finite; and then when ``manifest.json`` is
+    missing, or a file read is absent from its inventory or differs from its
+    sha256 there.  So stale or corrupt artifacts are never resumed.
     """
-    out = config.out_dir
     result = PipelineResult(config=config)
     result.model = get_model(config.model, config.model_params)
     digests = {}  # path -> sha256 of every file the loaders read
-    for name, meta_file, load in (
-        ("cycle", "cycle.json", load_cycle),
-        ("spectrum", "spectrum.json", load_spectrum),
-        (None, "frames.json", load_frames),  # sets several fields
-        ("manifold", "manifold.json", load_manifold),
-        ("response", "response.json", load_response),
-    ):
-        meta_path = os.path.join(out, meta_file)
-        if not os.path.exists(meta_path):
+    for step in STAGES:
+        if step.load is None:
+            continue
+        path = os.path.join(config.out_dir, step.meta)
+        if not os.path.exists(path):
             break
         try:
-            if name in ("cycle", "spectrum"):
-                loaded = load(out, digests)
-            else:  # sized by the cycle loaded first
-                grid = (result.cycle.grid_size, len(result.cycle.anchor))
-                loaded = load(out, digests, grid)
+            meta = read_json(path, digests)
+            stored, wanted = dict(meta.pop("inputs")), _inputs(result, step.meta)
+            if stored != wanted:
+                raise _stale(path, step.stage, stored, wanted)
+            step.load(result, meta, digests)
         except (TypeError, KeyError, ValueError) as exc:
             raise ConfigError(
-                f"{meta_path}: malformed metadata ({type(exc).__name__}: {exc})"
+                f"{path}: malformed metadata ({type(exc).__name__}: {exc})"
             ) from exc
-        vars(result).update({name: loaded} if name else loaded)
-    stored = (
-        ("cycle", "grid size", lambda c: c.grid_size, "cycle.grid_N", config.grid_size),
-        ("manifold", "order", lambda m: m.nominal_order, "manifold.order", config.order),
-        ("response", "order", lambda r: r.order, "manifold.order", config.order),
-    )
-    for name, what, value_of, key, wanted in stored:
-        artifact = getattr(result, name)
-        if artifact is not None and value_of(artifact) != wanted:
-            raise ConfigError(
-                f"{out}: stored {name} has {what} {value_of(artifact)}, "
-                f"config asks for {key} = {wanted}"
-            )
     if digests:
-        _check_inventory(out, digests)
+        _check_inventory(config.out_dir, digests)
     return result
+
+
+def _stale(path, stage, stored, wanted) -> ConfigError:
+    """The error naming each key whose stored value the config changes."""
+    keys = sorted(k for k in stored.keys() | wanted.keys() if stored.get(k) != wanted.get(k))
+    changed = "; ".join(f"{k} = {stored.get(k, 'unset')} -> {wanted.get(k, 'unset')}" for k in keys)
+    return ConfigError(
+        f"{path}: stale {stage} stage, built under other config values "
+        f"(stored -> requested): {changed}"
+    )
 
 
 def _check_inventory(out, digests):

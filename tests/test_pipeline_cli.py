@@ -1,22 +1,16 @@
 import json
 import os
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from slowphase.cli import main
-from slowphase.config import RunConfig
+from slowphase.config import KEYS, RunConfig
 from slowphase.export import export_artifacts
 from slowphase.frames import build_real_frames
-from slowphase.pipeline import (
-    load_cycle,
-    load_frames,
-    load_manifold,
-    load_response,
-    load_spectrum,
-    run_pipeline,
-)
+from slowphase.pipeline import STAGES, load_result, run_pipeline
 from slowphase.series import FourierSeries
 from slowphase.store import sha256_file, write_coeffs, write_json, write_series_csv
 
@@ -65,22 +59,22 @@ def _assert_same_frame(loaded, original):
 
 
 def test_artifact_reload_round_trip(oracle_run, ei_run):
-    out = oracle_run.config.out_dir
     result = oracle_run.result
-    cycle = load_cycle(out)
+    loaded = load_result(oracle_run.config)
+    cycle = loaded.cycle
     assert cycle.period == result.cycle.period
     assert np.array_equal(cycle.series.coef, result.cycle.series.coef)
     assert cycle.series.period == result.cycle.series.period
-    spectrum = load_spectrum(out)
+    spectrum = loaded.spectrum
     assert np.array_equal(spectrum.multipliers, result.spectrum.multipliers)
-    manifold = load_manifold(out)
+    manifold = loaded.manifold
     assert manifold.nominal_order == result.manifold.nominal_order
     for n in range(manifold.total_order + 1):
         assert np.array_equal(
             manifold.order_series(n).coef, result.manifold.order_series(n).coef
         )
     assert manifold.coeffs.period == result.manifold.coeffs.period
-    response = load_response(out)
+    response = loaded.response
     assert response.order == result.response.order
     assert response.solvability_residual == result.response.solvability_residual
     assert response.normalization_defect == result.response.normalization_defect
@@ -99,9 +93,9 @@ def test_artifact_reload_round_trip(oracle_run, ei_run):
     out = ei_run.config.out_dir
     result = ei_run.result
     assert not [n for n in os.listdir(out) if "_real" in n]
-    frames = load_frames(out)
-    assert frames["band_cut"] == result.band_cut
-    assert "bundle_real" not in frames and "adjoint_real" not in frames
+    ei_loaded = load_result(ei_run.config)
+    frames = {name: getattr(ei_loaded, name) for name in ("bundle", "adjoint")}
+    assert ei_loaded.band_cut == result.band_cut
     assert "real_negative" in result.bundle.classes
     assert ei_run.bundle_real.period == 2.0
 
@@ -167,7 +161,8 @@ def test_stale_manifold_order_rejected(tmp_path, capsys, first, second):
     capsys.readouterr()
     assert main(["response", "--config", str(cfgs[second])]) == 4
     err = capsys.readouterr().err
-    assert f"order {first}" in err and f"manifold.order = {second}" in err
+    assert "manifold.json: stale manifold stage" in err
+    assert f"manifold.order = {first} -> {second}" in err
     assert not os.path.exists(os.path.join(out, "response.json"))
 
 
@@ -178,13 +173,107 @@ def test_stale_response_order_rejected(tmp_path, capsys):
     manifold_json = os.path.join(out, "manifold.json")
     meta = _read_json(manifold_json)
     meta["nominal_order"] = 5
+    meta["inputs"]["manifold.order"] = "5"
     write_json(manifold_json, meta)
     cfg_5 = tmp_path / "run5.cfg"
     cfg_5.write_text(ORACLE_CFG.replace("manifold.order = 4", "manifold.order = 5").format(out=out))
     capsys.readouterr()
     assert main(["validate", "--config", str(cfg_5)]) == 4
     err = capsys.readouterr().err
-    assert "stored response has order 4" in err and "manifold.order = 5" in err
+    assert "response.json: stale response stage" in err and "manifold.order = 4 -> 5" in err
+    assert not os.path.exists(os.path.join(out, "validation.json"))
+
+
+def test_stale_cycle_keys_rejected(tmp_path, capsys):
+    """A cycle relaxed for another time from another guess is not resumed."""
+    cfg, out = _write_cfg(tmp_path)
+    assert main(["cycle", "--config", cfg]) == 0
+    changed = tmp_path / "changed.cfg"
+    changed.write_text(
+        ORACLE_CFG.replace("cycle.relax_time = 20.0", "cycle.relax_time = 35")
+        .replace("cycle.guess = 1.3, 0.0", "cycle.guess = 1.1, 0.2")
+        .format(out=out)
+    )
+    capsys.readouterr()
+    assert main(["manifold", "--config", str(changed)]) == 4
+    err = capsys.readouterr().err
+    assert "cycle.json: stale cycle stage" in err
+    assert "cycle.relax_time = 20.0 -> 35.0" in err
+    assert "cycle.guess = 1.3, 0.0 -> 1.1, 0.2" in err
+    assert not os.path.exists(os.path.join(out, "spectrum.json"))
+
+
+def test_keys_read_downstream_do_not_make_stages_stale(tmp_path):
+    """Keys of later stages, of the resonance check and of the validation, and
+    the output directory, leave the stored stages fresh."""
+    cfg, out = _write_cfg(tmp_path)
+    assert main(["floquet", "--config", cfg]) == 0
+    moved = tmp_path / "moved"
+    shutil.copytree(out, moved)
+    changed = tmp_path / "changed.cfg"
+    changed.write_text(
+        ORACLE_CFG.replace("manifold.order = 4", "manifold.order = 5").format(out=moved)
+        + "run.seed = 7\nresonance.tol = 1e-9\nvalidation.samples = 3\n"
+    )
+    assert main(["response", "--config", str(changed)]) == 0
+    assert _read_json(os.path.join(moved, "response.json"))["order"] == 5
+
+
+@pytest.mark.parametrize("value, code", [("-5.2", 4), ("-5.0", 0), ("-5", 0)])
+def test_changed_model_parameter_rejected(ei_run, tmp_path, capsys, value, code):
+    """A stored cycle of another model parameter is stale; the default
+    written out explicitly is the same config."""
+    out = tmp_path / "out"
+    shutil.copytree(ei_run.config.out_dir, out, ignore=shutil.ignore_patterns("exports"))
+    cfg = tmp_path / "ei.cfg"
+    cfg.write_text(
+        replace(ei_run.config, out_dir=str(out)).echo_text()
+        + f"model.params.eta_e = {value}\n"
+    )
+    capsys.readouterr()
+    assert main(["floquet", "--config", str(cfg)]) == code
+    if code:
+        err = capsys.readouterr().err
+        assert "cycle.json: stale cycle stage" in err
+        assert "model.params.eta_e = -5.0 -> -5.2" in err
+
+
+@pytest.mark.parametrize("order", [4, 6])
+def test_replaced_upstream_stage_rejected(response_stage_dir, tmp_path, capsys, order):
+    """A manifold of order 6 put under a response of order 4, with the
+    inventory rewritten to match, is stale under either order."""
+    out = tmp_path / "out"
+    shutil.copytree(response_stage_dir, out)
+    cfg_6 = tmp_path / "run6.cfg"
+    cfg_6.write_text(
+        ORACLE_CFG.replace("manifold.order = 4", "manifold.order = 6")
+        .format(out=tmp_path / "out6")
+    )
+    assert main(["manifold", "--config", str(cfg_6)]) == 0
+    manifest = _read_json(out / "manifest.json")
+    for name in ("manifold.json", "manifold_coeff.npy"):
+        shutil.copyfile(tmp_path / "out6" / name, out / name)
+        manifest["files"][name] = sha256_file(out / name)
+    write_json(out / "manifest.json", manifest)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        ORACLE_CFG.replace("manifold.order = 4", f"manifold.order = {order}").format(out=out)
+    )
+    capsys.readouterr()
+    assert main(["validate", "--config", str(cfg)]) == 4
+    stale = "manifold" if order == 4 else "response"
+    assert f"{stale}.json: stale {stale} stage" in capsys.readouterr().err
+    assert not os.path.exists(out / "validation.json")
+
+
+def test_every_config_key_declared_by_one_stage():
+    # a stored stage records the keys of it and of every earlier stored
+    # stage, so a key no stage declares would never make a stage stale
+    stage_free = ["output.directory"]
+    declared = [key for step in STAGES for key in step.keys] + stage_free
+    for key in KEYS:
+        assert declared.count(key.name) == 1, key.name
+    assert len(declared) == len(KEYS)
 
 
 def test_corrupt_metadata_is_config_error(tmp_path, capsys):
@@ -276,6 +365,13 @@ def _add_earlier_frame_keys(path):
     write_json(path, meta)
 
 
+def _drop_inputs(path):
+    # metadata as versions that recorded no stage inputs wrote it
+    meta = _read_json(path)
+    del meta["inputs"]
+    write_json(path, meta)
+
+
 @pytest.mark.parametrize(
     "name, damage",
     [
@@ -289,11 +385,13 @@ def _add_earlier_frame_keys(path):
         ("manifold_coeff.npy", _drop_inventory_entry),
         ("response.json", _append_newline),
         ("frames.json", _add_earlier_frame_keys),
+        ("cycle.json", _drop_inputs),
+        ("adjoint_crosscheck.json", os.remove),
     ],
     ids=[
         "missing", "truncated", "dtype", "shape", "non_finite", "bit_flip",
         "manifest_missing", "not_inventoried", "digest_differs",
-        "earlier_frame_keys",
+        "earlier_frame_keys", "no_inputs", "crosscheck_missing",
     ],
 )
 def test_damaged_coefficient_file_exits_4(response_stage_dir, tmp_path, capsys, name, damage):

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import slowphase
 import slowphase.pipeline  # as the benchmark imports it: store, config, ...
+from slowphase.config import RunConfig
+from slowphase.pipeline import Stage, run_pipeline
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -38,3 +40,26 @@ def test_traced_methods_resolve():
         (slowphase.series.FourierSeries, "evaluate"),
     ):
         assert callable(getattr(owner, attr)), (owner.__name__, attr)
+
+
+def test_tracer_sees_every_stage_call(tmp_path):
+    """The stage table calls the numerical and save functions through the
+    pipeline module's names, so the tracer's per-layer spans fire."""
+    tracer = _load_tracer().Tracer()
+    config = RunConfig(
+        model="oracle", relax_time=20.0, grid_size=128, order=4,
+        out_dir=str(tmp_path / "out"),
+    )
+    tracer.install(slowphase)
+    try:
+        slowphase.pipeline.run_pipeline(config, through=Stage.RESPONSE)
+    finally:
+        tracer.uninstall()
+    assert slowphase.pipeline.run_pipeline is run_pipeline  # uninstalled
+    # save_cycle twice (the frames stage stores the polished orbit), then
+    # the spectrum, frames, manifold and response
+    assert tracer.calls("pipeline.save") == 6
+    for name in (
+        "cycle.find_cycle", "frames.build_bundle_frame", "manifold.expand_slow_manifold",
+    ):
+        assert tracer.calls(name) == 1, name
