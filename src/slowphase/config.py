@@ -150,6 +150,18 @@ class RunConfig:
     small_divisor_tol: float = 1e-8
     solvability_tol: float = 1e-9
 
+    def __post_init__(self):
+        # parameters take the parser's type, so -5 given in code echoes as -5.0
+        params = dict(self.model_params)
+        for name, value in params.items():
+            try:
+                params[name] = _PARAM.parse(value)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(
+                    f"{PARAMS_PREFIX}{name} must be {_PARAM.rule}, got {value!r}"
+                ) from exc
+        object.__setattr__(self, "model_params", params)
+
     def validate(self) -> "RunConfig":
         """Check every value against its key's rule; returns the config."""
         for key in KEYS:

@@ -26,6 +26,7 @@ from .errors import ConfigError
 from .frames import build_real_frames
 from .manifold import evaluate_manifold
 from .pipeline import PipelineResult
+from .series import FourierTaylor
 from .store import write_function_csv, write_rows_csv, write_series_csv
 from .validation import accuracy_domain
 
@@ -36,82 +37,45 @@ FORMATS = ("csv", "json", "plotdata")
 
 
 def _curve_files(result: PipelineResult, out) -> list:
-    files = []
-    names = result.model.state_names
     cycle = result.cycle
-    theta = cycle.theta
-    files.append(
-        write_function_csv(
-            os.path.join(out, "curve_cycle.csv"), theta, cycle.samples, names
-        )
-    )
-    files.append(write_series_csv(os.path.join(out, "cycle_coeff.csv"), cycle.series))
-    return files
+    return [
+        write_function_csv(os.path.join(out, "curve_cycle.csv"), cycle.theta,
+                           cycle.samples, result.model.state_names),
+        write_series_csv(os.path.join(out, "cycle_coeff.csv"), cycle.series),
+    ]
 
 
 def _frame_files(result: PipelineResult, out) -> list:
     files = []
-    names = result.model.state_names
-    bundle_real, adjoint_real = build_real_frames(result.bundle, result.adjoint)
-    for label, series in (("bundle", bundle_real), ("adjoint", adjoint_real)):
+    real_frames = build_real_frames(result.bundle, result.adjoint)
+    for label, series in zip(("bundle", "adjoint"), real_frames):
         vals = series.samples().real
-        theta = series.grid()
         for j in range(vals.shape[2]):
-            files.append(
-                write_function_csv(
-                    os.path.join(out, f"curve_{label}_column_{j}.csv"),
-                    theta,
-                    vals[:, :, j],
-                    names,
-                )
-            )
-    for label in ("bundle", "adjoint"):
+            files.append(write_function_csv(
+                os.path.join(out, f"curve_{label}_column_{j}.csv"),
+                series.grid(), vals[:, :, j], result.model.state_names,
+            ))
         files.append(write_series_csv(
             os.path.join(out, f"frame_{label}_coeff.csv"), getattr(result, label).series
         ))
     return files
 
 
-def _manifold_files(result: PipelineResult, out) -> list:
+def _expansion_files(result: PipelineResult, out, label, ft: FourierTaylor, nominal) -> list:
+    """Curves of orders 0..``nominal`` and coefficient tables of every order
+    of expansion ``label``: manifold, response_phase or response_amplitude."""
     files = []
-    names = result.model.state_names
-    man = result.manifold
-    theta = man.order_series(0).grid()
-    for n in range(man.nominal_order + 1):
-        files.append(
-            write_function_csv(
-                os.path.join(out, f"curve_manifold_order_{n:02d}.csv"),
-                theta,
-                man.order_series(n).samples().real,
-                names,
-            )
-        )
-    for n in range(man.total_order + 1):
-        files.append(write_series_csv(
-            os.path.join(out, f"manifold_order_{n:02d}_coeff.csv"), man.order_series(n)
-        ))
-    return files
-
-
-def _response_files(result: PipelineResult, out) -> list:
-    files = []
-    names = result.model.state_names
-    resp = result.response
-    theta = resp.phase.orders[0].grid()
-    for label, ft in (("phase", resp.phase), ("amplitude", resp.amplitude)):
-        for n in range(resp.order + 1):
-            files.append(
-                write_function_csv(
-                    os.path.join(out, f"curve_response_{label}_order_{n:02d}.csv"),
-                    theta,
-                    ft.order_series(n).samples().real,
-                    names,
-                )
-            )
-            files.append(write_series_csv(
-                os.path.join(out, f"response_{label}_order_{n:02d}_coeff.csv"),
-                ft.order_series(n),
+    theta = ft.order_series(0).grid()
+    for n in range(ft.order + 1):
+        series = ft.order_series(n)
+        if n <= nominal:
+            files.append(write_function_csv(
+                os.path.join(out, f"curve_{label}_order_{n:02d}.csv"),
+                theta, series.samples().real, result.model.state_names,
             ))
+        files.append(write_series_csv(
+            os.path.join(out, f"{label}_order_{n:02d}_coeff.csv"), series
+        ))
     return files
 
 
@@ -191,9 +155,13 @@ def export_artifacts(
     if what in ("frames", "all") and result.bundle is not None:
         files += _frame_files(result, out)
     if what in ("manifold", "all") and result.manifold is not None:
-        files += _manifold_files(result, out)
+        man = result.manifold
+        files += _expansion_files(result, out, "manifold", man.coeffs, man.nominal_order)
     if what in ("response", "all") and result.response is not None:
-        files += _response_files(result, out)
+        resp = result.response
+        for label in ("phase", "amplitude"):
+            ft = getattr(resp, label)
+            files += _expansion_files(result, out, f"response_{label}", ft, resp.order)
     if not files:
         raise ConfigError(
             f"nothing to export for '{what}': run the pipeline stages first"

@@ -88,7 +88,11 @@ class Frame:
         return self.series.period
 
     def grid_values(self) -> np.ndarray:
-        return self.series.samples()
+        # synthesized on first use, read-only; not a field, so not in the metadata
+        if not hasattr(self, "_grid_values"):
+            self._grid_values = self.series.samples()
+            self._grid_values.flags.writeable = False
+        return self._grid_values
 
 
 @dataclass

@@ -113,16 +113,14 @@ def solve_order(
     small_divisor_tol: float = 1e-8,
 ):
     """Frame-reduce B_n, divide per Fourier mode, and transform back."""
-    adjoint_grid = adjoint.grid_values()
-    bundle_grid = bundle.grid_values()
-    reduced = np.einsum("nai,na->ni", adjoint_grid, b_samples.astype(complex))
+    reduced = np.einsum("nai,na->ni", adjoint.grid_values(), b_samples.astype(complex))
     rhs_series = FourierSeries.from_samples(reduced, 1.0)
     shifts = n * slow_exponent - bundle.exponents
     solution, _, div_min = solve_diagonal(
         rhs_series, shifts, period, small_divisor_tol=small_divisor_tol
     )
     coords = solution.samples()
-    out = np.einsum("nab,nb->na", bundle_grid, coords)
+    out = np.einsum("nab,nb->na", bundle.grid_values(), coords)
     return out, div_min
 
 
@@ -154,25 +152,25 @@ def expand_slow_manifold(
     lam_s = float(bundle.exponents[1].real)
     period = cycle.period
 
-    orders = [cycle.samples.astype(float)]
-    orders.append(gauge * bundle.grid_values()[:, :, 1].real)
-
     total = order + extra_orders
+    values = np.empty((total + 1, *cycle.samples.shape))
+    values[0] = cycle.samples
+    values[1] = gauge * bundle.grid_values()[:, :, 1].real
+
     divisor_minima = {}
     drift = 0.0
     for n in range(2, total + 1):
         k_n, div_min = next_order_coefficient(
-            model, np.stack(orders), bundle, adjoint, n, period, small_divisor_tol
+            model, values[:n], bundle, adjoint, n, period, small_divisor_tol
         )
         drift = max(drift, float(np.max(np.abs(k_n.imag))))
-        orders.append(k_n.real)
+        values[n] = k_n.real
         divisor_minima[n] = div_min
 
-    orders = np.stack(orders)
-    coeffs = FourierTaylor.from_order_samples(orders, 1.0)
+    coeffs = FourierTaylor.from_samples(values, 1.0)
 
     # residuals by spectral back-substitution, one full composition
-    composed = jet_compose(model, orders, "field")
+    composed = jet_compose(model, values, "field")
     residuals = np.zeros(total + 1)
     for n in range(total + 1):
         k_series = coeffs.order_series(n)

@@ -77,15 +77,9 @@ def _read(result, name, shape, digests) -> np.ndarray:
     return read_coeffs(path, shape, digests)
 
 
-def _save_orders(out, prefix, taylor: FourierTaylor):
-    coef = np.stack([series.coef for series in taylor.orders])
-    write_coeffs(os.path.join(out, f"{prefix}_coeff.npy"), coef)
-
-
-def _load_orders(result, prefix, order, digests) -> FourierTaylor:
-    # every stored series is on the grid of the loaded cycle
-    coef = _read(result, prefix, (order + 1, *result.cycle.samples.shape), digests)
-    return FourierTaylor(tuple(FourierSeries(c) for c in coef))
+def _load_orders(result, name, order, digests) -> FourierTaylor:
+    # every stored expansion is on the grid of the loaded cycle
+    return FourierTaylor(_read(result, name, (order + 1, *result.cycle.samples.shape), digests))
 
 
 def save_cycle(out, cycle: CycleResult, inputs: dict):
@@ -144,7 +138,7 @@ def load_frames(result, meta, digests):
 
 
 def save_manifold(out, manifold: ManifoldExpansion, inputs: dict):
-    _save_orders(out, "manifold", manifold.coeffs)
+    write_coeffs(os.path.join(out, "manifold_coeff.npy"), manifold.coeffs.coef)
     meta = _meta(manifold, skip=("coeffs",))
     meta["total_order"] = manifold.total_order
     meta["inputs"] = inputs
@@ -161,8 +155,8 @@ def load_manifold(result, meta, digests):
 
 
 def save_response(out, response: ResponseExpansion, inputs: dict):
-    _save_orders(out, "response_phase", response.phase)
-    _save_orders(out, "response_amplitude", response.amplitude)
+    write_coeffs(os.path.join(out, "response_phase_coeff.npy"), response.phase.coef)
+    write_coeffs(os.path.join(out, "response_amplitude_coeff.npy"), response.amplitude.coef)
     meta = _meta(response, skip=("phase", "amplitude"))
     meta["order"] = response.order
     meta["inputs"] = inputs

@@ -60,7 +60,7 @@ class ResponseExpansion:
 
 def _jacobian_transpose_orders(model, manifold: ManifoldExpansion, order: int):
     """Grid samples of the sigma-expansion of DX^T on the manifold."""
-    arg = manifold.coeffs.truncated(order).order_samples().real
+    arg = manifold.coeffs.truncated(order).samples().real
     return jet_compose(model, arg, "jacobian_transpose")  # (order+1, N, d, d)
 
 
@@ -96,9 +96,7 @@ def next_order(
         raise ModelError("response recursions start at n = 1")
     lam_s = float(bundle.exponents[1].real)
     g_n = _convolution_term(f_orders, lower, n)
-    reduced = -np.einsum(
-        "nai,na->ni", bundle.grid_values(), g_n.astype(complex)
-    )
+    reduced = -np.einsum("nai,na->ni", bundle.grid_values(), g_n.astype(complex))
     rhs = FourierSeries.from_samples(reduced, 1.0)
     shifts = bundle.exponents + (n + offset) * lam_s
     free = ((0, 0),) if n + offset == 0 else ()
@@ -140,13 +138,12 @@ def _fix_order1_normalization(i1_particular, z0, i0, k1_deriv, x0, period):
     return i1, c, defect
 
 
-def _residuals(orders, g_terms, f0, lam_s, period, shift_offset):
+def _residuals(expansion, orders, g_terms, f0, lam_s, period, shift_offset):
     """Spectral back-substitution residuals of the adjoint recursions."""
     out = np.zeros(len(orders))
     for n in range(1, len(orders)):
-        series = FourierSeries.from_samples(orders[n].astype(complex), 1.0)
         lhs = (
-            series.differentiate().samples().real / period
+            expansion.order_series(n).differentiate().samples().real / period
             + np.einsum("nab,nb->na", f0, orders[n])
             + (n + shift_offset) * lam_s * orders[n]
             + g_terms[n]
@@ -207,10 +204,10 @@ def expand_response_functions(
                 )
             orders.append(x_n)
             terms.append(g_n)
-        expansions.append(FourierTaylor.from_order_samples(np.stack(orders), 1.0))
-        residuals.append(
-            _residuals(orders, terms, f_orders[0], lam_s, period, offset)
-        )
+        expansions.append(FourierTaylor.from_samples(orders, 1.0))
+        residuals.append(_residuals(
+            expansions[-1], orders, terms, f_orders[0], lam_s, period, offset
+        ))
 
     return ResponseExpansion(
         phase=expansions[0],

@@ -13,8 +13,9 @@ antiperiodic bundles attached to negative Floquet multipliers.
 
 Power series in the amplitude variable sigma are kept in two shapes:
 
-* :class:`FourierTaylor` -- a list of coefficient series, one per order, all
-  on a shared grid; this is the exported/spectral form.
+* :class:`FourierTaylor` -- one coefficient array of shape
+  (L+1, N, *value_shape), order by order on a shared grid; this is the
+  spectral form, stored as it is in the ``*_coeff.npy`` files.
 * :class:`Jet` -- grid values per order, supporting ``+ - * **`` with Taylor
   convolution in sigma and pointwise products in theta; this is the form fed
   through model right-hand sides (jet transport).
@@ -62,6 +63,13 @@ def wavenumbers(n: int) -> np.ndarray:
     return np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)
 
 
+def _derivative_factor(n: int, period: float) -> np.ndarray:
+    """Theta-derivative multipliers of the N modes; the Nyquist one is zero."""
+    factor = (2j * np.pi / period) * wavenumbers(n)
+    factor[n // 2] = 0.0
+    return factor
+
+
 @dataclass(frozen=True)
 class FourierSeries:
     """Vector-valued trigonometric polynomial.
@@ -87,8 +95,7 @@ class FourierSeries:
         """Analyze grid samples (axis 0 = theta) into a series."""
         values = np.asarray(values)
         _require_power_of_two(values.shape[0])
-        coef = np.fft.fft(values, axis=0) / values.shape[0]
-        return FourierSeries(coef, period)
+        return FourierSeries(np.fft.fft(values, axis=0, norm="forward"), period)
 
     # -- structure ------------------------------------------------------
 
@@ -111,7 +118,7 @@ class FourierSeries:
 
     def samples(self) -> np.ndarray:
         """Synthesize the function on its own grid."""
-        return np.fft.ifft(self.coef * self.grid_size, axis=0)
+        return np.fft.ifft(self.coef, axis=0, norm="forward")
 
     def evaluate(self, theta) -> np.ndarray:
         """Evaluate at arbitrary phases (matches grid synthesis on the grid)."""
@@ -136,10 +143,8 @@ class FourierSeries:
 
     def differentiate(self) -> "FourierSeries":
         """Derivative with respect to theta; the Nyquist mode is zeroed."""
-        n = self.grid_size
-        factor = (2j * np.pi / self.period) * self.k
-        factor[n // 2] = 0.0
-        shape = (n,) + (1,) * (self.coef.ndim - 1)
+        factor = _derivative_factor(self.grid_size, self.period)
+        shape = factor.shape + (1,) * (self.coef.ndim - 1)
         return FourierSeries(self.coef * factor.reshape(shape), self.period)
 
     def spectral_tail(self) -> float:
@@ -156,63 +161,60 @@ class FourierSeries:
         shape = (self.grid_size,) + (1,) * (self.coef.ndim - 1)
         return FourierSeries(self.coef * keep.reshape(shape), self.period)
 
-    def _check_compatible(self, other: "FourierSeries") -> None:
-        if self.coef.shape != other.coef.shape or self.period != other.period:
-            raise GridError(
-                "incompatible series: "
-                f"{self.coef.shape}/P={self.period} vs {other.coef.shape}/P={other.period}"
-            )
-
 
 @dataclass(frozen=True)
 class FourierTaylor:
-    """Truncated power series in sigma with FourierSeries coefficients.
+    """Truncated power series in sigma with Fourier coefficients.
 
-    ``orders[n]`` is the coefficient of sigma**n; all orders share the grid
-    size, period, and value shape, and order 0 must be present.
+    ``coef[n]`` holds the Fourier coefficients of the sigma**n term, so
+    ``coef`` has shape (L+1, N, *value_shape); order 0 must be present.
     """
 
-    orders: tuple
+    coef: np.ndarray
+    period: float = 1.0
 
     def __post_init__(self):
-        if len(self.orders) == 0:
+        if self.coef.ndim < 2 or len(self.coef) == 0:
             raise GridError("FourierTaylor requires the order-0 coefficient")
-        first = self.orders[0]
-        for s in self.orders[1:]:
-            first._check_compatible(s)
+        _require_power_of_two(self.coef.shape[1])
 
     @staticmethod
-    def from_order_samples(values: np.ndarray, period: float = 1.0) -> "FourierTaylor":
-        """Build from grid values of shape (L+1, N, *value_shape)."""
-        return FourierTaylor(
-            tuple(FourierSeries.from_samples(v, period) for v in values)
-        )
+    def from_samples(values: np.ndarray, period: float = 1.0) -> "FourierTaylor":
+        """Analyze grid values of shape (L+1, N, *value_shape), an array or a
+        list of orders, one order at a time."""
+        coef = np.empty(np.shape(values), dtype=complex)
+        for n, order in enumerate(values):
+            coef[n] = np.fft.fft(order, axis=0, norm="forward")
+        return FourierTaylor(coef, period)
 
     @property
     def order(self) -> int:
-        return len(self.orders) - 1
+        return len(self.coef) - 1
 
     @property
     def grid_size(self) -> int:
-        return self.orders[0].grid_size
-
-    @property
-    def period(self) -> float:
-        return self.orders[0].period
+        return self.coef.shape[1]
 
     @property
     def value_shape(self) -> tuple:
-        return self.orders[0].value_shape
+        return self.coef.shape[2:]
 
     def order_series(self, n: int) -> FourierSeries:
-        return self.orders[n]
+        """The sigma**n coefficient, a view of ``coef[n]``."""
+        return FourierSeries(self.coef[n], self.period)
 
     def truncated(self, max_order: int) -> "FourierTaylor":
-        return FourierTaylor(self.orders[: max_order + 1])
+        return FourierTaylor(self.coef[: max_order + 1], self.period)
 
-    def order_samples(self) -> np.ndarray:
+    def samples(self) -> np.ndarray:
         """Grid values of all orders, shape (L+1, N, *value_shape)."""
-        return np.stack([s.samples() for s in self.orders])
+        return np.fft.ifft(self.coef, axis=1, norm="forward")
+
+    def differentiate(self) -> "FourierTaylor":
+        """Derivative of every order with respect to theta (Nyquist zeroed)."""
+        factor = _derivative_factor(self.grid_size, self.period)
+        shape = (1,) + factor.shape + (1,) * (self.coef.ndim - 2)
+        return FourierTaylor(self.coef * factor.reshape(shape), self.period)
 
     def evaluate(self, theta, sigma, max_order: int | None = None) -> np.ndarray:
         """Horner evaluation in sigma of the series evaluated at theta."""
@@ -221,8 +223,8 @@ class FourierTaylor:
         sigma = np.asarray(sigma)
         # one phase array for all orders; a single stacked product would
         # reorder the sums and change the values
-        phase = self.orders[0].phase(theta)
-        vals = [self.orders[n].at_phase(phase) for n in range(last + 1)]
+        phase = self.order_series(0).phase(theta)
+        vals = [self.order_series(n).at_phase(phase) for n in range(last + 1)]
         return horner(vals, sigma[(...,) + (None,) * len(self.value_shape)])
 
 

@@ -59,17 +59,15 @@ class ResidualEvaluator:
 
     def __init__(self, manifold: ManifoldExpansion, model):
         self.model = model
-        self.dim = manifold.dim
-        rows = []
-        for n in range(manifold.nominal_order + 1):
+        d = self.dim = manifold.dim
+        self.rows = np.empty((manifold.nominal_order + 1, 2 * d, manifold.grid_size))
+        for n, block in enumerate(self.rows):
             series = manifold.order_series(n)
-            k = series.samples().real
-            lhs = (
-                series.differentiate().samples().real / manifold.period
-                + n * manifold.slow_exponent * k
+            block[:d] = series.samples().real.T
+            block[d:] = (
+                series.differentiate().samples().real.T / manifold.period
+                + n * manifold.slow_exponent * block[:d]
             )
-            rows.append(np.concatenate([k.T, lhs.T]))
-        self.rows = np.stack(rows)
 
     def grid_residual(self, sigma) -> np.ndarray:
         """|| sum_n lhs_n sigma^n - X(sum_n K_n sigma^n) ||_2 per grid phase.
@@ -206,17 +204,14 @@ def orthogonality_report(manifold: ManifoldExpansion, response: ResponseExpansio
     """
     L = response.order
     L_k = manifold.total_order
-    k = np.stack(
-        [manifold.order_series(n).samples().real for n in range(L_k + 1)]
-    )
-    dk = np.stack(
-        [
-            manifold.order_series(n).differentiate().samples().real
-            for n in range(L_k + 1)
-        ]
-    )
-    z = response.phase.order_samples().real
-    amp = response.amplitude.order_samples().real
+    k = np.empty((L_k + 1, manifold.grid_size, manifold.dim))
+    dk = np.empty_like(k)
+    for n in range(L_k + 1):
+        series = manifold.order_series(n)
+        k[n] = series.samples().real
+        dk[n] = series.differentiate().samples().real
+    z = response.phase.samples().real
+    amp = response.amplitude.samples().real
 
     def pair(a, b):
         return np.einsum("ni,ni->n", a, b)
@@ -274,12 +269,12 @@ def invert_manifold(manifold: ManifoldExpansion, x, theta_seed, sigma_seed) -> I
     """
     L = manifold.nominal_order
     d = manifold.dim
-    orders = [manifold.order_series(n) for n in range(L + 1)]
+    coeffs = manifold.coeffs.truncated(L)
     basis = np.empty((manifold.grid_size, 2, L + 1, d), dtype=complex)
-    for n, series in enumerate(orders):
-        basis[:, 0, n] = series.coef
-        basis[:, 1, n] = series.differentiate().coef
+    basis[:, 0] = coeffs.coef.swapaxes(0, 1)
+    basis[:, 1] = coeffs.differentiate().coef.swapaxes(0, 1)
     basis = basis.reshape(manifold.grid_size, -1)
+    phase = coeffs.order_series(0).phase
     x = np.asarray(x, dtype=float)
     batch = x.shape[:-1]
     x = x.reshape(-1, d)
@@ -289,7 +284,7 @@ def invert_manifold(manifold: ManifoldExpansion, x, theta_seed, sigma_seed) -> I
 
     def values(active):
         """(values, theta-derivatives) of all orders, (A, L+1, d) each."""
-        both = (orders[0].phase(th[active]) @ basis).real.reshape(-1, 2, L + 1, d)
+        both = (phase(th[active]) @ basis).real.reshape(-1, 2, L + 1, d)
         return both[:, 0], both[:, 1]
 
     iterations = np.zeros(len(x), dtype=int)

@@ -208,9 +208,7 @@ def test_coeffs_round_trip(tmp_path_factory, orders, grid, value_shape, period, 
     parts = np.where(rng.random(parts.shape) < 0.5, rng.choice(SPECIAL, parts.shape), parts)
     coef = np.empty(shape, dtype=complex)
     coef.real, coef.imag = parts  # keeps the signs of zeros
-    taylor = FourierTaylor(
-        tuple(FourierSeries(c, period) for c in coef.reshape(-1, grid, *value_shape))
-    )
+    taylor = FourierTaylor(coef.reshape(-1, grid, *value_shape), period)
     folder = tmp_path_factory.mktemp("npy")
     # as the pipeline stores a stage: coefficients as .npy, period in JSON
     path = str(folder / "coeff.npy")

@@ -51,7 +51,7 @@ def test_zero_inhomogeneity_gives_zero_order(oracle_run):
 def test_next_order_coefficient_matches_expansion(oracle_run):
     result = oracle_run.result
     man = result.manifold
-    partial = man.coeffs.truncated(2).order_samples().real
+    partial = man.coeffs.truncated(2).samples().real
     out, div_min = next_order_coefficient(
         result.model, partial, result.bundle, result.adjoint, 3, result.cycle.period
     )
@@ -62,7 +62,7 @@ def test_next_order_coefficient_matches_expansion(oracle_run):
 
 def test_next_order_preconditions(oracle_run):
     result = oracle_run.result
-    partial = result.manifold.coeffs.truncated(2).order_samples().real
+    partial = result.manifold.coeffs.truncated(2).samples().real
     with pytest.raises(ModelError):
         next_order_coefficient(
             result.model, partial, result.bundle, result.adjoint, 1,

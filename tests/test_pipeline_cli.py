@@ -10,7 +10,8 @@ from slowphase.cli import main
 from slowphase.config import KEYS, RunConfig
 from slowphase.export import export_artifacts
 from slowphase.frames import build_real_frames
-from slowphase.pipeline import STAGES, load_result, run_pipeline
+from slowphase.errors import ConfigError
+from slowphase.pipeline import STAGES, Stage, load_result, run_pipeline
 from slowphase.series import FourierSeries
 from slowphase.store import sha256_file, write_coeffs, write_json, write_series_csv
 
@@ -236,6 +237,28 @@ def test_changed_model_parameter_rejected(ei_run, tmp_path, capsys, value, code)
         err = capsys.readouterr().err
         assert "cycle.json: stale cycle stage" in err
         assert "model.params.eta_e = -5.0 -> -5.2" in err
+
+
+def test_model_parameter_from_code_echoes_as_parsed(tmp_path):
+    """An integer parameter given in code is stored as the parser reads it,
+    so the CLI resumes the directory under the same value from a file."""
+    out = tmp_path / "out"
+    config = RunConfig(
+        model="ei", model_params={"eta_e": -5}, grid_size=1024, out_dir=str(out)
+    )
+    assert config.model_params == {"eta_e": -5.0}
+    assert "model.params.eta_e = -5.0\n" in config.echo_text()
+    run_pipeline(config, through=Stage.CYCLE)
+    assert _read_json(out / "cycle.json")["inputs"]["model.params.eta_e"] == "-5.0"
+    assert "model.params.eta_e = -5.0\n" in _read_json(out / "manifest.json")["config"]
+    cfg = tmp_path / "ei.cfg"
+    cfg.write_text(
+        "model.name = ei\nmodel.params.eta_e = -5\ncycle.grid_N = 1024\n"
+        f"output.directory = {out}\n"
+    )
+    assert main(["floquet", "--config", str(cfg)]) == 0
+    with pytest.raises(ConfigError, match="model.params.eta_e must be a number"):
+        RunConfig(model="ei", model_params={"eta_e": "fast"})
 
 
 @pytest.mark.parametrize("order", [4, 6])
@@ -623,6 +646,32 @@ def test_export_plotdata_format(oracle_run):
     assert first[2].startswith(("K.", "Z.", "I."))
 
 
+def test_export_expansion_file_names(oracle_run, tmp_path):
+    """Curves up to the nominal order, coefficient tables for every stored
+    order (the manifold keeps one extra order)."""
+    result = oracle_run.result
+    nominal, total = result.manifold.nominal_order, result.manifold.total_order
+    assert (nominal, total, result.response.order) == (5, 6, 5)
+    expect = {
+        "manifold": [f"curve_manifold_order_{n:02d}.csv" for n in range(nominal + 1)]
+        + [f"manifold_order_{n:02d}_coeff.csv" for n in range(total + 1)],
+        "response": [
+            name
+            for label in ("phase", "amplitude")
+            for n in range(nominal + 1)
+            for name in (
+                f"curve_response_{label}_order_{n:02d}.csv",
+                f"response_{label}_order_{n:02d}_coeff.csv",
+            )
+        ],
+    }
+    for what, names in expect.items():
+        out = tmp_path / what
+        files = export_artifacts(result, what, "csv", out_dir=str(out))
+        assert sorted(os.path.basename(f) for f in files) == sorted(names)
+        assert sorted(os.listdir(out)) == sorted(names)
+
+
 def test_export_frames_are_real_columns(ei_run, tmp_path):
     # the frame curves are the real frames, period-2 lift included
     files = export_artifacts(ei_run.result, "frames", "csv", out_dir=str(tmp_path))
@@ -636,8 +685,6 @@ def test_export_frames_are_real_columns(ei_run, tmp_path):
 
 
 def test_export_selector_validation(oracle_run):
-    from slowphase.errors import ConfigError
-
     with pytest.raises(ConfigError):
         export_artifacts(oracle_run.result, "bogus", "csv")
     with pytest.raises(ConfigError):

@@ -151,15 +151,44 @@ def test_solve_diagonal_free_mode_reports_residual():
 
 def test_fourier_taylor_requires_order_zero():
     with pytest.raises(GridError):
-        FourierTaylor(())
+        FourierTaylor(np.zeros((0, 8, 2), dtype=complex))
+    with pytest.raises(GridError):
+        FourierTaylor.from_samples(np.zeros((0, 8, 2)))
+    with pytest.raises(GridError):
+        FourierTaylor(np.zeros((3, 12, 2), dtype=complex))
+    with pytest.raises(GridError):
+        FourierTaylor.from_samples(np.zeros((3, 12, 2)))
+
+
+@pytest.mark.parametrize("period", [1.0, 2.0])
+@pytest.mark.parametrize("value_shape", [(), (3,), (3, 3)])
+def test_fourier_taylor_is_bitwise_the_per_order_series(period, value_shape):
+    """Each operation on the stacked coefficients equals, bit for bit, the
+    same operation on the order's FourierSeries."""
+    rng = np.random.default_rng(len(value_shape))
+    values = rng.standard_normal((5, 32, *value_shape))
+    ft = FourierTaylor.from_samples(values, period)
+    per_order = [FourierSeries.from_samples(v, period) for v in values]
+    assert ft.coef.shape == (5, 32, *value_shape)
+    assert (ft.order, ft.grid_size, ft.value_shape) == (4, 32, value_shape)
+    samples, derivative = ft.samples(), ft.differentiate()
+    assert derivative.period == period
+    for n, series in enumerate(per_order):
+        view = ft.order_series(n)
+        assert view.period == period and np.shares_memory(view.coef, ft.coef)
+        assert view.coef.tobytes() == series.coef.tobytes()
+        assert samples[n].tobytes() == series.samples().tobytes()
+        assert derivative.coef[n].tobytes() == series.differentiate().coef.tobytes()
+    low = ft.truncated(2)
+    assert low.order == 2 and low.period == period
+    assert low.coef.tobytes() == ft.coef[:3].tobytes()
 
 
 def test_fourier_taylor_evaluate_horner():
     n = 32
     theta = theta_grid(n)
-    c0 = FourierSeries.from_samples(np.cos(2 * np.pi * theta)[:, None])
-    c1 = FourierSeries.from_samples(np.sin(2 * np.pi * theta)[:, None])
-    ft = FourierTaylor((c0, c1))
+    values = np.stack([np.cos(2 * np.pi * theta), np.sin(2 * np.pi * theta)])
+    ft = FourierTaylor.from_samples(values[:, :, None])
     val = ft.evaluate(0.25, 0.5)
     expected = np.cos(np.pi / 2) + 0.5 * np.sin(np.pi / 2)
     assert val[0] == pytest.approx(expected, abs=1e-12)
@@ -170,7 +199,7 @@ def test_fourier_taylor_shared_phase_is_bitwise_per_order_evaluation():
     orders = tuple(
         FourierSeries.from_samples(rng.standard_normal((32, 3))) for _ in range(5)
     )
-    ft = FourierTaylor(orders)
+    ft = FourierTaylor(np.stack([series.coef for series in orders]))
     theta = rng.uniform(0.0, 1.0, 7)
     sigma = rng.uniform(-0.5, 0.5, 7)
     acc = orders[4].evaluate(theta)
