@@ -30,7 +30,6 @@ from .integrate import (
     IntegratorSettings,
     _integrate,
     flow,
-    flow_samples,
     flow_with_variational,
 )
 from .series import FourierSeries, theta_grid
@@ -59,14 +58,28 @@ IMAG_CLASS_TOL = 1e-2  # relative imaginary part below which mu is real
 
 @dataclass
 class CycleResult:
-    """Converged periodic orbit with spectral samples."""
+    """Converged periodic orbit, held as its Fourier series alone.
+
+    The grid size and the grid values are read from ``series``; they are not
+    fields, so a cycle is rebuilt from its stored series and metadata alone.
+    """
 
     anchor: np.ndarray
     period: float
     series: FourierSeries  # order-0 coefficient function, period 1
-    samples: np.ndarray  # (N, d) real grid samples
     shooting_residual: float
-    grid_size: int
+
+    @property
+    def grid_size(self) -> int:
+        return self.series.grid_size
+
+    @property
+    def samples(self) -> np.ndarray:
+        # (N, d) real grid values, synthesized on first use, read-only
+        if not hasattr(self, "_samples"):
+            self._samples = self.series.samples().real
+            self._samples.flags.writeable = False
+        return self._samples
 
     @property
     def theta(self) -> np.ndarray:
@@ -137,8 +150,10 @@ def find_cycle(
     return to the section fixes an initial period, and Newton iteration on
     the bordered system (return-map residual plus section constraint) solves
     for the anchor and period simultaneously, in at most ``MAX_NEWTON``
-    steps.  The orbit is then sampled at ``grid_size`` equispaced phases
-    through the integrator's dense output.
+    steps.  One integration of the converged period from the anchor then
+    gives both the shooting residual (its end state) and the orbit at
+    ``grid_size`` equispaced phases (the integrator's dense output), which
+    are analyzed into the cycle's series.
     """
     guess = np.asarray(guess, dtype=float)
     x_ref = flow(model, guess, relax_time, settings) if relax_time > 0 else guess
@@ -187,9 +202,10 @@ def find_cycle(
             "cycle is not attracting: some nontrivial multiplier has |mu| >= 1"
         )
 
-    shooting_residual = float(np.linalg.norm(flow(model, x, period, settings) - x))
     times = theta_grid(grid_size, 1.0) * period
-    samples = flow_samples(model, x, times, settings)
+    x_t, samples = _integrate(
+        lambda t, y: model.eval(y), 0.0, x, float(period), settings, t_eval=times
+    )
     series = FourierSeries.from_samples(samples, 1.0)
     tail = series.spectral_tail()
     if tail > 1e-8:
@@ -201,9 +217,7 @@ def find_cycle(
         anchor=x,
         period=float(period),
         series=series,
-        samples=samples,
-        shooting_residual=shooting_residual,
-        grid_size=grid_size,
+        shooting_residual=float(np.linalg.norm(x_t - x)),
     )
 
 

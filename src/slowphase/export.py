@@ -123,18 +123,12 @@ def export_artifacts(
     files = []
 
     if fmt == "json":
-        src = os.path.join(result.config.out_dir, "manifest.json")
-        if os.path.exists(src):
-            dst = os.path.join(out, "manifest.json")
-            if os.path.abspath(src) != os.path.abspath(dst):
-                shutil.copyfile(src, dst)
-            files.append(dst)
-        src = os.path.join(result.config.out_dir, "spectrum.json")
-        if os.path.exists(src):
-            dst = os.path.join(out, "spectrum.json")
-            if os.path.abspath(src) != os.path.abspath(dst):
-                shutil.copyfile(src, dst)
-            files.append(dst)
+        for name in ("manifest.json", "spectrum.json"):
+            src, dst = os.path.join(result.config.out_dir, name), os.path.join(out, name)
+            if os.path.exists(src):
+                if os.path.abspath(src) != os.path.abspath(dst):
+                    shutil.copyfile(src, dst)
+                files.append(dst)
         return files
 
     if fmt == "plotdata":

@@ -450,9 +450,7 @@ def build_bundle_frame(
         anchor=samples[0].copy(),
         period=float(period),
         series=cycle_series,
-        samples=samples,
         shooting_residual=cycle.shooting_residual,
-        grid_size=n,
     )
     diagnostics = {
         "routes": routes,

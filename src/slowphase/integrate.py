@@ -21,7 +21,6 @@ from .series import FourierSeries
 __all__ = [
     "IntegratorSettings",
     "flow",
-    "flow_samples",
     "flow_with_variational",
     "CycleInterpolant",
 ]
@@ -124,16 +123,6 @@ def flow(model, x0, t, settings: IntegratorSettings = DEFAULT_SETTINGS) -> np.nd
         raise ModelError(f"initial state must have shape ({model.dim},)")
     y, _ = _integrate(lambda s, y: model.eval(y), 0.0, x0, float(t), settings)
     return y
-
-
-def flow_samples(model, x0, times, settings: IntegratorSettings = DEFAULT_SETTINGS):
-    """States along one trajectory at the given (sorted or not) times >= 0."""
-    times = np.asarray(times, dtype=float)
-    _, samples = _integrate(
-        lambda s, y: model.eval(y), 0.0, np.asarray(x0, float),
-        float(np.max(times)), settings, t_eval=times,
-    )
-    return samples
 
 
 def _variational_rhs(model, d):

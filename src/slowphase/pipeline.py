@@ -79,20 +79,21 @@ def _read(result, name, shape, digests) -> np.ndarray:
 
 def _load_orders(result, name, order, digests) -> FourierTaylor:
     # every stored expansion is on the grid of the loaded cycle
-    return FourierTaylor(_read(result, name, (order + 1, *result.cycle.samples.shape), digests))
+    return FourierTaylor(_read(result, name, (order + 1, *result.cycle.series.coef.shape), digests))
 
 
 def save_cycle(out, cycle: CycleResult, inputs: dict):
     write_coeffs(os.path.join(out, "cycle_coeff.npy"), cycle.series.coef)
-    meta = _meta(cycle, skip=("series", "samples"))
+    # grid_size is not a field; the loader checks the coefficient shape with it
+    meta = {**_meta(cycle, skip=("series",)), "grid_size": cycle.grid_size}
     write_json(os.path.join(out, "cycle.json"), {**meta, "inputs": inputs})
 
 
 def load_cycle(result, meta, digests):
     meta["anchor"] = np.asarray(meta["anchor"])
-    shape = (meta["grid_size"], len(meta["anchor"]))
+    shape = (meta.pop("grid_size"), len(meta["anchor"]))
     series = FourierSeries(_read(result, "cycle", shape, digests))
-    result.cycle = CycleResult(series=series, samples=series.samples().real, **meta)
+    result.cycle = CycleResult(series=series, **meta)
 
 
 def save_spectrum(out, spectrum: FloquetSpectrum, inputs: dict):
@@ -125,7 +126,7 @@ def save_frames(out, result: PipelineResult, inputs: dict):
 def load_frames(result, meta, digests):
     """Only the complex frames are stored: ``build_real_frames`` recomputes
     the real frames exactly when an export needs them."""
-    grid_size, dim = result.cycle.samples.shape
+    grid_size, dim = result.cycle.series.coef.shape
     result.band_cut = meta["band_cut"]
     for name in ("bundle", "adjoint"):
         frame = meta[name]

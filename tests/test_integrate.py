@@ -4,11 +4,11 @@ from scipy.integrate import DOP853
 
 from slowphase.errors import ConfigError, IntegrationError
 from slowphase.integrate import (
+    DEFAULT_SETTINGS,
     CycleInterpolant,
     IntegratorSettings,
     _integrate,
     flow,
-    flow_samples,
     flow_with_variational,
 )
 from slowphase.models import VectorFieldModel, make_oracle_model
@@ -94,12 +94,18 @@ def test_step_budget_exhaustion():
         flow(model, np.array([1.0, 0.0]), 50.0, tiny)
 
 
-def test_flow_samples_along_trajectory():
+def test_integrate_samples_along_trajectory():
+    # find_cycle takes the grid samples and the shooting end state from one
+    # integration to t = T; its end state is the one flow returns, bit for bit
     model = make_oracle_model()
+    x0 = np.array([1.0, 0.0])
     times = np.linspace(0.0, np.pi, 9)
-    samples = flow_samples(model, np.array([1.0, 0.0]), times)
+    end, samples = _integrate(
+        lambda t, y: model.eval(y), 0.0, x0, 2.0 * np.pi, DEFAULT_SETTINGS, t_eval=times
+    )
     expected = np.stack([np.cos(times), np.sin(times)], axis=1)
     assert np.max(np.abs(samples - expected)) < 1e-9
+    assert np.array_equal(end, flow(model, x0, 2.0 * np.pi))
 
 
 @pytest.mark.parametrize("n", [8, 16, 64])

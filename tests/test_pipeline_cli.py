@@ -66,6 +66,10 @@ def test_artifact_reload_round_trip(oracle_run, ei_run):
     assert cycle.period == result.cycle.period
     assert np.array_equal(cycle.series.coef, result.cycle.series.coef)
     assert cycle.series.period == result.cycle.series.period
+    # grid values are synthesized from the series and read-only
+    assert np.array_equal(cycle.samples, result.cycle.samples)
+    with pytest.raises(ValueError):
+        cycle.samples[0, 0] = 0.0
     spectrum = loaded.spectrum
     assert np.array_equal(spectrum.multipliers, result.spectrum.multipliers)
     manifold = loaded.manifold
@@ -452,30 +456,51 @@ def test_csv_store_of_earlier_versions_exits_4(response_stage_dir, tmp_path, cap
 
 
 def test_determinism_byte_identical(tmp_path):
-    """Two runs with the same config produce identical artifact bytes."""
-    outs = []
-    for name in ("a", "b"):
-        cfg, out = _write_cfg(tmp_path / name if False else tmp_path, out_name=name)
-        # fresh config file per run directory
+    """Two runs with the same config produce identical artifact bytes, and so
+    does a run built in stages (cycle or floquet, then validate) that hands
+    the later stages its stored artifacts."""
+    builds = {
+        "a": [["run"]],
+        "b": [["run"]],
+        "cycle": [["cycle"], ["validate"]],
+        "floquet": [["floquet"], ["validate"]],
+    }
+    for name, commands in builds.items():
         cfg_path = tmp_path / f"{name}.cfg"
         cfg_path.write_text(ORACLE_CFG.format(out=tmp_path / name))
-        assert main(["run", "--config", str(cfg_path)]) == 0
+        for command in commands:
+            assert main([*command, "--config", str(cfg_path)]) == 0
         assert main([
             "export", "--config", str(cfg_path), "--what", "all", "--format", "csv",
         ]) == 0
-        outs.append(tmp_path / name)
-    a_files = sorted(os.listdir(outs[0] / "exports"))
-    b_files = sorted(os.listdir(outs[1] / "exports"))
-    assert a_files == b_files
-    for name in a_files:
-        assert (outs[0] / "exports" / name).read_bytes() == (
-            outs[1] / "exports" / name
-        ).read_bytes(), name
-    # the primary coefficient and CSV artifacts are byte-identical too
-    stored = [n for n in sorted(os.listdir(outs[0])) if n.endswith((".npy", ".csv"))]
+    ref = tmp_path / "a"
+    exported = sorted(os.listdir(ref / "exports"))
+    # the manifest echoes the output directory; every other artifact is the same
+    stored = [
+        n for n in sorted(os.listdir(ref))
+        if n.endswith((".npy", ".csv", ".json")) and n != "manifest.json"
+    ]
     assert len([n for n in stored if n.endswith("_coeff.npy")]) == 6
-    for name in stored:
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    assert {"cycle.json", "frames.json", "validation.json"} <= set(stored)
+    for name in ("b", "cycle", "floquet"):
+        out = tmp_path / name
+        assert sorted(os.listdir(out / "exports")) == exported, name
+        for file in exported:
+            assert (out / "exports" / file).read_bytes() == (
+                ref / "exports" / file
+            ).read_bytes(), (name, file)
+        for file in stored:
+            assert (out / file).read_bytes() == (ref / file).read_bytes(), (name, file)
+
+
+def test_export_json_copies_manifest_and_spectrum(oracle_run, tmp_path):
+    files = export_artifacts(oracle_run.result, "all", "json", out_dir=str(tmp_path))
+    names = ["manifest.json", "spectrum.json"]
+    assert files == [str(tmp_path / name) for name in names]
+    for name in names:
+        original = os.path.join(oracle_run.config.out_dir, name)
+        with open(original, "rb") as fh:
+            assert (tmp_path / name).read_bytes() == fh.read(), name
 
 
 def test_exit_code_missing_config(tmp_path):
