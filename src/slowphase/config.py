@@ -76,7 +76,9 @@ KEYS = (
     Key("integrator.rtol", "integrator.rtol", float, None, "a number > 0"),
     Key("integrator.atol", "integrator.atol", float, None, "a number > 0"),
     Key("integrator.max_steps", "integrator.max_steps", int, None, "an integer >= 1"),
-    Key("cycle.guess", "guess", _floats, None, "comma-separated numbers"),
+    Key("cycle.guess", "guess", _floats,
+        lambda v: v is None or all(map(math.isfinite, v)),
+        "comma-separated finite numbers"),
     Key("cycle.relax_time", "relax_time", float,
         lambda v: 0 <= v < math.inf, "a finite number >= 0"),
     Key("cycle.newton_tol", "newton_tol", float, _positive, "a number > 0"),

@@ -51,7 +51,8 @@ def _integrate(fun, t0, y0, t1, settings, t_eval=None, on_step=None):
     """Drive DOP853 from t0 to t1; return (y_end, samples at t_eval).
 
     ``on_step(solver)`` runs after every accepted, finite step; a true return
-    value ends the integration at that step.
+    value ends the integration at that step.  A non-finite initial state or
+    field raises :class:`IntegrationError` before the first step.
     """
     y0 = np.asarray(y0, dtype=float)
     if t1 == t0:
@@ -59,7 +60,12 @@ def _integrate(fun, t0, y0, t1, settings, t_eval=None, on_step=None):
             return y0.copy(), np.broadcast_to(y0, (len(t_eval), y0.size)).copy()
         return y0.copy(), None
 
+    if not np.all(np.isfinite(y0)):
+        raise IntegrationError(f"non-finite initial state at t = {t0:.6g}", time=t0)
     solver = DOP853(fun, t0, y0, t_bound=t1, rtol=settings.rtol, atol=settings.atol)
+    if not np.all(np.isfinite(solver.f)):
+        # scipy's initial step is then NaN, and its step() would never return
+        raise IntegrationError(f"non-finite field at t = {t0:.6g}", time=t0)
     want = None
     out = None
     if t_eval is not None:

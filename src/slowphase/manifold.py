@@ -7,7 +7,8 @@ Order n of the parameterization solves the homological equation
 where B_n is the order-n coefficient of the field composed with the lower
 orders.  Writing K_n in bundle-frame coordinates turns the equation into a
 constant-coefficient diagonal system per Fourier mode, with divisors
-2 pi i k / T + n lam_s - lam_j; non-resonance keeps them away from zero.
+2 pi i k / T + n lam_s - lam_j (:func:`~slowphase.frames.solve_in_frame`);
+non-resonance keeps them away from zero.
 The recursion runs in the complex representation and symmetrizes each order
 back to a real function, monitoring the conjugation drift.
 """
@@ -20,9 +21,9 @@ import numpy as np
 
 from .cycle import CLASS_REAL_POSITIVE, CycleResult
 from .errors import ModelError, NumericalError
-from .frames import Frame
+from .frames import Frame, solve_in_frame
 from .models import VectorFieldModel, jet_compose
-from .series import FourierSeries, FourierTaylor, solve_diagonal
+from .series import FourierSeries, FourierTaylor
 
 __all__ = [
     "ManifoldExpansion",
@@ -66,16 +67,6 @@ class ManifoldExpansion:
         return self.coeffs.order_series(n)
 
 
-def _order_inhomogeneity(model, partial: np.ndarray, n: int) -> np.ndarray:
-    """B_n: order-n coefficient of the field composed with orders < n.
-
-    The order-n input slot is zero-padded so the composition's order-n
-    output is exactly the polynomial in lower-order terms.
-    """
-    padded = np.concatenate([partial, np.zeros_like(partial[:1])])
-    return jet_compose(model, padded, "field")[n]
-
-
 def next_order_coefficient(
     model: VectorFieldModel,
     partial: np.ndarray,
@@ -88,39 +79,24 @@ def next_order_coefficient(
     """Compute order n >= 2 from orders 0..n-1.
 
     ``partial`` holds the grid values of orders 0..n-1, shape (n, N, d).
-    Returns ``(samples, divisor_min)``: the complex grid samples of the new
-    order (their imaginary part is the conjugation drift) and the smallest
-    Fourier divisor encountered.
+    B_n is the order-n coefficient of the field composed with them: the
+    order-n input slot is zero-padded, so the composition's order-n output
+    is exactly the polynomial in lower-order terms.  The homological
+    equation is solved in bundle-frame coordinates.  Returns
+    ``(samples, divisor_min)``: the complex grid samples of the new order
+    (their imaginary part is the conjugation drift) and the smallest Fourier
+    divisor encountered.
     """
     if n < 2:
         raise ModelError("next-order recursion starts at n = 2")
     if len(partial) != n:
         raise ModelError(f"expected orders 0..{n-1}, got 0..{len(partial) - 1}")
-    b_samples = _order_inhomogeneity(model, partial, n)
-    lam_s = float(bundle.exponents[1].real)
-    return solve_order(
-        b_samples, bundle, adjoint, n, lam_s, period, small_divisor_tol
+    padded = np.concatenate([partial, np.zeros_like(partial[:1])])
+    b_n = jet_compose(model, padded, "field")[n]
+    shifts = n * float(bundle.exponents[1].real) - bundle.exponents
+    out, _, div_min = solve_in_frame(
+        b_n, adjoint, bundle, shifts, period, small_divisor_tol=small_divisor_tol
     )
-
-
-def solve_order(
-    b_samples: np.ndarray,
-    bundle: Frame,
-    adjoint: Frame,
-    n: int,
-    slow_exponent: float,
-    period: float,
-    small_divisor_tol: float = 1e-8,
-):
-    """Frame-reduce B_n, divide per Fourier mode, and transform back."""
-    reduced = np.einsum("nai,na->ni", adjoint.grid_values(), b_samples.astype(complex))
-    rhs_series = FourierSeries.from_samples(reduced, 1.0)
-    shifts = n * slow_exponent - bundle.exponents
-    solution, _, div_min = solve_diagonal(
-        rhs_series, shifts, period, small_divisor_tol=small_divisor_tol
-    )
-    coords = solution.samples()
-    out = np.einsum("nab,nb->na", bundle.grid_values(), coords)
     return out, div_min
 
 

@@ -112,6 +112,12 @@ class EIParameters:
     i_i_ext: float = 0.0
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ConfigError(
+                    f"model.params.{f.name} must be a finite number, got {value!r}"
+                )
         for name in ("tau_e", "tau_i", "tau_se", "tau_si"):
             if getattr(self, name) <= 0:
                 raise ConfigError(

@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from .config import PARAMS_PREFIX, RunConfig, _show
 from .cycle import CycleResult, FloquetSpectrum, check_resonances, find_cycle, floquet_spectrum
-from .errors import ConfigError, ResonanceError, SlowphaseError
+from .errors import ConfigError, GridError, ResonanceError, SlowphaseError
 from .frames import Frame, build_adjoint_frame, build_bundle_frame, cross_check_adjoint_frame
 from .manifold import ManifoldExpansion, expand_slow_manifold
 from .models import get_model
@@ -463,11 +463,12 @@ def load_result(config: RunConfig) -> PipelineResult:
     Raises ``ConfigError`` naming the file when the ``inputs`` a metadata file
     records differ from the config's (see :func:`_inputs`: the stage was built
     under another config), with each differing key's stored and requested
-    values; when a metadata file does not parse, lacks a field (``inputs`` too)
-    or holds an unknown one; when a coefficient file is missing, truncated, of
-    the wrong dtype or shape, or non-finite; and then when ``manifest.json`` is
-    missing, or a file read is absent from its inventory or differs from its
-    sha256 there.  So stale or corrupt artifacts are never resumed.
+    values; when a metadata file does not parse, lacks a field (``inputs`` too),
+    holds an unknown one or a grid size that is not a power of two; when a
+    coefficient file is missing, truncated, of the wrong dtype or shape, or
+    non-finite; and then when ``manifest.json`` is missing, or a file read is
+    absent from its inventory or differs from its sha256 there.  So stale or
+    corrupt artifacts are never resumed.
     """
     result = PipelineResult(config=config)
     result.model = get_model(config.model, config.model_params)
@@ -484,7 +485,7 @@ def load_result(config: RunConfig) -> PipelineResult:
             if stored != wanted:
                 raise _stale(path, step.stage, stored, wanted)
             step.load(result, meta, digests)
-        except (TypeError, KeyError, ValueError) as exc:
+        except (TypeError, KeyError, ValueError, GridError) as exc:
             raise ConfigError(
                 f"{path}: malformed metadata ({type(exc).__name__}: {exc})"
             ) from exc

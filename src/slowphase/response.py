@@ -3,8 +3,12 @@
 The gradients of the phase map and of the slow amplitude map, restricted to
 the slow submanifold, are expanded in the amplitude variable; each order
 solves an adjoint homological equation driven by the sigma-expansion of the
-transposed Jacobian on the manifold.  In the coordinates of the adjoint
-frame these equations are again diagonal per Fourier mode:
+transposed Jacobian on the manifold.  That equation is the direct problem of
+the operator -DX^T, whose frame is the adjoint frame with exponents -lam and
+whose dual is the bundle frame, so each order is one
+:func:`~slowphase.frames.solve_in_frame` with right-hand side -G: the bundle
+reduces it and the adjoint frame expands the solution.  In these coordinates
+the equations are diagonal per Fourier mode:
 
     phase order n:      divisors 2 pi i k / T + lam_j + n lam_s,
     amplitude order n:  divisors 2 pi i k / T + lam_j + (n-1) lam_s.
@@ -27,10 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelError, SolvabilityError
-from .frames import Frame
+from .frames import Frame, solve_in_frame
 from .manifold import ManifoldExpansion
 from .models import VectorFieldModel, jet_compose
-from .series import FourierSeries, FourierTaylor, solve_diagonal
+from .series import FourierTaylor
 
 __all__ = [
     "ResponseExpansion",
@@ -96,12 +100,10 @@ def next_order(
         raise ModelError("response recursions start at n = 1")
     lam_s = float(bundle.exponents[1].real)
     g_n = _convolution_term(f_orders, lower, n)
-    reduced = -np.einsum("nai,na->ni", bundle.grid_values(), g_n.astype(complex))
-    rhs = FourierSeries.from_samples(reduced, 1.0)
     shifts = bundle.exponents + (n + offset) * lam_s
     free = ((0, 0),) if n + offset == 0 else ()
-    sol, free_info, _ = solve_diagonal(
-        rhs, shifts, period, free_modes=free, small_divisor_tol=small_divisor_tol
+    x_n, free_info, _ = solve_in_frame(
+        -g_n, bundle, adjoint, shifts, period, free, small_divisor_tol
     )
     solvability = float(np.abs(free_info.get((0, 0), 0.0)))
     if solvability > solvability_tol:
@@ -109,7 +111,6 @@ def next_order(
             f"order-{n} solvability residual {solvability:.3e} exceeds "
             f"{solvability_tol:.1e}; lower orders are inconsistent"
         )
-    x_n = np.einsum("nab,nb->na", adjoint.grid_values(), sol.samples())
     return x_n.real, g_n, solvability
 
 

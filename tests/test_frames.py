@@ -1,4 +1,6 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slowphase.frames import (
     _integration_route,
@@ -140,7 +142,7 @@ def test_real_frame_odes(ei_run):
     )
     res = dq.real / T - jac2 @ vals + vals @ gen
     assert np.max(np.abs(res)) < 5e-9
-    gen_adj = real_generator_matrix(classes, exponents, adjoint=True)
+    gen_adj = real_generator_matrix(classes, exponents).T
     avals = ei_run.adjoint_real.samples().real
     da = (
         FourierSeries.from_samples(avals, 2.0).band_limited(2 * result.band_cut)
@@ -162,7 +164,7 @@ def test_real_generator_blocks():
     expected[2:4, 2:4] = [[-0.3, 0.7], [-0.7, -0.3]]
     expected[4, 4] = -1.1
     assert np.array_equal(gen, expected)
-    adj = real_generator_matrix(classes, exponents, adjoint=True)
+    adj = real_generator_matrix(classes, exponents).T
     expected[2:4, 2:4] = [[-0.3, -0.7], [0.7, -0.3]]
     assert np.array_equal(adj, expected)
 
@@ -198,13 +200,36 @@ def test_shifted_columns_batch_matches_single_columns(ei_run):
         route = routes.pop()
         w = spectrum.eigenvectors[:, list(pair)]
         batch = _shifted_columns(
-            result.model, interp, w, lams[list(pair)], period, theta,
+            result.model.jacobian, interp, w, lams[list(pair)], period, theta,
             DEFAULT_SETTINGS, route,
         )
         assert batch.shape == (64, result.model.dim, 2)
         for i, j in enumerate(pair):
             single = _shifted_columns(
-                result.model, interp, w[:, i : i + 1], lams[j : j + 1], period,
-                theta, DEFAULT_SETTINGS, route,
+                result.model.jacobian, interp, w[:, i : i + 1], lams[j : j + 1],
+                period, theta, DEFAULT_SETTINGS, route,
             )
             assert np.max(np.abs(batch[:, :, i] - single[:, :, 0])) < 1e-9
+
+
+# negative real parts: dyadic values make ties between the two routes exact
+_negative = st.one_of(
+    st.integers(-64, -1).map(lambda k: k / 8.0),
+    st.floats(min_value=-1e3, max_value=-1e-6),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(_negative, st.floats(-10.0, 10.0)), min_size=1, max_size=7),
+    st.one_of(st.sampled_from([0.5, 1.0, 8.0]), st.floats(0.1, 100.0)),
+)
+def test_route_of_negated_spectrum_is_the_adjoint_rule(parts, period):
+    """The adjoint frame's columns take the route of the direct rule on the
+    negated spectrum: forward iff (Re lam_j - min Re lam) T <= -Re lam_j T."""
+    lam = np.array([0.0] + [complex(re, im) for re, im in parts])
+    re_min = float(np.min(lam.real))
+    for lam_j in lam:
+        forward = (lam_j.real - re_min) * period <= -lam_j.real * period
+        expected = "forward" if forward else "backward"
+        assert _integration_route(-lam_j, -lam, period) == expected

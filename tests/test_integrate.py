@@ -11,7 +11,7 @@ from slowphase.integrate import (
     flow,
     flow_with_variational,
 )
-from slowphase.models import VectorFieldModel, make_oracle_model
+from slowphase.models import VectorFieldModel, make_ei_model, make_oracle_model
 from slowphase.series import FourierSeries
 
 
@@ -85,6 +85,19 @@ def test_blowup_reports_failure_time():
         flow(model, np.array([1.0]), 2.0)
     assert err.value.time is not None
     assert 0.9 < err.value.time <= 1.1
+
+
+def test_non_finite_start_raises_before_stepping():
+    # a NaN field at t0 gives scipy a NaN first step, whose step() never returns
+    with pytest.raises(IntegrationError, match="non-finite field"):
+        _integrate(lambda t, y: y * np.nan, 0.0, np.ones(2), 1.0, DEFAULT_SETTINGS)
+    with pytest.raises(IntegrationError, match="non-finite initial state"):
+        _integrate(lambda t, y: y, 0.0, np.array([np.nan, 0.0]), 1.0, DEFAULT_SETTINGS)
+    # a finite state whose field overflows
+    start = np.array([1e200, 1e200, 0.5, 0.05, -0.5, 0.5])
+    with pytest.raises(IntegrationError, match="non-finite field") as err:
+        flow(make_ei_model(), start, 1.0)
+    assert err.value.time == 0.0
 
 
 def test_step_budget_exhaustion():

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from slowphase.errors import ModelError, NumericalError
-from slowphase.frames import Frame
+from slowphase.frames import Frame, solve_in_frame
 from slowphase.manifold import (
     evaluate_manifold,
     expand_slow_manifold,
     next_order_coefficient,
-    solve_order,
 )
 
 
@@ -41,9 +40,9 @@ def test_zero_inhomogeneity_gives_zero_order(oracle_run):
     result = oracle_run.result
     n_grid = result.cycle.grid_size
     zero_rhs = np.zeros((n_grid, 2))
-    out, _ = solve_order(
-        zero_rhs, result.bundle, result.adjoint, 3,
-        result.manifold.slow_exponent, result.cycle.period,
+    shifts = 3 * result.manifold.slow_exponent - result.bundle.exponents
+    out, _, _ = solve_in_frame(
+        zero_rhs, result.adjoint, result.bundle, shifts, result.cycle.period
     )
     assert np.max(np.abs(out)) == 0.0
 

@@ -88,6 +88,17 @@ def test_ei_jacobian_coupling_entries():
     assert jac[5, 0] == pytest.approx(15.0)
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [("tau_e", math.nan), ("eta_e", math.nan), ("tau_e", math.inf),
+     ("delta_e", math.inf), ("j_ei", -math.inf)],
+)
+def test_ei_non_finite_parameter_rejected(name, value):
+    # NaN passes a `<= 0` test; a non-finite parameter makes a NaN field
+    with pytest.raises(ConfigError, match=f"model.params.{name}"):
+        make_ei_model(EIParameters(**{name: value}))
+
+
 def test_ei_parameter_validation():
     with pytest.raises(ConfigError, match="model.params.tau_e"):
         make_ei_model(EIParameters(tau_e=0.0))

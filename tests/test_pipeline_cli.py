@@ -1,11 +1,14 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import slowphase
 from slowphase.cli import main
 from slowphase.config import KEYS, RunConfig
 from slowphase.export import export_artifacts
@@ -316,6 +319,22 @@ def test_corrupt_metadata_is_config_error(tmp_path, capsys):
     assert cycle_json in err and "period" in err
 
 
+def test_grid_size_not_power_of_two_is_config_error(tmp_path, capsys):
+    # a stored grid size of 96 with a matching coefficient file: the decoder's
+    # grid check names the metadata file and exits 4
+    cfg, out = _write_cfg(tmp_path)
+    assert main(["cycle", "--config", cfg]) == 0
+    cycle_json = os.path.join(out, "cycle.json")
+    meta = _read_json(cycle_json)
+    meta["grid_size"] = 96
+    write_json(cycle_json, meta)
+    write_coeffs(os.path.join(out, "cycle_coeff.npy"), np.zeros((96, 2), dtype=complex))
+    capsys.readouterr()
+    assert main(["floquet", "--config", cfg]) == 4
+    err = capsys.readouterr().err
+    assert cycle_json in err and "power of two" in err
+
+
 def test_manifest_lists_every_artifact(oracle_run):
     out = oracle_run.config.out_dir
     manifest = _read_json(os.path.join(out, "manifest.json"))
@@ -560,6 +579,7 @@ def test_removed_representation_key_rejected(tmp_path, capsys):
         ("validation.sigma_scan_max = -1", "validation.sigma_scan_max"),
         ("run.seed = -1", "run.seed"),
         ("cycle.guess = 1", "cycle.guess"),
+        ("cycle.guess = nan, 0.0", "cycle.guess"),
         ("bundle.scale = 1", "bundle.scale"),
     ],
     ids=[
@@ -567,7 +587,7 @@ def test_removed_representation_key_rejected(tmp_path, capsys):
         "horizon", "horizon_nan", "relax_time_nan", "newton_tol", "gauge_zero",
         "gauge_inf", "resonance_tol", "small_divisor_tol", "solvability_tol",
         "tolerance_entry", "sigma_scan_max", "seed", "guess_length",
-        "bundle_scale",
+        "guess_nan", "bundle_scale",
     ],
 )
 def test_bad_config_value_exits_4(tmp_path, capsys, line, named):
@@ -578,6 +598,27 @@ def test_bad_config_value_exits_4(tmp_path, capsys, line, named):
         fh.write(line + "\n")
     assert main(["cycle", "--config", cfg]) == 4
     assert named in capsys.readouterr().err
+
+
+def test_non_finite_model_parameter_exits_4(tmp_path):
+    # a NaN time constant once made the integrator's first step NaN, and the
+    # step never returned; a subprocess with a timeout fails instead of hanging
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text(
+        "model.name = ei\n"
+        "model.params.tau_e = nan\n"
+        "cycle.grid_N = 128\n"
+        f"output.directory = {tmp_path / 'out'}\n"
+    )
+    src = os.path.dirname(os.path.dirname(slowphase.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "slowphase.cli", "cycle", "--config", str(cfg)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 4
+    assert "model.params.tau_e" in proc.stderr
 
 
 def test_exit_code_validation_failure(tmp_path):
