@@ -73,7 +73,8 @@ def _at_least(bound: int) -> Callable[[object], bool]:
 
 KEYS = (
     Key("model.name", "model", str, None, "a model name"),
-    Key("integrator.rtol", "integrator.rtol", float, None, "a number > 0"),
+    Key("integrator.rtol", "integrator.rtol", float, None,
+        "a number >= 100 eps (2.22e-14)"),
     Key("integrator.atol", "integrator.atol", float, None, "a number > 0"),
     Key("integrator.max_steps", "integrator.max_steps", int, None, "an integer >= 1"),
     Key("cycle.guess", "guess", _floats,
@@ -108,7 +109,8 @@ KEYS = (
 )
 
 _BY_NAME = {key.name: key for key in KEYS}
-_PARAM = Key(PARAMS_PREFIX + "<name>", "model_params", float, None, "a number")
+_PARAM = Key(PARAMS_PREFIX + "<name>", "model_params", float, math.isfinite,
+             "a finite number")
 
 
 def _value(config, key: Key):
@@ -153,7 +155,8 @@ class RunConfig:
     solvability_tol: float = 1e-9
 
     def __post_init__(self):
-        # parameters take the parser's type, so -5 given in code echoes as -5.0
+        # parameters take the parser's type, so -5 given in code echoes as -5.0;
+        # they are checked here, for every model, before any factory sees them
         params = dict(self.model_params)
         for name, value in params.items():
             try:
@@ -162,6 +165,10 @@ class RunConfig:
                 raise ConfigError(
                     f"{PARAMS_PREFIX}{name} must be {_PARAM.rule}, got {value!r}"
                 ) from exc
+            if not _PARAM.check(params[name]):
+                raise ConfigError(
+                    f"{PARAMS_PREFIX}{name} must be {_PARAM.rule}, got {_show(params[name])}"
+                )
         object.__setattr__(self, "model_params", params)
 
     def validate(self) -> "RunConfig":

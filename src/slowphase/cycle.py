@@ -12,10 +12,10 @@ system over one period.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     DefectiveSpectrumError,
@@ -89,11 +89,70 @@ class CycleResult:
         return CycleInterpolant(self.series, self.period)
 
 
+def _brent_root(f, xa, xb, xtol, rtol, maxiter=100):
+    """Root of ``f`` in the bracket [xa, xb] by Brent's method.
+
+    Inverse quadratic interpolation or secant steps, falling back to
+    bisection (Brent, *Algorithms for Minimization without Derivatives*,
+    1973, ch. 4).  The iteration is scipy's ``brentq`` (its C loop) operation
+    for operation, so the root is bitwise the same; ``f`` gets Python
+    floats.  The bracket must change sign; convergence means half the
+    bracket is below ``(xtol + rtol |x|) / 2``.
+    """
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x = {x!r} is NaN")
+        return fx
+
+    xpre, xcur, xtol, rtol = float(xa), float(xb), float(xtol), float(rtol)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            bound = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"Brent's method did not converge in {maxiter} iterations")
+
+
 def _first_return(model, x0, settings, t_max):
     """First positive-direction return time to the section through x0.
 
     Each integration step is tested for an upward crossing of the section;
-    a crossing is located by ``brentq`` on that step's dense output.  The
+    a crossing is located by :func:`_brent_root` on that step's dense output.  The
     first crossing closer to x0 than 1e-3 of the orbit diameter so far ends
     the search; otherwise the closest one found before ``t_max`` is
     returned.
@@ -119,7 +178,7 @@ def _first_return(model, x0, settings, t_max):
         done = False
         if g_prev < 0.0 <= g_now and solver.t > 1e-8:
             dense = solver.dense_output()
-            t_cross = brentq(
+            t_cross = _brent_root(
                 lambda s: g(dense(s)), t_prev, solver.t, xtol=1e-13, rtol=1e-15
             )
             dist = float(np.linalg.norm(dense(t_cross) - x0))

@@ -1,11 +1,13 @@
 """High-accuracy initial-value integration.
 
 Every integration of the package, the return-time search of the cycle stage
-included, runs through one driver built on scipy's DOP853 stepper (explicit
-embedded Runge-Kutta pair of order 8(5) with dense output), looped manually
-so that step counts are bounded, non-finite states are reported with the
-time of failure, and sample times are filled from the per-step dense
-interpolants.  Backward integration is supported by passing ``t1 < t0``.
+included, runs through one driver, :func:`_integrate`, built on the in-house
+DOP853 stepper of :mod:`slowphase.dop853` (explicit embedded Runge-Kutta pair
+of order 8(5,3) with dense output).  The driver bounds the step count,
+reports a non-finite state with the time of failure, and fills sample times
+from the per-step dense interpolants.  Backward integration is supported by
+passing ``t1 < t0``.  The package needs no scipy: the stepper does scipy's
+DOP853 arithmetic operation for operation, so flows are bitwise scipy's.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import DOP853
 
+from .dop853 import DOP853
 from .errors import ConfigError, IntegrationError, ModelError
 from .series import FourierSeries
 
@@ -24,6 +26,11 @@ __all__ = [
     "flow_with_variational",
     "CycleInterpolant",
 ]
+
+
+# DOP853's error control cannot hold a relative tolerance closer to the
+# rounding unit
+RTOL_FLOOR = 100 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -38,6 +45,11 @@ class IntegratorSettings:
                 raise ConfigError(
                     f"integrator.{key} must be positive, got {getattr(self, key)}"
                 )
+        if self.rtol < RTOL_FLOOR:
+            raise ConfigError(
+                f"integrator.rtol must be >= 100 eps ({RTOL_FLOOR:.3g}), "
+                f"got {self.rtol}"
+            )
         if self.max_steps < 1:
             raise ConfigError(
                 f"integrator.max_steps must be >= 1, got {self.max_steps}"
@@ -50,9 +62,11 @@ DEFAULT_SETTINGS = IntegratorSettings()
 def _integrate(fun, t0, y0, t1, settings, t_eval=None, on_step=None):
     """Drive DOP853 from t0 to t1; return (y_end, samples at t_eval).
 
-    ``on_step(solver)`` runs after every accepted, finite step; a true return
-    value ends the integration at that step.  A non-finite initial state or
-    field raises :class:`IntegrationError` before the first step.
+    ``on_step(solver)`` runs after every accepted, finite step, with the
+    :class:`~slowphase.dop853.DOP853` stepper (``.t``, ``.y``,
+    ``.dense_output()``); a true return value ends the integration at that
+    step.  A non-finite initial state or field raises
+    :class:`IntegrationError` before the first step.
     """
     y0 = np.asarray(y0, dtype=float)
     if t1 == t0:
@@ -62,9 +76,9 @@ def _integrate(fun, t0, y0, t1, settings, t_eval=None, on_step=None):
 
     if not np.all(np.isfinite(y0)):
         raise IntegrationError(f"non-finite initial state at t = {t0:.6g}", time=t0)
-    solver = DOP853(fun, t0, y0, t_bound=t1, rtol=settings.rtol, atol=settings.atol)
+    solver = DOP853(fun, t0, y0, t1, settings.rtol, settings.atol)
     if not np.all(np.isfinite(solver.f)):
-        # scipy's initial step is then NaN, and its step() would never return
+        # the initial step is then NaN, and step() would never return
         raise IntegrationError(f"non-finite field at t = {t0:.6g}", time=t0)
     want = None
     out = None
@@ -80,18 +94,19 @@ def _integrate(fun, t0, y0, t1, settings, t_eval=None, on_step=None):
             cursor += 1
 
     steps = 0
-    while solver.status == "running":
+    while not solver.finished:
         if steps >= settings.max_steps:
             raise IntegrationError(
                 f"step budget {settings.max_steps} exhausted at t = {solver.t:.6g}",
                 time=solver.t,
             )
-        msg = solver.step()
-        steps += 1
-        if solver.status == "failed":
+        if not solver.step():
             raise IntegrationError(
-                f"integrator failed at t = {solver.t:.6g}: {msg}", time=solver.t
+                f"integrator failed at t = {solver.t:.6g}: step size below "
+                f"the spacing of floating-point numbers",
+                time=solver.t,
             )
+        steps += 1
         if not np.all(np.isfinite(solver.y)):
             raise IntegrationError(
                 f"non-finite state at t = {solver.t:.6g}", time=solver.t
@@ -105,7 +120,7 @@ def _integrate(fun, t0, y0, t1, settings, t_eval=None, on_step=None):
             if stop > cursor:
                 # one call for the whole batch: DOP853's dense output applies
                 # the same elementwise operations to an array as to a scalar
-                out[order[cursor:stop]] = dense(want[cursor:stop]).T
+                out[order[cursor:stop]] = dense(want[cursor:stop])
                 cursor = stop
         if on_step is not None and on_step(solver):
             break

@@ -16,7 +16,7 @@ from slowphase.config import (
     parse_config_text,
 )
 from slowphase.errors import ConfigError
-from slowphase.integrate import IntegratorSettings
+from slowphase.integrate import RTOL_FLOOR, IntegratorSettings
 from slowphase.series import FourierSeries, FourierTaylor
 from slowphase.store import (
     format_float,
@@ -99,7 +99,7 @@ _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 # here fails test_echo_round_trip with a KeyError
 _VALUES = {
     "model.name": st.sampled_from(sorted(DEFAULT_GUESSES)),
-    "integrator.rtol": _POSITIVE,
+    "integrator.rtol": st.floats(min_value=RTOL_FLOOR, allow_nan=False),
     "integrator.atol": _POSITIVE,
     "integrator.max_steps": st.integers(min_value=1),
     "cycle.guess": st.none() | st.lists(_FINITE, min_size=1, max_size=6).map(tuple),

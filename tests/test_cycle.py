@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import DOP853
 from scipy.optimize import brentq
 
@@ -12,6 +13,7 @@ from slowphase.cycle import (
     CLASS_REAL_POSITIVE,
     CLASS_TRIVIAL,
     FloquetSpectrum,
+    _brent_root,
     _first_return,
     check_resonances,
     find_cycle,
@@ -105,6 +107,60 @@ def test_return_time_equals_standalone_crossing_loop(x0, n_crossings):
         expected = min(crossings, key=lambda c: c[1])[0]
     assert len(crossings) == n_crossings
     assert t_return == expected
+
+
+def _recorded(f, calls):
+    def g(x):
+        calls.append(x)
+        return f(x)
+
+    return g
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    slope=st.floats(0.1, 3.0),
+    cubic=st.floats(0.0, 3.0),
+    wiggle=st.floats(0.0, 0.99),
+    freq=st.floats(0.1, 30.0),
+    flip=st.booleans(),
+    lo=st.floats(-5.0, 5.0),
+    width=st.floats(1e-9, 10.0),
+    at=st.floats(0.0, 1.0),
+    xtol=st.sampled_from([1e-13, 2e-12, 1e-8, 1e-3]),
+    rtol=st.sampled_from([4 * np.finfo(float).eps, 1e-15, 1e-10]),
+)
+def test_brent_root_equals_scipy_brentq(
+    slope, cubic, wiggle, freq, flip, lo, width, at, xtol, rtol
+):
+    """Same root, bitwise, after the same sequence of evaluations, on a
+    monotone function with its root at a random point of the bracket."""
+    hi = lo + width
+    root_at = lo + at * width
+    amp = (1.0 if flip else -1.0) * wiggle * slope / freq  # |amp * freq| < slope
+
+    def base(x):
+        return slope * x + cubic * x**3 + amp * math.sin(freq * x)
+
+    offset = base(root_at)
+
+    def f(x):
+        return base(x) - offset
+
+    ours, theirs = [], []
+    expected = brentq(_recorded(f, theirs), lo, hi, xtol=xtol, rtol=rtol)
+    root = _brent_root(_recorded(f, ours), lo, hi, xtol=xtol, rtol=rtol)
+    assert type(root) is float
+    assert root.hex() == float(expected).hex()
+    assert [x.hex() for x in ours] == [float(x).hex() for x in theirs]
+
+
+def test_brent_root_refuses_what_brentq_refuses():
+    for fn in (brentq, _brent_root):
+        with pytest.raises(ValueError, match="different signs"):
+            fn(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-13, rtol=1e-15)
+        with pytest.raises(ValueError, match="NaN"):
+            fn(lambda x: math.nan, -1.0, 1.0, xtol=1e-13, rtol=1e-15)
 
 
 def test_oracle_spectrum_values(oracle_cycle):

@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings as hyp_settings, strategies as st
 from scipy.integrate import DOP853
+from scipy.integrate._ivp import dop853_coefficients
 
+from slowphase import dop853
 from slowphase.errors import ConfigError, IntegrationError
 from slowphase.integrate import (
     DEFAULT_SETTINGS,
+    RTOL_FLOOR,
     CycleInterpolant,
     IntegratorSettings,
     _integrate,
+    _variational_rhs,
     flow,
     flow_with_variational,
 )
@@ -24,6 +29,115 @@ def test_settings_validation():
         IntegratorSettings(rtol=float("nan"))  # DOP853 would never finish
     with pytest.raises(ConfigError, match="integrator.max_steps"):
         IntegratorSettings(max_steps=0)
+
+
+def test_rtol_below_floor_rejected():
+    # DOP853 cannot hold a tolerance below 100 eps; scipy raised it to the
+    # floor behind a warning, so a run used another tolerance than its own
+    assert RTOL_FLOOR == 100 * np.finfo(float).eps
+    IntegratorSettings(rtol=RTOL_FLOOR)
+    for rtol in (1e-15, np.nextafter(RTOL_FLOOR, 0.0)):
+        with pytest.raises(ConfigError, match="integrator.rtol"):
+            IntegratorSettings(rtol=rtol)
+
+
+def test_tableau_equals_scipy():
+    """The in-house coefficients are scipy's, bit for bit, layout included."""
+    ref = dop853_coefficients
+    n = ref.N_STAGES
+    pairs = [
+        (dop853.A, ref.A), (dop853.B, ref.A[n, :n]), (dop853.C, ref.C),
+        (dop853.D, ref.D), (dop853.E3, ref.E3), (dop853.E5, ref.E5),
+    ]
+    for ours, theirs in pairs:
+        assert ours.shape == theirs.shape and ours.dtype == theirs.dtype
+        assert np.array_equal(ours, theirs)
+    assert dop853.N_STAGES == n
+    assert sum(np.count_nonzero(ours) for ours, _ in pairs) == 169
+
+
+def _scipy_integrate(fun, t0, y0, t1, settings, t_eval):
+    """The driver's loop on scipy's DOP853: the solver at its end, the
+    samples, and (t, y) of every step."""
+    solver = DOP853(fun, t0, y0, t_bound=t1, rtol=settings.rtol, atol=settings.atol)
+    order = np.argsort(t_eval if t1 > t0 else -t_eval, kind="stable")
+    want = t_eval[order]
+    out = np.full((len(t_eval), y0.size), np.nan)
+    cursor = 0
+    while cursor < len(want) and want[cursor] == t0:
+        out[order[cursor]] = y0
+        cursor += 1
+    trail = []
+    while solver.status == "running":
+        solver.step()
+        if solver.status == "failed":
+            return solver, out, trail
+        trail.append((solver.t, solver.y.copy()))
+        dense = solver.dense_output()
+        lo, hi = sorted((dense.t_min, dense.t_max))
+        stop = cursor
+        while stop < len(want) and lo <= want[stop] <= hi:
+            stop += 1
+        if stop > cursor:
+            out[order[cursor:stop]] = dense(want[cursor:stop]).T
+            cursor = stop
+    return solver, out, trail
+
+
+_START = {
+    "ei": (0.05, -0.5, 0.5, 0.05, -0.5, 0.5),
+    "oracle": (0.7, 0.2),
+}
+
+
+@hyp_settings(max_examples=25, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_START)),
+    variational=st.booleans(),
+    kick=st.lists(st.floats(-0.2, 0.2), min_size=6, max_size=6),
+    horizon=st.floats(0.05, 3.0),
+    backward=st.booleans(),
+    fractions=st.lists(st.floats(0.0, 1.0), max_size=12),
+)
+# backward from radius 1.3 the oracle blows up at t = -0.45
+@example(name="oracle", variational=False, kick=[0.6, -0.2, 0, 0, 0, 0],
+         horizon=1.0, backward=True, fractions=[0.5])
+def test_driver_equals_scipy_dop853(name, variational, kick, horizon, backward, fractions):
+    """Forward and backward flows of model states (and of the variational
+    system) are bitwise scipy's: end state, step count, samples, and the
+    (t, y) that on_step sees after every step.  A flow that blows up fails
+    at the same step in both."""
+    model = make_ei_model() if name == "ei" else make_oracle_model()
+    d = model.dim
+    x0 = np.asarray(_START[name]) + np.asarray(kick[:d])
+    if variational:
+        fun = _variational_rhs(model, d)
+        y0 = np.concatenate([x0, np.eye(d).ravel(), [0.0]])
+    else:
+        fun = lambda t, y: model.eval(y)  # noqa: E731
+        y0 = x0
+    t0, t1 = (horizon, 0.0) if backward else (0.0, horizon)
+    t_eval = np.array([t0, t1] + [f * horizon for f in fractions])
+
+    trail = []
+
+    def on_step(solver):
+        trail.append((solver.t, solver.y.copy()))
+
+    ref, ref_samples, ref_trail = _scipy_integrate(fun, t0, y0, t1, DEFAULT_SETTINGS, t_eval)
+    if ref.status == "failed":
+        with pytest.raises(IntegrationError, match="integrator failed") as err:
+            _integrate(fun, t0, y0, t1, DEFAULT_SETTINGS, t_eval=t_eval, on_step=on_step)
+        assert err.value.time == ref.t
+    else:
+        end, samples = _integrate(
+            fun, t0, y0, t1, DEFAULT_SETTINGS, t_eval=t_eval, on_step=on_step
+        )
+        assert end.tobytes() == ref.y.tobytes()
+        assert samples.tobytes() == ref_samples.tobytes()
+    assert len(trail) == len(ref_trail)
+    for (t, y), (ref_t, ref_y) in zip(trail, ref_trail):
+        assert t == ref_t and y.tobytes() == ref_y.tobytes()
 
 
 def test_flow_time_zero_is_identity():
@@ -88,7 +202,7 @@ def test_blowup_reports_failure_time():
 
 
 def test_non_finite_start_raises_before_stepping():
-    # a NaN field at t0 gives scipy a NaN first step, whose step() never returns
+    # a NaN field at t0 gives a NaN first step, whose step() would never return
     with pytest.raises(IntegrationError, match="non-finite field"):
         _integrate(lambda t, y: y * np.nan, 0.0, np.ones(2), 1.0, DEFAULT_SETTINGS)
     with pytest.raises(IntegrationError, match="non-finite initial state"):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import slowphase
+from slowphase import models
 from slowphase.cli import main
 from slowphase.config import KEYS, RunConfig
 from slowphase.export import export_artifacts
@@ -264,7 +266,7 @@ def test_model_parameter_from_code_echoes_as_parsed(tmp_path):
         f"output.directory = {out}\n"
     )
     assert main(["floquet", "--config", str(cfg)]) == 0
-    with pytest.raises(ConfigError, match="model.params.eta_e must be a number"):
+    with pytest.raises(ConfigError, match="model.params.eta_e must be a finite number"):
         RunConfig(model="ei", model_params={"eta_e": "fast"})
 
 
@@ -561,6 +563,7 @@ def test_removed_representation_key_rejected(tmp_path, capsys):
     "line, named",
     [
         ("integrator.rtol = -1", "integrator.rtol"),
+        ("integrator.rtol = 1e-15", "integrator.rtol"),
         ("integrator.max_steps = 0", "integrator.max_steps"),
         ("model.name = nosuch", "'nosuch'"),
         ("model.params.foo = 1", "model.params.foo"),
@@ -583,7 +586,7 @@ def test_removed_representation_key_rejected(tmp_path, capsys):
         ("bundle.scale = 1", "bundle.scale"),
     ],
     ids=[
-        "rtol", "max_steps", "model", "param", "samples", "resonance_order",
+        "rtol", "rtol_floor", "max_steps", "model", "param", "samples", "resonance_order",
         "horizon", "horizon_nan", "relax_time_nan", "newton_tol", "gauge_zero",
         "gauge_inf", "resonance_tol", "small_divisor_tol", "solvability_tol",
         "tolerance_entry", "sigma_scan_max", "seed", "guess_length",
@@ -619,6 +622,61 @@ def test_non_finite_model_parameter_exits_4(tmp_path):
     )
     assert proc.returncode == 4
     assert "model.params.tau_e" in proc.stderr
+
+
+@pytest.fixture
+def planar(monkeypatch):
+    """A registered user model: the oracle with its growth rate ``a`` as a
+    parameter, which enters the field."""
+    monkeypatch.setattr(models, "_REGISTRY", dict(models._REGISTRY))
+
+    def factory(overrides):
+        a = overrides.get("a", 1.0)
+
+        def rhs(u):
+            x, y = u
+            r2 = x * x + y * y
+            return (a * x - y - r2 * x, x + a * y - r2 * y)
+
+        def jac_rows(u):
+            x, y = u
+            return (
+                (a - 3.0 * x * x - y * y, -1.0 - 2.0 * x * y),
+                (1.0 - 2.0 * x * y, a - x * x - 3.0 * y * y),
+            )
+
+        return models.VectorFieldModel(
+            name="planar", dim=2, params={"a": a}, state_names=("x", "y"),
+            rhs=rhs, jac_rows=jac_rows,
+        )
+
+    models.register_model("planar", factory)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_registered_model_non_finite_parameter_is_config_error(planar, value):
+    # only the built-in ei model checked its parameters; a NaN of any other
+    # model reached find_cycle and ended as a numerical abort (exit 3)
+    with pytest.raises(ConfigError, match="model.params.a must be a finite number"):
+        RunConfig(model="planar", model_params={"a": value})
+    RunConfig(model="planar", model_params={"a": 1.0})
+
+
+def test_registered_model_non_finite_parameter_exits_4(planar, tmp_path, capsys):
+    cfg = tmp_path / "planar.cfg"
+    text = (
+        "model.name = planar\n"
+        "cycle.guess = 1.3, 0.0\n"
+        "cycle.relax_time = 20.0\n"
+        "cycle.grid_N = 128\n"
+        f"output.directory = {tmp_path / 'out'}\n"
+    )
+    cfg.write_text(text + "model.params.a = 1.0\n")
+    assert main(["cycle", "--config", str(cfg)]) == 0  # the model itself runs
+    capsys.readouterr()
+    cfg.write_text(text + "model.params.a = nan\n")
+    assert main(["cycle", "--config", str(cfg)]) == 4
+    assert "model.params.a must be a finite number" in capsys.readouterr().err
 
 
 def test_exit_code_validation_failure(tmp_path):
