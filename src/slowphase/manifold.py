@@ -11,6 +11,12 @@ constant-coefficient diagonal system per Fourier mode, with divisors
 non-resonance keeps them away from zero.
 The recursion runs in the complex representation and symmetrizes each order
 back to a real function, monitoring the conjugation drift.
+
+One jet transport of the field (:class:`~slowphase.models.JetTransport`)
+runs over the stack of orders for the whole recursion.  Order n is filled
+once with K_n = 0, which gives B_n, and once more after K_n is written, so
+the composition costs O(L^2) grid products in all; the per-order residuals
+are measured against the transport's final state.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import numpy as np
 from .cycle import CLASS_REAL_POSITIVE, CycleResult
 from .errors import ModelError, NumericalError
 from .frames import Frame, solve_in_frame
-from .models import VectorFieldModel, jet_compose
+from .models import JetTransport, VectorFieldModel
 from .series import FourierSeries, FourierTaylor
 
 __all__ = [
@@ -68,34 +74,39 @@ class ManifoldExpansion:
 
 
 def next_order_coefficient(
-    model: VectorFieldModel,
-    partial: np.ndarray,
+    transport: JetTransport,
     bundle: Frame,
     adjoint: Frame,
     n: int,
     period: float,
     small_divisor_tol: float = 1e-8,
 ):
-    """Compute order n >= 2 from orders 0..n-1.
+    """Compute order n >= 2 of the expansion that ``transport`` carries.
 
-    ``partial`` holds the grid values of orders 0..n-1, shape (n, N, d).
-    B_n is the order-n coefficient of the field composed with them: the
-    order-n input slot is zero-padded, so the composition's order-n output
-    is exactly the polynomial in lower-order terms.  The homological
-    equation is solved in bundle-frame coordinates.  Returns
-    ``(samples, divisor_min)``: the complex grid samples of the new order
-    (their imaginary part is the conjugation drift) and the smallest Fourier
-    divisor encountered.
+    ``transport`` is a field :class:`~slowphase.models.JetTransport` over
+    the grid values of the expansion, with orders 0..n-1 filled and the
+    order-n values zero.  Filling order n then gives B_n, the order-n
+    coefficient of the field composed with the lower orders alone, and the
+    homological equation is solved in bundle-frame coordinates.  The caller
+    writes the new order into the transport's argument and fills order n
+    again.  Returns ``(samples, divisor_min)``: the complex grid samples of
+    the new order (their imaginary part is the conjugation drift) and the
+    smallest Fourier divisor encountered.
     """
     if n < 2:
         raise ModelError("next-order recursion starts at n = 2")
-    if len(partial) != n:
-        raise ModelError(f"expected orders 0..{n-1}, got 0..{len(partial) - 1}")
-    padded = np.concatenate([partial, np.zeros_like(partial[:1])])
-    b_n = jet_compose(model, padded, "field")[n]
+    if transport.filled != n or n > transport.order:
+        raise ModelError(
+            f"expected orders 0..{n - 1} of the transport filled, got "
+            f"0..{transport.filled - 1} of 0..{transport.order}"
+        )
+    if np.any(transport.orders[n]):
+        raise ModelError(f"order {n} of the transport argument is not zero")
+    transport.fill(n)
     shifts = n * float(bundle.exponents[1].real) - bundle.exponents
     out, _, div_min = solve_in_frame(
-        b_n, adjoint, bundle, shifts, period, small_divisor_tol=small_divisor_tol
+        transport.out[n], adjoint, bundle, shifts, period,
+        small_divisor_tol=small_divisor_tol,
     )
     return out, div_min
 
@@ -113,10 +124,11 @@ def expand_slow_manifold(
     """Assemble the expansion to ``order`` (+ extra) with residual checks.
 
     Order 0 is the orbit, order 1 the gauge-scaled slow bundle column; the
-    recursion then adds one order at a time.  Per-order residuals of the
-    homological equations are measured spectrally at the end from a single
-    full-order composition of the field.  The slow direction is frame
-    column 1, as in :func:`next_order_coefficient`.
+    recursion then adds one order at a time, on one jet transport of the
+    field over the stack of orders.  Per-order residuals of the homological
+    equations are measured spectrally at the end from the transport's final
+    state.  The slow direction is frame column 1, as in
+    :func:`next_order_coefficient`.
     """
     if order < 1:
         raise ModelError("expansion order must be >= 1")
@@ -129,32 +141,34 @@ def expand_slow_manifold(
     period = cycle.period
 
     total = order + extra_orders
-    values = np.empty((total + 1, *cycle.samples.shape))
+    # an order not yet solved reads as zero, so filling it gives B_n
+    values = np.zeros((total + 1, *cycle.samples.shape))
     values[0] = cycle.samples
     values[1] = gauge * bundle.grid_values()[:, :, 1].real
+    transport = JetTransport(model, values, "field")
+    transport.fill(0)
+    transport.fill(1)
 
     divisor_minima = {}
     drift = 0.0
     for n in range(2, total + 1):
         k_n, div_min = next_order_coefficient(
-            model, values[:n], bundle, adjoint, n, period, small_divisor_tol
+            transport, bundle, adjoint, n, period, small_divisor_tol
         )
         drift = max(drift, float(np.max(np.abs(k_n.imag))))
         values[n] = k_n.real
+        transport.fill(n)
         divisor_minima[n] = div_min
 
     coeffs = FourierTaylor.from_samples(values, 1.0)
 
-    # residuals by spectral back-substitution, one full composition
-    composed = jet_compose(model, values, "field")
+    # residuals by spectral back-substitution against the composed field
+    composed = transport.result()
+    derivative = coeffs.differentiate().samples()
+    samples = coeffs.samples()
     residuals = np.zeros(total + 1)
     for n in range(total + 1):
-        k_series = coeffs.order_series(n)
-        lhs = (
-            k_series.differentiate().samples() / period
-            + n * lam_s * k_series.samples()
-            - composed[n]
-        )
+        lhs = derivative[n] / period + n * lam_s * samples[n] - composed[n]
         residuals[n] = float(np.max(np.linalg.norm(lhs.real, axis=1)))
 
     return ManifoldExpansion(

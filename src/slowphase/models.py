@@ -3,14 +3,18 @@
 A model is defined by two closures written in plain arithmetic on the state
 components, so the same code serves every kind of component it is given:
 Python floats for one state, numpy arrays for a batch of states, and
-:class:`~slowphase.series.Jet` objects for Taylor transport in the amplitude
-variable; jets carry grid values, so :func:`jet_compose` needs no Fourier
-transform.  Both built-in models are polynomial, hence add/multiply/integer
-powers are the only operations required; user models registered through
-:func:`register_model` may use the same protocol.  Jets support only ``+``,
-``-``, ``*``, division by a constant and positive integer powers; anything
-else (a numpy ufunc such as ``np.sin``, a fractional power) makes
-:func:`jet_compose` raise :class:`~slowphase.errors.ModelError`.
+symbolic components for Taylor transport in the amplitude variable.  Called
+once on symbolic components, a closure records its operations on a tape;
+:class:`JetTransport` evaluates the tape on grid values one sigma-order at a
+time, so a recursion that needs order n of the composed field pays for
+order n alone, and :func:`jet_compose` fills every order.  Both built-in
+models are polynomial, hence add/multiply/integer powers are the only
+operations required; user models registered through :func:`register_model`
+may use the same protocol.  Jet transport supports only ``+``, ``-``, ``*``,
+division by a constant and positive integral powers (any ``int``-like
+exponent, ``np.int64`` included); anything else (a numpy ufunc such as
+``np.sin``, a fractional or float power) makes :func:`jet_compose` raise
+:class:`~slowphase.errors.ModelError`.
 
 Built-ins:
 
@@ -23,12 +27,12 @@ Built-ins:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import ConfigError, ModelError
-from .series import Jet
 
 __all__ = [
     "VectorFieldModel",
@@ -37,6 +41,7 @@ __all__ = [
     "make_oracle_model",
     "get_model",
     "register_model",
+    "JetTransport",
     "jet_compose",
 ]
 
@@ -251,59 +256,237 @@ def get_model(name: str, param_overrides: dict | None = None) -> VectorFieldMode
     return _REGISTRY[name](dict(param_overrides or {}))
 
 
+# -- jet transport -------------------------------------------------------
+
+# node kinds of a recorded closure
+_INPUT, _CONST, _ADD, _SUB, _NEG, _SCALE, _DIV, _PRODUCT = range(8)
+
+
+class _Tape:
+    """The operations of one closure call, as ``(kind, a, b)`` in call order.
+
+    ``a`` and ``b`` are operand node indices, except: an input holds its
+    state component in ``a``, a constant its value in ``b``, and a scaling
+    or division its scalar in ``b``.
+    """
+
+    def __init__(self):
+        self.ops = []
+
+    def push(self, kind, a=None, b=None) -> "_Var":
+        self.ops.append((kind, a, b))
+        return _Var(self, len(self.ops) - 1)
+
+
+class _Var:
+    """A symbolic state component: arithmetic on it records tape nodes.
+
+    It supports what jets support: ``+``, ``-`` and negation (a scalar
+    operand becomes a constant node), ``*`` (a jet x jet product, or a
+    scaling by a scalar on either side), division by a scalar and positive
+    integral powers, which expand to repeated products ``(x * x) * x``.
+    Anything else, a numpy ufunc such as ``np.sin`` included, raises
+    ``TypeError`` or ``ValueError``.
+    """
+
+    __slots__ = ("tape", "index")
+
+    def __init__(self, tape: _Tape, index: int):
+        self.tape = tape
+        self.index = index
+
+    def _operand(self, other) -> int:
+        if isinstance(other, _Var):
+            return other.index
+        return self.tape.push(_CONST, b=other).index
+
+    def __add__(self, other):
+        return self.tape.push(_ADD, self.index, self._operand(other))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self.tape.push(_SUB, self.index, self._operand(other))
+
+    def __rsub__(self, other):
+        return self.tape.push(_SUB, self._operand(other), self.index)
+
+    def __neg__(self):
+        return self.tape.push(_NEG, self.index)
+
+    def __mul__(self, other):
+        if isinstance(other, _Var):
+            return self.tape.push(_PRODUCT, self.index, other.index)
+        return self.tape.push(_SCALE, self.index, other)
+
+    def __rmul__(self, other):
+        return self.tape.push(_SCALE, self.index, other)
+
+    def __truediv__(self, scalar):
+        if isinstance(scalar, _Var):
+            raise TypeError("jets divide only by a constant")
+        return self.tape.push(_DIV, self.index, scalar)
+
+    def __pow__(self, exponent):
+        exponent = operator.index(exponent)
+        if exponent < 1:
+            raise ValueError("jets support positive integer powers only")
+        out = self
+        for _ in range(exponent - 1):
+            out = out * self
+        return out
+
+
+def _jet_error(model: VectorFieldModel, exc: Exception) -> ModelError:
+    return ModelError(
+        f"model '{model.name}' cannot be composed with a jet (jets support "
+        f"+, -, *, division by a constant and positive integer powers): {exc}"
+    )
+
+
+class JetTransport:
+    """Jet transport of one model closure, evaluated one order at a time.
+
+    ``orders`` holds the grid values of orders 0..L of the argument, shape
+    (L+1, N, d); it is read in place, so a caller may write order n before
+    filling it.  The closure (``model.rhs`` for ``mode="field"``,
+    ``model.jac_rows`` for ``mode="jacobian_transpose"``) is called once, on
+    symbolic components, to record a tape.  :meth:`fill` then evaluates
+    order n of every node from orders 0..n of its operands: order n of a
+    product is ``sum_m a_m b_(n-m)``, added to 0.0 in increasing m, and every
+    other node is pointwise in the order.  Only product operands keep their
+    history of orders; the outputs are written into :attr:`out`, shape
+    (L+1, N, d) for the field and (L+1, N, d, d) for the Jacobian transpose
+    (entry (a, b) is dX_b / dx_a), which is allocated by the first fill.
+
+    Orders are filled in sequence: ``fill(n)`` needs orders 0..n-1 filled,
+    and filling order n again (after its input changed) leaves orders above
+    it unfilled.  ``fills[n]`` counts the passes over order n; each pass
+    fills every node once.
+    """
+
+    def __init__(self, model: VectorFieldModel, orders: np.ndarray, mode: str):
+        if mode not in ("field", "jacobian_transpose"):
+            raise ModelError(f"unknown jet composition mode '{mode}'")
+        orders = np.asarray(orders)
+        if orders.ndim != 3 or orders.shape[2] != model.dim:
+            raise ModelError(
+                f"expansion of shape {orders.shape} is not (orders, grid, {model.dim})"
+            )
+        self.model = model
+        self.orders = orders
+        self.order = orders.shape[0] - 1
+        tape = _Tape()
+        components = tuple(tape.push(_INPUT, i) for i in range(model.dim))
+        try:
+            if mode == "field":
+                entries = list(model.rhs(components))
+                shape = (len(entries),)
+            else:
+                rows = model.jac_rows(components)
+                # transpose: output entry (a, b) carries dX_b / dx_a
+                entries = [rows[b][a] for a in range(model.dim) for b in range(model.dim)]
+                shape = (model.dim, model.dim)
+        except (TypeError, ValueError) as exc:
+            raise _jet_error(model, exc) from exc
+        self._ops = tape.ops
+        self._outputs = [
+            (k, entry.index) for k, entry in enumerate(entries) if isinstance(entry, _Var)
+        ]
+        self._constants = [
+            (k, entry) for k, entry in enumerate(entries) if not isinstance(entry, _Var)
+        ]
+        self._shape = shape
+        # a product reads all orders of its operands; inputs are their own
+        # history, and other nodes keep only the order being filled
+        self._keep = [False] * len(self._ops)
+        for kind, a, b in self._ops:
+            if kind == _PRODUCT:
+                self._keep[a] = self._keep[b] = True
+        self._history = [
+            orders[:, :, a] if kind == _INPUT else None for kind, a, _ in self._ops
+        ]
+        self._current = [None] * len(self._ops)
+        self.out = self._columns = None
+        self.filled = 0
+        self.fills = [0] * (self.order + 1)
+
+    def fill(self, n: int) -> None:
+        """Evaluate order n of every node from orders 0..n of the argument."""
+        if not 0 <= n <= min(self.filled, self.order):
+            raise ModelError(
+                f"cannot fill order {n}: orders 0..{self.filled - 1} of "
+                f"0..{self.order} are filled"
+            )
+        history, current, keep = self._history, self._current, self._keep
+        try:
+            for i, (kind, a, b) in enumerate(self._ops):
+                if kind == _PRODUCT:
+                    ha, hb = history[a], history[b]
+                    value = 0.0 + ha[0] * hb[n]
+                    for m in range(1, n + 1):
+                        value += ha[m] * hb[n - m]
+                elif kind == _INPUT:
+                    current[i] = self.orders[n, :, a]
+                    continue
+                elif kind == _ADD:
+                    value = current[a] + current[b]
+                elif kind == _SUB:
+                    value = current[a] - current[b]
+                elif kind == _SCALE:
+                    value = current[a] * b
+                elif kind == _CONST:
+                    value = b if n == 0 else 0.0
+                elif kind == _NEG:
+                    value = -current[a]
+                else:  # _DIV
+                    value = current[a] / b
+                current[i] = value
+                if keep[i]:
+                    if history[i] is None:
+                        history[i] = np.empty((self.order + 1, *value.shape), value.dtype)
+                    history[i][n] = value
+            if self.out is None:
+                self._allocate_out()
+            for k, i in self._outputs:
+                self._columns[n, :, k] = current[i]
+        except (TypeError, ValueError) as exc:
+            raise _jet_error(self.model, exc) from exc
+        self.fills[n] += 1
+        self.filled = n + 1
+
+    def _allocate_out(self) -> None:
+        # order 0 fixes the dtype; constant outputs occupy order 0 only
+        values = (self._current[i] for _, i in self._outputs)
+        dtype = np.result_type(self.orders.dtype, *values)
+        self.out = np.zeros(self.orders.shape[:2] + self._shape, dtype)
+        # one column per output entry, a view of out
+        self._columns = self.out.reshape(self.orders.shape[:2] + (-1,))
+        for k, value in self._constants:
+            self._columns[0, :, k] = value
+
+    def result(self) -> np.ndarray:
+        """All orders of the output, once every order is filled."""
+        if self.filled != self.order + 1:
+            raise ModelError(f"orders {self.filled}..{self.order} are not filled")
+        return self.out
+
+
 def jet_compose(model: VectorFieldModel, orders: np.ndarray, mode: str) -> np.ndarray:
     """Compose the field or its Jacobian transpose with a sigma-expansion.
 
     ``orders`` holds the grid values of orders 0..L, shape (L+1, N, d).
     ``mode="field"`` returns the grid values of the jet of X(orders), shape
     (L+1, N, d): order n is the coefficient of sigma**n of the composed
-    field, computed by jet transport through the model's elementary
-    operations (grid-pointwise products, Taylor convolution in sigma).
-    ``mode="jacobian_transpose"`` returns the matrix-valued jet of
-    DX^T(orders), shape (L+1, N, d, d).
+    field.  ``mode="jacobian_transpose"`` returns the matrix-valued jet of
+    DX^T(orders), shape (L+1, N, d, d).  Both fill a :class:`JetTransport`
+    through every order.
 
     The order-0 values of a field composition are bitwise equal to the
     pointwise evaluation of the model on the order-0 grid, because both go
     through the same arithmetic.
     """
-    if mode not in ("field", "jacobian_transpose"):
-        raise ModelError(f"unknown jet composition mode '{mode}'")
-    orders = np.asarray(orders)
-    if orders.ndim != 3 or orders.shape[2] != model.dim:
-        raise ModelError(
-            f"expansion of shape {orders.shape} is not (orders, grid, {model.dim})"
-        )
-    L = orders.shape[0] - 1
-    n_grid = orders.shape[1]
-    jets = tuple(Jet(orders[:, :, i]) for i in range(model.dim))
-
-    def transport(closure):
-        try:
-            return closure(jets)
-        except (TypeError, ValueError) as exc:
-            # e.g. a numpy ufunc Jet lacks (np.sin) or a fractional power
-            raise ModelError(
-                f"model '{model.name}' cannot be composed with a jet (jets "
-                f"support +, -, *, division by a constant and positive integer "
-                f"powers): {exc}"
-            ) from exc
-
-    def as_array(entry):
-        if isinstance(entry, Jet):
-            return entry.values
-        out = np.zeros((L + 1, n_grid), dtype=orders.dtype)
-        out[0] = entry
-        return out
-
-    if mode == "field":
-        comps = transport(model.rhs)
-        return np.stack([as_array(c) for c in comps], axis=-1)  # (L+1, N, d)
-
-    rows = transport(model.jac_rows)
-    d = model.dim
-    out = np.zeros((L + 1, n_grid, d, d), dtype=orders.dtype)
-    for a in range(d):
-        for b in range(d):
-            # transpose: output entry (a, b) carries dX_b / dx_a
-            out[:, :, a, b] = as_array(rows[b][a])
-    return out
+    transport = JetTransport(model, orders, mode)
+    for n in range(transport.order + 1):
+        transport.fill(n)
+    return transport.result()

@@ -142,6 +142,8 @@ def _fix_order1_normalization(i1_particular, z0, i0, k1_deriv, x0, period):
 def _residuals(expansion, orders, g_terms, f0, lam_s, period, shift_offset):
     """Spectral back-substitution residuals of the adjoint recursions."""
     out = np.zeros(len(orders))
+    # one order at a time: a derivative of the whole stack holds two complex
+    # copies of it at once, and this is when the stage peaks in memory
     for n in range(1, len(orders)):
         lhs = (
             expansion.order_series(n).differentiate().samples().real / period

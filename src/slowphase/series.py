@@ -11,14 +11,12 @@ so synthesis at the grid points is exact for bandlimited data.  Two periods
 occur in practice: 1 for ordinary cycle-periodic functions and 2 for the
 antiperiodic bundles attached to negative Floquet multipliers.
 
-Power series in the amplitude variable sigma are kept in two shapes:
-
-* :class:`FourierTaylor` -- one coefficient array of shape
-  (L+1, N, *value_shape), order by order on a shared grid; this is the
-  spectral form, stored as it is in the ``*_coeff.npy`` files.
-* :class:`Jet` -- grid values per order, supporting ``+ - * **`` with Taylor
-  convolution in sigma and pointwise products in theta; this is the form fed
-  through model right-hand sides (jet transport).
+Power series in the amplitude variable sigma are kept as a
+:class:`FourierTaylor`: one coefficient array of shape (L+1, N, *value_shape),
+order by order on a shared grid; this is the spectral form, stored as it is
+in the ``*_coeff.npy`` files.  Their grid values are what jet transport
+(:class:`~slowphase.models.JetTransport`) feeds through model right-hand
+sides.
 
 This is the only module that applies a Fourier transform or divides by
 Fourier divisors.  Its solver, :func:`solve_diagonal`, is a componentwise
@@ -40,7 +38,6 @@ from .errors import GridError, SmallDivisorError
 __all__ = [
     "FourierSeries",
     "FourierTaylor",
-    "Jet",
     "theta_grid",
     "solve_diagonal",
     "horner",
@@ -252,83 +249,6 @@ def horner(values, sigma):
         acc *= sigma
         acc += values[n]
     return acc
-
-
-class Jet:
-    """Grid values of a sigma-polynomial: array of shape (L+1, *grid_shape).
-
-    Supports addition, subtraction, multiplication (Taylor convolution in
-    sigma, pointwise on the grid) and small integer powers, with scalars and
-    plain arrays promoted to order-0 terms.  This is all the arithmetic the
-    built-in polynomial vector fields need.
-    """
-
-    __slots__ = ("values",)
-
-    def __init__(self, values: np.ndarray):
-        self.values = np.asarray(values)
-
-    @staticmethod
-    def constant(value, order: int, grid_shape: tuple) -> "Jet":
-        out = np.zeros((order + 1, *grid_shape), dtype=np.result_type(value, float))
-        out[0] = value
-        return Jet(out)
-
-    @property
-    def order(self) -> int:
-        return self.values.shape[0] - 1
-
-    @property
-    def grid_shape(self) -> tuple:
-        return self.values.shape[1:]
-
-    def _coerce(self, other) -> "Jet":
-        if isinstance(other, Jet):
-            return other
-        return Jet.constant(other, self.order, self.grid_shape)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return Jet(self.values + other.values)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return Jet(self.values - other.values)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        return Jet(other.values - self.values)
-
-    def __neg__(self):
-        return Jet(-self.values)
-
-    def __mul__(self, other):
-        if not isinstance(other, Jet):
-            return Jet(self.values * other)
-        if other.values.shape != self.values.shape:
-            raise GridError("jet shapes do not match")
-        L = self.order
-        out = np.zeros_like(self.values)
-        for n in range(L + 1):
-            for m in range(n + 1):
-                out[n] += self.values[m] * other.values[n - m]
-        return Jet(out)
-
-    def __rmul__(self, other):
-        return Jet(self.values * other)
-
-    def __truediv__(self, scalar):
-        return Jet(self.values / scalar)
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 1:
-            raise ValueError("jets support positive integer powers only")
-        out = self
-        for _ in range(exponent - 1):
-            out = out * self
-        return out
 
 
 def solve_diagonal(

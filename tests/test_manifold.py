@@ -3,6 +3,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from slowphase import manifold
 from slowphase.errors import ModelError, NumericalError
 from slowphase.frames import Frame, solve_in_frame
 from slowphase.manifold import (
@@ -10,6 +11,7 @@ from slowphase.manifold import (
     expand_slow_manifold,
     next_order_coefficient,
 )
+from slowphase.models import JetTransport, jet_compose
 
 
 def radial_taylor_coefficient(n):
@@ -47,12 +49,23 @@ def test_zero_inhomogeneity_gives_zero_order(oracle_run):
     assert np.max(np.abs(out)) == 0.0
 
 
+def transport_through(model, partial):
+    """A field transport over ``partial`` and a zero order above it, with the
+    orders of ``partial`` filled."""
+    values = np.concatenate([partial, np.zeros_like(partial[:1])])
+    transport = JetTransport(model, values, "field")
+    for n in range(len(partial)):
+        transport.fill(n)
+    return transport
+
+
 def test_next_order_coefficient_matches_expansion(oracle_run):
     result = oracle_run.result
     man = result.manifold
     partial = man.coeffs.truncated(2).samples().real
     out, div_min = next_order_coefficient(
-        result.model, partial, result.bundle, result.adjoint, 3, result.cycle.period
+        transport_through(result.model, partial), result.bundle, result.adjoint,
+        3, result.cycle.period,
     )
     stored = man.order_series(3).samples().real
     assert np.max(np.abs(out.real - stored)) < 1e-12
@@ -62,16 +75,61 @@ def test_next_order_coefficient_matches_expansion(oracle_run):
 def test_next_order_preconditions(oracle_run):
     result = oracle_run.result
     partial = result.manifold.coeffs.truncated(2).samples().real
+    transport = transport_through(result.model, partial)
     with pytest.raises(ModelError):
         next_order_coefficient(
-            result.model, partial, result.bundle, result.adjoint, 1,
-            result.cycle.period,
+            transport, result.bundle, result.adjoint, 1, result.cycle.period,
         )
     with pytest.raises(ModelError):
         next_order_coefficient(
-            result.model, partial, result.bundle, result.adjoint, 5,
-            result.cycle.period,
+            transport, result.bundle, result.adjoint, 5, result.cycle.period,
         )
+
+
+def test_next_order_input_must_read_zero(oracle_run):
+    # B_n is the field composed with the lower orders alone
+    result = oracle_run.result
+    partial = result.manifold.coeffs.truncated(2).samples().real
+    transport = transport_through(result.model, partial)
+    transport.orders[3] = partial[2]
+    with pytest.raises(ModelError, match="order 3 .* not zero"):
+        next_order_coefficient(
+            transport, result.bundle, result.adjoint, 3, result.cycle.period,
+        )
+
+
+def test_recursion_composes_order_by_order(ei_run, monkeypatch):
+    """Each B_n is order n of the field composed with the lower orders and a
+    zero order n, and each order is filled at most twice: a recursion that
+    recomposed orders 0..n at every n would fill order 0 L times."""
+    result = ei_run.result
+    transports, rhs = [], []
+
+    class Recording(JetTransport):
+        def __init__(self, *args):
+            super().__init__(*args)
+            transports.append(self)
+
+    def recording_solve(b_n, *args, **kwargs):
+        rhs.append(np.array(b_n))
+        return solve_in_frame(b_n, *args, **kwargs)
+
+    monkeypatch.setattr(manifold, "JetTransport", Recording)
+    monkeypatch.setattr(manifold, "solve_in_frame", recording_solve)
+    man = expand_slow_manifold(
+        result.model, result.cycle, result.bundle, result.adjoint, 8
+    )
+    (transport,) = transports
+    values = transport.orders
+    total = man.total_order
+    assert len(rhs) == total - 1
+    for n, b_n in enumerate(rhs, start=2):
+        padded = np.concatenate([values[:n], np.zeros_like(values[:1])])
+        assert b_n.tobytes() == jet_compose(result.model, padded, "field")[n].tobytes()
+    assert transport.fills == [1, 1] + [2] * (total - 1)
+    # the residuals are measured against the full composition
+    full = jet_compose(result.model, values, "field")
+    assert transport.result().tobytes() == full.tobytes()
 
 
 def test_gauge_covariance(oracle_run):

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slowphase import models
+from slowphase.config import RunConfig
 from slowphase.errors import ConfigError, ModelError
 from slowphase.models import (
     EIParameters,
@@ -14,6 +17,7 @@ from slowphase.models import (
     make_oracle_model,
     register_model,
 )
+from slowphase.pipeline import Stage, run_pipeline
 from slowphase.series import theta_grid
 
 
@@ -266,3 +270,204 @@ def test_oracle_field_jet_matches_hand_expansion():
     expect2 = np.stack([-3.0 * c, -3.0 * s], axis=1)
     got2 = jet[2]
     assert np.max(np.abs(got2 - expect2)) < 1e-13
+
+
+class Jet:
+    """Reference jet: all orders at once, products by the dense double loop.
+
+    ``values`` has shape (L+1, *grid_shape); scalars and arrays are order-0
+    terms.  Jet transport must equal this arithmetic bit for bit.
+    """
+
+    def __init__(self, values):
+        self.values = np.asarray(values)
+
+    def _coerce(self, other):
+        if isinstance(other, Jet):
+            return other
+        out = np.zeros(self.values.shape, dtype=np.result_type(other, float))
+        out[0] = other
+        return Jet(out)
+
+    def __add__(self, other):
+        return Jet(self.values + self._coerce(other).values)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return Jet(self.values - self._coerce(other).values)
+
+    def __rsub__(self, other):
+        return Jet(self._coerce(other).values - self.values)
+
+    def __neg__(self):
+        return Jet(-self.values)
+
+    def __mul__(self, other):
+        if not isinstance(other, Jet):
+            return Jet(self.values * other)
+        out = np.zeros_like(self.values)
+        for n in range(len(out)):
+            for m in range(n + 1):
+                out[n] += self.values[m] * other.values[n - m]
+        return Jet(out)
+
+    def __rmul__(self, other):
+        return Jet(self.values * other)
+
+    def __truediv__(self, scalar):
+        return Jet(self.values / scalar)
+
+    def __pow__(self, exponent):
+        out = self
+        for _ in range(exponent - 1):
+            out = out * self
+        return out
+
+
+def run_program(program, n_outputs, constant_output):
+    """A polynomial closure: each instruction appends one register to the
+    state components; the last ``n_outputs`` registers are returned."""
+
+    def closure(u):
+        regs = list(u)
+        for op, i, j, c, p in program:
+            x, y = regs[i % len(regs)], regs[j % len(regs)]
+            if op == "add":
+                r = x + y
+            elif op == "sub":
+                r = x - y
+            elif op == "neg":
+                r = -x
+            elif op == "add_c":
+                r = x + c
+            elif op == "c_add":
+                r = c + x
+            elif op == "sub_c":
+                r = x - c
+            elif op == "c_sub":
+                r = c - x
+            elif op == "scale_c":
+                r = x * c
+            elif op == "c_scale":
+                r = c * x
+            elif op == "div_c":
+                r = x / (c if c != 0 else 3.0)
+            elif op == "mul":
+                r = x * y  # i == j repeats the operand
+            else:
+                r = x**p
+            regs.append(r)
+        out = tuple(regs[-n_outputs:])
+        return out + (constant_output,) if constant_output is not None else out
+
+    return closure
+
+
+OPS = ("add", "sub", "neg", "add_c", "c_add", "sub_c", "c_sub",
+       "scale_c", "c_scale", "div_c", "mul", "pow")
+SCALARS = st.one_of(
+    st.floats(min_value=-3.0, max_value=3.0), st.sampled_from([0.0, -0.0, 2])
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    program=st.lists(
+        st.tuples(
+            st.sampled_from(OPS), st.integers(0, 40), st.integers(0, 40),
+            SCALARS, st.integers(1, 4),
+        ),
+        min_size=1, max_size=12,
+    ),
+    dim=st.integers(1, 3),
+    order=st.integers(0, 6),
+    grid=st.sampled_from([1, 2, 8]),
+    n_outputs=st.integers(1, 3),
+    constant_output=st.one_of(st.none(), SCALARS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tape_equals_dense_cauchy_products(
+    program, dim, order, grid, n_outputs, constant_output, seed
+):
+    rng = np.random.default_rng(seed)
+    orders = rng.uniform(-2.0, 2.0, (order + 1, grid, dim))
+    # signed zeros: sums from 0.0 must keep the reference's zero signs
+    orders[rng.random(orders.shape) < 0.2] = 0.0
+    orders[rng.random(orders.shape) < 0.2] = -0.0
+    closure = run_program(program, n_outputs, constant_output)
+    model = VectorFieldModel(
+        name="program", dim=dim, params={},
+        state_names=tuple(f"x{i}" for i in range(dim)),
+        rhs=closure, jac_rows=None,
+    )
+    with np.errstate(all="ignore"):  # deep powers may overflow alike
+        outputs = closure(tuple(Jet(orders[:, :, i]) for i in range(dim)))
+        got = jet_compose(model, orders, "field")
+    expected = []
+    for entry in outputs:
+        if isinstance(entry, Jet):
+            expected.append(entry.values)
+        else:
+            column = np.zeros((order + 1, grid), dtype=orders.dtype)
+            column[0] = entry
+            expected.append(column)
+    expected = np.stack(expected, axis=-1)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    for n in range(order + 1):
+        assert got[n].tobytes() == expected[n].tobytes(), f"order {n}"
+
+
+def make_int64_power_oracle(overrides):
+    """The oracle written with numpy-integer powers."""
+    two = np.int64(2)
+
+    def rhs(u):
+        x, y = u
+        r2 = x**two + y**two
+        return (x - y - r2 * x, x + y - r2 * y)
+
+    def jac_rows(u):
+        x, y = u
+        return (
+            (1.0 - 3.0 * x**two - y**two, -1.0 - 2.0 * x * y),
+            (1.0 - 2.0 * x * y, 1.0 - x**two - 3.0 * y**two),
+        )
+
+    return VectorFieldModel(
+        name="int64_oracle", dim=2, params={}, state_names=("x", "y"),
+        rhs=rhs, jac_rows=jac_rows,
+    )
+
+
+def test_numpy_integer_power_composes(monkeypatch, tmp_path):
+    # an int-like exponent that model.eval accepts was refused by jet
+    # transport, so the manifold stage of such a model failed
+    monkeypatch.setattr(models, "_REGISTRY", dict(models._REGISTRY))
+    register_model("int64_oracle", make_int64_power_oracle)
+    model = get_model("int64_oracle")
+    arg = random_bandlimited_expansion(np.random.default_rng(8), 64, 2, order=3)
+    for mode in ("field", "jacobian_transpose"):
+        jet = jet_compose(model, arg, mode)
+        assert jet.shape[:2] == (4, 64)
+    field = jet_compose(model, arg, "field")
+    assert np.array_equal(field[0], model.eval(arg[0]))
+    # x ** 2 is the product x * x, as in the oracle
+    assert field.tobytes() == jet_compose(make_oracle_model(), arg, "field").tobytes()
+    config = RunConfig(
+        model="int64_oracle", guess=(1.3, 0.0), relax_time=20.0, grid_size=128,
+        order=4, out_dir=str(tmp_path),
+    )
+    result = run_pipeline(config, through=Stage.MANIFOLD)
+    assert np.all(result.manifold.residuals < 1e-9)
+
+
+@pytest.mark.parametrize("exponent", [2.0, np.float64(2.0), 0.5, 0, -1])
+def test_non_integral_or_non_positive_power_is_model_error(exponent):
+    model = VectorFieldModel(
+        name="power", dim=1, params={}, state_names=("x",),
+        rhs=lambda u: (u[0] ** exponent,), jac_rows=None,
+    )
+    arg = np.ones((2, 8, 1))
+    with pytest.raises(ModelError, match="'power' cannot be composed with a jet"):
+        jet_compose(model, arg, "field")
