@@ -407,16 +407,12 @@ def floquet_spectrum(
     )
 
 
-def _lattice_distance(value, period: float):
-    """Distance from ``value`` to the nearest point of i * (2 pi / T) Z.
-
-    Elementwise for arrays; a Python float for a scalar.
-    """
+def _lattice_distance(value: np.ndarray, period: float) -> np.ndarray:
+    """Elementwise distance from ``value`` to the nearest point of
+    i * (2 pi / T) Z."""
     step = 2.0 * np.pi / period
-    value = np.asarray(value)
     im = value.imag - step * np.round(value.imag / step)
-    dist = np.hypot(value.real, im)
-    return float(dist) if dist.ndim == 0 else dist
+    return np.hypot(value.real, im)
 
 
 @dataclass
@@ -471,49 +467,41 @@ def check_resonances(
     T = spectrum.period
     n_dir = len(lam)
 
-    indices = []
+    # one row of direction counts per multi-index, |a| = 2..max_order in
+    # itertools order
+    blocks = []
     for total in range(2, max_order + 1):
-        for combo in itertools.combinations_with_replacement(range(n_dir), total):
-            a = [0] * n_dir
-            for c in combo:
-                a[c] += 1
-            indices.append(tuple(a))
+        combos = itertools.combinations_with_replacement(range(n_dir), total)
+        combos = np.array(list(combos), dtype=np.int64).reshape(-1, total)
+        blocks.append((combos[:, :, None] == np.arange(n_dir)).sum(axis=1))
+    counts = np.concatenate(blocks)
     # value = sum_i a_i lam_i, accumulated left to right as sum() does, so
     # every residual is the one a scalar loop would compute
-    counts = np.array(indices, dtype=np.int64).reshape(len(indices), n_dir)
-    value = np.zeros(len(indices), dtype=complex)
+    value = np.zeros(len(counts), dtype=complex)
     for i in range(n_dir):
         value = value + counts[:, i] * lam[i]
-    residuals = _lattice_distance(value[:, None] - lam[None, :], T).tolist()
+    residuals = _lattice_distance(value[:, None] - lam[None, :], T)
+    rows, targets = np.nonzero(residuals < tol)
     flagged = [
-        (a, k, r) for a, row in zip(indices, residuals)
-        for k, r in enumerate(row) if r < tol
+        (tuple(counts[i].tolist()), k, residuals[i, k].item())
+        for i, k in zip(rows.tolist(), targets.tolist())
     ]
 
-    lam_s = spectrum.exponents[1]  # the slow direction is frame column 1
-    all_lam = spectrum.exponents
-    manifold = {}
-    for n in range(2, max_order + 1):
-        manifold[n] = min(
-            _lattice_distance(n * lam_s - lj, T) for lj in all_lam
-        )
-    phase = {}
-    amplitude = {}
-    for n in range(1, max_order + 1):
-        phase[n] = min(_lattice_distance(lj + n * lam_s, T) for lj in all_lam)
-        amp_vals = [
-            _lattice_distance(lj + (n - 1) * lam_s, T)
-            for j, lj in enumerate(all_lam)
-            if not (n == 1 and j == 0)  # structural free mode
-        ]
-        amplitude[n] = min(amp_vals)
+    # divisor tables: row n, column j; the slow direction is frame column 1
+    n = np.arange(max_order + 1)[:, None]
+    lam_s, all_lam = spectrum.exponents[1], spectrum.exponents[None, :]
+    manifold = _lattice_distance(n * lam_s - all_lam, T).min(axis=1)
+    phase = _lattice_distance(all_lam + n * lam_s, T).min(axis=1)
+    amplitude = _lattice_distance(all_lam + (n - 1) * lam_s, T)
+    amplitude[1, 0] = np.inf  # structural free mode
+    amplitude = amplitude.min(axis=1)
 
     return ResonanceReport(
         order=max_order,
         tol=tol,
-        checked=len(indices) * n_dir,
+        checked=len(counts) * n_dir,
         flagged=flagged,
-        manifold_divisors=manifold,
-        phase_divisors=phase,
-        amplitude_divisors=amplitude,
+        manifold_divisors={k: manifold[k].item() for k in range(2, max_order + 1)},
+        phase_divisors={k: phase[k].item() for k in range(1, max_order + 1)},
+        amplitude_divisors={k: amplitude[k].item() for k in range(1, max_order + 1)},
     )

@@ -7,7 +7,10 @@ symbolic components for Taylor transport in the amplitude variable.  Called
 once on symbolic components, a closure records its operations on a tape;
 :class:`JetTransport` evaluates the tape on grid values one sigma-order at a
 time, so a recursion that needs order n of the composed field pays for
-order n alone, and :func:`jet_compose` fills every order.  Both built-in
+order n alone, and :func:`jet_compose` fills every order.  Two closures are
+transported: the field, ``u -> X(u)``, whose jet drives the manifold
+recursion, and the adjoint action ``(u, z) -> DX(u)^T z``, recorded from
+``jac_rows``, whose jet drives the response recursions.  Both built-in
 models are polynomial, hence add/multiply/integer powers are the only
 operations required; user models registered through :func:`register_model`
 may use the same protocol.  Jet transport supports only ``+``, ``-``, ``*``,
@@ -344,20 +347,34 @@ def _jet_error(model: VectorFieldModel, exc: Exception) -> ModelError:
     )
 
 
+def _adjoint_action(model: VectorFieldModel, components) -> list:
+    """Entries of DX(u)^T z on symbolic components (u, z): entry a sums
+    ``z_b * dX_b/dx_a`` over b in increasing order, skipping constant zeros."""
+    rows = model.jac_rows(components[: model.dim])
+    z = components[model.dim:]
+    entries = []
+    for a in range(model.dim):
+        terms = [z[b] * row[a] for b, row in enumerate(rows)
+                 if isinstance(row[a], _Var) or row[a] != 0]
+        entries.append(sum(terms[1:], terms[0]) if terms else 0.0)
+    return entries
+
+
 class JetTransport:
     """Jet transport of one model closure, evaluated one order at a time.
 
     ``orders`` holds the grid values of orders 0..L of the argument, shape
-    (L+1, N, d); it is read in place, so a caller may write order n before
-    filling it.  The closure (``model.rhs`` for ``mode="field"``,
-    ``model.jac_rows`` for ``mode="jacobian_transpose"``) is called once, on
-    symbolic components, to record a tape.  :meth:`fill` then evaluates
-    order n of every node from orders 0..n of its operands: order n of a
-    product is ``sum_m a_m b_(n-m)``, added to 0.0 in increasing m, and every
-    other node is pointwise in the order.  Only product operands keep their
+    (L+1, N, d) for ``mode="field"`` (the closure ``model.rhs``) and
+    (L+1, N, 2d) for ``mode="adjoint_action"`` (the closure
+    ``(u, z) -> DX(u)^T z`` built from ``model.jac_rows``, argument
+    ``[u | z]``); it is read in place, so a caller may write order n before
+    filling it.  The closure is called once, on symbolic components, to
+    record a tape.  :meth:`fill` then evaluates order n of every node from
+    orders 0..n of its operands: order n of a product is
+    ``sum_m a_m b_(n-m)``, added to 0.0 in increasing m, and every other
+    node is pointwise in the order.  Only product operands keep their
     history of orders; the outputs are written into :attr:`out`, shape
-    (L+1, N, d) for the field and (L+1, N, d, d) for the Jacobian transpose
-    (entry (a, b) is dX_b / dx_a), which is allocated by the first fill.
+    (L+1, N, d), which is allocated by the first fill.
 
     Orders are filled in sequence: ``fill(n)`` needs orders 0..n-1 filled,
     and filling order n again (after its input changed) leaves orders above
@@ -366,27 +383,24 @@ class JetTransport:
     """
 
     def __init__(self, model: VectorFieldModel, orders: np.ndarray, mode: str):
-        if mode not in ("field", "jacobian_transpose"):
+        widths = {"field": model.dim, "adjoint_action": 2 * model.dim}
+        if mode not in widths:
             raise ModelError(f"unknown jet composition mode '{mode}'")
         orders = np.asarray(orders)
-        if orders.ndim != 3 or orders.shape[2] != model.dim:
+        if orders.ndim != 3 or orders.shape[2] != widths[mode]:
             raise ModelError(
-                f"expansion of shape {orders.shape} is not (orders, grid, {model.dim})"
+                f"expansion of shape {orders.shape} is not (orders, grid, {widths[mode]})"
             )
         self.model = model
         self.orders = orders
         self.order = orders.shape[0] - 1
         tape = _Tape()
-        components = tuple(tape.push(_INPUT, i) for i in range(model.dim))
+        components = tuple(tape.push(_INPUT, i) for i in range(widths[mode]))
         try:
             if mode == "field":
                 entries = list(model.rhs(components))
-                shape = (len(entries),)
             else:
-                rows = model.jac_rows(components)
-                # transpose: output entry (a, b) carries dX_b / dx_a
-                entries = [rows[b][a] for a in range(model.dim) for b in range(model.dim)]
-                shape = (model.dim, model.dim)
+                entries = _adjoint_action(model, components)
         except (TypeError, ValueError) as exc:
             raise _jet_error(model, exc) from exc
         self._ops = tape.ops
@@ -396,7 +410,7 @@ class JetTransport:
         self._constants = [
             (k, entry) for k, entry in enumerate(entries) if not isinstance(entry, _Var)
         ]
-        self._shape = shape
+        self._width = len(entries)
         # a product reads all orders of its operands; inputs are their own
         # history, and other nodes keep only the order being filled
         self._keep = [False] * len(self._ops)
@@ -407,7 +421,7 @@ class JetTransport:
             orders[:, :, a] if kind == _INPUT else None for kind, a, _ in self._ops
         ]
         self._current = [None] * len(self._ops)
-        self.out = self._columns = None
+        self.out = None
         self.filled = 0
         self.fills = [0] * (self.order + 1)
 
@@ -449,7 +463,7 @@ class JetTransport:
             if self.out is None:
                 self._allocate_out()
             for k, i in self._outputs:
-                self._columns[n, :, k] = current[i]
+                self.out[n, :, k] = current[i]
         except (TypeError, ValueError) as exc:
             raise _jet_error(self.model, exc) from exc
         self.fills[n] += 1
@@ -459,11 +473,9 @@ class JetTransport:
         # order 0 fixes the dtype; constant outputs occupy order 0 only
         values = (self._current[i] for _, i in self._outputs)
         dtype = np.result_type(self.orders.dtype, *values)
-        self.out = np.zeros(self.orders.shape[:2] + self._shape, dtype)
-        # one column per output entry, a view of out
-        self._columns = self.out.reshape(self.orders.shape[:2] + (-1,))
+        self.out = np.zeros(self.orders.shape[:2] + (self._width,), dtype)
         for k, value in self._constants:
-            self._columns[0, :, k] = value
+            self.out[0, :, k] = value
 
     def result(self) -> np.ndarray:
         """All orders of the output, once every order is filled."""
@@ -473,14 +485,14 @@ class JetTransport:
 
 
 def jet_compose(model: VectorFieldModel, orders: np.ndarray, mode: str) -> np.ndarray:
-    """Compose the field or its Jacobian transpose with a sigma-expansion.
+    """Compose the field or its adjoint action with a sigma-expansion.
 
-    ``orders`` holds the grid values of orders 0..L, shape (L+1, N, d).
-    ``mode="field"`` returns the grid values of the jet of X(orders), shape
-    (L+1, N, d): order n is the coefficient of sigma**n of the composed
-    field.  ``mode="jacobian_transpose"`` returns the matrix-valued jet of
-    DX^T(orders), shape (L+1, N, d, d).  Both fill a :class:`JetTransport`
-    through every order.
+    ``mode="field"`` takes the grid values of orders 0..L of u, shape
+    (L+1, N, d), and returns those of the jet of X(u), shape (L+1, N, d):
+    order n is the coefficient of sigma**n of the composed field.
+    ``mode="adjoint_action"`` takes orders of ``[u | z]``, shape
+    (L+1, N, 2d), and returns the jet of DX(u)^T z, shape (L+1, N, d).  Both
+    fill a :class:`JetTransport` through every order.
 
     The order-0 values of a field composition are bitwise equal to the
     pointwise evaluation of the model on the order-0 grid, because both go

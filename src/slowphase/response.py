@@ -2,10 +2,14 @@
 
 The gradients of the phase map and of the slow amplitude map, restricted to
 the slow submanifold, are expanded in the amplitude variable; each order
-solves an adjoint homological equation driven by the sigma-expansion of the
-transposed Jacobian on the manifold.  That equation is the direct problem of
-the operator -DX^T, whose frame is the adjoint frame with exponents -lam and
-whose dual is the bundle frame, so each order is one
+solves an adjoint homological equation
+
+    (1/T) Z_n' + DX(K_0)^T Z_n + (n + offset) lam_s Z_n + G_n = 0,
+
+where G_n = sum_{i<n} F_{n-i} Z_i and F_m is the sigma**m coefficient of
+DX^T on the manifold.  That equation is the direct problem of the operator
+-DX^T, whose frame is the adjoint frame with exponents -lam and whose dual
+is the bundle frame, so each order is one
 :func:`~slowphase.frames.solve_in_frame` with right-hand side -G: the bundle
 reduces it and the adjoint frame expands the solution.  In these coordinates
 the equations are diagonal per Fourier mode:
@@ -18,10 +22,13 @@ The amplitude equation at order 1 carries a structural zero divisor at
 and the coefficient left free is fixed afterwards by the order-1
 normalization identity, enforced at the grid mean and verified pointwise.
 
-Both recursions are one function, ``next_order``, with the order offset as
-its argument.  They run in the complex Floquet normal form, where each order
-is diagonal per Fourier mode for real, negative and complex-conjugate
-multipliers alike, so no real-representation solve is needed.
+Each response function runs as the manifold recursion does, on one jet
+transport (:class:`~slowphase.models.JetTransport`) of the adjoint action
+(u, z) -> DX(u)^T z over the stack [K | Z].  Order n is filled with Z_n = 0,
+which gives G_n, and again after Z_n is written (F_0 Z_n + G_n, for the
+residual).  ``next_order`` solves an order of either recursion, in the
+complex Floquet normal form, which is diagonal per Fourier mode for every
+multiplier class.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ import numpy as np
 from .errors import ModelError, SolvabilityError
 from .frames import Frame, solve_in_frame
 from .manifold import ManifoldExpansion
-from .models import VectorFieldModel, jet_compose
+from .models import JetTransport, VectorFieldModel
 from .series import FourierTaylor
 
 __all__ = [
@@ -62,23 +69,8 @@ class ResponseExpansion:
         return self.phase.order
 
 
-def _jacobian_transpose_orders(model, manifold: ManifoldExpansion, order: int):
-    """Grid samples of the sigma-expansion of DX^T on the manifold."""
-    arg = manifold.coeffs.truncated(order).samples().real
-    return jet_compose(model, arg, "jacobian_transpose")  # (order+1, N, d, d)
-
-
-def _convolution_term(f_orders, lower, n):
-    """sum_{i=0}^{n-1} F_{n-i} Z_i on the grid."""
-    out = np.zeros_like(lower[0])
-    for i in range(n):
-        out += np.einsum("nab,nb->na", f_orders[n - i], lower[i])
-    return out
-
-
 def next_order(
-    f_orders,
-    lower,
+    g_n,
     bundle: Frame,
     adjoint: Frame,
     n: int,
@@ -87,19 +79,19 @@ def next_order(
     small_divisor_tol: float = 1e-8,
     solvability_tol: float = 1e-9,
 ):
-    """Order n >= 1 of an adjoint response recursion.
+    """Solve order n >= 1 of an adjoint response recursion driven by ``g_n``.
 
-    ``offset`` 0 gives the phase gradient, -1 the amplitude gradient: the
-    divisors are 2 pi i k / T + lam_j + (n + offset) lam_s.  Where
-    n + offset == 0 the (k=0, trivial) mode is free: its right-hand-side
-    magnitude is returned as the solvability residual and the mode itself is
-    set to zero, to be fixed by the normalization afterwards.  Returns
-    ``(x_n, g_n, solvability)``.
+    ``g_n`` holds the grid values of G_n, the order-n driving term of the
+    lower orders.  ``offset`` 0 gives the phase gradient, -1 the amplitude
+    gradient: the divisors are 2 pi i k / T + lam_j + (n + offset) lam_s.
+    Where n + offset == 0 the (k=0, trivial) mode is free: its
+    right-hand-side magnitude is returned as the solvability residual and
+    the mode itself is set to zero, to be fixed by the normalization
+    afterwards.  Returns ``(x_n, solvability)``.
     """
     if n < 1:
         raise ModelError("response recursions start at n = 1")
     lam_s = float(bundle.exponents[1].real)
-    g_n = _convolution_term(f_orders, lower, n)
     shifts = bundle.exponents + (n + offset) * lam_s
     free = ((0, 0),) if n + offset == 0 else ()
     x_n, free_info, _ = solve_in_frame(
@@ -111,7 +103,7 @@ def next_order(
             f"order-{n} solvability residual {solvability:.3e} exceeds "
             f"{solvability_tol:.1e}; lower orders are inconsistent"
         )
-    return x_n.real, g_n, solvability
+    return x_n.real, solvability
 
 
 def _fix_order1_normalization(i1_particular, z0, i0, k1_deriv, x0, period):
@@ -123,33 +115,24 @@ def _fix_order1_normalization(i1_particular, z0, i0, k1_deriv, x0, period):
     discretization noise and the pointwise defect is reported.  Adding
     c Z_0 shifts the identity by exactly c because <Z_0, X(K_0)> = 1/T.
     """
-    base = np.einsum("ni,ni->n", i0, k1_deriv) + period * np.einsum(
-        "ni,ni->n", i1_particular, x0
-    )
-    c = -float(np.mean(base))
+    pairing = np.einsum("ni,ni->n", i0, k1_deriv)
+    c = -float(np.mean(pairing + period * np.einsum("ni,ni->n", i1_particular, x0)))
     i1 = i1_particular + c * z0
-    defect = float(
-        np.max(
-            np.abs(
-                np.einsum("ni,ni->n", i0, k1_deriv)
-                + period * np.einsum("ni,ni->n", i1, x0)
-            )
-        )
-    )
+    defect = float(np.max(np.abs(pairing + period * np.einsum("ni,ni->n", i1, x0))))
     return i1, c, defect
 
 
-def _residuals(expansion, orders, g_terms, f0, lam_s, period, shift_offset):
-    """Spectral back-substitution residuals of the adjoint recursions."""
-    out = np.zeros(len(orders))
+def _residuals(expansion, values, composed, lam_s, period, shift_offset):
+    """Spectral back-substitution residuals of an adjoint recursion, against
+    the transport's final state ``composed`` (order n: F_0 Z_n + G_n)."""
+    out = np.zeros(len(values))
     # one order at a time: a derivative of the whole stack holds two complex
     # copies of it at once, and this is when the stage peaks in memory
-    for n in range(1, len(orders)):
+    for n in range(1, len(values)):
         lhs = (
             expansion.order_series(n).differentiate().samples().real / period
-            + np.einsum("nab,nb->na", f0, orders[n])
-            + (n + shift_offset) * lam_s * orders[n]
-            + g_terms[n]
+            + (n + shift_offset) * lam_s * values[n]
+            + composed[n]
         )
         out[n] = float(np.max(np.linalg.norm(lhs, axis=1)))
     return out
@@ -166,11 +149,11 @@ def expand_response_functions(
 ) -> ResponseExpansion:
     """Expand both response functions to ``order``.
 
-    The transposed-Jacobian expansion is computed once and shared by the two
-    recursions.  Order 0 is given by the adjoint frame columns: the phase
-    response curve and the slow amplitude response curve (the latter
-    rescaled by the manifold gauge so the pairing with the order-1 manifold
-    coefficient is exactly one).
+    Order 0 is given by the adjoint frame columns: the phase response curve
+    and the slow amplitude response curve (the latter rescaled by the
+    manifold gauge so the pairing with the order-1 manifold coefficient is
+    exactly one).  Each recursion then adds one order at a time on its own
+    jet transport of the adjoint action over [K | Z].
     """
     if manifold.total_order < order:
         raise ModelError(
@@ -179,7 +162,8 @@ def expand_response_functions(
 
     period = manifold.period
     lam_s = manifold.slow_exponent
-    f_orders = _jacobian_transpose_orders(model, manifold, order)
+    k_orders = manifold.coeffs.truncated(order).samples().real
+    d = manifold.dim
     adjoint_grid = adjoint.grid_values()
 
     z0 = adjoint_grid[:, :, 0].real
@@ -190,11 +174,17 @@ def expand_response_functions(
     norm_defect = 0.0
     expansions, residuals = [], []
     for offset, order0 in ((0, z0), (-1, i0)):
-        orders = [order0]
-        terms = [np.zeros_like(order0)]
+        # an order not yet solved reads as zero, so filling it gives G_n
+        stack = np.zeros(k_orders.shape[:2] + (2 * d,))
+        stack[:, :, :d] = k_orders
+        stack[0, :, d:] = order0
+        values = stack[:, :, d:]
+        transport = JetTransport(model, stack, "adjoint_action")
+        transport.fill(0)
         for n in range(1, order + 1):
-            x_n, g_n, solv = next_order(
-                f_orders, orders, bundle, adjoint, n, period, offset,
+            transport.fill(n)
+            x_n, solv = next_order(
+                transport.out[n], bundle, adjoint, n, period, offset,
                 small_divisor_tol, solvability_tol,
             )
             if n + offset == 0:
@@ -205,11 +195,11 @@ def expand_response_functions(
                 x_n, free_c, norm_defect = _fix_order1_normalization(
                     x_n, z0, i0, k1_deriv, x0, period
                 )
-            orders.append(x_n)
-            terms.append(g_n)
-        expansions.append(FourierTaylor.from_samples(orders, 1.0))
+            values[n] = x_n
+            transport.fill(n)
+        expansions.append(FourierTaylor.from_samples(values, 1.0))
         residuals.append(_residuals(
-            expansions[-1], orders, terms, f_orders[0], lam_s, period, offset
+            expansions[-1], values, transport.result(), lam_s, period, offset
         ))
 
     return ResponseExpansion(

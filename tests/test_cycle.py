@@ -324,8 +324,8 @@ def test_ei_no_resonances(ei_run):
     assert min(ei_run.result.resonance.amplitude_divisors.values()) > 1e-3
 
 
-def test_resonance_scan_matches_scalar_loop():
-    """The vectorised scan gives every residual of a scalar loop, bitwise."""
+def ei_like_spectrum():
+    """A 6-direction spectrum with the classes of the network model."""
     T = 20.8
     nu = np.pi / T
     exponents = np.array(
@@ -333,7 +333,7 @@ def test_resonance_scan_matches_scalar_loop():
          -1.0846 + nu * 1j],
         dtype=complex,
     )
-    spectrum = FloquetSpectrum(
+    return FloquetSpectrum(
         period=T,
         multipliers=np.exp(exponents * T),
         exponents=exponents,
@@ -345,20 +345,54 @@ def test_resonance_scan_matches_scalar_loop():
         hyperbolicity_defect=0.0,
         eigenvector_condition=1.0,
     )
+
+
+def scalar_lattice_distance(v, T):
+    step = 2.0 * np.pi / T
+    im = v.imag - step * np.round(v.imag / step)
+    return float(np.hypot(v.real, im))
+
+
+def test_resonance_scan_matches_scalar_loop():
+    """The vectorised scan gives every residual of a scalar loop, bitwise."""
+    spectrum = ei_like_spectrum()
+    T, exponents = spectrum.period, spectrum.exponents
     report = check_resonances(spectrum, max_order=6, tol=math.inf)
     lam = exponents[1:]
-    step = 2.0 * np.pi / T
     expected = []
     for total in range(2, 7):
         for combo in itertools.combinations_with_replacement(range(5), total):
             a = tuple(combo.count(i) for i in range(5))
             value = sum(ai * li for ai, li in zip(a, lam))
             for k in range(5):
-                v = value - lam[k]
-                im = v.imag - step * np.round(v.imag / step)
-                expected.append((a, k, float(np.hypot(v.real, im))))
+                expected.append((a, k, scalar_lattice_distance(value - lam[k], T)))
     assert len(report.flagged) == len(expected)
     assert all(
         got[:2] == want[:2] and got[2].hex() == want[2].hex()
         for got, want in zip(report.flagged, expected)
     )
+
+
+def test_divisor_tables_match_scalar_loop():
+    """The three divisor tables are the minima a scalar loop takes, bitwise;
+    the amplitude table skips the structural free mode at order 1."""
+    spectrum = ei_like_spectrum()
+    T, lam = spectrum.period, spectrum.exponents
+    lam_s = lam[1]
+    report = check_resonances(spectrum, max_order=9)
+    manifold = {n: min(scalar_lattice_distance(n * lam_s - lj, T) for lj in lam)
+                for n in range(2, 10)}
+    phase = {n: min(scalar_lattice_distance(lj + n * lam_s, T) for lj in lam)
+             for n in range(1, 10)}
+    amplitude = {
+        n: min(scalar_lattice_distance(lj + (n - 1) * lam_s, T)
+               for j, lj in enumerate(lam) if not (n == 1 and j == 0))
+        for n in range(1, 10)
+    }
+    for got, want in ((report.manifold_divisors, manifold),
+                      (report.phase_divisors, phase),
+                      (report.amplitude_divisors, amplitude)):
+        assert list(got) == list(want)
+        assert all(type(v) is float and v.hex() == want[n].hex() for n, v in got.items())
+    # the trivial exponent is a zero divisor of amplitude order 1 and is skipped
+    assert report.amplitude_divisors[1] > 0.0

@@ -205,9 +205,10 @@ def test_jet_compose_unsupported_operation_is_model_error(pendulum):
     rng = np.random.default_rng(4)
     arg = random_bandlimited_expansion(rng, 32, 2, order=2)
     # the message names the model and, through numpy's, the ufunc
-    for mode, ufunc in (("field", "sin"), ("jacobian_transpose", "cos")):
+    arg_z = np.concatenate([arg, arg], axis=2)
+    for mode, ufunc, a in (("field", "sin", arg), ("adjoint_action", "cos", arg_z)):
         with pytest.raises(ModelError, match=f"'pendulum'.*{ufunc} method"):
-            jet_compose(pendulum, arg, mode)
+            jet_compose(pendulum, a, mode)
 
 
 def test_batched_evaluation_shapes():
@@ -238,17 +239,85 @@ def test_jet_compose_rejects_mismatched_dimension():
         jet_compose(model, random_bandlimited_expansion(rng, 32, 6, 1), "bogus")
 
 
+def jacobian_transpose_jet(model, k_orders):
+    """The jet of DX^T along ``k_orders``, shape (L+1, N, d, d), read off the
+    adjoint action: with z = e_b at order 0 alone, order n of DX^T z is
+    column b of the order-n coefficient."""
+    order, n_grid, d = k_orders.shape
+    out = np.empty((order, n_grid, d, d))
+    for b in range(d):
+        stack = np.zeros((order, n_grid, 2 * d))
+        stack[:, :, :d] = k_orders
+        stack[0, :, d + b] = 1.0
+        out[..., b] = jet_compose(model, stack, "adjoint_action")
+    return out
+
+
 def test_ei_jacobian_transpose_jet_matches_analytic():
     params = EIParameters()
     model = make_ei_model(params)
     rng = np.random.default_rng(3)
     k_orders = random_bandlimited_expansion(rng, 64, 6, order=5)
-    computed = jet_compose(model, k_orders, "jacobian_transpose")
+    computed = jacobian_transpose_jet(model, k_orders)
     analytic = ei_jacobian_transpose_orders(params, k_orders)
     assert np.max(np.abs(computed - analytic)) < 1e-12
     # coupling entry (synapse row, voltage column) vanishes beyond order 0
     assert np.max(np.abs(computed[1:, :, 2, 1])) == 0.0
     assert np.max(np.abs(computed[0, :, 2, 1] + 1.0)) < 1e-15
+
+
+def oracle_jacobian_transpose_orders(k_orders):
+    """The oracle's DX^T jet from the dense reference jets of ``Jet``."""
+    rows = make_oracle_model().jac_rows(tuple(Jet(k_orders[:, :, i]) for i in range(2)))
+    out = np.zeros(k_orders.shape + (2,))
+    for a in range(2):
+        for b in range(2):
+            entry = rows[b][a]
+            out[:, :, a, b] = entry.values if isinstance(entry, Jet) else 0.0
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(["ei", "oracle"]),
+    order=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_adjoint_action_is_the_convolution_with_the_jacobian_jet(name, order, seed):
+    """Order n of the adjoint-action transport is sum_m F_m z_(n-m), and
+    filling order n with z_n = 0 gives the driving term
+    G_n = sum_(i<n) F_(n-i) z_i."""
+    rng = np.random.default_rng(seed)
+    model = get_model(name)
+    d = model.dim
+    k_orders = random_bandlimited_expansion(rng, 32, d, order)
+    z = random_bandlimited_expansion(rng, 32, d, order)
+    if name == "ei":
+        f = ei_jacobian_transpose_orders(EIParameters(), k_orders)
+    else:
+        f = oracle_jacobian_transpose_orders(k_orders)
+
+    def convolution(n, last):
+        """sum_(i <= last) F_(n-i) z_i"""
+        total = np.zeros((32, d))
+        for i in range(last + 1):
+            total += np.einsum("nab,nb->na", f[n - i], z[i])
+        return total
+
+    stack = np.concatenate([k_orders, z], axis=2)
+    got = jet_compose(model, stack, "adjoint_action")
+    transport = models.JetTransport(model, stack.copy(), "adjoint_action")
+    for n in range(order + 1):
+        peak = np.max(np.abs(convolution(n, n)))
+        assert np.max(np.abs(got[n] - convolution(n, n))) <= 1e-12 * peak, f"order {n}"
+        # order n with z_n = 0, then with z_n written
+        transport.orders[n, :, d:] = 0.0
+        transport.fill(n)
+        g_n = convolution(n, n - 1)
+        assert np.max(np.abs(transport.out[n] - g_n)) <= 1e-12 * peak, f"G_{n}"
+        transport.orders[n, :, d:] = z[n]
+        transport.fill(n)
+    assert transport.result().tobytes() == got.tobytes()
 
 
 def test_oracle_field_jet_matches_hand_expansion():
@@ -447,9 +516,9 @@ def test_numpy_integer_power_composes(monkeypatch, tmp_path):
     register_model("int64_oracle", make_int64_power_oracle)
     model = get_model("int64_oracle")
     arg = random_bandlimited_expansion(np.random.default_rng(8), 64, 2, order=3)
-    for mode in ("field", "jacobian_transpose"):
-        jet = jet_compose(model, arg, mode)
-        assert jet.shape[:2] == (4, 64)
+    for mode, a in (("field", arg), ("adjoint_action", np.concatenate([arg, arg], axis=2))):
+        jet = jet_compose(model, a, mode)
+        assert jet.shape == (4, 64, 2)
     field = jet_compose(model, arg, "field")
     assert np.array_equal(field[0], model.eval(arg[0]))
     # x ** 2 is the product x * x, as in the oracle

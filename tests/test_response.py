@@ -1,9 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from slowphase import response
 from slowphase.errors import SolvabilityError
 from slowphase.manifold import evaluate_manifold
+from slowphase.models import JetTransport, jet_compose
+from slowphase.pipeline import save_response
 from slowphase.response import expand_response_functions, next_order
+from slowphase.series import FourierSeries, FourierTaylor
 
 
 def half_power_series(power, n, b):
@@ -92,15 +98,13 @@ def test_zero_driving_terms_give_zero_orders(oracle_run):
     result = oracle_run.result
     n_grid = result.cycle.grid_size
     d = result.model.dim
-    f_zero = np.zeros((3, n_grid, d, d))
-    lower = [np.zeros((n_grid, d))]
-    z1, g1, _ = next_order(
-        f_zero, lower, result.bundle, result.adjoint, 1, result.cycle.period, 0
+    g_zero = np.zeros((n_grid, d))
+    z1, _ = next_order(
+        g_zero, result.bundle, result.adjoint, 1, result.cycle.period, 0
     )
     assert np.max(np.abs(z1)) == 0.0
-    i2, h2, _ = next_order(
-        f_zero, [np.zeros((n_grid, d)), np.zeros((n_grid, d))],
-        result.bundle, result.adjoint, 2, result.cycle.period, -1,
+    i2, _ = next_order(
+        g_zero, result.bundle, result.adjoint, 2, result.cycle.period, -1,
     )
     assert np.max(np.abs(i2)) == 0.0
 
@@ -109,30 +113,94 @@ def test_order1_free_mode_bookkeeping(oracle_run):
     """Synthetic order-1 amplitude solve: the free mode is zeroed and the
     solvability residual reports the incompatible part of the data."""
     result = oracle_run.result
-    n_grid = result.cycle.grid_size
     d = result.model.dim
-    f_orders = np.zeros((2, n_grid, d, d))
     i0 = result.adjoint.grid_values()[:, :, 1].real
-    # compatible driving term (the genuine F_1 I_0) has zero residual
-    from slowphase.response import _jacobian_transpose_orders
-
-    f_real = _jacobian_transpose_orders(
-        result.model, result.manifold, 1
-    )
-    i1, h1, solv = next_order(
-        f_real, [i0], result.bundle, result.adjoint, 1, result.cycle.period, -1
+    # compatible driving term (the genuine G_1 = F_1 I_0) has zero residual:
+    # order 1 of the adjoint action over [K_0, K_1 | I_0, 0]
+    stack = np.zeros((2, len(i0), 2 * d))
+    stack[:, :, :d] = result.manifold.coeffs.truncated(1).samples().real
+    stack[0, :, d:] = i0
+    g_real = jet_compose(result.model, stack, "adjoint_action")[1]
+    i1, solv = next_order(
+        g_real, result.bundle, result.adjoint, 1, result.cycle.period, -1
     )
     assert solv < 1e-9
-    # incompatible synthetic data trips the solvability gate: perturb so the
-    # driving term gains a component along the flow direction (the trivial
-    # coordinate of the reduction carries the solvability condition)
+    # incompatible synthetic data trips the solvability gate: perturb F_1 by
+    # k0p i0^T so the driving term gains a component along the flow
+    # direction (the trivial coordinate of the reduction carries the
+    # solvability condition)
     k0p = result.bundle.grid_values()[:, :, 0].real
-    f_bad = f_real.copy()
-    f_bad[1] += np.einsum("na,nb->nab", k0p, i0)
+    g_bad = g_real + k0p * np.einsum("nb,nb->n", i0, i0)[:, None]
     with pytest.raises(SolvabilityError):
         next_order(
-            f_bad, [i0], result.bundle, result.adjoint, 1, result.cycle.period, -1
+            g_bad, result.bundle, result.adjoint, 1, result.cycle.period, -1
         )
+
+
+def test_each_order_is_filled_at_most_twice(oracle_run, monkeypatch):
+    """Each response recursion fills order n once with Z_n = 0 and once
+    after Z_n is written: a recursion that recomposed orders 0..n at every n
+    would fill order 0 L times."""
+    result = oracle_run.result
+    transports = []
+
+    class Recording(JetTransport):
+        def __init__(self, *args):
+            super().__init__(*args)
+            transports.append(self)
+
+    monkeypatch.setattr(response, "JetTransport", Recording)
+    resp = expand_response_functions(
+        result.model, result.manifold, result.bundle, result.adjoint, 5
+    )
+    assert len(transports) == 2  # phase, then amplitude
+    d = result.model.dim
+    for transport, expansion in zip(transports, (resp.phase, resp.amplitude)):
+        assert transport.fills == [1] + [2] * 5
+        # the transport carries the stored orders, and its final state is
+        # the full composition of [K | Z]
+        values = transport.orders
+        stored = FourierTaylor.from_samples(values[:, :, d:]).coef
+        assert stored.tobytes() == expansion.coef.tobytes()
+        full = jet_compose(result.model, values, "adjoint_action")
+        assert transport.result().tobytes() == full.tobytes()
+
+
+def _layouts(coef):
+    """C-ordered, Fortran-ordered and strided arrays equal to ``coef``."""
+    strided = np.stack([coef, np.zeros_like(coef)], axis=-1)[..., 0]
+    return np.ascontiguousarray(coef), np.asfortranarray(coef), strided
+
+
+def test_response_is_independent_of_memory_layout(ei_run, tmp_path):
+    """Fortran-ordered and strided copies of the manifold coefficients and of
+    both frames give byte-identical response arrays and response.json."""
+    result = ei_run.result
+    man, bundle, adjoint = result.manifold, result.bundle, result.adjoint
+    outputs = []
+    for k, (m, b, a) in enumerate(zip(
+        _layouts(man.coeffs.coef), _layouts(bundle.series.coef),
+        _layouts(adjoint.series.coef),
+    )):
+        assert k == 0 or not (m.flags.c_contiguous or b.flags.c_contiguous
+                              or a.flags.c_contiguous)
+        resp = expand_response_functions(
+            result.model,
+            replace(man, coeffs=FourierTaylor(m, man.period)),
+            replace(bundle, series=FourierSeries(b, bundle.period)),
+            replace(adjoint, series=FourierSeries(a, adjoint.period)),
+            man.nominal_order,
+        )
+        out = tmp_path / str(k)
+        out.mkdir()
+        save_response(str(out), resp, {})
+        outputs.append({
+            name: (out / name).read_bytes()
+            for name in ("response_phase_coeff.npy", "response_amplitude_coeff.npy",
+                         "response.json")
+        })
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
 
 
 def test_directional_derivative_identities_oracle(oracle_run):
