@@ -28,6 +28,7 @@ from .integrate import (
     DEFAULT_SETTINGS,
     CycleInterpolant,
     IntegratorSettings,
+    _field_rhs,
     _integrate,
     flow,
     flow_with_variational,
@@ -189,7 +190,7 @@ def _first_return(model, x0, settings, t_max):
         t_prev = solver.t
         return done
 
-    _integrate(lambda t, y: model.eval(y), 0.0, x0, t_max, settings, on_step=on_step)
+    _integrate(_field_rhs(model), 0.0, x0, t_max, settings, on_step=on_step)
     if best is not None:
         return best[0]
     raise NewtonError(f"no return to the section found within t = {t_max}")
@@ -263,7 +264,7 @@ def find_cycle(
 
     times = theta_grid(grid_size, 1.0) * period
     x_t, samples = _integrate(
-        lambda t, y: model.eval(y), 0.0, x, float(period), settings, t_eval=times
+        _field_rhs(model), 0.0, x, float(period), settings, t_eval=times
     )
     series = FourierSeries.from_samples(samples, 1.0)
     tail = series.spectral_tail()

@@ -8,9 +8,20 @@ solutions, and 3 extra stages for the interpolant.  The arithmetic is scipy's
 stage sums, the error norm, the step-size factors, the clamp at ``t_bound``
 and the interpolant's Horner loop -- so every flow is bitwise the one scipy
 computes; the tests compare the two.
+
+The hot loop keeps those operations and drops the numpy dispatch around
+them.  Each stage sum is the same ``np.dot`` (one BLAS ``gemv``) on a view
+with the strides of scipy's ``K[:s].T``, taken once per integration from the
+transposed stage array, against a contiguous copy of the weight row.  The
+sum is scaled and shifted in place (``dy *= h; dy += y``, the IEEE
+operations of ``dot * h`` and ``y + dy``); the error norm is
+``sqrt(e.dot(e)) ** 2``, which is what ``np.linalg.norm`` computes for a real
+vector; and the step-size arithmetic runs on Python floats.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -82,6 +93,9 @@ C = np.array([
     0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
     0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0, 0.1, 0.2, 0.7777777777777778,
 ])
+# the stage weights A[s, :s] as contiguous rows, and C as Python floats
+_A_STAGE = [np.ascontiguousarray(A[s, :s]) for s in range(16)]
+_C = C.tolist()
 # error weights over the 12 stages and f(t + h): E5 of the order-5 estimate,
 # E3 = B minus the order-3 weights (stored as the differences, rounded)
 E3 = np.array([
@@ -172,11 +186,15 @@ class DOP853:
         self.fun = fun
         self.t, self.y, self.t_bound = t0, y0, t_bound
         self.rtol, self.atol = rtol, atol
-        self.direction = np.sign(t_bound - t0)
+        self.direction = float(np.sign(t_bound - t0))
         self.f = fun(t0, y0)
         self.h_abs = self._initial_step()
         self.K_extended = np.empty((16, y0.size))
         self.K = self.K_extended[: N_STAGES + 1]
+        # columns[s] = K_extended.T[:, :s] has the strides of K[:s].T, so
+        # every stage sum is the gemv call scipy makes
+        KT = self.K_extended.T
+        self.columns = [KT[:, :s] for s in range(16)]
         self.t_old = self.y_old = self.h_previous = None
         self.finished = False
 
@@ -203,31 +221,39 @@ class DOP853:
 
     def _stages(self, t, y, h):
         """The order-8 solution at ``t + h`` and its field; fills ``K``."""
-        K = self.K
+        K, columns, fun = self.K, self.columns, self.fun
         K[0] = self.f
         for s in range(1, N_STAGES):
-            dy = np.dot(K[:s].T, A[s, :s]) * h
-            K[s] = self.fun(t + C[s] * h, y + dy)
-        y_new = y + h * np.dot(K[:-1].T, B)
-        f_new = self.fun(t + h, y_new)
+            dy = np.dot(columns[s], _A_STAGE[s])
+            dy *= h
+            dy += y
+            K[s] = fun(t + _C[s] * h, dy)
+        y_new = np.dot(columns[N_STAGES], B)
+        y_new *= h
+        y_new += y
+        f_new = fun(t + h, y_new)
         K[-1] = f_new
         return y_new, f_new
 
     def _error_norm(self, h, scale):
-        err5 = np.dot(self.K.T, E5) / scale
-        err3 = np.dot(self.K.T, E3) / scale
-        err5_norm_2 = np.linalg.norm(err5) ** 2
-        err3_norm_2 = np.linalg.norm(err3) ** 2
+        stages = self.columns[N_STAGES + 1]  # K.T
+        err5 = np.dot(stages, E5)
+        err5 /= scale
+        err3 = np.dot(stages, E3)
+        err3 /= scale
+        # np.linalg.norm of a real vector is sqrt(x.dot(x))
+        err5_norm_2 = math.sqrt(err5.dot(err5)) ** 2
+        err3_norm_2 = math.sqrt(err3.dot(err3)) ** 2
         if err5_norm_2 == 0 and err3_norm_2 == 0:
             return 0.0
         denom = err5_norm_2 + 0.01 * err3_norm_2
-        return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
+        return abs(h) * err5_norm_2 / math.sqrt(denom * len(scale))
 
     def step(self) -> bool:
         """Take one accepted step; False (nothing moves) if the step size
         fell below ten units in the last place of ``t``."""
         t, y, direction = self.t, self.y, self.direction
-        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         h_abs = max(self.h_abs, min_step)
         rejected = False
         while True:
@@ -238,9 +264,11 @@ class DOP853:
             if direction * (t_new - self.t_bound) > 0:
                 t_new = self.t_bound
             h = t_new - t
-            h_abs = np.abs(h)
+            h_abs = abs(h)
             y_new, f_new = self._stages(t, y, h)
-            scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
+            scale = np.maximum(np.abs(y), np.abs(y_new))
+            scale *= self.rtol
+            scale += self.atol
             error_norm = self._error_norm(h, scale)
             if error_norm < 1:
                 break
@@ -264,8 +292,10 @@ class DOP853:
         K = self.K_extended
         h = self.h_previous
         for s in range(N_STAGES + 1, 16):
-            dy = np.dot(K[:s].T, A[s, :s]) * h
-            K[s] = self.fun(self.t_old + C[s] * h, self.y_old + dy)
+            dy = np.dot(self.columns[s], _A_STAGE[s])
+            dy *= h
+            dy += self.y_old
+            K[s] = self.fun(self.t_old + _C[s] * h, dy)
         F = np.empty((7, self.y.size))
         f_old = K[0]
         delta_y = self.y - self.y_old

@@ -143,18 +143,13 @@ def _integration_route(lam: complex, exponents: np.ndarray, period: float) -> st
     return "forward" if amp_fwd <= amp_bwd else "backward"
 
 
-def _shifted_columns(jacobian, interp, w, lam, period, theta, settings, direction):
-    """Sample e^{-lam_j T theta} Phi(T theta) w_j for the m columns of ``w``.
+def _shifted_rhs(jacobian, interp, lam, d, m):
+    """The real right-hand side of dC_j/dt = (A - lam_j) C_j for m columns.
 
-    Phi is the fundamental matrix of x' = A(gamma(t)) x, with the operator
-    A = ``jacobian`` at the cycle point: DX for the bundle, -DX^T for the
-    adjoint.  ``w`` is d x m and ``lam`` has length m.  The shifted equations
-    dC_j/dt = (A - lam_j) C_j keep every column O(1) across the period; all m
-    columns ride one route and are integrated as one real system of
-    dimension 2dm, so the cycle point and the operator are evaluated once per
-    stage for all of them.  Returns an array of shape (len(theta), d, m).
+    The state holds the real parts of the d x m columns, then their
+    imaginary parts; ``jacobian`` is the point closure of the operator A and
+    ``interp`` the cycle point at a time.
     """
-    d, m = w.shape
     size = d * m
     lam = np.asarray(lam)
     lam_re, lam_im = lam.real, lam.imag
@@ -166,6 +161,24 @@ def _shifted_columns(jacobian, interp, w, lam, period, theta, settings, directio
         db = jac @ b - lam_re * b - lam_im * a
         return np.concatenate([da.ravel(), db.ravel()])
 
+    return rhs
+
+
+def _shifted_columns(jacobian, interp, w, lam, period, theta, settings, direction):
+    """Sample e^{-lam_j T theta} Phi(T theta) w_j for the m columns of ``w``.
+
+    Phi is the fundamental matrix of x' = A(gamma(t)) x, with the operator
+    A = ``jacobian`` at the cycle point: DX for the bundle, -DX^T for the
+    adjoint, as a point closure (:meth:`VectorFieldModel.point_jacobian`).
+    ``w`` is d x m and ``lam`` has length m.  The shifted equations
+    dC_j/dt = (A - lam_j) C_j keep every column O(1) across the period; all m
+    columns ride one route and are integrated as one real system of
+    dimension 2dm, so the cycle point and the operator are evaluated once per
+    stage for all of them.  Returns an array of shape (len(theta), d, m).
+    """
+    d, m = w.shape
+    size = d * m
+    rhs = _shifted_rhs(jacobian, interp, lam, d, m)
     y0 = np.concatenate([w.real.ravel(), w.imag.ravel()])
     times = theta * period
     if direction == "forward":
@@ -399,7 +412,8 @@ def build_bundle_frame(
         if classes[j] != CLASS_PAIR_CONJ
     }
     routes = _columns_by_route(
-        model.jacobian, interp, cols, seeds, lams, classes, period, theta, settings
+        model.point_jacobian(), interp, cols, seeds, lams, classes, period, theta,
+        settings,
     )
 
     _symmetrize_columns(cols, lams, classes, theta, period)
@@ -636,10 +650,11 @@ def cross_check_adjoint_frame(
     eye = np.eye(d)
 
     dd = d * d
+    jacobian = model.point_jacobian()
 
     def pair_rhs(t, y):
         # Phi' = DX Phi and Psi' = -DX^T Psi, sharing one Jacobian per stage
-        jac = model.jacobian(interp(t))
+        jac = jacobian(interp(t))
         phi, psi = y[:dd].reshape(d, d), y[dd:].reshape(d, d)
         return np.concatenate([(jac @ phi).ravel(), (-jac.T @ psi).ravel()])
 
@@ -669,7 +684,7 @@ def cross_check_adjoint_frame(
             w = psi_vecs[:, int(np.argmin(np.abs(psi_eigs - target)))]
             seeds[j] = w / np.linalg.norm(w)
     _columns_by_route(
-        lambda x: -model.jacobian(x).T, interp, cols, seeds, mus, classes,
+        lambda x: -jacobian(x).T, interp, cols, seeds, mus, classes,
         period, theta, settings,
     )
 

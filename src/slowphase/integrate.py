@@ -6,12 +6,20 @@ DOP853 stepper of :mod:`slowphase.dop853` (explicit embedded Runge-Kutta pair
 of order 8(5,3) with dense output).  The driver bounds the step count,
 reports a non-finite state with the time of failure, and fills sample times
 from the per-step dense interpolants.  Backward integration is supported by
-passing ``t1 < t0``.  The package needs no scipy: the stepper does scipy's
-DOP853 arithmetic operation for operation, so flows are bitwise scipy's.
+passing ``t1 < t0``; both times must be finite.  The package needs no scipy:
+the stepper does scipy's DOP853 arithmetic operation for operation, so flows
+are bitwise scipy's.
+
+Right-hand sides call the model through its point closures
+(:meth:`~slowphase.models.VectorFieldModel.point_field` and
+``point_jacobian``), which skip ``eval``'s per-call checks: the initial state
+is checked once per integration (:func:`_model_state`), and the driver
+checks the state for finiteness once per step.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,9 +73,15 @@ def _integrate(fun, t0, y0, t1, settings, t_eval=None, on_step=None):
     ``on_step(solver)`` runs after every accepted, finite step, with the
     :class:`~slowphase.dop853.DOP853` stepper (``.t``, ``.y``,
     ``.dense_output()``); a true return value ends the integration at that
-    step.  A non-finite initial state or field raises
-    :class:`IntegrationError` before the first step.
+    step.  A non-finite start or end time, initial state or initial field
+    raises :class:`IntegrationError` before the first step: the step-size
+    control cannot converge on a NaN and would never return.
     """
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise IntegrationError(
+            f"integration times must be finite, got t0 = {t0}, t1 = {t1}"
+        )
+    t0, t1 = float(t0), float(t1)
     y0 = np.asarray(y0, dtype=float)
     if t1 == t0:
         if t_eval is not None:
@@ -107,7 +121,7 @@ def _integrate(fun, t0, y0, t1, settings, t_eval=None, on_step=None):
                 time=solver.t,
             )
         steps += 1
-        if not np.all(np.isfinite(solver.y)):
+        if not np.isfinite(solver.y).all():
             raise IntegrationError(
                 f"non-finite state at t = {solver.t:.6g}", time=solver.t
             )
@@ -135,29 +149,44 @@ def _integrate(fun, t0, y0, t1, settings, t_eval=None, on_step=None):
     return solver.y, out
 
 
+def _model_state(model, x0) -> np.ndarray:
+    """``x0`` as a float state of ``model``; a wrong shape is a ModelError."""
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (model.dim,):
+        raise ModelError(
+            f"initial state must have shape ({model.dim},), got {x0.shape}"
+        )
+    return x0
+
+
+def _field_rhs(model):
+    """The flow's right-hand side ``(t, y) -> X(y)`` on the point closure."""
+    field = model.point_field()
+    return lambda t, y: field(y)
+
+
 def flow(model, x0, t, settings: IntegratorSettings = DEFAULT_SETTINGS) -> np.ndarray:
     """Advance the state by time ``t`` along the model flow."""
-    x0 = np.asarray(x0, dtype=float)
-    if not np.isfinite(t):
-        raise IntegrationError("flow time must be finite")
-    if x0.shape != (model.dim,):
-        raise ModelError(f"initial state must have shape ({model.dim},)")
-    y, _ = _integrate(lambda s, y: model.eval(y), 0.0, x0, float(t), settings)
+    x0 = _model_state(model, x0)
+    y, _ = _integrate(_field_rhs(model), 0.0, x0, t, settings)
     return y
 
 
 def _variational_rhs(model, d):
+    field, jacobian = model.point_field(), model.point_jacobian()
+    dd = d * d
+
     def rhs(t, y):
         x = y[:d]
-        phi = y[d : d + d * d].reshape(d, d)
-        jac = model.jacobian(x)
+        phi = y[d : d + dd].reshape(d, d)
+        jac = jacobian(x)
         out = np.empty_like(y)
-        out[:d] = model.eval(x)
-        out[d : d + d * d] = (jac @ phi).ravel()
+        out[:d] = field(x)
+        out[d : d + dd] = (jac @ phi).ravel()
         # the integral of trace DX (Liouville) is not returned, but it stays
         # in the state: the step-size control weighs every component, so
         # dropping it would move the steps and every monodromy bit
-        out[-1] = np.trace(jac)
+        out[-1] = jac.trace()
         return out
 
     return rhs
@@ -170,9 +199,9 @@ def flow_with_variational(model, x0, t, settings: IntegratorSettings = DEFAULT_S
     identity.
     """
     d = model.dim
-    x0 = np.asarray(x0, dtype=float)
+    x0 = _model_state(model, x0)
     y0 = np.concatenate([x0, np.eye(d).ravel(), [0.0]])
-    y, _ = _integrate(_variational_rhs(model, d), 0.0, y0, float(t), settings)
+    y, _ = _integrate(_variational_rhs(model, d), 0.0, y0, t, settings)
     return y[:d], y[d : d + d * d].reshape(d, d)
 
 

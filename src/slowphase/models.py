@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -69,15 +70,16 @@ class VectorFieldModel:
     def eval(self, x) -> np.ndarray:
         """Evaluate X(x); supports batches with the state on the last axis.
 
-        One real state (shape (d,), float64) is passed to the closures as
-        Python floats, which skips numpy's per-component dispatch; the
-        arithmetic, hence every bit of the result, is the same.
+        One real state (shape (d,), float64) goes through the closure of
+        :meth:`point_field`, which passes it to ``rhs`` as Python floats and
+        skips numpy's per-component dispatch; the arithmetic, hence every bit
+        of the result, is the same.
         """
         x = np.asarray(x)
         if x.shape[-1:] != (self.dim,):
             raise ModelError(f"state shape {x.shape} does not end in model dim {self.dim}")
         if x.ndim == 1 and x.dtype == np.float64:
-            return np.array(self.rhs(tuple(x.tolist())), dtype=float)
+            return _point_value(self.rhs, x)
         comps = tuple(x[..., i] for i in range(self.dim))
         out = self.rhs(comps)
         return np.stack(np.broadcast_arrays(*out), axis=-1)
@@ -88,7 +90,7 @@ class VectorFieldModel:
         if x.shape[-1:] != (self.dim,):
             raise ModelError(f"state shape {x.shape} does not end in model dim {self.dim}")
         if x.ndim == 1 and x.dtype == np.float64:
-            return np.array(self.jac_rows(tuple(x.tolist())), dtype=float)
+            return _point_value(self.jac_rows, x)
         comps = tuple(x[..., i] for i in range(self.dim))
         rows = self.jac_rows(comps)
         base = x[..., 0]
@@ -96,6 +98,25 @@ class VectorFieldModel:
                 for row in rows for e in row]
         stacked = np.stack(flat, axis=-1)
         return stacked.reshape(*base.shape, self.dim, self.dim)
+
+    def point_field(self):
+        """The closure ``x -> X(x)`` for one real state, without checks.
+
+        ``x`` must be a float64 array of shape (d,), strided views included;
+        each call returns a new array, bitwise :meth:`eval`'s.  Integrators
+        check the state once and then call this at every stage.
+        """
+        return partial(_point_value, self.rhs)
+
+    def point_jacobian(self):
+        """The closure ``x -> DX(x)`` for one real state, without checks; the
+        counterpart of :meth:`point_field` for :meth:`jacobian`."""
+        return partial(_point_value, self.jac_rows)
+
+
+def _point_value(closure, x) -> np.ndarray:
+    """``closure`` on the components of one float64 state, as Python floats."""
+    return np.array(closure(tuple(x.tolist())), dtype=float)
 
 
 @dataclass(frozen=True)

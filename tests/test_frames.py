@@ -193,6 +193,7 @@ def test_shifted_columns_batch_matches_single_columns(ei_run):
     lams = spectrum.exponents
     period = result.cycle.period
     interp = result.cycle.interpolant()
+    jacobian = result.model.point_jacobian()
     theta = theta_grid(64)
     for pair in ((1, 2), (4, 5)):
         routes = {_integration_route(lams[j], lams, period) for j in pair}
@@ -200,13 +201,13 @@ def test_shifted_columns_batch_matches_single_columns(ei_run):
         route = routes.pop()
         w = spectrum.eigenvectors[:, list(pair)]
         batch = _shifted_columns(
-            result.model.jacobian, interp, w, lams[list(pair)], period, theta,
+            jacobian, interp, w, lams[list(pair)], period, theta,
             DEFAULT_SETTINGS, route,
         )
         assert batch.shape == (64, result.model.dim, 2)
         for i, j in enumerate(pair):
             single = _shifted_columns(
-                result.model.jacobian, interp, w[:, i : i + 1], lams[j : j + 1],
+                jacobian, interp, w[:, i : i + 1], lams[j : j + 1],
                 period, theta, DEFAULT_SETTINGS, route,
             )
             assert np.max(np.abs(batch[:, :, i] - single[:, :, 0])) < 1e-9

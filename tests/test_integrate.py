@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings as hyp_settings, strategies as st
@@ -5,19 +7,22 @@ from scipy.integrate import DOP853
 from scipy.integrate._ivp import dop853_coefficients
 
 from slowphase import dop853
-from slowphase.errors import ConfigError, IntegrationError
+from slowphase.cycle import CLASS_PAIR_CONJ
+from slowphase.errors import ConfigError, IntegrationError, ModelError
+from slowphase.frames import _integration_route, _shifted_columns, _shifted_rhs
 from slowphase.integrate import (
     DEFAULT_SETTINGS,
     RTOL_FLOOR,
     CycleInterpolant,
     IntegratorSettings,
+    _field_rhs,
     _integrate,
     _variational_rhs,
     flow,
     flow_with_variational,
 )
 from slowphase.models import VectorFieldModel, make_ei_model, make_oracle_model
-from slowphase.series import FourierSeries
+from slowphase.series import FourierSeries, theta_grid
 
 
 def test_settings_validation():
@@ -106,7 +111,8 @@ def test_driver_equals_scipy_dop853(name, variational, kick, horizon, backward, 
     """Forward and backward flows of model states (and of the variational
     system) are bitwise scipy's: end state, step count, samples, and the
     (t, y) that on_step sees after every step.  A flow that blows up fails
-    at the same step in both."""
+    at the same step in both.  The right-hand sides are the ones the package
+    integrates: the point-field closure and the variational system."""
     model = make_ei_model() if name == "ei" else make_oracle_model()
     d = model.dim
     x0 = np.asarray(_START[name]) + np.asarray(kick[:d])
@@ -114,7 +120,7 @@ def test_driver_equals_scipy_dop853(name, variational, kick, horizon, backward, 
         fun = _variational_rhs(model, d)
         y0 = np.concatenate([x0, np.eye(d).ravel(), [0.0]])
     else:
-        fun = lambda t, y: model.eval(y)  # noqa: E731
+        fun = _field_rhs(model)
         y0 = x0
     t0, t1 = (horizon, 0.0) if backward else (0.0, horizon)
     t_eval = np.array([t0, t1] + [f * horizon for f in fractions])
@@ -138,6 +144,63 @@ def test_driver_equals_scipy_dop853(name, variational, kick, horizon, backward, 
     assert len(trail) == len(ref_trail)
     for (t, y), (ref_t, ref_y) in zip(trail, ref_trail):
         assert t == ref_t and y.tobytes() == ref_y.tobytes()
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_shifted_columns_equal_scipy_dop853(ei_run, direction):
+    """The frames' shifted-column system on ei, sampled on a grid of 256
+    phases, is bitwise scipy's on either route."""
+    result = ei_run.result
+    model, spectrum, period = result.model, result.spectrum, result.cycle.period
+    lams = spectrum.exponents
+    group = [
+        j for j in range(1, model.dim)
+        if spectrum.classes[j] != CLASS_PAIR_CONJ
+        and _integration_route(lams[j], lams, period) == direction
+    ]
+    assert group
+    w = spectrum.eigenvectors[:, group]
+    d, m = w.shape
+    interp = result.cycle.interpolant()
+    jacobian = model.point_jacobian()
+    theta = theta_grid(256)
+    cols = _shifted_columns(
+        jacobian, interp, w, lams[group], period, theta, DEFAULT_SETTINGS, direction
+    )
+
+    rhs = _shifted_rhs(jacobian, interp, lams[group], d, m)
+    y0 = np.concatenate([w.real.ravel(), w.imag.ravel()])
+    t0, t1 = (0.0, period) if direction == "forward" else (period, 0.0)
+    ref, samples, _ = _scipy_integrate(rhs, t0, y0, t1, DEFAULT_SETTINGS, theta * period)
+    assert ref.status == "finished"
+    expected = (samples[:, : d * m] + 1j * samples[:, d * m :]).reshape(-1, d, m)
+    assert cols.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("horizon", [np.inf, -np.inf, np.nan])
+def test_non_finite_horizon_raises_at_once(horizon):
+    # every comparison of the step-size loop is false for NaN: it would spin
+    # inside one step and never reach the step budget
+    model = make_ei_model()
+    start = time.perf_counter()
+    with pytest.raises(IntegrationError, match="times must be finite"):
+        flow_with_variational(
+            model, np.asarray(_START["ei"]), horizon, IntegratorSettings(max_steps=2000)
+        )
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(IntegrationError, match="times must be finite"):
+        flow(model, np.asarray(_START["ei"]), horizon)
+    with pytest.raises(IntegrationError, match="times must be finite"):
+        _integrate(lambda t, y: -y, horizon, np.ones(2), 1.0, DEFAULT_SETTINGS)
+
+
+@pytest.mark.parametrize("length", [5, 7])
+def test_variational_flow_rejects_wrong_state_length(length):
+    model = make_ei_model()
+    start = time.perf_counter()
+    with pytest.raises(ModelError, match=r"shape \(6,\)"):
+        flow_with_variational(model, np.full(length, 0.1), 0.1)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_flow_time_zero_is_identity():

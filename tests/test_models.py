@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from slowphase import models
 from slowphase.config import RunConfig
 from slowphase.errors import ConfigError, ModelError
+from slowphase.integrate import CycleInterpolant
 from slowphase.models import (
     EIParameters,
     VectorFieldModel,
@@ -18,7 +19,7 @@ from slowphase.models import (
     register_model,
 )
 from slowphase.pipeline import Stage, run_pipeline
-from slowphase.series import theta_grid
+from slowphase.series import FourierSeries, theta_grid
 
 
 def random_bandlimited_expansion(rng, n, d, order, modes=4, period=1.0):
@@ -199,6 +200,54 @@ def test_single_state_matches_batch_of_one(name, pendulum):
             model.eval(wrong)
         with pytest.raises(ModelError):
             model.jacobian(wrong)
+
+
+def _layout(values, layout):
+    """One float64 state of ``values`` in the memory layout ``layout``."""
+    values = np.asarray(values, dtype=float)
+    if layout == "contiguous":
+        return values.copy()
+    if layout == "complex_real":  # stride 16, a view of a complex array
+        return (values + 1j).real
+    if layout == "every_other":
+        return np.repeat(values, 2)[::2]
+    # the .real view of a cycle point, as CycleInterpolant returns it
+    rng = np.random.default_rng(len(values))
+    samples = values + 1e-3 * rng.standard_normal((8, len(values)))
+    return CycleInterpolant(FourierSeries.from_samples(samples), 1.0)(0.37)
+
+
+# the function-scoped fixture only registers a model; no example changes it
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    name=st.sampled_from(["ei", "oracle", "pendulum"]),
+    values=st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6),
+    layout=st.sampled_from(["contiguous", "complex_real", "every_other", "interpolant"]),
+)
+def test_point_closures_equal_eval_bitwise(pendulum, name, values, layout):
+    """The integrators' point closures are bitwise ``eval`` and ``jacobian``
+    on every layout, strided views included, and each call returns a new
+    array."""
+    model = get_model(name)
+    x = _layout(values[: model.dim], layout)
+    assert x.shape == (model.dim,) and x.dtype == np.float64
+    if layout != "contiguous":
+        assert not x.flags.c_contiguous
+    contiguous = np.ascontiguousarray(x)
+    for closure, method in ((model.point_field(), model.eval),
+                            (model.point_jacobian(), model.jacobian)):
+        first = closure(x)
+        assert first.dtype == np.float64
+        assert first.tobytes() == method(x).tobytes()
+        assert first.tobytes() == method(contiguous).tobytes()
+        assert first.tobytes() == method(contiguous[None])[0].tobytes()
+        second = closure(x)
+        assert second is not first and not np.shares_memory(first, second)
+        assert not np.shares_memory(first, x)
+        expected = first.copy()
+        first[...] = np.nan
+        assert closure(x).tobytes() == expected.tobytes()
 
 
 def test_jet_compose_unsupported_operation_is_model_error(pendulum):
