@@ -55,6 +55,7 @@ RETURN_SEARCH_TIME = 2000.0  # horizon of the first-return search
 HYPERBOLICITY_TOL = 1e-6  # admissible |mu_0 - 1| of the trivial multiplier
 CONDITION_LIMIT = 1e10  # largest admissible eigenvector condition number
 IMAG_CLASS_TOL = 1e-2  # relative imaginary part below which mu is real
+HARMONIC_LEVEL = 1e-10  # relative level above which a harmonic counts as present
 
 
 @dataclass
@@ -196,6 +197,14 @@ def _first_return(model, x0, settings, t_max):
     raise NewtonError(f"no return to the section found within t = {t_max}")
 
 
+def _period_multiple(series: FourierSeries) -> int:
+    """The gcd of the wavenumbers whose coefficients exceed ``HARMONIC_LEVEL``
+    of the peak: m > 1 when the sampled span holds m periods of the orbit."""
+    mags = np.abs(series.coef).reshape(series.grid_size, -1).max(axis=1)
+    present = np.abs(series.k)[mags > HARMONIC_LEVEL * mags.max()]
+    return int(np.gcd.reduce(present))
+
+
 def find_cycle(
     model,
     guess,
@@ -213,7 +222,9 @@ def find_cycle(
     steps.  One integration of the converged period from the anchor then
     gives both the shooting residual (its end state) and the orbit at
     ``grid_size`` equispaced phases (the integrator's dense output), which
-    are analyzed into the cycle's series.
+    are analyzed into the cycle's series.  A series whose present harmonics
+    share a factor m > 1 spans m periods: :class:`NewtonError` names m.  A
+    series not resolved by the grid raises :class:`GridError`.
     """
     guess = np.asarray(guess, dtype=float)
     x_ref = flow(model, guess, relax_time, settings) if relax_time > 0 else guess
@@ -267,6 +278,17 @@ def find_cycle(
         _field_rhs(model), 0.0, x, float(period), settings, t_eval=times
     )
     series = FourierSeries.from_samples(samples, 1.0)
+    # m periods need m times the harmonics of one, so the tail check below
+    # would blame the grid for a multiple; name the multiple first
+    multiple = _period_multiple(series)
+    if multiple > 1:
+        raise NewtonError(
+            f"shooting converged to {multiple} times the period: every harmonic "
+            f"of the orbit above {HARMONIC_LEVEL:.0e} of the peak is a multiple "
+            f"of {multiple}, so it repeats every T/{multiple} = "
+            f"{period / multiple:.10g} (T = {period:.10g}); lengthen "
+            f"cycle.relax_time or change cycle.guess"
+        )
     tail = series.spectral_tail()
     if tail > 1e-8:
         raise GridError(

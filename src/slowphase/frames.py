@@ -9,7 +9,11 @@ and are then polished by a Newton iteration carried out entirely in Fourier
 space, which also refines the exponents.  The polish is what reaches
 spectral accuracy: a single-shot integration of strongly contracting
 directions cannot, in double precision, because errors along slower
-directions grow like exp(|Re lam_j| T) across the period.
+directions grow like exp(|Re lam_j| T) across the period.  So the polish
+owns the accuracy, and the seeds are integrated no tighter than the seed
+floor ``SEED_RTOL`` (:func:`_seed_settings`); DOP853's step count grows
+like rtol^(-1/8), and tighter seeds buy no fewer sweeps.  The cross-check's
+Psi^T Phi = Id chunks keep the user's settings: their defect is reported.
 
 Band limits and theta-derivatives of grid values are the series operations
 of :class:`~slowphase.series.FourierSeries`: ``from_samples``, then
@@ -40,7 +44,7 @@ real and imaginary parts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -73,8 +77,13 @@ __all__ = [
 MAX_OUTER = 6
 # adjoint polish: stop growing the band once the residual is below this
 ADJOINT_RESIDUAL_TARGET = 5e-10
+# relative tolerance floor of the shifted-column seed integrations: on ei
+# the polish takes as many sweeps from seeds at 1e-10 as at 1e-12, while
+# seeds at 1e-7 leave the adjoint frame residual (3.5e-9) above
+# ADJOINT_RESIDUAL_TARGET
+SEED_RTOL = 1e-10
 # chunks of one period over which the cross-check tests Psi^T Phi = Id
-IDENTITY_CHUNKS = 17
+IDENTITY_CHUNKS = 16
 
 
 @dataclass
@@ -150,16 +159,17 @@ def _shifted_rhs(jacobian, interp, lam, d, m):
     imaginary parts; ``jacobian`` is the point closure of the operator A and
     ``interp`` the cycle point at a time.
     """
-    size = d * m
     lam = np.asarray(lam)
     lam_re, lam_im = lam.real, lam.imag
 
     def rhs(t, y):
-        jac = jacobian(interp(t))
-        a, b = y[:size].reshape(d, m), y[size:].reshape(d, m)
-        da = jac @ a - lam_re * a + lam_im * b
-        db = jac @ b - lam_re * b - lam_im * a
-        return np.concatenate([da.ravel(), db.ravel()])
+        parts = y.reshape(2, d, m)
+        a, b = parts
+        out = jacobian(interp(t)) @ parts
+        out -= lam_re * parts
+        out[0] += lam_im * b
+        out[1] -= lam_im * a
+        return out.ravel()
 
     return rhs
 
@@ -188,12 +198,23 @@ def _shifted_columns(jacobian, interp, w, lam, period, theta, settings, directio
     return (samples[:, :size] + 1j * samples[:, size:]).reshape(-1, d, m)
 
 
+def _seed_settings(settings: IntegratorSettings) -> IntegratorSettings:
+    """``settings`` loosened to the seed floor ``SEED_RTOL``: rtol and atol
+    scaled by one factor, and a looser rtol used as given."""
+    if settings.rtol >= SEED_RTOL:
+        return settings
+    factor = SEED_RTOL / settings.rtol
+    return replace(settings, rtol=SEED_RTOL, atol=settings.atol * factor)
+
+
 def _columns_by_route(jacobian, interp, cols, seeds, lams, classes, period, theta,
                       settings):
     """Fill ``cols[:, :, j]`` for each column ``j`` in ``seeds`` (j -> seed
     vector) with one shifted integration per route, then each conjugate
-    column from its lead; returns j -> route."""
+    column from its lead; returns j -> route.  The integrations run at
+    :func:`_seed_settings` of ``settings``."""
     routes = {j: _integration_route(lams[j], lams, period) for j in seeds}
+    settings = _seed_settings(settings)
     for direction in ("forward", "backward"):
         group = [j for j in seeds if routes[j] == direction]
         if group:
@@ -645,7 +666,7 @@ def cross_check_adjoint_frame(
     # exp(|Re lam_min| T) ~ 1/|mu_min|, which swamps double precision); the
     # full-period identity follows by telescoping.  The product of the chunk
     # factors Psi is the adjoint monodromy, whose eigenvalues seed the columns.
-    chunk_edges = np.linspace(0.0, period, IDENTITY_CHUNKS)
+    chunk_edges = np.linspace(0.0, period, IDENTITY_CHUNKS + 1)
     identity_defect = 0.0
     eye = np.eye(d)
 

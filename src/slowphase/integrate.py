@@ -206,33 +206,57 @@ def flow_with_variational(model, x0, t, settings: IntegratorSettings = DEFAULT_S
 
 
 class CycleInterpolant:
-    """Trigonometric interpolation of real cycle samples, in time units.
+    """Real cycle samples interpolated in time by a table of Taylor polynomials.
 
-    The samples are real, so the two-sided sum equals the real part of a
-    one-sided one: each row -k is folded onto +k as ``c_k + conj(c_-k)``
-    (exactly ``2 c_k`` for conjugate-symmetric coefficients), k = 0 stays as
-    it is and the Nyquist row k = -N/2, which has no partner, keeps weight
-    one.  This halves the work per call.  Negligible folded harmonics
-    (relative threshold 1e-15) are dropped for speed; this costs nothing at
-    double precision.  The interpolant is periodic in time.
+    The value is the real part of the two-sided trigonometric sum of
+    ``series``, Nyquist row included.  It is evaluated as a Taylor polynomial
+    in the offset s (|s| <= 1/2, in grid cells) from the nearest grid node m:
+    row m of the table holds ``h^p f^(p)(theta_m) / p!`` for p = 0..P, with h
+    the grid spacing, from ``FourierSeries.differentiate().samples()``.
+    differentiate() zeroes the Nyquist row, whose term ``c e^{-i pi (m+s)}``
+    adds ``Re(c (-i pi)^p) (-1)^m / p!`` to entry p of row m.
+
+    The order P follows from the highest kept harmonic k (magnitudes above
+    1e-15 of the peak; the rest cost nothing at double precision): it is the
+    least P for which the Taylor remainder of that harmonic over half a cell,
+    ``(pi k / N)^(P+1) / (P+1)!``, is below the rounding unit.  A call is one
+    row lookup, one power vector and one small matrix product, and returns a
+    new C-contiguous array.  The interpolant is periodic in time.
     """
 
     def __init__(self, series: FourierSeries, period: float):
         self.period = float(period)
         n = series.grid_size
-        coef = series.coef.reshape(n, -1)
-        pos = np.arange(1, n // 2)
-        folded = np.concatenate(
-            [coef[:1], coef[pos] + np.conj(coef[n - pos]), coef[n // 2 : n // 2 + 1]]
-        )
-        k = np.concatenate([[0], pos, [-(n // 2)]])
-        mags = np.abs(folded).max(axis=1)
-        keep = mags > 1e-15 * mags.max()
-        keep[0] = True
-        self._coef = np.ascontiguousarray(folded[keep])
-        self._freq = (2j * np.pi / series.period) * k[keep].astype(float)
+        mags = np.abs(series.coef).reshape(n, -1).max(axis=1)
+        kept = mags > 1e-15 * mags.max()
+        kept[0] = True
+        k_max = int(np.abs(series.k)[kept].max())
+        step = math.pi * k_max / n  # phase advance of that harmonic over half a cell
+        order, remainder = 0, step
+        while remainder > 2.0 ** -53:
+            order += 1
+            remainder *= step / (order + 1)
+
+        nyquist = series.coef[n // 2]
+        alternating = (-1.0) ** np.arange(n)
+        rows = [series.samples().real]
+        deriv = series
+        for p in range(1, order + 1):
+            deriv = deriv.differentiate()
+            scale = (series.period / n) ** p / math.factorial(p)
+            nyquist_term = (nyquist * (-1j * math.pi) ** p).real / math.factorial(p)
+            rows.append(
+                deriv.samples().real * scale
+                + np.multiply.outer(alternating, nyquist_term)
+            )
+        self._table = np.stack(rows, axis=1).reshape(n, order + 1, -1)
+        self._n = n
+        self._cells_per_time = n / (self.period * series.period)
+        self._powers = np.arange(order + 1.0)
         self._shape = series.value_shape
 
     def __call__(self, t: float) -> np.ndarray:
-        phase = np.exp(self._freq * (t / self.period))
-        return (phase @ self._coef).real.reshape(self._shape)
+        x = t * self._cells_per_time
+        m = math.floor(x + 0.5)
+        powers = np.power(x - m, self._powers)
+        return (powers @ self._table[m % self._n]).reshape(self._shape)

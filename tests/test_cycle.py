@@ -15,6 +15,7 @@ from slowphase.cycle import (
     FloquetSpectrum,
     _brent_root,
     _first_return,
+    _period_multiple,
     check_resonances,
     find_cycle,
     floquet_spectrum,
@@ -22,6 +23,7 @@ from slowphase.cycle import (
 from slowphase.errors import HyperbolicityError, IntegrationError, SectionError
 from slowphase.integrate import IntegratorSettings
 from slowphase.models import make_oracle_model
+from slowphase.series import FourierSeries
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +47,17 @@ def test_anchor_independence_of_period():
     t1 = find_cycle(model, [1.3, 0.0], grid_size=64, relax_time=20.0).period
     t2 = find_cycle(model, [0.2, -0.8], grid_size=64, relax_time=25.0).period
     assert abs(t1 - t2) < 1e-10
+
+
+def test_converged_orbits_span_one_period(oracle_run, ei_run):
+    # the harmonics present in a one-period orbit have gcd 1; a doubled
+    # period would leave only the even ones (see the CLI test of exit 3)
+    for series in (oracle_run.result.cycle.series, ei_run.result.cycle.series):
+        assert _period_multiple(series) == 1
+    # the ei orbit at every other node, twice: N samples over two periods
+    samples = ei_run.result.cycle.samples
+    doubled = FourierSeries.from_samples(np.tile(samples[::2], (2, 1)))
+    assert _period_multiple(doubled) == 2
 
 
 def test_degenerate_section_rejected():

@@ -1,14 +1,23 @@
+from dataclasses import replace
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import slowphase.frames as frames_mod
+from slowphase.config import RunConfig
 from slowphase.frames import (
+    IDENTITY_CHUNKS,
+    SEED_RTOL,
     _integration_route,
     _shifted_columns,
+    build_bundle_frame,
     cross_check_adjoint_frame,
     real_generator_matrix,
 )
-from slowphase.integrate import DEFAULT_SETTINGS
+from slowphase.integrate import DEFAULT_SETTINGS, IntegratorSettings
+from slowphase.pipeline import Stage, run_pipeline
 from slowphase.series import FourierSeries, theta_grid
 
 
@@ -211,6 +220,77 @@ def test_shifted_columns_batch_matches_single_columns(ei_run):
                 period, theta, DEFAULT_SETTINGS, route,
             )
             assert np.max(np.abs(batch[:, :, i] - single[:, :, 0])) < 1e-9
+
+
+def _peak_relative(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("config", [
+    RunConfig(model="ei", grid_size=1024, order=9),
+    RunConfig(model="oracle", guess=(1.3, 0.0), relax_time=20.0, grid_size=256,
+              order=5),
+], ids=["ei", "oracle"])
+def test_seeds_at_floor_give_the_frames_of_seeds_at_user_settings(
+        config, tmp_path, monkeypatch):
+    """The polish owns the frames' accuracy: seeds integrated at SEED_RTOL and
+    at the user's (tighter) settings give the same frames and expansions."""
+    partial = run_pipeline(replace(config, out_dir=str(tmp_path / "floor")),
+                           through=Stage.FLOQUET)
+    floor = run_pipeline(partial.config, through=Stage.RESPONSE,
+                         resume=replace(partial))
+    monkeypatch.setattr(frames_mod, "SEED_RTOL", DEFAULT_SETTINGS.rtol)
+    user = run_pipeline(replace(config, out_dir=str(tmp_path / "user")),
+                        through=Stage.RESPONSE, resume=replace(partial))
+
+    assert _peak_relative(floor.bundle.grid_values(), user.bundle.grid_values()) < 1e-13
+    assert _peak_relative(floor.adjoint.grid_values(), user.adjoint.grid_values()) < 1e-11
+    k_floor, k_user = floor.manifold.coeffs.samples(), user.manifold.coeffs.samples()
+    for n in range(len(k_user)):
+        assert _peak_relative(k_floor[n], k_user[n]) < 1e-12, n
+    # orders 5 and up sit at the noise floor of the response recursion: on
+    # ei, order 5 of the phase moves by 9.2e-11 of its peak between these
+    # two runs, so a bound there would gate roundoff
+    for floor_fn, user_fn in ((floor.response.phase, user.response.phase),
+                              (floor.response.amplitude, user.response.amplitude)):
+        z_floor, z_user = floor_fn.samples(), user_fn.samples()
+        for n in range(5):
+            assert _peak_relative(z_floor[n], z_user[n]) < 1e-10, n
+
+
+@pytest.mark.parametrize("user, seed_rtol", [
+    (DEFAULT_SETTINGS, SEED_RTOL),
+    (IntegratorSettings(rtol=1e-8, atol=1e-9), 1e-8),
+    (IntegratorSettings(rtol=SEED_RTOL, atol=1e-10, max_steps=50_000), SEED_RTOL),
+], ids=["tighter", "looser", "at_floor"])
+def test_seeds_integrate_at_the_floor_and_chunks_at_user_settings(
+        oracle_run, monkeypatch, user, seed_rtol):
+    """The shifted-column seeds run at SEED_RTOL unless the user's rtol is
+    looser, which is used as given; atol scales with rtol.  The cross-check's
+    IDENTITY_CHUNKS chunks of Psi^T Phi keep the user's settings."""
+    result = oracle_run.result
+    seen = []
+    integrate = frames_mod._integrate
+
+    def spy(fun, t0, y0, t1, settings, **kwargs):
+        seen.append((kwargs.get("t_eval") is not None, settings))
+        return integrate(fun, t0, y0, t1, settings, **kwargs)
+
+    monkeypatch.setattr(frames_mod, "_integrate", spy)
+    build_bundle_frame(result.model, result.cycle, result.spectrum, settings=user)
+    cross_check_adjoint_frame(
+        result.model, result.cycle, result.spectrum, result.bundle, result.adjoint,
+        settings=user,
+    )
+    seeds = [s for sampled, s in seen if sampled]
+    chunks = [s for sampled, s in seen if not sampled]
+    assert seeds and len(chunks) == IDENTITY_CHUNKS == 16
+    for s in seeds:
+        assert s.rtol == seed_rtol and s.max_steps == user.max_steps
+        assert s.atol == pytest.approx(user.atol * seed_rtol / user.rtol, rel=1e-15)
+        if seed_rtol == user.rtol:
+            assert s is user
+    assert all(s is user for s in chunks)
 
 
 # negative real parts: dyadic values make ties between the two routes exact

@@ -211,7 +211,7 @@ def _layout(values, layout):
         return (values + 1j).real
     if layout == "every_other":
         return np.repeat(values, 2)[::2]
-    # the .real view of a cycle point, as CycleInterpolant returns it
+    # a cycle point as CycleInterpolant returns it, a new contiguous array
     rng = np.random.default_rng(len(values))
     samples = values + 1e-3 * rng.standard_normal((8, len(values)))
     return CycleInterpolant(FourierSeries.from_samples(samples), 1.0)(0.37)
@@ -232,8 +232,8 @@ def test_point_closures_equal_eval_bitwise(pendulum, name, values, layout):
     model = get_model(name)
     x = _layout(values[: model.dim], layout)
     assert x.shape == (model.dim,) and x.dtype == np.float64
-    if layout != "contiguous":
-        assert not x.flags.c_contiguous
+    # the strided layouts are views; the interpolant's point is contiguous
+    assert x.flags.c_contiguous == (layout in ("contiguous", "interpolant"))
     contiguous = np.ascontiguousarray(x)
     for closure, method in ((model.point_field(), model.eval),
                             (model.point_jacobian(), model.jacobian)):

@@ -712,6 +712,24 @@ def test_exit_code_unresolved_grid(tmp_path):
     assert main(["run", "--config", str(cfg)]) == 3
 
 
+def test_doubled_period_exits_3_naming_the_multiple(tmp_path, capsys):
+    # without relaxation, shooting from the default guess on ei converges to
+    # twice the period; the orbit's even-only spectrum names it before the
+    # spectral-tail check would blame the grid
+    cfg = tmp_path / "doubled.cfg"
+    cfg.write_text(
+        "model.name = ei\n"
+        "cycle.relax_time = 0\n"
+        "cycle.grid_N = 1024\n"
+        f"output.directory = {tmp_path / 'out'}\n"
+    )
+    assert main(["cycle", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert "converged to 2 times the period" in err
+    assert "T/2 = 20.811" in err
+    assert "cycle.grid_N" not in err
+
+
 def test_resonance_abort_keeps_partial_artifacts(tmp_path, monkeypatch):
     """A flagged resonance halts the pipeline with the offending index."""
     import slowphase.pipeline as pipeline_mod
