@@ -1,12 +1,18 @@
 """Periodic orbit location, Floquet spectrum, and resonance screening.
 
-The cycle is found by relaxing onto the attractor, bracketing the first
-return to a Poincare section through the relaxed point (normal along the
-vector field) with a crossing test run after every step of the shared
-integration loop of :mod:`slowphase.integrate`, and Newton-polishing the
-pair (anchor, period) on the bordered shooting system.  The spectrum comes from
-an eigendecomposition of the monodromy matrix of the first-variational
-system over one period.
+The phase origin is canonical: theta = 0 is a maximum of component 0 of the
+orbit, the section X_0(x) = 0 crossed downward (X_0 is component 0 of the
+vector field).  So the anchor, and with it every artifact's phase, depends on
+the model and not on ``cycle.guess``, which is only where the search starts
+(Nakao, *Contemp. Phys.* 57(2), 2016, on fixing the phase origin by an event
+on the orbit).  The cycle is found by relaxing onto the attractor from
+maximum to maximum, each located by a crossing test run after every step of
+the shared integration loop of :mod:`slowphase.integrate`, until successive
+maxima agree to within Newton's basin, and then Newton-polishing the pair
+(anchor, period) on the bordered shooting system whose last row is the
+section.  The spectrum comes from an eigendecomposition of the monodromy
+matrix of the first-variational system over one period; its eigenvectors
+are gauged at that canonical anchor, which fixes the sign of sigma.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from .integrate import (
     IntegratorSettings,
     _field_rhs,
     _integrate,
-    flow,
+    _seed_settings,
     flow_with_variational,
 )
 from .series import FourierSeries, theta_grid
@@ -51,7 +57,8 @@ CLASS_PAIR_LEAD = "complex_pair_lead"
 CLASS_PAIR_CONJ = "complex_pair_conjugate"
 
 MAX_NEWTON = 30  # shooting Newton steps before NewtonError
-RETURN_SEARCH_TIME = 2000.0  # horizon of the first-return search
+RETURN_SEARCH_TIME = 2000.0  # horizon of each search for the next maximum
+SECTION_TOL = 1e-8  # least |d X_0 / dt| at a maximum, relative to |DX| |X|
 HYPERBOLICITY_TOL = 1e-6  # admissible |mu_0 - 1| of the trivial multiplier
 CONDITION_LIMIT = 1e10  # largest admissible eigenvector condition number
 IMAG_CLASS_TOL = 1e-2  # relative imaginary part below which mu is real
@@ -70,6 +77,9 @@ class CycleResult:
     period: float
     series: FourierSeries  # order-0 coefficient function, period 1
     shooting_residual: float
+    # how find_cycle got there: relax_returns, relaxed_time, return_gap,
+    # newton_steps (the step norms) and section_value (X_0 at the anchor)
+    search: dict
 
     @property
     def grid_size(self) -> int:
@@ -150,51 +160,94 @@ def _brent_root(f, xa, xb, xtol, rtol, maxiter=100):
     raise RuntimeError(f"Brent's method did not converge in {maxiter} iterations")
 
 
-def _first_return(model, x0, settings, t_max):
-    """First positive-direction return time to the section through x0.
+def _descent(model, x):
+    """``(X(x), rate)``: the field at ``x`` and the time derivative of its
+    component 0 along the flow, ``DX(x)[0, :] . X(x)``, relative to
+    ``|DX(x)| |X(x)|`` (0 where that vanishes).  A maximum of component 0
+    is simple when the rate is below ``-SECTION_TOL``."""
+    x_dot = model.eval(x)
+    jac = model.jacobian(x)
+    scale = float(np.linalg.norm(jac) * np.linalg.norm(x_dot))
+    return x_dot, (float(jac[0] @ x_dot) / scale if scale > 0 else 0.0)
 
-    Each integration step is tested for an upward crossing of the section;
-    a crossing is located by :func:`_brent_root` on that step's dense output.  The
-    first crossing closer to x0 than 1e-3 of the orbit diameter so far ends
-    the search; otherwise the closest one found before ``t_max`` is
-    returned.
+
+def _next_maximum(model, x0, settings, t_max):
+    """Time and state of the first maximum of component 0 after t = 0 on the
+    flow from ``x0``.
+
+    Each integration step is tested for a downward crossing of X_0, read
+    from the stepper's field at the step's end; a crossing is located by
+    :func:`_brent_root` on that step's dense output.  The start itself is
+    never a crossing.  :class:`SectionError` names the reason when there is
+    no crossing before ``t_max`` or the maximum found is not simple.
     """
-    speed = model.eval(x0)
-    norm = np.linalg.norm(speed)
-    if norm < 1e-12:
-        raise SectionError(f"vector field too small at anchor (|X| = {norm:.2e})")
-    normal = speed / norm
-
-    def g(y):
-        return float(np.dot(y - x0, normal))
-
-    diameter = 0.0
-    best = None  # (t_cross, distance) of the closest crossing so far
-    g_prev = 0.0
-    t_prev = 0.0
+    field = model.point_field()
+    g_prev, t_prev, found = 0.0, 0.0, None
 
     def on_step(solver):
-        nonlocal diameter, best, g_prev, t_prev
-        diameter = max(diameter, float(np.linalg.norm(solver.y - x0)))
-        g_now = g(solver.y)
-        done = False
-        if g_prev < 0.0 <= g_now and solver.t > 1e-8:
+        nonlocal g_prev, t_prev, found
+        g_now = solver.f[0]
+        if g_prev > 0.0 >= g_now:
             dense = solver.dense_output()
-            t_cross = _brent_root(
-                lambda s: g(dense(s)), t_prev, solver.t, xtol=1e-13, rtol=1e-15
-            )
-            dist = float(np.linalg.norm(dense(t_cross) - x0))
-            done = dist < 1e-3 * max(diameter, 1e-12)
-            if done or best is None or dist < best[1]:
-                best = (t_cross, dist)
-        g_prev = g_now
-        t_prev = solver.t
-        return done
+            try:
+                t_cross = _brent_root(
+                    lambda s: field(dense(s))[0], t_prev, solver.t, xtol=1e-13,
+                    rtol=1e-15,
+                )
+            except RuntimeError as exc:  # slow convergence: a multiple zero
+                raise SectionError(
+                    f"component 0 of the orbit has no simple maximum: the "
+                    f"crossing of X_0 = 0 near t = {solver.t:.6g} was not "
+                    f"located ({exc})"
+                ) from exc
+            found = (t_cross, dense(t_cross))
+        g_prev, t_prev = g_now, solver.t
+        return found is not None
 
     _integrate(_field_rhs(model), 0.0, x0, t_max, settings, on_step=on_step)
-    if best is not None:
-        return best[0]
-    raise NewtonError(f"no return to the section found within t = {t_max}")
+    if found is None:
+        raise SectionError(
+            f"component 0 of the orbit has no maximum: X_0 has no downward "
+            f"crossing within t = {t_max:g} of the search's start"
+        )
+    _, rate = _descent(model, found[1])
+    if rate > -SECTION_TOL:
+        raise SectionError(
+            f"component 0 of the orbit has no simple maximum: at the crossing "
+            f"of X_0 = 0, d X_0 / dt = DX[0, :] . X is {rate:.2e} of |DX| |X|, "
+            f"not below -{SECTION_TOL:.0e}"
+        )
+    return found
+
+
+def _relax(model, guess, settings, relax_time, gap_tol, on_section_tol):
+    """Relax ``guess`` onto the cycle, from maximum to maximum of component 0.
+
+    A guess already on the section (``|X_0| <= on_section_tol |X|``) at a
+    simple maximum is the first maximum; otherwise the flow runs to the first
+    one.  Returns then step from maximum to maximum until the gap between
+    successive maxima, ``|x_k+1 - x_k| / (1 + |x_k+1|)``, is below
+    ``gap_tol`` or the time since the guess reaches ``relax_time``; at least
+    one return is taken, since its interval is the period guess.  Returns
+    the last maximum, that interval and the record of the relaxation.
+    """
+    x_dot, rate = _descent(model, guess)
+    if abs(x_dot[0]) <= on_section_tol * np.linalg.norm(x_dot) and rate < -SECTION_TOL:
+        # starting a search here would skip this maximum: on a repelling
+        # cycle every extra period grows the roundoff Newton starts from
+        t, x = 0.0, guess
+    else:
+        t, x = _next_maximum(model, guess, settings, RETURN_SEARCH_TIME)
+    returns = 0
+    while True:
+        interval, following = _next_maximum(model, x, settings, RETURN_SEARCH_TIME)
+        returns += 1
+        t += interval
+        gap = float(np.linalg.norm(following - x) / (1.0 + np.linalg.norm(following)))
+        x = following
+        if gap < gap_tol or t >= relax_time:
+            record = {"relax_returns": returns, "relaxed_time": t, "return_gap": gap}
+            return x, interval, record
 
 
 def _period_multiple(series: FourierSeries) -> int:
@@ -215,56 +268,70 @@ def find_cycle(
 ) -> CycleResult:
     """Locate the attracting cycle near ``guess`` and sample it spectrally.
 
-    A relaxation integration brings the state onto the attractor, the first
-    return to the section fixes an initial period, and Newton iteration on
-    the bordered system (return-map residual plus section constraint) solves
-    for the anchor and period simultaneously, in at most ``MAX_NEWTON``
-    steps.  One integration of the converged period from the anchor then
-    gives both the shooting residual (its end state) and the orbit at
+    The anchor (theta = 0) is the canonical one: a maximum of component 0 of
+    the orbit, where X_0 = 0 is crossed downward.  From ``guess`` the flow
+    relaxes onto the attractor from maximum to maximum (:func:`_relax`, at
+    the seed floor of ``settings``) until the gap between successive maxima
+    is below ``sqrt(newton_tol)``, where Newton's quadratic convergence takes
+    over; ``relax_time`` caps the relaxed time and is not a fixed horizon.
+    The last return interval is the period guess.  Newton iteration on the
+    bordered system (return-map residual plus the section row X_0(x) = 0,
+    whose gradient is ``DX(x)[0, :]``) then solves for the anchor and period
+    at ``settings``, in at most ``MAX_NEWTON`` steps; a divergence names
+    ``cycle.relax_time``.  One integration of the converged period from the
+    anchor gives both the shooting residual (its end state) and the orbit at
     ``grid_size`` equispaced phases (the integrator's dense output), which
     are analyzed into the cycle's series.  A series whose present harmonics
     share a factor m > 1 spans m periods: :class:`NewtonError` names m.  A
-    series not resolved by the grid raises :class:`GridError`.
+    series not resolved by the grid raises :class:`GridError`.  A model
+    whose component 0 has no simple maximum on the orbit raises
+    :class:`SectionError`.
     """
     guess = np.asarray(guess, dtype=float)
-    x_ref = flow(model, guess, relax_time, settings) if relax_time > 0 else guess
-    normal = model.eval(x_ref)
-    nrm = np.linalg.norm(normal)
-    if nrm < 1e-12:
-        raise SectionError("degenerate section: |X(anchor)| below threshold")
-    normal = normal / nrm
+    gap_tol = math.sqrt(newton_tol)
+    x, period, search = _relax(
+        model, guess, _seed_settings(settings), relax_time, gap_tol, newton_tol
+    )
+    returns = search["relax_returns"]
 
-    period = _first_return(model, x_ref, settings, RETURN_SEARCH_TIME)
+    def diverged(reason):
+        return NewtonError(
+            f"{reason}; Newton started from the maximum reached after "
+            f"{returns} return{'s' if returns > 1 else ''} "
+            f"({search['relaxed_time']:.6g} time units), where the gap between "
+            f"successive maxima was {search['return_gap']:.2e} (relaxed means "
+            f"below {gap_tol:.0e}); raise cycle.relax_time or change cycle.guess"
+        )
 
-    x = x_ref.copy()
     d = model.dim
     phi = None
+    steps = []
     for _ in range(MAX_NEWTON):
         x_t, phi = flow_with_variational(model, x, period, settings)
         residual = x_t - x
-        section = float(np.dot(x - x_ref, normal))
         big = np.zeros((d + 1, d + 1))
         big[:d, :d] = phi - np.eye(d)
         big[:d, d] = model.eval(x_t)
-        big[d, :d] = normal
-        rhs = -np.concatenate([residual, [section]])
+        big[d, :d] = model.jacobian(x)[0]
+        rhs = -np.concatenate([residual, model.eval(x)[:1]])
         try:
             delta = np.linalg.solve(big, rhs)
         except np.linalg.LinAlgError as exc:
-            raise NewtonError(f"singular shooting system: {exc}") from exc
+            raise diverged(f"singular shooting system: {exc}") from exc
         x = x + delta[:d]
         period = period + delta[d]
         if period <= 0:
-            raise NewtonError("period became non-positive during Newton")
+            raise diverged("period became non-positive during Newton")
         size = np.linalg.norm(delta[:d]) / (1.0 + np.linalg.norm(x)) + abs(
             delta[d]
         ) / period
+        steps.append(float(size))
         if size < newton_tol:
             break
     else:
-        raise NewtonError(
-            f"shooting Newton did not converge in {MAX_NEWTON} iterations"
-        )
+        raise diverged(f"shooting Newton did not converge in {MAX_NEWTON} iterations")
+    search["newton_steps"] = steps
+    search["section_value"] = float(model.eval(x)[0])
 
     mu = np.linalg.eigvals(phi)
     nontrivial = np.delete(mu, np.argmin(np.abs(mu - 1.0)))
@@ -300,6 +367,7 @@ def find_cycle(
         period=float(period),
         series=series,
         shooting_residual=float(np.linalg.norm(x_t - x)),
+        search=search,
     )
 
 
@@ -322,20 +390,31 @@ class FloquetSpectrum:
     monodromy: np.ndarray
     hyperbolicity_defect: float
     eigenvector_condition: float
+    # per column, the component whose sign (phase, for a complex column) the
+    # gauge fixed; column 1's decides the sign of sigma
+    gauge_components: tuple = ()
 
     @property
     def dim(self) -> int:
         return len(self.multipliers)
 
 
-def _gauge_vector(w: np.ndarray) -> np.ndarray:
+def _gauge_vector(w: np.ndarray):
+    """``w`` at unit norm, rotated so that its first component above 1e-8 of
+    its largest is real positive; returns the vector and that component.
+
+    This is the one rule for the sign (and phase) of every eigenvector, the
+    slow one included, and so for the sign of sigma: it reads the eigenvector
+    at the anchor, which is canonical (a maximum of component 0 of the
+    orbit), so the sign follows from the model alone.
+    """
     w = w / np.linalg.norm(w)
     mags = np.abs(w)
     idx = int(np.argmax(mags > 1e-8 * mags.max()))
     w = w * np.exp(-1j * np.angle(w[idx]))
     if w[idx].real < 0:
         w = -w
-    return w
+    return w, idx
 
 
 def floquet_spectrum(
@@ -348,7 +427,11 @@ def floquet_spectrum(
 
     A multiplier whose imaginary part is below ``IMAG_CLASS_TOL`` of its
     modulus is treated as real; the bound is generous because the weakest
-    multipliers sit near the integration noise floor.
+    multipliers sit near the integration noise floor.  Each eigenvector is
+    gauged by :func:`_gauge_vector` at ``anchor``; from :func:`find_cycle`'s
+    canonical anchor that fixes the sign of the slow column, hence of sigma,
+    from the model alone, and ``gauge_components`` records the deciding
+    component of each column.
     """
     anchor = np.asarray(anchor, dtype=float)
     _, monodromy = flow_with_variational(model, anchor, period, settings)
@@ -381,16 +464,19 @@ def floquet_spectrum(
     classes = [CLASS_TRIVIAL]
     exponents = np.zeros(d, dtype=complex)
     gauged = np.zeros((d, d), dtype=complex)
-    gauged[:, 0] = _gauge_vector(vec_sorted[:, 0]).real.astype(complex)
+    w, idx = _gauge_vector(vec_sorted[:, 0])
+    gauged[:, 0] = w.real.astype(complex)
+    deciding = [idx]
 
     j = 1
     while j < d:
         m = mu_sorted[j]
         if abs(m.imag) <= IMAG_CLASS_TOL * abs(m):
             re = m.real
-            w = _gauge_vector(vec_sorted[:, j])
+            w, idx = _gauge_vector(vec_sorted[:, j])
             w = (w.real / np.linalg.norm(w.real)).astype(complex)
             gauged[:, j] = w
+            deciding.append(idx)
             if re > 0:
                 classes.append(CLASS_REAL_POSITIVE)
                 exponents[j] = np.log(abs(m)) / period
@@ -403,7 +489,8 @@ def floquet_spectrum(
                 raise DefectiveSpectrumError("unpaired complex multiplier")
             lead = j if mu_sorted[j].imag > 0 else j + 1
             conj = j + 1 if lead == j else j
-            w = _gauge_vector(vec_sorted[:, lead])
+            w, idx = _gauge_vector(vec_sorted[:, lead])
+            deciding.extend([idx, idx])
             m_lead = mu_sorted[lead]
             mu_sorted[j] = m_lead
             mu_sorted[j + 1] = np.conj(m_lead)
@@ -427,6 +514,7 @@ def floquet_spectrum(
         monodromy=monodromy,
         hyperbolicity_defect=defect,
         eigenvector_condition=cond,
+        gauge_components=tuple(deciding),
     )
 
 

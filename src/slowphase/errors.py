@@ -39,7 +39,8 @@ class IntegrationError(NumericalError):
 
 
 class SectionError(NumericalError):
-    """Degenerate Poincare section (vector field too small at the anchor)."""
+    """No canonical phase origin: component 0 of the orbit has no simple
+    maximum (no downward crossing of X_0, or a flat one)."""
 
 
 class NewtonError(NumericalError):

@@ -11,9 +11,10 @@ spectral accuracy: a single-shot integration of strongly contracting
 directions cannot, in double precision, because errors along slower
 directions grow like exp(|Re lam_j| T) across the period.  So the polish
 owns the accuracy, and the seeds are integrated no tighter than the seed
-floor ``SEED_RTOL`` (:func:`_seed_settings`); DOP853's step count grows
-like rtol^(-1/8), and tighter seeds buy no fewer sweeps.  The cross-check's
-Psi^T Phi = Id chunks keep the user's settings: their defect is reported.
+floor ``integrate.SEED_RTOL`` (``integrate._seed_settings``, shared with the
+cycle's relaxation); DOP853's step count grows like rtol^(-1/8), and tighter
+seeds buy no fewer sweeps.  The cross-check's Psi^T Phi = Id chunks keep
+the user's settings: their defect is reported.
 
 Band limits and theta-derivatives of grid values are the series operations
 of :class:`~slowphase.series.FourierSeries`: ``from_samples``, then
@@ -44,7 +45,7 @@ real and imaginary parts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,7 +59,7 @@ from .cycle import (
     FloquetSpectrum,
 )
 from .errors import FrameError
-from .integrate import DEFAULT_SETTINGS, IntegratorSettings, _integrate
+from .integrate import DEFAULT_SETTINGS, IntegratorSettings, _integrate, _seed_settings
 from .series import FourierSeries, solve_diagonal, theta_grid
 
 __all__ = [
@@ -77,11 +78,6 @@ __all__ = [
 MAX_OUTER = 6
 # adjoint polish: stop growing the band once the residual is below this
 ADJOINT_RESIDUAL_TARGET = 5e-10
-# relative tolerance floor of the shifted-column seed integrations: on ei
-# the polish takes as many sweeps from seeds at 1e-10 as at 1e-12, while
-# seeds at 1e-7 leave the adjoint frame residual (3.5e-9) above
-# ADJOINT_RESIDUAL_TARGET
-SEED_RTOL = 1e-10
 # chunks of one period over which the cross-check tests Psi^T Phi = Id
 IDENTITY_CHUNKS = 16
 
@@ -196,15 +192,6 @@ def _shifted_columns(jacobian, interp, w, lam, period, theta, settings, directio
     else:
         _, samples = _integrate(rhs, period, y0, 0.0, settings, t_eval=times)
     return (samples[:, :size] + 1j * samples[:, size:]).reshape(-1, d, m)
-
-
-def _seed_settings(settings: IntegratorSettings) -> IntegratorSettings:
-    """``settings`` loosened to the seed floor ``SEED_RTOL``: rtol and atol
-    scaled by one factor, and a looser rtol used as given."""
-    if settings.rtol >= SEED_RTOL:
-        return settings
-    factor = SEED_RTOL / settings.rtol
-    return replace(settings, rtol=SEED_RTOL, atol=settings.atol * factor)
 
 
 def _columns_by_route(jacobian, interp, cols, seeds, lams, classes, period, theta,
@@ -493,6 +480,7 @@ def build_bundle_frame(
         period=float(period),
         series=cycle_series,
         shooting_residual=cycle.shooting_residual,
+        search=cycle.search,
     )
     diagnostics = {
         "routes": routes,

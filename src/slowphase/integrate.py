@@ -8,7 +8,9 @@ reports a non-finite state with the time of failure, and fills sample times
 from the per-step dense interpolants.  Backward integration is supported by
 passing ``t1 < t0``; both times must be finite.  The package needs no scipy:
 the stepper does scipy's DOP853 arithmetic operation for operation, so flows
-are bitwise scipy's.
+are bitwise scipy's.  Seed integrations, whose results a Newton iteration
+refines (the cycle's relaxation, the frames' shifted columns), run no
+tighter than the floor ``SEED_RTOL`` (:func:`_seed_settings`).
 
 Right-hand sides call the model through its point closures
 (:meth:`~slowphase.models.VectorFieldModel.point_field` and
@@ -20,7 +22,7 @@ checks the state for finiteness once per step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -65,6 +67,23 @@ class IntegratorSettings:
 
 
 DEFAULT_SETTINGS = IntegratorSettings()
+
+# relative tolerance floor of the seed integrations, whose results a Newton
+# iteration refines to the user's accuracy: the cycle's relaxation (shooting
+# Newton) and the frames' shifted columns (the Fourier-space polish).  On ei
+# the polish takes as many sweeps from column seeds at 1e-10 as at 1e-12,
+# while seeds at 1e-7 leave the adjoint frame residual (3.5e-9) above
+# frames.ADJOINT_RESIDUAL_TARGET
+SEED_RTOL = 1e-10
+
+
+def _seed_settings(settings: IntegratorSettings) -> IntegratorSettings:
+    """``settings`` loosened to the seed floor ``SEED_RTOL``: rtol and atol
+    scaled by one factor, and a looser rtol used as given."""
+    if settings.rtol >= SEED_RTOL:
+        return settings
+    factor = SEED_RTOL / settings.rtol
+    return replace(settings, rtol=SEED_RTOL, atol=settings.atol * factor)
 
 
 def _integrate(fun, t0, y0, t1, settings, t_eval=None, on_step=None):

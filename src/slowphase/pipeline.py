@@ -109,6 +109,7 @@ def load_spectrum(result, meta, digests):
     meta["lyapunov"] = np.asarray(meta["lyapunov"])
     meta["monodromy"] = np.asarray(meta["monodromy"])
     meta["classes"] = tuple(meta["classes"])
+    meta["gauge_components"] = tuple(meta["gauge_components"])
     result.spectrum = FloquetSpectrum(**meta)
 
 

@@ -1,5 +1,7 @@
 import itertools
 import math
+import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,16 +16,19 @@ from slowphase.cycle import (
     CLASS_TRIVIAL,
     FloquetSpectrum,
     _brent_root,
-    _first_return,
+    _next_maximum,
     _period_multiple,
     check_resonances,
     find_cycle,
     floquet_spectrum,
 )
+from slowphase.config import DEFAULT_GUESSES, RunConfig
 from slowphase.errors import HyperbolicityError, IntegrationError, SectionError
 from slowphase.integrate import IntegratorSettings
 from slowphase.models import make_oracle_model
+from slowphase.pipeline import Stage, run_pipeline
 from slowphase.series import FourierSeries
+from slowphase.store import read_json
 
 
 @pytest.fixture(scope="module")
@@ -62,64 +67,154 @@ def test_converged_orbits_span_one_period(oracle_run, ei_run):
 
 def test_degenerate_section_rejected():
     model = make_oracle_model()
-    # the origin is an equilibrium: |X| = 0 there
-    with pytest.raises(SectionError):
+    # the origin is an equilibrium: |X| = 0 there, so X_0 never crosses zero
+    with pytest.raises(SectionError, match="no maximum"):
         find_cycle(model, [0.0, 0.0], relax_time=0.0, grid_size=64)
+
+
+def test_flat_maximum_rejected():
+    """A crossing of X_0 = 0 at which d X_0 / dt vanishes is no simple
+    maximum: component 0 of x0' = -y^3 on the unit circle peaks flat."""
+    from slowphase.models import VectorFieldModel
+
+    def rhs(u):
+        x0, x, y = u
+        r2 = x * x + y * y
+        return (-(y * y * y), x - y - r2 * x, x + y - r2 * y)
+
+    def jac_rows(u):
+        x0, x, y = u
+        return (
+            (0.0, 0.0, -3.0 * y * y),
+            (0.0, 1.0 - 3 * x * x - y * y, -1.0 - 2 * x * y),
+            (0.0, 1.0 - 2 * x * y, 1.0 - x * x - 3 * y * y),
+        )
+
+    model = VectorFieldModel("flat", 3, {}, ("x0", "x", "y"), rhs, jac_rows)
+    with pytest.raises(SectionError, match="no simple maximum"):
+        find_cycle(model, [0.0, 1.0, 0.0], relax_time=0.0, grid_size=64)
 
 
 def test_return_search_honours_step_budget():
     model = make_oracle_model()
     with pytest.raises(IntegrationError, match="step budget 3 exhausted"):
-        _first_return(
+        _next_maximum(
             model, np.array([1.0, 0.0]), IntegratorSettings(max_steps=3), 20.0
         )
 
 
 @pytest.mark.parametrize(
-    "x0, n_crossings",
-    [
-        ((1.0, 0.0), 1),  # on the cycle: the first crossing returns to x0
-        ((1.3, 0.2), 4),  # off the cycle: none comes close, the nearest wins
-    ],
+    "x0",
+    [(1.0, 0.0), (1.3, 0.2)],  # at a maximum of x, and off the cycle
     ids=["on_cycle", "off_cycle"],
 )
-def test_return_time_equals_standalone_crossing_loop(x0, n_crossings):
-    """The return search run through _integrate is bitwise a DOP853 + brentq loop."""
+def test_return_time_equals_standalone_crossing_loop(x0):
+    """The search for the next maximum, run through _integrate, is bitwise a
+    DOP853 + brentq loop over the downward crossings of X_0."""
     model = make_oracle_model()
     settings = IntegratorSettings()
     x0 = np.array(x0)
-    t_max = 30.0
-    t_return = _first_return(model, x0, settings, t_max)
-
-    normal = model.eval(x0) / np.linalg.norm(model.eval(x0))
+    t_return, x_return = _next_maximum(model, x0, settings, 30.0)
 
     def g(y):
-        return float(np.dot(y - x0, normal))
+        return float(model.eval(y)[0])
 
     solver = DOP853(
-        lambda t, y: model.eval(y), 0.0, x0, t_bound=t_max,
+        lambda t, y: model.eval(y), 0.0, x0, t_bound=30.0,
         rtol=settings.rtol, atol=settings.atol,
     )
-    diameter, g_prev, t_prev = 0.0, 0.0, 0.0
-    crossings = []  # (time, distance to x0)
+    g_prev, t_prev = 0.0, 0.0  # the start is never a crossing
     while solver.status == "running":
         solver.step()
-        diameter = max(diameter, float(np.linalg.norm(solver.y - x0)))
         g_now = g(solver.y)
-        if g_prev < 0.0 <= g_now and solver.t > 1e-8:
+        if g_prev > 0.0 >= g_now:
             dense = solver.dense_output()
-            t_cross = brentq(
+            expected = brentq(
                 lambda s: g(dense(s)), t_prev, solver.t, xtol=1e-13, rtol=1e-15
             )
-            crossings.append((t_cross, float(np.linalg.norm(dense(t_cross) - x0))))
-            if crossings[-1][1] < 1e-3 * diameter:
-                expected = t_cross
-                break
+            break
         g_prev, t_prev = g_now, solver.t
-    else:
-        expected = min(crossings, key=lambda c: c[1])[0]
-    assert len(crossings) == n_crossings
     assert t_return == expected
+    assert np.array_equal(x_return, dense(expected))
+    if x0[1] == 0.0:  # one period of the unit circle, from its maximum of x
+        assert t_return == pytest.approx(2.0 * np.pi, abs=1e-10)
+    assert abs(g(x_return)) < 1e-12
+
+
+def _expansions(config, out):
+    """Grid values of K, Z and I, each of shape (orders, N, d)."""
+    result = run_pipeline(replace(config, out_dir=str(out)), through=Stage.RESPONSE)
+    return (result.manifold.coeffs.samples(), result.response.phase.samples(),
+            result.response.amplitude.samples())
+
+
+def _peak_relative(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+def test_ei_expansions_do_not_depend_on_the_guess(tmp_path):
+    """The anchor and the sign of sigma come from the model: two guesses give
+    the same expansions, order by order, and not merely the same period."""
+    config = RunConfig(model="ei", grid_size=1024, order=6)
+    scaled = tuple(1.05 * np.array(DEFAULT_GUESSES["ei"]))
+    k_a, z_a, i_a = _expansions(config, tmp_path / "default")
+    k_b, z_b, i_b = _expansions(replace(config, guess=scaled), tmp_path / "scaled")
+    for n in range(len(k_a)):
+        assert _peak_relative(k_b[n], k_a[n]) < 1e-11, n
+    # orders 5 and up of the response sit at its roundoff floor (about 5e-10
+    # of the peak at order 6), so a bound there would gate roundoff
+    for n in range(5):
+        assert _peak_relative(z_b[n], z_a[n]) < 1e-9, n
+        assert _peak_relative(i_b[n], i_a[n]) < 1e-9, n
+
+
+def test_oracle_expansions_do_not_depend_on_the_guess(oracle_run, tmp_path):
+    result = oracle_run.result
+    assert oracle_run.config.guess == (1.3, 0.0)
+    other = _expansions(replace(oracle_run.config, guess=(0.2, -0.8)), tmp_path)
+    ours = (result.manifold.coeffs.samples(), result.response.phase.samples(),
+            result.response.amplitude.samples())
+    for a, b in zip(ours, other):
+        for n in range(len(a)):
+            assert _peak_relative(b[n], a[n]) < 1e-13, n
+
+
+def test_ei_expansions_are_continuous_in_a_parameter(tmp_path):
+    """K_1, Z_0 and I_0 at tau_e = 10 +- h and 10 +- h/2: the difference
+    halves with h.  A jump of the phase origin or a flip of the sign of sigma
+    between neighbouring parameters would leave it of order one."""
+    config = RunConfig(model="ei", grid_size=1024, order=1)
+    h = 0.04
+    parts = {}
+    for tau in (10 - h, 10 + h, 10 - h / 2, 10 + h / 2):
+        k, z, i = _expansions(replace(config, model_params={"tau_e": tau}),
+                              tmp_path / f"tau_{tau}")
+        parts[tau] = (k[1], z[0], i[0])
+    for j, name in enumerate(("K_1", "Z_0", "I_0")):
+        wide = _peak_relative(parts[10 + h][j], parts[10 - h][j])
+        narrow = _peak_relative(parts[10 + h / 2][j], parts[10 - h / 2][j])
+        assert 1.6 <= wide / narrow <= 2.4, (name, wide, narrow)
+
+
+def test_cycle_and_spectrum_record_the_search_and_the_sign(ei_run, oracle_run):
+    """cycle.json records the relaxation, which stops at the gap Newton needs
+    and well before the cap, the Newton steps, and the anchor's section
+    value; spectrum.json records the component whose sign each gauge fixed."""
+    for run in (ei_run, oracle_run):
+        config, spectrum = run.config, run.result.spectrum
+        search = read_json(os.path.join(config.out_dir, "cycle.json"))["search"]
+        assert search == run.result.cycle.search
+        assert search["return_gap"] < math.sqrt(config.newton_tol)
+        assert search["relax_returns"] >= 1
+        assert search["relaxed_time"] < config.relax_time
+        assert search["newton_steps"][-1] < config.newton_tol
+        assert abs(search["section_value"]) < 1e-12
+        stored = read_json(os.path.join(config.out_dir, "spectrum.json"))
+        assert tuple(stored["gauge_components"]) == spectrum.gauge_components
+        for j, idx in enumerate(spectrum.gauge_components):
+            mags = np.abs(spectrum.eigenvectors[:, j])
+            assert idx == int(np.argmax(mags > 1e-8 * mags.max()))
+            assert spectrum.eigenvectors[idx, j].real > 0
 
 
 def _recorded(f, calls):
@@ -252,6 +347,42 @@ def test_eigenvector_gauge(ei_run):
         first = int(np.argmax(mags > 1e-8 * mags.max()))
         assert abs(w[first].imag) < 1e-10
         assert w[first].real > 0
+
+
+def test_relaxation_at_the_seed_floor_newton_and_sampling_at_user_settings(
+        monkeypatch):
+    """The relaxation is a seed for Newton: its searches run at SEED_RTOL
+    (atol scaled alike), while Newton and the sampling integration keep the
+    user's settings."""
+    import slowphase.cycle as cycle_mod
+    from slowphase.integrate import SEED_RTOL
+
+    user = IntegratorSettings(rtol=1e-12, atol=1e-13)
+    seen = []
+    integrate, variational = cycle_mod._integrate, cycle_mod.flow_with_variational
+
+    def spy_integrate(fun, t0, y0, t1, settings, **kwargs):
+        kind = "sampling" if kwargs.get("t_eval") is not None else "search"
+        seen.append((kind, settings))
+        return integrate(fun, t0, y0, t1, settings, **kwargs)
+
+    def spy_variational(model, x0, t, settings):
+        seen.append(("newton", settings))
+        return variational(model, x0, t, settings)
+
+    monkeypatch.setattr(cycle_mod, "_integrate", spy_integrate)
+    monkeypatch.setattr(cycle_mod, "flow_with_variational", spy_variational)
+    find_cycle(make_oracle_model(), [1.3, 0.0], settings=user, grid_size=64,
+               relax_time=20.0)
+    kinds = [kind for kind, _ in seen]
+    assert kinds.count("search") >= 2 and kinds.count("sampling") == 1
+    assert kinds.index("newton") > max(i for i, k in enumerate(kinds) if k == "search")
+    for kind, settings in seen:
+        if kind == "search":
+            assert settings.rtol == SEED_RTOL
+            assert settings.atol == pytest.approx(user.atol * SEED_RTOL / user.rtol)
+        else:
+            assert settings is user
 
 
 def test_non_attracting_cycle_reported():

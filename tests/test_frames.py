@@ -6,17 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import slowphase.frames as frames_mod
+import slowphase.integrate as integrate_mod
 from slowphase.config import RunConfig
 from slowphase.frames import (
     IDENTITY_CHUNKS,
-    SEED_RTOL,
     _integration_route,
     _shifted_columns,
     build_bundle_frame,
     cross_check_adjoint_frame,
     real_generator_matrix,
 )
-from slowphase.integrate import DEFAULT_SETTINGS, IntegratorSettings
+from slowphase.integrate import DEFAULT_SETTINGS, SEED_RTOL, IntegratorSettings
 from slowphase.pipeline import Stage, run_pipeline
 from slowphase.series import FourierSeries, theta_grid
 
@@ -239,7 +239,7 @@ def test_seeds_at_floor_give_the_frames_of_seeds_at_user_settings(
                            through=Stage.FLOQUET)
     floor = run_pipeline(partial.config, through=Stage.RESPONSE,
                          resume=replace(partial))
-    monkeypatch.setattr(frames_mod, "SEED_RTOL", DEFAULT_SETTINGS.rtol)
+    monkeypatch.setattr(integrate_mod, "SEED_RTOL", DEFAULT_SETTINGS.rtol)
     user = run_pipeline(replace(config, out_dir=str(tmp_path / "user")),
                         through=Stage.RESPONSE, resume=replace(partial))
 

@@ -712,14 +712,23 @@ def test_exit_code_unresolved_grid(tmp_path):
     assert main(["run", "--config", str(cfg)]) == 3
 
 
-def test_doubled_period_exits_3_naming_the_multiple(tmp_path, capsys):
-    # without relaxation, shooting from the default guess on ei converges to
-    # twice the period; the orbit's even-only spectrum names it before the
-    # spectral-tail check would blame the grid
+def test_doubled_period_exits_3_naming_the_multiple(tmp_path, capsys, monkeypatch):
+    # a return search that skips every other maximum hands Newton twice the
+    # period, and shooting converges there; the orbit's even-only spectrum
+    # names the multiple before the spectral-tail check would blame the grid
+    import slowphase.cycle as cycle_mod
+
+    next_maximum = cycle_mod._next_maximum
+
+    def second_maximum(model, x0, settings, t_max):
+        t1, x1 = next_maximum(model, x0, settings, t_max)
+        t2, x2 = next_maximum(model, x1, settings, t_max)
+        return t1 + t2, x2
+
+    monkeypatch.setattr(cycle_mod, "_next_maximum", second_maximum)
     cfg = tmp_path / "doubled.cfg"
     cfg.write_text(
         "model.name = ei\n"
-        "cycle.relax_time = 0\n"
         "cycle.grid_N = 1024\n"
         f"output.directory = {tmp_path / 'out'}\n"
     )
@@ -728,6 +737,58 @@ def test_doubled_period_exits_3_naming_the_multiple(tmp_path, capsys):
     assert "converged to 2 times the period" in err
     assert "T/2 = 20.811" in err
     assert "cycle.grid_N" not in err
+
+
+def test_under_relaxed_start_exits_3_naming_relax_time(tmp_path, capsys):
+    # with no relaxation time, Newton starts one return after the first
+    # maximum of the default guess on ei, outside its basin, and diverges
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text(
+        "model.name = ei\n"
+        "cycle.relax_time = 0\n"
+        "cycle.grid_N = 1024\n"
+        f"output.directory = {tmp_path / 'out'}\n"
+    )
+    assert main(["cycle", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert "after 1 return " in err
+    assert "raise cycle.relax_time" in err
+    assert not os.path.exists(tmp_path / "out" / "cycle.json")
+
+
+def test_component_without_maximum_exits_3(monkeypatch, tmp_path, capsys):
+    """Component 0 of a registered 3-D model decays to 0 (z' = -z) beside an
+    attracting circle: it has no maximum, so the cycle has no phase origin."""
+    monkeypatch.setattr(models, "_REGISTRY", dict(models._REGISTRY))
+
+    def rhs(u):
+        z, x, y = u
+        r2 = x * x + y * y
+        return (-z, x - y - r2 * x, x + y - r2 * y)
+
+    def jac_rows(u):
+        z, x, y = u
+        return (
+            (-1.0, 0.0, 0.0),
+            (0.0, 1.0 - 3 * x * x - y * y, -1.0 - 2 * x * y),
+            (0.0, 1.0 - 2 * x * y, 1.0 - x * x - 3 * y * y),
+        )
+
+    models.register_model("decaying", lambda overrides: models.VectorFieldModel(
+        name="decaying", dim=3, params={}, state_names=("z", "x", "y"),
+        rhs=rhs, jac_rows=jac_rows,
+    ))
+    cfg = tmp_path / "decaying.cfg"
+    cfg.write_text(
+        "model.name = decaying\n"
+        "cycle.guess = 1.0, 1.0, 0.0\n"
+        "cycle.grid_N = 128\n"
+        f"output.directory = {tmp_path / 'out'}\n"
+    )
+    assert main(["cycle", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert "component 0 of the orbit has no maximum" in err
+    assert "no downward crossing" in err
 
 
 def test_resonance_abort_keeps_partial_artifacts(tmp_path, monkeypatch):
