@@ -1,22 +1,21 @@
 """Fourier-Taylor expansion of the slow attracting submanifold.
 
-Order n of the parameterization solves the homological equation
+Order n of the parameterization K and of both response functions
+(:mod:`~slowphase.response`) solves
 
-    (1/T) K_n' + n lam_s K_n = DX(K_0) K_n + B_n,
+    (1/T) x_n' + s_n x_n = (A x)_n,    s_n = (n + offset) lam_s,
 
-where B_n is the order-n coefficient of the field composed with the lower
-orders.  Writing K_n in bundle-frame coordinates turns the equation into a
-constant-coefficient diagonal system per Fourier mode, with divisors
-2 pi i k / T + n lam_s - lam_j (:func:`~slowphase.frames.solve_in_frame`);
-non-resonance keeps them away from zero.
-The recursion runs in the complex representation and symmetrizes each order
-back to a real function, monitoring the conjugation drift.
-
-One jet transport of the field (:class:`~slowphase.models.JetTransport`)
-runs over the stack of orders for the whole recursion.  Order n is filled
-once with K_n = 0, which gives B_n, and once more after K_n is written, so
-the composition costs O(L^2) grid products in all; the per-order residuals
-are measured against the transport's final state.
+where (A x)_n is order n of a jet transport
+(:class:`~slowphase.models.JetTransport`) of an operator's action.  For K it
+is the field, with offset 0: DX(K_0) K_n + B_n, B_n the field composed with
+the lower orders.  :func:`solve_orders` fills order n once with x_n = 0 (the
+driving term) and once after x_n is written, O(L^2) grid products in all.
+In the coordinates of a frame of the operator, with exponents mu, each order
+is diagonal per Fourier mode, with divisors 2 pi i k / T + s_n - mu_j
+(:func:`~slowphase.frames.solve_in_frame`) that non-resonance keeps from
+zero.  Orders are solved complex and kept real, monitoring the conjugation
+drift; :func:`order_residuals` measures them against the transport's final
+state.
 """
 
 from __future__ import annotations
@@ -34,7 +33,8 @@ from .series import FourierSeries, FourierTaylor
 __all__ = [
     "ManifoldExpansion",
     "expand_slow_manifold",
-    "next_order_coefficient",
+    "solve_orders",
+    "order_residuals",
     "evaluate_manifold",
 ]
 
@@ -73,42 +73,53 @@ class ManifoldExpansion:
         return self.coeffs.order_series(n)
 
 
-def next_order_coefficient(
-    transport: JetTransport,
-    bundle: Frame,
-    adjoint: Frame,
-    n: int,
-    period: float,
-    small_divisor_tol: float = 1e-8,
-):
-    """Compute order n >= 2 of the expansion that ``transport`` carries.
+def solve_orders(transport: JetTransport, first: int, reduce: Frame, expand: Frame,
+                 mu, lam_s: float, offset: int, period: float,
+                 small_divisor_tol: float, on_free=None):
+    """Solve orders ``first``..L of (1/T) x_n' + s_n x_n = (A x)_n in place.
 
-    ``transport`` is a field :class:`~slowphase.models.JetTransport` over
-    the grid values of the expansion, with orders 0..n-1 filled and the
-    order-n values zero.  Filling order n then gives B_n, the order-n
-    coefficient of the field composed with the lower orders alone, and the
-    homological equation is solved in bundle-frame coordinates.  The caller
-    writes the new order into the transport's argument and fills order n
-    again.  Returns ``(samples, divisor_min)``: the complex grid samples of
-    the new order (their imaginary part is the conjugation drift) and the
-    smallest Fourier divisor encountered.
+    x is the last d components of ``transport``'s argument (d the model
+    dimension); orders below ``first`` are written and filled, the rest read
+    zero.  ``expand`` is a frame of A with exponents ``mu``, ``reduce`` its
+    dual, and s_n = (n + offset) lam_s.  Where s_n - mu_0 = 0 the (k=0,
+    trivial) mode is free: ``on_free(n, x_n, rhs)`` gets the real solution
+    with that mode zero and the mode's right-hand side, and returns the x_n
+    to write; without ``on_free`` the zero divisor raises.  Returns each
+    order's smallest divisor and the largest imaginary part discarded.
     """
-    if n < 2:
-        raise ModelError("next-order recursion starts at n = 2")
-    if transport.filled != n or n > transport.order:
-        raise ModelError(
-            f"expected orders 0..{n - 1} of the transport filled, got "
-            f"0..{transport.filled - 1} of 0..{transport.order}"
+    x = transport.orders[:, :, -transport.model.dim:]
+    divisor_minima = {}
+    drift = 0.0
+    for n in range(first, transport.order + 1):
+        if np.any(x[n]):
+            raise ModelError(f"order {n} of the transport argument is not zero")
+        transport.fill(n)
+        shifts = (n + offset) * lam_s - mu
+        free = ((0, 0),) if on_free is not None and shifts[0] == 0 else ()
+        x_n, free_rhs, divisor_minima[n] = solve_in_frame(
+            transport.out[n], reduce, expand, shifts, period, free,
+            small_divisor_tol,
         )
-    if np.any(transport.orders[n]):
-        raise ModelError(f"order {n} of the transport argument is not zero")
-    transport.fill(n)
-    shifts = n * float(bundle.exponents[1].real) - bundle.exponents
-    out, _, div_min = solve_in_frame(
-        transport.out[n], adjoint, bundle, shifts, period,
-        small_divisor_tol=small_divisor_tol,
-    )
-    return out, div_min
+        drift = max(drift, float(np.max(np.abs(x_n.imag))))
+        x[n] = on_free(n, x_n.real, free_rhs[(0, 0)]) if free else x_n.real
+        transport.fill(n)
+    return divisor_minima, drift
+
+
+def order_residuals(coeffs: FourierTaylor, x, composed, lam_s, offset, period):
+    """Per order, the grid maximum of |x_n'/T + s_n x_n - (A x)_n|: x_n'
+    from ``coeffs``, x_n the grid values ``x`` the transport read, (A x)_n
+    its final state ``composed``.  One order is differentiated at a time; a
+    derivative of the whole stack holds two complex copies of it."""
+    out = np.zeros(len(x))
+    for n in range(len(x)):
+        lhs = (
+            coeffs.order_series(n).differentiate().samples().real / period
+            + (n + offset) * lam_s * x[n]
+            - composed[n]
+        )
+        out[n] = float(np.max(np.linalg.norm(lhs, axis=1)))
+    return out
 
 
 def expand_slow_manifold(
@@ -123,12 +134,12 @@ def expand_slow_manifold(
 ) -> ManifoldExpansion:
     """Assemble the expansion to ``order`` (+ extra) with residual checks.
 
-    Order 0 is the orbit, order 1 the gauge-scaled slow bundle column; the
-    recursion then adds one order at a time, on one jet transport of the
-    field over the stack of orders.  Per-order residuals of the homological
-    equations are measured spectrally at the end from the transport's final
-    state.  The slow direction is frame column 1, as in
-    :func:`next_order_coefficient`.
+    Order 0 is the orbit, order 1 the gauge-scaled slow bundle column (the
+    slow direction is frame column 1); :func:`solve_orders` then adds one
+    order at a time, on one jet transport of the field over the stack of
+    orders, in bundle-frame coordinates.  Per-order residuals of the
+    homological equations are measured at the end against the transport's
+    final state.
     """
     if order < 1:
         raise ModelError("expansion order must be >= 1")
@@ -149,27 +160,12 @@ def expand_slow_manifold(
     transport.fill(0)
     transport.fill(1)
 
-    divisor_minima = {}
-    drift = 0.0
-    for n in range(2, total + 1):
-        k_n, div_min = next_order_coefficient(
-            transport, bundle, adjoint, n, period, small_divisor_tol
-        )
-        drift = max(drift, float(np.max(np.abs(k_n.imag))))
-        values[n] = k_n.real
-        transport.fill(n)
-        divisor_minima[n] = div_min
-
+    divisor_minima, drift = solve_orders(
+        transport, 2, adjoint, bundle, bundle.exponents, lam_s, 0, period,
+        small_divisor_tol,
+    )
     coeffs = FourierTaylor.from_samples(values, 1.0)
-
-    # residuals by spectral back-substitution against the composed field
-    composed = transport.result()
-    derivative = coeffs.differentiate().samples()
-    samples = coeffs.samples()
-    residuals = np.zeros(total + 1)
-    for n in range(total + 1):
-        lhs = derivative[n] / period + n * lam_s * samples[n] - composed[n]
-        residuals[n] = float(np.max(np.linalg.norm(lhs.real, axis=1)))
+    residuals = order_residuals(coeffs, values, transport.result(), lam_s, 0, period)
 
     return ManifoldExpansion(
         coeffs=coeffs,

@@ -9,8 +9,10 @@ once on symbolic components, a closure records its operations on a tape;
 time, so a recursion that needs order n of the composed field pays for
 order n alone, and :func:`jet_compose` fills every order.  Two closures are
 transported: the field, ``u -> X(u)``, whose jet drives the manifold
-recursion, and the adjoint action ``(u, z) -> DX(u)^T z``, recorded from
-``jac_rows``, whose jet drives the response recursions.  Both built-in
+recursion, and the adjoint action ``(u, z) -> -DX(u)^T z``, recorded from
+``jac_rows``, whose jet drives the response recursions.  The adjoint action
+carries the sign of the operator -DX^T, so both recursions solve the same
+equation (:func:`~slowphase.manifold.solve_orders`).  Both built-in
 models are polynomial, hence add/multiply/integer powers are the only
 operations required; user models registered through :func:`register_model`
 may use the same protocol.  Jet transport supports only ``+``, ``-``, ``*``,
@@ -369,15 +371,16 @@ def _jet_error(model: VectorFieldModel, exc: Exception) -> ModelError:
 
 
 def _adjoint_action(model: VectorFieldModel, components) -> list:
-    """Entries of DX(u)^T z on symbolic components (u, z): entry a sums
-    ``z_b * dX_b/dx_a`` over b in increasing order, skipping constant zeros."""
+    """Entries of -DX(u)^T z on symbolic components (u, z): entry a negates
+    the sum of ``z_b * dX_b/dx_a`` over b in increasing order, skipping
+    constant zeros."""
     rows = model.jac_rows(components[: model.dim])
     z = components[model.dim:]
     entries = []
     for a in range(model.dim):
         terms = [z[b] * row[a] for b, row in enumerate(rows)
                  if isinstance(row[a], _Var) or row[a] != 0]
-        entries.append(sum(terms[1:], terms[0]) if terms else 0.0)
+        entries.append(-sum(terms[1:], terms[0]) if terms else 0.0)
     return entries
 
 
@@ -387,7 +390,7 @@ class JetTransport:
     ``orders`` holds the grid values of orders 0..L of the argument, shape
     (L+1, N, d) for ``mode="field"`` (the closure ``model.rhs``) and
     (L+1, N, 2d) for ``mode="adjoint_action"`` (the closure
-    ``(u, z) -> DX(u)^T z`` built from ``model.jac_rows``, argument
+    ``(u, z) -> -DX(u)^T z`` built from ``model.jac_rows``, argument
     ``[u | z]``); it is read in place, so a caller may write order n before
     filling it.  The closure is called once, on symbolic components, to
     record a tape.  :meth:`fill` then evaluates order n of every node from
@@ -512,7 +515,7 @@ def jet_compose(model: VectorFieldModel, orders: np.ndarray, mode: str) -> np.nd
     (L+1, N, d), and returns those of the jet of X(u), shape (L+1, N, d):
     order n is the coefficient of sigma**n of the composed field.
     ``mode="adjoint_action"`` takes orders of ``[u | z]``, shape
-    (L+1, N, 2d), and returns the jet of DX(u)^T z, shape (L+1, N, d).  Both
+    (L+1, N, 2d), and returns the jet of -DX(u)^T z, shape (L+1, N, d).  Both
     fill a :class:`JetTransport` through every order.
 
     The order-0 values of a field composition are bitwise equal to the

@@ -1,34 +1,22 @@
 """Phase and amplitude response functions on the slow submanifold.
 
-The gradients of the phase map and of the slow amplitude map, restricted to
-the slow submanifold, are expanded in the amplitude variable; each order
-solves an adjoint homological equation
+The gradients of the phase map (Z, offset 0) and of the slow amplitude map
+(I, offset -1), restricted to the slow submanifold, are expanded in the
+amplitude variable; each order solves an adjoint homological equation
 
-    (1/T) Z_n' + DX(K_0)^T Z_n + (n + offset) lam_s Z_n + G_n = 0,
+    (1/T) Z_n' + (n + offset) lam_s Z_n = -DX(K_0)^T Z_n - G_n,
 
 where G_n = sum_{i<n} F_{n-i} Z_i and F_m is the sigma**m coefficient of
-DX^T on the manifold.  That equation is the direct problem of the operator
--DX^T, whose frame is the adjoint frame with exponents -lam and whose dual
-is the bundle frame, so each order is one
-:func:`~slowphase.frames.solve_in_frame` with right-hand side -G: the bundle
-reduces it and the adjoint frame expands the solution.  In these coordinates
-the equations are diagonal per Fourier mode:
-
-    phase order n:      divisors 2 pi i k / T + lam_j + n lam_s,
-    amplitude order n:  divisors 2 pi i k / T + lam_j + (n-1) lam_s.
-
-The amplitude equation at order 1 carries a structural zero divisor at
-(k = 0, trivial component): the solve checks the solvability residual there
-and the coefficient left free is fixed afterwards by the order-1
-normalization identity, enforced at the grid mean and verified pointwise.
-
-Each response function runs as the manifold recursion does, on one jet
-transport (:class:`~slowphase.models.JetTransport`) of the adjoint action
-(u, z) -> DX(u)^T z over the stack [K | Z].  Order n is filled with Z_n = 0,
-which gives G_n, and again after Z_n is written (F_0 Z_n + G_n, for the
-residual).  ``next_order`` solves an order of either recursion, in the
-complex Floquet normal form, which is diagonal per Fourier mode for every
-multiplier class.
+DX^T on the manifold.  The right-hand side is order n of the adjoint action
+(u, z) -> -DX(u)^T z over [K | Z], so each response function is the
+recursion of :func:`~slowphase.manifold.solve_orders` for -DX^T, whose frame
+is the adjoint frame (exponents -lam) and whose dual, the bundle frame,
+reduces the driving term.  The divisors are 2 pi i k / T + lam_j +
+(n + offset) lam_s.  The amplitude equation at order 1 carries a structural
+zero divisor at (k = 0, trivial component): its right-hand side there is
+the solvability residual, and the coefficient left free is fixed by the
+order-1 normalization identity, enforced at the grid mean and verified
+pointwise.
 """
 
 from __future__ import annotations
@@ -38,15 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelError, SolvabilityError
-from .frames import Frame, solve_in_frame
-from .manifold import ManifoldExpansion
+from .frames import Frame
+from .manifold import ManifoldExpansion, order_residuals, solve_orders
 from .models import JetTransport, VectorFieldModel
 from .series import FourierTaylor
 
 __all__ = [
     "ResponseExpansion",
     "expand_response_functions",
-    "next_order",
 ]
 
 
@@ -63,47 +50,11 @@ class ResponseExpansion:
     normalization_defect: float
     phase_residuals: np.ndarray
     amplitude_residuals: np.ndarray
+    conjugation_drift: float
 
     @property
     def order(self) -> int:
         return self.phase.order
-
-
-def next_order(
-    g_n,
-    bundle: Frame,
-    adjoint: Frame,
-    n: int,
-    period: float,
-    offset: int,
-    small_divisor_tol: float = 1e-8,
-    solvability_tol: float = 1e-9,
-):
-    """Solve order n >= 1 of an adjoint response recursion driven by ``g_n``.
-
-    ``g_n`` holds the grid values of G_n, the order-n driving term of the
-    lower orders.  ``offset`` 0 gives the phase gradient, -1 the amplitude
-    gradient: the divisors are 2 pi i k / T + lam_j + (n + offset) lam_s.
-    Where n + offset == 0 the (k=0, trivial) mode is free: its
-    right-hand-side magnitude is returned as the solvability residual and
-    the mode itself is set to zero, to be fixed by the normalization
-    afterwards.  Returns ``(x_n, solvability)``.
-    """
-    if n < 1:
-        raise ModelError("response recursions start at n = 1")
-    lam_s = float(bundle.exponents[1].real)
-    shifts = bundle.exponents + (n + offset) * lam_s
-    free = ((0, 0),) if n + offset == 0 else ()
-    x_n, free_info, _ = solve_in_frame(
-        -g_n, bundle, adjoint, shifts, period, free, small_divisor_tol
-    )
-    solvability = float(np.abs(free_info.get((0, 0), 0.0)))
-    if solvability > solvability_tol:
-        raise SolvabilityError(
-            f"order-{n} solvability residual {solvability:.3e} exceeds "
-            f"{solvability_tol:.1e}; lower orders are inconsistent"
-        )
-    return x_n.real, solvability
 
 
 def _fix_order1_normalization(i1_particular, z0, i0, k1_deriv, x0, period):
@@ -122,22 +73,6 @@ def _fix_order1_normalization(i1_particular, z0, i0, k1_deriv, x0, period):
     return i1, c, defect
 
 
-def _residuals(expansion, values, composed, lam_s, period, shift_offset):
-    """Spectral back-substitution residuals of an adjoint recursion, against
-    the transport's final state ``composed`` (order n: F_0 Z_n + G_n)."""
-    out = np.zeros(len(values))
-    # one order at a time: a derivative of the whole stack holds two complex
-    # copies of it at once, and this is when the stage peaks in memory
-    for n in range(1, len(values)):
-        lhs = (
-            expansion.order_series(n).differentiate().samples().real / period
-            + (n + shift_offset) * lam_s * values[n]
-            + composed[n]
-        )
-        out[n] = float(np.max(np.linalg.norm(lhs, axis=1)))
-    return out
-
-
 def expand_response_functions(
     model: VectorFieldModel,
     manifold: ManifoldExpansion,
@@ -153,7 +88,9 @@ def expand_response_functions(
     and the slow amplitude response curve (the latter rescaled by the
     manifold gauge so the pairing with the order-1 manifold coefficient is
     exactly one).  Each recursion then adds one order at a time on its own
-    jet transport of the adjoint action over [K | Z].
+    jet transport of the adjoint action over [K | Z].  The residual of
+    order 0 is the adjoint frame's, which the frame reports; it reads 0.0
+    here.
     """
     if manifold.total_order < order:
         raise ModelError(
@@ -169,38 +106,45 @@ def expand_response_functions(
     z0 = adjoint_grid[:, :, 0].real
     i0 = adjoint_grid[:, :, 1].real / manifold.gauge
 
-    solvability = 0.0
-    free_c = 0.0
-    norm_defect = 0.0
+    solvability = free_c = norm_defect = 0.0
+
+    def normalize(n, i1, free_rhs):
+        """Amplitude order 1: gate the solvability residual, then pin the
+        free coefficient; higher orders are driven by the normalized one."""
+        nonlocal solvability, free_c, norm_defect
+        solvability = float(np.abs(free_rhs))
+        if solvability > solvability_tol:
+            raise SolvabilityError(
+                f"order-{n} solvability residual {solvability:.3e} exceeds "
+                f"{solvability_tol:.1e}; lower orders are inconsistent"
+            )
+        k1_deriv = manifold.order_series(1).differentiate().samples().real
+        x0 = model.eval(manifold.order_series(0).samples().real)
+        i1, free_c, norm_defect = _fix_order1_normalization(
+            i1, z0, i0, k1_deriv, x0, period
+        )
+        return i1
+
+    drift = 0.0
     expansions, residuals = [], []
     for offset, order0 in ((0, z0), (-1, i0)):
-        # an order not yet solved reads as zero, so filling it gives G_n
+        # an order not yet solved reads as zero, so filling it gives -G_n
         stack = np.zeros(k_orders.shape[:2] + (2 * d,))
         stack[:, :, :d] = k_orders
         stack[0, :, d:] = order0
         values = stack[:, :, d:]
         transport = JetTransport(model, stack, "adjoint_action")
         transport.fill(0)
-        for n in range(1, order + 1):
-            transport.fill(n)
-            x_n, solv = next_order(
-                transport.out[n], bundle, adjoint, n, period, offset,
-                small_divisor_tol, solvability_tol,
-            )
-            if n + offset == 0:
-                # higher orders are driven by the normalized coefficient
-                solvability = solv
-                k1_deriv = manifold.order_series(1).differentiate().samples().real
-                x0 = model.eval(manifold.order_series(0).samples().real)
-                x_n, free_c, norm_defect = _fix_order1_normalization(
-                    x_n, z0, i0, k1_deriv, x0, period
-                )
-            values[n] = x_n
-            transport.fill(n)
+        _, order_drift = solve_orders(
+            transport, 1, bundle, adjoint, -bundle.exponents, lam_s, offset,
+            period, small_divisor_tol, normalize,
+        )
+        drift = max(drift, order_drift)
         expansions.append(FourierTaylor.from_samples(values, 1.0))
-        residuals.append(_residuals(
-            expansions[-1], values, transport.result(), lam_s, period, offset
+        residuals.append(order_residuals(
+            expansions[-1], values, transport.result(), lam_s, offset, period
         ))
+        residuals[-1][0] = 0.0
 
     return ResponseExpansion(
         phase=expansions[0],
@@ -212,4 +156,5 @@ def expand_response_functions(
         normalization_defect=norm_defect,
         phase_residuals=residuals[0],
         amplitude_residuals=residuals[1],
+        conjugation_drift=drift,
     )

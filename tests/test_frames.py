@@ -12,6 +12,7 @@ from slowphase.frames import (
     IDENTITY_CHUNKS,
     _integration_route,
     _shifted_columns,
+    build_adjoint_frame,
     build_bundle_frame,
     cross_check_adjoint_frame,
     real_generator_matrix,
@@ -176,6 +177,26 @@ def test_real_generator_blocks():
     adj = real_generator_matrix(classes, exponents).T
     expected[2:4, 2:4] = [[-0.3, -0.7], [0.7, -0.3]]
     assert np.array_equal(adj, expected)
+
+
+def test_oracle_adjoint_polish_stops_at_roundoff(oracle_run, monkeypatch):
+    """The adjoint polish aims at a residual that roundoff lets it reach: on
+    the oracle it stops within 3 sweeps, not after sweeps of noise."""
+    result = oracle_run.result
+    refine = frames_mod._refine_frame
+    sweeps = []
+
+    def counting(*args, **kwargs):
+        history = refine(*args, **kwargs)
+        sweeps.append(len(history))
+        return history
+
+    monkeypatch.setattr(frames_mod, "_refine_frame", counting)
+    build_adjoint_frame(
+        result.bundle, result.model.jacobian(result.cycle.samples),
+        result.cycle.period, k_cut=result.band_cut,
+    )
+    assert sweeps and max(sweeps) <= 3, sweeps
 
 
 def test_cross_check_oracle(oracle_run):

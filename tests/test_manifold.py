@@ -9,9 +9,11 @@ from slowphase.frames import Frame, solve_in_frame
 from slowphase.manifold import (
     evaluate_manifold,
     expand_slow_manifold,
-    next_order_coefficient,
+    order_residuals,
+    solve_orders,
 )
 from slowphase.models import JetTransport, jet_compose
+from slowphase.series import FourierTaylor
 
 
 def radial_taylor_coefficient(n):
@@ -38,6 +40,28 @@ def test_homological_residuals(oracle_run, ei_run):
         assert man.conjugation_drift < 1e-10
 
 
+def test_residuals_see_an_injected_defect(oracle_run):
+    """A defect d = eps peak cos(2 pi theta) e_0 added to order 3 after the
+    solve, with the transport left as it was, changes the lhs by
+    d'/T + s_3 d, whose grid maximum the residual must reach in half."""
+    result = oracle_run.result
+    man = result.manifold
+    values = man.coeffs.samples().real
+    composed = jet_compose(result.model, values, "field")
+    theta = result.cycle.theta
+    n, eps, T, s_n = 3, 1e-6, man.period, 3 * man.slow_exponent
+    size = eps * np.max(np.abs(values[n]))
+    values[n, :, 0] += size * np.cos(2.0 * np.pi * theta)
+    change = size * np.max(np.abs(
+        -2.0 * np.pi / T * np.sin(2.0 * np.pi * theta) + s_n * np.cos(2.0 * np.pi * theta)
+    ))
+    residuals = order_residuals(
+        FourierTaylor.from_samples(values), values, composed, man.slow_exponent, 0, T
+    )
+    assert residuals[n] >= 0.5 * change
+    assert np.all(np.delete(residuals, n) < 1e-9)
+
+
 def test_zero_inhomogeneity_gives_zero_order(oracle_run):
     result = oracle_run.result
     n_grid = result.cycle.grid_size
@@ -59,43 +83,37 @@ def transport_through(model, partial):
     return transport
 
 
-def test_next_order_coefficient_matches_expansion(oracle_run):
+def solve_manifold_orders(result, transport, first):
+    """The manifold recursion's orders ``first``.. on ``transport``."""
+    lam_s = result.manifold.slow_exponent
+    return solve_orders(
+        transport, first, result.adjoint, result.bundle, result.bundle.exponents,
+        lam_s, 0, result.cycle.period, 1e-8,
+    )
+
+
+def test_solve_orders_matches_expansion(oracle_run):
     result = oracle_run.result
     man = result.manifold
     partial = man.coeffs.truncated(2).samples().real
-    out, div_min = next_order_coefficient(
-        transport_through(result.model, partial), result.bundle, result.adjoint,
-        3, result.cycle.period,
-    )
-    stored = man.order_series(3).samples().real
-    assert np.max(np.abs(out.real - stored)) < 1e-12
-    assert div_min > 1.0  # oracle divisors are (n-1) |lam_s| and larger
-
-
-def test_next_order_preconditions(oracle_run):
-    result = oracle_run.result
-    partial = result.manifold.coeffs.truncated(2).samples().real
     transport = transport_through(result.model, partial)
-    with pytest.raises(ModelError):
-        next_order_coefficient(
-            transport, result.bundle, result.adjoint, 1, result.cycle.period,
-        )
-    with pytest.raises(ModelError):
-        next_order_coefficient(
-            transport, result.bundle, result.adjoint, 5, result.cycle.period,
-        )
+    divisor_minima, drift = solve_manifold_orders(result, transport, 3)
+    stored = man.order_series(3).samples().real
+    assert np.max(np.abs(transport.orders[3] - stored)) < 1e-12
+    assert list(divisor_minima) == [3]
+    assert divisor_minima[3] > 1.0  # oracle divisors are (n-1) |lam_s| and larger
+    assert drift < 1e-10
+    assert transport.fills == [1, 1, 1, 2]
 
 
-def test_next_order_input_must_read_zero(oracle_run):
+def test_solve_orders_input_must_read_zero(oracle_run):
     # B_n is the field composed with the lower orders alone
     result = oracle_run.result
     partial = result.manifold.coeffs.truncated(2).samples().real
     transport = transport_through(result.model, partial)
     transport.orders[3] = partial[2]
     with pytest.raises(ModelError, match="order 3 .* not zero"):
-        next_order_coefficient(
-            transport, result.bundle, result.adjoint, 3, result.cycle.period,
-        )
+        solve_manifold_orders(result, transport, 3)
 
 
 def test_recursion_composes_order_by_order(ei_run, monkeypatch):

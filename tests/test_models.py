@@ -290,15 +290,15 @@ def test_jet_compose_rejects_mismatched_dimension():
 
 def jacobian_transpose_jet(model, k_orders):
     """The jet of DX^T along ``k_orders``, shape (L+1, N, d, d), read off the
-    adjoint action: with z = e_b at order 0 alone, order n of DX^T z is
-    column b of the order-n coefficient."""
+    adjoint action: with z = e_b at order 0 alone, order n of -DX^T z is
+    minus column b of the order-n coefficient."""
     order, n_grid, d = k_orders.shape
     out = np.empty((order, n_grid, d, d))
     for b in range(d):
         stack = np.zeros((order, n_grid, 2 * d))
         stack[:, :, :d] = k_orders
         stack[0, :, d + b] = 1.0
-        out[..., b] = jet_compose(model, stack, "adjoint_action")
+        out[..., b] = -jet_compose(model, stack, "adjoint_action")
     return out
 
 
@@ -333,8 +333,8 @@ def oracle_jacobian_transpose_orders(k_orders):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_adjoint_action_is_the_convolution_with_the_jacobian_jet(name, order, seed):
-    """Order n of the adjoint-action transport is sum_m F_m z_(n-m), and
-    filling order n with z_n = 0 gives the driving term
+    """Order n of the adjoint-action transport is -sum_m F_m z_(n-m), and
+    filling order n with z_n = 0 gives minus the driving term
     G_n = sum_(i<n) F_(n-i) z_i."""
     rng = np.random.default_rng(seed)
     model = get_model(name)
@@ -358,12 +358,12 @@ def test_adjoint_action_is_the_convolution_with_the_jacobian_jet(name, order, se
     transport = models.JetTransport(model, stack.copy(), "adjoint_action")
     for n in range(order + 1):
         peak = np.max(np.abs(convolution(n, n)))
-        assert np.max(np.abs(got[n] - convolution(n, n))) <= 1e-12 * peak, f"order {n}"
+        assert np.max(np.abs(got[n] + convolution(n, n))) <= 1e-12 * peak, f"order {n}"
         # order n with z_n = 0, then with z_n written
         transport.orders[n, :, d:] = 0.0
         transport.fill(n)
         g_n = convolution(n, n - 1)
-        assert np.max(np.abs(transport.out[n] - g_n)) <= 1e-12 * peak, f"G_{n}"
+        assert np.max(np.abs(transport.out[n] + g_n)) <= 1e-12 * peak, f"G_{n}"
         transport.orders[n, :, d:] = z[n]
         transport.fill(n)
     assert transport.result().tobytes() == got.tobytes()

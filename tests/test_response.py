@@ -5,10 +5,10 @@ import pytest
 
 from slowphase import response
 from slowphase.errors import SolvabilityError
-from slowphase.manifold import evaluate_manifold
+from slowphase.manifold import evaluate_manifold, order_residuals, solve_orders
 from slowphase.models import JetTransport, jet_compose
 from slowphase.pipeline import save_response
-from slowphase.response import expand_response_functions, next_order
+from slowphase.response import expand_response_functions
 from slowphase.series import FourierSeries, FourierTaylor
 
 
@@ -56,6 +56,34 @@ def test_adjoint_homological_residuals(oracle_run, ei_run):
         resp = ns.result.response
         assert np.all(resp.phase_residuals < 1e-9)
         assert np.all(resp.amplitude_residuals < 1e-9)
+        assert resp.conjugation_drift < 1e-10
+
+
+def test_residuals_see_an_injected_defect(oracle_run):
+    """A defect d = eps peak cos(2 pi theta) e_1 added to amplitude order 2
+    after the solve, with the composition left as it was, changes the lhs
+    by d'/T + s_2 d, whose grid maximum the residual must reach in half."""
+    result = oracle_run.result
+    man, resp = result.manifold, result.response
+    d = result.model.dim
+    stack = np.concatenate([
+        man.coeffs.truncated(resp.order).samples().real,
+        resp.amplitude.samples().real,
+    ], axis=2)
+    composed = jet_compose(result.model, stack, "adjoint_action")
+    values = stack[:, :, d:]
+    theta = result.cycle.theta
+    n, eps, T, s_n = 2, 1e-6, man.period, (2 - 1) * man.slow_exponent
+    size = eps * np.max(np.abs(values[n]))
+    values[n, :, 1] += size * np.cos(2.0 * np.pi * theta)
+    change = size * np.max(np.abs(
+        -2.0 * np.pi / T * np.sin(2.0 * np.pi * theta) + s_n * np.cos(2.0 * np.pi * theta)
+    ))
+    residuals = order_residuals(
+        FourierTaylor.from_samples(values), values, composed, man.slow_exponent, -1, T
+    )
+    assert residuals[n] >= 0.5 * change
+    assert np.all(np.delete(residuals, n) < 1e-9)
 
 
 def test_solvability_and_normalization(oracle_run, ei_run):
@@ -94,46 +122,84 @@ def test_order_zero_base_case(oracle_run):
     )) < 1e-14
 
 
-def test_zero_driving_terms_give_zero_orders(oracle_run):
-    result = oracle_run.result
-    n_grid = result.cycle.grid_size
+def response_transport(result, z_orders):
+    """An adjoint-action transport over [K | z], orders 0..len(z_orders)-1
+    filled; z_orders reaches one order past the last written one."""
     d = result.model.dim
-    g_zero = np.zeros((n_grid, d))
-    z1, _ = next_order(
-        g_zero, result.bundle, result.adjoint, 1, result.cycle.period, 0
-    )
-    assert np.max(np.abs(z1)) == 0.0
-    i2, _ = next_order(
-        g_zero, result.bundle, result.adjoint, 2, result.cycle.period, -1,
-    )
-    assert np.max(np.abs(i2)) == 0.0
+    stack = np.zeros(z_orders.shape[:2] + (2 * d,))
+    stack[:, :, :d] = result.manifold.coeffs.truncated(len(z_orders) - 1).samples().real
+    stack[:, :, d:] = z_orders
+    transport = JetTransport(result.model, stack, "adjoint_action")
+    for n in range(len(z_orders) - 1):
+        transport.fill(n)
+    return transport
 
 
-def test_order1_free_mode_bookkeeping(oracle_run):
-    """Synthetic order-1 amplitude solve: the free mode is zeroed and the
-    solvability residual reports the incompatible part of the data."""
+def solve_response_orders(result, transport, offset, on_free=None):
+    """A response recursion's orders from ``transport.filled`` on."""
+    return solve_orders(
+        transport, transport.filled, result.bundle, result.adjoint,
+        -result.bundle.exponents, result.manifold.slow_exponent, offset,
+        result.cycle.period, 1e-8, on_free,
+    )
+
+
+def test_zero_driving_terms_give_zero_orders(oracle_run):
+    # z = 0 below the solved order drives nothing: phase order 1 and
+    # amplitude order 2 (past its free mode) come out zero
+    result = oracle_run.result
+    d = result.model.dim
+    for offset, first in ((0, 1), (-1, 2)):
+        transport = response_transport(
+            result, np.zeros((first + 1, result.cycle.grid_size, d))
+        )
+        solve_response_orders(result, transport, offset)
+        assert np.max(np.abs(transport.orders[first, :, d:])) == 0.0
+
+
+def test_order1_free_mode_bookkeeping(oracle_run, monkeypatch):
+    """Order-1 amplitude solve: the free mode goes to ``on_free`` with the
+    right-hand side of the genuine driving term, which is compatible, and
+    incompatible data trips the solvability gate."""
     result = oracle_run.result
     d = result.model.dim
     i0 = result.adjoint.grid_values()[:, :, 1].real
-    # compatible driving term (the genuine G_1 = F_1 I_0) has zero residual:
-    # order 1 of the adjoint action over [K_0, K_1 | I_0, 0]
-    stack = np.zeros((2, len(i0), 2 * d))
-    stack[:, :, :d] = result.manifold.coeffs.truncated(1).samples().real
-    stack[0, :, d:] = i0
-    g_real = jet_compose(result.model, stack, "adjoint_action")[1]
-    i1, solv = next_order(
-        g_real, result.bundle, result.adjoint, 1, result.cycle.period, -1
-    )
-    assert solv < 1e-9
+    z_orders = np.zeros((2, len(i0), d))
+    z_orders[0] = i0
+    transport = response_transport(result, z_orders)
+    # the genuine G_1 = F_1 I_0: order 1 of the adjoint action over
+    # [K_0, K_1 | I_0, 0] is -G_1
+    g_real = -jet_compose(result.model, transport.orders, "adjoint_action")[1]
+    calls = []
+
+    def record(n, x_n, free_rhs):
+        calls.append((n, free_rhs))
+        return x_n
+
+    solve_response_orders(result, transport, -1, record)
+    ((n, free_rhs),) = calls
+    assert n == 1
+    assert abs(free_rhs) < 1e-9
+    # the free mode is zero in the solution handed over
+    trivial = result.bundle.grid_values()[:, :, 0].real
+    assert abs(np.mean(np.einsum("na,na->n", trivial, transport.orders[1, :, d:]))) < 1e-9
     # incompatible synthetic data trips the solvability gate: perturb F_1 by
     # k0p i0^T so the driving term gains a component along the flow
     # direction (the trivial coordinate of the reduction carries the
     # solvability condition)
     k0p = result.bundle.grid_values()[:, :, 0].real
     g_bad = g_real + k0p * np.einsum("nb,nb->n", i0, i0)[:, None]
-    with pytest.raises(SolvabilityError):
-        next_order(
-            g_bad, result.bundle, result.adjoint, 1, result.cycle.period, -1
+
+    class Perturbed(JetTransport):
+        def fill(self, n):
+            super().fill(n)
+            if n == 1:
+                self.out[1] = -g_bad
+
+    monkeypatch.setattr(response, "JetTransport", Perturbed)
+    with pytest.raises(SolvabilityError, match="order-1 solvability residual"):
+        expand_response_functions(
+            result.model, result.manifold, result.bundle, result.adjoint, order=1
         )
 
 
