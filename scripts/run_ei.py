@@ -3,7 +3,7 @@
 
 Reproduces the reference configuration: Fourier grid 2^12, expansions to
 order 9, both accuracy tolerances, and the complete validation suite.
-Expect a few seconds of runtime (1.8-2.1 s on 2 cores at one OpenBLAS
+Expect a few seconds of runtime (1.3-1.7 s on 2 cores at one OpenBLAS
 thread, of which 0.13-0.17 s locate the cycle); the multiplier table,
 per-order residuals, and accuracy-domain widths are printed at the end.
 

@@ -27,6 +27,7 @@ from .errors import (
     DefectiveSpectrumError,
     GridError,
     HyperbolicityError,
+    MultiplierUnderflowError,
     NewtonError,
     SectionError,
 )
@@ -431,7 +432,8 @@ def floquet_spectrum(
     gauged by :func:`_gauge_vector` at ``anchor``; from :func:`find_cycle`'s
     canonical anchor that fixes the sign of the slow column, hence of sigma,
     from the model alone, and ``gauge_components`` records the deciding
-    component of each column.
+    component of each column.  A multiplier that rounds to zero has no
+    finite exponent and raises :class:`MultiplierUnderflowError`.
     """
     anchor = np.asarray(anchor, dtype=float)
     _, monodromy = flow_with_variational(model, anchor, period, settings)
@@ -459,6 +461,14 @@ def floquet_spectrum(
     order = [i_triv] + rest
     mu_sorted = mu[order].astype(complex)  # eig gives a real array if all are real
     vec_sorted = vecs[:, order]
+    with np.errstate(divide="ignore"):
+        lyapunov = np.log(np.abs(mu_sorted)) / period  # a pair shares its modulus
+    if not np.all(np.isfinite(lyapunov)):
+        j = int(np.argmin(np.isfinite(lyapunov)))
+        raise MultiplierUnderflowError(
+            f"multiplier mu_{j} = {mu_sorted[j]} has no finite exponent (log|mu_{j}| "
+            f"= -inf): it contracts below double precision in one period"
+        )
 
     d = len(mu)
     classes = [CLASS_TRIVIAL]
@@ -502,7 +512,6 @@ def floquet_spectrum(
             classes.extend([CLASS_PAIR_LEAD, CLASS_PAIR_CONJ])
             j += 2
 
-    lyapunov = np.log(np.abs(mu_sorted)) / period
     lyapunov[0] = 0.0
     return FloquetSpectrum(
         period=float(period),

@@ -51,6 +51,10 @@ class HyperbolicityError(NumericalError):
     """Cycle is not hyperbolic attracting, or the trivial multiplier is off."""
 
 
+class MultiplierUnderflowError(NumericalError):
+    """A Floquet multiplier rounds to zero: its exponent is not finite."""
+
+
 class DefectiveSpectrumError(NumericalError):
     """Monodromy eigenvector basis is numerically defective."""
 

@@ -2,19 +2,18 @@
 
 The complex bundle frame has columns [K0', C_1, ..., C_{d-1}] where C_j
 solves the order-1 variational equation (1/T) C' + lam_j C = DX(K0) C as a
-1-periodic function.  Column seeds come from integrating the exponent-shifted
-variational system forward or backward over one period -- the direction is
-chosen so that contamination by other Floquet directions is not amplified --
-and are then polished by a Newton iteration carried out entirely in Fourier
-space, which also refines the exponents.  The polish is what reaches
-spectral accuracy: a single-shot integration of strongly contracting
-directions cannot, in double precision, because errors along slower
-directions grow like exp(|Re lam_j| T) across the period.  So the polish
-owns the accuracy, and the seeds are integrated no tighter than the seed
-floor ``integrate.SEED_RTOL`` (``integrate._seed_settings``, shared with the
-cycle's relaxation); DOP853's step count grows like rtol^(-1/8), and tighter
-seeds buy no fewer sweeps.  The cross-check's Psi^T Phi = Id chunks keep
-the user's settings: their defect is reported.
+1-periodic function.  Column seeds come from one sweep,
+:func:`variational_sweep`, of Phi' = DX Phi and Psi' = -DX^T Psi from the
+identity across each of ``IDENTITY_CHUNKS`` chunks of the period at the
+user's settings: a seed is e^{-lam_j (t - t_c)} F(t; t_c) C_j(t_c) on chunk
+c, F = Phi for the bundle and Psi for the adjoint cross-check, with C_j(t_c)
+carried forward or backward across the period -- the direction is chosen so
+that contamination by other Floquet directions is not amplified.  The seeds
+are polished by a Newton iteration carried out entirely in Fourier space,
+which also refines the exponents.  The polish is what reaches spectral
+accuracy: a single-shot integration of strongly contracting directions
+cannot, in double precision, because errors along slower directions grow
+like exp(|Re lam_j| T) across the period.  So the polish owns the accuracy.
 
 Band limits and theta-derivatives of grid values are the series operations
 of :class:`~slowphase.series.FourierSeries`: ``from_samples``, then
@@ -31,8 +30,8 @@ the bundle frame is the frame of A = DX with mu = lam, and the adjoint
 the bundle frame.  The production adjoint frame starts from the pointwise
 inverse transpose of the bundle frame, which makes the biorthogonality
 normalizations exact by construction, and is polished as that direct
-problem; the independent cross-check seeds, integrates and polishes it
-from the adjoint flow alone.  ``solve_in_frame`` is the one homological
+problem; the independent cross-check seeds it from the adjoint flow alone
+(the sweep's Psi) and polishes it.  ``solve_in_frame`` is the one homological
 solve in frame coordinates, for the manifold orders (DX) and the response
 orders (-DX^T) alike.
 
@@ -46,6 +45,7 @@ real and imaginary parts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -59,7 +59,7 @@ from .cycle import (
     FloquetSpectrum,
 )
 from .errors import FrameError
-from .integrate import DEFAULT_SETTINGS, IntegratorSettings, _integrate, _seed_settings
+from .integrate import DEFAULT_SETTINGS, IntegratorSettings, _integrate
 from .series import FourierSeries, solve_diagonal, theta_grid
 
 __all__ = [
@@ -71,6 +71,8 @@ __all__ = [
     "cross_check_adjoint_frame",
     "real_generator_matrix",
     "solve_in_frame",
+    "variational_sweep",
+    "VariationalSweep",
 ]
 
 
@@ -78,7 +80,8 @@ __all__ = [
 MAX_OUTER = 6
 # adjoint polish: stop growing the band once the residual is below this
 ADJOINT_RESIDUAL_TARGET = 5e-10
-# chunks of one period over which the cross-check tests Psi^T Phi = Id
+# chunks of one period of the variational sweep: each integration starts from
+# the identity, and the cross-check tests Psi^T Phi = Id on each
 IDENTITY_CHUNKS = 16
 
 
@@ -108,10 +111,24 @@ class Frame:
 
 
 @dataclass
+class VariationalSweep:
+    """Transition matrices (Phi, Psi) of Phi' = DX Phi, Psi' = -DX^T Psi
+    along one period, from the identity at each chunk edge of ``edges`` (0
+    to the period): ``flows[i]``, shape (N, 2, d, d), from the start of
+    chunk ``chunk[i]`` to grid time i, and ``ends[c]`` across chunk c."""
+
+    edges: np.ndarray
+    chunk: np.ndarray
+    flows: np.ndarray
+    ends: np.ndarray
+
+
+@dataclass
 class BundleBuildResult:
     bundle: Frame
     cycle: CycleResult  # spectrally polished orbit and period
     diagnostics: dict
+    sweep: VariationalSweep  # of the cycle the build started from
 
 
 def _active_bandwidth(series: FourierSeries, n: int) -> int:
@@ -148,72 +165,63 @@ def _integration_route(lam: complex, exponents: np.ndarray, period: float) -> st
     return "forward" if amp_fwd <= amp_bwd else "backward"
 
 
-def _shifted_rhs(jacobian, interp, lam, d, m):
-    """The real right-hand side of dC_j/dt = (A - lam_j) C_j for m columns.
+def variational_sweep(model, cycle: CycleResult,
+                      settings: IntegratorSettings = DEFAULT_SETTINGS) -> VariationalSweep:
+    """The :class:`VariationalSweep` of ``cycle``: one integration per chunk
+    at ``settings``, sampling its grid times through the dense output (which
+    does not move the steps).  Chunking keeps each factor's dynamic range
+    near one; across the period Phi carries exp(|Re lam_min| T) ~ 1/|mu_min|,
+    which swamps double precision."""
+    d, n = model.dim, cycle.grid_size
+    interp, jacobian = cycle.interpolant(), model.point_jacobian()
 
-    The state holds the real parts of the d x m columns, then their
-    imaginary parts; ``jacobian`` is the point closure of the operator A and
-    ``interp`` the cycle point at a time.
-    """
-    lam = np.asarray(lam)
-    lam_re, lam_im = lam.real, lam.imag
+    def pair_rhs(t, y):
+        # Phi' = DX Phi and Psi' = -DX^T Psi, sharing one Jacobian per stage
+        jac = jacobian(interp(t))
+        phi, psi = y.reshape(2, d, d)
+        return np.concatenate([(jac @ phi).ravel(), (-jac.T @ psi).ravel()])
 
-    def rhs(t, y):
-        parts = y.reshape(2, d, m)
-        a, b = parts
-        out = jacobian(interp(t)) @ parts
-        out -= lam_re * parts
-        out[0] += lam_im * b
-        out[1] -= lam_im * a
-        return out.ravel()
-
-    return rhs
-
-
-def _shifted_columns(jacobian, interp, w, lam, period, theta, settings, direction):
-    """Sample e^{-lam_j T theta} Phi(T theta) w_j for the m columns of ``w``.
-
-    Phi is the fundamental matrix of x' = A(gamma(t)) x, with the operator
-    A = ``jacobian`` at the cycle point: DX for the bundle, -DX^T for the
-    adjoint, as a point closure (:meth:`VectorFieldModel.point_jacobian`).
-    ``w`` is d x m and ``lam`` has length m.  The shifted equations
-    dC_j/dt = (A - lam_j) C_j keep every column O(1) across the period; all m
-    columns ride one route and are integrated as one real system of
-    dimension 2dm, so the cycle point and the operator are evaluated once per
-    stage for all of them.  Returns an array of shape (len(theta), d, m).
-    """
-    d, m = w.shape
-    size = d * m
-    rhs = _shifted_rhs(jacobian, interp, lam, d, m)
-    y0 = np.concatenate([w.real.ravel(), w.imag.ravel()])
-    times = theta * period
-    if direction == "forward":
-        _, samples = _integrate(rhs, 0.0, y0, period, settings, t_eval=times)
-    else:
-        _, samples = _integrate(rhs, period, y0, 0.0, settings, t_eval=times)
-    return (samples[:, :size] + 1j * samples[:, size:]).reshape(-1, d, m)
+    edges = np.linspace(0.0, cycle.period, IDENTITY_CHUNKS + 1)
+    times = cycle.theta * cycle.period
+    chunk = np.searchsorted(edges, times, side="right") - 1
+    y0 = np.tile(np.eye(d).ravel(), 2)
+    flows, ends = np.empty((n, 2 * d * d)), np.empty((IDENTITY_CHUNKS, 2 * d * d))
+    for c in range(IDENTITY_CHUNKS):
+        ends[c], flows[chunk == c] = _integrate(
+            pair_rhs, edges[c], y0, edges[c + 1], settings, t_eval=times[chunk == c]
+        )
+    return VariationalSweep(edges, chunk, flows.reshape(n, 2, d, d),
+                            ends.reshape(-1, 2, d, d))
 
 
-def _columns_by_route(jacobian, interp, cols, seeds, lams, classes, period, theta,
-                      settings):
-    """Fill ``cols[:, :, j]`` for each column ``j`` in ``seeds`` (j -> seed
-    vector) with one shifted integration per route, then each conjugate
-    column from its lead; returns j -> route.  The integrations run at
-    :func:`_seed_settings` of ``settings``."""
-    routes = {j: _integration_route(lams[j], lams, period) for j in seeds}
-    settings = _seed_settings(settings)
-    for direction in ("forward", "backward"):
-        group = [j for j in seeds if routes[j] == direction]
-        if group:
-            w = np.stack([seeds[j] for j in group], axis=1)
-            cols[:, :, group] = _shifted_columns(
-                jacobian, interp, w, lams[group], period, theta, settings,
-                direction,
-            )
-    for j, cls in enumerate(classes):
-        if cls == CLASS_PAIR_CONJ:
-            cols[:, :, j] = np.conj(cols[:, :, j - 1])
-    return routes
+def _seed_columns(sweep: VariationalSweep, seeds, lams, adjoint=False):
+    """Seed columns from the sweep: column j at grid time t of chunk c is
+    e^{-lam_j (t - t_c)} F(t; t_c) C_j(t_c), F = Phi for the bundle (DX) and
+    Psi for the ``adjoint`` frame (-DX^T).  ``seeds`` maps j -> C_j at t = 0
+    on the forward route of :func:`_integration_route`, carried across chunk
+    c by e^{-lam_j h} F_c, or at t = T on the backward route, carried back by
+    e^{lam_j h} F_c^{-1} (the other factor's transpose, as Psi_c^T Phi_c = Id).
+    Returns the (N, d, d) columns, zero outside ``seeds``, and j -> route."""
+    f = int(adjoint)  # index of F in the sweep's (Phi, Psi)
+    steps, period = np.diff(sweep.edges), sweep.edges[-1]
+    edge = np.zeros((len(sweep.edges),) + sweep.ends.shape[2:], dtype=complex)
+    routes = {}
+    for j, w in seeds.items():
+        routes[j] = _integration_route(lams[j], lams, period)
+        if routes[j] == "forward":
+            edge[0, :, j] = w
+            for c, h in enumerate(steps):
+                edge[c + 1, :, j] = np.exp(-lams[j] * h) * (sweep.ends[c, f] @ edge[c, :, j])
+        else:
+            edge[-1, :, j] = w
+            for c in reversed(range(len(steps))):
+                edge[c, :, j] = np.exp(lams[j] * steps[c]) * (
+                    sweep.ends[c, 1 - f].T @ edge[c + 1, :, j]
+                )
+    times = theta_grid(len(sweep.chunk), 1.0) * period
+    shift = np.exp(-np.multiply.outer(times - sweep.edges[sweep.chunk], lams))
+    cols = np.einsum("nab,nbj->naj", sweep.flows[:, f], edge[sweep.chunk])
+    return cols * shift[:, None, :], routes
 
 
 def _symmetrize_columns(cols, lams, classes, theta, period_time):
@@ -409,20 +417,12 @@ def build_bundle_frame(
     samples = cycle.samples.copy()
     lams = spectrum.exponents.astype(complex).copy()
     classes = spectrum.classes
-    interp = cycle.interpolant()
+    sweep = variational_sweep(model, cycle, settings)
 
-    cols = np.zeros((n, d, d), dtype=complex)
+    seeds = {j: spectrum.eigenvectors[:, j] for j in range(1, d)
+             if classes[j] != CLASS_PAIR_CONJ}
+    cols, routes = _seed_columns(sweep, seeds, lams)
     cols[:, :, 0] = FourierSeries.from_samples(samples).differentiate().samples().real
-
-    seeds = {
-        j: spectrum.eigenvectors[:, j]
-        for j in range(1, d)
-        if classes[j] != CLASS_PAIR_CONJ
-    }
-    routes = _columns_by_route(
-        model.point_jacobian(), interp, cols, seeds, lams, classes, period, theta,
-        settings,
-    )
 
     _symmetrize_columns(cols, lams, classes, theta, period)
 
@@ -492,7 +492,7 @@ def build_bundle_frame(
             np.max(np.abs(lams - spectrum.exponents))
         ),
     }
-    return BundleBuildResult(frame, polished, diagnostics)
+    return BundleBuildResult(frame, polished, diagnostics, sweep)
 
 
 def build_adjoint_frame(bundle: Frame, jac_grid, period, k_cut: int) -> Frame:
@@ -630,74 +630,43 @@ def cross_check_adjoint_frame(
     spectrum: FloquetSpectrum,
     bundle: Frame,
     adjoint: Frame,
-    settings: IntegratorSettings = DEFAULT_SETTINGS,
+    sweep: VariationalSweep,
 ) -> dict:
     """Independent reconstruction of the adjoint frame from the adjoint flow.
 
     The adjoint frame is built as a frame of -DX^T with exponents -lam, by
     the same code as the bundle frame of DX: columns are seeded from
-    eigenvectors of the adjoint monodromy matrix, transported by the
-    exponent-shifted system, and polished in Fourier space (the production
-    frame never enters the construction).  The report contains the eigenvalue
-    duality errors, the fundamental-solution duality Psi^T Phi = Id sampled
-    over a period, and the per-column discrepancy after gauge alignment.
+    eigenvectors of the adjoint monodromy matrix, transported by Psi, and
+    polished in Fourier space on the polished orbit ``cycle`` (the
+    production frame never enters the construction).  Everything integrated
+    comes from ``sweep``, the bundle build's :func:`variational_sweep`.  The
+    report contains the eigenvalue duality errors, the fundamental-solution
+    duality Psi^T Phi = Id on every chunk, and the per-column discrepancy
+    after gauge alignment.
     """
-    d = model.dim
-    n = cycle.grid_size
-    theta = theta_grid(n, 1.0)
-    period = cycle.period
-    interp = cycle.interpolant()
-    mus = -bundle.exponents
-    classes = bundle.classes
+    d, theta, period = model.dim, cycle.theta, cycle.period
+    mus, classes = -bundle.exponents, bundle.classes
 
-    # The duality Psi(t)^T Phi(t) = Id holds on every subinterval for the
-    # transition matrices started there.  Checking it chunkwise keeps the
-    # dynamic range of each factor near one (the full-period product carries
-    # exp(|Re lam_min| T) ~ 1/|mu_min|, which swamps double precision); the
-    # full-period identity follows by telescoping.  The product of the chunk
-    # factors Psi is the adjoint monodromy, whose eigenvalues seed the columns.
-    chunk_edges = np.linspace(0.0, period, IDENTITY_CHUNKS + 1)
-    identity_defect = 0.0
-    eye = np.eye(d)
+    # The duality Psi(t)^T Phi(t) = Id holds on every chunk for the
+    # transition matrices started there, and the full-period identity
+    # follows by telescoping.  The product of the chunk factors Psi is the
+    # adjoint monodromy, whose eigenvalues seed the columns.
+    phi_ends, psi_ends = sweep.ends[:, 0], sweep.ends[:, 1]
+    identity_defect = float(np.max(np.abs(
+        np.swapaxes(psi_ends, 1, 2) @ phi_ends - np.eye(d)
+    )))
+    psi_eigs, psi_vecs = np.linalg.eig(reduce(lambda m, psi_c: psi_c @ m, psi_ends))
+    sweep_period = sweep.edges[-1]
+    expected = np.exp(-np.conj(spectrum.exponents) * sweep_period)
+    closest = np.argmin(np.abs(psi_eigs[:, None] - expected), axis=0)
+    raw_duality_errors = np.abs(psi_eigs[closest] - expected) / np.abs(expected)
 
-    dd = d * d
-    jacobian = model.point_jacobian()
-
-    def pair_rhs(t, y):
-        # Phi' = DX Phi and Psi' = -DX^T Psi, sharing one Jacobian per stage
-        jac = jacobian(interp(t))
-        phi, psi = y[:dd].reshape(d, d), y[dd:].reshape(d, d)
-        return np.concatenate([(jac @ phi).ravel(), (-jac.T @ psi).ravel()])
-
-    y0 = np.concatenate([eye.ravel(), eye.ravel()])
-    psi_end = eye
-    for t_a, t_b in zip(chunk_edges[:-1], chunk_edges[1:]):
-        y_c, _ = _integrate(pair_rhs, t_a, y0, t_b, settings)
-        phi_c, psi_c = y_c[:dd].reshape(d, d), y_c[dd:].reshape(d, d)
-        defect = np.abs(psi_c.T @ phi_c - eye).max()
-        identity_defect = max(identity_defect, float(defect))
-        psi_end = psi_c @ psi_end
-
-    psi_eigs, psi_vecs = np.linalg.eig(psi_end)
-    expected = np.exp(-np.conj(spectrum.exponents) * period)
-    raw_duality_errors = np.zeros(d)
-    for j in range(d):
-        idx = int(np.argmin(np.abs(psi_eigs - expected[j])))
-        raw_duality_errors[j] = float(
-            np.abs(psi_eigs[idx] - expected[j]) / np.abs(expected[j])
-        )
-
-    cols = np.zeros((n, d, d), dtype=complex)
-    seeds = {}
-    for j in range(d):
-        if classes[j] != CLASS_PAIR_CONJ:
-            target = np.exp(mus[j] * period)
-            w = psi_vecs[:, int(np.argmin(np.abs(psi_eigs - target)))]
-            seeds[j] = w / np.linalg.norm(w)
-    _columns_by_route(
-        lambda x: -jacobian(x).T, interp, cols, seeds, mus, classes,
-        period, theta, settings,
-    )
+    # eig's eigenvectors have unit norm
+    seeds = {
+        j: psi_vecs[:, np.argmin(np.abs(psi_eigs - np.exp(mus[j] * sweep_period)))]
+        for j in range(d) if classes[j] != CLASS_PAIR_CONJ
+    }
+    cols, _ = _seed_columns(sweep, seeds, mus, adjoint=True)
 
     _symmetrize_columns(cols, mus.copy(), classes, theta, period)
     op_grid = np.swapaxes(-model.jacobian(cycle.samples), 1, 2)

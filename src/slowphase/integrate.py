@@ -8,9 +8,10 @@ reports a non-finite state with the time of failure, and fills sample times
 from the per-step dense interpolants.  Backward integration is supported by
 passing ``t1 < t0``; both times must be finite.  The package needs no scipy:
 the stepper does scipy's DOP853 arithmetic operation for operation, so flows
-are bitwise scipy's.  Seed integrations, whose results a Newton iteration
-refines (the cycle's relaxation, the frames' shifted columns), run no
-tighter than the floor ``SEED_RTOL`` (:func:`_seed_settings`).
+are bitwise scipy's.  The cycle's relaxation, a seed that the shooting
+Newton refines, runs no tighter than the floor ``SEED_RTOL``
+(:func:`_seed_settings`); every other integration runs at the user's
+settings.
 
 Right-hand sides call the model through its point closures
 (:meth:`~slowphase.models.VectorFieldModel.point_field` and
@@ -68,12 +69,9 @@ class IntegratorSettings:
 
 DEFAULT_SETTINGS = IntegratorSettings()
 
-# relative tolerance floor of the seed integrations, whose results a Newton
-# iteration refines to the user's accuracy: the cycle's relaxation (shooting
-# Newton) and the frames' shifted columns (the Fourier-space polish).  On ei
-# the polish takes as many sweeps from column seeds at 1e-10 as at 1e-12,
-# while seeds at 1e-7 leave the adjoint frame residual (3.5e-9) above
-# frames.ADJOINT_RESIDUAL_TARGET
+# relative tolerance floor of the cycle's relaxation, whose end state the
+# shooting Newton refines to the user's accuracy; every other integration,
+# frames.variational_sweep included, runs at the user's settings
 SEED_RTOL = 1e-10
 
 

@@ -249,8 +249,7 @@ def _run_frames(result):
         result.bundle, jac, result.cycle.period, k_cut=result.band_cut
     )
     result.crosscheck = cross_check_adjoint_frame(
-        model, result.cycle, result.spectrum, result.bundle, result.adjoint,
-        settings=config.integrator,
+        model, result.cycle, result.spectrum, result.bundle, result.adjoint, build.sweep
     )
     save_frames(out, result, _inputs(result, "frames.json"))
 

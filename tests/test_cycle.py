@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import DOP853
 from scipy.optimize import brentq
 
+from slowphase import models
+from slowphase.cli import main
 from slowphase.cycle import (
     CLASS_PAIR_CONJ,
     CLASS_PAIR_LEAD,
@@ -23,7 +25,12 @@ from slowphase.cycle import (
     floquet_spectrum,
 )
 from slowphase.config import DEFAULT_GUESSES, RunConfig
-from slowphase.errors import HyperbolicityError, IntegrationError, SectionError
+from slowphase.errors import (
+    HyperbolicityError,
+    IntegrationError,
+    MultiplierUnderflowError,
+    SectionError,
+)
 from slowphase.integrate import IntegratorSettings
 from slowphase.models import make_oracle_model
 from slowphase.pipeline import Stage, run_pipeline
@@ -540,3 +547,54 @@ def test_divisor_tables_match_scalar_loop():
         assert all(type(v) is float and v.hex() == want[n].hex() for n, v in got.items())
     # the trivial exponent is a zero divisor of amplitude order 1 and is skipped
     assert report.amplitude_divisors[1] > 0.0
+
+
+def _make_stiff_oracle():
+    """The oracle with its radial rate times 5: the nontrivial multiplier
+    e^{-20 pi} ~ 5e-28 sits far below the monodromy's roundoff."""
+
+    def rhs(u):
+        x, y = u
+        s = 5.0 * (1.0 - (x * x + y * y))
+        return (s * x - y, s * y + x)
+
+    def jac_rows(u):
+        x, y = u
+        xy = x * y
+        return (
+            (5.0 * (1.0 - 3.0 * (x * x) - y * y), -10.0 * xy - 1.0),
+            (1.0 - 10.0 * xy, 5.0 * (1.0 - x * x - 3.0 * (y * y))),
+        )
+
+    return models.VectorFieldModel(
+        name="stiff_oracle", dim=2, params={}, state_names=("x", "y"),
+        rhs=rhs, jac_rows=jac_rows,
+    )
+
+
+@pytest.fixture
+def stiff_oracle(monkeypatch):
+    monkeypatch.setattr(models, "_REGISTRY", dict(models._REGISTRY))
+    models.register_model("stiff_oracle", lambda overrides: _make_stiff_oracle())
+
+
+def test_multiplier_rounding_to_zero_is_a_typed_abort(stiff_oracle, tmp_path, capsys):
+    """A multiplier that rounds to zero has exponent -inf: it ended the run
+    untyped in the frames stage, from NaN seeds; it is a numerical abort
+    (exit 3) of the spectrum that names the multiplier."""
+    message = r"multiplier mu_1 = 0j has no finite exponent \(log\|mu_1\| = -inf\)"
+    config = RunConfig(model="stiff_oracle", guess=(1.3, 0.0), relax_time=20.0,
+                       grid_size=128, out_dir=str(tmp_path / "api"))
+    with pytest.raises(MultiplierUnderflowError, match=message):
+        run_pipeline(config, through=Stage.FLOQUET)
+    cfg = tmp_path / "stiff.cfg"
+    cfg.write_text(
+        "model.name = stiff_oracle\n"
+        "cycle.guess = 1.3, 0.0\n"
+        "cycle.relax_time = 20.0\n"
+        "cycle.grid_N = 128\n"
+        f"output.directory = {tmp_path / 'cli'}\n"
+    )
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg)]) == 3
+    assert "mu_1 = 0j has no finite exponent" in capsys.readouterr().err

@@ -6,16 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import slowphase.frames as frames_mod
-import slowphase.integrate as integrate_mod
 from slowphase.config import RunConfig
+from slowphase.cycle import CLASS_PAIR_CONJ
 from slowphase.frames import (
     IDENTITY_CHUNKS,
     _integration_route,
-    _shifted_columns,
+    _seed_columns,
     build_adjoint_frame,
     build_bundle_frame,
     cross_check_adjoint_frame,
     real_generator_matrix,
+    variational_sweep,
 )
 from slowphase.integrate import DEFAULT_SETTINGS, SEED_RTOL, IntegratorSettings
 from slowphase.pipeline import Stage, run_pipeline
@@ -201,8 +202,11 @@ def test_oracle_adjoint_polish_stops_at_roundoff(oracle_run, monkeypatch):
 
 def test_cross_check_oracle(oracle_run):
     result = oracle_run.result
+    # the sweep comes from the bundle build, as in the frames stage
+    build = build_bundle_frame(result.model, result.cycle, result.spectrum)
     rep = cross_check_adjoint_frame(
-        result.model, result.cycle, result.spectrum, result.bundle, result.adjoint
+        result.model, result.cycle, result.spectrum, result.bundle, result.adjoint,
+        build.sweep,
     )
     assert rep["max_column_discrepancy"] < 1e-8
     assert np.max(rep["eigenvalue_duality_rel_errors"]) < 1e-8
@@ -216,102 +220,163 @@ def test_cross_check_ei(ei_run):
     assert rep["psi_phi_identity_defect"] < 1e-8
 
 
-def test_shifted_columns_batch_matches_single_columns(ei_run):
-    """Columns sharing a route integrate together as they would alone."""
-    result = ei_run.result
-    spectrum = result.spectrum
-    lams = spectrum.exponents
-    period = result.cycle.period
-    interp = result.cycle.interpolant()
-    jacobian = result.model.point_jacobian()
-    theta = theta_grid(64)
-    for pair in ((1, 2), (4, 5)):
-        routes = {_integration_route(lams[j], lams, period) for j in pair}
-        assert len(routes) == 1
-        route = routes.pop()
-        w = spectrum.eigenvectors[:, list(pair)]
-        batch = _shifted_columns(
-            jacobian, interp, w, lams[list(pair)], period, theta,
-            DEFAULT_SETTINGS, route,
-        )
-        assert batch.shape == (64, result.model.dim, 2)
-        for i, j in enumerate(pair):
-            single = _shifted_columns(
-                jacobian, interp, w[:, i : i + 1], lams[j : j + 1],
-                period, theta, DEFAULT_SETTINGS, route,
-            )
-            assert np.max(np.abs(batch[:, :, i] - single[:, :, 0])) < 1e-9
+_CONFIGS = {
+    "ei": RunConfig(model="ei", grid_size=1024, order=9),
+    "oracle": RunConfig(model="oracle", guess=(1.3, 0.0), relax_time=20.0,
+                        grid_size=256, order=5),
+}
+
+
+@pytest.fixture(scope="module")
+def floquet_runs(tmp_path_factory):
+    """Runs of ``_CONFIGS`` through the Floquet stage: the cycles and spectra
+    the frames stage starts from."""
+    return {
+        name: run_pipeline(replace(config, out_dir=str(tmp_path_factory.mktemp(name))),
+                           through=Stage.FLOQUET)
+        for name, config in _CONFIGS.items()
+    }
+
+
+def _shifted_seed(model, cycle, w, lam, adjoint, route):
+    """Test-local seed: dC/dt = (A - lam) C from ``w`` over one period on
+    ``route``, A = DX or -DX^T along ``cycle``, at the default settings,
+    sampled at the grid times."""
+    d, period = model.dim, cycle.period
+    interp, jacobian = cycle.interpolant(), model.point_jacobian()
+
+    def rhs(t, y):
+        a = jacobian(interp(t))
+        c = y[:d] + 1j * y[d:]
+        dc = (-a.T if adjoint else a) @ c - lam * c
+        return np.concatenate([dc.real, dc.imag])
+
+    t0, t1 = (0.0, period) if route == "forward" else (period, 0.0)
+    y0 = np.concatenate([w.real, w.imag])
+    _, samples = frames_mod._integrate(
+        rhs, t0, y0, t1, DEFAULT_SETTINGS, t_eval=cycle.theta * period
+    )
+    return samples[:, :d] + 1j * samples[:, d:]
+
+
+@pytest.mark.parametrize("name", ["ei", "oracle"])
+def test_sweep_seeds_match_shifted_integrations(floquet_runs, name):
+    """Each seed column the sweep gives, bundle (DX, lam, the monodromy's
+    eigenvectors) and adjoint (-DX^T, -lam, the dual eigenvectors), lies
+    within 1e-9 of its peak of the exponent-shifted integration of its
+    seed over the whole period on its route; both routes occur."""
+    partial = floquet_runs[name]
+    model, cycle, spectrum = partial.model, partial.cycle, partial.spectrum
+    sweep = variational_sweep(model, cycle)
+    vecs = spectrum.eigenvectors
+    seen = set()
+    for adjoint, lams, dual in ((False, spectrum.exponents, vecs),
+                                (True, -spectrum.exponents, np.linalg.inv(vecs).T)):
+        seeds = {j: dual[:, j] for j in range(1, model.dim)
+                 if spectrum.classes[j] != CLASS_PAIR_CONJ}
+        cols, routes = _seed_columns(sweep, seeds, lams, adjoint=adjoint)
+        for j, route in routes.items():
+            expected = _shifted_seed(model, cycle, seeds[j], lams[j], adjoint, route)
+            gap = _peak_relative(cols[:, :, j], expected)
+            assert gap < 1e-9, (adjoint, j, route, gap)
+            seen.add(route)
+    assert seen == {"forward", "backward"}
 
 
 def _peak_relative(a, b):
     return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
 
-@pytest.mark.parametrize("config", [
-    RunConfig(model="ei", grid_size=1024, order=9),
-    RunConfig(model="oracle", guess=(1.3, 0.0), relax_time=20.0, grid_size=256,
-              order=5),
-], ids=["ei", "oracle"])
+@pytest.mark.parametrize("name", ["ei", "oracle"])
 def test_seeds_at_floor_give_the_frames_of_seeds_at_user_settings(
-        config, tmp_path, monkeypatch):
-    """The polish owns the frames' accuracy: seeds integrated at SEED_RTOL and
-    at the user's (tighter) settings give the same frames and expansions."""
-    partial = run_pipeline(replace(config, out_dir=str(tmp_path / "floor")),
-                           through=Stage.FLOQUET)
-    floor = run_pipeline(partial.config, through=Stage.RESPONSE,
-                         resume=replace(partial))
-    monkeypatch.setattr(integrate_mod, "SEED_RTOL", DEFAULT_SETTINGS.rtol)
-    user = run_pipeline(replace(config, out_dir=str(tmp_path / "user")),
-                        through=Stage.RESPONSE, resume=replace(partial))
+        floquet_runs, name, tmp_path, monkeypatch):
+    """The polish owns the frames' accuracy: seed columns carrying a smooth
+    relative error of 1e-9, the size of the error of seeds integrated at the
+    seed floor, give the frames and expansions of the sweep's seeds at user
+    settings."""
+    partial = floquet_runs[name]
+    config = _CONFIGS[name]
+    exact = run_pipeline(replace(config, out_dir=str(tmp_path / "exact")),
+                         through=Stage.RESPONSE, resume=replace(partial))
+    seed_columns = frames_mod._seed_columns
+    perturbed = []
 
-    assert _peak_relative(floor.bundle.grid_values(), user.bundle.grid_values()) < 1e-13
-    assert _peak_relative(floor.adjoint.grid_values(), user.adjoint.grid_values()) < 1e-11
-    k_floor, k_user = floor.manifold.coeffs.samples(), user.manifold.coeffs.samples()
-    for n in range(len(k_user)):
-        assert _peak_relative(k_floor[n], k_user[n]) < 1e-12, n
+    def noisy_seed_columns(*args, adjoint=False):
+        cols, routes = seed_columns(*args, adjoint=adjoint)
+        n, d, _ = cols.shape
+        phase = np.arange(d * d).reshape(d, d)
+        wave = np.cos(2 * np.pi * theta_grid(n)[:, None, None] + phase)
+        perturbed.append(adjoint)
+        return cols * (1.0 + 1e-9 * wave), routes
+
+    monkeypatch.setattr(frames_mod, "_seed_columns", noisy_seed_columns)
+    noisy = run_pipeline(replace(config, out_dir=str(tmp_path / "noisy")),
+                         through=Stage.RESPONSE, resume=replace(partial))
+    assert perturbed == [False, True]  # the bundle's seeds, then the cross-check's
+    assert exact.bundle.grid_values().tobytes() != noisy.bundle.grid_values().tobytes()
+
+    assert _peak_relative(noisy.bundle.grid_values(), exact.bundle.grid_values()) < 1e-13
+    assert _peak_relative(noisy.adjoint.grid_values(), exact.adjoint.grid_values()) < 1e-11
+    k_noisy, k_exact = noisy.manifold.coeffs.samples(), exact.manifold.coeffs.samples()
+    for n in range(len(k_exact)):
+        assert _peak_relative(k_noisy[n], k_exact[n]) < 1e-12, n
     # orders 5 and up sit at the noise floor of the response recursion: on
-    # ei, order 5 of the phase moves by 9.2e-11 of its peak between these
-    # two runs, so a bound there would gate roundoff
-    for floor_fn, user_fn in ((floor.response.phase, user.response.phase),
-                              (floor.response.amplitude, user.response.amplitude)):
-        z_floor, z_user = floor_fn.samples(), user_fn.samples()
+    # ei, orders 5-9 of the phase move by 4e-11 to 2e-9 of their peaks under
+    # this perturbation, so a bound there would gate roundoff
+    for noisy_fn, exact_fn in ((noisy.response.phase, exact.response.phase),
+                               (noisy.response.amplitude, exact.response.amplitude)):
+        z_noisy, z_exact = noisy_fn.samples(), exact_fn.samples()
         for n in range(5):
-            assert _peak_relative(z_floor[n], z_user[n]) < 1e-10, n
+            assert _peak_relative(z_noisy[n], z_exact[n]) < 1e-10, n
 
 
-@pytest.mark.parametrize("user, seed_rtol", [
-    (DEFAULT_SETTINGS, SEED_RTOL),
-    (IntegratorSettings(rtol=1e-8, atol=1e-9), 1e-8),
-    (IntegratorSettings(rtol=SEED_RTOL, atol=1e-10, max_steps=50_000), SEED_RTOL),
+@pytest.mark.parametrize("user", [
+    DEFAULT_SETTINGS,
+    IntegratorSettings(rtol=1e-8, atol=1e-9),
+    IntegratorSettings(rtol=SEED_RTOL, atol=1e-10, max_steps=50_000),
 ], ids=["tighter", "looser", "at_floor"])
-def test_seeds_integrate_at_the_floor_and_chunks_at_user_settings(
-        oracle_run, monkeypatch, user, seed_rtol):
-    """The shifted-column seeds run at SEED_RTOL unless the user's rtol is
-    looser, which is used as given; atol scales with rtol.  The cross-check's
-    IDENTITY_CHUNKS chunks of Psi^T Phi keep the user's settings."""
+def test_frames_stage_integrates_each_chunk_once_at_user_settings(
+        oracle_run, monkeypatch, user):
+    """The frames stage integrates IDENTITY_CHUNKS chunks, each at the
+    user's settings object however it compares with the seed floor, each
+    sampling exactly its chunk's grid times; the cross-check integrates
+    nothing."""
     result = oracle_run.result
     seen = []
     integrate = frames_mod._integrate
 
     def spy(fun, t0, y0, t1, settings, **kwargs):
-        seen.append((kwargs.get("t_eval") is not None, settings))
+        seen.append((t0, t1, settings, kwargs.get("t_eval")))
         return integrate(fun, t0, y0, t1, settings, **kwargs)
 
     monkeypatch.setattr(frames_mod, "_integrate", spy)
-    build_bundle_frame(result.model, result.cycle, result.spectrum, settings=user)
+    build = build_bundle_frame(result.model, result.cycle, result.spectrum, settings=user)
+    assert len(seen) == IDENTITY_CHUNKS == 16
+    period = result.cycle.period
+    edges = np.linspace(0.0, period, IDENTITY_CHUNKS + 1)
+    times = result.cycle.theta * period
+    for c, (t0, t1, settings, t_eval) in enumerate(seen):
+        assert settings is user
+        assert (t0, t1) == (edges[c], edges[c + 1])
+        inside = times[(times >= edges[c]) & (times < edges[c + 1])]
+        assert len(inside) == result.cycle.grid_size // IDENTITY_CHUNKS
+        assert t_eval.tobytes() == inside.tobytes()
     cross_check_adjoint_frame(
         result.model, result.cycle, result.spectrum, result.bundle, result.adjoint,
-        settings=user,
+        build.sweep,
     )
-    seeds = [s for sampled, s in seen if sampled]
-    chunks = [s for sampled, s in seen if not sampled]
-    assert seeds and len(chunks) == IDENTITY_CHUNKS == 16
-    for s in seeds:
-        assert s.rtol == seed_rtol and s.max_steps == user.max_steps
-        assert s.atol == pytest.approx(user.atol * seed_rtol / user.rtol, rel=1e-15)
-        if seed_rtol == user.rtol:
-            assert s is user
-    assert all(s is user for s in chunks)
+    assert len(seen) == IDENTITY_CHUNKS
+
+
+def test_oracle_frames_stage_with_chunks_holding_no_grid_time(tmp_path):
+    """At grid 8, half of the 16 chunks hold no grid time: the sweep still
+    integrates each and the frames stage runs through."""
+    config = RunConfig(model="oracle", guess=(1.3, 0.0), relax_time=20.0,
+                       grid_size=8, order=3, out_dir=str(tmp_path))
+    result = run_pipeline(config, through=Stage.FRAMES)
+    assert result.bundle.residual < 1e-9 and result.adjoint.residual < 1e-9
+    assert result.crosscheck["max_column_discrepancy"] < 1e-8
+    assert result.crosscheck["psi_phi_identity_defect"] < 1e-8
 
 
 # negative real parts: dyadic values make ties between the two routes exact

@@ -7,10 +7,9 @@ from hypothesis import example, given, settings as hyp_settings, strategies as s
 from scipy.integrate import DOP853
 from scipy.integrate._ivp import dop853_coefficients
 
+import slowphase.frames as frames_mod
 from slowphase import dop853
-from slowphase.cycle import CLASS_PAIR_CONJ
 from slowphase.errors import ConfigError, IntegrationError, ModelError
-from slowphase.frames import _integration_route, _shifted_columns, _shifted_rhs
 from slowphase.integrate import (
     DEFAULT_SETTINGS,
     RTOL_FLOOR,
@@ -23,7 +22,7 @@ from slowphase.integrate import (
     flow_with_variational,
 )
 from slowphase.models import VectorFieldModel, make_ei_model, make_oracle_model
-from slowphase.series import FourierSeries, theta_grid
+from slowphase.series import FourierSeries
 
 
 def test_settings_validation():
@@ -147,35 +146,28 @@ def test_driver_equals_scipy_dop853(name, variational, kick, horizon, backward, 
         assert t == ref_t and y.tobytes() == ref_y.tobytes()
 
 
-@pytest.mark.parametrize("direction", ["forward", "backward"])
-def test_shifted_columns_equal_scipy_dop853(ei_run, direction):
-    """The frames' shifted-column system on ei, sampled on a grid of 256
-    phases, is bitwise scipy's on either route."""
+def test_sweep_chunks_equal_unsampled_chunks_and_scipy_dop853(ei_run, monkeypatch):
+    """Each chunk of the frames' variational sweep on ei ends bitwise where
+    the same chunk ends without sample times, and both its end state and
+    its samples are bitwise scipy's DOP853."""
     result = ei_run.result
-    model, spectrum, period = result.model, result.spectrum, result.cycle.period
-    lams = spectrum.exponents
-    group = [
-        j for j in range(1, model.dim)
-        if spectrum.classes[j] != CLASS_PAIR_CONJ
-        and _integration_route(lams[j], lams, period) == direction
-    ]
-    assert group
-    w = spectrum.eigenvectors[:, group]
-    d, m = w.shape
-    interp = result.cycle.interpolant()
-    jacobian = model.point_jacobian()
-    theta = theta_grid(256)
-    cols = _shifted_columns(
-        jacobian, interp, w, lams[group], period, theta, DEFAULT_SETTINGS, direction
-    )
+    chunks = []
+    integrate = frames_mod._integrate
 
-    rhs = _shifted_rhs(jacobian, interp, lams[group], d, m)
-    y0 = np.concatenate([w.real.ravel(), w.imag.ravel()])
-    t0, t1 = (0.0, period) if direction == "forward" else (period, 0.0)
-    ref, samples, _ = _scipy_integrate(rhs, t0, y0, t1, DEFAULT_SETTINGS, theta * period)
-    assert ref.status == "finished"
-    expected = (samples[:, : d * m] + 1j * samples[:, d * m :]).reshape(-1, d, m)
-    assert cols.tobytes() == expected.tobytes()
+    def spy(fun, t0, y0, t1, settings, t_eval=None):
+        chunks.append((fun, t0, y0, t1, settings, t_eval))
+        return integrate(fun, t0, y0, t1, settings, t_eval=t_eval)
+
+    monkeypatch.setattr(frames_mod, "_integrate", spy)
+    sweep = frames_mod.variational_sweep(result.model, result.cycle)
+    assert len(chunks) == frames_mod.IDENTITY_CHUNKS
+    for c, (fun, t0, y0, t1, settings, t_eval) in enumerate(chunks):
+        end, _ = _integrate(fun, t0, y0, t1, settings)
+        assert sweep.ends[c].tobytes() == end.tobytes(), c
+        ref, samples, _ = _scipy_integrate(fun, t0, y0, t1, settings, t_eval)
+        assert ref.status == "finished"
+        assert end.tobytes() == ref.y.tobytes(), c
+        assert sweep.flows[sweep.chunk == c].tobytes() == samples.tobytes(), c
 
 
 @pytest.mark.parametrize("horizon", [np.inf, -np.inf, np.nan])

@@ -369,6 +369,48 @@ def test_adjoint_action_is_the_convolution_with_the_jacobian_jet(name, order, se
     assert transport.result().tobytes() == got.tobytes()
 
 
+def _shared_scaling_model():
+    """A planar field whose Jacobian reads one scaling node in two entries."""
+
+    def rhs(u):
+        x, y = u
+        return (x * x + y, x * x - 1.5 * (y * y))
+
+    def jac_rows(u):
+        x, y = u
+        s = 2.0 * x
+        return ((s, 1.0), (s, -3.0 * y))
+
+    return VectorFieldModel(name="shared", dim=2, params={}, state_names=("x", "y"),
+                            rhs=rhs, jac_rows=jac_rows)
+
+
+@pytest.mark.parametrize("model, negations", [
+    (make_ei_model(), 0), (make_oracle_model(), 2), (_shared_scaling_model(), 1),
+], ids=["ei", "oracle", "shared"])
+def test_adjoint_action_folds_its_sign_exactly(model, negations):
+    """An entry whose Jacobian entries are constants or single-use scalings
+    carries the sign in their scalars, with no negation node; the others
+    negate their sum.  Order 0 is bitwise -(sum_b z_b dX_b/dx_a), summed in
+    increasing b over the nonzero entries."""
+    d = model.dim
+    rng = np.random.default_rng(11)
+    stack = random_bandlimited_expansion(rng, 16, 2 * d, 2)
+    transport = models.JetTransport(model, stack, "adjoint_action")
+    assert sum(kind == models._NEG for kind, _, _ in transport._ops) == negations
+    transport.fill(0)
+    u, z = stack[0, :, :d], stack[0, :, d:]
+    jac = model.jacobian(u)
+    expected = np.empty_like(u)
+    for a in range(d):
+        total = z[:, 0] * jac[:, 0, a]
+        for b in range(1, d):
+            if np.any(jac[:, b, a] != 0):
+                total = total + z[:, b] * jac[:, b, a]
+        expected[:, a] = -total
+    assert transport.out[0].tobytes() == expected.tobytes()
+
+
 def test_oracle_field_jet_matches_hand_expansion():
     """X((1+s) cos, (1+s) sin): expand the cubic terms by hand."""
     model = make_oracle_model()
