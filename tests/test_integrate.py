@@ -9,6 +9,7 @@ from scipy.integrate._ivp import dop853_coefficients
 
 import slowphase.frames as frames_mod
 from slowphase import dop853
+from slowphase.cycle import CLASS_PAIR_CONJ
 from slowphase.errors import ConfigError, IntegrationError, ModelError
 from slowphase.integrate import (
     DEFAULT_SETTINGS,
@@ -146,11 +147,9 @@ def test_driver_equals_scipy_dop853(name, variational, kick, horizon, backward, 
         assert t == ref_t and y.tobytes() == ref_y.tobytes()
 
 
-def test_sweep_chunks_equal_unsampled_chunks_and_scipy_dop853(ei_run, monkeypatch):
-    """Each chunk of the frames' variational sweep on ei ends bitwise where
-    the same chunk ends without sample times, and both its end state and
-    its samples are bitwise scipy's DOP853."""
-    result = ei_run.result
+def _spied_sweep(result, monkeypatch):
+    """The frames' variational sweep of ``result`` and the arguments of
+    each chunk integration it ran."""
     chunks = []
     integrate = frames_mod._integrate
 
@@ -159,7 +158,15 @@ def test_sweep_chunks_equal_unsampled_chunks_and_scipy_dop853(ei_run, monkeypatc
         return integrate(fun, t0, y0, t1, settings, t_eval=t_eval)
 
     monkeypatch.setattr(frames_mod, "_integrate", spy)
-    sweep = frames_mod.variational_sweep(result.model, result.cycle)
+    return frames_mod.variational_sweep(result.model, result.cycle), chunks
+
+
+def test_sweep_chunks_equal_unsampled_chunks_and_scipy_dop853(ei_run, monkeypatch):
+    """Each chunk of the frames' variational sweep on ei ends bitwise where
+    the same chunk ends without sample times, and both its end state and
+    its samples are bitwise scipy's DOP853."""
+    result = ei_run.result
+    sweep, chunks = _spied_sweep(result, monkeypatch)
     assert len(chunks) == frames_mod.IDENTITY_CHUNKS
     for c, (fun, t0, y0, t1, settings, t_eval) in enumerate(chunks):
         end, _ = _integrate(fun, t0, y0, t1, settings)
@@ -168,6 +175,37 @@ def test_sweep_chunks_equal_unsampled_chunks_and_scipy_dop853(ei_run, monkeypatc
         assert ref.status == "finished"
         assert end.tobytes() == ref.y.tobytes(), c
         assert sweep.flows[sweep.chunk == c].tobytes() == samples.tobytes(), c
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_shifted_columns_equal_scipy_dop853(ei_run, direction, monkeypatch):
+    """The frames' exponent-shifted seed columns on ei, bundle and adjoint,
+    for the exponents on one route, are bitwise the columns assembled from
+    scipy's DOP853 run over each chunk of the sweep."""
+    result = ei_run.result
+    model, spectrum = result.model, result.spectrum
+    lams, vecs = spectrum.exponents, spectrum.eigenvectors
+    sweep, chunks = _spied_sweep(result, monkeypatch)
+    ends, flows = np.empty(sweep.ends.shape), np.empty(sweep.flows.shape)
+    for c, (fun, t0, y0, t1, settings, t_eval) in enumerate(chunks):
+        ref, samples, _ = _scipy_integrate(fun, t0, y0, t1, settings, t_eval)
+        assert ref.status == "finished"
+        ends[c] = ref.y.reshape(ends.shape[1:])
+        flows[sweep.chunk == c] = samples.reshape((-1,) + flows.shape[1:])
+    ref_sweep = frames_mod.VariationalSweep(sweep.edges, sweep.chunk, flows, ends)
+
+    for adjoint, exps, dual in ((False, lams, vecs), (True, -lams, np.linalg.inv(vecs).T)):
+        group = [
+            j for j in range(1, model.dim)
+            if spectrum.classes[j] != CLASS_PAIR_CONJ
+            and frames_mod._integration_route(exps[j], exps, result.cycle.period) == direction
+        ]
+        assert group, adjoint
+        seeds = {j: dual[:, j] for j in group}
+        cols, routes = frames_mod._seed_columns(sweep, seeds, exps, adjoint=adjoint)
+        expected, _ = frames_mod._seed_columns(ref_sweep, seeds, exps, adjoint=adjoint)
+        assert set(routes.values()) == {direction}
+        assert cols[:, :, group].tobytes() == expected[:, :, group].tobytes(), adjoint
 
 
 @pytest.mark.parametrize("horizon", [np.inf, -np.inf, np.nan])
