@@ -3,9 +3,11 @@
 
 Reproduces the reference configuration: Fourier grid 2^12, expansions to
 order 9, both accuracy tolerances, and the complete validation suite.
-Expect a few seconds of runtime (1.3-1.7 s on 2 cores at one OpenBLAS
-thread, of which 0.13-0.17 s locate the cycle); the multiplier table,
-per-order residuals, and accuracy-domain widths are printed at the end.
+Expect a few seconds of runtime (1.6-2.1 s on 2 cores at one OpenBLAS
+thread, of which 0.16-0.28 s locate the cycle and run the one variational
+pass that samples it and gives the monodromy and the frames' seeds); the
+multiplier table, per-order residuals, and accuracy-domain widths are
+printed at the end.
 
 Usage: python3 scripts/run_ei.py [out_dir]
 """

@@ -1,4 +1,4 @@
-"""Periodic orbit location, Floquet spectrum, and resonance screening.
+"""Periodic orbit, its variational sweep, Floquet spectrum, resonance screening.
 
 The phase origin is canonical: theta = 0 is a maximum of component 0 of the
 orbit, the section X_0(x) = 0 crossed downward (X_0 is component 0 of the
@@ -10,16 +10,17 @@ maximum to maximum, each located by a crossing test run after every step of
 the shared integration loop of :mod:`slowphase.integrate`, until successive
 maxima agree to within Newton's basin, and then Newton-polishing the pair
 (anchor, period) on the bordered shooting system whose last row is the
-section.  The spectrum comes from an eigendecomposition of the monodromy
-matrix of the first-variational system over one period; its eigenvectors
-are gauged at that canonical anchor, which fixes the sign of sigma.
+section.  One pass from the anchor, :func:`variational_sweep`, samples the
+orbit and gives the monodromy, whose eigenvectors are gauged at that
+canonical anchor, which fixes the sign of sigma, and the frames' seeds.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -33,10 +34,10 @@ from .errors import (
 )
 from .integrate import (
     DEFAULT_SETTINGS,
-    CycleInterpolant,
     IntegratorSettings,
     _field_rhs,
     _integrate,
+    _model_state,
     _seed_settings,
     flow_with_variational,
 )
@@ -44,6 +45,8 @@ from .series import FourierSeries, theta_grid
 
 __all__ = [
     "CycleResult",
+    "VariationalSweep",
+    "variational_sweep",
     "FloquetSpectrum",
     "ResonanceReport",
     "find_cycle",
@@ -64,6 +67,28 @@ HYPERBOLICITY_TOL = 1e-6  # admissible |mu_0 - 1| of the trivial multiplier
 CONDITION_LIMIT = 1e10  # largest admissible eigenvector condition number
 IMAG_CLASS_TOL = 1e-2  # relative imaginary part below which mu is real
 HARMONIC_LEVEL = 1e-10  # relative level above which a harmonic counts as present
+# chunks of one period of the variational sweep: each starts Phi and Psi at
+# the identity, and the cross-check tests Psi^T Phi = Id on each
+IDENTITY_CHUNKS = 16
+
+
+@dataclass
+class VariationalSweep:
+    """One period of x' = X(x), Phi' = DX(x) Phi and Psi' = -DX(x)^T Psi
+    from the anchor, chunk by chunk between ``edges`` (0 to the period): on
+    each, Phi and Psi start at the identity and x at the previous chunk's end."""
+
+    edges: np.ndarray
+    chunk: np.ndarray  # (N,): the chunk of each grid time
+    states: np.ndarray  # (N, d): x at the grid times
+    flows: np.ndarray  # (N, 2, d, d): (Phi, Psi) from the chunk's start
+    ends: np.ndarray  # (chunks, 2, d, d): (Phi, Psi) across each chunk
+    end_state: np.ndarray  # x at t = T
+
+    def product(self, f: int = 0) -> np.ndarray:
+        """Phi's (``f`` = 0) or Psi's (1) chunk ends multiplied, last chunk
+        leftmost: the monodromy at the anchor, or the adjoint monodromy."""
+        return reduce(lambda m, end: end @ m, self.ends[:, f])
 
 
 @dataclass
@@ -81,6 +106,8 @@ class CycleResult:
     # how find_cycle got there: relax_returns, relaxed_time, return_gap,
     # newton_steps (the step norms) and section_value (X_0 at the anchor)
     search: dict
+    # find_cycle's pass; not stored, so a loaded cycle has none
+    sweep: VariationalSweep | None = field(default=None, repr=False, compare=False)
 
     @property
     def grid_size(self) -> int:
@@ -97,9 +124,6 @@ class CycleResult:
     @property
     def theta(self) -> np.ndarray:
         return theta_grid(self.grid_size, 1.0)
-
-    def interpolant(self) -> CycleInterpolant:
-        return CycleInterpolant(self.series, self.period)
 
 
 def _brent_root(f, xa, xb, xtol, rtol, maxiter=100):
@@ -259,6 +283,33 @@ def _period_multiple(series: FourierSeries) -> int:
     return int(np.gcd.reduce(present))
 
 
+def variational_sweep(model, anchor, period: float, grid_size: int,
+                      settings: IntegratorSettings = DEFAULT_SETTINGS) -> VariationalSweep:
+    """The :class:`VariationalSweep` from ``anchor``: one integration per
+    chunk at ``settings``, sampling its grid times by dense output (which does
+    not move the steps).  Chunks keep each factor's dynamic range near one;
+    over the period Phi carries 1/|mu_min|, which swamps double precision."""
+    d, field, jacobian = model.dim, model.point_field(), model.point_jacobian()
+
+    def rhs(t, y):  # one Jacobian per stage serves Phi and Psi
+        jac = jacobian(y[:d])
+        return np.concatenate([field(y[:d]), (jac @ y[d:d + d * d].reshape(d, d)).ravel(),
+                               (-jac.T @ y[d + d * d:].reshape(d, d)).ravel()])
+
+    edges = np.linspace(0.0, period, IDENTITY_CHUNKS + 1)
+    times = theta_grid(grid_size, 1.0) * period
+    chunk = np.searchsorted(edges, times, side="right") - 1
+    identity = np.tile(np.eye(d).ravel(), 2)
+    samples, ends = np.empty((grid_size, d + 2 * d * d)), np.empty((IDENTITY_CHUNKS, 2 * d * d))
+    x = _model_state(model, anchor)
+    for c in range(IDENTITY_CHUNKS):
+        y, samples[chunk == c] = _integrate(rhs, edges[c], np.concatenate([x, identity]),
+                                            edges[c + 1], settings, t_eval=times[chunk == c])
+        x, ends[c] = y[:d], y[d:]
+    return VariationalSweep(edges, chunk, samples[:, :d], samples[:, d:].reshape(-1, 2, d, d),
+                            ends.reshape(-1, 2, d, d), x)
+
+
 def find_cycle(
     model,
     guess,
@@ -279,13 +330,13 @@ def find_cycle(
     bordered system (return-map residual plus the section row X_0(x) = 0,
     whose gradient is ``DX(x)[0, :]``) then solves for the anchor and period
     at ``settings``, in at most ``MAX_NEWTON`` steps; a divergence names
-    ``cycle.relax_time``.  One integration of the converged period from the
-    anchor gives both the shooting residual (its end state) and the orbit at
-    ``grid_size`` equispaced phases (the integrator's dense output), which
-    are analyzed into the cycle's series.  A series whose present harmonics
-    share a factor m > 1 spans m periods: :class:`NewtonError` names m.  A
-    series not resolved by the grid raises :class:`GridError`.  A model
-    whose component 0 has no simple maximum on the orbit raises
+    ``cycle.relax_time``.  One pass from the converged anchor at ``settings``,
+    :func:`variational_sweep` (returned as ``sweep``), gives the shooting
+    residual (its end state) and the orbit at ``grid_size`` equispaced
+    phases, analyzed into the cycle's series.  A series whose present
+    harmonics share a factor m > 1 spans m periods: :class:`NewtonError`
+    names m.  A series not resolved by the grid raises :class:`GridError`.
+    A model whose component 0 has no simple maximum on the orbit raises
     :class:`SectionError`.
     """
     guess = np.asarray(guess, dtype=float)
@@ -305,7 +356,6 @@ def find_cycle(
         )
 
     d = model.dim
-    phi = None
     steps = []
     for _ in range(MAX_NEWTON):
         x_t, phi = flow_with_variational(model, x, period, settings)
@@ -341,11 +391,8 @@ def find_cycle(
             "cycle is not attracting: some nontrivial multiplier has |mu| >= 1"
         )
 
-    times = theta_grid(grid_size, 1.0) * period
-    x_t, samples = _integrate(
-        _field_rhs(model), 0.0, x, float(period), settings, t_eval=times
-    )
-    series = FourierSeries.from_samples(samples, 1.0)
+    sweep = variational_sweep(model, x, float(period), grid_size, settings)
+    series = FourierSeries.from_samples(sweep.states, 1.0)
     # m periods need m times the harmonics of one, so the tail check below
     # would blame the grid for a multiple; name the multiple first
     multiple = _period_multiple(series)
@@ -367,8 +414,9 @@ def find_cycle(
         anchor=x,
         period=float(period),
         series=series,
-        shooting_residual=float(np.linalg.norm(x_t - x)),
+        shooting_residual=float(np.linalg.norm(sweep.end_state - x)),
         search=search,
+        sweep=sweep,
     )
 
 
@@ -418,25 +466,20 @@ def _gauge_vector(w: np.ndarray):
     return w, idx
 
 
-def floquet_spectrum(
-    model,
-    anchor,
-    period: float,
-    settings: IntegratorSettings = DEFAULT_SETTINGS,
-) -> FloquetSpectrum:
+def floquet_spectrum(sweep: VariationalSweep) -> FloquetSpectrum:
     """Monodromy eigendecomposition, sorted, classified, and gauged.
 
-    A multiplier whose imaginary part is below ``IMAG_CLASS_TOL`` of its
+    The monodromy is the product of the Phi chunk ends of ``sweep``.  A
+    multiplier whose imaginary part is below ``IMAG_CLASS_TOL`` of its
     modulus is treated as real; the bound is generous because the weakest
     multipliers sit near the integration noise floor.  Each eigenvector is
-    gauged by :func:`_gauge_vector` at ``anchor``; from :func:`find_cycle`'s
-    canonical anchor that fixes the sign of the slow column, hence of sigma,
-    from the model alone, and ``gauge_components`` records the deciding
-    component of each column.  A multiplier that rounds to zero has no
-    finite exponent and raises :class:`MultiplierUnderflowError`.
+    gauged by :func:`_gauge_vector`; from :func:`find_cycle`'s canonical
+    anchor that fixes the sign of the slow column, hence of sigma, from the
+    model alone, and ``gauge_components`` records the deciding component of
+    each column.  A multiplier that rounds to zero has no finite exponent
+    and raises :class:`MultiplierUnderflowError`.
     """
-    anchor = np.asarray(anchor, dtype=float)
-    _, monodromy = flow_with_variational(model, anchor, period, settings)
+    period, monodromy = float(sweep.edges[-1]), sweep.product()
     mu, vecs = np.linalg.eig(monodromy)
 
     cond = float(np.linalg.cond(vecs))

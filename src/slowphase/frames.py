@@ -2,11 +2,11 @@
 
 The complex bundle frame has columns [K0', C_1, ..., C_{d-1}] where C_j
 solves the order-1 variational equation (1/T) C' + lam_j C = DX(K0) C as a
-1-periodic function.  Column seeds come from one sweep,
-:func:`variational_sweep`, of Phi' = DX Phi and Psi' = -DX^T Psi from the
-identity across each of ``IDENTITY_CHUNKS`` chunks of the period at the
-user's settings: a seed is e^{-lam_j (t - t_c)} F(t; t_c) C_j(t_c) on chunk
-c, F = Phi for the bundle and Psi for the adjoint cross-check, with C_j(t_c)
+1-periodic function.  Nothing is integrated here: column seeds come from
+the transition matrices Phi and Psi (of -DX^T) that the cycle stage's pass,
+:func:`~slowphase.cycle.variational_sweep`, gives on each chunk of the
+period.  A seed is e^{-lam_j (t - t_c)} F(t; t_c) C_j(t_c) on chunk c, F =
+Phi for the bundle and Psi for the adjoint cross-check, with C_j(t_c)
 carried forward or backward across the period -- the direction is chosen so
 that contamination by other Floquet directions is not amplified.  The seeds
 are polished by a Newton iteration carried out entirely in Fourier space,
@@ -31,7 +31,7 @@ the bundle frame.  The production adjoint frame starts from the pointwise
 inverse transpose of the bundle frame, which makes the biorthogonality
 normalizations exact by construction, and is polished as that direct
 problem; the independent cross-check seeds it from the adjoint flow alone
-(the sweep's Psi) and polishes it.  ``solve_in_frame`` is the one homological
+(the pass's Psi) and polishes it.  ``solve_in_frame`` is the one homological
 solve in frame coordinates, for the manifold orders (DX) and the response
 orders (-DX^T) alike.
 
@@ -45,7 +45,6 @@ real and imaginary parts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -57,9 +56,9 @@ from .cycle import (
     CLASS_TRIVIAL,
     CycleResult,
     FloquetSpectrum,
+    VariationalSweep,
 )
 from .errors import FrameError
-from .integrate import DEFAULT_SETTINGS, IntegratorSettings, _integrate
 from .series import FourierSeries, solve_diagonal, theta_grid
 
 __all__ = [
@@ -71,8 +70,6 @@ __all__ = [
     "cross_check_adjoint_frame",
     "real_generator_matrix",
     "solve_in_frame",
-    "variational_sweep",
-    "VariationalSweep",
 ]
 
 
@@ -80,9 +77,6 @@ __all__ = [
 MAX_OUTER = 6
 # adjoint polish: stop growing the band once the residual is below this
 ADJOINT_RESIDUAL_TARGET = 5e-10
-# chunks of one period of the variational sweep: each integration starts from
-# the identity, and the cross-check tests Psi^T Phi = Id on each
-IDENTITY_CHUNKS = 16
 
 
 @dataclass
@@ -111,24 +105,10 @@ class Frame:
 
 
 @dataclass
-class VariationalSweep:
-    """Transition matrices (Phi, Psi) of Phi' = DX Phi, Psi' = -DX^T Psi
-    along one period, from the identity at each chunk edge of ``edges`` (0
-    to the period): ``flows[i]``, shape (N, 2, d, d), from the start of
-    chunk ``chunk[i]`` to grid time i, and ``ends[c]`` across chunk c."""
-
-    edges: np.ndarray
-    chunk: np.ndarray
-    flows: np.ndarray
-    ends: np.ndarray
-
-
-@dataclass
 class BundleBuildResult:
     bundle: Frame
     cycle: CycleResult  # spectrally polished orbit and period
     diagnostics: dict
-    sweep: VariationalSweep  # of the cycle the build started from
 
 
 def _active_bandwidth(series: FourierSeries, n: int) -> int:
@@ -163,35 +143,6 @@ def _integration_route(lam: complex, exponents: np.ndarray, period: float) -> st
     amp_fwd = (float(np.max(exponents.real)) - re) * period
     amp_bwd = (re - float(np.min(exponents.real))) * period
     return "forward" if amp_fwd <= amp_bwd else "backward"
-
-
-def variational_sweep(model, cycle: CycleResult,
-                      settings: IntegratorSettings = DEFAULT_SETTINGS) -> VariationalSweep:
-    """The :class:`VariationalSweep` of ``cycle``: one integration per chunk
-    at ``settings``, sampling its grid times through the dense output (which
-    does not move the steps).  Chunking keeps each factor's dynamic range
-    near one; across the period Phi carries exp(|Re lam_min| T) ~ 1/|mu_min|,
-    which swamps double precision."""
-    d, n = model.dim, cycle.grid_size
-    interp, jacobian = cycle.interpolant(), model.point_jacobian()
-
-    def pair_rhs(t, y):
-        # Phi' = DX Phi and Psi' = -DX^T Psi, sharing one Jacobian per stage
-        jac = jacobian(interp(t))
-        phi, psi = y.reshape(2, d, d)
-        return np.concatenate([(jac @ phi).ravel(), (-jac.T @ psi).ravel()])
-
-    edges = np.linspace(0.0, cycle.period, IDENTITY_CHUNKS + 1)
-    times = cycle.theta * cycle.period
-    chunk = np.searchsorted(edges, times, side="right") - 1
-    y0 = np.tile(np.eye(d).ravel(), 2)
-    flows, ends = np.empty((n, 2 * d * d)), np.empty((IDENTITY_CHUNKS, 2 * d * d))
-    for c in range(IDENTITY_CHUNKS):
-        ends[c], flows[chunk == c] = _integrate(
-            pair_rhs, edges[c], y0, edges[c + 1], settings, t_eval=times[chunk == c]
-        )
-    return VariationalSweep(edges, chunk, flows.reshape(n, 2, d, d),
-                            ends.reshape(-1, 2, d, d))
 
 
 def _seed_columns(sweep: VariationalSweep, seeds, lams, adjoint=False):
@@ -400,14 +351,14 @@ def build_bundle_frame(
     model,
     cycle: CycleResult,
     spectrum: FloquetSpectrum,
-    settings: IntegratorSettings = DEFAULT_SETTINGS,
+    sweep: VariationalSweep,
 ) -> BundleBuildResult:
     """Build the complex bundle frame and jointly polish the orbit.
 
-    Columns are gauged to unit grid-max vector norm (this makes the slow
-    column directly usable as the order-1 manifold coefficient, scaled by
-    ``expand_slow_manifold``'s gauge).
-    Returns the frame, whose exponents are the refined ones, and the
+    Columns are seeded from ``sweep``, the pass of ``cycle``, and gauged to
+    unit grid-max vector norm (this makes the slow column directly usable as
+    the order-1 manifold coefficient, scaled by ``expand_slow_manifold``'s
+    gauge).  Returns the frame, whose exponents are the refined ones, and the
     polished cycle.
     """
     d = model.dim
@@ -417,7 +368,6 @@ def build_bundle_frame(
     samples = cycle.samples.copy()
     lams = spectrum.exponents.astype(complex).copy()
     classes = spectrum.classes
-    sweep = variational_sweep(model, cycle, settings)
 
     seeds = {j: spectrum.eigenvectors[:, j] for j in range(1, d)
              if classes[j] != CLASS_PAIR_CONJ}
@@ -492,7 +442,7 @@ def build_bundle_frame(
             np.max(np.abs(lams - spectrum.exponents))
         ),
     }
-    return BundleBuildResult(frame, polished, diagnostics, sweep)
+    return BundleBuildResult(frame, polished, diagnostics)
 
 
 def build_adjoint_frame(bundle: Frame, jac_grid, period, k_cut: int) -> Frame:
@@ -638,8 +588,8 @@ def cross_check_adjoint_frame(
     the same code as the bundle frame of DX: columns are seeded from
     eigenvectors of the adjoint monodromy matrix, transported by Psi, and
     polished in Fourier space on the polished orbit ``cycle`` (the
-    production frame never enters the construction).  Everything integrated
-    comes from ``sweep``, the bundle build's :func:`variational_sweep`.  The
+    production frame never enters the construction).  Nothing is integrated:
+    Psi comes from ``sweep``, the pass the bundle frame was seeded from.  The
     report contains the eigenvalue duality errors, the fundamental-solution
     duality Psi^T Phi = Id on every chunk, and the per-column discrepancy
     after gauge alignment.
@@ -651,11 +601,9 @@ def cross_check_adjoint_frame(
     # transition matrices started there, and the full-period identity
     # follows by telescoping.  The product of the chunk factors Psi is the
     # adjoint monodromy, whose eigenvalues seed the columns.
-    phi_ends, psi_ends = sweep.ends[:, 0], sweep.ends[:, 1]
     identity_defect = float(np.max(np.abs(
-        np.swapaxes(psi_ends, 1, 2) @ phi_ends - np.eye(d)
-    )))
-    psi_eigs, psi_vecs = np.linalg.eig(reduce(lambda m, psi_c: psi_c @ m, psi_ends))
+        np.swapaxes(sweep.ends[:, 1], 1, 2) @ sweep.ends[:, 0] - np.eye(d))))
+    psi_eigs, psi_vecs = np.linalg.eig(sweep.product(1))
     sweep_period = sweep.edges[-1]
     expected = np.exp(-np.conj(spectrum.exponents) * sweep_period)
     closest = np.argmin(np.abs(psi_eigs[:, None] - expected), axis=0)

@@ -10,8 +10,8 @@ passing ``t1 < t0``; both times must be finite.  The package needs no scipy:
 the stepper does scipy's DOP853 arithmetic operation for operation, so flows
 are bitwise scipy's.  The cycle's relaxation, a seed that the shooting
 Newton refines, runs no tighter than the floor ``SEED_RTOL``
-(:func:`_seed_settings`); every other integration runs at the user's
-settings.
+(:func:`_seed_settings`); the rest, the one pass along the orbit included
+(:func:`slowphase.cycle.variational_sweep`), run at the user's settings.
 
 Right-hand sides call the model through its point closures
 (:meth:`~slowphase.models.VectorFieldModel.point_field` and
@@ -71,7 +71,7 @@ DEFAULT_SETTINGS = IntegratorSettings()
 
 # relative tolerance floor of the cycle's relaxation, whose end state the
 # shooting Newton refines to the user's accuracy; every other integration,
-# frames.variational_sweep included, runs at the user's settings
+# cycle.variational_sweep included, runs at the user's settings
 SEED_RTOL = 1e-10
 
 

@@ -29,7 +29,8 @@ import numpy as np
 
 from . import __version__
 from .config import PARAMS_PREFIX, RunConfig, _show
-from .cycle import CycleResult, FloquetSpectrum, check_resonances, find_cycle, floquet_spectrum
+from .cycle import (CycleResult, FloquetSpectrum, check_resonances, find_cycle,
+                    floquet_spectrum, variational_sweep)
 from .errors import ConfigError, GridError, ResonanceError, SlowphaseError
 from .frames import Frame, build_adjoint_frame, build_bundle_frame, cross_check_adjoint_frame
 from .manifold import ManifoldExpansion, expand_slow_manifold
@@ -85,7 +86,7 @@ def _load_orders(result, name, order, digests) -> FourierTaylor:
 def save_cycle(out, cycle: CycleResult, inputs: dict):
     write_coeffs(os.path.join(out, "cycle_coeff.npy"), cycle.series.coef)
     # grid_size is not a field; the loader checks the coefficient shape with it
-    meta = {**_meta(cycle, skip=("series",)), "grid_size": cycle.grid_size}
+    meta = {**_meta(cycle, skip=("series", "sweep")), "grid_size": cycle.grid_size}
     write_json(os.path.join(out, "cycle.json"), {**meta, "inputs": inputs})
 
 
@@ -217,10 +218,18 @@ def _run_cycle(result):
     save_cycle(config.out_dir, result.cycle, _inputs(result, "cycle.json"))
 
 
+def _sweep(result):
+    """find_cycle's pass, not stored: recomputed once for a loaded cycle."""
+    cycle = result.cycle
+    if cycle.sweep is None:
+        cycle.sweep = variational_sweep(result.model, cycle.anchor, cycle.period,
+                                        cycle.grid_size, result.config.integrator)
+    return cycle.sweep
+
+
 def _run_spectrum(result):
-    config, cycle = result.config, result.cycle
-    result.spectrum = floquet_spectrum(result.model, cycle.anchor, cycle.period, config.integrator)
-    save_spectrum(config.out_dir, result.spectrum, _inputs(result, "spectrum.json"))
+    result.spectrum = floquet_spectrum(_sweep(result))
+    save_spectrum(result.config.out_dir, result.spectrum, _inputs(result, "spectrum.json"))
 
 
 def _run_resonance(result):
@@ -237,8 +246,8 @@ def _run_resonance(result):
 
 
 def _run_frames(result):
-    config, model, out = result.config, result.model, result.config.out_dir
-    build = build_bundle_frame(model, result.cycle, result.spectrum, settings=config.integrator)
+    model, out, sweep = result.model, result.config.out_dir, _sweep(result)
+    build = build_bundle_frame(model, result.cycle, result.spectrum, sweep)
     result.bundle = build.bundle
     result.cycle = build.cycle  # spectrally polished orbit and period
     result.band_cut = build.diagnostics["band_cut"]
@@ -249,7 +258,7 @@ def _run_frames(result):
         result.bundle, jac, result.cycle.period, k_cut=result.band_cut
     )
     result.crosscheck = cross_check_adjoint_frame(
-        model, result.cycle, result.spectrum, result.bundle, result.adjoint, build.sweep
+        model, result.cycle, result.spectrum, result.bundle, result.adjoint, sweep
     )
     save_frames(out, result, _inputs(result, "frames.json"))
 

@@ -16,6 +16,7 @@ from slowphase.cycle import (
     CLASS_PAIR_LEAD,
     CLASS_REAL_POSITIVE,
     CLASS_TRIVIAL,
+    IDENTITY_CHUNKS,
     FloquetSpectrum,
     _brent_root,
     _next_maximum,
@@ -31,7 +32,13 @@ from slowphase.errors import (
     MultiplierUnderflowError,
     SectionError,
 )
-from slowphase.integrate import IntegratorSettings
+from slowphase.integrate import (
+    DEFAULT_SETTINGS,
+    IntegratorSettings,
+    _field_rhs,
+    _integrate,
+    flow_with_variational,
+)
 from slowphase.models import make_oracle_model
 from slowphase.pipeline import Stage, run_pipeline
 from slowphase.series import FourierSeries
@@ -42,7 +49,7 @@ from slowphase.store import read_json
 def oracle_cycle():
     model = make_oracle_model()
     cycle = find_cycle(model, [1.3, 0.0], grid_size=256, relax_time=20.0)
-    spectrum = floquet_spectrum(model, cycle.anchor, cycle.period)
+    spectrum = floquet_spectrum(cycle.sweep)
     return model, cycle, spectrum
 
 
@@ -359,8 +366,8 @@ def test_eigenvector_gauge(ei_run):
 def test_relaxation_at_the_seed_floor_newton_and_sampling_at_user_settings(
         monkeypatch):
     """The relaxation is a seed for Newton: its searches run at SEED_RTOL
-    (atol scaled alike), while Newton and the sampling integration keep the
-    user's settings."""
+    (atol scaled alike), while Newton and the sampling pass, one integration
+    per chunk after Newton, keep the user's settings."""
     import slowphase.cycle as cycle_mod
     from slowphase.integrate import SEED_RTOL
 
@@ -382,7 +389,9 @@ def test_relaxation_at_the_seed_floor_newton_and_sampling_at_user_settings(
     find_cycle(make_oracle_model(), [1.3, 0.0], settings=user, grid_size=64,
                relax_time=20.0)
     kinds = [kind for kind, _ in seen]
-    assert kinds.count("search") >= 2 and kinds.count("sampling") == 1
+    assert kinds.count("search") >= 2
+    last_newton = max(i for i, k in enumerate(kinds) if k == "newton")
+    assert kinds[last_newton + 1:] == ["sampling"] * IDENTITY_CHUNKS
     assert kinds.index("newton") > max(i for i, k in enumerate(kinds) if k == "search")
     for kind, settings in seen:
         if kind == "search":
@@ -390,6 +399,52 @@ def test_relaxation_at_the_seed_floor_newton_and_sampling_at_user_settings(
             assert settings.atol == pytest.approx(user.atol * SEED_RTOL / user.rtol)
         else:
             assert settings is user
+
+
+@pytest.fixture(scope="module")
+def floquet_runs(tmp_path_factory):
+    """Cold runs through the Floquet stage, whose cycles carry their pass."""
+    configs = {"ei": RunConfig(model="ei", grid_size=1024),
+               "oracle": RunConfig(model="oracle", relax_time=20.0, grid_size=128)}
+    return {name: run_pipeline(replace(config, out_dir=str(tmp_path_factory.mktemp(name))),
+                               through=Stage.FLOQUET)
+            for name, config in configs.items()}
+
+
+@pytest.mark.parametrize("name", ["ei", "oracle"])
+def test_sweep_samples_the_orbit_of_a_plain_flow(floquet_runs, name):
+    """The pass integrates x with Phi and Psi, chunk by chunk: its x samples,
+    the cycle's series, lie within 1e-10 of the peak of one plain-field
+    integration from the same anchor, and its end state gives the shooting
+    residual."""
+    result = floquet_runs[name]
+    cycle = result.cycle
+    sweep = cycle.sweep
+    assert np.array_equal(cycle.series.coef, FourierSeries.from_samples(sweep.states).coef)
+    _, plain = _integrate(_field_rhs(result.model), 0.0, cycle.anchor, cycle.period,
+                          DEFAULT_SETTINGS, t_eval=cycle.theta * cycle.period)
+    assert _peak_relative(sweep.states, plain) < 1e-10
+    assert cycle.shooting_residual == float(np.linalg.norm(sweep.end_state - cycle.anchor))
+
+
+@pytest.mark.parametrize("name", ["ei", "oracle"])
+def test_sweep_monodromy_matches_a_single_shot_flow(floquet_runs, name):
+    """The product of the pass's Phi chunk ends is the monodromy: the
+    spectrum's monodromy is that product, bitwise, and its multipliers with
+    |mu| >= 1e-6 lie within 1e-10 (relative) of those of a single-shot
+    variational flow over the period."""
+    result = floquet_runs[name]
+    cycle = result.cycle
+    ends = cycle.sweep.ends[:, 0]
+    product = ends[0]
+    for end in ends[1:]:
+        product = end @ product
+    assert result.spectrum.monodromy.tobytes() == product.tobytes()
+    _, single = flow_with_variational(result.model, cycle.anchor, cycle.period)
+    ours, theirs = np.linalg.eigvals(product), np.linalg.eigvals(single)
+    for mu in theirs[np.abs(theirs) >= 1e-6]:
+        gap = np.min(np.abs(ours - mu)) / abs(mu)
+        assert gap < 1e-10, (mu, gap)
 
 
 def test_non_attracting_cycle_reported():

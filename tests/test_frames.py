@@ -5,20 +5,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import slowphase.cycle as cycle_mod
 import slowphase.frames as frames_mod
+import slowphase.integrate as integrate_mod
+import slowphase.pipeline as pipeline_mod
 from slowphase.config import RunConfig
-from slowphase.cycle import CLASS_PAIR_CONJ
+from slowphase.cycle import CLASS_PAIR_CONJ, IDENTITY_CHUNKS, variational_sweep
 from slowphase.frames import (
-    IDENTITY_CHUNKS,
     _integration_route,
     _seed_columns,
     build_adjoint_frame,
-    build_bundle_frame,
     cross_check_adjoint_frame,
     real_generator_matrix,
-    variational_sweep,
 )
-from slowphase.integrate import DEFAULT_SETTINGS, SEED_RTOL, IntegratorSettings
+from slowphase.integrate import (
+    DEFAULT_SETTINGS,
+    SEED_RTOL,
+    CycleInterpolant,
+    IntegratorSettings,
+    _integrate,
+)
 from slowphase.pipeline import Stage, run_pipeline
 from slowphase.series import FourierSeries, theta_grid
 
@@ -202,11 +208,10 @@ def test_oracle_adjoint_polish_stops_at_roundoff(oracle_run, monkeypatch):
 
 def test_cross_check_oracle(oracle_run):
     result = oracle_run.result
-    # the sweep comes from the bundle build, as in the frames stage
-    build = build_bundle_frame(result.model, result.cycle, result.spectrum)
+    cycle = result.cycle
+    sweep = variational_sweep(result.model, cycle.anchor, cycle.period, cycle.grid_size)
     rep = cross_check_adjoint_frame(
-        result.model, result.cycle, result.spectrum, result.bundle, result.adjoint,
-        build.sweep,
+        result.model, cycle, result.spectrum, result.bundle, result.adjoint, sweep,
     )
     assert rep["max_column_discrepancy"] < 1e-8
     assert np.max(rep["eigenvalue_duality_rel_errors"]) < 1e-8
@@ -243,7 +248,7 @@ def _shifted_seed(model, cycle, w, lam, adjoint, route):
     ``route``, A = DX or -DX^T along ``cycle``, at the default settings,
     sampled at the grid times."""
     d, period = model.dim, cycle.period
-    interp, jacobian = cycle.interpolant(), model.point_jacobian()
+    interp, jacobian = CycleInterpolant(cycle.series, period), model.point_jacobian()
 
     def rhs(t, y):
         a = jacobian(interp(t))
@@ -253,21 +258,20 @@ def _shifted_seed(model, cycle, w, lam, adjoint, route):
 
     t0, t1 = (0.0, period) if route == "forward" else (period, 0.0)
     y0 = np.concatenate([w.real, w.imag])
-    _, samples = frames_mod._integrate(
-        rhs, t0, y0, t1, DEFAULT_SETTINGS, t_eval=cycle.theta * period
-    )
+    _, samples = _integrate(rhs, t0, y0, t1, DEFAULT_SETTINGS, t_eval=cycle.theta * period)
     return samples[:, :d] + 1j * samples[:, d:]
 
 
 @pytest.mark.parametrize("name", ["ei", "oracle"])
 def test_sweep_seeds_match_shifted_integrations(floquet_runs, name):
-    """Each seed column the sweep gives, bundle (DX, lam, the monodromy's
-    eigenvectors) and adjoint (-DX^T, -lam, the dual eigenvectors), lies
-    within 1e-9 of its peak of the exponent-shifted integration of its
-    seed over the whole period on its route; both routes occur."""
+    """Each seed column that the cycle stage's pass gives, bundle (DX, lam,
+    the monodromy's eigenvectors) and adjoint (-DX^T, -lam, the dual
+    eigenvectors), lies within 1e-9 of its peak of the exponent-shifted
+    integration of its seed over the whole period on its route, along the
+    interpolated cycle; both routes occur."""
     partial = floquet_runs[name]
     model, cycle, spectrum = partial.model, partial.cycle, partial.spectrum
-    sweep = variational_sweep(model, cycle)
+    sweep = cycle.sweep
     vecs = spectrum.eigenvectors
     seen = set()
     for adjoint, lams, dual in ((False, spectrum.exponents, vecs),
@@ -335,37 +339,57 @@ def test_seeds_at_floor_give_the_frames_of_seeds_at_user_settings(
     IntegratorSettings(rtol=1e-8, atol=1e-9),
     IntegratorSettings(rtol=SEED_RTOL, atol=1e-10, max_steps=50_000),
 ], ids=["tighter", "looser", "at_floor"])
-def test_frames_stage_integrates_each_chunk_once_at_user_settings(
-        oracle_run, monkeypatch, user):
-    """The frames stage integrates IDENTITY_CHUNKS chunks, each at the
-    user's settings object however it compares with the seed floor, each
-    sampling exactly its chunk's grid times; the cross-check integrates
-    nothing."""
-    result = oracle_run.result
-    seen = []
-    integrate = frames_mod._integrate
+def test_cold_run_integrates_each_chunk_once_at_user_settings(
+        tmp_path, monkeypatch, user):
+    """After the shooting Newton, a cold run through the frames stage
+    integrates exactly IDENTITY_CHUNKS chunks, the pass, each at the user's
+    settings object however it compares with the seed floor, each sampling
+    exactly its chunk's grid times; the spectrum and both frame builders
+    integrate nothing."""
+    calls = []  # (stage, t0, t1, settings, t_eval) of every integration
+    stage = ["cycle"]
+    integrate = integrate_mod._integrate
 
     def spy(fun, t0, y0, t1, settings, **kwargs):
-        seen.append((t0, t1, settings, kwargs.get("t_eval")))
+        calls.append((stage[0], t0, t1, settings, kwargs.get("t_eval")))
         return integrate(fun, t0, y0, t1, settings, **kwargs)
 
-    monkeypatch.setattr(frames_mod, "_integrate", spy)
-    build = build_bundle_frame(result.model, result.cycle, result.spectrum, settings=user)
-    assert len(seen) == IDENTITY_CHUNKS == 16
-    period = result.cycle.period
+    for module in (integrate_mod, cycle_mod):
+        monkeypatch.setattr(module, "_integrate", spy)
+    newton = cycle_mod.flow_with_variational
+
+    def spy_newton(*args):
+        stage[0] = "newton"
+        try:
+            return newton(*args)
+        finally:
+            stage[0] = "after newton"
+
+    monkeypatch.setattr(cycle_mod, "flow_with_variational", spy_newton)
+    for name in ("floquet_spectrum", "build_bundle_frame", "cross_check_adjoint_frame"):
+        def entered(*args, _name=name, _fn=getattr(pipeline_mod, name)):
+            stage[0] = _name
+            return _fn(*args)
+
+        monkeypatch.setattr(pipeline_mod, name, entered)
+    config = RunConfig(model="oracle", guess=(1.3, 0.0), relax_time=20.0,
+                       grid_size=256, order=3, integrator=user, out_dir=str(tmp_path))
+    result = run_pipeline(config, through=Stage.FRAMES)
+
+    assert stage[0] == "cross_check_adjoint_frame"  # every spy was entered
+    last_newton = max(i for i, call in enumerate(calls) if call[0] == "newton")
+    chunks = calls[last_newton + 1:]
+    assert len(chunks) == IDENTITY_CHUNKS == 16
+    period = result.spectrum.period
     edges = np.linspace(0.0, period, IDENTITY_CHUNKS + 1)
-    times = result.cycle.theta * period
-    for c, (t0, t1, settings, t_eval) in enumerate(seen):
+    times = theta_grid(config.grid_size) * period
+    for c, (where, t0, t1, settings, t_eval) in enumerate(chunks):
+        assert where == "after newton"  # find_cycle's pass, before any later stage
         assert settings is user
         assert (t0, t1) == (edges[c], edges[c + 1])
         inside = times[(times >= edges[c]) & (times < edges[c + 1])]
-        assert len(inside) == result.cycle.grid_size // IDENTITY_CHUNKS
+        assert len(inside) == config.grid_size // IDENTITY_CHUNKS
         assert t_eval.tobytes() == inside.tobytes()
-    cross_check_adjoint_frame(
-        result.model, result.cycle, result.spectrum, result.bundle, result.adjoint,
-        build.sweep,
-    )
-    assert len(seen) == IDENTITY_CHUNKS
 
 
 def test_oracle_frames_stage_with_chunks_holding_no_grid_time(tmp_path):

@@ -1,5 +1,6 @@
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings as hyp_settings, strategies as s
 from scipy.integrate import DOP853
 from scipy.integrate._ivp import dop853_coefficients
 
+import slowphase.cycle as cycle_mod
 import slowphase.frames as frames_mod
 from slowphase import dop853
 from slowphase.cycle import CLASS_PAIR_CONJ
@@ -148,51 +150,63 @@ def test_driver_equals_scipy_dop853(name, variational, kick, horizon, backward, 
 
 
 def _spied_sweep(result, monkeypatch):
-    """The frames' variational sweep of ``result`` and the arguments of
-    each chunk integration it ran."""
+    """The variational sweep (the cycle stage's pass) from the anchor of
+    ``result``'s cycle, and the arguments of each chunk integration it ran."""
     chunks = []
-    integrate = frames_mod._integrate
+    integrate = cycle_mod._integrate
 
     def spy(fun, t0, y0, t1, settings, t_eval=None):
         chunks.append((fun, t0, y0, t1, settings, t_eval))
         return integrate(fun, t0, y0, t1, settings, t_eval=t_eval)
 
-    monkeypatch.setattr(frames_mod, "_integrate", spy)
-    return frames_mod.variational_sweep(result.model, result.cycle), chunks
+    monkeypatch.setattr(cycle_mod, "_integrate", spy)
+    cycle = result.cycle
+    sweep = cycle_mod.variational_sweep(result.model, cycle.anchor, cycle.period,
+                                        cycle.grid_size)
+    return sweep, chunks
 
 
 def test_sweep_chunks_equal_unsampled_chunks_and_scipy_dop853(ei_run, monkeypatch):
-    """Each chunk of the frames' variational sweep on ei ends bitwise where
-    the same chunk ends without sample times, and both its end state and
-    its samples are bitwise scipy's DOP853."""
+    """Each chunk of the variational sweep on ei, which integrates x with Phi
+    and Psi, ends bitwise where the same chunk ends without sample times,
+    and both its end state and its samples are bitwise scipy's DOP853; each
+    chunk starts x at the previous chunk's end."""
     result = ei_run.result
     sweep, chunks = _spied_sweep(result, monkeypatch)
-    assert len(chunks) == frames_mod.IDENTITY_CHUNKS
+    d = result.model.dim
+    assert len(chunks) == cycle_mod.IDENTITY_CHUNKS
+    x = result.cycle.anchor
     for c, (fun, t0, y0, t1, settings, t_eval) in enumerate(chunks):
+        assert y0[:d].tobytes() == x.tobytes(), c
         end, _ = _integrate(fun, t0, y0, t1, settings)
-        assert sweep.ends[c].tobytes() == end.tobytes(), c
+        assert sweep.ends[c].tobytes() == end[d:].tobytes(), c
         ref, samples, _ = _scipy_integrate(fun, t0, y0, t1, settings, t_eval)
         assert ref.status == "finished"
         assert end.tobytes() == ref.y.tobytes(), c
-        assert sweep.flows[sweep.chunk == c].tobytes() == samples.tobytes(), c
+        inside = sweep.chunk == c
+        assert sweep.states[inside].tobytes() == samples[:, :d].tobytes(), c
+        assert sweep.flows[inside].tobytes() == samples[:, d:].tobytes(), c
+        x = end[:d]
+    assert sweep.end_state.tobytes() == x.tobytes()
 
 
 @pytest.mark.parametrize("direction", ["forward", "backward"])
 def test_shifted_columns_equal_scipy_dop853(ei_run, direction, monkeypatch):
     """The frames' exponent-shifted seed columns on ei, bundle and adjoint,
     for the exponents on one route, are bitwise the columns assembled from
-    scipy's DOP853 run over each chunk of the sweep."""
+    scipy's DOP853 run over each chunk of the variational sweep."""
     result = ei_run.result
     model, spectrum = result.model, result.spectrum
     lams, vecs = spectrum.exponents, spectrum.eigenvectors
     sweep, chunks = _spied_sweep(result, monkeypatch)
+    d = model.dim
     ends, flows = np.empty(sweep.ends.shape), np.empty(sweep.flows.shape)
     for c, (fun, t0, y0, t1, settings, t_eval) in enumerate(chunks):
         ref, samples, _ = _scipy_integrate(fun, t0, y0, t1, settings, t_eval)
         assert ref.status == "finished"
-        ends[c] = ref.y.reshape(ends.shape[1:])
-        flows[sweep.chunk == c] = samples.reshape((-1,) + flows.shape[1:])
-    ref_sweep = frames_mod.VariationalSweep(sweep.edges, sweep.chunk, flows, ends)
+        ends[c] = ref.y[d:].reshape(ends.shape[1:])
+        flows[sweep.chunk == c] = samples[:, d:].reshape((-1,) + flows.shape[1:])
+    ref_sweep = replace(sweep, flows=flows, ends=ends)
 
     for adjoint, exps, dual in ((False, lams, vecs), (True, -lams, np.linalg.inv(vecs).T)):
         group = [

@@ -514,6 +514,35 @@ def test_determinism_byte_identical(tmp_path):
             assert (out / file).read_bytes() == (ref / file).read_bytes(), (name, file)
 
 
+def test_resumed_sweep_writes_the_bytes_of_a_cold_run(tmp_path, monkeypatch):
+    """The variational sweep is not stored: a run that resumes the spectrum
+    and frames stages from a stored cycle recomputes it once, from the stored
+    anchor and period, and writes the bytes of a cold run."""
+    import slowphase.pipeline as pipeline_mod
+
+    sweeps = []
+    sweep = pipeline_mod.variational_sweep
+
+    def counted(*args):
+        sweeps.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr(pipeline_mod, "variational_sweep", counted)
+    cold_cfg, cold = _write_cfg(tmp_path, "cold")
+    assert main(["run", "--config", cold_cfg]) == 0
+    assert sweeps == []  # the cold run uses find_cycle's pass
+    staged_cfg = tmp_path / "staged.cfg"
+    staged_cfg.write_text(ORACLE_CFG.format(out=tmp_path / "staged"))
+    assert main(["cycle", "--config", str(staged_cfg)]) == 0
+    assert main(["response", "--config", str(staged_cfg)]) == 0
+    assert len(sweeps) == 1
+    files = [n for n in sorted(os.listdir(cold)) if n.endswith("_coeff.npy")]
+    assert len(files) == 6
+    for name in files + ["spectrum.json", "frames.json", "adjoint_crosscheck.json"]:
+        assert (tmp_path / "staged" / name).read_bytes() == (
+            tmp_path / "cold" / name).read_bytes(), name
+
+
 def test_export_json_copies_manifest_and_spectrum(oracle_run, tmp_path):
     files = export_artifacts(oracle_run.result, "all", "json", out_dir=str(tmp_path))
     names = ["manifest.json", "spectrum.json"]
