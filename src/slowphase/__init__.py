@@ -40,7 +40,6 @@ from .validation import (
     AccuracyDomain,
     ValidationReport,
     accuracy_domain,
-    invariance_residual,
     orthogonality_report,
     run_validation,
     trajectory_consistency,

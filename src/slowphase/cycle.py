@@ -101,7 +101,7 @@ class CycleResult:
 
     anchor: np.ndarray
     period: float
-    series: FourierSeries  # order-0 coefficient function, period 1
+    series: FourierSeries  # the orbit, a real series of period 1
     shooting_residual: float
     # how find_cycle got there: relax_returns, relaxed_time, return_gap,
     # newton_steps (the step norms) and section_value (X_0 at the anchor)
@@ -117,7 +117,7 @@ class CycleResult:
     def samples(self) -> np.ndarray:
         # (N, d) real grid values, synthesized on first use, read-only
         if not hasattr(self, "_samples"):
-            self._samples = self.series.samples().real
+            self._samples = self.series.samples()
             self._samples.flags.writeable = False
         return self._samples
 
@@ -278,7 +278,7 @@ def _relax(model, guess, settings, relax_time, gap_tol, on_section_tol):
 def _period_multiple(series: FourierSeries) -> int:
     """The gcd of the wavenumbers whose coefficients exceed ``HARMONIC_LEVEL``
     of the peak: m > 1 when the sampled span holds m periods of the orbit."""
-    mags = np.abs(series.coef).reshape(series.grid_size, -1).max(axis=1)
+    mags = series.magnitudes()
     present = np.abs(series.k)[mags > HARMONIC_LEVEL * mags.max()]
     return int(np.gcd.reduce(present))
 

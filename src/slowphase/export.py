@@ -8,7 +8,9 @@ Three formats:
   the manifold and response expansions; and each stored coefficient series
   as a text table (:func:`~slowphase.store.write_series_csv`:
   ``cycle_coeff.csv``, ``frame_{bundle,adjoint}_coeff.csv``,
-  ``manifold_order_NN_coeff.csv``, ``response_{phase,amplitude}_order_NN_coeff.csv``).
+  ``manifold_order_NN_coeff.csv``, ``response_{phase,amplitude}_order_NN_coeff.csv``),
+  one row per stored wavenumber: k = 0..N/2 for the real cycle, manifold and
+  response series, k = -N/2..N/2-1 for the complex frames.
 * ``json`` -- the manifest and the spectrum.
 * ``plotdata`` -- long-format tables ``theta,sigma,component,value``
   covering the accuracy domain at the loosest tolerance: the manifold
@@ -71,7 +73,7 @@ def _expansion_files(result: PipelineResult, out, label, ft: FourierTaylor, nomi
         if n <= nominal:
             files.append(write_function_csv(
                 os.path.join(out, f"curve_{label}_order_{n:02d}.csv"),
-                theta, series.samples().real, result.model.state_names,
+                theta, series.samples(), result.model.state_names,
             ))
         files.append(write_series_csv(
             os.path.join(out, f"{label}_order_{n:02d}_coeff.csv"), series
@@ -99,8 +101,8 @@ def _surface_rows(result: PipelineResult):
         hi = domain.sigma_pos[0][i]
         for sg in np.linspace(lo, hi, 33):
             point = evaluate_manifold(man, th, sg)
-            z = resp.phase.evaluate(th, sg).real if resp is not None else None
-            a = resp.amplitude.evaluate(th, sg).real if resp is not None else None
+            z = resp.phase.evaluate(th, sg) if resp is not None else None
+            a = resp.amplitude.evaluate(th, sg) if resp is not None else None
             for c, name in enumerate(names):
                 rows.append((th, sg, f"K.{name}", point[c]))
                 if z is not None:

@@ -118,7 +118,7 @@ def _active_bandwidth(series: FourierSeries, n: int) -> int:
     (safely above integration noise) and extrapolates six more decades,
     with a 30% margin.  Grids too small for the fit return n // 3.
     """
-    mags = np.abs(series.coef).reshape(series.grid_size, -1).max(axis=1)
+    mags = series.magnitudes()
     peak = mags.max()
     k = np.abs(series.k)
     hi = k[mags > 1e-6 * peak]

@@ -225,13 +225,15 @@ def flow_with_variational(model, x0, t, settings: IntegratorSettings = DEFAULT_S
 class CycleInterpolant:
     """Real cycle samples interpolated in time by a table of Taylor polynomials.
 
-    The value is the real part of the two-sided trigonometric sum of
-    ``series``, Nyquist row included.  It is evaluated as a Taylor polynomial
-    in the offset s (|s| <= 1/2, in grid cells) from the nearest grid node m:
-    row m of the table holds ``h^p f^(p)(theta_m) / p!`` for p = 0..P, with h
-    the grid spacing, from ``FourierSeries.differentiate().samples()``.
-    differentiate() zeroes the Nyquist row, whose term ``c e^{-i pi (m+s)}``
-    adds ``Re(c (-i pi)^p) (-1)^m / p!`` to entry p of row m.
+    The value is the real part of the trigonometric sum of ``series``, in
+    either layout, Nyquist row included: what ``FourierSeries.evaluate``
+    sums.  It is evaluated as a Taylor polynomial in the offset s (|s| <= 1/2,
+    in grid cells) from the nearest grid node m: row m of the table holds
+    ``h^p f^(p)(theta_m) / p!`` for p = 0..P, with h the grid spacing, from
+    ``FourierSeries.differentiate().samples()``.  differentiate() zeroes the
+    Nyquist row, whose term ``c e^{z pi (m+s)}`` (z = -i two-sided, at
+    k = -N/2, and z = i one-sided, at k = N/2) adds ``Re(c (z pi)^p) (-1)^m /
+    p!`` to entry p of row m.
 
     The order P follows from the highest kept harmonic k (magnitudes above
     1e-15 of the peak; the rest cost nothing at double precision): it is the
@@ -244,7 +246,7 @@ class CycleInterpolant:
     def __init__(self, series: FourierSeries, period: float):
         self.period = float(period)
         n = series.grid_size
-        mags = np.abs(series.coef).reshape(n, -1).max(axis=1)
+        mags = series.magnitudes()
         kept = mags > 1e-15 * mags.max()
         kept[0] = True
         k_max = int(np.abs(series.k)[kept].max())
@@ -255,13 +257,14 @@ class CycleInterpolant:
             remainder *= step / (order + 1)
 
         nyquist = series.coef[n // 2]
+        z_pi = (1j if series.real else -1j) * math.pi
         alternating = (-1.0) ** np.arange(n)
         rows = [series.samples().real]
         deriv = series
         for p in range(1, order + 1):
             deriv = deriv.differentiate()
             scale = (series.period / n) ** p / math.factorial(p)
-            nyquist_term = (nyquist * (-1j * math.pi) ** p).real / math.factorial(p)
+            nyquist_term = (nyquist * z_pi**p).real / math.factorial(p)
             rows.append(
                 deriv.samples().real * scale
                 + np.multiply.outer(alternating, nyquist_term)

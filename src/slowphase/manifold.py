@@ -114,7 +114,7 @@ def order_residuals(coeffs: FourierTaylor, x, composed, lam_s, offset, period):
     out = np.zeros(len(x))
     for n in range(len(x)):
         lhs = (
-            coeffs.order_series(n).differentiate().samples().real / period
+            coeffs.order_series(n).differentiate().samples() / period
             + (n + offset) * lam_s * x[n]
             - composed[n]
         )
@@ -182,4 +182,4 @@ def expand_slow_manifold(
 def evaluate_manifold(expansion: ManifoldExpansion, theta, sigma):
     """Point(s) on the manifold at phase(s) theta and amplitude(s) sigma,
     truncated at the nominal order."""
-    return expansion.coeffs.evaluate(theta, sigma, expansion.nominal_order).real
+    return expansion.coeffs.evaluate(theta, sigma, expansion.nominal_order)

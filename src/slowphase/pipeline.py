@@ -8,15 +8,16 @@ manifest each loop over it.  A stored stage writes one JSON metadata file,
 keyed by the fields of its result dataclass and ``inputs`` (the config echo
 of the keys it and every earlier stored stage read, see :func:`_inputs`),
 and one ``.npy`` coefficient file per stored series or expansion
-(``cycle_coeff.npy`` of shape (N, d); ``frame_{bundle,adjoint}_coeff.npy``,
+(``cycle_coeff.npy`` of shape (N/2 + 1, d); ``frame_{bundle,adjoint}_coeff.npy``,
 (N, d, d); ``manifold_coeff.npy`` and ``response_{phase,amplitude}_coeff.npy``,
-(orders, N, d)).  Every stored series has period 1.  The resonance check and
-the validation are recomputed on every run, never loaded.  The manifest
-records the configuration echo, the spectral tables, per-order residuals,
-and a checksummed file inventory, against which :func:`load_result` checks
-every file it reads.  A flagged resonance or a hyperbolicity failure aborts
-the run; artifacts produced so far are kept and the manifest records the
-failed stage.
+(orders, N/2 + 1, d)): the real series keep the one-sided layout, the
+complex frames all N rows (:mod:`slowphase.series`).  Every stored series
+has period 1.  The resonance check and the validation are recomputed on
+every run, never loaded.  The manifest records the configuration echo, the
+spectral tables, per-order residuals, and a checksummed file inventory,
+against which :func:`load_result` checks every file it reads.  A flagged
+resonance or a hyperbolicity failure aborts the run; artifacts produced so
+far are kept and the manifest records the failed stage.
 """
 
 from __future__ import annotations
@@ -79,8 +80,9 @@ def _read(result, name, shape, digests) -> np.ndarray:
 
 
 def _load_orders(result, name, order, digests) -> FourierTaylor:
-    # every stored expansion is on the grid of the loaded cycle
-    return FourierTaylor(_read(result, name, (order + 1, *result.cycle.series.coef.shape), digests))
+    # every stored expansion is real, on the grid of the loaded cycle
+    shape = (order + 1, *result.cycle.series.coef.shape)
+    return FourierTaylor(_read(result, name, shape, digests), real=True)
 
 
 def save_cycle(out, cycle: CycleResult, inputs: dict):
@@ -92,8 +94,8 @@ def save_cycle(out, cycle: CycleResult, inputs: dict):
 
 def load_cycle(result, meta, digests):
     meta["anchor"] = np.asarray(meta["anchor"])
-    shape = (meta.pop("grid_size"), len(meta["anchor"]))
-    series = FourierSeries(_read(result, "cycle", shape, digests))
+    shape = (meta.pop("grid_size") // 2 + 1, len(meta["anchor"]))
+    series = FourierSeries(_read(result, "cycle", shape, digests), real=True)
     result.cycle = CycleResult(series=series, **meta)
 
 
@@ -128,7 +130,7 @@ def save_frames(out, result: PipelineResult, inputs: dict):
 def load_frames(result, meta, digests):
     """Only the complex frames are stored: ``build_real_frames`` recomputes
     the real frames exactly when an export needs them."""
-    grid_size, dim = result.cycle.series.coef.shape
+    grid_size, dim = result.cycle.grid_size, len(result.cycle.anchor)
     result.band_cut = meta["band_cut"]
     for name in ("bundle", "adjoint"):
         frame = meta[name]

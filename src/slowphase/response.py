@@ -99,7 +99,7 @@ def expand_response_functions(
 
     period = manifold.period
     lam_s = manifold.slow_exponent
-    k_orders = manifold.coeffs.truncated(order).samples().real
+    k_orders = manifold.coeffs.truncated(order).samples()
     d = manifold.dim
     adjoint_grid = adjoint.grid_values()
 
@@ -118,8 +118,8 @@ def expand_response_functions(
                 f"order-{n} solvability residual {solvability:.3e} exceeds "
                 f"{solvability_tol:.1e}; lower orders are inconsistent"
             )
-        k1_deriv = manifold.order_series(1).differentiate().samples().real
-        x0 = model.eval(manifold.order_series(0).samples().real)
+        k1_deriv = manifold.order_series(1).differentiate().samples()
+        x0 = model.eval(manifold.order_series(0).samples())
         i1, free_c, norm_defect = _fix_order1_normalization(
             i1, z0, i0, k1_deriv, x0, period
         )

@@ -1,9 +1,8 @@
 """Trigonometric polynomials and their sigma-jets.
 
 Periodic functions are represented by their discrete Fourier coefficients on
-an equispaced grid of ``N`` points (``N`` a power of two), in numpy FFT
-ordering.  A function with period ``P`` is sampled at ``theta_m = m P / N``
-and analyzed as
+an equispaced grid of ``N`` points (``N`` a power of two).  A function with
+period ``P`` is sampled at ``theta_m = m P / N`` and analyzed as
 
     c_k = (1/N) sum_m f(theta_m) exp(-2 pi i k m / N),
 
@@ -11,12 +10,19 @@ so synthesis at the grid points is exact for bandlimited data.  Two periods
 occur in practice: 1 for ordinary cycle-periodic functions and 2 for the
 antiperiodic bundles attached to negative Floquet multipliers.
 
+A real function (the cycle, the manifold, both response functions) has
+c_{-k} = conj(c_k), so it keeps the N/2 + 1 rows k = 0..N/2 of the one-sided
+``rfft`` layout (``real`` set); a complex one (the frames and their
+coordinates) all N rows in FFT order, 0, 1, ..., N/2-1, -N/2, ..., -1.  The
+samples' dtype picks the layout, and every operation serves both through the
+rows' wavenumbers; point evaluation weighs a one-sided row 0 < k < N/2 twice.
+
 Power series in the amplitude variable sigma are kept as a
-:class:`FourierTaylor`: one coefficient array of shape (L+1, N, *value_shape),
-order by order on a shared grid; this is the spectral form, stored as it is
-in the ``*_coeff.npy`` files.  Their grid values are what jet transport
-(:class:`~slowphase.models.JetTransport`) feeds through model right-hand
-sides.
+:class:`FourierTaylor`: one coefficient array of shape (L+1, rows,
+*value_shape), order by order on a shared grid; this is the spectral form,
+stored as it is in the ``*_coeff.npy`` files.  Their grid values are what jet
+transport (:class:`~slowphase.models.JetTransport`) feeds through model
+right-hand sides.
 
 This is the only module that applies a Fourier transform or divides by
 Fourier divisors.  Its solver, :func:`solve_diagonal`, is a componentwise
@@ -29,7 +35,8 @@ orbit (:mod:`slowphase.frames`), each order of the manifold recursion
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -55,163 +62,143 @@ def theta_grid(n: int, period: float = 1.0) -> np.ndarray:
     return np.arange(n) * (period / n)
 
 
-def wavenumbers(n: int) -> np.ndarray:
-    """Integer wavenumbers in FFT order: 0, 1, ..., N/2-1, -N/2, ..., -1."""
-    return np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)
-
-
-def _derivative_factor(n: int, period: float) -> np.ndarray:
-    """Theta-derivative multipliers of the N modes; the Nyquist one is zero."""
-    factor = (2j * np.pi / period) * wavenumbers(n)
-    factor[n // 2] = 0.0
-    return factor
+def wavenumbers(n: int, real: bool = False) -> np.ndarray:
+    """Integer wavenumbers of the coefficient rows of an ``n``-point grid: in
+    FFT order, 0, 1, ..., N/2-1, -N/2, ..., -1, or 0, 1, ..., N/2 in the
+    one-sided (``real``) layout."""
+    freq = np.fft.rfftfreq if real else np.fft.fftfreq
+    return freq(n, d=1.0 / n).astype(np.int64)
 
 
 @dataclass(frozen=True)
-class FourierSeries:
-    """Vector-valued trigonometric polynomial.
-
-    Attributes
-    ----------
-    coef : ndarray, complex, shape (N, *value_shape)
-        Fourier coefficients in FFT order along axis 0.
-    period : float
-        Period of the represented function (1 or 2).
-    """
+class _Spectrum:
+    """Fourier coefficients along axis ``_axis`` of ``coef``: N rows in FFT
+    order, or the N/2 + 1 rows k = 0..N/2 of a ``real`` function."""
 
     coef: np.ndarray
     period: float = 1.0
+    real: bool = False
+    _axis: ClassVar[int] = 0
 
     def __post_init__(self):
-        _require_power_of_two(self.coef.shape[0])
+        _require_power_of_two(self.grid_size)
 
-    # -- constructors ---------------------------------------------------
-
-    @staticmethod
-    def from_samples(values: np.ndarray, period: float = 1.0) -> "FourierSeries":
-        """Analyze grid samples (axis 0 = theta) into a series."""
+    @classmethod
+    def from_samples(cls, values, period: float = 1.0):
+        """Analyze grid values (the grid on axis ``_axis``): real values into
+        the one-sided layout, complex ones into the two-sided."""
         values = np.asarray(values)
-        _require_power_of_two(values.shape[0])
-        return FourierSeries(np.fft.fft(values, axis=0, norm="forward"), period)
-
-    # -- structure ------------------------------------------------------
+        _require_power_of_two(values.shape[cls._axis])
+        real = not np.iscomplexobj(values)
+        analyze = np.fft.rfft if real else np.fft.fft
+        return cls(analyze(values, axis=cls._axis, norm="forward"), period, real)
 
     @property
     def grid_size(self) -> int:
-        return self.coef.shape[0]
+        rows = self.coef.shape[self._axis]
+        return 2 * (rows - 1) if self.real else rows
 
     @property
     def value_shape(self) -> tuple:
-        return self.coef.shape[1:]
+        return self.coef.shape[self._axis + 1:]
+
+    def samples(self) -> np.ndarray:
+        """Grid values, real for a real function."""
+        if self.real:
+            return np.fft.irfft(self.coef, n=self.grid_size, axis=self._axis, norm="forward")
+        return np.fft.ifft(self.coef, axis=self._axis, norm="forward")
+
+    def differentiate(self):
+        """Derivative with respect to theta; the Nyquist row N/2 of either
+        layout (k = -N/2 two-sided, k = N/2 one-sided) is zeroed."""
+        factor = (2j * np.pi / self.period) * wavenumbers(self.grid_size, self.real)
+        factor[self.grid_size // 2] = 0.0
+        shape = (1,) * self._axis + factor.shape + (1,) * (self.coef.ndim - self._axis - 1)
+        return replace(self, coef=self.coef * factor.reshape(shape))
+
+
+@dataclass(frozen=True)
+class FourierSeries(_Spectrum):
+    """Vector-valued trigonometric polynomial: ``coef`` of shape (rows,
+    *value_shape), ``period`` 1 or 2, and ``real`` for the one-sided layout
+    of a real function."""
 
     @property
     def k(self) -> np.ndarray:
-        return wavenumbers(self.grid_size)
+        return wavenumbers(self.grid_size, self.real)
 
     def grid(self) -> np.ndarray:
         return theta_grid(self.grid_size, self.period)
 
-    # -- evaluation -----------------------------------------------------
-
-    def samples(self) -> np.ndarray:
-        """Synthesize the function on its own grid."""
-        return np.fft.ifft(self.coef, axis=0, norm="forward")
+    def magnitudes(self) -> np.ndarray:
+        """Largest coefficient magnitude of each row, shape (rows,)."""
+        return np.abs(self.coef).reshape(len(self.coef), -1).max(axis=1)
 
     def evaluate(self, theta) -> np.ndarray:
         """Evaluate at arbitrary phases (matches grid synthesis on the grid)."""
         return self.at_phase(self.phase(theta))
 
     def phase(self, theta) -> np.ndarray:
-        """Fourier phase factors at ``theta``, shape ``theta.shape + (N,)``.
+        """Fourier phase factors of the rows at ``theta``, shape
+        ``theta.shape + (rows,)``; a one-sided row 0 < k < N/2 is weighed
+        twice, for its conjugate row.
 
-        They depend only on the grid size and period, so series sharing
-        those can share one phase array (see :meth:`at_phase`).
+        They depend only on the layout, grid size and period, so series
+        sharing those can share one phase array (see :meth:`at_phase`).
         """
         theta = np.asarray(theta, dtype=float)
-        return np.exp(
-            (2j * np.pi / self.period) * np.multiply.outer(theta, self.k)
-        )
+        phase = np.exp((2j * np.pi / self.period) * np.multiply.outer(theta, self.k))
+        if self.real:
+            phase[..., 1:-1] *= 2.0
+        return phase
 
     def at_phase(self, phase: np.ndarray) -> np.ndarray:
-        """Evaluate at the phases whose factors :meth:`phase` returned."""
-        return np.tensordot(phase, self.coef, axes=(phase.ndim - 1, 0))
-
-    # -- calculus -------------------------------------------------------
-
-    def differentiate(self) -> "FourierSeries":
-        """Derivative with respect to theta; the Nyquist mode is zeroed."""
-        factor = _derivative_factor(self.grid_size, self.period)
-        shape = factor.shape + (1,) * (self.coef.ndim - 1)
-        return FourierSeries(self.coef * factor.reshape(shape), self.period)
+        """Evaluate at the phases whose factors :meth:`phase` returned; a real
+        series gives the real part of the sum."""
+        value = np.tensordot(phase, self.coef, axes=(phase.ndim - 1, 0))
+        return value.real if self.real else value
 
     def spectral_tail(self) -> float:
         """Relative magnitude of the top-octave coefficients (aliasing guard)."""
-        n = self.grid_size
-        mags = np.abs(self.coef).reshape(n, -1).max(axis=1)
-        top = np.abs(self.k) >= n // 4
+        mags = self.magnitudes()
+        top = np.abs(self.k) >= self.grid_size // 4
         peak = mags.max()
         return float(mags[top].max() / peak) if peak > 0 else 0.0
 
     def band_limited(self, k_cut: int) -> "FourierSeries":
         """Zero all modes with |k| >= k_cut."""
         keep = np.abs(self.k) < k_cut
-        shape = (self.grid_size,) + (1,) * (self.coef.ndim - 1)
-        return FourierSeries(self.coef * keep.reshape(shape), self.period)
+        shape = keep.shape + (1,) * (self.coef.ndim - 1)
+        return replace(self, coef=self.coef * keep.reshape(shape))
 
 
 @dataclass(frozen=True)
-class FourierTaylor:
+class FourierTaylor(_Spectrum):
     """Truncated power series in sigma with Fourier coefficients.
 
-    ``coef[n]`` holds the Fourier coefficients of the sigma**n term, so
-    ``coef`` has shape (L+1, N, *value_shape); order 0 must be present.
+    ``coef[n]`` holds the Fourier coefficients of the sigma**n term, in the
+    layout of a :class:`FourierSeries`, so ``coef`` has shape (L+1, rows,
+    *value_shape); order 0 must be present.  ``from_samples`` takes grid
+    values of shape (L+1, N, *value_shape).
     """
 
-    coef: np.ndarray
-    period: float = 1.0
+    _axis: ClassVar[int] = 1
 
     def __post_init__(self):
         if self.coef.ndim < 2 or len(self.coef) == 0:
             raise GridError("FourierTaylor requires the order-0 coefficient")
-        _require_power_of_two(self.coef.shape[1])
-
-    @staticmethod
-    def from_samples(values: np.ndarray, period: float = 1.0) -> "FourierTaylor":
-        """Analyze grid values of shape (L+1, N, *value_shape), an array or a
-        list of orders, one order at a time."""
-        coef = np.empty(np.shape(values), dtype=complex)
-        for n, order in enumerate(values):
-            coef[n] = np.fft.fft(order, axis=0, norm="forward")
-        return FourierTaylor(coef, period)
+        super().__post_init__()
 
     @property
     def order(self) -> int:
         return len(self.coef) - 1
 
-    @property
-    def grid_size(self) -> int:
-        return self.coef.shape[1]
-
-    @property
-    def value_shape(self) -> tuple:
-        return self.coef.shape[2:]
-
     def order_series(self, n: int) -> FourierSeries:
         """The sigma**n coefficient, a view of ``coef[n]``."""
-        return FourierSeries(self.coef[n], self.period)
+        return FourierSeries(self.coef[n], self.period, self.real)
 
     def truncated(self, max_order: int) -> "FourierTaylor":
-        return FourierTaylor(self.coef[: max_order + 1], self.period)
-
-    def samples(self) -> np.ndarray:
-        """Grid values of all orders, shape (L+1, N, *value_shape)."""
-        return np.fft.ifft(self.coef, axis=1, norm="forward")
-
-    def differentiate(self) -> "FourierTaylor":
-        """Derivative of every order with respect to theta (Nyquist zeroed)."""
-        factor = _derivative_factor(self.grid_size, self.period)
-        shape = (1,) + factor.shape + (1,) * (self.coef.ndim - 2)
-        return FourierTaylor(self.coef * factor.reshape(shape), self.period)
+        return replace(self, coef=self.coef[: max_order + 1])
 
     def evaluate(self, theta, sigma, max_order: int | None = None) -> np.ndarray:
         """Horner evaluation in sigma of the series evaluated at theta."""
@@ -278,6 +265,9 @@ def solve_diagonal(
         free mode, and the smallest divisor magnitude divided by (free modes
         and the Nyquist row excluded).
     """
+    if rhs.real:
+        raise GridError("solve_diagonal needs a two-sided series: with complex "
+                        "shifts a real right-hand side has a complex solution")
     shifts = np.atleast_1d(np.asarray(shifts, dtype=complex))
     coef = np.atleast_2d(rhs.coef.reshape(rhs.grid_size, -1))
     if coef.shape[1] != shifts.size:

@@ -2,16 +2,20 @@
 
 Stored coefficients are ``.npy`` files (:func:`write_coeffs`,
 :func:`read_coeffs`): one little-endian complex128 array in C order per
-series or expansion, in FFT order along the grid axis, written without
-pickling.  The bytes are the doubles themselves, so a coefficient round-trips
-exactly, signed zeros included, and identical arrays give identical files.
+series or expansion, written without pickling, in the series' own layout
+along the grid axis (:mod:`slowphase.series`): the N/2 + 1 rows k = 0..N/2
+of a real function (the cycle, the manifold, the response functions), or N
+rows in FFT order for a complex one (the frames).  The bytes are the doubles
+themselves, so a coefficient round-trips exactly, signed zeros included, and
+identical arrays give identical files.
 
 The text formats serve exports and metadata.  Function CSVs carry a header
 ``theta,<component names>``; coefficient CSVs carry ``k`` followed by
 real/imaginary columns per component, with rows ordered by ascending
-wavenumber.  All floats are written with 17 significant digits ('%.17g',
-which round-trips doubles exactly), LF line endings, UTF-8, '.' decimal
-separator, so identical runs produce identical bytes.
+wavenumber: k = 0..N/2 for a real series, -N/2..N/2-1 for a complex one.
+All floats are written with 17 significant digits ('%.17g', which
+round-trips doubles exactly), LF line endings, UTF-8, '.' decimal separator,
+so identical runs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -125,7 +129,8 @@ def _component_labels(value_shape) -> list:
 
 
 def write_series_csv(path, series: FourierSeries) -> str:
-    """Coefficient table: k, then re/im per component, ascending k.
+    """Coefficient table: k, then re/im per component, ascending k; a real
+    series lists its rows k = 0..N/2.
 
     A leading comment line records grid size and period so the series can be
     reconstructed exactly.
@@ -133,9 +138,9 @@ def write_series_csv(path, series: FourierSeries) -> str:
     n = series.grid_size
     k = series.k
     order = np.argsort(k, kind="stable")
-    flat = series.coef.reshape(n, -1)[order]
+    flat = series.coef.reshape(len(k), -1)[order]
     # re/im interleaved per component, one row per wavenumber
-    cells = np.empty((n, 2 * flat.shape[1]))
+    cells = np.empty((len(k), 2 * flat.shape[1]))
     cells[:, 0::2] = flat.real
     cells[:, 1::2] = flat.imag
     labels = _component_labels(series.value_shape)
@@ -170,11 +175,12 @@ def read_series_csv(path) -> FourierSeries:
         fh.readline()  # header
         raw = np.loadtxt(fh, delimiter=",", ndmin=2)
     k = raw[:, 0].astype(int)
+    real = k.max() == n // 2  # only the one-sided layout lists k = N/2
     comps = (raw.shape[1] - 1) // 2
     coef_sorted = raw[:, 1::2] + 1j * raw[:, 2::2]
-    coef = np.zeros((n, comps), dtype=complex)
+    coef = np.zeros((n // 2 + 1 if real else n, comps), dtype=complex)
     coef[k % n] = coef_sorted
-    return FourierSeries(coef.reshape((n, *value_shape)), period)
+    return FourierSeries(coef.reshape((len(coef), *value_shape)), period, real)
 
 
 class _Encoder(json.JSONEncoder):

@@ -1,9 +1,9 @@
 """Error function, accuracy domains, orthogonality suite, and flow checks.
 
-The invariance residual measures, pointwise in (theta, sigma), how far the
-truncated expansion is from satisfying the manifold's defining equation; the
-accuracy domain is the sigma-interval per phase where that residual stays
-below a tolerance.  Orthogonality relations between the manifold and
+The invariance residual measures, at each grid phase and amplitude, how far
+the truncated expansion is from satisfying the manifold's defining equation;
+the accuracy domain is the sigma-interval per phase where that residual
+stays below a tolerance.  Orthogonality relations between the manifold and
 response expansions hold order by order analytically and are evaluated here
 as an end-to-end cross-check (they are not enforced anywhere upstream beyond
 order 1).  Trajectory checks compare the flow of manifold points against the
@@ -23,6 +23,10 @@ from .response import ResponseExpansion
 from .series import horner
 
 MAX_INVERSION_STEPS = 40
+# A Gauss-Newton step below this, relative to 1 + |theta| + |sigma|, ends an
+# inversion as converged: far above the rounding floor (a threshold of 1e-14
+# let two ulps of the coefficients flip labels), far below the defects read.
+INVERSION_STEP_TOL = 1e-10
 # A flowed state farther than this from the manifold after inversion fails
 # validation.  The inversion starts at the conjugated manifold point, whose
 # distance from the flowed state is the state gap, and a working inversion
@@ -36,7 +40,6 @@ __all__ = [
     "AccuracyDomain",
     "ValidationReport",
     "ResidualEvaluator",
-    "invariance_residual",
     "accuracy_domain",
     "orthogonality_report",
     "trajectory_consistency",
@@ -63,9 +66,9 @@ class ResidualEvaluator:
         self.rows = np.empty((manifold.nominal_order + 1, 2 * d, manifold.grid_size))
         for n, block in enumerate(self.rows):
             series = manifold.order_series(n)
-            block[:d] = series.samples().real.T
+            block[:d] = series.samples().T
             block[d:] = (
-                series.differentiate().samples().real.T / manifold.period
+                series.differentiate().samples().T / manifold.period
                 + n * manifold.slow_exponent * block[:d]
             )
 
@@ -84,22 +87,6 @@ class ResidualEvaluator:
         field = self.model.rhs(tuple(sums[..., i, :] for i in range(d)))
         field = np.stack(np.broadcast_arrays(*field), axis=-2)
         return np.linalg.norm(sums[..., d:, :] - field, axis=-2)
-
-
-def invariance_residual(manifold: ManifoldExpansion, model, theta, sigma):
-    """Invariance-equation residual at arbitrary (theta, sigma) points."""
-    sig = np.asarray(sigma, dtype=float)[..., None]
-    phase = manifold.order_series(0).phase(theta)
-    k_vals, l_vals = [], []
-    for n in range(manifold.nominal_order + 1):
-        series = manifold.order_series(n)
-        k_vals.append(series.at_phase(phase).real)
-        l_vals.append(
-            series.differentiate().at_phase(phase).real / manifold.period
-            + n * manifold.slow_exponent * k_vals[n]
-        )
-    point = horner(k_vals, sig)
-    return np.linalg.norm(horner(l_vals, sig) - model.eval(point), axis=-1)
 
 
 @dataclass
@@ -208,10 +195,10 @@ def orthogonality_report(manifold: ManifoldExpansion, response: ResponseExpansio
     dk = np.empty_like(k)
     for n in range(L_k + 1):
         series = manifold.order_series(n)
-        k[n] = series.samples().real
-        dk[n] = series.differentiate().samples().real
-    z = response.phase.samples().real
-    amp = response.amplitude.samples().real
+        k[n] = series.samples()
+        dk[n] = series.differentiate().samples()
+    z = response.phase.samples()
+    amp = response.amplitude.samples()
 
     def pair(a, b):
         return np.einsum("ni,ni->n", a, b)
@@ -251,6 +238,7 @@ class Inversion:
     theta: np.ndarray  # phase in [0, 1)
     sigma: np.ndarray
     gap: np.ndarray  # || K(theta, sigma) - x ||_2
+    step: np.ndarray  # || (d theta, d sigma) ||_2 of the last step
     iterations: np.ndarray  # Gauss-Newton steps taken
     stop: np.ndarray  # "converged", "stagnated" or "cap"
 
@@ -260,20 +248,22 @@ def invert_manifold(manifold: ManifoldExpansion, x, theta_seed, sigma_seed) -> I
 
     ``x`` is one state (d,) or a batch (S, d); the seeds broadcast to the
     batch.  The values and theta-derivatives of all orders form one
-    (N, 2(L+1)d) coefficient array, built once, so an iteration is one
+    (rows, 2(L+1)d) coefficient array, built once, so an iteration is one
     product of the active samples' Fourier phase factors with it.  Each
     sample takes its step, then stops when the step is below
-    1e-14 (1 + |theta| + |sigma|) (``"converged"``), when it is no smaller
-    than half the previous step, so rounding noise has stalled it
-    (``"stagnated"``), or after ``MAX_INVERSION_STEPS`` steps (``"cap"``).
+    ``INVERSION_STEP_TOL`` (1 + |theta| + |sigma|) (``"converged"``), when
+    it is no smaller than half the previous step, so rounding noise has
+    stalled it above that (``"stagnated"``), or after
+    ``MAX_INVERSION_STEPS`` steps (``"cap"``).
     """
     L = manifold.nominal_order
     d = manifold.dim
     coeffs = manifold.coeffs.truncated(L)
-    basis = np.empty((manifold.grid_size, 2, L + 1, d), dtype=complex)
+    rows = coeffs.coef.shape[1]
+    basis = np.empty((rows, 2, L + 1, d), dtype=complex)
     basis[:, 0] = coeffs.coef.swapaxes(0, 1)
     basis[:, 1] = coeffs.differentiate().coef.swapaxes(0, 1)
-    basis = basis.reshape(manifold.grid_size, -1)
+    basis = basis.reshape(rows, -1)
     phase = coeffs.order_series(0).phase
     x = np.asarray(x, dtype=float)
     batch = x.shape[:-1]
@@ -304,7 +294,7 @@ def invert_manifold(manifold: ManifoldExpansion, x, theta_seed, sigma_seed) -> I
         sg[active] += delta[:, 1]
         iterations[active] = step
         size = np.linalg.norm(delta, axis=1)
-        converged = size < 1e-14 * (1.0 + np.abs(th[active]) + np.abs(sg[active]))
+        converged = size < INVERSION_STEP_TOL * (1.0 + np.abs(th[active]) + np.abs(sg[active]))
         stagnated = ~converged & (size >= 0.5 * previous[active])
         stop[active[converged]] = "converged"
         stop[active[stagnated]] = "stagnated"
@@ -318,6 +308,7 @@ def invert_manifold(manifold: ManifoldExpansion, x, theta_seed, sigma_seed) -> I
         theta=(th % 1.0).reshape(batch),
         sigma=sg.reshape(batch),
         gap=np.linalg.norm(point - x, axis=1).reshape(batch),
+        step=previous.reshape(batch),
         iterations=iterations.reshape(batch),
         stop=stop.reshape(batch),
     )
@@ -338,7 +329,7 @@ def trajectory_consistency(
     defect and (c) relative amplitude-decay defect of the flowed point's
     (theta, sigma), found by one batched :func:`invert_manifold` of all
     flowed points seeded at the conjugated values.  Each inversion's gap,
-    step count and stop reason are returned too.
+    last step size, step count and stop reason are returned too.
     """
     lam = manifold.slow_exponent
     T = manifold.period
@@ -366,6 +357,7 @@ def trajectory_consistency(
         "phase_defect": phase_defect,
         "decay_defect": decay_defect,
         "inversion_gap": inv.gap,
+        "inversion_step": inv.step,
         "inversion_iterations": inv.iterations,
         "inversion_stop": inv.stop,
         "max_state_gap": float(state_gap.max()),

@@ -229,12 +229,12 @@ def test_coeffs_round_trip(tmp_path_factory, orders, grid, value_shape, period, 
         assert Path(other).read_bytes() == Path(path).read_bytes(), name
 
 
-def _hand_series(re, im, period):
+def _hand_series(re, im, period, real=False):
     """Series from separate real and imaginary parts, keeping signed zeros."""
     coef = np.zeros(np.shape(re), dtype=complex)
     coef.real = re
     coef.imag = im
-    return FourierSeries(coef, period)
+    return FourierSeries(coef, period, real)
 
 
 def test_series_csv_layout(tmp_path):
@@ -271,6 +271,20 @@ def test_series_csv_layout(tmp_path):
         b"0,1,0,-0,0,0.10000000000000001,-0,1e-300,0\n"
         b"1,0,0,0,0,0,0,0,0\n"
     )
+
+    # a real series lists its one-sided rows k = 0..N/2, and reads back so
+    one_sided = _hand_series(re=[0.1, 0.5, 3.0], im=[0.0, -0.25, 0.0], period=1.0, real=True)
+    path = str(tmp_path / "real.csv")
+    write_series_csv(path, one_sided)
+    assert Path(path).read_bytes() == (
+        b"# grid_size=4 period=1 value_shape=\n"
+        b"k,re_c,im_c\n"
+        b"0,0.10000000000000001,0\n"
+        b"1,0.5,-0.25\n"
+        b"2,3,0\n"
+    )
+    back = read_series_csv(path)
+    assert back.real and back.coef.tobytes() == one_sided.coef.tobytes()
 
 
 def test_json_and_checksum_determinism(tmp_path):

@@ -1,11 +1,12 @@
 import itertools
 import math
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import DOP853
 from scipy.optimize import brentq
 
@@ -252,11 +253,18 @@ def _recorded(f, calls):
     xtol=st.sampled_from([1e-13, 2e-12, 1e-8, 1e-3]),
     rtol=st.sampled_from([4 * np.finfo(float).eps, 1e-15, 1e-10]),
 )
+# a bracket on the subnormals, where f(lo) rounds to the sign of f(hi) and
+# brentq refuses the bracket
+@example(slope=0.6527909251716528, cubic=0.0, wiggle=0.5587686929093881,
+         freq=14.586518376152885, flip=False, lo=5e-324, width=1.0, at=5e-324,
+         xtol=1e-13, rtol=4 * np.finfo(float).eps)
 def test_brent_root_equals_scipy_brentq(
     slope, cubic, wiggle, freq, flip, lo, width, at, xtol, rtol
 ):
     """Same root, bitwise, after the same sequence of evaluations, on a
-    monotone function with its root at a random point of the bracket."""
+    monotone function with its root at a random point of the bracket; where
+    brentq refuses the bracket, the same refusal after the same
+    evaluations."""
     hi = lo + width
     root_at = lo + at * width
     amp = (1.0 if flip else -1.0) * wiggle * slope / freq  # |amp * freq| < slope
@@ -270,10 +278,15 @@ def test_brent_root_equals_scipy_brentq(
         return base(x) - offset
 
     ours, theirs = [], []
-    expected = brentq(_recorded(f, theirs), lo, hi, xtol=xtol, rtol=rtol)
-    root = _brent_root(_recorded(f, ours), lo, hi, xtol=xtol, rtol=rtol)
-    assert type(root) is float
-    assert root.hex() == float(expected).hex()
+    try:
+        expected = brentq(_recorded(f, theirs), lo, hi, xtol=xtol, rtol=rtol)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            _brent_root(_recorded(f, ours), lo, hi, xtol=xtol, rtol=rtol)
+    else:
+        root = _brent_root(_recorded(f, ours), lo, hi, xtol=xtol, rtol=rtol)
+        assert type(root) is float
+        assert root.hex() == float(expected).hex()
     assert [x.hex() for x in ours] == [float(x).hex() for x in theirs]
 
 

@@ -345,30 +345,34 @@ def test_integrate_samples_along_trajectory():
 
 @pytest.mark.parametrize("n", [8, 16, 64])
 def test_interpolant_matches_two_sided_sum(n):
-    """The folded half spectrum reproduces the full sum, Nyquist row included."""
+    """The table reproduces the full sum, Nyquist row included, of a one-sided
+    series and of the two-sided series of the same samples."""
     rng = np.random.default_rng(n)
-    series = FourierSeries.from_samples(rng.standard_normal((n, 2, 3)))
-    assert np.max(np.abs(series.coef[n // 2])) > 1e-3  # nonzero Nyquist row
+    values = rng.standard_normal((n, 2, 3))
     period = 3.7
-    interp = CycleInterpolant(series, period)
-    for t in rng.uniform(-2.0 * period, 3.0 * period, 25):
-        phase = np.exp((2j * np.pi / series.period) * series.k * (t / period))
-        full = np.tensordot(phase, series.coef, axes=(0, 0)).real
-        value = interp(t)
-        assert value.shape == (2, 3)
-        assert np.max(np.abs(value - full)) < 1e-13
+    times = rng.uniform(-2.0 * period, 3.0 * period, 25)
+    for series in (FourierSeries.from_samples(values),
+                   FourierSeries.from_samples(values.astype(complex))):
+        assert np.max(np.abs(series.coef[n // 2])) > 1e-3  # nonzero Nyquist row
+        interp = CycleInterpolant(series, period)
+        for t in times:
+            value = interp(t)
+            assert value.shape == (2, 3)
+            assert np.max(np.abs(value - _two_sided_sum(series, t, period))) < 1e-13
 
 
 def _two_sided_sum(series, t, period):
     """Real part of the two-sided sum of ``series`` at time ``t``, with each
     phase reduced exactly: at x = t N / (period P) = j + r grid cells, mode k
     turns by ((k j) mod N) / N + k r / N of a circle, so no phase argument
-    exceeds pi, and its rounding does not grow with k or t."""
-    n = series.grid_size
+    exceeds pi, and its rounding does not grow with k or t.  A one-sided row
+    0 < k < N/2 counts twice, for its conjugate row."""
+    n, k = series.grid_size, series.k
     x = t * (n / (period * series.period))
     j = math.floor(x + 0.5)
-    turns = (series.k * j) % n / n + series.k * (x - j) / n
-    return np.tensordot(np.exp(2j * np.pi * turns), series.coef, axes=(0, 0)).real
+    turns = (k * j) % n / n + k * (x - j) / n
+    weights = np.where(k % (n // 2) == 0, 1.0, 2.0) if series.real else 1.0
+    return np.tensordot(weights * np.exp(2j * np.pi * turns), series.coef, axes=(0, 0)).real
 
 
 @hyp_settings(max_examples=150, deadline=None)

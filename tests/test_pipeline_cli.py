@@ -330,11 +330,27 @@ def test_grid_size_not_power_of_two_is_config_error(tmp_path, capsys):
     meta = _read_json(cycle_json)
     meta["grid_size"] = 96
     write_json(cycle_json, meta)
-    write_coeffs(os.path.join(out, "cycle_coeff.npy"), np.zeros((96, 2), dtype=complex))
+    write_coeffs(os.path.join(out, "cycle_coeff.npy"), np.zeros((96 // 2 + 1, 2), dtype=complex))
     capsys.readouterr()
     assert main(["floquet", "--config", cfg]) == 4
     err = capsys.readouterr().err
     assert cycle_json in err and "power of two" in err
+
+
+def test_real_series_are_stored_one_sided(oracle_run):
+    """The cycle, manifold and response files hold the N/2 + 1 one-sided grid
+    rows of a real series, the complex frames all N rows."""
+    out, n = oracle_run.config.out_dir, oracle_run.config.grid_size
+    rows = {}
+    for name in os.listdir(out):
+        if name.endswith("_coeff.npy"):
+            grid_axis = 0 if name.startswith(("cycle", "frame")) else 1
+            rows[name] = np.load(os.path.join(out, name)).shape[grid_axis]
+    assert rows == {
+        "cycle_coeff.npy": n // 2 + 1, "manifold_coeff.npy": n // 2 + 1,
+        "response_phase_coeff.npy": n // 2 + 1, "response_amplitude_coeff.npy": n // 2 + 1,
+        "frame_bundle_coeff.npy": n, "frame_adjoint_coeff.npy": n,
+    }
 
 
 def test_manifest_lists_every_artifact(oracle_run):
@@ -465,15 +481,42 @@ def test_csv_store_of_earlier_versions_exits_4(response_stage_dir, tmp_path, cap
             if name.startswith(("manifold", "response")):
                 for n, order in enumerate(coef):
                     table = out / name.replace("_coeff.npy", f"_order_{n:02d}_coeff.csv")
-                    write_series_csv(table, FourierSeries(order))
+                    write_series_csv(table, FourierSeries(order, real=True))
             else:
-                write_series_csv(out / name.replace(".npy", ".csv"), FourierSeries(coef))
+                real = name.startswith("cycle")
+                write_series_csv(out / name.replace(".npy", ".csv"), FourierSeries(coef, real=real))
             os.remove(out / name)
     cfg, _ = _write_cfg(tmp_path)
     capsys.readouterr()
     assert main(["validate", "--config", cfg]) == 4
     err = capsys.readouterr().err
     assert str(out / "cycle_coeff.npy") in err and "missing" in err
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["cycle_coeff.npy", "manifold_coeff.npy", "response_phase_coeff.npy",
+     "response_amplitude_coeff.npy"],
+)
+def test_two_sided_real_series_exits_4(response_stage_dir, tmp_path, capsys, name):
+    """A real series stored in the two-sided layout of earlier versions, N
+    grid rows where the one-sided layout has N/2 + 1, is refused: exit 4,
+    naming the file."""
+    out = tmp_path / "out"
+    shutil.copytree(response_stage_dir, out)
+    path = out / name
+    coef = np.load(path)
+    axis = 0 if name == "cycle_coeff.npy" else 1
+    values = np.fft.irfft(coef, n=2 * (coef.shape[axis] - 1), axis=axis, norm="forward")
+    write_coeffs(str(path), np.fft.fft(values, axis=axis, norm="forward"))
+    two_sided = np.load(path).shape
+    assert two_sided[axis] == 128  # the grid size of ORACLE_CFG
+    cfg, _ = _write_cfg(tmp_path)
+    capsys.readouterr()
+    assert main(["validate", "--config", cfg]) == 4
+    err = capsys.readouterr().err
+    assert str(path) in err and str(two_sided) in err
+    assert not os.path.exists(out / "validation.json")
 
 
 def test_determinism_byte_identical(tmp_path):

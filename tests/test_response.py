@@ -9,7 +9,7 @@ from slowphase.manifold import evaluate_manifold, order_residuals, solve_orders
 from slowphase.models import JetTransport, jet_compose
 from slowphase.pipeline import save_response
 from slowphase.response import expand_response_functions
-from slowphase.series import FourierSeries, FourierTaylor
+from slowphase.series import FourierTaylor
 
 
 def half_power_series(power, n, b):
@@ -252,9 +252,9 @@ def test_response_is_independent_of_memory_layout(ei_run, tmp_path):
                               or a.flags.c_contiguous)
         resp = expand_response_functions(
             result.model,
-            replace(man, coeffs=FourierTaylor(m, man.period)),
-            replace(bundle, series=FourierSeries(b, bundle.period)),
-            replace(adjoint, series=FourierSeries(a, adjoint.period)),
+            replace(man, coeffs=replace(man.coeffs, coef=m)),
+            replace(bundle, series=replace(bundle.series, coef=b)),
+            replace(adjoint, series=replace(adjoint.series, coef=a)),
             man.nominal_order,
         )
         out = tmp_path / str(k)

@@ -29,6 +29,31 @@ def test_transform_round_trip(n, seed):
     assert np.max(np.abs(back.imag)) < 1e-13
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    log2_n=st.integers(min_value=3, max_value=10),
+    value_shape=st.sampled_from([(), (3,), (3, 3)]),
+    period=st.sampled_from([1.0, 2.0]),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_real_series_round_trip_and_evaluation(log2_n, value_shape, period, seed):
+    """Real samples analyze into the N/2 + 1 one-sided rows, synthesize back
+    to real values, and point evaluation at the grid phases matches them."""
+    n = 2**log2_n
+    values = np.random.default_rng(seed).standard_normal((n, *value_shape))
+    series = FourierSeries.from_samples(values, period)
+    assert series.real and series.coef.shape == (n // 2 + 1, *value_shape)
+    assert series.grid_size == n and np.array_equal(series.k, np.arange(n // 2 + 1))
+    back = series.samples()
+    assert back.dtype == np.float64 and back.shape == values.shape
+    assert np.max(np.abs(back - values)) < 1e-13
+    at_grid = series.evaluate(series.grid())
+    assert at_grid.dtype == np.float64 and at_grid.shape == values.shape
+    # the phase arguments k theta reach N/2, so their rounding grows with N;
+    # 30 seeds per size reached 2.3 N eps
+    assert np.max(np.abs(at_grid - back)) < 8 * n * np.finfo(float).eps
+
+
 def test_constant_grid_analyzes_to_mean_mode():
     series = FourierSeries.from_samples(np.full(64, 2.5))
     assert series.coef[0] == pytest.approx(2.5)
@@ -36,11 +61,19 @@ def test_constant_grid_analyzes_to_mean_mode():
 
 
 def test_cosine_coefficients():
+    """Real samples keep the rows k = 0..N/2; complex ones all N rows, with
+    the conjugate row k = -1 last."""
     theta = theta_grid(64)
-    series = FourierSeries.from_samples(np.cos(2 * np.pi * theta))
+    values = np.cos(2 * np.pi * theta)
+    series = FourierSeries.from_samples(values)
+    assert series.real and series.coef.shape == (33,) and series.grid_size == 64
     assert series.coef[1] == pytest.approx(0.5, abs=1e-14)
-    assert series.coef[-1] == pytest.approx(0.5, abs=1e-14)
-    rest = np.delete(series.coef, [1, -1])
+    assert np.max(np.abs(np.delete(series.coef, 1))) < 1e-14
+    two_sided = FourierSeries.from_samples(values.astype(complex))
+    assert not two_sided.real and two_sided.coef.shape == (64,)
+    assert two_sided.coef[1] == pytest.approx(0.5, abs=1e-14)
+    assert two_sided.coef[-1] == pytest.approx(0.5, abs=1e-14)
+    rest = np.delete(two_sided.coef, [1, -1])
     assert np.max(np.abs(rest)) < 1e-14
 
 
@@ -51,7 +84,9 @@ def test_parseval(n, seed):
     values = rng.standard_normal(n)
     series = FourierSeries.from_samples(values)
     grid_norm = np.linalg.norm(values)
-    coef_norm = np.linalg.norm(series.coef)
+    # a one-sided row 0 < k < N/2 stands for itself and its conjugate
+    weights = np.where(series.k % (n // 2) == 0, 1.0, 2.0)
+    coef_norm = np.sqrt(np.sum(weights * np.abs(series.coef) ** 2))
     assert grid_norm == pytest.approx(np.sqrt(n) * coef_norm, rel=1e-12)
 
 
@@ -130,8 +165,13 @@ def test_solve_diagonal_operator_round_trip(seed):
     assert np.max(np.abs(recovered - rhs.samples())) < 1e-11
 
 
+def test_solve_diagonal_refuses_a_one_sided_series():
+    with pytest.raises(GridError, match="two-sided"):
+        solve_diagonal(FourierSeries.from_samples(np.ones((16, 1))), [1.0], 1.0)
+
+
 def test_solve_diagonal_small_divisor_raises_with_context():
-    rhs = FourierSeries.from_samples(np.ones((16, 1)))
+    rhs = FourierSeries.from_samples(np.ones((16, 1), dtype=complex))
     with pytest.raises(SmallDivisorError) as err:
         solve_diagonal(rhs, [1e-12], period_time=1.0)
     assert err.value.context[0] == 0  # wavenumber of the offending mode
@@ -139,7 +179,7 @@ def test_solve_diagonal_small_divisor_raises_with_context():
 
 def test_solve_diagonal_free_mode_reports_residual():
     n = 16
-    values = np.ones((n, 1)) * 0.25
+    values = np.full((n, 1), 0.25 + 0j)
     rhs = FourierSeries.from_samples(values)
     sol, free, smallest = solve_diagonal(
         rhs, [0.0], period_time=1.0, free_modes=[(0, 0)]
@@ -164,24 +204,28 @@ def test_fourier_taylor_requires_order_zero():
 @pytest.mark.parametrize("value_shape", [(), (3,), (3, 3)])
 def test_fourier_taylor_is_bitwise_the_per_order_series(period, value_shape):
     """Each operation on the stacked coefficients equals, bit for bit, the
-    same operation on the order's FourierSeries."""
+    same operation on the order's FourierSeries, in both layouts: 17 rows
+    for real values and 32 for complex ones."""
     rng = np.random.default_rng(len(value_shape))
-    values = rng.standard_normal((5, 32, *value_shape))
-    ft = FourierTaylor.from_samples(values, period)
-    per_order = [FourierSeries.from_samples(v, period) for v in values]
-    assert ft.coef.shape == (5, 32, *value_shape)
-    assert (ft.order, ft.grid_size, ft.value_shape) == (4, 32, value_shape)
-    samples, derivative = ft.samples(), ft.differentiate()
-    assert derivative.period == period
-    for n, series in enumerate(per_order):
-        view = ft.order_series(n)
-        assert view.period == period and np.shares_memory(view.coef, ft.coef)
-        assert view.coef.tobytes() == series.coef.tobytes()
-        assert samples[n].tobytes() == series.samples().tobytes()
-        assert derivative.coef[n].tobytes() == series.differentiate().coef.tobytes()
-    low = ft.truncated(2)
-    assert low.order == 2 and low.period == period
-    assert low.coef.tobytes() == ft.coef[:3].tobytes()
+    real = rng.standard_normal((5, 32, *value_shape))
+    for values, rows in ((real, 17), (real + 1j * rng.standard_normal(real.shape), 32)):
+        ft = FourierTaylor.from_samples(values, period)
+        per_order = [FourierSeries.from_samples(v, period) for v in values]
+        assert ft.coef.shape == (5, rows, *value_shape) and ft.real == (rows == 17)
+        assert (ft.order, ft.grid_size, ft.value_shape) == (4, 32, value_shape)
+        samples, derivative = ft.samples(), ft.differentiate()
+        assert derivative.period == period and derivative.real == ft.real
+        assert samples.dtype == values.dtype
+        for n, series in enumerate(per_order):
+            view = ft.order_series(n)
+            assert view.period == period and np.shares_memory(view.coef, ft.coef)
+            assert view.real == series.real == ft.real
+            assert view.coef.tobytes() == series.coef.tobytes()
+            assert samples[n].tobytes() == series.samples().tobytes()
+            assert derivative.coef[n].tobytes() == series.differentiate().coef.tobytes()
+        low = ft.truncated(2)
+        assert low.order == 2 and low.period == period and low.real == ft.real
+        assert low.coef.tobytes() == ft.coef[:3].tobytes()
 
 
 def test_fourier_taylor_evaluate_horner():
@@ -199,7 +243,7 @@ def test_fourier_taylor_shared_phase_is_bitwise_per_order_evaluation():
     orders = tuple(
         FourierSeries.from_samples(rng.standard_normal((32, 3))) for _ in range(5)
     )
-    ft = FourierTaylor(np.stack([series.coef for series in orders]))
+    ft = FourierTaylor(np.stack([series.coef for series in orders]), real=True)
     theta = rng.uniform(0.0, 1.0, 7)
     sigma = rng.uniform(-0.5, 0.5, 7)
     acc = orders[4].evaluate(theta)
@@ -239,21 +283,27 @@ def test_jet_power_and_scalar_mixing():
 def test_band_limit_and_derivative_equal_raw_fft(period, shape):
     """The series chain is bitwise the raw-FFT band limit and derivative.
 
-    Real (n, d) input stands for orbit samples and complex (n, d, d) input
-    for frame columns; the reference transforms them as complex arrays.
+    Real (n, d) input stands for orbit samples, which the reference
+    transforms one-sided (``rfft``, ``irfft``), and complex (n, d, d) input
+    for frame columns, which it transforms two-sided.
     """
     rng = np.random.default_rng(len(shape))
     values = rng.standard_normal(shape)
+    n, k_cut = shape[0], 12
     if len(shape) == 3:
         values = values + 1j * rng.standard_normal(shape)
-    n, k_cut = shape[0], 12
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    column = (n,) + (1,) * (len(shape) - 1)
+        k, fft, ifft = np.fft.fftfreq(n, d=1.0 / n), np.fft.fft, np.fft.ifft
+    else:
+        k, fft = np.fft.rfftfreq(n, d=1.0 / n), np.fft.rfft
+
+        def ifft(coef, axis):
+            return np.fft.irfft(coef, n=n, axis=axis)
+    column = (len(k),) + (1,) * (len(shape) - 1)
     series = FourierSeries.from_samples(values, period)
 
-    coef = np.fft.fft(values.astype(complex), axis=0)
+    coef = fft(values, axis=0)
     coef[np.abs(k) >= k_cut] = 0.0
-    band = np.fft.ifft(coef, axis=0)
+    band = ifft(coef, axis=0)
     assert series.band_limited(k_cut).samples().tobytes() == band.tobytes()
 
     for cut in (None, k_cut):
@@ -261,9 +311,9 @@ def test_band_limit_and_derivative_equal_raw_fft(period, shape):
         kk[n // 2] = 0.0
         if cut is not None:
             kk[np.abs(k) >= cut] = 0.0
-        coef = np.fft.fft(values.astype(complex), axis=0)
+        coef = fft(values, axis=0)
         coef *= ((2j * np.pi / period) * kk).reshape(column)
-        deriv = np.fft.ifft(coef, axis=0)
+        deriv = ifft(coef, axis=0)
         chain = series if cut is None else series.band_limited(cut)
         assert chain.differentiate().samples().tobytes() == deriv.tobytes()
 

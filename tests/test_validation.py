@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from slowphase.manifold import evaluate_manifold
 from slowphase.validation import (
     ResidualEvaluator,
     accuracy_domain,
-    invariance_residual,
     invert_manifold,
     orthogonality_report,
     run_validation,
@@ -26,13 +26,20 @@ def test_order0_residual_is_cycle_defect(oracle_run, ei_run):
 
 
 def test_pointwise_residual_matches_grid(oracle_run):
+    """The grid residual equals the invariance residual built point by point
+    from FourierTaylor.evaluate of K and of K'/T + n lam K, and the model."""
     man, model = oracle_run.result.manifold, oracle_run.result.model
     ev = ResidualEvaluator(man, model)
-    theta = man.order_series(0).grid()
+    theta = man.order_series(0).grid()[::16]
     sigma = 0.07
-    grid = ev.grid_residual(sigma)
-    direct = invariance_residual(man, model, theta[::16], sigma)
-    assert np.max(np.abs(direct - grid[::16])) < 1e-12
+    coeffs = man.coeffs.truncated(man.nominal_order)
+    n = np.arange(man.nominal_order + 1)[:, None, None]
+    lhs = replace(coeffs, coef=coeffs.differentiate().coef / man.period
+                  + n * man.slow_exponent * coeffs.coef)
+    direct = np.linalg.norm(
+        lhs.evaluate(theta, sigma) - model.eval(coeffs.evaluate(theta, sigma)), axis=-1
+    )
+    assert np.max(np.abs(direct - ev.grid_residual(sigma)[::16])) < 1e-12
 
 
 def test_domain_nestedness(oracle_run, ei_run):
@@ -208,6 +215,55 @@ def test_inversion_record_in_validation_json(oracle_run):
     assert len(trajectory["inversion_stop"]) == n
     assert set(trajectory["inversion_stop"]) <= {"converged", "stagnated"}
     assert all(1 <= k < validation.MAX_INVERSION_STEPS for k in trajectory["inversion_iterations"])
+    assert len(trajectory["inversion_step"]) == n
+    assert max(trajectory["inversion_step"]) < 10 * validation.INVERSION_STEP_TOL
+
+
+@pytest.fixture(scope="module")
+def ei_1024_samples(tmp_path_factory):
+    """An `ei` manifold at grid 2^10, order 9, and 32 trajectory samples
+    drawn inside its accuracy domain as run_validation draws them."""
+    from slowphase.config import RunConfig
+    from slowphase.pipeline import Stage, run_pipeline
+
+    out = tmp_path_factory.mktemp("ei_1024")
+    config = RunConfig(model="ei", grid_size=1024, order=9, out_dir=str(out))
+    result = run_pipeline(config, through=Stage.MANIFOLD)
+    man, model = result.manifold, result.model
+    rng = np.random.default_rng(2024)
+    theta, sigma = accuracy_domain(man, model, config.tolerances).sample_inside(rng, 32)
+    t_cap = min(2.0 * man.period, np.log(1e4) / abs(man.slow_exponent))
+    horizons = rng.uniform(0.1 * man.period, t_cap, size=32)
+    return man, model, theta, sigma, horizons
+
+
+def _within_two_ulps(man, seed):
+    """``man`` with every coefficient's real and imaginary part moved by a
+    seeded whole number of ulps in [-2, 2]."""
+    rng = np.random.default_rng(seed)
+    coef = man.coeffs.coef
+    parts = [part + rng.integers(-2, 3, coef.shape) * np.spacing(np.abs(part))
+             for part in (coef.real, coef.imag)]
+    return replace(man, coeffs=replace(man.coeffs, coef=parts[0] + 1j * parts[1]))
+
+
+def test_inversion_labels_survive_two_ulps_of_the_coefficients(ei_1024_samples, monkeypatch):
+    """Every manifold coefficient moved by up to 2 ulps (Monte Carlo
+    arithmetic: Parker, Pierce & Eggert, 2000) leaves every inversion's stop
+    label as it was.  At the rounding floor, the old 1e-14 step threshold,
+    the same perturbation flips labels."""
+    man, model, theta, sigma, horizons = ei_1024_samples
+    perturbed = _within_two_ulps(man, 11)
+    assert not np.array_equal(perturbed.coeffs.coef, man.coeffs.coef)
+
+    def labels(manifold):
+        return trajectory_consistency(manifold, model, theta, sigma, horizons)["inversion_stop"]
+
+    base = labels(man)
+    assert set(base) <= {"converged", "stagnated"}
+    assert list(labels(perturbed)) == list(base)
+    monkeypatch.setattr(validation, "INVERSION_STEP_TOL", 1e-14)
+    assert list(labels(perturbed)) != list(labels(man))
 
 
 def _validate_ei(ei_run):
@@ -236,7 +292,10 @@ def test_state_off_the_manifold_fails_by_name(ei_run, monkeypatch):
 
 
 def test_inversion_at_the_step_cap_fails_by_name(ei_run, monkeypatch):
+    # seeds at the conjugated values can converge in one step, so no step
+    # counts as converged here
     monkeypatch.setattr(validation, "MAX_INVERSION_STEPS", 1)
+    monkeypatch.setattr(validation, "INVERSION_STEP_TOL", 0.0)
     with pytest.raises(ValidationFailure, match=r"trajectory sample 0: .* did not converge in 1 "):
         _validate_ei(ei_run)
 
