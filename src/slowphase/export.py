@@ -83,7 +83,7 @@ def _expansion_files(result: PipelineResult, out, label, ft: FourierTaylor, nomi
 
 def _surface_rows(result: PipelineResult):
     """Long-format rows over the loosest-tolerance accuracy domain: about 128
-    phases, 33 amplitudes each."""
+    phases, 33 amplitudes each; K, Z and I are each one batched call."""
     man = result.manifold
     resp = result.response
     model = result.model
@@ -91,25 +91,20 @@ def _surface_rows(result: PipelineResult):
         man, model, (max(result.config.tolerances),),
         scan_max=result.config.sigma_scan_max,
     )
-    names = model.state_names
     n = len(domain.theta)
-    step = max(1, n // 128)
-    rows = []
-    for i in range(0, n, step):
-        th = domain.theta[i]
-        lo = -domain.sigma_neg[0][i]
-        hi = domain.sigma_pos[0][i]
-        for sg in np.linspace(lo, hi, 33):
-            point = evaluate_manifold(man, th, sg)
-            z = resp.phase.evaluate(th, sg) if resp is not None else None
-            a = resp.amplitude.evaluate(th, sg) if resp is not None else None
-            for c, name in enumerate(names):
-                rows.append((th, sg, f"K.{name}", point[c]))
-                if z is not None:
-                    rows.append((th, sg, f"Z.{name}", z[c]))
-                if a is not None:
-                    rows.append((th, sg, f"I.{name}", a[c]))
-    return rows
+    idx = np.arange(0, n, max(1, n // 128))
+    theta = np.repeat(domain.theta[idx], 33)
+    sigma = np.linspace(-domain.sigma_neg[0][idx], domain.sigma_pos[0][idx], 33, axis=1).ravel()
+    values = [("K", evaluate_manifold(man, theta, sigma))]
+    if resp is not None:
+        values += [("Z", resp.phase.evaluate(theta, sigma)),
+                   ("I", resp.amplitude.evaluate(theta, sigma))]
+    return [
+        (th, sg, f"{label}.{name}", v[i, c])
+        for i, (th, sg) in enumerate(zip(theta, sigma))
+        for c, name in enumerate(model.state_names)
+        for label, v in values
+    ]
 
 
 def export_artifacts(

@@ -320,31 +320,24 @@ def solve_in_frame(rhs, reduce: Frame, expand: Frame, shifts, period,
     return x, free, div_min
 
 
-def _polish_cycle_step(model, samples, period, cols, lams, k_cut):
-    """One Fourier-space Newton step on the orbit samples and period.
+def _polish_cycle_step(model, orbit, period, cols, lams, k_cut):
+    """One Fourier-space Newton step on the orbit's real series and period.
 
-    Returns updated (samples, period); the correction is expressed in frame
+    Returns updated (orbit, period); the correction is expressed in frame
     coordinates, where the (k=0, flow-direction) mode is the time-origin
     gauge and its right-hand side funds the period update.  Like the frame
-    columns, the samples are kept band-limited to |k| < k_cut.
+    columns, the orbit is kept band-limited to |k| < k_cut.
     """
-    samples = FourierSeries.from_samples(samples).band_limited(k_cut).samples().real
-    deriv = (
-        FourierSeries.from_samples(samples).band_limited(k_cut)
-        .differentiate().samples().real
-    )
-    defect = model.eval(samples) - deriv / period
+    samples = orbit.samples()
+    defect = model.eval(samples) - orbit.differentiate().samples() / period
     rho = np.linalg.solve(cols, defect.astype(complex)[:, :, None])[:, :, 0]
     v, free, _ = solve_diagonal(
         FourierSeries.from_samples(rho), -lams, period, free_modes=((0, 0),)
     )
     d_period = -(period**2) * free[(0, 0)].real
     correction = np.einsum("nab,nb->na", cols, v.samples()).real
-    new_samples = (
-        FourierSeries.from_samples(samples + correction).band_limited(k_cut)
-        .samples().real
-    )
-    return new_samples, period + d_period
+    orbit = FourierSeries.from_samples(samples + correction).band_limited(k_cut)
+    return orbit, period + d_period
 
 
 def build_bundle_frame(
@@ -365,27 +358,25 @@ def build_bundle_frame(
     n = cycle.grid_size
     theta = theta_grid(n, 1.0)
     period = cycle.period
-    samples = cycle.samples.copy()
     lams = spectrum.exponents.astype(complex).copy()
     classes = spectrum.classes
 
     seeds = {j: spectrum.eigenvectors[:, j] for j in range(1, d)
              if classes[j] != CLASS_PAIR_CONJ}
     cols, routes = _seed_columns(sweep, seeds, lams)
-    cols[:, :, 0] = FourierSeries.from_samples(samples).differentiate().samples().real
+    cols[:, :, 0] = cycle.series.differentiate().samples()
 
     _symmetrize_columns(cols, lams, classes, theta, period)
 
     k_cut = _active_bandwidth(cycle.series, n)
+    orbit = cycle.series.band_limited(k_cut)
     histories = []
     cycle_defect = np.inf
     for _ in range(MAX_OUTER):
-        samples, period = _polish_cycle_step(model, samples, period, cols, lams, k_cut)
+        orbit, period = _polish_cycle_step(model, orbit, period, cols, lams, k_cut)
+        samples = orbit.samples()
+        deriv = orbit.differentiate().samples()
         jac_grid = model.jacobian(samples)
-        deriv = (
-            FourierSeries.from_samples(samples).band_limited(k_cut)
-            .differentiate().samples().real
-        )
         cols[:, :, 0] = deriv
         _symmetrize_columns(cols, lams, classes, theta, period)
         histories.append(_refine_frame(
@@ -410,10 +401,8 @@ def build_bundle_frame(
         norm = float(np.max(np.linalg.norm(cols[:, :, j], axis=1)))
         cols[:, :, j] /= norm
 
-    cycle_series = FourierSeries.from_samples(samples, 1.0).band_limited(k_cut)
-    samples = cycle_series.samples().real
-    jac_grid = model.jacobian(samples)
-    cols[:, :, 0] = cycle_series.differentiate().samples().real
+    # the refinement re-band-limits the fixed tangent column at roundoff
+    cols[:, :, 0] = deriv
 
     residual = float(np.max(np.abs(
         _frame_residual(cols, jac_grid, lams, period, k_cut)
@@ -428,7 +417,7 @@ def build_bundle_frame(
     polished = CycleResult(
         anchor=samples[0].copy(),
         period=float(period),
-        series=cycle_series,
+        series=orbit,
         shooting_residual=cycle.shooting_residual,
         search=cycle.search,
     )

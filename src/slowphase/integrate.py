@@ -191,19 +191,13 @@ def flow(model, x0, t, settings: IntegratorSettings = DEFAULT_SETTINGS) -> np.nd
 
 def _variational_rhs(model, d):
     field, jacobian = model.point_field(), model.point_jacobian()
-    dd = d * d
 
     def rhs(t, y):
         x = y[:d]
-        phi = y[d : d + dd].reshape(d, d)
-        jac = jacobian(x)
+        phi = y[d:].reshape(d, d)
         out = np.empty_like(y)
         out[:d] = field(x)
-        out[d : d + dd] = (jac @ phi).ravel()
-        # the integral of trace DX (Liouville) is not returned, but it stays
-        # in the state: the step-size control weighs every component, so
-        # dropping it would move the steps and every monodromy bit
-        out[-1] = jac.trace()
+        out[d:] = (jacobian(x) @ phi).ravel()
         return out
 
     return rhs
@@ -217,9 +211,9 @@ def flow_with_variational(model, x0, t, settings: IntegratorSettings = DEFAULT_S
     """
     d = model.dim
     x0 = _model_state(model, x0)
-    y0 = np.concatenate([x0, np.eye(d).ravel(), [0.0]])
+    y0 = np.concatenate([x0, np.eye(d).ravel()])
     y, _ = _integrate(_variational_rhs(model, d), 0.0, y0, t, settings)
-    return y[:d], y[d : d + d * d].reshape(d, d)
+    return y[:d], y[d:].reshape(d, d)
 
 
 class CycleInterpolant:

@@ -103,10 +103,11 @@ class _Spectrum:
         return self.coef.shape[self._axis + 1:]
 
     def samples(self) -> np.ndarray:
-        """Grid values, real for a real function."""
-        if self.real:
-            return np.fft.irfft(self.coef, n=self.grid_size, axis=self._axis, norm="forward")
-        return np.fft.ifft(self.coef, axis=self._axis, norm="forward")
+        """Grid values, real for a real function; C-contiguous whatever the
+        layout of ``coef``, so reductions over them round alike."""
+        synthesize = np.fft.irfft if self.real else np.fft.ifft
+        values = synthesize(self.coef, n=self.grid_size, axis=self._axis, norm="forward")
+        return np.ascontiguousarray(values)
 
     def differentiate(self):
         """Derivative with respect to theta; the Nyquist row N/2 of either
@@ -216,9 +217,11 @@ def horner(values, sigma):
     """``sum_n values[n] * sigma**n`` by Horner's rule, highest order first.
 
     ``values`` is indexed by order (a list, or an array with orders on axis
-    0); ``sigma`` must already broadcast against one order's values.
-    :meth:`FourierTaylor.evaluate` and the invariance residuals of
-    :mod:`slowphase.validation` all sum here, so they round alike.
+    0); ``sigma`` must already broadcast against one order's values.  Two
+    callers sum here, so they round alike: :meth:`FourierTaylor.evaluate`,
+    the one off-grid evaluator of K, Z and I (the manifold inversion and
+    flow checks of :mod:`slowphase.validation`, the plotdata export), and
+    the grid invariance residuals of ``validation.ResidualEvaluator``.
 
     The accumulator is a fresh array of the promoted dtype from the first
     product on, and is updated in place after it; the inputs are never

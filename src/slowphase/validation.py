@@ -12,7 +12,7 @@ conjugated linear dynamics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -247,49 +247,37 @@ def invert_manifold(manifold: ManifoldExpansion, x, theta_seed, sigma_seed) -> I
     """Gauss-Newton inversion of the parameterization near seeds, all at once.
 
     ``x`` is one state (d,) or a batch (S, d); the seeds broadcast to the
-    batch.  The values and theta-derivatives of all orders form one
-    (rows, 2(L+1)d) coefficient array, built once, so an iteration is one
-    product of the active samples' Fourier phase factors with it.  Each
-    sample takes its step, then stops when the step is below
-    ``INVERSION_STEP_TOL`` (1 + |theta| + |sigma|) (``"converged"``), when
-    it is no smaller than half the previous step, so rounding noise has
-    stalled it above that (``"stagnated"``), or after
-    ``MAX_INVERSION_STEPS`` steps (``"cap"``).
+    batch.  K at the nominal order, dK/dtheta and dK/dsigma (order n holds
+    (n+1) K_{n+1}) form one FourierTaylor with values of shape (d, 3), built
+    once, so an iteration is one ``FourierTaylor.evaluate`` of the active
+    samples: their points and Jacobians.  Each sample takes its step, then
+    stops when the step is below ``INVERSION_STEP_TOL`` (1 + |theta| +
+    |sigma|) (``"converged"``), when it is no smaller than half the
+    previous step, so rounding noise has stalled it above that
+    (``"stagnated"``), or after ``MAX_INVERSION_STEPS`` steps (``"cap"``).
     """
     L = manifold.nominal_order
     d = manifold.dim
     coeffs = manifold.coeffs.truncated(L)
-    rows = coeffs.coef.shape[1]
-    basis = np.empty((rows, 2, L + 1, d), dtype=complex)
-    basis[:, 0] = coeffs.coef.swapaxes(0, 1)
-    basis[:, 1] = coeffs.differentiate().coef.swapaxes(0, 1)
-    basis = basis.reshape(rows, -1)
-    phase = coeffs.order_series(0).phase
+    parts = np.zeros(coeffs.coef.shape + (3,), dtype=complex)
+    parts[..., 0] = coeffs.coef
+    parts[..., 1] = coeffs.differentiate().coef
+    parts[:-1, ..., 2] = np.arange(1, L + 1)[:, None, None] * coeffs.coef[1:]
+    parts = replace(coeffs, coef=parts)
     x = np.asarray(x, dtype=float)
     batch = x.shape[:-1]
     x = x.reshape(-1, d)
     th = np.broadcast_to(np.asarray(theta_seed, dtype=float), batch).flatten()
     sg = np.broadcast_to(np.asarray(sigma_seed, dtype=float), batch).flatten()
-    powers = np.arange(L + 1)
-
-    def values(active):
-        """(values, theta-derivatives) of all orders, (A, L+1, d) each."""
-        both = (phase(th[active]) @ basis).real.reshape(-1, 2, L + 1, d)
-        return both[:, 0], both[:, 1]
 
     iterations = np.zeros(len(x), dtype=int)
     stop = np.full(len(x), "cap", dtype="U9")
     previous = np.full(len(x), np.inf)
     active = np.arange(len(x))
     for step in range(1, MAX_INVERSION_STEPS + 1):
-        kv, kt = values(active)
-        sg_a = sg[active, None]
-        sg_pow = sg_a**powers
-        gap = np.einsum("an,ani->ai", sg_pow, kv) - x[active]
-        j_theta = np.einsum("an,ani->ai", sg_pow, kt)
-        j_sigma = np.einsum("an,ani->ai", powers[1:] * sg_a ** powers[:-1], kv[:, 1:])
-        jac = np.stack([j_theta, j_sigma], axis=-1)
-        delta = -(np.linalg.pinv(jac) @ gap[..., None])[..., 0]
+        value = parts.evaluate(th[active], sg[active])  # (A, d, 3)
+        gap = value[..., :1] - x[active, :, None]
+        delta = -(np.linalg.pinv(value[..., 1:]) @ gap)[..., 0]
         th[active] += delta[:, 0]
         sg[active] += delta[:, 1]
         iterations[active] = step
@@ -302,12 +290,10 @@ def invert_manifold(manifold: ManifoldExpansion, x, theta_seed, sigma_seed) -> I
         active = active[~(converged | stagnated)]
         if not active.size:
             break
-    kv, _ = values(np.arange(len(x)))
-    point = np.einsum("an,ani->ai", sg[:, None] ** powers, kv)
     return Inversion(
         theta=(th % 1.0).reshape(batch),
         sigma=sg.reshape(batch),
-        gap=np.linalg.norm(point - x, axis=1).reshape(batch),
+        gap=np.linalg.norm(evaluate_manifold(manifold, th, sg) - x, axis=1).reshape(batch),
         step=previous.reshape(batch),
         iterations=iterations.reshape(batch),
         stop=stop.reshape(batch),
@@ -331,26 +317,18 @@ def trajectory_consistency(
     flowed points seeded at the conjugated values.  Each inversion's gap,
     last step size, step count and stop reason are returned too.
     """
-    lam = manifold.slow_exponent
-    T = manifold.period
-    n = len(theta_samples)
-    state_gap = np.zeros(n)
-    x_t = np.zeros((n, manifold.dim))
-    th_push = np.zeros(n)
-    sg_push = np.zeros(n)
-    contraction = np.zeros(n)
-    for i in range(n):
-        th, sg, t = float(theta_samples[i]), float(sigma_samples[i]), float(horizons[i])
-        x0 = evaluate_manifold(manifold, th, sg)
-        x_t[i] = flow(model, x0, t, settings)
-        th_push[i] = th + t / T
-        contraction[i] = np.exp(lam * t)
-        sg_push[i] = sg * contraction[i]
-        target = evaluate_manifold(manifold, float(th_push[i]) % 1.0, sg_push[i])
-        state_gap[i] = np.linalg.norm(x_t[i] - target)
+    theta = np.asarray(theta_samples, dtype=float)
+    sigma = np.asarray(sigma_samples, dtype=float)
+    horizons = np.asarray(horizons, dtype=float)
+    x0 = evaluate_manifold(manifold, theta, sigma)
+    x_t = np.array([flow(model, x, t, settings) for x, t in zip(x0, horizons)])
+    th_push = theta + horizons / manifold.period
+    contraction = np.exp(manifold.slow_exponent * horizons)
+    sg_push = sigma * contraction
+    target = evaluate_manifold(manifold, th_push % 1.0, sg_push)
+    state_gap = np.linalg.norm(x_t - target, axis=1)
     inv = invert_manifold(manifold, x_t, th_push, sg_push)
     phase_defect = np.abs((inv.theta - th_push + 0.5) % 1.0 - 0.5)
-    sigma = np.asarray(sigma_samples, dtype=float)
     decay_defect = np.abs(inv.sigma / sigma - contraction) / contraction
     return {
         "state_gap": state_gap,

@@ -121,7 +121,7 @@ def test_driver_equals_scipy_dop853(name, variational, kick, horizon, backward, 
     x0 = np.asarray(_START[name]) + np.asarray(kick[:d])
     if variational:
         fun = _variational_rhs(model, d)
-        y0 = np.concatenate([x0, np.eye(d).ravel(), [0.0]])
+        y0 = np.concatenate([x0, np.eye(d).ravel()])
     else:
         fun = _field_rhs(model)
         y0 = x0

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -12,9 +13,10 @@ import pytest
 import slowphase
 from slowphase import models
 from slowphase.cli import main
-from slowphase.config import KEYS, RunConfig
+from slowphase.config import KEYS, RunConfig, load_config
 from slowphase.export import export_artifacts
 from slowphase.frames import build_real_frames
+from slowphase.manifold import evaluate_manifold
 from slowphase.errors import ConfigError
 from slowphase.pipeline import STAGES, Stage, load_result, run_pipeline
 from slowphase.series import FourierSeries
@@ -919,6 +921,40 @@ def test_export_plotdata_format(oracle_run):
         first = fh.readline().strip().split(",")
     assert header == "theta,sigma,component,value"
     assert first[2].startswith(("K.", "Z.", "I."))
+
+
+def test_export_plotdata_rows_match_per_point_evaluation(response_stage_dir, tmp_path):
+    """The plotdata export of an oracle run at grid 128 has one row per
+    phase, amplitude (33 each), component and function (K, Z, I), and each
+    value lies within 1e-13 of that function's maximum from a per-point
+    evaluation at the row's (theta, sigma)."""
+    shutil.copytree(response_stage_dir, tmp_path / "out")
+    cfg, out = _write_cfg(tmp_path)
+    assert main(["export", "--config", cfg, "--format", "plotdata"]) == 0
+    result = load_result(load_config(cfg))
+    with open(os.path.join(out, "exports", "plotdata_slow_manifold.csv")) as fh:
+        rows = list(csv.reader(fh))
+    names = result.model.state_names
+    phases = result.cycle.grid_size  # at most 128 phases: every grid phase
+    assert phases == 128 and len(rows) == 1 + phases * 33 * len(names) * 3
+    evaluate = {
+        "K": lambda th, sg: evaluate_manifold(result.manifold, th, sg),
+        "Z": result.response.phase.evaluate,
+        "I": result.response.amplitude.evaluate,
+    }
+    got = {f: [] for f in evaluate}
+    want = {f: [] for f in evaluate}
+    points = {}
+    for th, sg, label, value in rows[1:]:
+        f, name = label.split(".")
+        if (th, sg, f) not in points:
+            points[th, sg, f] = evaluate[f](float(th), float(sg))
+        got[f].append(float(value))
+        want[f].append(points[th, sg, f][names.index(name)])
+    assert len(points) == phases * 33 * 3
+    for f in evaluate:
+        peak = np.max(np.abs(want[f]))
+        assert np.max(np.abs(np.subtract(got[f], want[f]))) <= 1e-13 * peak, f
 
 
 def test_export_expansion_file_names(oracle_run, tmp_path):

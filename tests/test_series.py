@@ -252,6 +252,27 @@ def test_fourier_taylor_shared_phase_is_bitwise_per_order_evaluation():
     assert ft.evaluate(theta, sigma).tobytes() == acc.tobytes()
 
 
+@pytest.mark.parametrize("real", [True, False])
+def test_samples_do_not_depend_on_the_coefficient_layout(real):
+    """Grid values of a Fortran-ordered coefficient array come back
+    C-contiguous, so a pairing reduced over them (the response
+    normalization's ``einsum``) has the bits of the C-ordered array's."""
+    rng = np.random.default_rng(8)
+    values = rng.standard_normal((3, 64, 6))
+    if not real:
+        values = values + 1j * rng.standard_normal(values.shape)
+    ft = FourierTaylor.from_samples(values)
+    fortran = FourierTaylor(np.asfortranarray(ft.coef), real=real)
+    assert not fortran.coef.flags.c_contiguous
+    pairs = []
+    for layout in (ft, fortran):
+        a = layout.samples()
+        b = layout.order_series(1).differentiate().samples()
+        assert a.flags.c_contiguous and b.flags.c_contiguous
+        pairs.append(np.einsum("ni,ni->n", a[0], b))
+    assert pairs[1].tobytes() == pairs[0].tobytes()
+
+
 def compose(closure, *inputs):
     """Jet transport of ``closure`` over input jets of shape (L+1, grid);
     returns the output jets, shape (L+1, grid, outputs)."""
