@@ -95,12 +95,23 @@ def format_float(x: float) -> str:
 
 
 def write_rows_csv(path, header, rows) -> str:
-    """Write rows of str/float cells; floats formatted deterministically."""
+    """Write rows of str/float cells; floats formatted deterministically.
+
+    Each row is formatted by one template for its cell types, '%s' for a
+    string cell and '%.17g' for any other, which gives the bytes of joining
+    the strings and :func:`format_float` of the rest.
+    """
     lines = [",".join(header)]
+    templates = {}
     for row in rows:
-        lines.append(
-            ",".join(c if isinstance(c, str) else format_float(c) for c in row)
-        )
+        row = tuple(row)
+        kinds = tuple(map(type, row))
+        template = templates.get(kinds)
+        if template is None:
+            template = templates[kinds] = ",".join(
+                "%s" if issubclass(kind, str) else "%.17g" for kind in kinds
+            )
+        lines.append(template % row)
     data = ("\n".join(lines) + "\n").encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(data)

@@ -23,6 +23,13 @@ from .response import ResponseExpansion
 from .series import horner
 
 MAX_INVERSION_STEPS = 40
+# Bisection steps of the accuracy domain after its 64-step scan, leaving a
+# bracket of 2^-30 of the scan step.  On `ei` (grid 2^10, order 9), four
+# seeded perturbations of every manifold coefficient by up to two ulps moved
+# the bounds by 1.5e-8 (median) to 2.9e-6 (max) relative, so the 16 further
+# steps of a 2^-46 bracket resolved only rounding noise; stopping at 30
+# moves the bounds by at most 5.1e-10 relative.
+BISECTION_STEPS = 30
 # A Gauss-Newton step below this, relative to 1 + |theta| + |sigma|, ends an
 # inversion as converged: far above the rounding floor (a threshold of 1e-14
 # let two ulps of the coefficients flip labels), far below the defects read.
@@ -78,15 +85,21 @@ class ResidualEvaluator:
         ``sigma`` is a scalar or has shape (..., N), one amplitude per grid
         phase; the result has the shape (..., N).  Each entry depends only
         on its own phase and amplitude, so a stack of amplitude rows rounds
-        exactly as the rows one at a time.
+        exactly as the rows one at a time.  The squared component
+        differences are summed in component order, as ``np.linalg.norm``
+        sums them over a leading axis, without stacking the field.
         """
         sig = np.asarray(sigma, dtype=float)
         sums = horner(self.rows, sig[..., None, :] if sig.ndim else sig)
         d = self.dim
         # the model's closures take components, so rows pass as they are
         field = self.model.rhs(tuple(sums[..., i, :] for i in range(d)))
-        field = np.stack(np.broadcast_arrays(*field), axis=-2)
-        return np.linalg.norm(sums[..., d:, :] - field, axis=-2)
+        total = np.zeros(sums.shape[:-2] + sums.shape[-1:])
+        for i, component in enumerate(field):
+            diff = sums[..., d + i, :] - component
+            diff *= diff
+            total += diff
+        return np.sqrt(total, out=total)
 
 
 @dataclass
@@ -126,46 +139,57 @@ def accuracy_domain(
 ) -> AccuracyDomain:
     """Scan-then-bisect the residual over sigma, per grid phase and sign.
 
-    Every (tolerance, sign) pair is one row of a (2 n_tol, N) amplitude
-    batch, and each step evaluates the whole batch in one
-    :meth:`ResidualEvaluator.grid_residual` call.  The coarse scan (64 steps)
-    finds the first violation per phase; 46 bisection steps then sharpen the
-    boundary.  A residual entry depends only on its own phase and amplitude,
-    so the batch gives bit for bit the bounds of scanning each pair alone.
+    The coarse scan (64 steps) finds the first violation of every
+    (tolerance, sign) pair per phase.  The tolerances of one sign share
+    sigma = +-s, so each scan step is one (2, N)
+    :meth:`ResidualEvaluator.grid_residual` call, at +-s wherever a
+    tolerance of that sign is still undecided, and every pair compares its
+    tolerance against that call's row.  A residual that is not finite
+    counts as a violation, in the scan as in the bisection.
+    ``BISECTION_STEPS`` (30) steps then bisect all pairs at once, as rows
+    of one (n_tol, 2, N) amplitude batch, down to 2^-30 of the scan step,
+    finer than two ulps of the coefficients move the bounds.  A
+    residual entry depends only on its own phase and amplitude, so the
+    batch gives bit for bit the bounds of scanning each pair alone.
     Phases with no violation inside the scan window are reported at the
     window edge and flagged open-ended.  With ``scan_max=None`` the window
     starts at 1 and doubles until the boundary is inside it (the default
-    amplitude gauge can push the domain well past 1), capped at 64.
-    ``evaluator`` reuses grid data already built for this manifold.
+    amplitude gauge can push the domain well past 1), capped at 64; the
+    scan reuses the rows of each doubling probe, whose amplitude is a scan
+    point of the power-of-two window.  ``evaluator`` reuses grid data
+    already built for this manifold.
     """
     tolerances = tuple(sorted(tolerances, reverse=True))
     ev = evaluator or ResidualEvaluator(manifold, model)
+    sign = np.array([[1.0], [-1.0]])
+    probed = {}  # window edge s -> residual rows at +s and -s
     if scan_max is None:
         scan_max = 1.0
         while scan_max < 64.0:
-            worst = float(ev.grid_residual(np.array([[scan_max], [-scan_max]])).min())
-            if worst > max(tolerances):
+            rows = probed[scan_max] = ev.grid_residual(sign * scan_max)
+            if float(rows.min()) > max(tolerances):
                 break
             scan_max *= 2.0
     n = ev.rows.shape[-1]
     theta = manifold.order_series(0).grid()
-    # row 2 t + s holds tolerance t and sign (+1, -1)[s]
-    tol = np.repeat(tolerances, 2)[:, None]
-    sign = np.tile([1.0, -1.0], len(tolerances))[:, None]
+    # entry [t, s] holds tolerance t and sign (+1, -1)[s]
+    tol = np.array(tolerances)[:, None, None]
 
-    lo = np.zeros((len(tol), n))
-    hi = np.full((len(tol), n), np.nan)
+    lo = np.zeros((len(tolerances), 2, n))
+    hi = np.full((len(tolerances), 2, n), np.nan)
     for s in np.linspace(0.0, scan_max, 65)[1:]:
         undecided = np.isnan(hi)
         if not undecided.any():
             break
-        res = ev.grid_residual(sign * s * undecided.astype(float))
-        bad = (res > tol) & undecided
+        res = probed.get(s)
+        if res is None:
+            res = ev.grid_residual(sign * s * undecided.any(axis=0))
+        bad = ~(res <= tol) & undecided
         hi[bad] = s
         lo[undecided & ~bad] = s
     open_mask = np.isnan(hi)
     hi[open_mask] = scan_max
-    for _ in range(46):
+    for _ in range(BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
         good = ev.grid_residual(sign * mid) <= tol
         lo = np.where(good & ~open_mask, mid, lo)
@@ -174,10 +198,10 @@ def accuracy_domain(
     return AccuracyDomain(
         tolerances=tolerances,
         theta=theta,
-        sigma_pos=bound[0::2],
-        sigma_neg=bound[1::2],
+        sigma_pos=bound[:, 0],
+        sigma_neg=bound[:, 1],
         scan_max=scan_max,
-        open_ended=open_mask.any(axis=1).reshape(len(tolerances), 2),
+        open_ended=open_mask.any(axis=-1),
     )
 
 
@@ -369,18 +393,22 @@ def truncation_slope(
     domain: AccuracyDomain,
     evaluator: ResidualEvaluator | None = None,
 ) -> float:
-    """Median log-log slope of the residual against sigma near the boundary,
-    at 8 phases spread over the grid.
+    """Median log-log slope of the residual against sigma near the boundary
+    of the loosest tolerance, at 8 phases spread over the grid.
 
     For an order-L truncation the residual scales like sigma**(L+1), so the
-    fitted slope should fall in [L, L+2].  Both probe amplitudes of all 8
-    phases go into one (2, N) residual evaluation (zero amplitude
-    elsewhere); each entry depends only on its own phase.
+    fitted slope should fall in [L, L+2].  The probes sit at 0.8 and 0.4 of
+    the positive bound at the loosest tolerance, where the residual is far
+    above its sigma = 0 rounding floor: on `ei` (grid 2^10, order 9) the low
+    probe read at least 416 times that floor there, and as little as 5 times
+    at the strictest tolerance's bound.  Both probe
+    amplitudes of all 8 phases go into one (2, N) residual evaluation (zero
+    amplitude elsewhere); each entry depends only on its own phase.
     """
     ev = evaluator or ResidualEvaluator(manifold, model)
     n = len(domain.theta)
     idx = np.linspace(0, n - 1, 8, dtype=int)
-    s_hi = 0.8 * domain.sigma_pos[-1][idx]
+    s_hi = 0.8 * domain.sigma_pos[0][idx]
     s_lo = 0.5 * s_hi
     probes = np.zeros((2, n))
     probes[0, idx] = s_hi

@@ -26,6 +26,7 @@ from slowphase.store import (
     sha256_file,
     write_coeffs,
     write_json,
+    write_rows_csv,
     write_series_csv,
 )
 
@@ -174,6 +175,30 @@ def test_float_format_round_trips():
     values = [1.0, np.pi, 1e-300, -2.2250738585072014e-308, 0.1 + 0.2]
     for v in values:
         assert float(format_float(v)) == v
+
+
+def test_rows_csv_bytes(tmp_path):
+    """All-float rows and rows with a string cell both write '%.17g' floats
+    and the strings as they are: -0.0 keeps its sign, 1e-300 its exponent."""
+    rows = [
+        (0.1, -0.0, 1e-300, np.float64(2.5)),
+        [np.float64(1.0) / 3.0, 1, np.float32(0.1), -np.inf],
+        (0.5, -0.0, "K.x", 1e-300),
+        (np.nan, 0.0, np.str_("I.y"), -1.0),
+    ]
+    path = write_rows_csv(str(tmp_path / "rows.csv"), ["a", "b", "c", "d"], rows)
+    assert Path(path).read_bytes() == (
+        b"a,b,c,d\n"
+        b"0.10000000000000001,-0,1e-300,2.5\n"
+        b"0.33333333333333331,1,0.10000000149011612,-inf\n"
+        b"0.5,-0,K.x,1e-300\n"
+        b"nan,0,I.y,-1\n"
+    )
+    # the bytes of formatting cell by cell
+    expected = ["a,b,c,d"] + [
+        ",".join(c if isinstance(c, str) else format_float(c) for c in row) for row in rows
+    ]
+    assert Path(path).read_bytes() == ("\n".join(expected) + "\n").encode()
 
 
 @settings(max_examples=20, deadline=None)

@@ -4,10 +4,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import slowphase.validation as validation
 from slowphase.errors import ValidationFailure
 from slowphase.manifold import evaluate_manifold
+from slowphase.series import horner
 from slowphase.validation import (
     ResidualEvaluator,
     accuracy_domain,
@@ -173,7 +176,7 @@ def test_stacked_slope_probes_match_one_probe_at_a_time(oracle_run):
     n = len(domain.theta)
     slopes = []
     for i in np.linspace(0, n - 1, 8, dtype=int):
-        s_hi = 0.8 * domain.sigma_pos[-1][i]
+        s_hi = 0.8 * domain.sigma_pos[0][i]
         s_lo = 0.5 * s_hi
         e = []
         for s in (s_hi, s_lo):
@@ -317,7 +320,7 @@ def _domain_one_pair_at_a_time(ev, tolerances, scan_max):
                 lo[undecided & ~bad] = s
             open_mask = np.isnan(hi)
             hi[open_mask] = scan_max
-            for _ in range(46):
+            for _ in range(validation.BISECTION_STEPS):
                 mid = 0.5 * (lo + hi)
                 good = ev.grid_residual(sign * mid) <= tol
                 lo[good & ~open_mask] = mid[good & ~open_mask]
@@ -334,3 +337,143 @@ def test_batched_domain_matches_one_pair_at_a_time(oracle_run):
     reference = _domain_one_pair_at_a_time(ev, tolerances, domain.scan_max)
     assert domain.sigma_pos.tobytes() == np.ascontiguousarray(reference[:, 0]).tobytes()
     assert domain.sigma_neg.tobytes() == np.ascontiguousarray(reference[:, 1]).tobytes()
+
+
+def test_truncation_slope_survives_two_ulps_of_the_coefficients(ei_1024_samples):
+    """Four 2-ulp perturbations of every manifold coefficient move the
+    slope by under 2.5e-4.  Its probes sit at the loosest tolerance's
+    bound, far above the sigma = 0 residual; at the strictest tolerance's
+    bound the low probe read about 5 times that floor, and the same
+    perturbations moved the slope by up to 7.1e-4."""
+    man, model = ei_1024_samples[:2]
+
+    def slope(manifold):
+        ev = ResidualEvaluator(manifold, model)
+        domain = accuracy_domain(manifold, model, (1e-6, 1e-8), evaluator=ev)
+        return truncation_slope(manifold, model, domain, evaluator=ev)
+
+    base = slope(man)
+    assert 9.0 <= base <= 11.0
+    shifts = [abs(slope(_within_two_ulps(man, seed)) - base) for seed in (11, 12, 13, 14)]
+    assert max(shifts) < 2.5e-4, shifts
+
+
+def _stacked_norm_residual(ev, sigma):
+    """The residual as a stack of the field components and one
+    ``np.linalg.norm`` over them."""
+    sig = np.asarray(sigma, dtype=float)
+    sums = horner(ev.rows, sig[..., None, :] if sig.ndim else sig)
+    d = ev.dim
+    field = ev.model.rhs(tuple(sums[..., i, :] for i in range(d)))
+    field = np.stack(np.broadcast_arrays(*field), axis=-2)
+    return np.linalg.norm(sums[..., d:, :] - field, axis=-2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    which=st.sampled_from(["oracle", "ei"]),
+    rows=st.sampled_from([None, 0, 1, 3]),
+    scale=st.sampled_from([0.05, 1.0, 30.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_grid_residual_equals_stacked_norm(oracle_run, ei_run, which, rows, scale, seed):
+    """Summing the squared component differences one component at a time
+    rounds as the stacked norm does, for sigma of shape (), (N,) and (k, N)."""
+    result = (oracle_run if which == "oracle" else ei_run).result
+    ev = ResidualEvaluator(result.manifold, result.model)
+    n = ev.rows.shape[-1]
+    shape = () if rows is None else (n,) if rows == 0 else (rows, n)
+    sigma = np.random.default_rng(seed).uniform(-scale, scale, shape)
+    got = ev.grid_residual(sigma)
+    assert got.shape == np.broadcast_shapes(shape, (n,))
+    assert got.tobytes() == _stacked_norm_residual(ev, sigma).tobytes()
+
+
+def test_scan_shares_one_row_per_sign_and_reuses_the_probes(ei_run, monkeypatch):
+    """Each scan step is one (2, N) call, at +s in row 0 and -s in row 1
+    wherever a tolerance of that sign is undecided.  No (sign, s) is
+    evaluated twice: a scan point that a doubling probe already evaluated
+    at every phase takes the probe's rows.  Then each bisection step is one
+    call for every (tolerance, sign) pair."""
+    result = ei_run.result
+    tolerances = ei_run.config.tolerances
+    ev = ResidualEvaluator(result.manifold, result.model)
+    grid_residual = ev.grid_residual
+    calls = []
+
+    def spy(sigma):
+        calls.append(np.array(sigma, dtype=float))
+        return grid_residual(sigma)
+
+    monkeypatch.setattr(ev, "grid_residual", spy)
+    domain = accuracy_domain(result.manifold, result.model, tolerances, evaluator=ev)
+    assert domain.sigma_pos.tobytes() == result.validation.domain.sigma_pos.tobytes()
+    n = len(domain.theta)
+    probes = [c for c in calls if c.shape == (2, 1)]
+    scans = [c for c in calls if c.shape == (2, n)]
+    assert [c.shape for c in calls] == (
+        [(2, 1)] * len(probes)
+        + [(2, n)] * len(scans)
+        + [(len(tolerances), 2, n)] * validation.BISECTION_STEPS
+    )
+
+    probed = [float(c[0, 0]) for c in probes]
+    assert probed == [2.0**j for j in range(len(probes))]
+    assert all(np.array_equal(c, [[s], [-s]]) for c, s in zip(probes, probed))
+    scanned = []
+    for c in scans:
+        s = float(np.abs(c).max())
+        assert np.all((c[0] == s) | (c[0] == 0.0))
+        assert np.all((c[1] == -s) | (c[1] == 0.0))
+        scanned.append(s)
+    assert scanned == sorted(set(scanned))
+    assert not set(scanned) & set(probed)
+    # every scan point up to the last one called is either called or probed
+    points = np.linspace(0.0, domain.scan_max, 65)[1:]
+    reached = [float(s) for s in points if s <= scanned[-1]]
+    assert sorted(scanned + [s for s in probed if s <= scanned[-1]]) == reached
+    assert sum(s < scanned[-1] for s in probed) >= 1
+
+
+def test_bisection_ends_within_its_bracket_of_46_steps(oracle_run, ei_run, monkeypatch):
+    """The bounds sit within 2^-30 of the scan step of a 46-step bisection's."""
+    for ns in (oracle_run, ei_run):
+        result = ns.result
+        ev = ResidualEvaluator(result.manifold, result.model)
+        domain = accuracy_domain(result.manifold, result.model, ns.config.tolerances, evaluator=ev)
+        with monkeypatch.context() as m:
+            m.setattr(validation, "BISECTION_STEPS", 46)
+            fine = accuracy_domain(result.manifold, result.model, ns.config.tolerances, evaluator=ev)
+        bracket = 2.0**-validation.BISECTION_STEPS * domain.scan_max / 64
+        for got, ref in ((domain.sigma_pos, fine.sigma_pos), (domain.sigma_neg, fine.sigma_neg)):
+            assert np.all(got <= ref)
+            assert np.max(ref - got) <= bracket
+
+
+def test_nan_residual_is_a_violation_in_the_scan(ei_run, monkeypatch):
+    """Fault injection: at one phase the residual is NaN above sigma = 3.
+    The scan counts NaN as a violation, as the bisection does, so that
+    phase's positive bounds stop at 3 instead of an open-ended window at
+    the scan edge; every other bound keeps its bits."""
+    result = ei_run.result
+    tolerances = ei_run.config.tolerances
+    clean = result.validation.domain
+    phase = int(np.argmax(clean.sigma_pos[-1]))
+    assert clean.sigma_pos[-1, phase] > 3.0
+    ev = ResidualEvaluator(result.manifold, result.model)
+    grid_residual = ev.grid_residual
+
+    def nan_above_3(sigma):
+        res = grid_residual(sigma)
+        sig = np.broadcast_to(sigma, res.shape)
+        res[..., phase][sig[..., phase] > 3.0] = np.nan
+        return res
+
+    monkeypatch.setattr(ev, "grid_residual", nan_above_3)
+    domain = accuracy_domain(result.manifold, result.model, tolerances, evaluator=ev)
+    assert np.all(domain.sigma_pos[:, phase] <= 3.0)
+    assert np.all(domain.sigma_pos[:, phase] > 3.0 - domain.scan_max / 64)
+    assert not domain.open_ended.any()
+    others = np.arange(len(domain.theta)) != phase
+    assert domain.sigma_pos[:, others].tobytes() == clean.sigma_pos[:, others].tobytes()
+    assert domain.sigma_neg.tobytes() == clean.sigma_neg.tobytes()
