@@ -33,6 +33,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .integrate import IntegratorSettings
+from .validation import tolerance_labels
 
 __all__ = ["RunConfig", "KEYS", "parse_config_text", "build_run_config", "load_config"]
 
@@ -179,6 +180,16 @@ class RunConfig:
                 continue
             if not key.check(value):
                 raise ConfigError(f"{key.name} must be {key.rule}, got {_show(value)}")
+        # two tolerances of one label would be merged in the reports
+        seen = {}
+        for tol in self.tolerances:
+            for key in enumerate(tolerance_labels(tol)):
+                if key in seen:
+                    raise ConfigError(
+                        f"validation.tolerances {_show(seen[key])} and {_show(tol)} "
+                        f"share the report label {key[1]}"
+                    )
+                seen[key] = tol
         return self
 
     def effective_guess(self):

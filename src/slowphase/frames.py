@@ -6,7 +6,7 @@ solves the order-1 variational equation (1/T) C' + lam_j C = DX(K0) C as a
 the transition matrices Phi and Psi (of -DX^T) that the cycle stage's pass,
 :func:`~slowphase.cycle.variational_sweep`, gives on each chunk of the
 period.  A seed is e^{-lam_j (t - t_c)} F(t; t_c) C_j(t_c) on chunk c, F =
-Phi for the bundle and Psi for the adjoint cross-check, with C_j(t_c)
+Phi for the bundle and Psi for the adjoint frame, with C_j(t_c)
 carried forward or backward across the period -- the direction is chosen so
 that contamination by other Floquet directions is not amplified.  The seeds
 are polished by a Newton iteration carried out entirely in Fourier space,
@@ -27,13 +27,13 @@ frame ODE residual has one definition, ``_frame_residual``.
 All of this is written once, for a frame of an operator A with exponents mu:
 the bundle frame is the frame of A = DX with mu = lam, and the adjoint
 (response-curve) frame is the frame of A = -DX^T with mu = -lam, the dual of
-the bundle frame.  The production adjoint frame starts from the pointwise
-inverse transpose of the bundle frame, which makes the biorthogonality
-normalizations exact by construction, and is polished as that direct
-problem; the independent cross-check seeds it from the adjoint flow alone
-(the pass's Psi) and polishes it.  ``solve_in_frame`` is the one homological
-solve in frame coordinates, for the manifold orders (DX) and the response
-orders (-DX^T) alike.
+the bundle frame.  Both are seeded from the pass and polished once on the
+polished orbit; the adjoint columns are then scaled to pair with the bundle
+columns at grid mean 1.  The cross-check polishes nothing: it compares the
+adjoint frame with the pointwise inverse transpose of the bundle frame, which
+is the dual frame by construction, and the two frames' refined exponents.
+``solve_in_frame`` is the one homological solve in frame coordinates, for the
+manifold orders (DX) and the response orders (-DX^T) alike.
 
 A :class:`Frame` is always the complex representation, of period 1.  Real
 frames are exact recombinations of the complex ones, built only for the curve
@@ -75,8 +75,6 @@ __all__ = [
 
 # joint orbit/frame polish rounds of build_bundle_frame
 MAX_OUTER = 6
-# adjoint polish: stop growing the band once the residual is below this
-ADJOINT_RESIDUAL_TARGET = 5e-10
 
 
 @dataclass
@@ -240,12 +238,15 @@ def _refine_frame(
     frame, where the linearized operator is diagonal per Fourier mode; the
     mode (k=0, component=j) of column j is the scale gauge and funds the
     exponent update.  Converges linearly with rate ~ ||residual|| / gap, so a
-    handful of sweeps suffice from integration-quality seeds.  Columns are
-    kept band-limited to |k| < k_cut throughout: integration seeds carry
-    step-scale noise near the Nyquist wavenumber, which grid products alias
-    and the refinement would re-inject with gain above one.  The analytic
-    functions handled here decay geometrically, so a cutoff at a fraction of
-    the grid removes noise only; derivatives are taken within the same band.
+    handful of sweeps suffice from integration-quality seeds.  It stops at
+    ``tol_rel`` of the operator's scale, or at the first sweep that does not
+    halve the best residual: roundoff has ended the convergence there.
+    Columns are kept band-limited to |k| < k_cut throughout: integration
+    seeds carry step-scale noise near the Nyquist wavenumber, which grid
+    products alias and the refinement would re-inject with gain above one.
+    The analytic functions handled here decay geometrically, so a cutoff at a
+    fraction of the grid removes noise only; derivatives are taken within the
+    same band.
     """
     n, d = cols.shape[0], cols.shape[2]
     if k_cut is None:
@@ -255,7 +256,6 @@ def _refine_frame(
     tol = tol_rel * scale
     history = []
     best = np.inf
-    worse = 0
 
     for sweep in range(max_sweeps):
         res = _frame_residual(cols, op_grid, lams, period, k_cut)
@@ -268,15 +268,11 @@ def _refine_frame(
         active = [j for j in range(d) if j not in fixed_columns]
         res_max = float(np.max(np.abs(res_bal[:, :, active]))) if active else 0.0
         history.append(res_max)
-        if res_max < tol:
+        # stop at the tolerance, or once a sweep no longer halves the best
+        # residual: linear convergence has reached the roundoff floor
+        if res_max < tol or res_max > 0.5 * best:
             break
-        if res_max < best:
-            best = res_max
-            worse = 0
-        else:
-            worse += 1
-            if worse >= 5:
-                break
+        best = res_max
         try:
             rho = np.linalg.solve(balanced, -res_bal)
         except np.linalg.LinAlgError as exc:
@@ -434,65 +430,51 @@ def build_bundle_frame(
     return BundleBuildResult(frame, polished, diagnostics)
 
 
-def build_adjoint_frame(bundle: Frame, jac_grid, period, k_cut: int) -> Frame:
-    """Adjoint frame: inverse transpose of the bundle, spectrally polished.
+def build_adjoint_frame(model, cycle: CycleResult, bundle: Frame,
+                        sweep: VariationalSweep, k_cut: int) -> Frame:
+    """Build the complex adjoint (response-curve) frame, the dual of ``bundle``.
 
-    Column 0 is the phase response curve (its pairing with K0' is exactly 1),
-    columns j >= 1 are the amplitude response curves normalized against the
-    bundle columns.  The pointwise inverse transpose satisfies the pairing
-    identities exactly but inherits the bundle's pointwise error amplified by
-    the squared frame condition number, so the columns are polished as a
-    frame of -DX^T (from the Jacobian samples ``jac_grid``) with exponents
-    -lam and then rescaled to restore the pairings at the grid mean.  The
-    band starts at ``k_cut`` (the bundle's) or the inverse frame's own
-    estimate, whichever is wider.
+    Built as the bundle frame is: columns are seeded from eigenvectors of
+    the adjoint monodromy, the product of the chunk factors Psi of
+    ``sweep``, transported by Psi, and polished as a frame of -DX^T with
+    exponents -lam on the polished orbit ``cycle``, in the bundle's band
+    ``k_cut``.  Each column is then rescaled so that its pairing with the
+    bundle column has grid mean 1: column 0 is the phase response curve (its
+    pairing with K0' is 1), columns j >= 1 the amplitude response curves.
+    The frame keeps its own refined exponents, stated as lam (the negated
+    exponents of -DX^T).
     """
-    vals = bundle.grid_values()
-    try:
-        inv_t = np.linalg.inv(np.swapaxes(vals, 1, 2))
-    except np.linalg.LinAlgError as exc:
-        raise FrameError(f"bundle frame singular on the grid: {exc}") from exc
+    d, theta, period = model.dim, cycle.theta, cycle.period
+    mus, classes = -bundle.exponents, bundle.classes
+    psi_eigs, psi_vecs = np.linalg.eig(sweep.product(1))
+    sweep_period = sweep.edges[-1]
+    # eig's eigenvectors have unit norm
+    seeds = {
+        j: psi_vecs[:, np.argmin(np.abs(psi_eigs - np.exp(mus[j] * sweep_period)))]
+        for j in range(d) if classes[j] != CLASS_PAIR_CONJ
+    }
+    cols, _ = _seed_columns(sweep, seeds, mus, adjoint=True)
+    _symmetrize_columns(cols, mus, classes, theta, period)
+    op_grid = np.swapaxes(-model.jacobian(cycle.samples), 1, 2)
+    # 1e-15 lies below the roundoff floor (the oracle plateaus at 3-5e-15);
+    # the polish ends at the first sweep that does not halve the residual
+    _refine_frame(op_grid, period, cols, mus, classes, theta, tol_rel=1e-15,
+                  k_cut=k_cut)
 
-    n = vals.shape[0]
-    # the inverse frame has sharper features than the bundle where the
-    # condition number peaks; give it its own bandwidth estimate
-    k_cut = max(k_cut, _active_bandwidth(FourierSeries.from_samples(inv_t), n))
-    op_grid = np.swapaxes(-jac_grid, 1, 2)
-    exponents = -bundle.exponents
-
-    def measure(cols):
-        return float(np.max(np.abs(_frame_residual(
-            cols, op_grid, exponents, period, k_cut
-        ))))
-
-    theta = theta_grid(n, 1.0)
-    # the inverse decays slower than the decay-fit predicts, but a wider band
-    # also admits more roundoff: try growing bands and keep the best
-    best = None
-    while True:
-        trial = inv_t.copy()
-        # 1e-14 is the floor roundoff reaches (the oracle plateaus at
-        # 3-5e-15); aiming below it spends sweeps on noise
-        _refine_frame(
-            op_grid, period, trial, exponents.copy(), bundle.classes, theta,
-            tol_rel=1e-14, max_sweeps=30, k_cut=k_cut,
-        )
-        residual = measure(trial)
-        if best is None or residual < best[0]:
-            best = (residual, trial, k_cut)
-        if residual < ADJOINT_RESIDUAL_TARGET or k_cut >= n // 3:
-            break
-        k_cut = min(n // 3, int(1.5 * k_cut))
-    _, inv_t, k_cut = best
-    # restore the exact pairing gauge against the bundle columns
-    for j in range(inv_t.shape[2]):
-        factor = np.mean(np.einsum("ni,ni->n", inv_t[:, :, j], vals[:, :, j]))
-        inv_t[:, :, j] /= factor
+    # pairing gauge: the pairing with the bundle columns is constant in theta
+    # for exact solutions, so one rescale per column sets it
+    bundle_vals = bundle.grid_values()
+    for j in range(d):
+        factor = np.mean(np.einsum("ni,ni->n", cols[:, :, j], bundle_vals[:, :, j]))
+        if abs(factor) < 1e-12:
+            raise FrameError(f"adjoint column {j} orthogonal to the bundle column")
+        cols[:, :, j] /= factor
+    residual = float(np.max(np.abs(_frame_residual(cols, op_grid, mus, period, k_cut))))
     return Frame(
-        series=FourierSeries.from_samples(inv_t).band_limited(k_cut),
-        exponents=bundle.exponents.copy(),
-        classes=bundle.classes,
-        residual=measure(inv_t),
+        series=FourierSeries.from_samples(cols).band_limited(k_cut),
+        exponents=-mus,
+        classes=classes,
+        residual=residual,
     )
 
 
@@ -571,65 +553,40 @@ def cross_check_adjoint_frame(
     adjoint: Frame,
     sweep: VariationalSweep,
 ) -> dict:
-    """Independent reconstruction of the adjoint frame from the adjoint flow.
+    """Check the adjoint frame against the bundle frame and the adjoint flow.
 
-    The adjoint frame is built as a frame of -DX^T with exponents -lam, by
-    the same code as the bundle frame of DX: columns are seeded from
-    eigenvectors of the adjoint monodromy matrix, transported by Psi, and
-    polished in Fourier space on the polished orbit ``cycle`` (the
-    production frame never enters the construction).  Nothing is integrated:
-    Psi comes from ``sweep``, the pass the bundle frame was seeded from.  The
-    report contains the eigenvalue duality errors, the fundamental-solution
-    duality Psi^T Phi = Id on every chunk, and the per-column discrepancy
-    after gauge alignment.
+    Nothing is integrated or polished: Psi comes from ``sweep``, the pass
+    both frames were seeded from.  The report contains the fundamental-
+    solution duality Psi^T Phi = Id on every chunk, the duality of the
+    adjoint monodromy's eigenvalues with the multipliers (raw) and of the
+    adjoint frame's refined exponents with the bundle's, and the per-column
+    discrepancy of the adjoint frame from the pointwise inverse transpose of
+    the bundle, which is the dual frame by construction.
     """
-    d, theta, period = model.dim, cycle.theta, cycle.period
-    mus, classes = -bundle.exponents, bundle.classes
+    d = model.dim
 
     # The duality Psi(t)^T Phi(t) = Id holds on every chunk for the
     # transition matrices started there, and the full-period identity
     # follows by telescoping.  The product of the chunk factors Psi is the
-    # adjoint monodromy, whose eigenvalues seed the columns.
+    # adjoint monodromy.
     identity_defect = float(np.max(np.abs(
         np.swapaxes(sweep.ends[:, 1], 1, 2) @ sweep.ends[:, 0] - np.eye(d))))
-    psi_eigs, psi_vecs = np.linalg.eig(sweep.product(1))
-    sweep_period = sweep.edges[-1]
-    expected = np.exp(-np.conj(spectrum.exponents) * sweep_period)
+    psi_eigs, _ = np.linalg.eig(sweep.product(1))
+    expected = np.exp(-np.conj(spectrum.exponents) * sweep.edges[-1])
     closest = np.argmin(np.abs(psi_eigs[:, None] - expected), axis=0)
     raw_duality_errors = np.abs(psi_eigs[closest] - expected) / np.abs(expected)
 
-    # eig's eigenvectors have unit norm
-    seeds = {
-        j: psi_vecs[:, np.argmin(np.abs(psi_eigs - np.exp(mus[j] * sweep_period)))]
-        for j in range(d) if classes[j] != CLASS_PAIR_CONJ
-    }
-    cols, _ = _seed_columns(sweep, seeds, mus, adjoint=True)
+    try:
+        inv_t = np.linalg.inv(np.swapaxes(bundle.grid_values(), 1, 2))
+    except np.linalg.LinAlgError as exc:
+        raise FrameError(f"bundle frame singular on the grid: {exc}") from exc
+    gap = np.max(np.abs(adjoint.grid_values() - inv_t), axis=(0, 1))
+    discrepancies = gap / np.maximum(1.0, np.max(np.abs(inv_t), axis=(0, 1)))
 
-    _symmetrize_columns(cols, mus.copy(), classes, theta, period)
-    op_grid = np.swapaxes(-model.jacobian(cycle.samples), 1, 2)
-    mus_indep = mus.copy()
-    _refine_frame(op_grid, period, cols, mus_indep, classes, theta)
-
-    # gauge alignment: the pairing with the bundle columns is constant in
-    # theta for exact solutions, so a single rescale per column aligns gauges
-    bundle_vals = bundle.grid_values()
-    adjoint_vals = adjoint.grid_values()
-    discrepancies = np.zeros(d)
-    for j in range(d):
-        pairing = np.einsum("ni,ni->n", cols[:, :, j], bundle_vals[:, :, j])
-        factor = np.mean(pairing)
-        if abs(factor) < 1e-12:
-            raise FrameError(f"independent adjoint column {j} orthogonal to bundle")
-        aligned = cols[:, :, j] / factor
-        ref = adjoint_vals[:, :, j]
-        discrepancies[j] = float(
-            np.max(np.abs(aligned - ref)) / max(1.0, np.max(np.abs(ref)))
-        )
-
-    # well-posed duality measure: the adjoint-side refined exponents come
-    # purely from the adjoint machinery; agreement with the forward
-    # exponents is the eigenvalue duality stated at unit scale
-    shift = (mus - mus_indep) * period
+    # well-posed duality measure: the adjoint frame's refined exponents come
+    # purely from the adjoint machinery; agreement with the bundle's is the
+    # eigenvalue duality stated at unit scale
+    shift = (adjoint.exponents - bundle.exponents) * cycle.period
     shift = np.clip(shift.real, -700.0, 700.0) + 1j * shift.imag
     refined_duality = np.abs(np.exp(shift) - 1.0)
 
@@ -639,5 +596,5 @@ def cross_check_adjoint_frame(
         "psi_phi_identity_defect": identity_defect,
         "column_discrepancies": discrepancies,
         "max_column_discrepancy": float(np.max(discrepancies)),
-        "exponent_shift": float(np.max(np.abs(mus_indep - mus))),
+        "exponent_shift": float(np.max(np.abs(adjoint.exponents - bundle.exponents))),
     }

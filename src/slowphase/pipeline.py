@@ -1,6 +1,6 @@
 """Pipeline orchestration and artifact persistence.
 
-Stages: cycle -> floquet -> resonances -> frames (+independent cross-check)
+Stages: cycle -> floquet -> resonances -> frames (+adjoint cross-check)
 -> manifold -> response -> validation.  The table ``STAGES`` gives each step
 its metadata file, the config keys it reads, and its compute-and-save, load
 and manifest steps; :func:`run_pipeline`, :func:`load_result` and the
@@ -39,7 +39,7 @@ from .models import get_model
 from .response import ResponseExpansion, expand_response_functions
 from .series import FourierSeries, FourierTaylor
 from .store import read_coeffs, read_json, sha256_file, write_coeffs, write_json, write_rows_csv
-from .validation import run_validation
+from .validation import run_validation, tolerance_labels
 
 __all__ = ["PipelineResult", "run_pipeline", "Stage", "STAGES", "load_result"]
 
@@ -187,7 +187,8 @@ def save_validation(out, report):
     domain = report.domain
     header, columns = ["theta"], [domain.theta]
     for tol, pos, neg in zip(domain.tolerances, domain.sigma_pos, domain.sigma_neg):
-        header += [f"sigma_max_pos_{tol:.0e}", f"sigma_max_neg_{tol:.0e}"]
+        label = tolerance_labels(tol)[1]
+        header += [f"sigma_max_pos_{label}", f"sigma_max_neg_{label}"]
         columns += [pos, neg]
     write_rows_csv(os.path.join(out, "accuracy_domain.csv"), header, zip(*columns))
 
@@ -255,9 +256,8 @@ def _run_frames(result):
     result.band_cut = build.diagnostics["band_cut"]
     # the polished orbit replaces the stored one and depends on the same keys
     save_cycle(out, result.cycle, _inputs(result, "cycle.json"))
-    jac = model.jacobian(result.cycle.samples)
     result.adjoint = build_adjoint_frame(
-        result.bundle, jac, result.cycle.period, k_cut=result.band_cut
+        model, result.cycle, result.bundle, sweep, result.band_cut
     )
     result.crosscheck = cross_check_adjoint_frame(
         model, result.cycle, result.spectrum, result.bundle, result.adjoint, sweep

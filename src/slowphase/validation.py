@@ -422,6 +422,12 @@ def truncation_slope(
     return float(np.median(slopes)) if slopes else np.nan
 
 
+def tolerance_labels(tol) -> tuple:
+    """The labels of tolerance ``tol`` in the reports: its ``domain_min_width``
+    key in validation.json and its column suffix in accuracy_domain.csv."""
+    return f"{tol:.1e}", f"{tol:.0e}"
+
+
 @dataclass
 class ValidationReport:
     order0_residual: float
@@ -437,7 +443,7 @@ class ValidationReport:
         return {
             "order0_residual": self.order0_residual,
             "domain_min_width": {
-                f"{tol:.1e}": self.domain.min_width(i)
+                tolerance_labels(tol)[0]: self.domain.min_width(i)
                 for i, tol in enumerate(self.domain.tolerances)
             },
             "orthogonality_max": self.orthogonality["max"],

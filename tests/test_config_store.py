@@ -29,6 +29,7 @@ from slowphase.store import (
     write_rows_csv,
     write_series_csv,
 )
+from slowphase.validation import tolerance_labels
 
 
 def test_parse_basic_grammar():
@@ -112,10 +113,12 @@ _VALUES = {
     "manifold.order": st.integers(min_value=1),
     "manifold.extra_orders": st.integers(min_value=0),
     "manifold.gauge": _FINITE.filter(lambda v: v != 0),
-    # the parser lists tolerances in descending order
-    "validation.tolerances": st.lists(_POSITIVE, min_size=1, max_size=4).map(
-        lambda v: tuple(sorted(v, reverse=True))
-    ),
+    # the parser lists tolerances in descending order; no two share a label
+    # of the reports (validation.json's 1.0e-08, accuracy_domain.csv's 1e-08)
+    "validation.tolerances": st.lists(
+        _POSITIVE, min_size=1, max_size=4,
+        unique_by=(lambda t: tolerance_labels(t)[0], lambda t: tolerance_labels(t)[1]),
+    ).map(lambda v: tuple(sorted(v, reverse=True))),
     "validation.sigma_scan_max": st.none() | _POSITIVE,
     "validation.samples": st.integers(min_value=1),
     "validation.horizon_periods": st.floats(

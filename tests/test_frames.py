@@ -15,6 +15,7 @@ from slowphase.frames import (
     _integration_route,
     _seed_columns,
     build_adjoint_frame,
+    build_bundle_frame,
     cross_check_adjoint_frame,
     real_generator_matrix,
 )
@@ -186,10 +187,14 @@ def test_real_generator_blocks():
     assert np.array_equal(adj, expected)
 
 
-def test_oracle_adjoint_polish_stops_at_roundoff(oracle_run, monkeypatch):
-    """The adjoint polish aims at a residual that roundoff lets it reach: on
-    the oracle it stops within 3 sweeps, not after sweeps of noise."""
-    result = oracle_run.result
+def test_oracle_adjoint_polish_stops_at_roundoff(floquet_runs, monkeypatch):
+    """The adjoint polish aims at a residual below what roundoff lets it
+    reach, and ends where a sweep no longer halves it: on the oracle, from
+    the frames stage's own inputs, within 3 sweeps, not after sweeps of
+    noise."""
+    partial = floquet_runs["oracle"]
+    model, sweep = partial.model, partial.cycle.sweep
+    build = build_bundle_frame(model, partial.cycle, partial.spectrum, sweep)
     refine = frames_mod._refine_frame
     sweeps = []
 
@@ -199,11 +204,46 @@ def test_oracle_adjoint_polish_stops_at_roundoff(oracle_run, monkeypatch):
         return history
 
     monkeypatch.setattr(frames_mod, "_refine_frame", counting)
-    build_adjoint_frame(
-        result.bundle, result.model.jacobian(result.cycle.samples),
-        result.cycle.period, k_cut=result.band_cut,
-    )
-    assert sweeps and max(sweeps) <= 3, sweeps
+    build_adjoint_frame(model, build.cycle, build.bundle, sweep,
+                        build.diagnostics["band_cut"])
+    assert len(sweeps) == 1 and sweeps[0] <= 3, sweeps
+
+
+def test_refine_frame_stops_at_tolerance_or_first_sweep_not_halving(ei_run):
+    """The polish stops at its tolerance, or at the first sweep that does
+    not halve the best residual.  A polish that ends on its tolerance has
+    halved the residual at every sweep, so it is bitwise that many sweeps,
+    as under a rule that stops only at the tolerance or after five sweeps
+    without improvement."""
+    result = ei_run.result
+    bundle, cycle = result.bundle, result.cycle
+    jac = result.model.jacobian(cycle.samples)
+    d = bundle.dim
+    wave = np.cos(2 * np.pi * cycle.theta[:, None, None] + np.arange(d * d).reshape(d, d))
+
+    def polish(**kwargs):
+        cols = bundle.grid_values() * (1.0 + 1e-6 * wave)
+        lams = bundle.exponents + 1e-6
+        history = frames_mod._refine_frame(
+            jac, cycle.period, cols, lams, bundle.classes, cycle.theta,
+            fixed_columns=(0,), k_cut=result.band_cut, **kwargs,
+        )
+        return history, cols, lams
+
+    def halving(history):
+        return all(b <= 0.5 * a for a, b in zip(history, history[1:]))
+
+    history, cols, lams = polish()
+    assert len(history) >= 2 and halving(history)
+    assert history[-1] < 1e-12 * (1.0 + np.max(np.abs(jac)))
+    fixed, cols_fixed, lams_fixed = polish(tol_rel=0.0, max_sweeps=len(history) - 1)
+    assert fixed == history[:-1]
+    assert cols_fixed.tobytes() == cols.tobytes()
+    assert lams_fixed.tobytes() == lams.tobytes()
+
+    floor, _, _ = polish(tol_rel=0.0)  # unreachable: polished to roundoff
+    assert 3 <= len(floor) < 80
+    assert halving(floor[:-1]) and floor[-1] > 0.5 * floor[-2]
 
 
 def test_cross_check_oracle(oracle_run):
@@ -223,6 +263,64 @@ def test_cross_check_ei(ei_run):
     assert rep["max_column_discrepancy"] < 1e-8
     assert np.max(rep["eigenvalue_duality_rel_errors"]) < 1e-8
     assert rep["psi_phi_identity_defect"] < 1e-8
+
+
+@pytest.fixture(scope="module")
+def ei_sweep(ei_run):
+    """The pass along the polished production cycle: its Phi and Psi."""
+    cycle = ei_run.result.cycle
+    return variational_sweep(ei_run.result.model, cycle.anchor, cycle.period,
+                             cycle.grid_size)
+
+
+def _cross_check(result, sweep, adjoint=None):
+    return cross_check_adjoint_frame(result.model, result.cycle, result.spectrum,
+                                     result.bundle, adjoint or result.adjoint, sweep)
+
+
+def test_cross_check_reports_a_column_defect(ei_run, ei_sweep):
+    """One amplitude response column off by a smooth relative error of 1e-9
+    shows in the column discrepancy at 0.9 to 1.1 times its size."""
+    result, j = ei_run.result, 1
+    vals = result.adjoint.grid_values().copy()
+    fault = 1e-9 * np.cos(2 * np.pi * result.cycle.theta)[:, None] * vals[:, :, j]
+    vals[:, :, j] += fault
+    faulty = replace(result.adjoint, series=FourierSeries.from_samples(vals))
+    size = np.max(np.abs(fault)) / max(1.0, np.max(np.abs(vals[:, :, j])))
+    base, rep = _cross_check(result, ei_sweep), _cross_check(result, ei_sweep, faulty)
+    assert base["max_column_discrepancy"] < 1e-3 * size
+    assert 0.9 * size <= rep["column_discrepancies"][j] <= 1.1 * size
+    assert rep["max_column_discrepancy"] == rep["column_discrepancies"][j]
+    others = np.arange(result.model.dim) != j
+    assert np.max(rep["column_discrepancies"][others]) < 1e-3 * size
+
+
+def test_cross_check_reports_a_psi_chunk_defect(ei_run, ei_sweep):
+    """One chunk's Psi end off by a relative 1e-9 shows in the Psi^T Phi
+    defect at 0.9 to 1.1 times 1e-9."""
+    ends = ei_sweep.ends.copy()
+    ends[5, 1] *= 1.0 + 1e-9
+    base = _cross_check(ei_run.result, ei_sweep)
+    rep = _cross_check(ei_run.result, replace(ei_sweep, ends=ends))
+    assert base["psi_phi_identity_defect"] < 1e-2 * 1e-9
+    assert 0.9e-9 <= rep["psi_phi_identity_defect"] <= 1.1e-9
+
+
+def test_cross_check_reports_an_exponent_defect(ei_run, ei_sweep):
+    """One adjoint exponent off by 1e-9 shows in its refined duality error
+    at 0.9 to 1.1 times 1e-9 T, and in the exponent shift."""
+    result, j = ei_run.result, 2
+    exponents = result.adjoint.exponents.copy()
+    exponents[j] += 1e-9
+    faulty = replace(result.adjoint, exponents=exponents)
+    base, rep = _cross_check(result, ei_sweep), _cross_check(result, ei_sweep, faulty)
+    size = 1e-9 * result.cycle.period
+    assert np.max(base["eigenvalue_duality_rel_errors"]) < 1e-3 * size
+    errors = rep["eigenvalue_duality_rel_errors"]
+    assert 0.9 * size <= errors[j] <= 1.1 * size
+    others = np.arange(result.model.dim) != j
+    assert np.array_equal(errors[others], base["eigenvalue_duality_rel_errors"][others])
+    assert 0.9e-9 <= rep["exponent_shift"] <= 1.1e-9
 
 
 _CONFIGS = {
@@ -316,7 +414,7 @@ def test_seeds_at_floor_give_the_frames_of_seeds_at_user_settings(
     monkeypatch.setattr(frames_mod, "_seed_columns", noisy_seed_columns)
     noisy = run_pipeline(replace(config, out_dir=str(tmp_path / "noisy")),
                          through=Stage.RESPONSE, resume=replace(partial))
-    assert perturbed == [False, True]  # the bundle's seeds, then the cross-check's
+    assert perturbed == [False, True]  # the bundle's seeds, then the adjoint's
     assert exact.bundle.grid_values().tobytes() != noisy.bundle.grid_values().tobytes()
 
     assert _peak_relative(noisy.bundle.grid_values(), exact.bundle.grid_values()) < 1e-13

@@ -677,6 +677,24 @@ def test_bad_config_value_exits_4(tmp_path, capsys, line, named):
     assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tolerances, pair", [
+    ("1e-8, 1.4e-8, 1.04e-8", ("1.04e-08", "1e-08")),  # validation.json's 1.0e-08
+    ("1e-8, 1.4e-8", ("1.4e-08", "1e-08")),  # accuracy_domain.csv's 1e-08
+    ("1e-8, 1e-8", ("1e-08 and 1e-08",)),
+], ids=["summary_key", "csv_column", "repeated"])
+def test_tolerances_sharing_a_report_label_exit_4(tmp_path, capsys, tolerances, pair):
+    # the reports key each tolerance by a rounded label, so two tolerances of
+    # one label would be merged into one domain width or repeated columns
+    cfg, out = _write_cfg(tmp_path)
+    with open(cfg, "a", encoding="utf-8") as fh:
+        fh.write(f"validation.tolerances = {tolerances}\n")
+    assert main(["cycle", "--config", cfg]) == 4
+    err = capsys.readouterr().err
+    assert "validation.tolerances" in err
+    assert all(value in err for value in pair), err
+    assert not os.path.exists(out)
+
+
 def test_non_finite_model_parameter_exits_4(tmp_path):
     # a NaN time constant once made the integrator's first step NaN, and the
     # step never returned; a subprocess with a timeout fails instead of hanging
