@@ -23,7 +23,7 @@ from .frames import (
     build_real_frames,
     cross_check_adjoint_frame,
 )
-from .integrate import IntegratorSettings, flow, flow_with_variational
+from .integrate import IntegratorSettings, flow
 from .manifold import ManifoldExpansion, evaluate_manifold, expand_slow_manifold
 from .models import (
     EIParameters,

@@ -10,9 +10,11 @@ maximum to maximum, each located by a crossing test run after every step of
 the shared integration loop of :mod:`slowphase.integrate`, until successive
 maxima agree to within Newton's basin, and then Newton-polishing the pair
 (anchor, period) on the bordered shooting system whose last row is the
-section.  One pass from the anchor, :func:`variational_sweep`, samples the
-orbit and gives the monodromy, whose eigenvectors are gauged at that
-canonical anchor, which fixes the sign of sigma, and the frames' seeds.
+section, each step on one pass of the variational system,
+:func:`variational_sweep`.  The pass of the last step, measured but not
+applied, samples the orbit and gives the monodromy, whose eigenvectors are
+gauged at that canonical anchor, which fixes the sign of sigma, and the
+frames' seeds.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .integrate import (
     _integrate,
     _model_state,
     _seed_settings,
-    flow_with_variational,
 )
 from .series import FourierSeries, theta_grid
 
@@ -66,6 +67,11 @@ SECTION_TOL = 1e-8  # least |d X_0 / dt| at a maximum, relative to |DX| |X|
 HYPERBOLICITY_TOL = 1e-6  # admissible |mu_0 - 1| of the trivial multiplier
 CONDITION_LIMIT = 1e10  # largest admissible eigenvector condition number
 IMAG_CLASS_TOL = 1e-2  # relative imaginary part below which mu is real
+# |mu| <= UNDERFLOW_FACTOR eps |M|_2 is the formed monodromy's roundoff floor.
+# |mu_min| / (eps |M|_2) reads 9.2e3 on ei, 1.6e10 on oracle, 1.3e12 on van der
+# Pol mu = 1, and at most 0.65 on van der Pol mu = 3, 4, 6 and the stiff
+# oracle: 100 sits 92x under ei and 150x above the worst refused case.
+UNDERFLOW_FACTOR = 100
 HARMONIC_LEVEL = 1e-10  # relative level above which a harmonic counts as present
 # chunks of one period of the variational sweep: each starts Phi and Psi at
 # the identity, and the cross-check tests Psi^T Phi = Id on each
@@ -283,12 +289,9 @@ def _period_multiple(series: FourierSeries) -> int:
     return int(np.gcd.reduce(present))
 
 
-def variational_sweep(model, anchor, period: float, grid_size: int,
-                      settings: IntegratorSettings = DEFAULT_SETTINGS) -> VariationalSweep:
-    """The :class:`VariationalSweep` from ``anchor``: one integration per
-    chunk at ``settings``, sampling its grid times by dense output (which does
-    not move the steps).  Chunks keep each factor's dynamic range near one;
-    over the period Phi carries 1/|mu_min|, which swamps double precision."""
+def _variational_rhs(model):
+    """The right-hand side of x' = X(x), Phi' = DX(x) Phi and
+    Psi' = -DX(x)^T Psi on y = (x, Phi, Psi), the matrices raveled."""
     d, field, jacobian = model.dim, model.point_field(), model.point_jacobian()
 
     def rhs(t, y):  # one Jacobian per stage serves Phi and Psi
@@ -296,6 +299,16 @@ def variational_sweep(model, anchor, period: float, grid_size: int,
         return np.concatenate([field(y[:d]), (jac @ y[d:d + d * d].reshape(d, d)).ravel(),
                                (-jac.T @ y[d + d * d:].reshape(d, d)).ravel()])
 
+    return rhs
+
+
+def variational_sweep(model, anchor, period: float, grid_size: int,
+                      settings: IntegratorSettings = DEFAULT_SETTINGS) -> VariationalSweep:
+    """The :class:`VariationalSweep` from ``anchor``: one integration per
+    chunk at ``settings``, sampling its grid times by dense output (which does
+    not move the steps).  Chunks keep each factor's dynamic range near one;
+    over the period Phi carries 1/|mu_min|, which swamps double precision."""
+    d, rhs = model.dim, _variational_rhs(model)
     edges = np.linspace(0.0, period, IDENTITY_CHUNKS + 1)
     times = theta_grid(grid_size, 1.0) * period
     chunk = np.searchsorted(edges, times, side="right") - 1
@@ -330,9 +343,12 @@ def find_cycle(
     bordered system (return-map residual plus the section row X_0(x) = 0,
     whose gradient is ``DX(x)[0, :]``) then solves for the anchor and period
     at ``settings``, in at most ``MAX_NEWTON`` steps; a divergence names
-    ``cycle.relax_time``.  One pass from the converged anchor at ``settings``,
-    :func:`variational_sweep` (returned as ``sweep``), gives the shooting
-    residual (its end state) and the orbit at ``grid_size`` equispaced
+    ``cycle.relax_time``.  Each step runs :func:`variational_sweep` from the
+    current anchor and period: its end state gives the residual, its Phi
+    chunk product the Jacobian.  The first step below ``newton_tol`` is
+    recorded but not applied, so the anchor and period recompute its pass
+    (returned as ``sweep``) bitwise.  That pass gives the shooting residual,
+    the hyperbolicity check and the orbit at ``grid_size`` equispaced
     phases, analyzed into the cycle's series.  A series whose present
     harmonics share a factor m > 1 spans m periods: :class:`NewtonError`
     names m.  A series not resolved by the grid raises :class:`GridError`.
@@ -358,40 +374,39 @@ def find_cycle(
     d = model.dim
     steps = []
     for _ in range(MAX_NEWTON):
-        x_t, phi = flow_with_variational(model, x, period, settings)
-        residual = x_t - x
+        sweep = variational_sweep(model, x, period, grid_size, settings)
+        monodromy = sweep.product()
         big = np.zeros((d + 1, d + 1))
-        big[:d, :d] = phi - np.eye(d)
-        big[:d, d] = model.eval(x_t)
+        big[:d, :d] = monodromy - np.eye(d)
+        big[:d, d] = model.eval(sweep.end_state)
         big[d, :d] = model.jacobian(x)[0]
-        rhs = -np.concatenate([residual, model.eval(x)[:1]])
+        rhs = -np.concatenate([sweep.end_state - x, model.eval(x)[:1]])
         try:
             delta = np.linalg.solve(big, rhs)
         except np.linalg.LinAlgError as exc:
             raise diverged(f"singular shooting system: {exc}") from exc
-        x = x + delta[:d]
-        period = period + delta[d]
-        if period <= 0:
+        x_next, period_next = x + delta[:d], period + delta[d]
+        if period_next <= 0:
             raise diverged("period became non-positive during Newton")
-        size = np.linalg.norm(delta[:d]) / (1.0 + np.linalg.norm(x)) + abs(
+        size = np.linalg.norm(delta[:d]) / (1.0 + np.linalg.norm(x_next)) + abs(
             delta[d]
-        ) / period
+        ) / period_next
         steps.append(float(size))
         if size < newton_tol:
             break
+        x, period = x_next, period_next
     else:
         raise diverged(f"shooting Newton did not converge in {MAX_NEWTON} iterations")
     search["newton_steps"] = steps
     search["section_value"] = float(model.eval(x)[0])
 
-    mu = np.linalg.eigvals(phi)
+    mu = np.linalg.eigvals(monodromy)
     nontrivial = np.delete(mu, np.argmin(np.abs(mu - 1.0)))
     if np.any(np.abs(nontrivial) >= 1.0):
         raise HyperbolicityError(
             "cycle is not attracting: some nontrivial multiplier has |mu| >= 1"
         )
 
-    sweep = variational_sweep(model, x, float(period), grid_size, settings)
     series = FourierSeries.from_samples(sweep.states, 1.0)
     # m periods need m times the harmonics of one, so the tail check below
     # would blame the grid for a multiple; name the multiple first
@@ -476,8 +491,9 @@ def floquet_spectrum(sweep: VariationalSweep) -> FloquetSpectrum:
     gauged by :func:`_gauge_vector`; from :func:`find_cycle`'s canonical
     anchor that fixes the sign of the slow column, hence of sigma, from the
     model alone, and ``gauge_components`` records the deciding component of
-    each column.  A multiplier that rounds to zero has no finite exponent
-    and raises :class:`MultiplierUnderflowError`.
+    each column.  A multiplier at the roundoff floor of the monodromy M,
+    ``|mu| <= UNDERFLOW_FACTOR eps |M|_2``, is rounding noise, so it raises
+    :class:`MultiplierUnderflowError` naming the multiplier and the floor.
     """
     period, monodromy = float(sweep.edges[-1]), sweep.product()
     mu, vecs = np.linalg.eig(monodromy)
@@ -504,14 +520,15 @@ def floquet_spectrum(sweep: VariationalSweep) -> FloquetSpectrum:
     order = [i_triv] + rest
     mu_sorted = mu[order].astype(complex)  # eig gives a real array if all are real
     vec_sorted = vecs[:, order]
-    with np.errstate(divide="ignore"):
-        lyapunov = np.log(np.abs(mu_sorted)) / period  # a pair shares its modulus
-    if not np.all(np.isfinite(lyapunov)):
-        j = int(np.argmin(np.isfinite(lyapunov)))
+    floor = UNDERFLOW_FACTOR * np.finfo(float).eps * np.linalg.norm(monodromy, 2)
+    j = int(np.argmin(np.abs(mu_sorted)))
+    if abs(mu_sorted[j]) <= floor:
         raise MultiplierUnderflowError(
-            f"multiplier mu_{j} = {mu_sorted[j]} has no finite exponent (log|mu_{j}| "
-            f"= -inf): it contracts below double precision in one period"
+            f"multiplier mu_{j} = {mu_sorted[j]:.3g} lies at the roundoff floor of the "
+            f"monodromy: |mu_{j}| = {abs(mu_sorted[j]):.3g} <= {UNDERFLOW_FACTOR} eps "
+            f"|M|_2 = {floor:.3g}; it contracts below double precision in one period"
         )
+    lyapunov = np.log(np.abs(mu_sorted)) / period  # a pair shares its modulus
 
     d = len(mu)
     classes = [CLASS_TRIVIAL]

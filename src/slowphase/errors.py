@@ -52,7 +52,9 @@ class HyperbolicityError(NumericalError):
 
 
 class MultiplierUnderflowError(NumericalError):
-    """A Floquet multiplier rounds to zero: its exponent is not finite."""
+    """A Floquet multiplier lies at the roundoff floor of the formed
+    monodromy (|mu| <= 100 eps |M|_2): its computed value, and so its
+    exponent and class, is rounding noise."""
 
 
 class DefectiveSpectrumError(NumericalError):

@@ -10,8 +10,9 @@ passing ``t1 < t0``; both times must be finite.  The package needs no scipy:
 the stepper does scipy's DOP853 arithmetic operation for operation, so flows
 are bitwise scipy's.  The cycle's relaxation, a seed that the shooting
 Newton refines, runs no tighter than the floor ``SEED_RTOL``
-(:func:`_seed_settings`); the rest, the one pass along the orbit included
-(:func:`slowphase.cycle.variational_sweep`), run at the user's settings.
+(:func:`_seed_settings`); the rest run at the user's settings.  The
+variational system has one integrator, the pass along the orbit that each
+Newton step runs, :func:`slowphase.cycle.variational_sweep`.
 
 Right-hand sides call the model through its point closures
 (:meth:`~slowphase.models.VectorFieldModel.point_field` and
@@ -34,7 +35,6 @@ from .series import FourierSeries
 __all__ = [
     "IntegratorSettings",
     "flow",
-    "flow_with_variational",
     "CycleInterpolant",
 ]
 
@@ -187,33 +187,6 @@ def flow(model, x0, t, settings: IntegratorSettings = DEFAULT_SETTINGS) -> np.nd
     x0 = _model_state(model, x0)
     y, _ = _integrate(_field_rhs(model), 0.0, x0, t, settings)
     return y
-
-
-def _variational_rhs(model, d):
-    field, jacobian = model.point_field(), model.point_jacobian()
-
-    def rhs(t, y):
-        x = y[:d]
-        phi = y[d:].reshape(d, d)
-        out = np.empty_like(y)
-        out[:d] = field(x)
-        out[d:] = (jacobian(x) @ phi).ravel()
-        return out
-
-    return rhs
-
-
-def flow_with_variational(model, x0, t, settings: IntegratorSettings = DEFAULT_SETTINGS):
-    """Integrate the coupled state + first-variational system.
-
-    Returns ``(x(t), Phi(t))`` where Phi solves Phi' = DX(x(s)) Phi from the
-    identity.
-    """
-    d = model.dim
-    x0 = _model_state(model, x0)
-    y0 = np.concatenate([x0, np.eye(d).ravel()])
-    y, _ = _integrate(_variational_rhs(model, d), 0.0, y0, t, settings)
-    return y[:d], y[d:].reshape(d, d)
 
 
 class CycleInterpolant:

@@ -38,7 +38,6 @@ from slowphase.integrate import (
     IntegratorSettings,
     _field_rhs,
     _integrate,
-    flow_with_variational,
 )
 from slowphase.models import make_oracle_model
 from slowphase.pipeline import Stage, run_pipeline
@@ -379,33 +378,29 @@ def test_eigenvector_gauge(ei_run):
 def test_relaxation_at_the_seed_floor_newton_and_sampling_at_user_settings(
         monkeypatch):
     """The relaxation is a seed for Newton: its searches run at SEED_RTOL
-    (atol scaled alike), while Newton and the sampling pass, one integration
-    per chunk after Newton, keep the user's settings."""
+    (atol scaled alike), while Newton's passes, one sampling integration per
+    chunk and Newton step, keep the user's settings and follow the last
+    search; find_cycle integrates nothing else."""
     import slowphase.cycle as cycle_mod
     from slowphase.integrate import SEED_RTOL
 
     user = IntegratorSettings(rtol=1e-12, atol=1e-13)
     seen = []
-    integrate, variational = cycle_mod._integrate, cycle_mod.flow_with_variational
+    integrate = cycle_mod._integrate
 
     def spy_integrate(fun, t0, y0, t1, settings, **kwargs):
         kind = "sampling" if kwargs.get("t_eval") is not None else "search"
         seen.append((kind, settings))
         return integrate(fun, t0, y0, t1, settings, **kwargs)
 
-    def spy_variational(model, x0, t, settings):
-        seen.append(("newton", settings))
-        return variational(model, x0, t, settings)
-
     monkeypatch.setattr(cycle_mod, "_integrate", spy_integrate)
-    monkeypatch.setattr(cycle_mod, "flow_with_variational", spy_variational)
-    find_cycle(make_oracle_model(), [1.3, 0.0], settings=user, grid_size=64,
-               relax_time=20.0)
+    cycle = find_cycle(make_oracle_model(), [1.3, 0.0], settings=user, grid_size=64,
+                       relax_time=20.0)
     kinds = [kind for kind, _ in seen]
+    passes = IDENTITY_CHUNKS * len(cycle.search["newton_steps"])
+    assert len(cycle.search["newton_steps"]) >= 2
     assert kinds.count("search") >= 2
-    last_newton = max(i for i, k in enumerate(kinds) if k == "newton")
-    assert kinds[last_newton + 1:] == ["sampling"] * IDENTITY_CHUNKS
-    assert kinds.index("newton") > max(i for i, k in enumerate(kinds) if k == "search")
+    assert kinds == ["search"] * (len(kinds) - passes) + ["sampling"] * passes
     for kind, settings in seen:
         if kind == "search":
             assert settings.rtol == SEED_RTOL
@@ -445,7 +440,7 @@ def test_sweep_monodromy_matches_a_single_shot_flow(floquet_runs, name):
     """The product of the pass's Phi chunk ends is the monodromy: the
     spectrum's monodromy is that product, bitwise, and its multipliers with
     |mu| >= 1e-6 lie within 1e-10 (relative) of those of a single-shot
-    variational flow over the period."""
+    variational flow over the period, integrated here as the reference."""
     result = floquet_runs[name]
     cycle = result.cycle
     ends = cycle.sweep.ends[:, 0]
@@ -453,7 +448,15 @@ def test_sweep_monodromy_matches_a_single_shot_flow(floquet_runs, name):
     for end in ends[1:]:
         product = end @ product
     assert result.spectrum.monodromy.tobytes() == product.tobytes()
-    _, single = flow_with_variational(result.model, cycle.anchor, cycle.period)
+    d = result.model.dim
+    field, jacobian = result.model.point_field(), result.model.point_jacobian()
+
+    def x_and_phi(t, y):
+        return np.concatenate([field(y[:d]), (jacobian(y[:d]) @ y[d:].reshape(d, d)).ravel()])
+
+    end, _ = _integrate(x_and_phi, 0.0, np.concatenate([cycle.anchor, np.eye(d).ravel()]),
+                        cycle.period, DEFAULT_SETTINGS)
+    single = end[d:].reshape(d, d)
     ours, theirs = np.linalg.eigvals(product), np.linalg.eigvals(single)
     for mu in theirs[np.abs(theirs) >= 1e-6]:
         gap = np.min(np.abs(ours - mu)) / abs(mu)
@@ -647,10 +650,13 @@ def stiff_oracle(monkeypatch):
 
 
 def test_multiplier_rounding_to_zero_is_a_typed_abort(stiff_oracle, tmp_path, capsys):
-    """A multiplier that rounds to zero has exponent -inf: it ended the run
-    untyped in the frames stage, from NaN seeds; it is a numerical abort
-    (exit 3) of the spectrum that names the multiplier."""
-    message = r"multiplier mu_1 = 0j has no finite exponent \(log\|mu_1\| = -inf\)"
+    """A multiplier at the roundoff floor of the monodromy (here e^{-20 pi},
+    which rounds to 0 or to a few eps of either sign) has no exponent to
+    read: it ended the run untyped in the frames stage, from NaN seeds; it is
+    a numerical abort (exit 3) of the spectrum that names the multiplier and
+    the floor."""
+    message = (r"multiplier mu_1 = \S+ lies at the roundoff floor of the monodromy: "
+               r"\|mu_1\| = \S+ <= 100 eps \|M\|_2 = ")
     config = RunConfig(model="stiff_oracle", guess=(1.3, 0.0), relax_time=20.0,
                        grid_size=128, out_dir=str(tmp_path / "api"))
     with pytest.raises(MultiplierUnderflowError, match=message):
@@ -665,4 +671,87 @@ def test_multiplier_rounding_to_zero_is_a_typed_abort(stiff_oracle, tmp_path, ca
     )
     capsys.readouterr()
     assert main(["run", "--config", str(cfg)]) == 3
-    assert "mu_1 = 0j has no finite exponent" in capsys.readouterr().err
+    assert re.search(message, capsys.readouterr().err)
+
+
+def _make_van_der_pol(overrides):
+    """x'' - mu (1 - x^2) x' + x = 0 as (x, x'); mu defaults to 1."""
+    mu = float(overrides.get("mu", 1.0))
+
+    def rhs(u):
+        x, v = u
+        return (v, mu * (1.0 - x * x) * v - x)
+
+    def jac_rows(u):
+        x, v = u
+        return ((0.0, 1.0), (-2.0 * mu * x * v - 1.0, mu * (1.0 - x * x)))
+
+    return models.VectorFieldModel(
+        name="vdp", dim=2, params={"mu": mu}, state_names=("x", "v"),
+        rhs=rhs, jac_rows=jac_rows,
+    )
+
+
+@pytest.fixture
+def van_der_pol(monkeypatch):
+    monkeypatch.setattr(models, "_REGISTRY", dict(models._REGISTRY))
+    models.register_model("vdp", _make_van_der_pol)
+
+
+@pytest.mark.parametrize("mu", [1.0, 3.0, 4.0, 6.0])
+def test_van_der_pol_spectrum_or_a_typed_refusal(van_der_pol, mu, tmp_path):
+    """At mu = 1 the slow multiplier (e^{-1.06 T}) stands 1e12 eps |M|_2
+    clear of the monodromy's roundoff and its exponent is read; from mu = 3
+    the true multiplier lies below that floor, and the spectrum refuses it
+    rather than classing a rounding residue."""
+    config = RunConfig(model="vdp", model_params={"mu": mu}, guess=(2.0, 0.0),
+                       grid_size=1024, out_dir=str(tmp_path))
+    if mu == 1.0:
+        spectrum = run_pipeline(config, through=Stage.FLOQUET).spectrum
+        assert spectrum.classes == (CLASS_TRIVIAL, CLASS_REAL_POSITIVE)
+        assert spectrum.exponents[1].real == pytest.approx(-1.0593770, abs=1e-7)
+        return
+    with pytest.raises(MultiplierUnderflowError, match=r"mu_1 = .* roundoff floor"):
+        run_pipeline(config, through=Stage.FLOQUET)
+
+
+def test_van_der_pol_below_the_floor_exits_3(van_der_pol, tmp_path, capsys):
+    cfg = tmp_path / "vdp.cfg"
+    cfg.write_text(
+        "model.name = vdp\n"
+        "model.params.mu = 4\n"
+        "cycle.guess = 2.0, 0.0\n"
+        "cycle.grid_N = 1024\n"
+        f"output.directory = {tmp_path / 'out'}\n"
+    )
+    capsys.readouterr()
+    assert main(["floquet", "--config", str(cfg)]) == 3
+    assert "roundoff floor of the monodromy" in capsys.readouterr().err
+
+
+def test_kept_pass_is_the_pass_of_the_stored_anchor(monkeypatch):
+    """Each Newton step runs one pass, and the last step is measured, not
+    applied: the cycle keeps that pass, whose start is the anchor, so the
+    pass recomputed from the stored anchor and period is bytewise the same,
+    and the shooting residual is the last Newton residual's norm."""
+    import slowphase.cycle as cycle_mod
+
+    passes = []
+    sweep = cycle_mod.variational_sweep
+
+    def spy(model, anchor, period, grid_size, settings):
+        passes.append((np.array(anchor), sweep(model, anchor, period, grid_size, settings)))
+        return passes[-1][1]
+
+    monkeypatch.setattr(cycle_mod, "variational_sweep", spy)
+    model = make_oracle_model()
+    cycle = find_cycle(model, [1.3, 0.0], grid_size=128, relax_time=20.0)
+    monkeypatch.undo()
+    assert len(passes) == len(cycle.search["newton_steps"]) >= 2
+    anchor, kept = passes[-1]
+    assert kept is cycle.sweep and anchor.tobytes() == cycle.anchor.tobytes()
+    assert cycle.shooting_residual == float(np.linalg.norm(kept.end_state - anchor))
+    again = cycle_mod.variational_sweep(model, cycle.anchor, cycle.period, 128,
+                                        DEFAULT_SETTINGS)
+    for name in ("states", "flows", "ends", "end_state"):
+        assert getattr(again, name).tobytes() == getattr(kept, name).tobytes(), name

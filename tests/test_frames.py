@@ -439,11 +439,12 @@ def test_seeds_at_floor_give_the_frames_of_seeds_at_user_settings(
 ], ids=["tighter", "looser", "at_floor"])
 def test_cold_run_integrates_each_chunk_once_at_user_settings(
         tmp_path, monkeypatch, user):
-    """After the shooting Newton, a cold run through the frames stage
-    integrates exactly IDENTITY_CHUNKS chunks, the pass, each at the user's
-    settings object however it compares with the seed floor, each sampling
-    exactly its chunk's grid times; the spectrum and both frame builders
-    integrate nothing."""
+    """A cold run through the frames stage integrates the variational system
+    only in the shooting Newton's passes, exactly one per Newton step, each
+    of IDENTITY_CHUNKS chunks at the user's settings object however it
+    compares with the seed floor, each chunk sampling exactly its grid
+    times; the last pass spans the spectrum's period, and the spectrum and
+    both frame builders integrate nothing."""
     calls = []  # (stage, t0, t1, settings, t_eval) of every integration
     stage = ["cycle"]
     integrate = integrate_mod._integrate
@@ -454,16 +455,6 @@ def test_cold_run_integrates_each_chunk_once_at_user_settings(
 
     for module in (integrate_mod, cycle_mod):
         monkeypatch.setattr(module, "_integrate", spy)
-    newton = cycle_mod.flow_with_variational
-
-    def spy_newton(*args):
-        stage[0] = "newton"
-        try:
-            return newton(*args)
-        finally:
-            stage[0] = "after newton"
-
-    monkeypatch.setattr(cycle_mod, "flow_with_variational", spy_newton)
     for name in ("floquet_spectrum", "build_bundle_frame", "cross_check_adjoint_frame"):
         def entered(*args, _name=name, _fn=getattr(pipeline_mod, name)):
             stage[0] = _name
@@ -475,19 +466,23 @@ def test_cold_run_integrates_each_chunk_once_at_user_settings(
     result = run_pipeline(config, through=Stage.FRAMES)
 
     assert stage[0] == "cross_check_adjoint_frame"  # every spy was entered
-    last_newton = max(i for i, call in enumerate(calls) if call[0] == "newton")
-    chunks = calls[last_newton + 1:]
-    assert len(chunks) == IDENTITY_CHUNKS == 16
-    period = result.spectrum.period
-    edges = np.linspace(0.0, period, IDENTITY_CHUNKS + 1)
-    times = theta_grid(config.grid_size) * period
-    for c, (where, t0, t1, settings, t_eval) in enumerate(chunks):
-        assert where == "after newton"  # find_cycle's pass, before any later stage
-        assert settings is user
-        assert (t0, t1) == (edges[c], edges[c + 1])
-        inside = times[(times >= edges[c]) & (times < edges[c + 1])]
-        assert len(inside) == config.grid_size // IDENTITY_CHUNKS
-        assert t_eval.tobytes() == inside.tobytes()
+    assert all(where == "cycle" for where, *_ in calls)
+    sampled = [i for i, call in enumerate(calls) if call[4] is not None]
+    steps = len(result.cycle.search["newton_steps"])
+    assert len(sampled) == steps * IDENTITY_CHUNKS and steps >= 2
+    assert sampled == list(range(len(calls) - len(sampled), len(calls)))  # after the searches
+    for p in range(steps):
+        chunks = calls[sampled[p * IDENTITY_CHUNKS]:][:IDENTITY_CHUNKS]
+        period = chunks[-1][2]
+        edges = np.linspace(0.0, period, IDENTITY_CHUNKS + 1)
+        times = theta_grid(config.grid_size) * period
+        for c, (_, t0, t1, settings, t_eval) in enumerate(chunks):
+            assert settings is user
+            assert (t0, t1) == (edges[c], edges[c + 1])
+            inside = times[(times >= edges[c]) & (times < edges[c + 1])]
+            assert len(inside) == config.grid_size // IDENTITY_CHUNKS
+            assert t_eval.tobytes() == inside.tobytes()
+    assert period == result.spectrum.period
 
 
 def test_oracle_frames_stage_with_chunks_holding_no_grid_time(tmp_path):

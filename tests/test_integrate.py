@@ -11,7 +11,7 @@ from scipy.integrate._ivp import dop853_coefficients
 import slowphase.cycle as cycle_mod
 import slowphase.frames as frames_mod
 from slowphase import dop853
-from slowphase.cycle import CLASS_PAIR_CONJ
+from slowphase.cycle import CLASS_PAIR_CONJ, _variational_rhs, variational_sweep
 from slowphase.errors import ConfigError, IntegrationError, ModelError
 from slowphase.integrate import (
     DEFAULT_SETTINGS,
@@ -20,9 +20,7 @@ from slowphase.integrate import (
     IntegratorSettings,
     _field_rhs,
     _integrate,
-    _variational_rhs,
     flow,
-    flow_with_variational,
 )
 from slowphase.models import VectorFieldModel, make_ei_model, make_oracle_model
 from slowphase.series import FourierSeries
@@ -115,13 +113,14 @@ def test_driver_equals_scipy_dop853(name, variational, kick, horizon, backward, 
     system) are bitwise scipy's: end state, step count, samples, and the
     (t, y) that on_step sees after every step.  A flow that blows up fails
     at the same step in both.  The right-hand sides are the ones the package
-    integrates: the point-field closure and the variational system."""
+    integrates: the point-field closure and the pass's (x, Phi, Psi)
+    system, from the identity as each chunk starts."""
     model = make_ei_model() if name == "ei" else make_oracle_model()
     d = model.dim
     x0 = np.asarray(_START[name]) + np.asarray(kick[:d])
     if variational:
-        fun = _variational_rhs(model, d)
-        y0 = np.concatenate([x0, np.eye(d).ravel()])
+        fun = _variational_rhs(model)
+        y0 = np.concatenate([x0, np.tile(np.eye(d).ravel(), 2)])
     else:
         fun = _field_rhs(model)
         y0 = x0
@@ -227,11 +226,11 @@ def test_non_finite_horizon_raises_at_once(horizon):
     # every comparison of the step-size loop is false for NaN: it would spin
     # inside one step and never reach the step budget
     model = make_ei_model()
+    y0 = np.concatenate([_START["ei"], np.tile(np.eye(model.dim).ravel(), 2)])
     start = time.perf_counter()
     with pytest.raises(IntegrationError, match="times must be finite"):
-        flow_with_variational(
-            model, np.asarray(_START["ei"]), horizon, IntegratorSettings(max_steps=2000)
-        )
+        _integrate(_variational_rhs(model), 0.0, y0, horizon,
+                   IntegratorSettings(max_steps=2000))
     assert time.perf_counter() - start < 1.0
     with pytest.raises(IntegrationError, match="times must be finite"):
         flow(model, np.asarray(_START["ei"]), horizon)
@@ -244,7 +243,7 @@ def test_variational_flow_rejects_wrong_state_length(length):
     model = make_ei_model()
     start = time.perf_counter()
     with pytest.raises(ModelError, match=r"shape \(6,\)"):
-        flow_with_variational(model, np.full(length, 0.1), 0.1)
+        variational_sweep(model, np.full(length, 0.1), 0.1, 8)
     assert time.perf_counter() - start < 1.0
 
 
@@ -280,17 +279,20 @@ def test_flow_backward_inverts_forward():
 
 
 def test_variational_identity_at_time_zero():
-    model = make_oracle_model()
-    _, phi = flow_with_variational(model, np.array([1.0, 0.0]), 0.0)
-    assert np.array_equal(phi, np.eye(2))
+    sweep = variational_sweep(make_oracle_model(), np.array([1.0, 0.0]), 0.0, 8)
+    assert np.array_equal(sweep.end_state, [1.0, 0.0])
+    for f in (0, 1):
+        assert np.array_equal(sweep.product(f), np.eye(2))
 
 
 def test_variational_monodromy_eigenvalues():
-    model = make_oracle_model()
-    _, phi = flow_with_variational(model, np.array([1.0, 0.0]), 2.0 * np.pi)
-    eigs = np.sort(np.abs(np.linalg.eigvals(phi)))
-    expected = np.sort([1.0, np.exp(-4.0 * np.pi)])
-    assert np.max(np.abs(eigs - expected) / expected) < 1e-8
+    """Over one period of the oracle's unit circle, the pass's Phi product
+    has multipliers 1 and e^{-4 pi}, and its Psi product their inverses."""
+    sweep = variational_sweep(make_oracle_model(), np.array([1.0, 0.0]), 2.0 * np.pi, 8)
+    for f, rate in ((0, -4.0), (1, 4.0)):
+        eigs = np.sort(np.abs(np.linalg.eigvals(sweep.product(f))))
+        expected = np.sort([1.0, np.exp(rate * np.pi)])
+        assert np.max(np.abs(eigs - expected) / expected) < 1e-8, f
 
 
 def test_blowup_reports_failure_time():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import slowphase.validation as validation
 from slowphase.errors import ValidationFailure
 from slowphase.manifold import evaluate_manifold
-from slowphase.series import horner
+from slowphase.series import FourierSeries, horner
 from slowphase.validation import (
     ResidualEvaluator,
     accuracy_domain,
@@ -477,3 +477,52 @@ def test_nan_residual_is_a_violation_in_the_scan(ei_run, monkeypatch):
     others = np.arange(len(domain.theta)) != phase
     assert domain.sigma_pos[:, others].tobytes() == clean.sigma_pos[:, others].tobytes()
     assert domain.sigma_neg.tobytes() == clean.sigma_neg.tobytes()
+
+
+# Injected defects, one per trajectory and orthogonality reporter that a
+# report of 0 would hide: each must read at least 0.9 and at most 1.1 of the
+# defect it is handed.  At these samples the oracle's own decay defects are
+# below 4e-9 and its phase defects below 1e-14, 1e-3 and 1e-7 of the
+# injected ones.
+_THETA, _SIGMA, _HORIZONS = [0.2, 0.6, 0.85], [0.01, -0.008, 0.012], [0.5, 1.0, 2.0]
+
+
+def test_trajectory_decay_defect_reports_a_wrong_slow_exponent(oracle_run):
+    """With the slow exponent off by 1e-6, the conjugated amplitude contracts
+    by e^{(lam + 1e-6) t} while the flow contracts by e^{lam t}: each sample's
+    decay defect reads |e^{-1e-6 t} - 1|."""
+    result = oracle_run.result
+    shift = 1e-6
+    wrong = replace(result.manifold, slow_exponent=result.manifold.slow_exponent + shift)
+    report = trajectory_consistency(wrong, result.model, _THETA, _SIGMA, _HORIZONS)
+    expected = np.abs(np.expm1(-shift * np.array(_HORIZONS)))
+    assert np.all((report["decay_defect"] >= 0.9 * expected)
+                  & (report["decay_defect"] <= 1.1 * expected)), report["decay_defect"]
+
+
+def test_trajectory_phase_defect_reports_a_wrong_period(oracle_run):
+    """With the period off by a factor 1 + 1e-7, the conjugated phase
+    advances by t / T' while the flow advances by t / T: each sample's phase
+    defect reads t (1/T - 1/T')."""
+    result = oracle_run.result
+    period = result.manifold.period
+    wrong = replace(result.manifold, period=period * (1.0 + 1e-7))
+    report = trajectory_consistency(wrong, result.model, _THETA, _SIGMA, _HORIZONS)
+    expected = np.array(_HORIZONS) * (1.0 / period - 1.0 / wrong.period)
+    assert np.all((report["phase_defect"] >= 0.9 * expected)
+                  & (report["phase_defect"] <= 1.1 * expected)), report["phase_defect"]
+
+
+def test_phase_normal_family_reports_a_normal_component_of_z0(oracle_run):
+    """Z_0 plus eps K_1 / |K_1|^2, a component along the normal direction,
+    pairs with K_1 to eps at every phase: order 0 of the phase/normal family
+    reads eps."""
+    result = oracle_run.result
+    eps = 1e-9
+    k1 = result.manifold.order_series(1).samples()
+    normal = FourierSeries.from_samples(eps * k1 / np.sum(k1 * k1, axis=1)[:, None])
+    coef = result.response.phase.coef.copy()
+    coef[0] += normal.coef
+    response = replace(result.response, phase=replace(result.response.phase, coef=coef))
+    report = orthogonality_report(result.manifold, response)
+    assert 0.9 * eps <= report["phase_normal"][0] <= 1.1 * eps, report["phase_normal"]
