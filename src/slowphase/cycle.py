@@ -30,6 +30,7 @@ from .errors import (
     DefectiveSpectrumError,
     GridError,
     HyperbolicityError,
+    IntegrationError,
     MultiplierUnderflowError,
     NewtonError,
     SectionError,
@@ -42,7 +43,7 @@ from .integrate import (
     _model_state,
     _seed_settings,
 )
-from .series import FourierSeries, theta_grid
+from .series import FourierSeries, _require_power_of_two, theta_grid
 
 __all__ = [
     "CycleResult",
@@ -99,25 +100,26 @@ class VariationalSweep:
 
 @dataclass
 class CycleResult:
-    """Converged periodic orbit, held as its Fourier series alone.
-
-    The grid size and the grid values are read from ``series``; they are not
-    fields, so a cycle is rebuilt from its stored series and metadata alone.
-    """
+    """Periodic orbit: anchor (theta = 0), period, grid size and, where held,
+    the orbit as a real series of period 1.  The shooting cycle of
+    :func:`find_cycle` holds the series of its pass; one loaded from the cycle
+    stage, which stores no coefficients, holds none until its pass is
+    recomputed.  The frames stage's polished cycle is anchored at the theta = 0
+    sample of its series."""
 
     anchor: np.ndarray
     period: float
-    series: FourierSeries  # the orbit, a real series of period 1
+    grid_size: int
     shooting_residual: float
     # how find_cycle got there: relax_returns, relaxed_time, return_gap,
     # newton_steps (the step norms) and section_value (X_0 at the anchor)
     search: dict
+    series: FourierSeries | None = None
     # find_cycle's pass; not stored, so a loaded cycle has none
     sweep: VariationalSweep | None = field(default=None, repr=False, compare=False)
 
-    @property
-    def grid_size(self) -> int:
-        return self.series.grid_size
+    def __post_init__(self):
+        _require_power_of_two(self.grid_size)
 
     @property
     def samples(self) -> np.ndarray:
@@ -307,7 +309,10 @@ def variational_sweep(model, anchor, period: float, grid_size: int,
     """The :class:`VariationalSweep` from ``anchor``: one integration per
     chunk at ``settings``, sampling its grid times by dense output (which does
     not move the steps).  Chunks keep each factor's dynamic range near one;
-    over the period Phi carries 1/|mu_min|, which swamps double precision."""
+    over the period Phi carries 1/|mu_min|, which swamps double precision.
+    A non-finite ``period`` raises :class:`IntegrationError`."""
+    if not math.isfinite(period):
+        raise IntegrationError(f"variational sweep: period must be finite, got {period}")
     d, rhs = model.dim, _variational_rhs(model)
     edges = np.linspace(0.0, period, IDENTITY_CHUNKS + 1)
     times = theta_grid(grid_size, 1.0) * period
@@ -425,14 +430,9 @@ def find_cycle(
             f"orbit is not spectrally resolved: top-octave coefficient level "
             f"{tail:.2e} of the peak; increase cycle.grid_N"
         )
-    return CycleResult(
-        anchor=x,
-        period=float(period),
-        series=series,
-        shooting_residual=float(np.linalg.norm(sweep.end_state - x)),
-        search=search,
-        sweep=sweep,
-    )
+    residual = float(np.linalg.norm(sweep.end_state - x))
+    return CycleResult(anchor=x, period=float(period), grid_size=grid_size,
+                       shooting_residual=residual, search=search, series=series, sweep=sweep)
 
 
 @dataclass

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ConfigError
 from .frames import build_real_frames
 from .manifold import evaluate_manifold
-from .pipeline import PipelineResult
+from .pipeline import PipelineResult, cycle_sweep
 from .series import FourierTaylor
 from .store import write_function_csv, write_rows_csv, write_series_csv
 from .validation import accuracy_domain
@@ -39,6 +39,8 @@ FORMATS = ("csv", "json", "plotdata")
 
 
 def _curve_files(result: PipelineResult, out) -> list:
+    if result.cycle.series is None:  # no frames stage: the orbit of the recomputed pass
+        cycle_sweep(result)
     cycle = result.cycle
     return [
         write_function_csv(os.path.join(out, "curve_cycle.csv"), cycle.theta,

@@ -44,7 +44,7 @@ real and imaginary parts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -344,11 +344,12 @@ def build_bundle_frame(
 ) -> BundleBuildResult:
     """Build the complex bundle frame and jointly polish the orbit.
 
-    Columns are seeded from ``sweep``, the pass of ``cycle``, and gauged to
-    unit grid-max vector norm (this makes the slow column directly usable as
-    the order-1 manifold coefficient, scaled by ``expand_slow_manifold``'s
-    gauge).  Returns the frame, whose exponents are the refined ones, and the
-    polished cycle.
+    The orbit starts as the series of ``sweep``, the pass of the shooting
+    ``cycle`` (which needs no series).  Columns are seeded from ``sweep`` and
+    gauged to unit grid-max vector norm (this makes the slow column directly
+    usable as the order-1 manifold coefficient, scaled by
+    ``expand_slow_manifold``'s gauge).  Returns the frame, whose exponents are
+    the refined ones, and the polished cycle, anchored at its theta = 0 sample.
     """
     d = model.dim
     n = cycle.grid_size
@@ -360,12 +361,13 @@ def build_bundle_frame(
     seeds = {j: spectrum.eigenvectors[:, j] for j in range(1, d)
              if classes[j] != CLASS_PAIR_CONJ}
     cols, routes = _seed_columns(sweep, seeds, lams)
-    cols[:, :, 0] = cycle.series.differentiate().samples()
+    orbit = FourierSeries.from_samples(sweep.states, 1.0)
+    cols[:, :, 0] = orbit.differentiate().samples()
 
     _symmetrize_columns(cols, lams, classes, theta, period)
 
-    k_cut = _active_bandwidth(cycle.series, n)
-    orbit = cycle.series.band_limited(k_cut)
+    k_cut = _active_bandwidth(orbit, n)
+    orbit = orbit.band_limited(k_cut)
     histories = []
     cycle_defect = np.inf
     for _ in range(MAX_OUTER):
@@ -410,13 +412,8 @@ def build_bundle_frame(
         classes=classes,
         residual=residual,
     )
-    polished = CycleResult(
-        anchor=samples[0].copy(),
-        period=float(period),
-        series=orbit,
-        shooting_residual=cycle.shooting_residual,
-        search=cycle.search,
-    )
+    polished = replace(cycle, anchor=samples[0].copy(), period=float(period),
+                       series=orbit, sweep=None)
     diagnostics = {
         "routes": routes,
         "refine_histories": histories,

@@ -4,26 +4,28 @@ Stages: cycle -> floquet -> resonances -> frames (+adjoint cross-check)
 -> manifold -> response -> validation.  The table ``STAGES`` gives each step
 its metadata file, the config keys it reads, and its compute-and-save, load
 and manifest steps; :func:`run_pipeline`, :func:`load_result` and the
-manifest each loop over it.  A stored stage writes one JSON metadata file,
-keyed by the fields of its result dataclass and ``inputs`` (the config echo
-of the keys it and every earlier stored stage read, see :func:`_inputs`),
-and one ``.npy`` coefficient file per stored series or expansion
-(``cycle_coeff.npy`` of shape (N/2 + 1, d); ``frame_{bundle,adjoint}_coeff.npy``,
-(N, d, d); ``manifold_coeff.npy`` and ``response_{phase,amplitude}_coeff.npy``,
-(orders, N/2 + 1, d)): the real series keep the one-sided layout, the
-complex frames all N rows (:mod:`slowphase.series`).  Every stored series
-has period 1.  The resonance check and the validation are recomputed on
-every run, never loaded.  The manifest records the configuration echo, the
-spectral tables, per-order residuals, and a checksummed file inventory,
-against which :func:`load_result` checks every file it reads.  A flagged
-resonance or a hyperbolicity failure aborts the run; artifacts produced so
-far are kept and the manifest records the failed stage.
+manifest each loop over it.  Each file has one writer: a step's run calls
+only its own ``save_*``, once it succeeded.  A stored stage writes a JSON
+metadata file, keyed by the fields of its result dataclass and ``inputs``
+(the config echo of the keys it and every earlier stored stage read, see
+:func:`_inputs`), and a ``.npy`` file per stored series.  The cycle stage
+stores the shooting anchor and period, not its pass, which is recomputed from
+them.  The frames stage stores the polished period and orbit,
+``cycle_coeff.npy`` (N/2 + 1, d), and ``frame_{bundle,adjoint}_coeff.npy``
+(N, d, d); ``manifold_coeff.npy`` and ``response_{phase,amplitude}_coeff.npy``
+are (orders, N/2 + 1, d): real series one-sided, complex frames all N rows
+(:mod:`slowphase.series`), all of period 1.  The resonance check and the
+validation are recomputed on every run, never loaded.  The manifest records
+the configuration echo, the spectral tables, per-order residuals, and a
+checksummed file inventory, against which :func:`load_result` checks every
+file it reads.  A flagged resonance or a hyperbolicity failure aborts the
+run; finished stages keep their files and the manifest records the failed one.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -81,22 +83,18 @@ def _read(result, name, shape, digests) -> np.ndarray:
 
 def _load_orders(result, name, order, digests) -> FourierTaylor:
     # every stored expansion is real, on the grid of the loaded cycle
-    shape = (order + 1, *result.cycle.series.coef.shape)
+    shape = (order + 1, result.cycle.grid_size // 2 + 1, len(result.cycle.anchor))
     return FourierTaylor(_read(result, name, shape, digests), real=True)
 
 
 def save_cycle(out, cycle: CycleResult, inputs: dict):
-    write_coeffs(os.path.join(out, "cycle_coeff.npy"), cycle.series.coef)
-    # grid_size is not a field; the loader checks the coefficient shape with it
-    meta = {**_meta(cycle, skip=("series", "sweep")), "grid_size": cycle.grid_size}
+    meta = _meta(cycle, skip=("series", "sweep"))
     write_json(os.path.join(out, "cycle.json"), {**meta, "inputs": inputs})
 
 
 def load_cycle(result, meta, digests):
     meta["anchor"] = np.asarray(meta["anchor"])
-    shape = (meta.pop("grid_size") // 2 + 1, len(meta["anchor"]))
-    series = FourierSeries(_read(result, "cycle", shape, digests), real=True)
-    result.cycle = CycleResult(series=series, **meta)
+    result.cycle = CycleResult(**meta)
 
 
 def save_spectrum(out, spectrum: FloquetSpectrum, inputs: dict):
@@ -117,8 +115,9 @@ def load_spectrum(result, meta, digests):
 
 
 def save_frames(out, result: PipelineResult, inputs: dict):
-    """Write the complex frames, the only frames the pipeline uses."""
-    meta = {"band_cut": result.band_cut, "inputs": inputs}
+    """Write the polished orbit and period, and the complex frames."""
+    write_coeffs(os.path.join(out, "cycle_coeff.npy"), result.cycle.series.coef)
+    meta = {"period": result.cycle.period, "band_cut": result.band_cut, "inputs": inputs}
     for name in ("bundle", "adjoint"):
         frame = getattr(result, name)
         write_coeffs(os.path.join(out, f"frame_{name}_coeff.npy"), frame.series.coef)
@@ -128,9 +127,13 @@ def save_frames(out, result: PipelineResult, inputs: dict):
 
 
 def load_frames(result, meta, digests):
-    """Only the complex frames are stored: ``build_real_frames`` recomputes
-    the real frames exactly when an export needs them."""
+    """Replace the shooting cycle by the polished one, anchored at its theta =
+    0 sample.  Only the complex frames, the only ones the pipeline uses, are
+    stored: ``build_real_frames`` recomputes the real ones for an export."""
     grid_size, dim = result.cycle.grid_size, len(result.cycle.anchor)
+    series = FourierSeries(_read(result, "cycle", (grid_size // 2 + 1, dim), digests), real=True)
+    result.cycle = replace(result.cycle, anchor=series.samples()[0].copy(),
+                           period=meta["period"], series=series)
     result.band_cut = meta["band_cut"]
     for name in ("bundle", "adjoint"):
         frame = meta[name]
@@ -221,17 +224,19 @@ def _run_cycle(result):
     save_cycle(config.out_dir, result.cycle, _inputs(result, "cycle.json"))
 
 
-def _sweep(result):
-    """find_cycle's pass, not stored: recomputed once for a loaded cycle."""
+def cycle_sweep(result):
+    """find_cycle's pass, not stored: recomputed once for a loaded shooting
+    cycle from its anchor and period, with the orbit it samples."""
     cycle = result.cycle
     if cycle.sweep is None:
         cycle.sweep = variational_sweep(result.model, cycle.anchor, cycle.period,
                                         cycle.grid_size, result.config.integrator)
+        cycle.series = FourierSeries.from_samples(cycle.sweep.states, 1.0)
     return cycle.sweep
 
 
 def _run_spectrum(result):
-    result.spectrum = floquet_spectrum(_sweep(result))
+    result.spectrum = floquet_spectrum(cycle_sweep(result))
     save_spectrum(result.config.out_dir, result.spectrum, _inputs(result, "spectrum.json"))
 
 
@@ -249,20 +254,15 @@ def _run_resonance(result):
 
 
 def _run_frames(result):
-    model, out, sweep = result.model, result.config.out_dir, _sweep(result)
-    build = build_bundle_frame(model, result.cycle, result.spectrum, sweep)
-    result.bundle = build.bundle
-    result.cycle = build.cycle  # spectrally polished orbit and period
-    result.band_cut = build.diagnostics["band_cut"]
-    # the polished orbit replaces the stored one and depends on the same keys
-    save_cycle(out, result.cycle, _inputs(result, "cycle.json"))
-    result.adjoint = build_adjoint_frame(
-        model, result.cycle, result.bundle, sweep, result.band_cut
-    )
-    result.crosscheck = cross_check_adjoint_frame(
-        model, result.cycle, result.spectrum, result.bundle, result.adjoint, sweep
-    )
-    save_frames(out, result, _inputs(result, "frames.json"))
+    model, spectrum, sweep = result.model, result.spectrum, cycle_sweep(result)
+    build = build_bundle_frame(model, result.cycle, spectrum, sweep)
+    cycle, bundle, band_cut = build.cycle, build.bundle, build.diagnostics["band_cut"]
+    adjoint = build_adjoint_frame(model, cycle, bundle, sweep, band_cut)
+    crosscheck = cross_check_adjoint_frame(model, cycle, spectrum, bundle, adjoint, sweep)
+    # the polished cycle replaces the shooting one only once the stage succeeded
+    result.cycle, result.bundle, result.adjoint = cycle, bundle, adjoint
+    result.crosscheck, result.band_cut = crosscheck, band_cut
+    save_frames(result.config.out_dir, result, _inputs(result, "frames.json"))
 
 
 def _run_manifold(result):
@@ -469,7 +469,8 @@ def _write_manifest(out, result: PipelineResult, failed_stage, error):
 def load_result(config: RunConfig) -> PipelineResult:
     """Load the artifacts of consecutive stored stages in ``config.out_dir``,
     each on the grid of the loaded cycle; loading stops at the first stage
-    whose metadata file is missing.
+    whose metadata file is missing.  The cycle is the shooting one, without
+    its pass or series, or, once the frames stage loaded, the polished one.
 
     Raises ``ConfigError`` naming the file when the ``inputs`` a metadata file
     records differ from the config's (see :func:`_inputs`: the stage was built

@@ -247,6 +247,14 @@ def test_variational_flow_rejects_wrong_state_length(length):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("period", [math.inf, math.nan])
+def test_variational_sweep_rejects_a_non_finite_period(period):
+    # the typed error comes before any arithmetic on the period, so the
+    # suite's warnings-as-errors filter sees no RuntimeWarning first
+    with pytest.raises(IntegrationError, match=f"period must be finite, got {period}"):
+        variational_sweep(make_ei_model(), np.full(6, 0.1), period, 64)
+
+
 def test_flow_time_zero_is_identity():
     model = make_oracle_model()
     x0 = np.array([0.3, -0.7])

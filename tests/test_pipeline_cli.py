@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import pathlib
 import shutil
 import subprocess
 import sys
@@ -17,7 +18,7 @@ from slowphase.config import KEYS, RunConfig, load_config
 from slowphase.export import export_artifacts
 from slowphase.frames import build_real_frames
 from slowphase.manifold import evaluate_manifold
-from slowphase.errors import ConfigError
+from slowphase.errors import ConfigError, FrameError
 from slowphase.pipeline import STAGES, Stage, load_result, run_pipeline
 from slowphase.series import FourierSeries
 from slowphase.store import sha256_file, write_coeffs, write_json, write_series_csv
@@ -70,6 +71,8 @@ def test_artifact_reload_round_trip(oracle_run, ei_run):
     result = oracle_run.result
     loaded = load_result(oracle_run.config)
     cycle = loaded.cycle
+    # the polished cycle: its anchor is the theta = 0 sample of its series
+    assert np.array_equal(cycle.anchor, result.cycle.anchor)
     assert cycle.period == result.cycle.period
     assert np.array_equal(cycle.series.coef, result.cycle.series.coef)
     assert cycle.series.period == result.cycle.series.period
@@ -127,12 +130,14 @@ def test_staged_subcommands_resume(tmp_path):
     assert main(["cycle", "--config", cfg]) == 0
     assert os.path.exists(os.path.join(out, "cycle.json"))
     assert not os.path.exists(os.path.join(out, "spectrum.json"))
-    cycle_digest = sha256_file(os.path.join(out, "cycle_coeff.npy"))
+    # the cycle stage stores no coefficients: its pass is recomputed
+    assert not [n for n in os.listdir(out) if n.endswith(".npy")]
+    cycle_digest = sha256_file(os.path.join(out, "cycle.json"))
 
     assert main(["floquet", "--config", cfg]) == 0
     assert os.path.exists(os.path.join(out, "spectrum.json"))
     # the cycle stage was reused, not recomputed
-    assert sha256_file(os.path.join(out, "cycle_coeff.npy")) == cycle_digest
+    assert sha256_file(os.path.join(out, "cycle.json")) == cycle_digest
 
     assert main(["manifold", "--config", cfg]) == 0
     assert os.path.exists(os.path.join(out, "manifold.json"))
@@ -324,15 +329,14 @@ def test_corrupt_metadata_is_config_error(tmp_path, capsys):
 
 
 def test_grid_size_not_power_of_two_is_config_error(tmp_path, capsys):
-    # a stored grid size of 96 with a matching coefficient file: the decoder's
-    # grid check names the metadata file and exits 4
+    # a stored grid size of 96: the decoder's grid check names the metadata
+    # file and exits 4
     cfg, out = _write_cfg(tmp_path)
     assert main(["cycle", "--config", cfg]) == 0
     cycle_json = os.path.join(out, "cycle.json")
     meta = _read_json(cycle_json)
     meta["grid_size"] = 96
     write_json(cycle_json, meta)
-    write_coeffs(os.path.join(out, "cycle_coeff.npy"), np.zeros((96 // 2 + 1, 2), dtype=complex))
     capsys.readouterr()
     assert main(["floquet", "--config", cfg]) == 4
     err = capsys.readouterr().err
@@ -431,6 +435,14 @@ def _add_earlier_frame_keys(path):
     write_json(path, meta)
 
 
+def _drop_period(path):
+    # frames.json as versions that stored the polished orbit as the cycle
+    # stage's wrote it
+    meta = _read_json(path)
+    del meta["period"]
+    write_json(path, meta)
+
+
 def _drop_inputs(path):
     # metadata as versions that recorded no stage inputs wrote it
     meta = _read_json(path)
@@ -451,13 +463,14 @@ def _drop_inputs(path):
         ("manifold_coeff.npy", _drop_inventory_entry),
         ("response.json", _append_newline),
         ("frames.json", _add_earlier_frame_keys),
+        ("frames.json", _drop_period),
         ("cycle.json", _drop_inputs),
         ("adjoint_crosscheck.json", os.remove),
     ],
     ids=[
         "missing", "truncated", "dtype", "shape", "non_finite", "bit_flip",
         "manifest_missing", "not_inventoried", "digest_differs",
-        "earlier_frame_keys", "no_inputs", "crosscheck_missing",
+        "earlier_frame_keys", "no_polished_period", "no_inputs", "crosscheck_missing",
     ],
 )
 def test_damaged_coefficient_file_exits_4(response_stage_dir, tmp_path, capsys, name, damage):
@@ -586,6 +599,72 @@ def test_resumed_sweep_writes_the_bytes_of_a_cold_run(tmp_path, monkeypatch):
     for name in files + ["spectrum.json", "frames.json", "adjoint_crosscheck.json"]:
         assert (tmp_path / "staged" / name).read_bytes() == (
             tmp_path / "cold" / name).read_bytes(), name
+
+
+# the files each stage writes, in stage order: one writer per file
+STAGE_FILES = {
+    Stage.CYCLE: ["cycle.json"],
+    Stage.FLOQUET: ["spectrum.json", "resonance.json"],
+    Stage.FRAMES: ["frames.json", "cycle_coeff.npy", "frame_bundle_coeff.npy",
+                   "frame_adjoint_coeff.npy", "adjoint_crosscheck.json"],
+    Stage.MANIFOLD: ["manifold.json", "manifold_coeff.npy"],
+    Stage.RESPONSE: ["response.json", "response_phase_coeff.npy",
+                     "response_amplitude_coeff.npy"],
+    Stage.VALIDATE: ["validation.json", "accuracy_domain.csv"],
+}
+
+
+@pytest.fixture(scope="module")
+def cold_run_dir(tmp_path_factory):
+    """A complete cold oracle run (grid 128, order 4) and its config file."""
+    cfg, out = _write_cfg(tmp_path_factory.mktemp("cold_run"))
+    assert main(["run", "--config", cfg]) == 0
+    stored = sorted(n for n in os.listdir(out) if n != "manifest.json")
+    assert stored == sorted(sum(STAGE_FILES.values(), []))
+    return cfg, pathlib.Path(out)
+
+
+def _assert_cold_bytes(out, cold):
+    assert sorted(os.listdir(out)) == sorted(os.listdir(cold))
+    for name in os.listdir(cold):
+        if name != "manifest.json":
+            assert (out / name).read_bytes() == (cold / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("stage", Stage.ORDER[:-1])
+def test_resume_from_any_stage_boundary_writes_cold_bytes(cold_run_dir, tmp_path, stage):
+    """Deleting the files of ``stage`` and every later stage from a complete
+    run and resuming with ``validate`` writes the bytes of the cold run: no
+    stage's file is rewritten by another stage."""
+    cfg, cold = cold_run_dir
+    out = tmp_path / "resumed"
+    shutil.copytree(cold, out)
+    for later in Stage.ORDER[Stage.ORDER.index(stage):]:
+        for name in STAGE_FILES[later]:
+            os.remove(out / name)
+    assert main(["validate", "--config", cfg, "--out", str(out)]) == 0
+    _assert_cold_bytes(out, cold)
+
+
+def test_aborted_frames_stage_writes_nothing_and_resumes_cold(cold_run_dir, tmp_path,
+                                                              monkeypatch):
+    """A frames stage that fails after the polish writes none of its files,
+    so the resume writes the bytes of a cold run."""
+    import slowphase.pipeline as pipeline_mod
+
+    def fail(*args):
+        raise FrameError("injected after the polish")
+
+    cfg, cold = cold_run_dir
+    out = tmp_path / "aborted"
+    with monkeypatch.context() as patch:
+        patch.setattr(pipeline_mod, "cross_check_adjoint_frame", fail)
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 3
+    assert sorted(os.listdir(out)) == sorted(
+        STAGE_FILES[Stage.CYCLE] + STAGE_FILES[Stage.FLOQUET] + ["manifest.json"])
+    assert _read_json(out / "manifest.json")["failed_stage"] == Stage.FRAMES
+    assert main(["validate", "--config", cfg, "--out", str(out)]) == 0
+    _assert_cold_bytes(out, cold)
 
 
 def test_export_json_copies_manifest_and_spectrum(oracle_run, tmp_path):
@@ -999,6 +1078,20 @@ def test_export_expansion_file_names(oracle_run, tmp_path):
         files = export_artifacts(result, what, "csv", out_dir=str(out))
         assert sorted(os.path.basename(f) for f in files) == sorted(names)
         assert sorted(os.listdir(out)) == sorted(names)
+
+
+def test_cycle_only_export_writes_the_orbit_of_the_pass(tmp_path):
+    """A cycle-only directory holds no coefficients; its export writes the
+    orbit of the pass recomputed from the stored anchor and period, which is
+    find_cycle's series bit for bit."""
+    cfg, out = _write_cfg(tmp_path)
+    config = load_config(cfg)
+    cold = run_pipeline(config, through=Stage.CYCLE)
+    files = export_artifacts(load_result(config), "cycle", "csv", out_dir=str(tmp_path / "x"))
+    assert [os.path.basename(f) for f in files] == ["curve_cycle.csv", "cycle_coeff.csv"]
+    write_series_csv(tmp_path / "want.csv", cold.cycle.series)
+    assert (tmp_path / "x" / "cycle_coeff.csv").read_bytes() == (
+        tmp_path / "want.csv").read_bytes()
 
 
 def test_export_frames_are_real_columns(ei_run, tmp_path):

@@ -93,6 +93,28 @@ def test_solvability_and_normalization(oracle_run, ei_run):
         assert resp.normalization_defect < 1e-9
 
 
+def test_normalization_defect_reports_an_injected_defect(oracle_run, monkeypatch):
+    """Adding eps cos(2 pi theta) Z_0 to the particular I_1 shifts
+    T <I_1, X(K_0)> by eps cos(2 pi theta), as <Z_0, X(K_0)> = 1/T; the
+    pinned constant removes only its mean, 0, so the defect reads about eps."""
+    result, eps = oracle_run.result, 1e-6
+    fix = response._fix_order1_normalization
+
+    def perturbed(i1_particular, z0, *args):
+        theta = np.arange(len(z0)) / len(z0)
+        return fix(i1_particular + eps * np.cos(2 * np.pi * theta)[:, None] * z0, z0, *args)
+
+    def defect():
+        return expand_response_functions(
+            result.model, result.manifold, result.bundle, result.adjoint,
+            order=result.response.order,
+        ).normalization_defect
+
+    assert defect() < 1e-9
+    monkeypatch.setattr(response, "_fix_order1_normalization", perturbed)
+    assert defect() >= 0.5 * eps
+
+
 def test_order1_lambda_identity_pointwise(ei_run):
     """<I_0, DX K_1> + <I_1, X(K_0)> equals the slow exponent, pointwise."""
     result = ei_run.result

@@ -56,9 +56,9 @@ def test_tracer_sees_every_stage_call(tmp_path):
     finally:
         tracer.uninstall()
     assert slowphase.pipeline.run_pipeline is run_pipeline  # uninstalled
-    # save_cycle twice (the frames stage stores the polished orbit), then
-    # the spectrum, frames, manifold and response
-    assert tracer.calls("pipeline.save") == 6
+    # each stage saves once: the cycle, the spectrum, the frames (with the
+    # polished orbit), the manifold and the response
+    assert tracer.calls("pipeline.save") == 5
     for name in (
         "cycle.find_cycle", "frames.build_bundle_frame", "manifold.expand_slow_manifold",
     ):
