@@ -62,7 +62,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         config = load_config(args.config)
-        if args.out:
+        if args.out is not None:
             config = replace(config, out_dir=args.out).validate()
 
         if args.command == "export":

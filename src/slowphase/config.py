@@ -14,11 +14,12 @@ field (``integrator.<name>`` for an ``IntegratorSettings`` field, which
 checks itself), its parser, and the check its value must pass.  Parsing,
 ``RunConfig.validate`` and ``RunConfig.echo_text`` are loops over the table,
 so a config built in Python is checked exactly like a parsed one.
-``model.params.<name>`` sets a model parameter.
+``model.params.<name>`` sets a model parameter.  A value the code derives or
+the method fixes has no key, so a file that sets one fails as an unknown key.
 
-Environment variables override file keys: ``SLOWPHASE_`` followed by the key
-with dots replaced by double underscores, e.g.
-``SLOWPHASE_integrator__rtol=1e-10``.
+A key set twice in one file is an error.  Environment variables override
+file keys: ``SLOWPHASE_`` followed by the key with dots replaced by double
+underscores, e.g. ``SLOWPHASE_integrator__rtol=1e-10``.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ class Key(NamedTuple):
     parse: Callable[[str], object]  # raises ValueError on bad text
     check: Callable[[object], bool] | None  # None: any parsed value is valid
     rule: str  # what a valid value is, for error messages
-    auto: bool = False  # "auto" parses to None: derived from other keys
 
 
 def _floats(text: str) -> tuple:
@@ -86,23 +86,16 @@ KEYS = (
     Key("cycle.newton_tol", "newton_tol", float, _positive, "a number > 0"),
     Key("cycle.grid_N", "grid_size", int,
         lambda n: n >= 2 and (n & (n - 1)) == 0, "a power of two"),
-    Key("resonance.order", "resonance_order", int, _at_least(2),
-        "an integer >= 2 or auto", auto=True),
     Key("resonance.tol", "resonance_tol", float, _positive, "a number > 0"),
     Key("manifold.order", "order", int, _at_least(1), "an integer >= 1"),
-    Key("manifold.extra_orders", "extra_orders", int, _at_least(0), "an integer >= 0"),
     Key("manifold.gauge", "gauge", float,
         lambda v: v != 0 and math.isfinite(v), "a finite nonzero number"),
     Key("validation.tolerances", "tolerances", _descending,
         lambda v: len(v) > 0 and all(t > 0 for t in v),
         "comma-separated numbers > 0"),
-    Key("validation.sigma_scan_max", "sigma_scan_max", float, _positive,
-        "a number > 0 or auto", auto=True),
     Key("validation.samples", "n_samples", int, _at_least(1), "an integer >= 1"),
-    Key("validation.horizon_periods", "horizon_periods", float,
-        lambda v: 0 < v < math.inf, "a finite number > 0"),
     Key("run.seed", "seed", int, _at_least(0), "an integer >= 0"),
-    Key("output.directory", "out_dir", str, None, "a directory"),
+    Key("output.directory", "out_dir", str, bool, "a non-empty path"),
     Key("solver.small_divisor_tol", "small_divisor_tol", float, _positive,
         "a number > 0"),
     Key("solver.solvability_tol", "solvability_tol", float, _positive,
@@ -123,8 +116,6 @@ def _show(value) -> str:
 
     A NumPy scalar shows as the Python number it holds: its repr does not parse.
     """
-    if value is None:
-        return "auto"
     if isinstance(value, (tuple, list)):
         return ", ".join(_show(v) for v in value)
     if isinstance(value, np.generic):
@@ -141,15 +132,11 @@ class RunConfig:
     relax_time: float = 500.0
     newton_tol: float = 1e-12
     grid_size: int = 4096
-    resonance_order: int | None = None  # None: max(order, 2)
     resonance_tol: float = 1e-8
     order: int = 9
-    extra_orders: int = 1
     gauge: float = 1.0
     tolerances: tuple = (1e-6, 1e-8)
-    sigma_scan_max: float | None = None
     n_samples: int = 50
-    horizon_periods: float = 2.0
     seed: int = 2024
     out_dir: str = "runs/out"
     small_divisor_tol: float = 1e-8
@@ -176,9 +163,7 @@ class RunConfig:
         """Check every value against its key's rule; returns the config."""
         for key in KEYS:
             value = _value(self, key)
-            if key.check is None or (key.auto and value is None):
-                continue
-            if not key.check(value):
+            if key.check is not None and not key.check(value):
                 raise ConfigError(f"{key.name} must be {key.rule}, got {_show(value)}")
         # two tolerances of one label would be merged in the reports
         seen = {}
@@ -217,8 +202,10 @@ class RunConfig:
 
 
 def parse_config_text(text: str) -> dict:
-    """Parse the flat key/value grammar into a string map."""
+    """Parse the flat key/value grammar into a string map; a key set on two
+    lines raises ``ConfigError`` naming it and both lines."""
     out = {}
+    lines = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -229,7 +216,9 @@ def parse_config_text(text: str) -> dict:
         key = key.strip()
         if not key:
             raise ConfigError(f"line {lineno}: empty key")
-        out[key] = value.strip()
+        if key in out:
+            raise ConfigError(f"{key} is set twice, on lines {lines[key]} and {lineno}")
+        out[key], lines[key] = value.strip(), lineno
     return out
 
 
@@ -258,7 +247,7 @@ def build_run_config(kv: dict) -> RunConfig:
         else:
             raise ConfigError(f"unknown config key: {name}")
         try:
-            value = None if key.auto and text == "auto" else key.parse(text)
+            value = key.parse(text)
         except ValueError as exc:
             raise ConfigError(f"{name} must be {key.rule}, got {text!r}") from exc
         target[attr] = value

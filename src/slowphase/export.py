@@ -89,10 +89,7 @@ def _surface_rows(result: PipelineResult):
     man = result.manifold
     resp = result.response
     model = result.model
-    domain = accuracy_domain(
-        man, model, (max(result.config.tolerances),),
-        scan_max=result.config.sigma_scan_max,
-    )
+    domain = accuracy_domain(man, model, (max(result.config.tolerances),))
     n = len(domain.theta)
     idx = np.arange(0, n, max(1, n // 128))
     theta = np.repeat(domain.theta[idx], 33)

@@ -128,11 +128,11 @@ def expand_slow_manifold(
     bundle: Frame,
     adjoint: Frame,
     order: int,
-    extra_orders: int = 1,
     gauge: float = 1.0,
     small_divisor_tol: float = 1e-8,
 ) -> ManifoldExpansion:
-    """Assemble the expansion to ``order`` (+ extra) with residual checks.
+    """Assemble the expansion to ``order`` + 1 with residual checks: the
+    normal-family pairing identities of the validation read K_{order+1}.
 
     Order 0 is the orbit, order 1 the gauge-scaled slow bundle column (the
     slow direction is frame column 1); :func:`solve_orders` then adds one
@@ -151,9 +151,8 @@ def expand_slow_manifold(
     lam_s = float(bundle.exponents[1].real)
     period = cycle.period
 
-    total = order + extra_orders
     # an order not yet solved reads as zero, so filling it gives B_n
-    values = np.zeros((total + 1, *cycle.samples.shape))
+    values = np.zeros((order + 2, *cycle.samples.shape))
     values[0] = cycle.samples
     values[1] = gauge * bundle.grid_values()[:, :, 1].real
     transport = JetTransport(model, values, "field")

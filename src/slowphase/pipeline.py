@@ -242,8 +242,9 @@ def _run_spectrum(result):
 
 def _run_resonance(result):
     config = result.config
-    order = config.resonance_order or max(config.order, 2)
-    result.resonance = check_resonances(result.spectrum, order, config.resonance_tol)
+    result.resonance = check_resonances(
+        result.spectrum, max(config.order, 2), config.resonance_tol
+    )
     write_json(os.path.join(config.out_dir, "resonance.json"), result.resonance.summary())
     if result.resonance.is_resonant:
         worst = result.resonance.flagged[0]
@@ -269,8 +270,7 @@ def _run_manifold(result):
     config = result.config
     result.manifold = expand_slow_manifold(
         result.model, result.cycle, result.bundle, result.adjoint, order=config.order,
-        extra_orders=config.extra_orders, gauge=config.gauge,
-        small_divisor_tol=config.small_divisor_tol,
+        gauge=config.gauge, small_divisor_tol=config.small_divisor_tol,
     )
     save_manifold(config.out_dir, result.manifold, _inputs(result, "manifold.json"))
 
@@ -289,9 +289,7 @@ def _run_validation(result):
     config = result.config
     result.validation = run_validation(
         result.model, result.manifold, result.response, tolerances=config.tolerances,
-        scan_max=config.sigma_scan_max, n_samples=config.n_samples,
-        horizon_periods=config.horizon_periods, seed=config.seed,
-        settings=config.integrator,
+        n_samples=config.n_samples, seed=config.seed, settings=config.integrator,
     )
     save_validation(config.out_dir, result.validation)
 
@@ -380,16 +378,15 @@ STAGES = (
     ),
     Step(Stage.FLOQUET, "spectrum", "spectrum.json", (),
          _run_spectrum, load_spectrum, _spectrum_entries),
-    # also reads manifold.order when resonance.order is auto; recomputed on
-    # every run, so no key it reads makes a stored stage stale
-    Step(Stage.FLOQUET, "resonance", "resonance.json", ("resonance.order", "resonance.tol"),
+    # screens to order max(manifold.order, 2), so it reads manifold.order too;
+    # recomputed on every run, so no key it reads makes a stored stage stale
+    Step(Stage.FLOQUET, "resonance", "resonance.json", ("resonance.tol",),
          _run_resonance, None, lambda r: {"resonance": r.resonance.summary()}),
     Step(Stage.FRAMES, "bundle", "frames.json", (),
          _run_frames, load_frames, _frames_entries),
     Step(
         Stage.MANIFOLD, "manifold", "manifold.json",
-        ("manifold.order", "manifold.extra_orders", "manifold.gauge",
-         "solver.small_divisor_tol"),
+        ("manifold.order", "manifold.gauge", "solver.small_divisor_tol"),
         _run_manifold, load_manifold,
         lambda r: {
             "manifold_residuals": list(r.manifold.residuals),
@@ -402,8 +399,7 @@ STAGES = (
          _run_response, load_response, _response_entries),
     Step(
         Stage.VALIDATE, "validation", "validation.json",
-        ("validation.tolerances", "validation.sigma_scan_max", "validation.samples",
-         "validation.horizon_periods", "run.seed"),
+        ("validation.tolerances", "validation.samples", "run.seed"),
         _run_validation, None, lambda r: {"validation": r.validation.summary()},
     ),
 )

@@ -42,6 +42,9 @@ INVERSION_STEP_TOL = 1e-10
 # and inversion gaps 3e-7.  A larger gap means the state left the manifold or
 # the inversion went astray.
 MAX_INVERSION_GAP = 1e-5
+# Trajectory samples start at 0.3-0.7 of the accuracy bound and flow for a
+# horizon drawn between 0.1 periods and this many, capped at a 1e4 decay.
+HORIZON_PERIODS = 2.0
 
 __all__ = [
     "AccuracyDomain",
@@ -134,7 +137,6 @@ def accuracy_domain(
     manifold: ManifoldExpansion,
     model,
     tolerances,
-    scan_max: float | None = None,
     evaluator: ResidualEvaluator | None = None,
 ) -> AccuracyDomain:
     """Scan-then-bisect the residual over sigma, per grid phase and sign.
@@ -152,24 +154,23 @@ def accuracy_domain(
     residual entry depends only on its own phase and amplitude, so the
     batch gives bit for bit the bounds of scanning each pair alone.
     Phases with no violation inside the scan window are reported at the
-    window edge and flagged open-ended.  With ``scan_max=None`` the window
-    starts at 1 and doubles until the boundary is inside it (the default
-    amplitude gauge can push the domain well past 1), capped at 64; the
-    scan reuses the rows of each doubling probe, whose amplitude is a scan
-    point of the power-of-two window.  ``evaluator`` reuses grid data
+    window edge and flagged open-ended.  The window starts at 1 and doubles
+    until the boundary is inside it (the default amplitude gauge can push
+    the domain well past 1), capped at 64, and is recorded as ``scan_max``;
+    the scan reuses the rows of each doubling probe, whose amplitude is a
+    scan point of the power-of-two window.  ``evaluator`` reuses grid data
     already built for this manifold.
     """
     tolerances = tuple(sorted(tolerances, reverse=True))
     ev = evaluator or ResidualEvaluator(manifold, model)
     sign = np.array([[1.0], [-1.0]])
     probed = {}  # window edge s -> residual rows at +s and -s
-    if scan_max is None:
-        scan_max = 1.0
-        while scan_max < 64.0:
-            rows = probed[scan_max] = ev.grid_residual(sign * scan_max)
-            if float(rows.min()) > max(tolerances):
-                break
-            scan_max *= 2.0
+    scan_max = 1.0
+    while scan_max < 64.0:
+        rows = probed[scan_max] = ev.grid_residual(sign * scan_max)
+        if float(rows.min()) > max(tolerances):
+            break
+        scan_max *= 2.0
     n = ev.rows.shape[-1]
     theta = manifold.order_series(0).grid()
     # entry [t, s] holds tolerance t and sign (+1, -1)[s]
@@ -462,19 +463,18 @@ def run_validation(
     manifold: ManifoldExpansion,
     response: ResponseExpansion,
     tolerances=(1e-6, 1e-8),
-    scan_max: float | None = None,
     n_samples: int = 50,
-    horizon_periods: float = 2.0,
     seed: int = 2024,
     settings=DEFAULT_SETTINGS,
 ) -> ValidationReport:
-    """Full validation pass; raises ValidationFailure on configured gates:
-    an empty accuracy domain at the strictest tolerance, and a trajectory
-    sample whose manifold inversion hit the step cap or ended more than
+    """Full validation pass, with ``n_samples`` trajectories of up to
+    ``HORIZON_PERIODS`` periods; raises ValidationFailure on its gates: an
+    empty accuracy domain at the strictest tolerance, and a trajectory sample
+    whose manifold inversion hit the step cap or ended more than
     ``MAX_INVERSION_GAP`` from its flowed state (the message names it)."""
     ev = ResidualEvaluator(manifold, model)
     order0 = float(ev.grid_residual(0.0).max())
-    domain = accuracy_domain(manifold, model, tolerances, scan_max, evaluator=ev)
+    domain = accuracy_domain(manifold, model, tolerances, evaluator=ev)
     if domain.min_width(-1) <= 0.0:
         raise ValidationFailure(
             "accuracy domain empty at the strictest tolerance for some phase"
@@ -486,7 +486,7 @@ def run_validation(
     # (decay ratios lose meaning once sigma e^(lam t) nears the inversion
     # noise floor)
     t_cap = min(
-        horizon_periods * manifold.period,
+        HORIZON_PERIODS * manifold.period,
         np.log(1e4) / abs(manifold.slow_exponent),
     )
     horizons = rng.uniform(0.1 * manifold.period, t_cap, size=n_samples)

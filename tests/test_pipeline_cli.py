@@ -229,8 +229,9 @@ def test_keys_read_downstream_do_not_make_stages_stale(tmp_path):
     shutil.copytree(out, moved)
     changed = tmp_path / "changed.cfg"
     changed.write_text(
-        ORACLE_CFG.replace("manifold.order = 4", "manifold.order = 5").format(out=moved)
-        + "run.seed = 7\nresonance.tol = 1e-9\nvalidation.samples = 3\n"
+        ORACLE_CFG.replace("manifold.order = 4", "manifold.order = 5")
+        .replace("validation.samples = 10", "validation.samples = 3").format(out=moved)
+        + "run.seed = 7\nresonance.tol = 1e-9\n"
     )
     assert main(["response", "--config", str(changed)]) == 0
     assert _read_json(os.path.join(moved, "response.json"))["order"] == 5
@@ -508,6 +509,29 @@ def test_csv_store_of_earlier_versions_exits_4(response_stage_dir, tmp_path, cap
     assert str(out / "cycle_coeff.npy") in err and "missing" in err
 
 
+def test_retired_manifold_key_of_earlier_versions_exits_4(response_stage_dir, tmp_path,
+                                                          capsys):
+    """A manifold stored when manifold.extra_orders was a key records it in
+    its inputs; that stage is stale now the key is gone: exit 4, naming the
+    file and the key."""
+    out = tmp_path / "out"
+    shutil.copytree(response_stage_dir, out)
+    path = out / "manifold.json"
+    meta = _read_json(path)
+    meta["inputs"]["manifold.extra_orders"] = "1"
+    write_json(path, meta)
+    manifest = _read_json(out / "manifest.json")
+    manifest["files"]["manifold.json"] = sha256_file(path)
+    write_json(out / "manifest.json", manifest)
+    cfg, _ = _write_cfg(tmp_path)
+    capsys.readouterr()
+    assert main(["validate", "--config", cfg]) == 4
+    err = capsys.readouterr().err
+    assert f"{path}: stale manifold stage" in err
+    assert "manifold.extra_orders = 1 -> unset" in err
+    assert not os.path.exists(out / "validation.json")
+
+
 @pytest.mark.parametrize(
     "name",
     ["cycle_coeff.npy", "manifold_coeff.npy", "response_phase_coeff.npy",
@@ -701,15 +725,45 @@ def test_exit_code_bad_config(tmp_path):
     assert main(["run", "--config", str(cfg)]) == 4
 
 
-def test_removed_representation_key_rejected(tmp_path, capsys):
-    # the real-representation response path and its knob are gone; an old
-    # config that still sets it fails loudly instead of being ignored
+@pytest.mark.parametrize(
+    "line",
+    [
+        "frames.representation = real",
+        "bundle.scale = 1",
+        "resonance.order = 9",
+        "manifold.extra_orders = 1",
+        "validation.sigma_scan_max = 2.0",
+        "validation.horizon_periods = 2.0",
+    ],
+    ids=[
+        "representation", "bundle_scale", "resonance_order", "extra_orders",
+        "sigma_scan_max", "horizon_periods",
+    ],
+)
+def test_removed_representation_key_rejected(tmp_path, capsys, line):
+    # the real-representation response path and its knob are gone, and so are
+    # the keys whose value the code derives or the method fixes; an old config
+    # that still sets one fails loudly instead of being ignored
     cfg, out = _write_cfg(tmp_path)
     with open(cfg, "a", encoding="utf-8") as fh:
-        fh.write("frames.representation = real\n")
+        fh.write(line + "\n")
     assert main(["run", "--config", cfg]) == 4
-    assert "unknown config key: frames.representation" in capsys.readouterr().err
+    key = line.split(" =")[0]
+    assert f"unknown config key: {key}" in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+def _cfg_setting(tmp_path, line):
+    """The oracle config with ``line`` in place of the line that sets its
+    key, or appended where none does."""
+    cfg, out = _write_cfg(tmp_path)
+    key = line.split("=", 1)[0].strip()
+    kept = [
+        text for text in pathlib.Path(cfg).read_text().splitlines()
+        if text.split("=", 1)[0].strip() != key
+    ]
+    pathlib.Path(cfg).write_text("\n".join(kept + [line]) + "\n")
+    return cfg, out
 
 
 @pytest.mark.parametrize(
@@ -721,9 +775,6 @@ def test_removed_representation_key_rejected(tmp_path, capsys):
         ("model.name = nosuch", "'nosuch'"),
         ("model.params.foo = 1", "model.params.foo"),
         ("validation.samples = 0", "validation.samples"),
-        ("resonance.order = 1", "resonance.order"),
-        ("validation.horizon_periods = -1", "validation.horizon_periods"),
-        ("validation.horizon_periods = nan", "validation.horizon_periods"),
         ("cycle.relax_time = nan", "cycle.relax_time"),
         ("cycle.newton_tol = -1", "cycle.newton_tol"),
         ("manifold.gauge = 0", "manifold.gauge"),
@@ -732,28 +783,32 @@ def test_removed_representation_key_rejected(tmp_path, capsys):
         ("solver.small_divisor_tol = -1", "solver.small_divisor_tol"),
         ("solver.solvability_tol = -1", "solver.solvability_tol"),
         ("validation.tolerances = 1e-6, -1", "validation.tolerances"),
-        ("validation.sigma_scan_max = -1", "validation.sigma_scan_max"),
         ("run.seed = -1", "run.seed"),
         ("cycle.guess = 1", "cycle.guess"),
         ("cycle.guess = nan, 0.0", "cycle.guess"),
-        ("bundle.scale = 1", "bundle.scale"),
+        ("output.directory =", "output.directory must be a non-empty path"),
     ],
     ids=[
-        "rtol", "rtol_floor", "max_steps", "model", "param", "samples", "resonance_order",
-        "horizon", "horizon_nan", "relax_time_nan", "newton_tol", "gauge_zero",
-        "gauge_inf", "resonance_tol", "small_divisor_tol", "solvability_tol",
-        "tolerance_entry", "sigma_scan_max", "seed", "guess_length",
-        "guess_nan", "bundle_scale",
+        "rtol", "rtol_floor", "max_steps", "model", "param", "samples",
+        "relax_time_nan", "newton_tol", "gauge_zero", "gauge_inf", "resonance_tol",
+        "small_divisor_tol", "solvability_tol", "tolerance_entry", "seed",
+        "guess_length", "guess_nan", "output_directory_empty",
     ],
 )
 def test_bad_config_value_exits_4(tmp_path, capsys, line, named):
     # a valid key with an invalid value is a configuration failure, not a
     # numerical abort, and the message names what is wrong
-    cfg, _ = _write_cfg(tmp_path)
-    with open(cfg, "a", encoding="utf-8") as fh:
-        fh.write(line + "\n")
+    cfg, _ = _cfg_setting(tmp_path, line)
     assert main(["cycle", "--config", cfg]) == 4
     assert named in capsys.readouterr().err
+
+
+def test_empty_out_option_exits_4(tmp_path, capsys):
+    # an empty --out is checked as output.directory is, not ignored
+    cfg, out = _write_cfg(tmp_path)
+    assert main(["cycle", "--config", cfg, "--out", ""]) == 4
+    assert "output.directory must be a non-empty path" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("tolerances, pair", [
