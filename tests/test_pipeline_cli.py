@@ -787,17 +787,24 @@ def _cfg_setting(tmp_path, line):
         ("cycle.guess = 1", "cycle.guess"),
         ("cycle.guess = nan, 0.0", "cycle.guess"),
         ("output.directory =", "output.directory must be a non-empty path"),
+        # the validation horizon is now the constant HORIZON_PERIODS, so a
+        # bad value of its retired key is refused as an unknown key
+        ("validation.horizon_periods = -1",
+         "unknown config key: validation.horizon_periods"),
+        ("validation.horizon_periods = nan",
+         "unknown config key: validation.horizon_periods"),
     ],
     ids=[
         "rtol", "rtol_floor", "max_steps", "model", "param", "samples",
         "relax_time_nan", "newton_tol", "gauge_zero", "gauge_inf", "resonance_tol",
         "small_divisor_tol", "solvability_tol", "tolerance_entry", "seed",
-        "guess_length", "guess_nan", "output_directory_empty",
+        "guess_length", "guess_nan", "output_directory_empty", "horizon",
+        "horizon_nan",
     ],
 )
 def test_bad_config_value_exits_4(tmp_path, capsys, line, named):
-    # a valid key with an invalid value is a configuration failure, not a
-    # numerical abort, and the message names what is wrong
+    # an invalid value is a configuration failure, not a numerical abort,
+    # and the message names what is wrong
     cfg, _ = _cfg_setting(tmp_path, line)
     assert main(["cycle", "--config", cfg]) == 4
     assert named in capsys.readouterr().err
