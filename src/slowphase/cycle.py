@@ -336,7 +336,7 @@ def find_cycle(
     relax_time: float = 500.0,
     newton_tol: float = 1e-12,
 ) -> CycleResult:
-    """Locate the attracting cycle near ``guess`` and sample it spectrally.
+    """Locate the cycle near ``guess`` and sample it spectrally.
 
     The anchor (theta = 0) is the canonical one: a maximum of component 0 of
     the orbit, where X_0 = 0 is crossed downward.  From ``guess`` the flow
@@ -352,11 +352,12 @@ def find_cycle(
     current anchor and period: its end state gives the residual, its Phi
     chunk product the Jacobian.  The first step below ``newton_tol`` is
     recorded but not applied, so the anchor and period recompute its pass
-    (returned as ``sweep``) bitwise.  That pass gives the shooting residual,
-    the hyperbolicity check and the orbit at ``grid_size`` equispaced
-    phases, analyzed into the cycle's series.  A series whose present
-    harmonics share a factor m > 1 spans m periods: :class:`NewtonError`
-    names m.  A series not resolved by the grid raises :class:`GridError`.
+    (returned as ``sweep``) bitwise.  That pass gives the shooting residual
+    and the orbit at ``grid_size`` equispaced phases, analyzed into the
+    cycle's series; :func:`floquet_spectrum` decides from its monodromy
+    whether the cycle attracts.  A series whose present harmonics share a
+    factor m > 1 spans m periods: :class:`NewtonError` names m.  A series
+    not resolved by the grid raises :class:`GridError`.
     A model whose component 0 has no simple maximum on the orbit raises
     :class:`SectionError`.
     """
@@ -380,9 +381,8 @@ def find_cycle(
     steps = []
     for _ in range(MAX_NEWTON):
         sweep = variational_sweep(model, x, period, grid_size, settings)
-        monodromy = sweep.product()
         big = np.zeros((d + 1, d + 1))
-        big[:d, :d] = monodromy - np.eye(d)
+        big[:d, :d] = sweep.product() - np.eye(d)
         big[:d, d] = model.eval(sweep.end_state)
         big[d, :d] = model.jacobian(x)[0]
         rhs = -np.concatenate([sweep.end_state - x, model.eval(x)[:1]])
@@ -404,13 +404,6 @@ def find_cycle(
         raise diverged(f"shooting Newton did not converge in {MAX_NEWTON} iterations")
     search["newton_steps"] = steps
     search["section_value"] = float(model.eval(x)[0])
-
-    mu = np.linalg.eigvals(monodromy)
-    nontrivial = np.delete(mu, np.argmin(np.abs(mu - 1.0)))
-    if np.any(np.abs(nontrivial) >= 1.0):
-        raise HyperbolicityError(
-            "cycle is not attracting: some nontrivial multiplier has |mu| >= 1"
-        )
 
     series = FourierSeries.from_samples(sweep.states, 1.0)
     # m periods need m times the harmonics of one, so the tail check below
@@ -491,9 +484,12 @@ def floquet_spectrum(sweep: VariationalSweep) -> FloquetSpectrum:
     gauged by :func:`_gauge_vector`; from :func:`find_cycle`'s canonical
     anchor that fixes the sign of the slow column, hence of sigma, from the
     model alone, and ``gauge_components`` records the deciding component of
-    each column.  A multiplier at the roundoff floor of the monodromy M,
-    ``|mu| <= UNDERFLOW_FACTOR eps |M|_2``, is rounding noise, so it raises
-    :class:`MultiplierUnderflowError` naming the multiplier and the floor.
+    each column.  This is the only hyperbolicity check: a trivial multiplier
+    more than ``HYPERBOLICITY_TOL`` from 1, or a nontrivial one on or outside
+    the unit circle (a cycle that does not attract), raises
+    :class:`HyperbolicityError`.  A multiplier at the roundoff floor of the
+    monodromy M, ``|mu| <= UNDERFLOW_FACTOR eps |M|_2``, is rounding noise,
+    so it raises :class:`MultiplierUnderflowError` naming it and the floor.
     """
     period, monodromy = float(sweep.edges[-1]), sweep.product()
     mu, vecs = np.linalg.eig(monodromy)

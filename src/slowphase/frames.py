@@ -8,7 +8,10 @@ the transition matrices Phi and Psi (of -DX^T) that the cycle stage's pass,
 period.  A seed is e^{-lam_j (t - t_c)} F(t; t_c) C_j(t_c) on chunk c, F =
 Phi for the bundle and Psi for the adjoint frame, with C_j(t_c)
 carried forward or backward across the period -- the direction is chosen so
-that contamination by other Floquet directions is not amplified.  The seeds
+that contamination by other Floquet directions is not amplified.  C_j
+starts as the monodromy's eigenvector for the bundle, and for the adjoint
+frame as column j of the dual basis inv(B_0)^T of the polished bundle B_0
+at theta = 0, so no formed monodromy is eigen-decomposed here.  The seeds
 are polished by a Newton iteration carried out entirely in Fourier space,
 which also refines the exponents.  The polish is what reaches spectral
 accuracy: a single-shot integration of strongly contracting directions
@@ -89,10 +92,6 @@ class Frame:
     @property
     def dim(self) -> int:
         return self.series.value_shape[0]
-
-    @property
-    def period(self) -> float:
-        return self.series.period
 
     def grid_values(self) -> np.ndarray:
         # synthesized on first use, read-only; not a field, so not in the metadata
@@ -226,10 +225,10 @@ def _refine_frame(
     lams,
     classes,
     theta,
+    k_cut,
     fixed_columns=(),
     tol_rel=1e-12,
     max_sweeps=80,
-    k_cut=None,
 ):
     """Fourier-space Newton polish of all frame columns and exponents.
 
@@ -248,9 +247,7 @@ def _refine_frame(
     fraction of the grid removes noise only; derivatives are taken within the
     same band.
     """
-    n, d = cols.shape[0], cols.shape[2]
-    if k_cut is None:
-        k_cut = n // 3
+    d = cols.shape[2]
     cols[...] = FourierSeries.from_samples(cols).band_limited(k_cut).samples()
     scale = 1.0 + float(np.max(np.abs(op_grid)))
     tol = tol_rel * scale
@@ -431,25 +428,27 @@ def build_adjoint_frame(model, cycle: CycleResult, bundle: Frame,
                         sweep: VariationalSweep, k_cut: int) -> Frame:
     """Build the complex adjoint (response-curve) frame, the dual of ``bundle``.
 
-    Built as the bundle frame is: columns are seeded from eigenvectors of
-    the adjoint monodromy, the product of the chunk factors Psi of
-    ``sweep``, transported by Psi, and polished as a frame of -DX^T with
-    exponents -lam on the polished orbit ``cycle``, in the bundle's band
-    ``k_cut``.  Each column is then rescaled so that its pairing with the
-    bundle column has grid mean 1: column 0 is the phase response curve (its
-    pairing with K0' is 1), columns j >= 1 the amplitude response curves.
+    Built as the bundle frame is: column j is seeded from column j of
+    inv(B_0)^T, the dual basis of the polished bundle B_0 at theta = 0 (the
+    adjoint monodromy's eigenvectors are the dual basis of the monodromy's),
+    carried by the chunk factors Psi of ``sweep``, and polished as a frame
+    of -DX^T with exponents -lam on the polished orbit ``cycle``, in the
+    bundle's band ``k_cut``.  A bundle singular at theta = 0 raises
+    :class:`~slowphase.errors.FrameError`.  Each column is then rescaled so
+    that its pairing with the bundle column has grid mean 1: column 0 is the
+    phase response curve (its pairing with K0' is 1), columns j >= 1 the
+    amplitude response curves.
     The frame keeps its own refined exponents, stated as lam (the negated
     exponents of -DX^T).
     """
     d, theta, period = model.dim, cycle.theta, cycle.period
     mus, classes = -bundle.exponents, bundle.classes
-    psi_eigs, psi_vecs = np.linalg.eig(sweep.product(1))
-    sweep_period = sweep.edges[-1]
-    # eig's eigenvectors have unit norm
-    seeds = {
-        j: psi_vecs[:, np.argmin(np.abs(psi_eigs - np.exp(mus[j] * sweep_period)))]
-        for j in range(d) if classes[j] != CLASS_PAIR_CONJ
-    }
+    bundle_vals = bundle.grid_values()
+    try:
+        dual = np.linalg.inv(bundle_vals[0]).T
+    except np.linalg.LinAlgError as exc:
+        raise FrameError(f"bundle frame singular at theta = 0: {exc}") from exc
+    seeds = {j: dual[:, j] for j in range(d) if classes[j] != CLASS_PAIR_CONJ}
     cols, _ = _seed_columns(sweep, seeds, mus, adjoint=True)
     _symmetrize_columns(cols, mus, classes, theta, period)
     op_grid = np.swapaxes(-model.jacobian(cycle.samples), 1, 2)
@@ -460,7 +459,6 @@ def build_adjoint_frame(model, cycle: CycleResult, bundle: Frame,
 
     # pairing gauge: the pairing with the bundle columns is constant in theta
     # for exact solutions, so one rescale per column sets it
-    bundle_vals = bundle.grid_values()
     for j in range(d):
         factor = np.mean(np.einsum("ni,ni->n", cols[:, :, j], bundle_vals[:, :, j]))
         if abs(factor) < 1e-12:

@@ -463,9 +463,8 @@ def test_sweep_monodromy_matches_a_single_shot_flow(floquet_runs, name):
         assert gap < 1e-10, (mu, gap)
 
 
-def test_non_attracting_cycle_reported():
-    # reversed oracle: the unit circle repels
-    from slowphase.models import VectorFieldModel
+def _make_reversed_oracle(overrides=None):
+    """The oracle with time reversed: the unit circle repels."""
 
     def rhs(u):
         x, y = u
@@ -479,10 +478,45 @@ def test_non_attracting_cycle_reported():
             (-(1.0 - 2 * x * y), -(1.0 - x * x - 3 * y * y)),
         )
 
-    model = VectorFieldModel("reversed", 2, {}, ("x", "y"), rhs, jac_rows)
-    with pytest.raises(HyperbolicityError):
-        # start exactly on the (now repelling) cycle so the return map exists
-        find_cycle(model, [1.0, 0.0], relax_time=0.0, grid_size=64)
+    return models.VectorFieldModel("reversed", 2, {}, ("x", "y"), rhs, jac_rows)
+
+
+def test_non_attracting_cycle_reported():
+    """Shooting converges on a repelling cycle started on it; the Floquet
+    stage, which reads the pass's monodromy, refuses it."""
+    # start exactly on the (now repelling) cycle so the return map exists
+    cycle = find_cycle(_make_reversed_oracle(), [1.0, 0.0], relax_time=0.0, grid_size=64)
+    assert abs(cycle.period - 2.0 * np.pi) < 1e-10
+    assert cycle.shooting_residual < 1e-10
+    with pytest.raises(HyperbolicityError, match="on or outside the unit circle"):
+        floquet_spectrum(cycle.sweep)
+
+
+def test_non_attracting_cycle_fails_the_floquet_stage(monkeypatch, tmp_path, capsys):
+    """A repelling cycle passes the cycle stage and is refused by the
+    Floquet stage: a numerical abort (exit 3) recorded as the floquet
+    stage's, with cycle.json kept and no spectrum written."""
+    monkeypatch.setitem(models._REGISTRY, "reversed", _make_reversed_oracle)
+    config = RunConfig(model="reversed", guess=(1.0, 0.0), relax_time=0.0,
+                       grid_size=64, out_dir=str(tmp_path / "api"))
+    with pytest.raises(HyperbolicityError, match="on or outside the unit circle"):
+        run_pipeline(config, through=Stage.FLOQUET)
+    manifest = read_json(str(tmp_path / "api" / "manifest.json"))
+    assert manifest["failed_stage"] == Stage.FLOQUET
+    assert os.path.exists(tmp_path / "api" / "cycle.json")
+    assert not os.path.exists(tmp_path / "api" / "spectrum.json")
+    cfg = tmp_path / "reversed.cfg"
+    cfg.write_text(
+        "model.name = reversed\n"
+        "cycle.guess = 1.0, 0.0\n"
+        "cycle.relax_time = 0.0\n"
+        "cycle.grid_N = 64\n"
+        f"output.directory = {tmp_path / 'cli'}\n"
+    )
+    capsys.readouterr()
+    assert main(["floquet", "--config", str(cfg)]) == 3
+    assert "on or outside the unit circle" in capsys.readouterr().err
+    assert os.path.exists(tmp_path / "cli" / "cycle.json")
 
 
 def test_resonance_report_oracle_empty(oracle_cycle):

@@ -10,6 +10,7 @@ import slowphase.frames as frames_mod
 import slowphase.integrate as integrate_mod
 import slowphase.pipeline as pipeline_mod
 from slowphase.config import RunConfig
+from slowphase.errors import FrameError
 from slowphase.cycle import CLASS_PAIR_CONJ, IDENTITY_CHUNKS, variational_sweep
 from slowphase.frames import (
     _integration_route,
@@ -207,6 +208,53 @@ def test_oracle_adjoint_polish_stops_at_roundoff(floquet_runs, monkeypatch):
     build_adjoint_frame(model, build.cycle, build.bundle, sweep,
                         build.diagnostics["band_cut"])
     assert len(sweeps) == 1 and sweeps[0] <= 3, sweeps
+
+
+def _sine_of_angle(a, b):
+    """Sine of the angle between complex vectors ``a`` and ``b``: accurate
+    at small angles, where the arccosine of the normalized pairing is not."""
+    a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
+    return float(np.linalg.norm(b - a * np.vdot(a, b)))
+
+
+def test_adjoint_seeds_at_theta_0_are_the_polished_columns(floquet_runs, monkeypatch):
+    """The adjoint frame's seeds start from the dual basis of the polished
+    bundle at theta = 0: on ei at grid 2^10 every seed column there lies
+    within 1e-9 in angle of the polished adjoint column."""
+    partial = floquet_runs["ei"]
+    model, sweep = partial.model, partial.cycle.sweep
+    build = build_bundle_frame(model, partial.cycle, partial.spectrum, sweep)
+    refine = frames_mod._refine_frame
+    pairs = []
+
+    def spy(op_grid, period, cols, *args, **kwargs):
+        seeds = cols.copy()
+        history = refine(op_grid, period, cols, *args, **kwargs)
+        pairs.append((seeds, cols.copy()))
+        return history
+
+    monkeypatch.setattr(frames_mod, "_refine_frame", spy)
+    build_adjoint_frame(model, build.cycle, build.bundle, sweep,
+                        build.diagnostics["band_cut"])
+    ((seeds, polished),) = pairs
+    angles = [_sine_of_angle(polished[0, :, j], seeds[0, :, j])
+              for j in range(model.dim)]
+    assert max(angles) < 1e-9, angles
+
+
+def test_adjoint_frame_refuses_a_bundle_singular_at_theta_0(floquet_runs):
+    """A bundle whose slow column vanishes at node 0 has no dual basis
+    there: a FrameError naming theta = 0, not a raw LinAlgError."""
+    partial = floquet_runs["oracle"]
+    model, sweep = partial.model, partial.cycle.sweep
+    build = build_bundle_frame(model, partial.cycle, partial.spectrum, sweep)
+    vals = build.bundle.grid_values().copy()
+    vals[0, :, 1] = 0.0
+    singular = replace(build.bundle)
+    singular._grid_values = vals  # the cached grid values the build reads
+    with pytest.raises(FrameError, match="theta = 0"):
+        build_adjoint_frame(model, build.cycle, singular, sweep,
+                            build.diagnostics["band_cut"])
 
 
 def test_refine_frame_stops_at_tolerance_or_first_sweep_not_halving(ei_run):

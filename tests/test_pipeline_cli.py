@@ -63,7 +63,7 @@ def test_pipeline_artifacts_and_manifest(oracle_run):
 
 def _assert_same_frame(loaded, original):
     assert np.array_equal(loaded.series.coef, original.series.coef)
-    assert loaded.period == original.period
+    assert loaded.series.period == original.series.period
     assert np.array_equal(loaded.exponents, original.exponents)
 
 

@@ -526,3 +526,64 @@ def test_phase_normal_family_reports_a_normal_component_of_z0(oracle_run):
     response = replace(result.response, phase=replace(result.response.phase, coef=coef))
     report = orthogonality_report(result.manifold, response)
     assert 0.9 * eps <= report["phase_normal"][0] <= 1.1 * eps, report["phase_normal"]
+
+
+def _with_response_order_0(result, phase=None, amplitude=None):
+    """``result.response`` with order 0 of its phase and amplitude series
+    replaced by the given coefficient arrays (None keeps one)."""
+    response = result.response
+    for name, coef0 in (("phase", phase), ("amplitude", amplitude)):
+        if coef0 is not None:
+            series = getattr(response, name)
+            coef = series.coef.copy()
+            coef[0] = coef0
+            response = replace(response, **{name: replace(series, coef=coef)})
+    return response
+
+
+def test_phase_tangent_family_reports_a_scaled_z0(oracle_run):
+    """(1 + eps) Z_0 pairs with K_0' to 1 + eps at every phase: order 0 of
+    the phase/tangent family reads eps."""
+    result = oracle_run.result
+    eps = 1e-9
+    z0 = result.response.phase.coef[0]
+    response = _with_response_order_0(result, phase=(1.0 + eps) * z0)
+    report = orthogonality_report(result.manifold, response)
+    assert 0.9 * eps <= report["phase_tangent"][0] <= 1.1 * eps, report["phase_tangent"]
+
+
+def test_amplitude_tangent_family_reports_a_tangential_component_of_i0(oracle_run):
+    """I_0 + eps Z_0, a component along the phase response curve, pairs with
+    K_0' to eps at every phase: order 0 of the amplitude/tangent family
+    reads eps."""
+    result = oracle_run.result
+    eps = 1e-9
+    i0, z0 = result.response.amplitude.coef[0], result.response.phase.coef[0]
+    response = _with_response_order_0(result, amplitude=i0 + eps * z0)
+    report = orthogonality_report(result.manifold, response)
+    assert 0.9 * eps <= report["amplitude_tangent"][0] <= 1.1 * eps, \
+        report["amplitude_tangent"]
+
+
+def test_amplitude_normal_family_reports_a_scaled_i0(oracle_run):
+    """(1 + eps) I_0 pairs with K_1 to 1 + eps at every phase: order 0 of
+    the amplitude/normal family reads eps."""
+    result = oracle_run.result
+    eps = 1e-9
+    i0 = result.response.amplitude.coef[0]
+    response = _with_response_order_0(result, amplitude=(1.0 + eps) * i0)
+    report = orthogonality_report(result.manifold, response)
+    assert 0.9 * eps <= report["amplitude_normal"][0] <= 1.1 * eps, report["amplitude_normal"]
+
+
+def test_trajectory_state_gap_reports_an_offset_flow(oracle_run, monkeypatch):
+    """Each flowed state moved by a fixed offset of norm eps lies eps from
+    the manifold point it should reach: each sample's state gap reads eps."""
+    result = oracle_run.result
+    eps = 1e-7
+    offset = eps * np.array([0.6, -0.8])
+    flow = validation.flow
+    monkeypatch.setattr(validation, "flow", lambda *args: flow(*args) + offset)
+    report = trajectory_consistency(result.manifold, result.model, _THETA, _SIGMA, _HORIZONS)
+    assert np.all((report["state_gap"] >= 0.9 * eps)
+                  & (report["state_gap"] <= 1.1 * eps)), report["state_gap"]
