@@ -131,7 +131,7 @@ class CycleResult:
 
     @property
     def theta(self) -> np.ndarray:
-        return theta_grid(self.grid_size, 1.0)
+        return theta_grid(self.grid_size)
 
 
 def _brent_root(f, xa, xb, xtol, rtol, maxiter=100):
@@ -315,7 +315,7 @@ def variational_sweep(model, anchor, period: float, grid_size: int,
         raise IntegrationError(f"variational sweep: period must be finite, got {period}")
     d, rhs = model.dim, _variational_rhs(model)
     edges = np.linspace(0.0, period, IDENTITY_CHUNKS + 1)
-    times = theta_grid(grid_size, 1.0) * period
+    times = theta_grid(grid_size) * period
     chunk = np.searchsorted(edges, times, side="right") - 1
     identity = np.tile(np.eye(d).ravel(), 2)
     samples, ends = np.empty((grid_size, d + 2 * d * d)), np.empty((IDENTITY_CHUNKS, 2 * d * d))
@@ -405,7 +405,7 @@ def find_cycle(
     search["newton_steps"] = steps
     search["section_value"] = float(model.eval(x)[0])
 
-    series = FourierSeries.from_samples(sweep.states, 1.0)
+    series = FourierSeries.from_samples(sweep.states)
     # m periods need m times the harmonics of one, so the tail check below
     # would blame the grid for a multiple; name the multiple first
     multiple = _period_multiple(series)

@@ -51,13 +51,12 @@ def _curve_files(result: PipelineResult, out) -> list:
 
 def _frame_files(result: PipelineResult, out) -> list:
     files = []
-    real_frames = build_real_frames(result.bundle, result.adjoint)
-    for label, series in zip(("bundle", "adjoint"), real_frames):
-        vals = series.samples().real
+    theta, *real_frames = build_real_frames(result.bundle, result.adjoint)
+    for label, vals in zip(("bundle", "adjoint"), real_frames):
         for j in range(vals.shape[2]):
             files.append(write_function_csv(
                 os.path.join(out, f"curve_{label}_column_{j}.csv"),
-                series.grid(), vals[:, :, j], result.model.state_names,
+                theta, vals[:, :, j], result.model.state_names,
             ))
         files.append(write_series_csv(
             os.path.join(out, f"frame_{label}_coeff.csv"), getattr(result, label).series

@@ -39,10 +39,10 @@ is the dual frame by construction, and the two frames' refined exponents.
 manifold orders (DX) and the response orders (-DX^T) alike.
 
 A :class:`Frame` is always the complex representation, of period 1.  Real
-frames are exact recombinations of the complex ones, built only for the curve
-export: negative-multiplier columns become antiperiodic (period-2) real
-functions via a half-harmonic phase factor, and conjugate pairs become their
-real and imaginary parts.
+frames are exact recombinations of the complex grid values, sampled only for
+the curve export: negative-multiplier columns become antiperiodic (period-2)
+real functions via a half-harmonic phase factor, sampled over two periods of
+the complex frame, and conjugate pairs become their real and imaginary parts.
 """
 
 from __future__ import annotations
@@ -71,7 +71,6 @@ __all__ = [
     "build_adjoint_frame",
     "build_real_frames",
     "cross_check_adjoint_frame",
-    "real_generator_matrix",
     "solve_in_frame",
 ]
 
@@ -166,7 +165,7 @@ def _seed_columns(sweep: VariationalSweep, seeds, lams, adjoint=False):
                 edge[c, :, j] = np.exp(lams[j] * steps[c]) * (
                     sweep.ends[c, 1 - f].T @ edge[c + 1, :, j]
                 )
-    times = theta_grid(len(sweep.chunk), 1.0) * period
+    times = theta_grid(len(sweep.chunk)) * period
     shift = np.exp(-np.multiply.outer(times - sweep.edges[sweep.chunk], lams))
     cols = np.einsum("nab,nbj->naj", sweep.flows[:, f], edge[sweep.chunk])
     return cols * shift[:, None, :], routes
@@ -306,7 +305,7 @@ def solve_in_frame(rhs, reduce: Frame, expand: Frame, shifts, period,
     """
     reduced = np.einsum("nai,na->ni", reduce.grid_values(), rhs.astype(complex))
     solution, free, div_min = solve_diagonal(
-        FourierSeries.from_samples(reduced, 1.0), shifts, period,
+        FourierSeries.from_samples(reduced), shifts, period,
         free_modes=free_modes, small_divisor_tol=small_divisor_tol,
     )
     x = np.einsum("nab,nb->na", expand.grid_values(), solution.samples())
@@ -350,7 +349,7 @@ def build_bundle_frame(
     """
     d = model.dim
     n = cycle.grid_size
-    theta = theta_grid(n, 1.0)
+    theta = theta_grid(n)
     period = cycle.period
     lams = spectrum.exponents.astype(complex).copy()
     classes = spectrum.classes
@@ -358,7 +357,7 @@ def build_bundle_frame(
     seeds = {j: spectrum.eigenvectors[:, j] for j in range(1, d)
              if classes[j] != CLASS_PAIR_CONJ}
     cols, routes = _seed_columns(sweep, seeds, lams)
-    orbit = FourierSeries.from_samples(sweep.states, 1.0)
+    orbit = FourierSeries.from_samples(sweep.states)
     cols[:, :, 0] = orbit.differentiate().samples()
 
     _symmetrize_columns(cols, lams, classes, theta, period)
@@ -404,7 +403,7 @@ def build_bundle_frame(
     )))
 
     frame = Frame(
-        series=FourierSeries.from_samples(cols, 1.0).band_limited(k_cut),
+        series=FourierSeries.from_samples(cols).band_limited(k_cut),
         exponents=lams.copy(),
         classes=classes,
         residual=residual,
@@ -473,71 +472,36 @@ def build_adjoint_frame(model, cycle: CycleResult, bundle: Frame,
     )
 
 
-def real_generator_matrix(classes, exponents) -> np.ndarray:
-    """Real reduced generator: diag of 0, lam, nu, and 2x2 rotation blocks.
-
-    ``classes`` and ``exponents`` are a complex frame's; a negative column
-    contributes the real part nu of its exponent, a pair the rotation by the
-    imaginary part of its lead exponent.  The real adjoint frame's generator
-    is the transpose.
-    """
-    out = np.zeros((len(classes), len(classes)))
-    for i, (cls, lam) in enumerate(zip(classes, exponents)):
-        if cls in (CLASS_REAL_POSITIVE, CLASS_REAL_NEGATIVE):
-            out[i, i] = lam.real
-        elif cls == CLASS_PAIR_LEAD:
-            out[i, i] = out[i + 1, i + 1] = lam.real
-            out[i, i + 1] = lam.imag
-            out[i + 1, i] = -lam.imag
-    return out
-
-
 def build_real_frames(bundle: Frame, adjoint: Frame):
     """Real representations of both frames by exact recombination.
 
-    Returns the bundle and adjoint real frames as two ``FourierSeries`` of
-    value shape (d, d).  If any direction carries a negative multiplier both
-    are lifted to period 2 (2N samples); negative columns become real
-    antiperiodic functions, conjugate pairs become (real part, imaginary
-    part) columns.  Otherwise the period is 1.  The real reduced generator
-    is :func:`real_generator_matrix` of the frames' classes and exponents.
+    Returns ``(theta, bundle_values, adjoint_values)``: the real frames'
+    values, shape (reps N, d, d), at theta = m / N on [0, reps).  If any
+    direction carries a negative multiplier, reps is 2: its column becomes a
+    real antiperiodic function of period 2, and every column is sampled over
+    two periods of the complex frame.  Otherwise reps is 1.  Conjugate pairs
+    become (real part, imaginary part) columns.
     """
     classes = bundle.classes
-    has_negative = CLASS_REAL_NEGATIVE in classes
     n = bundle.series.grid_size
-    d = bundle.dim
-    reps = 2 if has_negative else 1
-    period = 2.0 if has_negative else 1.0
-    theta = theta_grid(reps * n, period)
-    phase = np.exp(1j * np.pi * theta)
-
-    def lift(vals):
-        return np.tile(vals, (reps, 1, 1))
-
-    out = {}
-    for kind, frame in (("bundle", bundle), ("adjoint", adjoint)):
-        vals = lift(frame.grid_values())
-        real_vals = np.zeros_like(vals, dtype=float)
-        j = 0
-        while j < d:
-            cls = classes[j]
-            if cls in (CLASS_TRIVIAL, CLASS_REAL_POSITIVE):
-                real_vals[:, :, j] = vals[:, :, j].real
-                j += 1
-            elif cls == CLASS_REAL_NEGATIVE:
-                p = phase if kind == "bundle" else np.conj(phase)
-                real_vals[:, :, j] = (p[:, None] * vals[:, :, j]).real
-                j += 1
-            else:
-                if kind == "bundle":
-                    real_vals[:, :, j] = vals[:, :, j].real
-                    real_vals[:, :, j + 1] = vals[:, :, j].imag
-                else:
-                    real_vals[:, :, j] = 2.0 * vals[:, :, j].real
-                    real_vals[:, :, j + 1] = -2.0 * vals[:, :, j].imag
-                j += 2
-        out[kind] = FourierSeries.from_samples(real_vals.astype(complex), period)
-    return out["bundle"], out["adjoint"]
+    reps = 2 if CLASS_REAL_NEGATIVE in classes else 1
+    theta = np.arange(reps * n) * (1.0 / n)
+    half = np.exp(1j * np.pi * theta)[:, None]
+    out = []
+    # per frame: the factor of a negative column, and those of a pair's real
+    # and imaginary parts
+    for frame, negative, re, im in ((bundle, half, 1.0, 1.0),
+                                    (adjoint, np.conj(half), 2.0, -2.0)):
+        vals = np.tile(frame.grid_values(), (reps, 1, 1))
+        real = vals.real.copy()
+        for j, cls in enumerate(classes):
+            if cls == CLASS_REAL_NEGATIVE:
+                real[:, :, j] = (negative * vals[:, :, j]).real
+            elif cls == CLASS_PAIR_LEAD:
+                real[:, :, j] = re * vals[:, :, j].real
+                real[:, :, j + 1] = im * vals[:, :, j].imag
+        out.append(real)
+    return theta, out[0], out[1]
 
 
 def cross_check_adjoint_frame(

@@ -230,7 +230,7 @@ class CycleInterpolant:
         deriv = series
         for p in range(1, order + 1):
             deriv = deriv.differentiate()
-            scale = (series.period / n) ** p / math.factorial(p)
+            scale = (1.0 / n) ** p / math.factorial(p)
             nyquist_term = (nyquist * z_pi**p).real / math.factorial(p)
             rows.append(
                 deriv.samples().real * scale
@@ -238,7 +238,7 @@ class CycleInterpolant:
             )
         self._table = np.stack(rows, axis=1).reshape(n, order + 1, -1)
         self._n = n
-        self._cells_per_time = n / (self.period * series.period)
+        self._cells_per_time = n / self.period
         self._powers = np.arange(order + 1.0)
         self._shape = series.value_shape
 

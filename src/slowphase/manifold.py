@@ -163,7 +163,7 @@ def expand_slow_manifold(
         transport, 2, adjoint, bundle, bundle.exponents, lam_s, 0, period,
         small_divisor_tol,
     )
-    coeffs = FourierTaylor.from_samples(values, 1.0)
+    coeffs = FourierTaylor.from_samples(values)
     residuals = order_residuals(coeffs, values, transport.result(), lam_s, 0, period)
 
     return ManifoldExpansion(

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import Counter
 from dataclasses import dataclass, fields
 from functools import partial
 
@@ -374,32 +373,14 @@ def _jet_error(model: VectorFieldModel, exc: Exception) -> ModelError:
 def _adjoint_action(model: VectorFieldModel, components) -> list:
     """Entries of -DX(u)^T z on symbolic components (u, z): entry a negates
     the sum of ``z_b * dX_b/dx_a`` over b in increasing order, skipping
-    constant zeros.  Where every nonzero ``dX_b/dx_a`` of an entry is a
-    constant, or a scaling or constant node read by nothing else, the sign
-    is folded into those scalars instead of a negation node: rounding is
-    symmetric, so each term is exactly negated, and the sum too, except that
-    terms cancelling exactly give +0 where the negated sum is -0."""
-    ops = components[0].tape.ops
+    constant zeros."""
     rows = model.jac_rows(components[: model.dim])
     z = components[model.dim:]
-    reads = Counter(i for kind, a, b in ops if kind not in (_INPUT, _CONST)
-                    for i in ((a, b) if kind in (_ADD, _SUB, _PRODUCT) else (a,)))
-    reads.update(e.index for row in rows for e in row if isinstance(e, _Var))
     entries = []
     for a in range(model.dim):
-        column = [(z[b], row[a]) for b, row in enumerate(rows)
-                  if isinstance(row[a], _Var) or row[a] != 0]
-        fold = all(not isinstance(e, _Var) or (
-            ops[e.index][0] in (_SCALE, _CONST) and reads[e.index] == 1
-        ) for _, e in column)
-        if fold:
-            for _, e in column:
-                if isinstance(e, _Var):
-                    ops[e.index] = ops[e.index][:2] + (-ops[e.index][2],)
-            column = [(zb, e if isinstance(e, _Var) else -e) for zb, e in column]
-        terms = [zb * e for zb, e in column]
-        total = sum(terms[1:], terms[0]) if terms else 0.0
-        entries.append(total if fold else -total)
+        terms = [z[b] * row[a] for b, row in enumerate(rows)
+                 if isinstance(row[a], _Var) or row[a] != 0]
+        entries.append(-sum(terms[1:], terms[0]) if terms else 0.0)
     return entries
 
 

@@ -231,7 +231,7 @@ def cycle_sweep(result):
     if cycle.sweep is None:
         cycle.sweep = variational_sweep(result.model, cycle.anchor, cycle.period,
                                         cycle.grid_size, result.config.integrator)
-        cycle.series = FourierSeries.from_samples(cycle.sweep.states, 1.0)
+        cycle.series = FourierSeries.from_samples(cycle.sweep.states)
     return cycle.sweep
 
 

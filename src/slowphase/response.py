@@ -140,7 +140,7 @@ def expand_response_functions(
             period, small_divisor_tol, normalize,
         )
         drift = max(drift, order_drift)
-        expansions.append(FourierTaylor.from_samples(values, 1.0))
+        expansions.append(FourierTaylor.from_samples(values))
         residuals.append(order_residuals(
             expansions[-1], values, transport.result(), lam_s, offset, period
         ))

@@ -1,14 +1,15 @@
 """Trigonometric polynomials and their sigma-jets.
 
 Periodic functions are represented by their discrete Fourier coefficients on
-an equispaced grid of ``N`` points (``N`` a power of two).  A function with
-period ``P`` is sampled at ``theta_m = m P / N`` and analyzed as
+an equispaced grid of ``N`` points (``N`` a power of two).  Every function
+has period 1 in theta: it is sampled at ``theta_m = m / N`` and analyzed as
 
     c_k = (1/N) sum_m f(theta_m) exp(-2 pi i k m / N),
 
-so synthesis at the grid points is exact for bandlimited data.  Two periods
-occur in practice: 1 for ordinary cycle-periodic functions and 2 for the
-antiperiodic bundles attached to negative Floquet multipliers.
+so synthesis at the grid points is exact for bandlimited data.  The complex
+Floquet normal form gives a negative multiplier the exponent
+log|mu|/T + i pi/T, so its frame column, like every other function the
+pipeline solves for, is 1-periodic too.
 
 A real function (the cycle, the manifold, both response functions) has
 c_{-k} = conj(c_k), so it keeps the N/2 + 1 rows k = 0..N/2 of the one-sided
@@ -35,7 +36,7 @@ orbit (:mod:`slowphase.frames`), each order of the manifold recursion
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import KW_ONLY, dataclass, replace
 from typing import ClassVar
 
 import numpy as np
@@ -56,10 +57,10 @@ def _require_power_of_two(n: int) -> None:
         raise GridError(f"grid size must be a power of two >= 2, got {n}")
 
 
-def theta_grid(n: int, period: float = 1.0) -> np.ndarray:
-    """Equispaced sample points ``m * period / n`` for ``m = 0 .. n-1``."""
+def theta_grid(n: int) -> np.ndarray:
+    """Equispaced sample points ``m / n`` for ``m = 0 .. n-1``."""
     _require_power_of_two(n)
-    return np.arange(n) * (period / n)
+    return np.arange(n) * (1.0 / n)
 
 
 def wavenumbers(n: int, real: bool = False) -> np.ndarray:
@@ -73,10 +74,11 @@ def wavenumbers(n: int, real: bool = False) -> np.ndarray:
 @dataclass(frozen=True)
 class _Spectrum:
     """Fourier coefficients along axis ``_axis`` of ``coef``: N rows in FFT
-    order, or the N/2 + 1 rows k = 0..N/2 of a ``real`` function."""
+    order, or the N/2 + 1 rows k = 0..N/2 of a ``real`` (keyword-only)
+    function."""
 
     coef: np.ndarray
-    period: float = 1.0
+    _: KW_ONLY
     real: bool = False
     _axis: ClassVar[int] = 0
 
@@ -84,14 +86,14 @@ class _Spectrum:
         _require_power_of_two(self.grid_size)
 
     @classmethod
-    def from_samples(cls, values, period: float = 1.0):
+    def from_samples(cls, values):
         """Analyze grid values (the grid on axis ``_axis``): real values into
         the one-sided layout, complex ones into the two-sided."""
         values = np.asarray(values)
         _require_power_of_two(values.shape[cls._axis])
         real = not np.iscomplexobj(values)
         analyze = np.fft.rfft if real else np.fft.fft
-        return cls(analyze(values, axis=cls._axis, norm="forward"), period, real)
+        return cls(analyze(values, axis=cls._axis, norm="forward"), real=real)
 
     @property
     def grid_size(self) -> int:
@@ -112,7 +114,7 @@ class _Spectrum:
     def differentiate(self):
         """Derivative with respect to theta; the Nyquist row N/2 of either
         layout (k = -N/2 two-sided, k = N/2 one-sided) is zeroed."""
-        factor = (2j * np.pi / self.period) * wavenumbers(self.grid_size, self.real)
+        factor = 2j * np.pi * wavenumbers(self.grid_size, self.real)
         factor[self.grid_size // 2] = 0.0
         shape = (1,) * self._axis + factor.shape + (1,) * (self.coef.ndim - self._axis - 1)
         return replace(self, coef=self.coef * factor.reshape(shape))
@@ -121,15 +123,15 @@ class _Spectrum:
 @dataclass(frozen=True)
 class FourierSeries(_Spectrum):
     """Vector-valued trigonometric polynomial: ``coef`` of shape (rows,
-    *value_shape), ``period`` 1 or 2, and ``real`` for the one-sided layout
-    of a real function."""
+    *value_shape), and ``real`` for the one-sided layout of a real
+    function."""
 
     @property
     def k(self) -> np.ndarray:
         return wavenumbers(self.grid_size, self.real)
 
     def grid(self) -> np.ndarray:
-        return theta_grid(self.grid_size, self.period)
+        return theta_grid(self.grid_size)
 
     def magnitudes(self) -> np.ndarray:
         """Largest coefficient magnitude of each row, shape (rows,)."""
@@ -144,11 +146,11 @@ class FourierSeries(_Spectrum):
         ``theta.shape + (rows,)``; a one-sided row 0 < k < N/2 is weighed
         twice, for its conjugate row.
 
-        They depend only on the layout, grid size and period, so series
+        They depend only on the layout and grid size, so series
         sharing those can share one phase array (see :meth:`at_phase`).
         """
         theta = np.asarray(theta, dtype=float)
-        phase = np.exp((2j * np.pi / self.period) * np.multiply.outer(theta, self.k))
+        phase = np.exp(2j * np.pi * np.multiply.outer(theta, self.k))
         if self.real:
             phase[..., 1:-1] *= 2.0
         return phase
@@ -196,7 +198,7 @@ class FourierTaylor(_Spectrum):
 
     def order_series(self, n: int) -> FourierSeries:
         """The sigma**n coefficient, a view of ``coef[n]``."""
-        return FourierSeries(self.coef[n], self.period, self.real)
+        return FourierSeries(self.coef[n], real=self.real)
 
     def truncated(self, max_order: int) -> "FourierTaylor":
         return replace(self, coef=self.coef[: max_order + 1])
@@ -252,7 +254,7 @@ def solve_diagonal(
 
     In Fourier space the system is diagonal:
 
-        u_k^(j) = rhs_k^(j) / (2 pi i k / (P T) + shifts[j]).
+        u_k^(j) = rhs_k^(j) / (2 pi i k / T + shifts[j]).
 
     Modes listed in ``free_modes`` (pairs ``(k, j)`` of integer wavenumber
     and component) are set to zero and their right-hand-side coefficient is
@@ -278,7 +280,7 @@ def solve_diagonal(
             f"shift count {shifts.size} does not match components {coef.shape[1]}"
         )
     k = wavenumbers(rhs.grid_size)
-    divisors = (2j * np.pi / (rhs.period * period_time)) * k[:, None] + shifts[None, :]
+    divisors = (2j * np.pi / period_time) * k[:, None] + shifts[None, :]
 
     free = {}
     mask = np.zeros(divisors.shape, dtype=bool)
@@ -294,7 +296,7 @@ def solve_diagonal(
         rows, cols = np.nonzero(small)
         kk, jj = int(k[rows[0]]), int(cols[0])
         raise SmallDivisorError(
-            f"divisor |2 pi i {kk}/(P T) + shift_{jj}| = "
+            f"divisor |2 pi i {kk}/T + shift_{jj}| = "
             f"{magnitudes[rows[0], cols[0]]:.3e} below tolerance "
             f"{small_divisor_tol:.1e}",
             context=(kk, jj),
@@ -303,5 +305,5 @@ def solve_diagonal(
     safe = np.where(mask, 1.0, divisors)
     out = np.where(mask, 0.0, coef / safe)
     smallest = float(np.min(magnitudes, where=~mask, initial=np.inf))
-    return FourierSeries(out.reshape(rhs.coef.shape), rhs.period), free, smallest
+    return FourierSeries(out.reshape(rhs.coef.shape)), free, smallest
 

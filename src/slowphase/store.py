@@ -143,8 +143,8 @@ def write_series_csv(path, series: FourierSeries) -> str:
     """Coefficient table: k, then re/im per component, ascending k; a real
     series lists its rows k = 0..N/2.
 
-    A leading comment line records grid size and period so the series can be
-    reconstructed exactly.
+    A leading comment line records grid size and value shape so the series
+    can be reconstructed exactly.
     """
     n = series.grid_size
     k = series.k
@@ -157,10 +157,9 @@ def write_series_csv(path, series: FourierSeries) -> str:
     labels = _component_labels(series.value_shape)
     header = ["k"] + [f"{p}_{c}" for c in labels for p in ("re", "im")]
     lines = [
-        "# grid_size=%d period=%s value_shape=%s"
-        % (n, format_float(series.period), "x".join(map(str, series.value_shape)))
+        "# grid_size=%d value_shape=%s" % (n, "x".join(map(str, series.value_shape))),
+        ",".join(header),
     ]
-    lines.append(",".join(header))
     # same '%.17g' as format_float, one template per row
     row_format = "%d" + ",%.17g" * cells.shape[1]
     for wavenumber, row in zip(k[order].tolist(), cells):
@@ -178,7 +177,9 @@ def read_series_csv(path) -> FourierSeries:
             raise ValueError(f"{path}: missing series metadata line")
         meta = dict(part.split("=") for part in meta_line[1:].split())
         n = int(meta["grid_size"])
-        period = float(meta["period"])
+        # tables written before every series had period 1 record it
+        if float(meta.get("period", 1.0)) != 1.0:
+            raise ValueError(f"{path}: a period-{meta['period']} series; every series has period 1")
         shape_txt = meta["value_shape"]
         value_shape = (
             () if shape_txt == "" else tuple(int(s) for s in shape_txt.split("x"))
@@ -191,7 +192,7 @@ def read_series_csv(path) -> FourierSeries:
     coef_sorted = raw[:, 1::2] + 1j * raw[:, 2::2]
     coef = np.zeros((n // 2 + 1 if real else n, comps), dtype=complex)
     coef[k % n] = coef_sorted
-    return FourierSeries(coef.reshape((len(coef), *value_shape)), period, real)
+    return FourierSeries(coef.reshape((len(coef), *value_shape)), real=real)
 
 
 class _Encoder(json.JSONEncoder):

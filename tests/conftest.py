@@ -71,10 +71,11 @@ def ei_run(tmp_path_factory):
     result = run_pipeline(config, resume=partial)
     expansion_elapsed = time.time() - t1
     # real representations of the frames, for the real-frame identities
-    bundle_real, adjoint_real = build_real_frames(result.bundle, result.adjoint)
+    theta_real, bundle_real, adjoint_real = build_real_frames(result.bundle, result.adjoint)
     return SimpleNamespace(
         result=result,
         config=config,
+        theta_real=theta_real,
         bundle_real=bundle_real,
         adjoint_real=adjoint_real,
         floquet_elapsed=floquet_elapsed,

@@ -140,10 +140,8 @@ def test_criterion_5_orthogonality_suite(ei_run):
 def test_criterion_6_two_periodicity(ei_run):
     result = ei_run.result
     n = result.cycle.grid_size
-    bundle = ei_run.bundle_real.samples().real
-    adjoint = ei_run.adjoint_real.samples().real
     worst = 0.0
-    for vals in (bundle, adjoint):
+    for vals in (ei_run.bundle_real, ei_run.adjoint_real):
         for j in (4, 5):
             worst = max(worst, float(np.max(np.abs(vals[:n, :, j] + vals[n:, :, j]))))
     _line(

@@ -21,7 +21,6 @@ from slowphase.series import FourierSeries, FourierTaylor
 from slowphase.store import (
     format_float,
     read_coeffs,
-    read_json,
     read_series_csv,
     sha256_file,
     write_coeffs,
@@ -227,11 +226,11 @@ def test_rows_csv_bytes(tmp_path):
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 def test_series_csv_round_trip(tmp_path_factory, seed):
     rng = np.random.default_rng(seed)
-    series = FourierSeries.from_samples(rng.standard_normal((32, 3)), period=2.0)
+    series = FourierSeries.from_samples(rng.standard_normal((32, 3)))
     path = str(tmp_path_factory.mktemp("csv") / "series.csv")
     write_series_csv(path, series)
     back = read_series_csv(path)
-    assert back.period == series.period
+    assert back.real
     assert back.value_shape == series.value_shape
     assert np.array_equal(back.coef, series.coef)
 
@@ -245,28 +244,24 @@ SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e-300, -1e300]
     orders=st.sampled_from([(), (1,), (4,)]),  # one series, or stacked orders
     grid=st.sampled_from([2, 8]),
     value_shape=st.sampled_from([(), (3,), (2, 2)]),
-    period=st.sampled_from([1.0, 2.0]),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
-def test_coeffs_round_trip(tmp_path_factory, orders, grid, value_shape, period, seed):
+def test_coeffs_round_trip(tmp_path_factory, orders, grid, value_shape, seed):
     rng = np.random.default_rng(seed)
     shape = (*orders, grid, *value_shape)
     parts = rng.standard_normal((2, *shape))
     parts = np.where(rng.random(parts.shape) < 0.5, rng.choice(SPECIAL, parts.shape), parts)
     coef = np.empty(shape, dtype=complex)
     coef.real, coef.imag = parts  # keeps the signs of zeros
-    taylor = FourierTaylor(coef.reshape(-1, grid, *value_shape), period)
+    FourierTaylor(coef.reshape(-1, grid, *value_shape))  # a valid expansion
     folder = tmp_path_factory.mktemp("npy")
-    # as the pipeline stores a stage: coefficients as .npy, period in JSON
     path = str(folder / "coeff.npy")
     write_coeffs(path, coef)
-    write_json(str(folder / "meta.json"), {"period": taylor.period})
     back = read_coeffs(path, shape)
     assert back.dtype == np.dtype("<c16") and back.shape == shape
     assert np.array_equal(back, coef)
     assert np.array_equal(np.signbit(back.real), np.signbit(coef.real))
     assert np.array_equal(np.signbit(back.imag), np.signbit(coef.imag))
-    assert read_json(str(folder / "meta.json"))["period"] == period
     # a Fortran-ordered or non-contiguous array writes the bytes of its C copy
     wide = np.zeros((*shape, 2), dtype=complex)
     wide[..., 1] = coef
@@ -276,12 +271,12 @@ def test_coeffs_round_trip(tmp_path_factory, orders, grid, value_shape, period, 
         assert Path(other).read_bytes() == Path(path).read_bytes(), name
 
 
-def _hand_series(re, im, period, real=False):
+def _hand_series(re, im, real=False):
     """Series from separate real and imaginary parts, keeping signed zeros."""
     coef = np.zeros(np.shape(re), dtype=complex)
     coef.real = re
     coef.imag = im
-    return FourierSeries(coef, period, real)
+    return FourierSeries(coef, real=real)
 
 
 def test_series_csv_layout(tmp_path):
@@ -289,12 +284,11 @@ def test_series_csv_layout(tmp_path):
     vector = _hand_series(
         re=[[0.1, -0.0], [0.5, 0.0], [3.0, -1.5], [0.5, 0.0]],
         im=[[0.0, 1e-300], [-0.25, 0.0], [0.0, 2.0], [0.25, -0.0]],
-        period=1.0,
     )
     path = str(tmp_path / "vector.csv")
     write_series_csv(path, vector)
     assert Path(path).read_bytes() == (
-        b"# grid_size=4 period=1 value_shape=2\n"
+        b"# grid_size=4 value_shape=2\n"
         b"k,re_c0,im_c0,re_c1,im_c1\n"
         b"-2,3,0,-1.5,2\n"
         b"-1,0.5,0.25,0,-0\n"
@@ -309,9 +303,9 @@ def test_series_csv_layout(tmp_path):
     re[2, 0, 1] = -2.5
     im[2, 1, 1] = 1.0 / 3.0
     path = str(tmp_path / "matrix.csv")
-    write_series_csv(path, _hand_series(re, im, period=2.0))
+    write_series_csv(path, _hand_series(re, im))
     assert Path(path).read_bytes() == (
-        b"# grid_size=4 period=2 value_shape=2x2\n"
+        b"# grid_size=4 value_shape=2x2\n"
         b"k,re_c0_0,im_c0_0,re_c0_1,im_c0_1,re_c1_0,im_c1_0,re_c1_1,im_c1_1\n"
         b"-2,0,0,-2.5,0,0,0,0,0.33333333333333331\n"
         b"-1,0,0,0,0,0,0,0,0\n"
@@ -320,11 +314,11 @@ def test_series_csv_layout(tmp_path):
     )
 
     # a real series lists its one-sided rows k = 0..N/2, and reads back so
-    one_sided = _hand_series(re=[0.1, 0.5, 3.0], im=[0.0, -0.25, 0.0], period=1.0, real=True)
+    one_sided = _hand_series(re=[0.1, 0.5, 3.0], im=[0.0, -0.25, 0.0], real=True)
     path = str(tmp_path / "real.csv")
     write_series_csv(path, one_sided)
     assert Path(path).read_bytes() == (
-        b"# grid_size=4 period=1 value_shape=\n"
+        b"# grid_size=4 value_shape=\n"
         b"k,re_c,im_c\n"
         b"0,0.10000000000000001,0\n"
         b"1,0.5,-0.25\n"
@@ -332,6 +326,27 @@ def test_series_csv_layout(tmp_path):
     )
     back = read_series_csv(path)
     assert back.real and back.coef.tobytes() == one_sided.coef.tobytes()
+
+
+# a one-sided table as earlier versions wrote it, with a period in its header
+OLD_TABLE = b"k,re_c,im_c\n0,0.10000000000000001,0\n1,0.5,-0.25\n2,3,0\n"
+
+
+def test_series_csv_reads_an_earlier_period_one_header(tmp_path):
+    path = tmp_path / "old.csv"
+    path.write_bytes(b"# grid_size=4 period=1 value_shape=\n" + OLD_TABLE)
+    back = read_series_csv(str(path))
+    want = _hand_series(re=[0.1, 0.5, 3.0], im=[0.0, -0.25, 0.0], real=True)
+    assert back.real and back.coef.tobytes() == want.coef.tobytes()
+
+
+def test_series_csv_refuses_a_period_two_header(tmp_path):
+    # a period-2 table read as period 1 would halve every derivative
+    path = tmp_path / "lift.csv"
+    path.write_bytes(b"# grid_size=4 period=2 value_shape=\n" + OLD_TABLE)
+    with pytest.raises(ValueError) as err:
+        read_series_csv(str(path))
+    assert str(err.value).startswith(f"{path}: a period-2 series")
 
 
 def test_json_and_checksum_determinism(tmp_path):

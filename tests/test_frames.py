@@ -11,14 +11,20 @@ import slowphase.integrate as integrate_mod
 import slowphase.pipeline as pipeline_mod
 from slowphase.config import RunConfig
 from slowphase.errors import FrameError
-from slowphase.cycle import CLASS_PAIR_CONJ, IDENTITY_CHUNKS, variational_sweep
+from slowphase.cycle import (
+    CLASS_PAIR_CONJ,
+    CLASS_PAIR_LEAD,
+    CLASS_REAL_NEGATIVE,
+    CLASS_REAL_POSITIVE,
+    IDENTITY_CHUNKS,
+    variational_sweep,
+)
 from slowphase.frames import (
     _integration_route,
     _seed_columns,
     build_adjoint_frame,
     build_bundle_frame,
     cross_check_adjoint_frame,
-    real_generator_matrix,
 )
 from slowphase.integrate import (
     DEFAULT_SETTINGS,
@@ -93,7 +99,7 @@ def test_frame_ode_residuals_per_class(ei_run):
     lams = result.bundle.exponents
     jac = result.model.jacobian(result.cycle.samples)
     dq = (
-        FourierSeries.from_samples(cols, 1.0).band_limited(result.band_cut)
+        FourierSeries.from_samples(cols).band_limited(result.band_cut)
         .differentiate().samples()
     )
     res = dq / result.cycle.period - jac @ cols + cols * lams[None, None, :]
@@ -104,9 +110,8 @@ def test_frame_ode_residuals_per_class(ei_run):
 def test_real_bundle_antiperiodicity(ei_run):
     result = ei_run.result
     n = result.cycle.grid_size
-    assert ei_run.bundle_real.period == 2.0
-    vals = ei_run.bundle_real.samples().real
-    avals = ei_run.adjoint_real.samples().real
+    assert len(ei_run.theta_real) == 2 * n
+    vals, avals = ei_run.bundle_real, ei_run.adjoint_real
     for j in (4, 5):
         assert np.max(np.abs(vals[:n, :, j] + vals[n:, :, j])) < 1e-9
         assert np.max(np.abs(avals[:n, :, j] + avals[n:, :, j])) < 1e-9
@@ -119,10 +124,9 @@ def test_negative_columns_relate_to_complex_by_half_harmonic(ei_run):
     # complex column = e^{-i pi theta} x real antiperiodic column
     result = ei_run.result
     n = result.cycle.grid_size
-    theta2 = ei_run.bundle_real.grid()
-    phase = np.exp(-1j * np.pi * theta2[:n])
+    phase = np.exp(-1j * np.pi * ei_run.theta_real[:n])
     complex_cols = result.bundle.grid_values()
-    real_cols = ei_run.bundle_real.samples().real
+    real_cols = ei_run.bundle_real
     for j in (4, 5):
         reconstructed = phase[:, None] * real_cols[:n, :, j]
         assert np.max(np.abs(reconstructed - complex_cols[:, :, j])) < 1e-10
@@ -132,43 +136,84 @@ def test_real_pair_columns_are_real_and_imaginary_parts(ei_run):
     result = ei_run.result
     n = result.cycle.grid_size
     complex_cols = result.bundle.grid_values()
-    real_cols = ei_run.bundle_real.samples().real
+    real_cols = ei_run.bundle_real
     assert np.max(np.abs(real_cols[:n, :, 2] - complex_cols[:, :, 2].real)) < 1e-12
     assert np.max(np.abs(real_cols[:n, :, 3] - complex_cols[:, :, 2].imag)) < 1e-12
 
 
 def test_real_frames_biorthogonal(ei_run):
     result = ei_run.result
-    q = ei_run.adjoint_real.samples().real
-    b = ei_run.bundle_real.samples().real
+    q, b = ei_run.adjoint_real, ei_run.bundle_real
     gram = np.einsum("nij,nik->njk", q, b)
     assert np.max(np.abs(gram - np.eye(6))) < 1e-9
+
+
+def real_generator_matrix(classes, exponents) -> np.ndarray:
+    """Real reduced generator: diag of 0, lam, nu, and 2x2 rotation blocks.
+
+    ``classes`` and ``exponents`` are a complex frame's; a negative column
+    contributes the real part nu of its exponent, a pair the rotation by the
+    imaginary part of its lead exponent.  The real adjoint frame's generator
+    is the transpose.
+    """
+    out = np.zeros((len(classes), len(classes)))
+    for i, (cls, lam) in enumerate(zip(classes, exponents)):
+        if cls in (CLASS_REAL_POSITIVE, CLASS_REAL_NEGATIVE):
+            out[i, i] = lam.real
+        elif cls == CLASS_PAIR_LEAD:
+            out[i, i] = out[i + 1, i + 1] = lam.real
+            out[i, i + 1] = lam.imag
+            out[i + 1, i] = -lam.imag
+    return out
+
+
+def _lift_derivative(values, k_cut):
+    """theta-derivative of values sampled over the lift theta in [0, 2): a
+    1-periodic series in theta / 2, so its derivative is halved."""
+    series = FourierSeries.from_samples(values).band_limited(2 * k_cut)
+    return series.differentiate().samples() / 2.0
 
 
 def test_real_frame_odes(ei_run):
     # (1/T) Q~' = DX Q~ - Q~ R for the bundle; adjoint with transposed blocks
     result = ei_run.result
     T = result.cycle.period
-    n = result.cycle.grid_size
     jac = result.model.jacobian(result.cycle.samples)
     jac2 = np.tile(jac, (2, 1, 1))
     classes, exponents = result.bundle.classes, result.bundle.exponents
     gen = real_generator_matrix(classes, exponents)
-    vals = ei_run.bundle_real.samples().real
-    dq = (
-        FourierSeries.from_samples(vals, 2.0).band_limited(2 * result.band_cut)
-        .differentiate().samples()
-    )
-    res = dq.real / T - jac2 @ vals + vals @ gen
+    vals = ei_run.bundle_real
+    res = _lift_derivative(vals, result.band_cut) / T - jac2 @ vals + vals @ gen
     assert np.max(np.abs(res)) < 5e-9
-    gen_adj = real_generator_matrix(classes, exponents).T
-    avals = ei_run.adjoint_real.samples().real
-    da = (
-        FourierSeries.from_samples(avals, 2.0).band_limited(2 * result.band_cut)
-        .differentiate().samples()
-    )
-    res_a = da.real / T + np.swapaxes(jac2, 1, 2) @ avals - avals @ gen_adj
+    avals = ei_run.adjoint_real
+    res_a = (_lift_derivative(avals, result.band_cut) / T
+             + np.swapaxes(jac2, 1, 2) @ avals - avals @ gen.T)
     assert np.max(np.abs(res_a)) < 5e-9
+
+
+def test_real_frames_are_exact_recombinations(ei_run):
+    """On both halves of the lift, the real frames are the complex grid
+    values recombined, bit for bit: a pair's real and imaginary parts (2 Re
+    and -2 Im for the adjoint), and a negative column times exp(i pi theta)
+    (exp(-i pi theta) for the adjoint)."""
+    result = ei_run.result
+    n = result.cycle.grid_size
+    theta = ei_run.theta_real
+    assert np.array_equal(theta, np.arange(2 * n) / n)
+    b, q = result.bundle.grid_values(), result.adjoint.grid_values()
+    assert tuple(result.bundle.classes[2:]) == (
+        "complex_pair_lead", "complex_pair_conjugate", "real_negative", "real_negative")
+    for half in (slice(0, n), slice(n, 2 * n)):
+        real_b, real_q = ei_run.bundle_real[half], ei_run.adjoint_real[half]
+        assert np.array_equal(real_b[:, :, 2], b[:, :, 2].real)
+        assert np.array_equal(real_b[:, :, 3], b[:, :, 2].imag)
+        assert np.array_equal(real_q[:, :, 2], 2.0 * q[:, :, 2].real)
+        assert np.array_equal(real_q[:, :, 3], -2.0 * q[:, :, 2].imag)
+        for j in (4, 5):
+            factor = np.exp(1j * np.pi * theta[half])[:, None]
+            assert np.array_equal(real_b[:, :, j], (factor * b[:, :, j]).real)
+            factor = np.exp(-1j * np.pi * theta[half])[:, None]
+            assert np.array_equal(real_q[:, :, j], (factor * q[:, :, j]).real)
 
 
 def test_real_generator_blocks():

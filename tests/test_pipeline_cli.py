@@ -63,7 +63,7 @@ def test_pipeline_artifacts_and_manifest(oracle_run):
 
 def _assert_same_frame(loaded, original):
     assert np.array_equal(loaded.series.coef, original.series.coef)
-    assert loaded.series.period == original.series.period
+    assert loaded.series.real == original.series.real
     assert np.array_equal(loaded.exponents, original.exponents)
 
 
@@ -75,7 +75,7 @@ def test_artifact_reload_round_trip(oracle_run, ei_run):
     assert np.array_equal(cycle.anchor, result.cycle.anchor)
     assert cycle.period == result.cycle.period
     assert np.array_equal(cycle.series.coef, result.cycle.series.coef)
-    assert cycle.series.period == result.cycle.series.period
+    assert cycle.series.real == result.cycle.series.real
     # grid values are synthesized from the series and read-only
     assert np.array_equal(cycle.samples, result.cycle.samples)
     with pytest.raises(ValueError):
@@ -88,7 +88,7 @@ def test_artifact_reload_round_trip(oracle_run, ei_run):
         assert np.array_equal(
             manifold.order_series(n).coef, result.manifold.order_series(n).coef
         )
-    assert manifold.coeffs.period == result.manifold.coeffs.period
+    assert manifold.coeffs.real == result.manifold.coeffs.real
     response = loaded.response
     assert response.order == result.response.order
     assert response.solvability_residual == result.response.solvability_residual
@@ -96,15 +96,16 @@ def test_artifact_reload_round_trip(oracle_run, ei_run):
     assert np.array_equal(response.phase_residuals, result.response.phase_residuals)
     for label in ("phase", "amplitude"):
         loaded, original = getattr(response, label), getattr(result.response, label)
-        assert loaded.period == original.period
+        assert loaded.real == original.real
         for n in range(response.order + 1):
             assert np.array_equal(
                 loaded.order_series(n).coef, original.order_series(n).coef
             )
 
     # frames: the ei cycle has a negative multiplier, so its real frames
-    # carry the period-2 lift; they are neither stored nor loaded, and
-    # build_real_frames rebuilds them from the loaded complex frames
+    # are sampled over the lift to theta in [0, 2); they are neither stored
+    # nor loaded, and build_real_frames rebuilds them from the loaded
+    # complex frames
     out = ei_run.config.out_dir
     result = ei_run.result
     assert not [n for n in os.listdir(out) if "_real" in n]
@@ -112,15 +113,14 @@ def test_artifact_reload_round_trip(oracle_run, ei_run):
     frames = {name: getattr(ei_loaded, name) for name in ("bundle", "adjoint")}
     assert ei_loaded.band_cut == result.band_cut
     assert "real_negative" in result.bundle.classes
-    assert ei_run.bundle_real.period == 2.0
+    assert len(ei_run.theta_real) == 2 * result.cycle.grid_size
 
     def assert_same_frames(frames):
         rebuilt = build_real_frames(frames["bundle"], frames["adjoint"])
         for name in ("bundle", "adjoint"):
             _assert_same_frame(frames[name], getattr(result, name))
-        for name, series in zip(("bundle_real", "adjoint_real"), rebuilt):
-            assert np.array_equal(series.coef, getattr(ei_run, name).coef)
-            assert series.period == getattr(ei_run, name).period
+        for name, values in zip(("theta_real", "bundle_real", "adjoint_real"), rebuilt):
+            assert np.array_equal(values, getattr(ei_run, name))
 
     assert_same_frames(frames)
 
@@ -1162,9 +1162,9 @@ def test_export_frames_are_real_columns(ei_run, tmp_path):
     assert len(files) == 12 + 2  # six columns per frame, and each frame's table
     path = tmp_path / "curve_bundle_column_4.csv"
     rows = np.loadtxt(path, delimiter=",", skiprows=1)
-    expect = ei_run.bundle_real.samples().real[:, :, 4]
+    expect = ei_run.bundle_real[:, :, 4]
     assert rows.shape == (2 * ei_run.result.cycle.grid_size, 7)
-    assert np.array_equal(rows[:, 0], ei_run.bundle_real.grid())
+    assert np.array_equal(rows[:, 0], ei_run.theta_real)
     assert np.array_equal(rows[:, 1:], expect)  # %.17g round-trips exactly
 
 

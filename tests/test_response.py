@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from slowphase import response
+from slowphase import manifold, response
 from slowphase.errors import SolvabilityError
 from slowphase.manifold import evaluate_manifold, order_residuals, solve_orders
 from slowphase.models import JetTransport, jet_compose
@@ -113,6 +113,36 @@ def test_normalization_defect_reports_an_injected_defect(oracle_run, monkeypatch
     assert defect() < 1e-9
     monkeypatch.setattr(response, "_fix_order1_normalization", perturbed)
     assert defect() >= 0.5 * eps
+
+
+@pytest.mark.parametrize("run", ["oracle_run", "ei_run"])
+def test_solvability_residual_reads_an_injected_defect(run, request, monkeypatch):
+    """Adding eps Z_0 to the amplitude order-1 right-hand side, the one solve
+    with a free mode, moves that free (k = 0, trivial) coefficient by eps:
+    <K_0', Z_0> = 1, and Z_0 pairs to 0 with the other bundle columns.  The
+    residual reads eps to 10 % below the tolerance, and above it raises."""
+    ns = request.getfixturevalue(run)
+    result, tol = ns.result, ns.config.solvability_tol
+    z0 = result.adjoint.grid_values()[:, :, 0]
+    solve = manifold.solve_in_frame
+
+    def residual(eps):
+        def inject(rhs, reduce, expand, shifts, period, free_modes, *args):
+            if free_modes:
+                rhs = rhs + eps * z0
+            return solve(rhs, reduce, expand, shifts, period, free_modes, *args)
+
+        monkeypatch.setattr(manifold, "solve_in_frame", inject)
+        return expand_response_functions(
+            result.model, result.manifold, result.bundle, result.adjoint,
+            order=1, solvability_tol=tol,
+        ).solvability_residual
+
+    for eps in (1e-10, 3e-10):
+        assert eps < tol
+        assert 0.9 * eps <= residual(eps) <= 1.1 * eps
+    with pytest.raises(SolvabilityError, match="order-1 solvability residual"):
+        residual(1e-6)
 
 
 def test_order1_lambda_identity_pointwise(ei_run):

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,15 +35,14 @@ def test_transform_round_trip(n, seed):
 @given(
     log2_n=st.integers(min_value=3, max_value=10),
     value_shape=st.sampled_from([(), (3,), (3, 3)]),
-    period=st.sampled_from([1.0, 2.0]),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
-def test_real_series_round_trip_and_evaluation(log2_n, value_shape, period, seed):
+def test_real_series_round_trip_and_evaluation(log2_n, value_shape, seed):
     """Real samples analyze into the N/2 + 1 one-sided rows, synthesize back
     to real values, and point evaluation at the grid phases matches them."""
     n = 2**log2_n
     values = np.random.default_rng(seed).standard_normal((n, *value_shape))
-    series = FourierSeries.from_samples(values, period)
+    series = FourierSeries.from_samples(values)
     assert series.real and series.coef.shape == (n // 2 + 1, *value_shape)
     assert series.grid_size == n and np.array_equal(series.k, np.arange(n // 2 + 1))
     back = series.samples()
@@ -200,32 +201,48 @@ def test_fourier_taylor_requires_order_zero():
         FourierTaylor.from_samples(np.zeros((3, 12, 2)))
 
 
-@pytest.mark.parametrize("period", [1.0, 2.0])
 @pytest.mark.parametrize("value_shape", [(), (3,), (3, 3)])
-def test_fourier_taylor_is_bitwise_the_per_order_series(period, value_shape):
+def test_fourier_taylor_is_bitwise_the_per_order_series(value_shape):
     """Each operation on the stacked coefficients equals, bit for bit, the
     same operation on the order's FourierSeries, in both layouts: 17 rows
     for real values and 32 for complex ones."""
     rng = np.random.default_rng(len(value_shape))
     real = rng.standard_normal((5, 32, *value_shape))
     for values, rows in ((real, 17), (real + 1j * rng.standard_normal(real.shape), 32)):
-        ft = FourierTaylor.from_samples(values, period)
-        per_order = [FourierSeries.from_samples(v, period) for v in values]
+        ft = FourierTaylor.from_samples(values)
+        per_order = [FourierSeries.from_samples(v) for v in values]
         assert ft.coef.shape == (5, rows, *value_shape) and ft.real == (rows == 17)
         assert (ft.order, ft.grid_size, ft.value_shape) == (4, 32, value_shape)
         samples, derivative = ft.samples(), ft.differentiate()
-        assert derivative.period == period and derivative.real == ft.real
+        assert derivative.real == ft.real
         assert samples.dtype == values.dtype
         for n, series in enumerate(per_order):
             view = ft.order_series(n)
-            assert view.period == period and np.shares_memory(view.coef, ft.coef)
+            assert np.shares_memory(view.coef, ft.coef)
             assert view.real == series.real == ft.real
             assert view.coef.tobytes() == series.coef.tobytes()
             assert samples[n].tobytes() == series.samples().tobytes()
             assert derivative.coef[n].tobytes() == series.differentiate().coef.tobytes()
         low = ft.truncated(2)
-        assert low.order == 2 and low.period == period and low.real == ft.real
+        assert low.order == 2 and low.real == ft.real
         assert low.coef.tobytes() == ft.coef[:3].tobytes()
+
+
+def test_series_have_period_one():
+    """Every series has period 1 in theta: the coefficients and the layout
+    are the only fields, and a positional period is refused, not read as
+    ``real``."""
+    assert [f.name for f in fields(FourierSeries)] == ["coef", "real"]
+    assert [f.name for f in fields(FourierTaylor)] == ["coef", "real"]
+    with pytest.raises(TypeError):
+        FourierSeries(np.zeros((8, 2), dtype=complex), 2.0)
+    with pytest.raises(TypeError):
+        FourierTaylor(np.zeros((2, 8, 2), dtype=complex), 2.0)
+    with pytest.raises(TypeError):
+        FourierSeries.from_samples(np.ones(8), 1.0)
+    with pytest.raises(TypeError):
+        theta_grid(8, 2.0)
+    assert np.array_equal(theta_grid(8), np.arange(8) / 8)
 
 
 def test_fourier_taylor_evaluate_horner():
@@ -299,9 +316,8 @@ def test_jet_power_and_scalar_mixing():
     assert np.allclose(poly[:, 0], [11.0, 11.0, 3.0])
 
 
-@pytest.mark.parametrize("period", [1.0, 2.0])
 @pytest.mark.parametrize("shape", [(64, 3), (64, 3, 3)])
-def test_band_limit_and_derivative_equal_raw_fft(period, shape):
+def test_band_limit_and_derivative_equal_raw_fft(shape):
     """The series chain is bitwise the raw-FFT band limit and derivative.
 
     Real (n, d) input stands for orbit samples, which the reference
@@ -320,7 +336,7 @@ def test_band_limit_and_derivative_equal_raw_fft(period, shape):
         def ifft(coef, axis):
             return np.fft.irfft(coef, n=n, axis=axis)
     column = (len(k),) + (1,) * (len(shape) - 1)
-    series = FourierSeries.from_samples(values, period)
+    series = FourierSeries.from_samples(values)
 
     coef = fft(values, axis=0)
     coef[np.abs(k) >= k_cut] = 0.0
@@ -333,7 +349,7 @@ def test_band_limit_and_derivative_equal_raw_fft(period, shape):
         if cut is not None:
             kk[np.abs(k) >= cut] = 0.0
         coef = fft(values, axis=0)
-        coef *= ((2j * np.pi / period) * kk).reshape(column)
+        coef *= (2j * np.pi * kk).reshape(column)
         deriv = ifft(coef, axis=0)
         chain = series if cut is None else series.band_limited(cut)
         assert chain.differentiate().samples().tobytes() == deriv.tobytes()
