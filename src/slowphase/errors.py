@@ -68,10 +68,12 @@ class ResonanceError(NumericalError):
 class SmallDivisorError(NumericalError):
     """A Fourier-space divisor fell below tolerance.
 
-    ``context`` is the ``(k, component)`` pair of the offending divisor.
+    ``context`` is the ``(k, component)`` pair of the offending divisor.  It
+    has a default because unpickling calls the class with the message alone,
+    then restores ``context`` from the pickled state.
     """
 
-    def __init__(self, message, context):
+    def __init__(self, message, context=None):
         super().__init__(message)
         self.context = context
 

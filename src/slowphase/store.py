@@ -176,6 +176,9 @@ def read_series_csv(path) -> FourierSeries:
         if not meta_line.startswith("#"):
             raise ValueError(f"{path}: missing series metadata line")
         meta = dict(part.split("=") for part in meta_line[1:].split())
+        missing = [key for key in ("grid_size", "value_shape") if key not in meta]
+        if missing:
+            raise ValueError(f"{path}: series metadata line lacks {', '.join(missing)}")
         n = int(meta["grid_size"])
         # tables written before every series had period 1 record it
         if float(meta.get("period", 1.0)) != 1.0:
@@ -187,7 +190,16 @@ def read_series_csv(path) -> FourierSeries:
         fh.readline()  # header
         raw = np.loadtxt(fh, delimiter=",", ndmin=2)
     k = raw[:, 0].astype(int)
-    real = k.max() == n // 2  # only the one-sided layout lists k = N/2
+    # rows k = 0..N/2 (one-sided, a real series) or k = -N/2..N/2-1
+    if np.array_equal(k, np.arange(n // 2 + 1)):
+        real = True
+    elif np.array_equal(k, np.arange(-(n // 2), n // 2)):
+        real = False
+    else:
+        raise ValueError(
+            f"{path}: its {len(k)} rows are neither the one-sided k = 0..{n // 2} "
+            f"nor the two-sided k = {-(n // 2)}..{n // 2 - 1} of grid size {n}"
+        )
     comps = (raw.shape[1] - 1) // 2
     coef_sorted = raw[:, 1::2] + 1j * raw[:, 2::2]
     coef = np.zeros((n // 2 + 1 if real else n, comps), dtype=complex)

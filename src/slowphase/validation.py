@@ -12,11 +12,14 @@ conjugated linear dynamics.
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ValidationFailure
+from .errors import IntegrationError, ValidationFailure
 from .integrate import DEFAULT_SETTINGS, flow
 from .manifold import ManifoldExpansion, evaluate_manifold
 from .response import ResponseExpansion
@@ -346,7 +349,7 @@ def trajectory_consistency(
     sigma = np.asarray(sigma_samples, dtype=float)
     horizons = np.asarray(horizons, dtype=float)
     x0 = evaluate_manifold(manifold, theta, sigma)
-    x_t = np.array([flow(model, x, t, settings) for x, t in zip(x0, horizons)])
+    x_t = _flows(model, x0, horizons, settings)
     th_push = theta + horizons / manifold.period
     contraction = np.exp(manifold.slow_exponent * horizons)
     sg_push = sigma * contraction
@@ -367,6 +370,97 @@ def trajectory_consistency(
         "max_phase_defect": float(phase_defect.max()),
         "max_decay_defect": float(decay_defect.max()),
     }
+
+
+def _split_flows(count: int) -> bool:
+    """Whether ``count`` flows split between this process and one forked
+    worker: there are at least two, ``os.fork`` exists, two CPUs are usable,
+    and this process runs one OS thread (a fork copies only the calling
+    thread, so a forked BLAS pool could deadlock the worker, and Python
+    3.12 warns of it)."""
+    if count < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return False
+    if len(os.sched_getaffinity(0)) < 2:
+        return False
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
+def _flows(model, x0, horizons, settings) -> np.ndarray:
+    """Row i is ``flow(model, x0[i], horizons[i], settings)``.
+
+    Where :func:`_split_flows` allows, this process and one forked worker
+    share the flows, balanced by horizon: longest first, each to the share
+    with the smaller total |horizon|.  A flow does the same arithmetic in
+    either process, so the rows are bit for bit those of the serial loop.
+    """
+
+    def run(share):
+        return [flow(model, x0[i], horizons[i], settings) for i in share]
+
+    if not _split_flows(len(horizons)):
+        return np.array(run(range(len(horizons))))
+    shares, totals = ([], []), [0.0, 0.0]
+    for i in np.argsort(-np.abs(horizons), kind="stable"):
+        # fewer flows breaks a tie, so neither share is empty
+        side = int((totals[1], len(shares[1])) < (totals[0], len(shares[0])))
+        shares[side].append(i)
+        totals[side] += abs(horizons[i])
+    x_t = np.empty_like(x0)
+    x_t[shares[0]], x_t[shares[1]] = _with_worker(
+        lambda: run(shares[0]), lambda: run(shares[1])
+    )
+    return x_t
+
+
+def _with_worker(mine, theirs):
+    """``(mine(), theirs())``, with ``theirs`` run in a forked worker.
+
+    A fork, not a fresh interpreter: the worker needs no import, and a
+    user model's closures, which cannot be pickled, come with it.  The
+    worker pickles ``(ok, result or exception)`` down a pipe and ends
+    in ``os._exit``, so it never returns into the caller's stack.  Its
+    exception is raised here again, type, message and attributes as
+    pickled; a worker that exits without a result raises IntegrationError.
+    The worker is reaped on every path, and killed first if ``mine``
+    raises (KeyboardInterrupt included).
+    """
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                payload = (True, theirs())
+            except BaseException as exc:
+                payload = (False, exc)
+            with open(write_fd, "wb") as pipe:
+                pipe.write(pickle.dumps(payload))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    try:
+        with open(read_fd, "rb") as pipe:
+            result = mine()
+            data = pipe.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    if not data:
+        raise IntegrationError(
+            "flow worker exited with status "
+            f"{os.waitstatus_to_exitcode(status)} and sent no result"
+        )
+    ok, value = pickle.loads(data)
+    if not ok:
+        raise value
+    return result, value
 
 
 def _check_inversions(trajectory: dict) -> None:

@@ -349,6 +349,38 @@ def test_series_csv_refuses_a_period_two_header(tmp_path):
     assert str(err.value).startswith(f"{path}: a period-2 series")
 
 
+def _series_table(tmp_path, meta, rows):
+    """A coefficient table with metadata line ``meta`` and one row per k."""
+    path = tmp_path / "table.csv"
+    path.write_bytes(meta + b"k,re_c,im_c\n" + b"".join(b"%d,0.5,0\n" % k for k in rows))
+    return str(path)
+
+
+def test_series_csv_reads_only_a_whole_row_set(tmp_path):
+    # the rows of a grid-4 table are k = 0..2 (one-sided) or k = -2..1
+    # (two-sided); any other set was once read as a two-sided series
+    meta = b"# grid_size=4 value_shape=\n"
+    assert read_series_csv(_series_table(tmp_path, meta, (0, 1, 2))).real is True
+    assert read_series_csv(_series_table(tmp_path, meta, (-2, -1, 0, 1))).real is False
+    for rows in ((0, 1), (0, 1, 2, 3), (-1, 0, 1, 2), (0, 2, 1), (-2, -1, 0, 1, 2)):
+        path = _series_table(tmp_path, meta, rows)
+        with pytest.raises(ValueError) as err:
+            read_series_csv(path)
+        assert str(err.value).startswith(f"{path}: its {len(rows)} rows are neither"), rows
+
+
+def test_series_csv_header_needs_grid_size_and_value_shape(tmp_path):
+    for meta, missing in (
+        (b"# grid_size=4\n", "value_shape"),
+        (b"# value_shape=\n", "grid_size"),
+        (b"# period=1\n", "grid_size, value_shape"),
+    ):
+        path = _series_table(tmp_path, meta, (0, 1, 2))
+        with pytest.raises(ValueError) as err:
+            read_series_csv(path)
+        assert str(err.value) == f"{path}: series metadata line lacks {missing}"
+
+
 def test_json_and_checksum_determinism(tmp_path):
     payload = {"b": 1.5, "a": [1, 2, 3], "c": {"nested": True}}
     p1, p2 = str(tmp_path / "one.json"), str(tmp_path / "two.json")

@@ -1,5 +1,9 @@
+import inspect
 import json
 import os
+import pickle
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import slowphase
+import slowphase.errors as errors
 import slowphase.validation as validation
 from slowphase.errors import ValidationFailure
 from slowphase.manifold import evaluate_manifold
@@ -280,15 +286,21 @@ def _validate_ei(ei_run):
 def test_state_off_the_manifold_fails_by_name(ei_run, monkeypatch):
     """Fault injection: the flow of sample 2 lands 1e-3 off the manifold
     (the slow manifold is 2-dimensional in the 6-dimensional state space),
-    so its inversion cannot close the gap and validation names it."""
-    flow = validation.flow
-    calls = []
+    so its inversion cannot close the gap and validation names it.  Sample 2
+    is picked by its horizon, as the flows may run in any order and split
+    between two processes."""
+    flow, consistency = validation.flow, validation.trajectory_consistency
+    horizons = []
+
+    def recorded(manifold, model, theta, sigma, t, *args):
+        horizons.extend(t)
+        return consistency(manifold, model, theta, sigma, t, *args)
 
     def pushed(model, x0, t, settings):
         x_t = flow(model, x0, t, settings)
-        calls.append(t)
-        return x_t + 1e-3 if len(calls) == 3 else x_t
+        return x_t + 1e-3 if t == horizons[2] else x_t
 
+    monkeypatch.setattr(validation, "trajectory_consistency", recorded)
     monkeypatch.setattr(validation, "flow", pushed)
     with pytest.raises(ValidationFailure, match=r"trajectory sample 2: .* from the manifold"):
         _validate_ei(ei_run)
@@ -587,3 +599,128 @@ def test_trajectory_state_gap_reports_an_offset_flow(oracle_run, monkeypatch):
     report = trajectory_consistency(result.manifold, result.model, _THETA, _SIGMA, _HORIZONS)
     assert np.all((report["state_gap"] >= 0.9 * eps)
                   & (report["state_gap"] <= 1.1 * eps)), report["state_gap"]
+
+
+ERROR_ATTRIBUTES = {
+    errors.IntegrationError: {"time": 2.5},
+    errors.SmallDivisorError: {"context": (0, 1)},
+}
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [c for c in vars(errors).values() if inspect.isclass(c) and issubclass(c, errors.SlowphaseError)],
+    ids=lambda c: c.__name__,
+)
+def test_errors_survive_a_pickle_round_trip(cls):
+    # a flow worker sends its exception back pickled
+    exc = cls("boom", **ERROR_ATTRIBUTES.get(cls, {}))
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is cls and str(back) == "boom"
+    assert vars(back) == vars(exc) == ERROR_ATTRIBUTES.get(cls, {})
+
+
+def _child_interpreter(script, *args):
+    """The last stdout line, parsed as JSON, of ``script`` run in a fresh
+    interpreter with one OpenBLAS thread (so it runs one OS thread and may
+    fork) and every warning an error."""
+    src = os.path.dirname(os.path.dirname(slowphase.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", script, *map(str, args)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+SPLIT_AND_SERIAL = """
+import json, os, shutil, sys
+import slowphase.validation as validation
+from slowphase.config import RunConfig
+from slowphase.pipeline import Stage, load_result, run_pipeline
+
+out, copies = sys.argv[1:]
+config = RunConfig(model="ei", grid_size=1024, order=9, n_samples=8, seed=901, out_dir=out)
+run_pipeline(config, through=Stage.RESPONSE)
+split = {}
+for name, decide in (("split", validation._split_flows), ("serial", lambda count: False)):
+    validation._split_flows = decide
+    split[name] = decide(config.n_samples)
+    run_pipeline(config, resume=load_result(config))
+    for file in ("validation.json", "accuracy_domain.csv", "manifest.json"):
+        shutil.copy(os.path.join(out, file), os.path.join(copies, f"{name}-{file}"))
+print(json.dumps(split))
+"""
+
+
+def test_split_flows_write_the_serial_bytes(tmp_path):
+    """Validating a stored `ei` run (grid 2^10, order 9) with the flows split
+    between two processes writes the reports of the serial loop, byte for
+    byte; the split is taken wherever two CPUs are usable."""
+    out, copies = tmp_path / "run", tmp_path / "copies"
+    copies.mkdir()
+    two_cpus = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+    assert _child_interpreter(SPLIT_AND_SERIAL, out, copies) == {"split": two_cpus, "serial": False}
+    for file in ("validation.json", "accuracy_domain.csv", "manifest.json"):
+        split, serial = ((copies / f"{name}-{file}").read_bytes() for name in ("split", "serial"))
+        assert split == serial, file
+
+
+WORKER_FAULT = """
+import json, os, sys, time
+import slowphase.validation as validation
+from slowphase.errors import IntegrationError
+
+def child_raises():
+    raise IntegrationError("step size underflow", time=1.25)
+
+def parent_raises():
+    raise IntegrationError("parent share failed")
+
+def interrupted():
+    raise KeyboardInterrupt
+
+shares = {  # (this process's share, the worker's share)
+    "child raises": (lambda: "mine", child_raises),
+    "parent raises": (parent_raises, lambda: time.sleep(60)),
+    "parent interrupted": (interrupted, lambda: time.sleep(60)),
+    "child exits without a result": (lambda: "mine", lambda: os._exit(5)),
+}
+start = time.perf_counter()
+try:
+    validation._with_worker(*shares[sys.argv[1]])
+    error = None
+except BaseException as exc:
+    error = [type(exc).__name__, str(exc), getattr(exc, "time", None)]
+try:
+    os.waitpid(-1, os.WNOHANG)
+    children_left = True
+except ChildProcessError:
+    children_left = False
+print(json.dumps({"error": error, "children_left": children_left, "seconds": time.perf_counter() - start}))
+"""
+
+
+@pytest.mark.parametrize(
+    "case, error",
+    [
+        ("child raises", ["IntegrationError", "step size underflow", 1.25]),
+        ("parent raises", ["IntegrationError", "parent share failed", None]),
+        ("parent interrupted", ["KeyboardInterrupt", "", None]),
+        (
+            "child exits without a result",
+            ["IntegrationError", "flow worker exited with status 5 and sent no result", None],
+        ),
+    ],
+)
+def test_flow_worker_faults(case, error):
+    """Fault injection on the forked flow worker: its exception comes back
+    typed, with its attributes; a raise in this process's share kills the
+    worker (it would sleep a minute) and reaps it; a worker that exits
+    without a result raises IntegrationError naming its status."""
+    report = _child_interpreter(WORKER_FAULT, case)
+    assert report["error"] == error
+    assert not report["children_left"]
+    assert report["seconds"] < 30
