@@ -5,8 +5,8 @@
 Subcommands: run (full pipeline), cycle, floquet, manifold, response,
 validate, export.  Later stages load earlier artifacts from the output
 directory.  Exit codes: 0 success (``--help`` included), 2 validation-threshold
-failure, 3 numerical abort (resonance, small divisor, Newton, hyperbolicity),
-4 configuration, I/O or usage failure.
+failure, 3 numerical abort (a recursion divisor below tolerance, Newton,
+hyperbolicity, a singular frame), 4 configuration, I/O or usage failure.
 """
 
 from __future__ import annotations

@@ -86,7 +86,6 @@ KEYS = (
     Key("cycle.newton_tol", "newton_tol", float, _positive, "a number > 0"),
     Key("cycle.grid_N", "grid_size", int,
         lambda n: n >= 2 and (n & (n - 1)) == 0, "a power of two"),
-    Key("resonance.tol", "resonance_tol", float, _positive, "a number > 0"),
     Key("manifold.order", "order", int, _at_least(1), "an integer >= 1"),
     Key("manifold.gauge", "gauge", float,
         lambda v: v != 0 and math.isfinite(v), "a finite nonzero number"),
@@ -132,7 +131,6 @@ class RunConfig:
     relax_time: float = 500.0
     newton_tol: float = 1e-12
     grid_size: int = 4096
-    resonance_tol: float = 1e-8
     order: int = 9
     gauge: float = 1.0
     tolerances: tuple = (1e-6, 1e-8)

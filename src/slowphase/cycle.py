@@ -1,4 +1,4 @@
-"""Periodic orbit, its variational sweep, Floquet spectrum, resonance screening.
+"""Periodic orbit, its variational sweep, Floquet spectrum, recursion divisors.
 
 The phase origin is canonical: theta = 0 is a maximum of component 0 of the
 orbit, the section X_0(x) = 0 crossed downward (X_0 is component 0 of the
@@ -19,7 +19,6 @@ frames' seeds.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import reduce
@@ -591,93 +590,53 @@ def _lattice_distance(value: np.ndarray, period: float) -> np.ndarray:
     return np.hypot(value.real, im)
 
 
+# the recursions' divisor tables; of equal entries, the first table's is named
+DIVISOR_TABLES = ("manifold", "phase", "amplitude")
+
+
 @dataclass
 class ResonanceReport:
-    """Exhaustive low-order resonance scan plus recursion divisor minima."""
+    """Per table, each order n its recursion solves maps to the divisors over
+    frame directions j, minimized in closed form over all wavenumbers k."""
 
     order: int
-    tol: float
-    checked: int  # number of (multi-index, target) pairs scanned
-    flagged: list  # (multi_index tuple, target index k, residual) below tol
-    manifold_divisors: dict  # n -> min |2 pi i k/T + n lam_s - lam_j|
-    phase_divisors: dict  # n -> min |2 pi i k/T + lam_j + n lam_s|
-    amplitude_divisors: dict  # n -> min, excluding the structural free mode
+    tables: dict  # name -> {n: row over j}
 
-    @property
-    def is_resonant(self) -> bool:
-        return len(self.flagged) > 0
+    def minima(self, name: str) -> dict:
+        return {n: row.min().item() for n, row in self.tables[name].items()}
+
+    def smallest(self) -> tuple:
+        """``(table, n, j, divisor)`` of the smallest entry of all three."""
+        name, n, row = min(((name, n, row) for name in DIVISOR_TABLES
+                            for n, row in self.tables[name].items()),
+                           key=lambda entry: entry[2].min())
+        j = int(np.argmin(row))
+        return name, n, j, row[j].item()
 
     def summary(self) -> dict:
-        return {
-            "order": self.order,
-            "tol": self.tol,
-            "checked": self.checked,
-            "flagged": [
-                {"multi_index": list(a), "target": k, "residual": r}
-                for a, k, r in self.flagged
-            ],
-            "manifold_divisor_min": {
-                str(n): v for n, v in self.manifold_divisors.items()
-            },
-            "phase_divisor_min": {str(n): v for n, v in self.phase_divisors.items()},
-            "amplitude_divisor_min": {
-                str(n): v for n, v in self.amplitude_divisors.items()
-            },
+        return {"order": self.order} | {
+            f"{name}_divisor_min": {str(n): v for n, v in self.minima(name).items()}
+            for name in DIVISOR_TABLES
         }
 
 
-def check_resonances(
-    spectrum: FloquetSpectrum, max_order: int, tol: float = 1e-8
-) -> ResonanceReport:
-    """Scan all multi-indices |a| <= max_order for exponent resonances.
-
-    A combination ``sum_i a_i lam_i - lam_k`` counts as resonant when it is
-    within ``tol`` of the lattice ``i (2 pi / T) Z`` (exponents are defined
-    modulo that lattice).  The report also tabulates the smallest divisors
-    appearing in the manifold and response recursions, minimized in closed
-    form over all integer wavenumbers.
-    """
-    if max_order < 2:
-        raise ValueError("resonance order must be >= 2")
-    lam = spectrum.exponents[1:]
-    T = spectrum.period
-    n_dir = len(lam)
-
-    # one row of direction counts per multi-index, |a| = 2..max_order in
-    # itertools order
-    blocks = []
-    for total in range(2, max_order + 1):
-        combos = itertools.combinations_with_replacement(range(n_dir), total)
-        combos = np.array(list(combos), dtype=np.int64).reshape(-1, total)
-        blocks.append((combos[:, :, None] == np.arange(n_dir)).sum(axis=1))
-    counts = np.concatenate(blocks)
-    # value = sum_i a_i lam_i, accumulated left to right as sum() does, so
-    # every residual is the one a scalar loop would compute
-    value = np.zeros(len(counts), dtype=complex)
-    for i in range(n_dir):
-        value = value + counts[:, i] * lam[i]
-    residuals = _lattice_distance(value[:, None] - lam[None, :], T)
-    rows, targets = np.nonzero(residuals < tol)
-    flagged = [
-        (tuple(counts[i].tolist()), k, residuals[i, k].item())
-        for i, k in zip(rows.tolist(), targets.tolist())
-    ]
-
-    # divisor tables: row n, column j; the slow direction is frame column 1
-    n = np.arange(max_order + 1)[:, None]
-    lam_s, all_lam = spectrum.exponents[1], spectrum.exponents[None, :]
-    manifold = _lattice_distance(n * lam_s - all_lam, T).min(axis=1)
-    phase = _lattice_distance(all_lam + n * lam_s, T).min(axis=1)
-    amplitude = _lattice_distance(all_lam + (n - 1) * lam_s, T)
+def check_resonances(spectrum: FloquetSpectrum, order: int) -> ResonanceReport:
+    """The divisors |2 pi i k/T + s| an expansion to ``order`` divides by,
+    lam_s = lam_1 the slow exponent: s = n lam_s - lam_j at manifold orders
+    n = 2..order + 1, lam_j + n lam_s and lam_j + (n - 1) lam_s at phase and
+    amplitude orders 1..order, less the amplitude's structural free mode
+    (n = 1, j = 0).  So the slow manifold's non-resonance conditions are
+    n lam_s != lam_j (Cabre, Fontich & de la Llave, Indiana Univ. Math. J.
+    52, 2003); mixed combinations of exponents are not divisors here."""
+    n = np.arange(order + 2)[:, None]
+    lam_s, lam, T = spectrum.exponents[1], spectrum.exponents, spectrum.period
+    manifold = _lattice_distance(n * lam_s - lam, T)
+    phase = _lattice_distance(lam + n * lam_s, T)
+    amplitude = _lattice_distance(lam + (n - 1) * lam_s, T)
     amplitude[1, 0] = np.inf  # structural free mode
-    amplitude = amplitude.min(axis=1)
-
-    return ResonanceReport(
-        order=max_order,
-        tol=tol,
-        checked=len(counts) * n_dir,
-        flagged=flagged,
-        manifold_divisors={k: manifold[k].item() for k in range(2, max_order + 1)},
-        phase_divisors={k: phase[k].item() for k in range(1, max_order + 1)},
-        amplitude_divisors={k: amplitude[k].item() for k in range(1, max_order + 1)},
-    )
+    solved = range(1, order + 1)
+    return ResonanceReport(order=order, tables={
+        "manifold": {k: manifold[k] for k in range(2, order + 2)},
+        "phase": {k: phase[k] for k in solved},
+        "amplitude": {k: amplitude[k] for k in solved},
+    })

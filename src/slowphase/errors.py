@@ -2,7 +2,7 @@
 
 Exit-code mapping used by the CLI:
   2  validation threshold failure
-  3  numerical abort (Newton, resonance, small divisor, hyperbolicity, ...)
+  3  numerical abort (Newton, hyperbolicity, divisor, singular frame, ...)
   4  I/O, configuration or command-line usage failure
 """
 
@@ -62,7 +62,8 @@ class DefectiveSpectrumError(NumericalError):
 
 
 class ResonanceError(NumericalError):
-    """Flagged resonance among the Floquet exponents."""
+    """A divisor of the manifold or response recursions, in closed form from
+    the Floquet exponents, lies below ``solver.small_divisor_tol``."""
 
 
 class SmallDivisorError(NumericalError):

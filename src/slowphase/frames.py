@@ -322,7 +322,10 @@ def _polish_cycle_step(model, orbit, period, cols, lams, k_cut):
     """
     samples = orbit.samples()
     defect = model.eval(samples) - orbit.differentiate().samples() / period
-    rho = np.linalg.solve(cols, defect.astype(complex)[:, :, None])[:, :, 0]
+    try:
+        rho = np.linalg.solve(cols, defect.astype(complex)[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError as exc:
+        raise FrameError(f"bundle frame singular in the orbit polish: {exc}") from exc
     v, free, _ = solve_diagonal(
         FourierSeries.from_samples(rho), -lams, period, free_modes=((0, 0),)
     )

@@ -1,6 +1,6 @@
 """Pipeline orchestration and artifact persistence.
 
-Stages: cycle -> floquet -> resonances -> frames (+adjoint cross-check)
+Stages: cycle -> floquet (+divisor tables) -> frames (+adjoint cross-check)
 -> manifold -> response -> validation.  The table ``STAGES`` gives each step
 its metadata file, the config keys it reads, and its compute-and-save, load
 and manifest steps; :func:`run_pipeline`, :func:`load_result` and the
@@ -14,12 +14,13 @@ them.  The frames stage stores the polished period and orbit,
 ``cycle_coeff.npy`` (N/2 + 1, d), and ``frame_{bundle,adjoint}_coeff.npy``
 (N, d, d); ``manifold_coeff.npy`` and ``response_{phase,amplitude}_coeff.npy``
 are (orders, N/2 + 1, d): real series one-sided, complex frames all N rows
-(:mod:`slowphase.series`), all of period 1.  The resonance check and the
+(:mod:`slowphase.series`), all of period 1.  The divisor tables and the
 validation are recomputed on every run, never loaded.  The manifest records
 the configuration echo, the spectral tables, per-order residuals, and a
 checksummed file inventory, against which :func:`load_result` checks every
-file it reads.  A flagged resonance or a hyperbolicity failure aborts the
-run; finished stages keep their files and the manifest records the failed one.
+file it reads.  A recursion divisor below ``solver.small_divisor_tol`` (a
+resonance) or a hyperbolicity failure aborts the run in the floquet stage;
+finished stages keep their files and the manifest records the failed one.
 """
 
 from __future__ import annotations
@@ -242,15 +243,13 @@ def _run_spectrum(result):
 
 def _run_resonance(result):
     config = result.config
-    result.resonance = check_resonances(
-        result.spectrum, max(config.order, 2), config.resonance_tol
-    )
+    result.resonance = check_resonances(result.spectrum, config.order)
     write_json(os.path.join(config.out_dir, "resonance.json"), result.resonance.summary())
-    if result.resonance.is_resonant:
-        worst = result.resonance.flagged[0]
+    table, n, j, divisor = result.resonance.smallest()
+    if divisor < config.small_divisor_tol:
         raise ResonanceError(
-            f"flagged resonance: multi-index {worst[0]} against "
-            f"direction {worst[1] + 1}, residual {worst[2]:.3e}"
+            f"{table} divisor of order {n} in direction {j} is {divisor:.3e}, below "
+            f"solver.small_divisor_tol = {_show(config.small_divisor_tol)}"
         )
 
 
@@ -378,9 +377,10 @@ STAGES = (
     ),
     Step(Stage.FLOQUET, "spectrum", "spectrum.json", (),
          _run_spectrum, load_spectrum, _spectrum_entries),
-    # screens to order max(manifold.order, 2), so it reads manifold.order too;
-    # recomputed on every run, so no key it reads makes a stored stage stale
-    Step(Stage.FLOQUET, "resonance", "resonance.json", ("resonance.tol",),
+    # reads manifold.order and solver.small_divisor_tol, which the manifold
+    # step declares; recomputed on every run, so neither makes a stored stage
+    # stale
+    Step(Stage.FLOQUET, "resonance", "resonance.json", (),
          _run_resonance, None, lambda r: {"resonance": r.resonance.summary()}),
     Step(Stage.FRAMES, "bundle", "frames.json", (),
          _run_frames, load_frames, _frames_entries),

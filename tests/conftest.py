@@ -11,9 +11,18 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from oracle_block import make_oracle_block
+from slowphase import models
 from slowphase.config import RunConfig
 from slowphase.frames import build_real_frames
 from slowphase.pipeline import Stage, run_pipeline
+
+
+@pytest.fixture
+def oracle_block(monkeypatch):
+    """Registers the model ``oracle_block`` (:mod:`oracle_block`) for one test."""
+    monkeypatch.setattr(models, "_REGISTRY", dict(models._REGISTRY))
+    models.register_model("oracle_block", make_oracle_block)
 
 
 @pytest.fixture(scope="session")

@@ -132,7 +132,6 @@ _VALUES = {
     "cycle.relax_time": st.floats(min_value=0.0, allow_infinity=False),
     "cycle.newton_tol": _POSITIVE,
     "cycle.grid_N": st.integers(min_value=1, max_value=40).map(lambda e: 2**e),
-    "resonance.tol": _POSITIVE,
     "manifold.order": st.integers(min_value=1),
     "manifold.gauge": _FINITE.filter(lambda v: v != 0),
     # the parser lists tolerances in descending order; no two share a label

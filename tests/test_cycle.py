@@ -1,4 +1,4 @@
-import itertools
+import json
 import math
 import os
 import re
@@ -17,6 +17,7 @@ from slowphase.cycle import (
     CLASS_PAIR_LEAD,
     CLASS_REAL_POSITIVE,
     CLASS_TRIVIAL,
+    DIVISOR_TABLES,
     IDENTITY_CHUNKS,
     FloquetSpectrum,
     _brent_root,
@@ -31,6 +32,7 @@ from slowphase.errors import (
     HyperbolicityError,
     IntegrationError,
     MultiplierUnderflowError,
+    ResonanceError,
     SectionError,
 )
 from slowphase.integrate import (
@@ -40,7 +42,7 @@ from slowphase.integrate import (
     _integrate,
 )
 from slowphase.models import make_oracle_model
-from slowphase.pipeline import Stage, run_pipeline
+from slowphase.pipeline import PipelineResult, Stage, _run_resonance, run_pipeline
 from slowphase.series import FourierSeries
 from slowphase.store import read_json
 
@@ -519,65 +521,82 @@ def test_non_attracting_cycle_fails_the_floquet_stage(monkeypatch, tmp_path, cap
     assert os.path.exists(tmp_path / "cli" / "cycle.json")
 
 
-def test_resonance_report_oracle_empty(oracle_cycle):
+def _gate(spectrum, tmp_path, order):
+    """The floquet stage's divisor gate on ``spectrum`` at the default
+    ``solver.small_divisor_tol``; returns the report it wrote, which it
+    writes before it decides, whether it raises or not."""
+    result = PipelineResult(config=RunConfig(order=order, out_dir=str(tmp_path)),
+                            spectrum=spectrum)
+    try:
+        _run_resonance(result)
+    finally:
+        written = read_json(str(tmp_path / "resonance.json"))
+        assert written == json.loads(json.dumps(result.resonance.summary()))
+    return result.resonance
+
+
+def test_resonance_report_oracle_empty(oracle_cycle, tmp_path):
+    """The oracle's exponents are 0 and lam_s = -2 (T = 2 pi), so its tables
+    are closed forms: manifold 2 (n - 1) at n = 2..10, phase 2 n at 1..9,
+    amplitude 2 at n = 1 (the free mode left out) and 2 (n - 1) at 2..9; the
+    gate passes them."""
     _, _, spectrum = oracle_cycle
-    report = check_resonances(spectrum, max_order=9)
-    assert not report.is_resonant
-    assert report.checked == 8
-    # tol = inf flags every entry
-    report = check_resonances(spectrum, max_order=9, tol=math.inf)
-    assert len(report.flagged) == 8  # |a| = 2..9, one direction, one target
-    # n lam_s - lam_s = (n-1) lam_s: minimal residual at order 2 is |lam_s|
-    assert min(r for _, _, r in report.flagged) == pytest.approx(2.0, abs=1e-6)
+    report = _gate(spectrum, tmp_path, 9)
+    want = {
+        "manifold": {n: 2.0 * (n - 1) for n in range(2, 11)},
+        "phase": {n: 2.0 * n for n in range(1, 10)},
+        "amplitude": {n: 2.0 * max(n - 1, 1) for n in range(1, 10)},
+    }
+    for name in DIVISOR_TABLES:
+        got = report.minima(name)
+        assert list(got) == list(want[name])
+        assert got == pytest.approx(want[name], rel=1e-10)
+    assert report.summary()["order"] == 9
 
 
-def test_resonance_synthetic_flag():
-    spectrum = FloquetSpectrum(
-        period=2.0 * np.pi,
-        multipliers=np.array([1.0, np.exp(-0.5 * 2 * np.pi), np.exp(-1.0 * 2 * np.pi)]),
-        exponents=np.array([0.0, -0.5, -1.0], dtype=complex),
-        lyapunov=np.array([0.0, -0.5, -1.0]),
-        eigenvectors=np.eye(3, dtype=complex),
-        classes=(CLASS_TRIVIAL, CLASS_REAL_POSITIVE, CLASS_REAL_POSITIVE),
-        monodromy=np.eye(3),
+def _spectrum(period, exponents):
+    """A spectrum of ``exponents`` (trivial first, then the slow one) with
+    eigenvector basis the identity, as the divisor gate reads it."""
+    exponents = np.asarray(exponents, dtype=complex)
+    return FloquetSpectrum(
+        period=period,
+        multipliers=np.exp(exponents * period),
+        exponents=exponents,
+        lyapunov=exponents.real,
+        eigenvectors=np.eye(len(exponents), dtype=complex),
+        classes=(CLASS_TRIVIAL,) + (CLASS_REAL_POSITIVE,) * (len(exponents) - 1),
+        monodromy=np.eye(len(exponents)),
         hyperbolicity_defect=0.0,
         eigenvector_condition=1.0,
     )
-    report = check_resonances(spectrum, max_order=3)
-    # lam_2 = 2 lam_1 exactly: multi-index (2, 0) against direction 2
-    assert report.is_resonant
-    assert ((2, 0), 1, pytest.approx(0.0, abs=1e-14)) in [
-        (a, k, r) for a, k, r in report.flagged
-    ]
 
 
-def test_resonance_lattice_reduction():
-    # residuals are measured modulo 2 pi i / T: a combination differing by
-    # exactly one lattice step counts as resonant
+def test_resonance_synthetic_flag(tmp_path):
+    # lam_2 = 2 lam_s exactly: manifold order 2 divides by 2 lam_s - lam_2 = 0
+    spectrum = _spectrum(2.0 * np.pi, [0.0, -0.5, -1.0])
+    message = (r"manifold divisor of order 2 in direction 2 is 0\.000e\+00, "
+               r"below solver\.small_divisor_tol = 1e-08")
+    with pytest.raises(ResonanceError, match=message):
+        _gate(spectrum, tmp_path, 3)
+    assert check_resonances(spectrum, 3).tables["manifold"][2][2] == 0.0
+
+
+def test_resonance_lattice_reduction(tmp_path):
+    # divisors are measured modulo 2 pi i / T: 2 lam_s - lam_2 = 2 pi i / T
+    # is one lattice step, so the manifold divisor at k = -1 is zero
     T = 5.0
     lam = -0.3 + 1j * np.pi / T
-    spectrum = FloquetSpectrum(
-        period=T,
-        multipliers=np.array([1.0, np.exp(lam * T), np.exp(2 * lam.real * T)]),
-        exponents=np.array([0.0, lam, 2 * lam.real], dtype=complex),
-        lyapunov=np.array([0.0, lam.real, 2 * lam.real]),
-        eigenvectors=np.eye(3, dtype=complex),
-        classes=(CLASS_TRIVIAL, "real_negative", CLASS_REAL_POSITIVE),
-        monodromy=np.eye(3),
-        hyperbolicity_defect=0.0,
-        eigenvector_condition=1.0,
-    )
-    report = check_resonances(spectrum, max_order=2)
-    # 2 lam_1 - lam_2 = 2 i pi / T, on the lattice
-    assert report.is_resonant
+    spectrum = _spectrum(T, [0.0, lam, 2 * lam.real])
+    assert check_resonances(spectrum, 2).tables["manifold"][2][2] < 1e-15
+    with pytest.raises(ResonanceError, match="manifold divisor of order 2 in direction 2 "):
+        _gate(spectrum, tmp_path, 2)
 
 
 def test_ei_no_resonances(ei_run):
-    assert not ei_run.result.resonance.is_resonant
     # every recursion divisor stays safely away from zero
-    assert min(ei_run.result.resonance.manifold_divisors.values()) > 1e-3
-    assert min(ei_run.result.resonance.phase_divisors.values()) > 1e-3
-    assert min(ei_run.result.resonance.amplitude_divisors.values()) > 1e-3
+    report = ei_run.result.resonance
+    for name in DIVISOR_TABLES:
+        assert min(report.minima(name).values()) > 1e-3
 
 
 def ei_like_spectrum():
@@ -609,49 +628,38 @@ def scalar_lattice_distance(v, T):
     return float(np.hypot(v.real, im))
 
 
-def test_resonance_scan_matches_scalar_loop():
-    """The vectorised scan gives every residual of a scalar loop, bitwise."""
-    spectrum = ei_like_spectrum()
-    T, exponents = spectrum.period, spectrum.exponents
-    report = check_resonances(spectrum, max_order=6, tol=math.inf)
-    lam = exponents[1:]
-    expected = []
-    for total in range(2, 7):
-        for combo in itertools.combinations_with_replacement(range(5), total):
-            a = tuple(combo.count(i) for i in range(5))
-            value = sum(ai * li for ai, li in zip(a, lam))
-            for k in range(5):
-                expected.append((a, k, scalar_lattice_distance(value - lam[k], T)))
-    assert len(report.flagged) == len(expected)
-    assert all(
-        got[:2] == want[:2] and got[2].hex() == want[2].hex()
-        for got, want in zip(report.flagged, expected)
-    )
-
-
 def test_divisor_tables_match_scalar_loop():
-    """The three divisor tables are the minima a scalar loop takes, bitwise;
-    the amplitude table skips the structural free mode at order 1."""
+    """The three divisor tables hold, per order and direction, the divisors a
+    scalar loop takes, bitwise, over the orders each recursion solves at
+    order 9: the manifold's 2..10 (it adds order 10), both responses'
+    1..9; the amplitude table skips the structural free mode at order 1."""
     spectrum = ei_like_spectrum()
     T, lam = spectrum.period, spectrum.exponents
     lam_s = lam[1]
-    report = check_resonances(spectrum, max_order=9)
-    manifold = {n: min(scalar_lattice_distance(n * lam_s - lj, T) for lj in lam)
-                for n in range(2, 10)}
-    phase = {n: min(scalar_lattice_distance(lj + n * lam_s, T) for lj in lam)
-             for n in range(1, 10)}
-    amplitude = {
-        n: min(scalar_lattice_distance(lj + (n - 1) * lam_s, T)
-               for j, lj in enumerate(lam) if not (n == 1 and j == 0))
-        for n in range(1, 10)
+    report = check_resonances(spectrum, 9)
+    want = {
+        "manifold": {n: [scalar_lattice_distance(n * lam_s - lj, T) for lj in lam]
+                     for n in range(2, 11)},
+        "phase": {n: [scalar_lattice_distance(lj + n * lam_s, T) for lj in lam]
+                  for n in range(1, 10)},
+        "amplitude": {
+            n: [math.inf if (n, j) == (1, 0)
+                else scalar_lattice_distance(lj + (n - 1) * lam_s, T)
+                for j, lj in enumerate(lam)]
+            for n in range(1, 10)
+        },
     }
-    for got, want in ((report.manifold_divisors, manifold),
-                      (report.phase_divisors, phase),
-                      (report.amplitude_divisors, amplitude)):
-        assert list(got) == list(want)
-        assert all(type(v) is float and v.hex() == want[n].hex() for n, v in got.items())
+    for name in DIVISOR_TABLES:
+        rows = report.tables[name]
+        assert list(rows) == list(want[name])
+        assert all(row.tolist() == want[name][n] for n, row in rows.items())
+        minima = report.minima(name)
+        assert all(type(v) is float and v == min(want[name][n]) for n, v in minima.items())
     # the trivial exponent is a zero divisor of amplitude order 1 and is skipped
-    assert report.amplitude_divisors[1] > 0.0
+    assert report.minima("amplitude")[1] > 0.0
+    assert list(report.summary()) == [
+        "order", "manifold_divisor_min", "phase_divisor_min", "amplitude_divisor_min",
+    ]
 
 
 def _make_stiff_oracle():

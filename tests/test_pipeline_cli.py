@@ -3,6 +3,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -12,13 +13,15 @@ import numpy as np
 import pytest
 
 import slowphase
+from oracle_block import GUESS as BLOCK_GUESS
 from slowphase import models
 from slowphase.cli import main
 from slowphase.config import KEYS, RunConfig, load_config
 from slowphase.export import export_artifacts
 from slowphase.frames import build_real_frames
 from slowphase.manifold import evaluate_manifold
-from slowphase.errors import ConfigError, FrameError
+from slowphase.cycle import DIVISOR_TABLES
+from slowphase.errors import ConfigError, FrameError, ResonanceError
 from slowphase.pipeline import STAGES, Stage, load_result, run_pipeline
 from slowphase.series import FourierSeries
 from slowphase.store import sha256_file, write_coeffs, write_json, write_series_csv
@@ -221,8 +224,8 @@ def test_stale_cycle_keys_rejected(tmp_path, capsys):
 
 
 def test_keys_read_downstream_do_not_make_stages_stale(tmp_path):
-    """Keys of later stages, of the resonance check and of the validation, and
-    the output directory, leave the stored stages fresh."""
+    """Keys of later stages, of the floquet stage's divisor gate and of the
+    validation, and the output directory, leave the stored stages fresh."""
     cfg, out = _write_cfg(tmp_path)
     assert main(["floquet", "--config", cfg]) == 0
     moved = tmp_path / "moved"
@@ -231,7 +234,7 @@ def test_keys_read_downstream_do_not_make_stages_stale(tmp_path):
     changed.write_text(
         ORACLE_CFG.replace("manifold.order = 4", "manifold.order = 5")
         .replace("validation.samples = 10", "validation.samples = 3").format(out=moved)
-        + "run.seed = 7\nresonance.tol = 1e-9\n"
+        + "run.seed = 7\nsolver.small_divisor_tol = 1e-9\n"
     )
     assert main(["response", "--config", str(changed)]) == 0
     assert _read_json(os.path.join(moved, "response.json"))["order"] == 5
@@ -734,10 +737,11 @@ def test_exit_code_bad_config(tmp_path):
         "manifold.extra_orders = 1",
         "validation.sigma_scan_max = 2.0",
         "validation.horizon_periods = 2.0",
+        "resonance.tol = 1e-8",
     ],
     ids=[
         "representation", "bundle_scale", "resonance_order", "extra_orders",
-        "sigma_scan_max", "horizon_periods",
+        "sigma_scan_max", "horizon_periods", "resonance_tol",
     ],
 )
 def test_removed_representation_key_rejected(tmp_path, capsys, line):
@@ -779,7 +783,6 @@ def _cfg_setting(tmp_path, line):
         ("cycle.newton_tol = -1", "cycle.newton_tol"),
         ("manifold.gauge = 0", "manifold.gauge"),
         ("manifold.gauge = inf", "manifold.gauge"),
-        ("resonance.tol = -1", "resonance.tol"),
         ("solver.small_divisor_tol = -1", "solver.small_divisor_tol"),
         ("solver.solvability_tol = -1", "solver.solvability_tol"),
         ("validation.tolerances = 1e-6, -1", "validation.tolerances"),
@@ -796,10 +799,9 @@ def _cfg_setting(tmp_path, line):
     ],
     ids=[
         "rtol", "rtol_floor", "max_steps", "model", "param", "samples",
-        "relax_time_nan", "newton_tol", "gauge_zero", "gauge_inf", "resonance_tol",
-        "small_divisor_tol", "solvability_tol", "tolerance_entry", "seed",
-        "guess_length", "guess_nan", "output_directory_empty", "horizon",
-        "horizon_nan",
+        "relax_time_nan", "newton_tol", "gauge_zero", "gauge_inf", "small_divisor_tol",
+        "solvability_tol", "tolerance_entry", "seed", "guess_length", "guess_nan",
+        "output_directory_empty", "horizon", "horizon_nan",
     ],
 )
 def test_bad_config_value_exits_4(tmp_path, capsys, line, named):
@@ -1024,31 +1026,80 @@ def test_component_without_maximum_exits_3(monkeypatch, tmp_path, capsys):
     assert "no downward crossing" in err
 
 
-def test_resonance_abort_keeps_partial_artifacts(tmp_path, monkeypatch):
-    """A flagged resonance halts the pipeline with the offending index."""
-    import slowphase.pipeline as pipeline_mod
-    from slowphase.cycle import ResonanceReport
-
-    def fake_check(spectrum, order, tol):
-        return ResonanceReport(
-            order=order, tol=tol,
-            checked=1, flagged=[((2,), 0, 0.0)],
-            manifold_divisors={}, phase_divisors={}, amplitude_divisors={},
-        )
-
-    monkeypatch.setattr(pipeline_mod, "check_resonances", fake_check)
-    config = RunConfig(
-        model="oracle", guess=(1.3, 0.0), relax_time=20.0, grid_size=128,
-        order=3, out_dir=str(tmp_path / "out"),
+def _block_cfg(tmp_path, name, a, b, omega):
+    """A config file of the ``oracle_block`` family with B = [[a, -omega],
+    [omega, b]] at grid 256 and order 5; returns its path and directory."""
+    out = tmp_path / name
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text(
+        "model.name = oracle_block\n"
+        f"model.params.a = {a}\nmodel.params.b = {b}\nmodel.params.omega = {omega}\n"
+        f"cycle.guess = {', '.join(map(str, BLOCK_GUESS))}\n"
+        "cycle.relax_time = 20.0\ncycle.grid_N = 256\nmanifold.order = 5\n"
+        f"validation.samples = 10\noutput.directory = {out}\n"
     )
-    from slowphase.errors import ResonanceError
+    return str(cfg), out
 
-    with pytest.raises(ResonanceError):
-        run_pipeline(config)
-    manifest = _read_json(tmp_path / "out" / "manifest.json")
+
+def test_resonance_abort_keeps_partial_artifacts(oracle_block, tmp_path, capsys):
+    """A resonance of the slow manifold, 2 lam_s = -4 = b (B = diag(-4, -3)),
+    stops the run in the floquet stage with exit 3: the manifold divides at
+    order 2 by 2 lam_s - lam_3 = 0 (1.9e-13 here) in direction 3, exponent
+    -4.  The divisor tables are written before the gate raises, so the run
+    keeps them with the cycle and the spectrum."""
+    message = (r"manifold divisor of order 2 in direction 3 is \S+, below "
+               r"solver\.small_divisor_tol = 1e-08")
+    cfg, out = _block_cfg(tmp_path, "api", -4.0, -3.0, 0.0)
+    with pytest.raises(ResonanceError, match=message):
+        run_pipeline(load_config(cfg))
+    manifest = _read_json(out / "manifest.json")
     assert manifest["failed_stage"] == "floquet"
-    assert "multi-index" in manifest["error"]
-    assert os.path.exists(tmp_path / "out" / "cycle.json")
+    assert re.search(message, manifest["error"])
+    assert manifest["resonance"]["manifold_divisor_min"]["2"] < 1e-12
+    assert sorted(manifest["files"]) == ["cycle.json", "resonance.json", "spectrum.json"]
+    cfg, out = _block_cfg(tmp_path, "cli", -4.0, -3.0, 0.0)
+    capsys.readouterr()
+    assert main(["run", "--config", cfg]) == 3
+    assert re.search(message, capsys.readouterr().err)
+    assert _read_json(out / "manifest.json")["failed_stage"] == "floquet"
+
+
+def test_mixed_resonance_runs_through_validate(oracle_block, tmp_path):
+    """lam_s + a = b (a = -2.5, b = -4.5) is a resonance of the full invariant
+    manifold, not of the slow one, whose recursions divide by at least 0.5:
+    the run goes through validate, with the (p, q) components of K, Z and I
+    zero, and validates as its nonresonant neighbour b = -4.3 does (domain
+    widths 1.3e-9 apart, relative)."""
+    runs = {
+        b: run_pipeline(load_config(_block_cfg(tmp_path, str(b), -2.5, b, 0.0)[0]))
+        for b in (-4.5, -4.3)
+    }
+    result = runs[-4.5]
+    assert result.manifest["failed_stage"] is None
+    minima = [min(result.resonance.minima(name).values()) for name in DIVISOR_TABLES]
+    assert minima == pytest.approx([0.5, 2.0, 2.0], rel=1e-9)
+    assert max(result.manifold.residuals) < 1e-11
+    for coeffs in (result.manifold.coeffs, result.response.phase, result.response.amplitude):
+        assert np.max(np.abs(coeffs.coef[..., 2:])) <= 1e-14 * np.max(np.abs(coeffs.coef))
+    widths = [r.validation.summary()["domain_min_width"] for r in runs.values()]
+    assert widths[0].keys() == widths[1].keys()
+    assert all(widths[0][k] == pytest.approx(widths[1][k], rel=1e-6) for k in widths[0])
+
+
+def test_singular_bundle_in_the_orbit_polish_is_a_frame_error(oracle_block, tmp_path, capsys):
+    """A slow-turning pair (a = b = -3, omega = 0.001) is classed as two real
+    multipliers with one real eigenvector, so the seeded bundle is singular:
+    the orbit polish refuses it with FrameError, exit 3, and the manifest
+    records the frames stage, where a raw LinAlgError left no manifest."""
+    cfg, out = _block_cfg(tmp_path, "api", -3.0, -3.0, 0.001)
+    with pytest.raises(FrameError, match="bundle frame singular in the orbit polish"):
+        run_pipeline(load_config(cfg))
+    assert _read_json(out / "manifest.json")["failed_stage"] == "frames"
+    cfg, out = _block_cfg(tmp_path, "cli", -3.0, -3.0, 0.001)
+    capsys.readouterr()
+    assert main(["run", "--config", cfg]) == 3
+    assert "bundle frame singular in the orbit polish" in capsys.readouterr().err
+    assert _read_json(out / "manifest.json")["failed_stage"] == "frames"
 
 
 def test_frames_failure_recorded_as_frames_stage(tmp_path, monkeypatch):
