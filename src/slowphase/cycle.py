@@ -440,7 +440,6 @@ class FloquetSpectrum:
     period: float
     multipliers: np.ndarray  # complex (d,)
     exponents: np.ndarray  # complex (d,)
-    lyapunov: np.ndarray  # real (d,)
     eigenvectors: np.ndarray  # complex (d, d), columns
     classes: tuple
     monodromy: np.ndarray
@@ -523,8 +522,6 @@ def floquet_spectrum(sweep: VariationalSweep) -> FloquetSpectrum:
             f"monodromy: |mu_{j}| = {abs(mu_sorted[j]):.3g} <= {UNDERFLOW_FACTOR} eps "
             f"|M|_2 = {floor:.3g}; it contracts below double precision in one period"
         )
-    lyapunov = np.log(np.abs(mu_sorted)) / period  # a pair shares its modulus
-
     d = len(mu)
     classes = [CLASS_TRIVIAL]
     exponents = np.zeros(d, dtype=complex)
@@ -567,12 +564,10 @@ def floquet_spectrum(sweep: VariationalSweep) -> FloquetSpectrum:
             classes.extend([CLASS_PAIR_LEAD, CLASS_PAIR_CONJ])
             j += 2
 
-    lyapunov[0] = 0.0
     return FloquetSpectrum(
         period=float(period),
         multipliers=mu_sorted,
         exponents=exponents,
-        lyapunov=lyapunov,
         eigenvectors=gauged,
         classes=tuple(classes),
         monodromy=monodromy,
@@ -624,16 +619,18 @@ def check_resonances(spectrum: FloquetSpectrum, order: int) -> ResonanceReport:
     """The divisors |2 pi i k/T + s| an expansion to ``order`` divides by,
     lam_s = lam_1 the slow exponent: s = n lam_s - lam_j at manifold orders
     n = 2..order + 1, lam_j + n lam_s and lam_j + (n - 1) lam_s at phase and
-    amplitude orders 1..order, less the amplitude's structural free mode
-    (n = 1, j = 0).  So the slow manifold's non-resonance conditions are
-    n lam_s != lam_j (Cabre, Fontich & de la Llave, Indiana Univ. Math. J.
-    52, 2003); mixed combinations of exponents are not divisors here."""
+    amplitude orders 1..order.  At amplitude order 1 the trivial direction
+    (lam_0 = 0) divides by 2 pi |k| / T: only its k = 0 mode is a structural
+    free mode, so its entry is 2 pi / T.  So the slow manifold's
+    non-resonance conditions are n lam_s != lam_j (Cabre, Fontich & de la
+    Llave, Indiana Univ. Math. J. 52, 2003); mixed combinations of exponents
+    are not divisors here."""
     n = np.arange(order + 2)[:, None]
     lam_s, lam, T = spectrum.exponents[1], spectrum.exponents, spectrum.period
     manifold = _lattice_distance(n * lam_s - lam, T)
     phase = _lattice_distance(lam + n * lam_s, T)
     amplitude = _lattice_distance(lam + (n - 1) * lam_s, T)
-    amplitude[1, 0] = np.inf  # structural free mode
+    amplitude[1, 0] = 2.0 * np.pi / T  # k = 0 is free; k != 0 divide by 2 pi |k| / T
     solved = range(1, order + 1)
     return ResonanceReport(order=order, tables={
         "manifold": {k: manifold[k] for k in range(2, order + 2)},

@@ -10,10 +10,12 @@ metadata file, keyed by the fields of its result dataclass and ``inputs``
 (the config echo of the keys it and every earlier stored stage read, see
 :func:`_inputs`), and a ``.npy`` file per stored series.  The cycle stage
 stores the shooting anchor and period, not its pass, which is recomputed from
-them.  The frames stage stores the polished period and orbit,
-``cycle_coeff.npy`` (N/2 + 1, d), and ``frame_{bundle,adjoint}_coeff.npy``
-(N, d, d); ``manifold_coeff.npy`` and ``response_{phase,amplitude}_coeff.npy``
-are (orders, N/2 + 1, d): real series one-sided, complex frames all N rows
+them.  The frames stage stores the polished period, the adjoint cross-check's
+report and the frames' exponents and residuals in ``frames.json`` (their
+classes are the spectrum's), the polished orbit in ``cycle_coeff.npy``
+(N/2 + 1, d), and ``frame_{bundle,adjoint}_coeff.npy`` (N, d, d);
+``manifold_coeff.npy`` and ``response_{phase,amplitude}_coeff.npy`` are
+(orders, N/2 + 1, d): real series one-sided, complex frames all N rows
 (:mod:`slowphase.series`), all of period 1.  The divisor tables and the
 validation are recomputed on every run, never loaded.  The manifest records
 the configuration echo, the spectral tables, per-order residuals, and a
@@ -108,7 +110,6 @@ def load_spectrum(result, meta, digests):
     for key in ("multipliers", "exponents"):
         meta[key] = _complex(meta[key])
     meta["eigenvectors"] = _complex(meta["eigenvectors"]).T
-    meta["lyapunov"] = np.asarray(meta["lyapunov"])
     meta["monodromy"] = np.asarray(meta["monodromy"])
     meta["classes"] = tuple(meta["classes"])
     meta["gauge_components"] = tuple(meta["gauge_components"])
@@ -116,34 +117,34 @@ def load_spectrum(result, meta, digests):
 
 
 def save_frames(out, result: PipelineResult, inputs: dict):
-    """Write the polished orbit and period, and the complex frames."""
+    """Write the polished orbit and period, the complex frames, and the
+    adjoint cross-check's report as the ``crosscheck`` entry."""
     write_coeffs(os.path.join(out, "cycle_coeff.npy"), result.cycle.series.coef)
-    meta = {"period": result.cycle.period, "band_cut": result.band_cut, "inputs": inputs}
+    meta = {"period": result.cycle.period, "band_cut": result.band_cut,
+            "crosscheck": result.crosscheck, "inputs": inputs}
     for name in ("bundle", "adjoint"):
         frame = getattr(result, name)
         write_coeffs(os.path.join(out, f"frame_{name}_coeff.npy"), frame.series.coef)
-        meta[name] = _meta(frame, skip=("series",))
-    write_json(os.path.join(out, "adjoint_crosscheck.json"), result.crosscheck)
+        meta[name] = _meta(frame, skip=("series", "classes"))
     write_json(os.path.join(out, "frames.json"), meta)
 
 
 def load_frames(result, meta, digests):
     """Replace the shooting cycle by the polished one, anchored at its theta =
     0 sample.  Only the complex frames, the only ones the pipeline uses, are
-    stored: ``build_real_frames`` recomputes the real ones for an export."""
+    stored: ``build_real_frames`` recomputes the real ones for an export.
+    Their classes are the loaded spectrum's."""
     grid_size, dim = result.cycle.grid_size, len(result.cycle.anchor)
     series = FourierSeries(_read(result, "cycle", (grid_size // 2 + 1, dim), digests), real=True)
     result.cycle = replace(result.cycle, anchor=series.samples()[0].copy(),
                            period=meta["period"], series=series)
-    result.band_cut = meta["band_cut"]
+    result.band_cut, result.crosscheck = meta["band_cut"], meta["crosscheck"]
     for name in ("bundle", "adjoint"):
         frame = meta[name]
         frame["exponents"] = _complex(frame["exponents"])
-        frame["classes"] = tuple(frame["classes"])
         coef = _read(result, f"frame_{name}", (grid_size, dim, dim), digests)
-        setattr(result, name, Frame(series=FourierSeries(coef), **frame))
-    path = os.path.join(result.config.out_dir, "adjoint_crosscheck.json")
-    result.crosscheck = read_json(path, digests)
+        setattr(result, name, Frame(series=FourierSeries(coef),
+                                    classes=result.spectrum.classes, **frame))
 
 
 def save_manifold(out, manifold: ManifoldExpansion, inputs: dict):
@@ -258,7 +259,7 @@ def _run_frames(result):
     build = build_bundle_frame(model, result.cycle, spectrum, sweep)
     cycle, bundle, band_cut = build.cycle, build.bundle, build.diagnostics["band_cut"]
     adjoint = build_adjoint_frame(model, cycle, bundle, sweep, band_cut)
-    crosscheck = cross_check_adjoint_frame(model, cycle, spectrum, bundle, adjoint, sweep)
+    crosscheck = cross_check_adjoint_frame(model, cycle, bundle, adjoint, sweep)
     # the polished cycle replaces the shooting one only once the stage succeeded
     result.cycle, result.bundle, result.adjoint = cycle, bundle, adjoint
     result.crosscheck, result.band_cut = crosscheck, band_cut
@@ -302,7 +303,7 @@ def _spectrum_entries(result) -> dict:
     return {
         "multipliers_shooting": _pairs(spectrum.multipliers),
         "exponents_shooting": _pairs(spectrum.exponents),
-        "lyapunov": list(map(float, spectrum.lyapunov)),
+        "lyapunov": list(map(float, spectrum.exponents.real)),
         "classes": list(spectrum.classes),
         "hyperbolicity_defect": spectrum.hyperbolicity_defect,
     }
@@ -314,21 +315,14 @@ def _frames_entries(result) -> dict:
     # strongly contracting directions
     T = result.cycle.period
     refined = result.bundle.exponents
-    entries = {
+    return {
         "exponents": _pairs(refined),
         "multipliers": _pairs(np.exp(z * T) for z in refined),
-        "frame_residuals": {
-            "bundle": result.bundle.residual,
-            "adjoint": result.adjoint.residual if result.adjoint else None,
-        },
+        "frame_residuals": {"bundle": result.bundle.residual,
+                            "adjoint": result.adjoint.residual},
         "band_cut": result.band_cut,
+        "adjoint_crosscheck": result.crosscheck,
     }
-    if result.crosscheck is not None:
-        entries["adjoint_crosscheck"] = {
-            k: (list(v) if isinstance(v, np.ndarray) else v)
-            for k, v in result.crosscheck.items()
-        }
-    return entries
 
 
 def _response_entries(result) -> dict:

@@ -43,8 +43,6 @@ class ResponseExpansion:
 
     phase: FourierTaylor
     amplitude: FourierTaylor
-    period: float
-    slow_exponent: float
     solvability_residual: float
     free_coefficient: float
     normalization_defect: float
@@ -149,8 +147,6 @@ def expand_response_functions(
     return ResponseExpansion(
         phase=expansions[0],
         amplitude=expansions[1],
-        period=period,
-        slow_exponent=lam_s,
         solvability_residual=solvability,
         free_coefficient=free_c,
         normalization_defect=norm_defect,

@@ -308,7 +308,6 @@ def test_oracle_spectrum_values(oracle_cycle):
     assert spectrum.multipliers[1].real == pytest.approx(
         np.exp(-4.0 * np.pi), rel=1e-8
     )
-    assert spectrum.lyapunov[1] == pytest.approx(-2.0, abs=1e-8)
 
 
 def test_spectrum_determinant_and_trace_identities(oracle_cycle):
@@ -538,14 +537,14 @@ def _gate(spectrum, tmp_path, order):
 def test_resonance_report_oracle_empty(oracle_cycle, tmp_path):
     """The oracle's exponents are 0 and lam_s = -2 (T = 2 pi), so its tables
     are closed forms: manifold 2 (n - 1) at n = 2..10, phase 2 n at 1..9,
-    amplitude 2 at n = 1 (the free mode left out) and 2 (n - 1) at 2..9; the
-    gate passes them."""
+    amplitude 1 at n = 1 (the trivial direction's k = +-1 divisor 2 pi / T;
+    its k = 0 mode is free) and 2 (n - 1) at 2..9; the gate passes them."""
     _, _, spectrum = oracle_cycle
     report = _gate(spectrum, tmp_path, 9)
     want = {
         "manifold": {n: 2.0 * (n - 1) for n in range(2, 11)},
         "phase": {n: 2.0 * n for n in range(1, 10)},
-        "amplitude": {n: 2.0 * max(n - 1, 1) for n in range(1, 10)},
+        "amplitude": {n: 2.0 * (n - 1) if n > 1 else 1.0 for n in range(1, 10)},
     }
     for name in DIVISOR_TABLES:
         got = report.minima(name)
@@ -562,7 +561,6 @@ def _spectrum(period, exponents):
         period=period,
         multipliers=np.exp(exponents * period),
         exponents=exponents,
-        lyapunov=exponents.real,
         eigenvectors=np.eye(len(exponents), dtype=complex),
         classes=(CLASS_TRIVIAL,) + (CLASS_REAL_POSITIVE,) * (len(exponents) - 1),
         monodromy=np.eye(len(exponents)),
@@ -612,7 +610,6 @@ def ei_like_spectrum():
         period=T,
         multipliers=np.exp(exponents * T),
         exponents=exponents,
-        lyapunov=exponents.real,
         eigenvectors=np.eye(6, dtype=complex),
         classes=(CLASS_TRIVIAL, CLASS_REAL_POSITIVE, CLASS_PAIR_LEAD,
                  CLASS_PAIR_CONJ, "real_negative", "real_negative"),
@@ -632,7 +629,8 @@ def test_divisor_tables_match_scalar_loop():
     """The three divisor tables hold, per order and direction, the divisors a
     scalar loop takes, bitwise, over the orders each recursion solves at
     order 9: the manifold's 2..10 (it adds order 10), both responses'
-    1..9; the amplitude table skips the structural free mode at order 1."""
+    1..9.  At amplitude order 1 the trivial direction's k = 0 mode is free,
+    so its entry is the k = +-1 divisor 2 pi / T."""
     spectrum = ei_like_spectrum()
     T, lam = spectrum.period, spectrum.exponents
     lam_s = lam[1]
@@ -643,7 +641,7 @@ def test_divisor_tables_match_scalar_loop():
         "phase": {n: [scalar_lattice_distance(lj + n * lam_s, T) for lj in lam]
                   for n in range(1, 10)},
         "amplitude": {
-            n: [math.inf if (n, j) == (1, 0)
+            n: [2.0 * math.pi / T if (n, j) == (1, 0)
                 else scalar_lattice_distance(lj + (n - 1) * lam_s, T)
                 for j, lj in enumerate(lam)]
             for n in range(1, 10)
@@ -655,7 +653,7 @@ def test_divisor_tables_match_scalar_loop():
         assert all(row.tolist() == want[name][n] for n, row in rows.items())
         minima = report.minima(name)
         assert all(type(v) is float and v == min(want[name][n]) for n, v in minima.items())
-    # the trivial exponent is a zero divisor of amplitude order 1 and is skipped
+    # the trivial exponent's k = 0 divisor of amplitude order 1 is free, not 0
     assert report.minima("amplitude")[1] > 0.0
     assert list(report.summary()) == [
         "order", "manifold_divisor_min", "phase_divisor_min", "amplitude_divisor_min",

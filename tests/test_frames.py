@@ -344,7 +344,7 @@ def test_cross_check_oracle(oracle_run):
     cycle = result.cycle
     sweep = variational_sweep(result.model, cycle.anchor, cycle.period, cycle.grid_size)
     rep = cross_check_adjoint_frame(
-        result.model, cycle, result.spectrum, result.bundle, result.adjoint, sweep,
+        result.model, cycle, result.bundle, result.adjoint, sweep,
     )
     assert rep["max_column_discrepancy"] < 1e-8
     assert np.max(rep["eigenvalue_duality_rel_errors"]) < 1e-8
@@ -358,6 +358,25 @@ def test_cross_check_ei(ei_run):
     assert rep["psi_phi_identity_defect"] < 1e-8
 
 
+def test_cold_frames_stage_decomposes_one_matrix(tmp_path, monkeypatch):
+    """The monodromy is the one matrix a run eigen-decomposes: the frames
+    are seeded from its eigenvectors and the bundle's dual basis, and the
+    cross-check compares refined exponents, so neither forms a second
+    product to decompose."""
+    calls = []
+    eig = np.linalg.eig
+
+    def counted(matrix):
+        calls.append(np.shape(matrix))
+        return eig(matrix)
+
+    monkeypatch.setattr(np.linalg, "eig", counted)
+    config = RunConfig(model="oracle", guess=(1.3, 0.0), relax_time=20.0,
+                       grid_size=128, order=4, out_dir=str(tmp_path))
+    run_pipeline(config, through=Stage.FRAMES)
+    assert calls == [(2, 2)]
+
+
 @pytest.fixture(scope="module")
 def ei_sweep(ei_run):
     """The pass along the polished production cycle: its Phi and Psi."""
@@ -367,8 +386,8 @@ def ei_sweep(ei_run):
 
 
 def _cross_check(result, sweep, adjoint=None):
-    return cross_check_adjoint_frame(result.model, result.cycle, result.spectrum,
-                                     result.bundle, adjoint or result.adjoint, sweep)
+    return cross_check_adjoint_frame(result.model, result.cycle, result.bundle,
+                                     adjoint or result.adjoint, sweep)
 
 
 def test_cross_check_reports_a_column_defect(ei_run, ei_sweep):

@@ -3,8 +3,10 @@ from math import comb
 import numpy as np
 import pytest
 
+import slowphase.response as response_mod
 from slowphase import manifold
 from slowphase.config import RunConfig
+from slowphase.cycle import DIVISOR_TABLES
 from slowphase.errors import ModelError, NumericalError
 from slowphase.frames import Frame, solve_in_frame
 from slowphase.manifold import (
@@ -108,27 +110,61 @@ def test_solve_orders_matches_expansion(oracle_run):
     assert transport.fills == [1, 1, 1, 2]
 
 
+def _spied_run(out, **settings):
+    """A cold run through the response stage, and per divisor table the
+    smallest divisor of each order its recursion solved: the manifold's as
+    it records them, and the phase and amplitude ones, which the response
+    does not record, caught from ``solve_orders`` by a spy."""
+    minima = []
+    solve = response_mod.solve_orders
+
+    def spy(*args, **kwargs):
+        divisor_minima, drift = solve(*args, **kwargs)
+        minima.append(divisor_minima)
+        return divisor_minima, drift
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(response_mod, "solve_orders", spy)
+        result = run_pipeline(RunConfig(out_dir=str(out), **settings),
+                              through=Stage.RESPONSE)
+    phase, amplitude = minima
+    return result, {"manifold": result.manifold.divisor_minima,
+                    "phase": phase, "amplitude": amplitude}
+
+
 @pytest.fixture(scope="module")
-def ei_1024(tmp_path_factory):
-    """`ei` at grid 2^10, order 9, through the manifold stage."""
-    out = tmp_path_factory.mktemp("ei_1024")
-    config = RunConfig(model="ei", grid_size=1024, order=9, out_dir=str(out))
-    return run_pipeline(config, through=Stage.MANIFOLD)
+def oracle_spied(tmp_path_factory):
+    """`oracle` at grid 256, order 5, through the response stage."""
+    return _spied_run(tmp_path_factory.mktemp("oracle_spied"), model="oracle",
+                      guess=(1.3, 0.0), relax_time=20.0, grid_size=256, order=5)
+
+
+@pytest.fixture(scope="module")
+def ei_spied(tmp_path_factory):
+    """`ei` at grid 2^10, order 9, through the response stage."""
+    return _spied_run(tmp_path_factory.mktemp("ei_spied"), model="ei",
+                      grid_size=1024, order=9)
 
 
 @pytest.mark.parametrize("run", ["oracle", "ei"])
-def test_divisor_table_is_what_the_recursion_divides_by(oracle_run, ei_1024, run):
-    """Each order's smallest divisor in the manifold recursion is the floquet
-    stage's closed-form table entry, for every order 2..order + 1 the
-    recursion solves, within 1e-6 relative.  Measured: at most 2.9e-12 on
-    `oracle` (256, order 5) and 4.4e-8 on `ei` (2^10, order 9), where the
-    recursion divides with the frames' refined exponents and the table uses
-    the spectrum's; so the bound has a 23x margin."""
-    result = oracle_run.result if run == "oracle" else ei_1024
-    table = result.resonance.minima("manifold")
-    solved = result.manifold.divisor_minima
-    assert list(table) == list(solved) == list(range(2, result.config.order + 2))
-    gaps = {n: abs(solved[n] - table[n]) / table[n] for n in table}
+def test_divisor_table_is_what_the_recursion_divides_by(request, run):
+    """Each order's smallest divisor in the manifold, phase and amplitude
+    recursions is the floquet stage's closed-form table entry, for every
+    order the recursion solves (manifold 2..order + 1, responses
+    1..order), within 1e-6 relative.  Measured: at most 2.9e-12 on `oracle`
+    (256, order 5) and 4.4e-8 on `ei` (2^10, order 9), where the recursions
+    divide with the frames' refined exponents and the tables use the
+    spectrum's; so the bound has a 23x margin.  The amplitude entry of
+    order 1 includes the trivial direction's k = +-1 divisor 2 pi / T,
+    which is the smallest on `oracle`."""
+    result, solved = request.getfixturevalue(f"{run}_spied")
+    gaps = {}
+    for name in DIVISOR_TABLES:
+        table = result.resonance.minima(name)
+        first = 2 if name == "manifold" else 1
+        orders = list(range(first, result.config.order + first))
+        assert list(table) == list(solved[name]) == orders, name
+        gaps.update({(name, n): abs(solved[name][n] - table[n]) / table[n] for n in table})
     assert max(gaps.values()) < 1e-6, gaps
 
 

@@ -447,6 +447,21 @@ def _drop_period(path):
     write_json(path, meta)
 
 
+def _drop_crosscheck(path):
+    # frames.json as versions that wrote the cross-check's report to its own
+    # file wrote it
+    meta = _read_json(path)
+    del meta["crosscheck"]
+    write_json(path, meta)
+
+
+def _add_lyapunov(path):
+    # spectrum.json as versions that stored the exponents' real parts wrote it
+    meta = _read_json(path)
+    meta["lyapunov"] = [re for re, _ in meta["exponents"]]
+    write_json(path, meta)
+
+
 def _drop_inputs(path):
     # metadata as versions that recorded no stage inputs wrote it
     meta = _read_json(path)
@@ -469,12 +484,14 @@ def _drop_inputs(path):
         ("frames.json", _add_earlier_frame_keys),
         ("frames.json", _drop_period),
         ("cycle.json", _drop_inputs),
-        ("adjoint_crosscheck.json", os.remove),
+        ("frames.json", _drop_crosscheck),
+        ("spectrum.json", _add_lyapunov),
     ],
     ids=[
         "missing", "truncated", "dtype", "shape", "non_finite", "bit_flip",
         "manifest_missing", "not_inventoried", "digest_differs",
         "earlier_frame_keys", "no_polished_period", "no_inputs", "crosscheck_missing",
+        "spectrum_lyapunov",
     ],
 )
 def test_damaged_coefficient_file_exits_4(response_stage_dir, tmp_path, capsys, name, damage):
@@ -623,7 +640,7 @@ def test_resumed_sweep_writes_the_bytes_of_a_cold_run(tmp_path, monkeypatch):
     assert len(sweeps) == 1
     files = [n for n in sorted(os.listdir(cold)) if n.endswith("_coeff.npy")]
     assert len(files) == 6
-    for name in files + ["spectrum.json", "frames.json", "adjoint_crosscheck.json"]:
+    for name in files + ["spectrum.json", "frames.json"]:
         assert (tmp_path / "staged" / name).read_bytes() == (
             tmp_path / "cold" / name).read_bytes(), name
 
@@ -633,7 +650,7 @@ STAGE_FILES = {
     Stage.CYCLE: ["cycle.json"],
     Stage.FLOQUET: ["spectrum.json", "resonance.json"],
     Stage.FRAMES: ["frames.json", "cycle_coeff.npy", "frame_bundle_coeff.npy",
-                   "frame_adjoint_coeff.npy", "adjoint_crosscheck.json"],
+                   "frame_adjoint_coeff.npy"],
     Stage.MANIFOLD: ["manifold.json", "manifold_coeff.npy"],
     Stage.RESPONSE: ["response.json", "response_phase_coeff.npy",
                      "response_amplitude_coeff.npy"],
@@ -1077,7 +1094,7 @@ def test_mixed_resonance_runs_through_validate(oracle_block, tmp_path):
     result = runs[-4.5]
     assert result.manifest["failed_stage"] is None
     minima = [min(result.resonance.minima(name).values()) for name in DIVISOR_TABLES]
-    assert minima == pytest.approx([0.5, 2.0, 2.0], rel=1e-9)
+    assert minima == pytest.approx([0.5, 2.0, 1.0], rel=1e-9)
     assert max(result.manifold.residuals) < 1e-11
     for coeffs in (result.manifold.coeffs, result.response.phase, result.response.amplitude):
         assert np.max(np.abs(coeffs.coef[..., 2:])) <= 1e-14 * np.max(np.abs(coeffs.coef))
