@@ -87,5 +87,10 @@ class FrameError(NumericalError):
     """Frame construction failed (singular frame or non-convergent polish)."""
 
 
+class WorkerError(NumericalError):
+    """A forked worker (:mod:`slowphase.workers`) exited without sending
+    its result."""
+
+
 class ValidationFailure(SlowphaseError):
     """A configured validation threshold was not met (CLI exit code 2)."""

@@ -133,7 +133,11 @@ def load_frames(result, meta, digests):
     """Replace the shooting cycle by the polished one, anchored at its theta =
     0 sample.  Only the complex frames, the only ones the pipeline uses, are
     stored: ``build_real_frames`` recomputes the real ones for an export.
-    Their classes are the loaded spectrum's."""
+    Their classes are the loaded spectrum's.  An unknown key is refused,
+    as the dataclass loaders refuse an unknown field."""
+    unknown = sorted(set(meta) - {"period", "band_cut", "crosscheck", "bundle", "adjoint"})
+    if unknown:
+        raise TypeError(f"unknown keys {unknown}")
     grid_size, dim = result.cycle.grid_size, len(result.cycle.anchor)
     series = FourierSeries(_read(result, "cycle", (grid_size // 2 + 1, dim), digests), real=True)
     result.cycle = replace(result.cycle, anchor=series.samples()[0].copy(),

@@ -22,9 +22,11 @@ pointwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from . import workers
 from .errors import ModelError, SolvabilityError
 from .frames import Frame
 from .manifold import ManifoldExpansion, order_residuals, solve_orders
@@ -89,6 +91,14 @@ def expand_response_functions(
     jet transport of the adjoint action over [K | Z].  The residual of
     order 0 is the adjoint frame's, which the frame reports; it reads 0.0
     here.
+
+    Given K, the two recursions are independent.  Where
+    :func:`workers.worth_splitting` allows for the (L+1) N d grid values of
+    one response function, the phase recursion runs in this process and
+    the amplitude recursion, with its order-1 solvability gate and
+    normalization, in a forked worker, whose errors come back with their
+    type.  Each does the arithmetic of the serial run, so the expansions
+    are bit for bit the same.
     """
     if manifold.total_order < order:
         raise ModelError(
@@ -104,28 +114,9 @@ def expand_response_functions(
     z0 = adjoint_grid[:, :, 0].real
     i0 = adjoint_grid[:, :, 1].real / manifold.gauge
 
-    solvability = free_c = norm_defect = 0.0
-
-    def normalize(n, i1, free_rhs):
-        """Amplitude order 1: gate the solvability residual, then pin the
-        free coefficient; higher orders are driven by the normalized one."""
-        nonlocal solvability, free_c, norm_defect
-        solvability = float(np.abs(free_rhs))
-        if solvability > solvability_tol:
-            raise SolvabilityError(
-                f"order-{n} solvability residual {solvability:.3e} exceeds "
-                f"{solvability_tol:.1e}; lower orders are inconsistent"
-            )
-        k1_deriv = manifold.order_series(1).differentiate().samples()
-        x0 = model.eval(manifold.order_series(0).samples())
-        i1, free_c, norm_defect = _fix_order1_normalization(
-            i1, z0, i0, k1_deriv, x0, period
-        )
-        return i1
-
-    drift = 0.0
-    expansions, residuals = [], []
-    for offset, order0 in ((0, z0), (-1, i0)):
+    def recursion(offset, order0, on_free=None):
+        """The expansion, per-order residuals and drift of one response
+        function: order 0 given, orders 1..``order`` solved."""
         # an order not yet solved reads as zero, so filling it gives -G_n
         stack = np.zeros(k_orders.shape[:2] + (2 * d,))
         stack[:, :, :d] = k_orders
@@ -133,24 +124,54 @@ def expand_response_functions(
         values = stack[:, :, d:]
         transport = JetTransport(model, stack, "adjoint_action")
         transport.fill(0)
-        _, order_drift = solve_orders(
+        _, drift = solve_orders(
             transport, 1, bundle, adjoint, -bundle.exponents, lam_s, offset,
-            period, small_divisor_tol, normalize,
+            period, small_divisor_tol, on_free,
         )
-        drift = max(drift, order_drift)
-        expansions.append(FourierTaylor.from_samples(values))
-        residuals.append(order_residuals(
-            expansions[-1], values, transport.result(), lam_s, offset, period
-        ))
-        residuals[-1][0] = 0.0
+        expansion = FourierTaylor.from_samples(values)
+        residuals = order_residuals(
+            expansion, values, transport.result(), lam_s, offset, period
+        )
+        residuals[0] = 0.0
+        return expansion, residuals, drift
 
+    def amplitude():
+        """The amplitude recursion, then its order-1 solvability residual,
+        free coefficient and normalization defect (zero below order 1)."""
+        fixed = [0.0, 0.0, 0.0]
+
+        def normalize(n, i1, free_rhs):
+            """Amplitude order 1: gate the solvability residual, then pin
+            the free coefficient; higher orders are driven by the
+            normalized one."""
+            fixed[0] = float(np.abs(free_rhs))
+            if fixed[0] > solvability_tol:
+                raise SolvabilityError(
+                    f"order-{n} solvability residual {fixed[0]:.3e} exceeds "
+                    f"{solvability_tol:.1e}; lower orders are inconsistent"
+                )
+            k1_deriv = manifold.order_series(1).differentiate().samples()
+            x0 = model.eval(manifold.order_series(0).samples())
+            i1, fixed[1], fixed[2] = _fix_order1_normalization(
+                i1, z0, i0, k1_deriv, x0, period
+            )
+            return i1
+
+        return (*recursion(-1, i0, normalize), *fixed)
+
+    phase = partial(recursion, 0, z0)
+    if workers.worth_splitting((order + 1) * manifold.grid_size * d):
+        shares = workers.with_worker(phase, amplitude, "amplitude recursion")
+    else:
+        shares = phase(), amplitude()
+    (z, z_res, z_drift), (i, i_res, i_drift, solvability, free_c, defect) = shares
     return ResponseExpansion(
-        phase=expansions[0],
-        amplitude=expansions[1],
+        phase=z,
+        amplitude=i,
         solvability_residual=solvability,
         free_coefficient=free_c,
-        normalization_defect=norm_defect,
-        phase_residuals=residuals[0],
-        amplitude_residuals=residuals[1],
-        conjugation_drift=drift,
+        normalization_defect=defect,
+        phase_residuals=z_res,
+        amplitude_residuals=i_res,
+        conjugation_drift=max(z_drift, i_drift),
     )

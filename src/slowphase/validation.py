@@ -12,14 +12,13 @@ conjugated linear dynamics.
 
 from __future__ import annotations
 
-import os
-import pickle
-import signal
+import copy
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import IntegrationError, ValidationFailure
+from . import workers
+from .errors import ValidationFailure
 from .integrate import DEFAULT_SETTINGS, flow
 from .manifold import ManifoldExpansion, evaluate_manifold
 from .response import ResponseExpansion
@@ -48,6 +47,8 @@ MAX_INVERSION_GAP = 1e-5
 # Trajectory samples start at 0.3-0.7 of the accuracy bound and flow for a
 # horizon drawn between 0.1 periods and this many, capped at a 1e4 decay.
 HORIZON_PERIODS = 2.0
+# the accuracy domain's rows of amplitudes +s and -s
+_SIGN = np.array([[1.0], [-1.0]])
 
 __all__ = [
     "AccuracyDomain",
@@ -84,6 +85,13 @@ class ResidualEvaluator:
                 series.differentiate().samples().T / manifold.period
                 + n * manifold.slow_exponent * block[:d]
             )
+
+    def columns(self, part) -> ResidualEvaluator:
+        """This evaluator on the grid phases ``part`` (a slice or index
+        array) alone."""
+        view = copy.copy(self)
+        view.rows = self.rows[..., part]
+        return view
 
     def grid_residual(self, sigma) -> np.ndarray:
         """|| sum_n lhs_n sigma^n - X(sum_n K_n sigma^n) ||_2 per grid phase.
@@ -163,31 +171,63 @@ def accuracy_domain(
     the scan reuses the rows of each doubling probe, whose amplitude is a
     scan point of the power-of-two window.  ``evaluator`` reuses grid data
     already built for this manifold.
+
+    The doubling probes run on the whole grid.  Where
+    :func:`workers.worth_splitting` allows for the (L+1) N d grid values of
+    the expansion, the scan and bisection of phase columns [0, N/2) run in
+    this process and those of [N/2, N) in a forked worker; each bound
+    depends only on its own phase, so the bounds are bit for bit those of
+    the whole grid.
     """
     tolerances = tuple(sorted(tolerances, reverse=True))
     ev = evaluator or ResidualEvaluator(manifold, model)
-    sign = np.array([[1.0], [-1.0]])
     probed = {}  # window edge s -> residual rows at +s and -s
     scan_max = 1.0
     while scan_max < 64.0:
-        rows = probed[scan_max] = ev.grid_residual(sign * scan_max)
+        rows = probed[scan_max] = ev.grid_residual(_SIGN * scan_max)
         if float(rows.min()) > max(tolerances):
             break
         scan_max *= 2.0
-    n = ev.rows.shape[-1]
-    theta = manifold.order_series(0).grid()
     # entry [t, s] holds tolerance t and sign (+1, -1)[s]
     tol = np.array(tolerances)[:, None, None]
 
-    lo = np.zeros((len(tolerances), 2, n))
-    hi = np.full((len(tolerances), 2, n), np.nan)
+    def bracket(part):
+        probes = {s: rows[:, part] for s, rows in probed.items()}
+        return _bracket(ev.columns(part), tol, scan_max, probes)
+
+    n = ev.rows.shape[-1]
+    # rows holds 2 (L+1) N d values: each order's K_n and left-hand side
+    if workers.worth_splitting(ev.rows.size // 2):
+        halves = workers.with_worker(
+            lambda: bracket(slice(0, n // 2)), lambda: bracket(slice(n // 2, n)),
+            "accuracy domain",
+        )
+        bound, open_mask = (np.concatenate(pair, axis=-1) for pair in zip(*halves))
+    else:
+        bound, open_mask = bracket(slice(None))
+    return AccuracyDomain(
+        tolerances=tolerances,
+        theta=manifold.order_series(0).grid(),
+        sigma_pos=bound[:, 0],
+        sigma_neg=bound[:, 1],
+        scan_max=scan_max,
+        open_ended=open_mask.any(axis=-1),
+    )
+
+
+def _bracket(ev: ResidualEvaluator, tol, scan_max, probed):
+    """Bounds (n_tol, 2, n) on the n phases of ``ev``, and the mask of the
+    open-ended ones, reported at ``scan_max``: the scan and bisection of
+    :func:`accuracy_domain`, with ``probed`` the doubling probes' rows."""
+    lo = np.zeros(tol.shape[:1] + (2, ev.rows.shape[-1]))
+    hi = np.full_like(lo, np.nan)
     for s in np.linspace(0.0, scan_max, 65)[1:]:
         undecided = np.isnan(hi)
         if not undecided.any():
             break
         res = probed.get(s)
         if res is None:
-            res = ev.grid_residual(sign * s * undecided.any(axis=0))
+            res = ev.grid_residual(_SIGN * s * undecided.any(axis=0))
         bad = ~(res <= tol) & undecided
         hi[bad] = s
         lo[undecided & ~bad] = s
@@ -195,18 +235,10 @@ def accuracy_domain(
     hi[open_mask] = scan_max
     for _ in range(BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
-        good = ev.grid_residual(sign * mid) <= tol
+        good = ev.grid_residual(_SIGN * mid) <= tol
         lo = np.where(good & ~open_mask, mid, lo)
         hi = np.where(good | open_mask, hi, mid)
-    bound = np.where(open_mask, scan_max, lo)
-    return AccuracyDomain(
-        tolerances=tolerances,
-        theta=theta,
-        sigma_pos=bound[:, 0],
-        sigma_neg=bound[:, 1],
-        scan_max=scan_max,
-        open_ended=open_mask.any(axis=-1),
-    )
+    return np.where(open_mask, scan_max, lo), open_mask
 
 
 def orthogonality_report(manifold: ManifoldExpansion, response: ResponseExpansion):
@@ -372,35 +404,20 @@ def trajectory_consistency(
     }
 
 
-def _split_flows(count: int) -> bool:
-    """Whether ``count`` flows split between this process and one forked
-    worker: there are at least two, ``os.fork`` exists, two CPUs are usable,
-    and this process runs one OS thread (a fork copies only the calling
-    thread, so a forked BLAS pool could deadlock the worker, and Python
-    3.12 warns of it)."""
-    if count < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return False
-    if len(os.sched_getaffinity(0)) < 2:
-        return False
-    try:
-        return len(os.listdir("/proc/self/task")) == 1
-    except OSError:
-        return False
-
-
 def _flows(model, x0, horizons, settings) -> np.ndarray:
     """Row i is ``flow(model, x0[i], horizons[i], settings)``.
 
-    Where :func:`_split_flows` allows, this process and one forked worker
-    share the flows, balanced by horizon: longest first, each to the share
-    with the smaller total |horizon|.  A flow does the same arithmetic in
-    either process, so the rows are bit for bit those of the serial loop.
+    Where there are at least two flows and :func:`workers.can_split`
+    allows, this process and one forked worker share them, balanced by
+    horizon: longest first, each to the share with the smaller total
+    |horizon|.  A flow does the same arithmetic in either process, so the
+    rows are bit for bit those of the serial loop.
     """
 
     def run(share):
         return [flow(model, x0[i], horizons[i], settings) for i in share]
 
-    if not _split_flows(len(horizons)):
+    if len(horizons) < 2 or not workers.can_split():
         return np.array(run(range(len(horizons))))
     shares, totals = ([], []), [0.0, 0.0]
     for i in np.argsort(-np.abs(horizons), kind="stable"):
@@ -409,58 +426,10 @@ def _flows(model, x0, horizons, settings) -> np.ndarray:
         shares[side].append(i)
         totals[side] += abs(horizons[i])
     x_t = np.empty_like(x0)
-    x_t[shares[0]], x_t[shares[1]] = _with_worker(
-        lambda: run(shares[0]), lambda: run(shares[1])
+    x_t[shares[0]], x_t[shares[1]] = workers.with_worker(
+        lambda: run(shares[0]), lambda: run(shares[1]), "trajectory flow"
     )
     return x_t
-
-
-def _with_worker(mine, theirs):
-    """``(mine(), theirs())``, with ``theirs`` run in a forked worker.
-
-    A fork, not a fresh interpreter: the worker needs no import, and a
-    user model's closures, which cannot be pickled, come with it.  The
-    worker pickles ``(ok, result or exception)`` down a pipe and ends
-    in ``os._exit``, so it never returns into the caller's stack.  Its
-    exception is raised here again, type, message and attributes as
-    pickled; a worker that exits without a result raises IntegrationError.
-    The worker is reaped on every path, and killed first if ``mine``
-    raises (KeyboardInterrupt included).
-    """
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            try:
-                payload = (True, theirs())
-            except BaseException as exc:
-                payload = (False, exc)
-            with open(write_fd, "wb") as pipe:
-                pipe.write(pickle.dumps(payload))
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    try:
-        with open(read_fd, "rb") as pipe:
-            result = mine()
-            data = pipe.read()
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        status = os.waitpid(pid, 0)[1]
-    if not data:
-        raise IntegrationError(
-            "flow worker exited with status "
-            f"{os.waitstatus_to_exitcode(status)} and sent no result"
-        )
-    ok, value = pickle.loads(data)
-    if not ok:
-        raise value
-    return result, value
 
 
 def _check_inversions(trajectory: dict) -> None:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import slowphase.response as response_mod
-from slowphase import manifold
+from slowphase import manifold, workers
 from slowphase.config import RunConfig
 from slowphase.cycle import DIVISOR_TABLES
 from slowphase.errors import ModelError, NumericalError
@@ -125,6 +125,8 @@ def _spied_run(out, **settings):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(response_mod, "solve_orders", spy)
+        # both recursions in this process, where the spy sees them
+        patch.setattr(workers, "worth_splitting", lambda size: False)
         result = run_pipeline(RunConfig(out_dir=str(out), **settings),
                               through=Stage.RESPONSE)
     phase, amplitude = minima

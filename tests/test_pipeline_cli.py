@@ -455,6 +455,18 @@ def _drop_crosscheck(path):
     write_json(path, meta)
 
 
+def _add_unknown_key(path):
+    # frames.json with a key no loader reads, its inventory digest updated,
+    # so only the loader's refusal of the key stops it
+    meta = _read_json(path)
+    meta["bogus"] = 1
+    write_json(path, meta)
+    manifest_path = os.path.join(os.path.dirname(path), "manifest.json")
+    manifest = _read_json(manifest_path)
+    manifest["files"][os.path.basename(path)] = sha256_file(path)
+    write_json(manifest_path, manifest)
+
+
 def _add_lyapunov(path):
     # spectrum.json as versions that stored the exponents' real parts wrote it
     meta = _read_json(path)
@@ -486,12 +498,13 @@ def _drop_inputs(path):
         ("cycle.json", _drop_inputs),
         ("frames.json", _drop_crosscheck),
         ("spectrum.json", _add_lyapunov),
+        ("frames.json", _add_unknown_key),
     ],
     ids=[
         "missing", "truncated", "dtype", "shape", "non_finite", "bit_flip",
         "manifest_missing", "not_inventoried", "digest_differs",
         "earlier_frame_keys", "no_polished_period", "no_inputs", "crosscheck_missing",
-        "spectrum_lyapunov",
+        "spectrum_lyapunov", "frames_unknown_key",
     ],
 )
 def test_damaged_coefficient_file_exits_4(response_stage_dir, tmp_path, capsys, name, damage):

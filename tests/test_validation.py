@@ -2,8 +2,6 @@ import inspect
 import json
 import os
 import pickle
-import subprocess
-import sys
 from dataclasses import replace
 
 import numpy as np
@@ -11,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import slowphase
 import slowphase.errors as errors
 import slowphase.validation as validation
+from child import run_child
+from slowphase import workers
 from slowphase.errors import ValidationFailure
 from slowphase.manifold import evaluate_manifold
 from slowphase.series import FourierSeries, horner
@@ -418,6 +417,8 @@ def test_scan_shares_one_row_per_sign_and_reuses_the_probes(ei_run, monkeypatch)
         return grid_residual(sigma)
 
     monkeypatch.setattr(ev, "grid_residual", spy)
+    # the whole grid in this process, where the spy sees every call
+    monkeypatch.setattr(workers, "worth_splitting", lambda size: False)
     domain = accuracy_domain(result.manifold, result.model, tolerances, evaluator=ev)
     assert domain.sigma_pos.tobytes() == result.validation.domain.sigma_pos.tobytes()
     n = len(domain.theta)
@@ -482,6 +483,8 @@ def test_nan_residual_is_a_violation_in_the_scan(ei_run, monkeypatch):
         return res
 
     monkeypatch.setattr(ev, "grid_residual", nan_above_3)
+    # the whole grid in this process, where the injection indexes its phase
+    monkeypatch.setattr(workers, "worth_splitting", lambda size: False)
     domain = accuracy_domain(result.manifold, result.model, tolerances, evaluator=ev)
     assert np.all(domain.sigma_pos[:, phase] <= 3.0)
     assert np.all(domain.sigma_pos[:, phase] > 3.0 - domain.scan_max / 64)
@@ -613,114 +616,101 @@ ERROR_ATTRIBUTES = {
     ids=lambda c: c.__name__,
 )
 def test_errors_survive_a_pickle_round_trip(cls):
-    # a flow worker sends its exception back pickled
+    # a forked worker sends its exception back pickled
     exc = cls("boom", **ERROR_ATTRIBUTES.get(cls, {}))
     back = pickle.loads(pickle.dumps(exc))
     assert type(back) is cls and str(back) == "boom"
     assert vars(back) == vars(exc) == ERROR_ATTRIBUTES.get(cls, {})
 
 
-def _child_interpreter(script, *args):
-    """The last stdout line, parsed as JSON, of ``script`` run in a fresh
-    interpreter with one OpenBLAS thread (so it runs one OS thread and may
-    fork) and every warning an error."""
-    src = os.path.dirname(os.path.dirname(slowphase.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-W", "error", "-c", script, *map(str, args)],
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
-    )
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
-
-
 SPLIT_AND_SERIAL = """
 import json, os, shutil, sys
-import slowphase.validation as validation
+from slowphase import workers
 from slowphase.config import RunConfig
 from slowphase.pipeline import Stage, load_result, run_pipeline
 
 out, copies = sys.argv[1:]
 config = RunConfig(model="ei", grid_size=1024, order=9, n_samples=8, seed=901, out_dir=out)
-run_pipeline(config, through=Stage.RESPONSE)
-split = {}
-for name, decide in (("split", validation._split_flows), ("serial", lambda count: False)):
-    validation._split_flows = decide
-    split[name] = decide(config.n_samples)
+oracle = RunConfig(model="oracle", grid_size=128, order=4, relax_time=20.0,
+                   out_dir=os.path.join(copies, "oracle"))
+frames = os.path.join(copies, "frames")
+run_pipeline(config, through=Stage.FRAMES)
+shutil.copytree(out, frames)
+report = {"can_split": workers.can_split()}
+sites = []
+fork = os.fork
+def counted_fork():
+    sites.append(sys._getframe(2).f_code.co_name)  # the caller of with_worker
+    return fork()
+os.fork = counted_fork
+for name, gate in (("split", True), ("serial", False)):
+    workers.can_split = lambda gate=gate: gate
+    shutil.rmtree(out)
+    shutil.copytree(frames, out)
+    sites.clear()
+    run_pipeline(config, resume=load_result(config), through=Stage.RESPONSE)
     run_pipeline(config, resume=load_result(config))
-    for file in ("validation.json", "accuracy_domain.csv", "manifest.json"):
+    report[name] = sorted(sites)
+    for file in os.listdir(out):
         shutil.copy(os.path.join(out, file), os.path.join(copies, f"{name}-{file}"))
-print(json.dumps(split))
+    sites.clear()
+    run_pipeline(oracle)
+    report[f"oracle {name}"] = sorted(sites)
+print(json.dumps(report))
 """
 
 
 def test_split_flows_write_the_serial_bytes(tmp_path):
-    """Validating a stored `ei` run (grid 2^10, order 9) with the flows split
-    between two processes writes the reports of the serial loop, byte for
-    byte; the split is taken wherever two CPUs are usable."""
+    """Resuming a stored `ei` frames stage (grid 2^10, order 9) through the
+    response stage, then validating it, writes the same bytes with the
+    shared gate forced to split as forced serial: every coefficient file,
+    stage JSON, `validation.json`, `accuracy_domain.csv` and
+    `manifest.json`.  Split, each of the three sites forks once (the
+    amplitude recursion, the upper half of the accuracy domain's phase
+    columns and half the trajectory flows); at `oracle`, grid 128, order
+    4, only the flows fork, as the other two sites are below the size
+    gate.  The real gate splits wherever two CPUs are usable."""
     out, copies = tmp_path / "run", tmp_path / "copies"
     copies.mkdir()
     two_cpus = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
-    assert _child_interpreter(SPLIT_AND_SERIAL, out, copies) == {"split": two_cpus, "serial": False}
-    for file in ("validation.json", "accuracy_domain.csv", "manifest.json"):
+    assert run_child(SPLIT_AND_SERIAL, out, copies) == {
+        "can_split": two_cpus,
+        "split": ["_flows", "accuracy_domain", "expand_response_functions"],
+        "serial": [],
+        "oracle split": ["_flows"],
+        "oracle serial": [],
+    }
+    files = sorted(p.name.split("-", 1)[1] for p in copies.glob("split-*"))
+    assert files == sorted(p.name.split("-", 1)[1] for p in copies.glob("serial-*"))
+    assert {"validation.json", "accuracy_domain.csv", "manifest.json", "response.json",
+            "response_amplitude_coeff.npy", "manifold_coeff.npy"} <= set(files)
+    for file in files:
         split, serial = ((copies / f"{name}-{file}").read_bytes() for name in ("split", "serial"))
         assert split == serial, file
 
 
-WORKER_FAULT = """
-import json, os, sys, time
-import slowphase.validation as validation
-from slowphase.errors import IntegrationError
+def test_domain_bounds_of_any_column_split_are_the_whole_grid_bounds(ei_run, monkeypatch):
+    """Each accuracy-domain bound depends only on its own phase: the scan
+    and bisection of the two parts of a column split, contiguous at an odd
+    cut or a random subset, give the whole grid's bounds bit for bit, and
+    so does :func:`accuracy_domain` through its split path (the worker's
+    share run in this process)."""
+    result, tolerances = ei_run.result, ei_run.config.tolerances
+    ev = ResidualEvaluator(result.manifold, result.model)
+    whole = accuracy_domain(result.manifold, result.model, tolerances, evaluator=ev)
+    n = len(whole.theta)
+    monkeypatch.setattr(workers, "worth_splitting", lambda size: True)
+    monkeypatch.setattr(workers, "with_worker", lambda mine, theirs, task: (mine(), theirs()))
+    split = accuracy_domain(result.manifold, result.model, tolerances, evaluator=ev)
+    assert split.scan_max == whole.scan_max
+    for name in ("sigma_pos", "sigma_neg", "open_ended"):
+        assert np.array_equal(getattr(split, name), getattr(whole, name)), name
 
-def child_raises():
-    raise IntegrationError("step size underflow", time=1.25)
-
-def parent_raises():
-    raise IntegrationError("parent share failed")
-
-def interrupted():
-    raise KeyboardInterrupt
-
-shares = {  # (this process's share, the worker's share)
-    "child raises": (lambda: "mine", child_raises),
-    "parent raises": (parent_raises, lambda: time.sleep(60)),
-    "parent interrupted": (interrupted, lambda: time.sleep(60)),
-    "child exits without a result": (lambda: "mine", lambda: os._exit(5)),
-}
-start = time.perf_counter()
-try:
-    validation._with_worker(*shares[sys.argv[1]])
-    error = None
-except BaseException as exc:
-    error = [type(exc).__name__, str(exc), getattr(exc, "time", None)]
-try:
-    os.waitpid(-1, os.WNOHANG)
-    children_left = True
-except ChildProcessError:
-    children_left = False
-print(json.dumps({"error": error, "children_left": children_left, "seconds": time.perf_counter() - start}))
-"""
-
-
-@pytest.mark.parametrize(
-    "case, error",
-    [
-        ("child raises", ["IntegrationError", "step size underflow", 1.25]),
-        ("parent raises", ["IntegrationError", "parent share failed", None]),
-        ("parent interrupted", ["KeyboardInterrupt", "", None]),
-        (
-            "child exits without a result",
-            ["IntegrationError", "flow worker exited with status 5 and sent no result", None],
-        ),
-    ],
-)
-def test_flow_worker_faults(case, error):
-    """Fault injection on the forked flow worker: its exception comes back
-    typed, with its attributes; a raise in this process's share kills the
-    worker (it would sleep a minute) and reaps it; a worker that exits
-    without a result raises IntegrationError naming its status."""
-    report = _child_interpreter(WORKER_FAULT, case)
-    assert report["error"] == error
-    assert not report["children_left"]
-    assert report["seconds"] < 30
+    tol = np.array(whole.tolerances)[:, None, None]
+    chosen = np.random.default_rng(5).uniform(size=n) < 0.3
+    for part in (np.arange(n) < 2 * (n // 5) + 1, chosen):
+        bound = np.empty((len(tol), 2, n))
+        for cols in (np.flatnonzero(part), np.flatnonzero(~part)):
+            bound[..., cols] = validation._bracket(ev.columns(cols), tol, whole.scan_max, {})[0]
+        assert np.array_equal(bound[:, 0], whole.sigma_pos)
+        assert np.array_equal(bound[:, 1], whole.sigma_neg)
