@@ -3,11 +3,12 @@
 
 Reproduces the reference configuration: Fourier grid 2^12, expansions to
 order 9, both accuracy tolerances, and the complete validation suite.
-Expect a few seconds of runtime (1.6-2.1 s on 2 cores at one OpenBLAS
-thread, of which 0.16-0.28 s locate the cycle and run the one variational
-pass that samples it and gives the monodromy and the frames' seeds); the
-multiplier table, per-order residuals, and accuracy-domain widths are
-printed at the end.
+Expect about half a second of runtime (0.50-0.54 s on 2 cores at one
+OpenBLAS thread, of which 97-104 ms locate the cycle: the relaxation, then
+one variational pass per Newton step, two here, the last of which samples
+the orbit and gives the monodromy and the frames' seeds); the multiplier
+table, per-order residuals, and accuracy-domain widths are printed at the
+end.
 
 Usage: python3 scripts/run_ei.py [out_dir]
 """

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
+from typing import Callable
 
 import numpy as np
 
@@ -82,14 +83,34 @@ IDENTITY_CHUNKS = 16
 class VariationalSweep:
     """One period of x' = X(x), Phi' = DX(x) Phi and Psi' = -DX(x)^T Psi
     from the anchor, chunk by chunk between ``edges`` (0 to the period): on
-    each, Phi and Psi start at the identity and x at the previous chunk's end."""
+    each, Phi and Psi start at the identity and x at the previous chunk's end.
+
+    ``samples`` holds (x, Phi, Psi) at the grid times, raveled in rows of
+    d + 2 d^2.  :func:`variational_sweep` gives it as a callable over the
+    chunks' kept steps; the first read of ``states`` or ``flows`` evaluates
+    it, stores the array in its place and so frees the steps.  A pass that
+    is never read, as each applied Newton step's, builds no interpolant."""
 
     edges: np.ndarray
     chunk: np.ndarray  # (N,): the chunk of each grid time
-    states: np.ndarray  # (N, d): x at the grid times
-    flows: np.ndarray  # (N, 2, d, d): (Phi, Psi) from the chunk's start
     ends: np.ndarray  # (chunks, 2, d, d): (Phi, Psi) across each chunk
     end_state: np.ndarray  # x at t = T
+    samples: np.ndarray | Callable[[], np.ndarray] = field(repr=False, compare=False)
+
+    def _sampled(self) -> np.ndarray:
+        if callable(self.samples):
+            self.samples = self.samples()
+        return self.samples
+
+    @cached_property
+    def states(self) -> np.ndarray:
+        """(N, d): x at the grid times."""
+        return self._sampled()[:, : len(self.end_state)]
+
+    @cached_property
+    def flows(self) -> np.ndarray:
+        """(N, 2, d, d): (Phi, Psi) at the grid times from the chunk's start."""
+        return self._sampled()[:, len(self.end_state):].reshape(-1, *self.ends.shape[1:])
 
     def product(self, f: int = 0) -> np.ndarray:
         """Phi's (``f`` = 0) or Psi's (1) chunk ends multiplied, last chunk
@@ -306,10 +327,12 @@ def _variational_rhs(model):
 def variational_sweep(model, anchor, period: float, grid_size: int,
                       settings: IntegratorSettings = DEFAULT_SETTINGS) -> VariationalSweep:
     """The :class:`VariationalSweep` from ``anchor``: one integration per
-    chunk at ``settings``, sampling its grid times by dense output (which does
-    not move the steps).  Chunks keep each factor's dynamic range near one;
-    over the period Phi carries 1/|mu_min|, which swamps double precision.
-    A non-finite ``period`` raises :class:`IntegrationError`."""
+    chunk at ``settings``.  Each chunk keeps the steps that hold its grid
+    times, and the samples are taken from their dense output on first read
+    (which does not move the steps).  Chunks keep each factor's dynamic
+    range near one; over the period Phi carries 1/|mu_min|, which swamps
+    double precision.  A non-finite ``period`` raises
+    :class:`IntegrationError`."""
     if not math.isfinite(period):
         raise IntegrationError(f"variational sweep: period must be finite, got {period}")
     d, rhs = model.dim, _variational_rhs(model)
@@ -317,14 +340,21 @@ def variational_sweep(model, anchor, period: float, grid_size: int,
     times = theta_grid(grid_size) * period
     chunk = np.searchsorted(edges, times, side="right") - 1
     identity = np.tile(np.eye(d).ravel(), 2)
-    samples, ends = np.empty((grid_size, d + 2 * d * d)), np.empty((IDENTITY_CHUNKS, 2 * d * d))
+    pending, ends = [], np.empty((IDENTITY_CHUNKS, 2 * d * d))
     x = _model_state(model, anchor)
     for c in range(IDENTITY_CHUNKS):
-        y, samples[chunk == c] = _integrate(rhs, edges[c], np.concatenate([x, identity]),
-                                            edges[c + 1], settings, t_eval=times[chunk == c])
+        y, sampled = _integrate(rhs, edges[c], np.concatenate([x, identity]), edges[c + 1],
+                                settings, t_eval=times[chunk == c], deferred=True)
+        pending.append(sampled)
         x, ends[c] = y[:d], y[d:]
-    return VariationalSweep(edges, chunk, samples[:, :d], samples[:, d:].reshape(-1, 2, d, d),
-                            ends.reshape(-1, 2, d, d), x)
+
+    def samples():
+        out = np.empty((grid_size, d + 2 * d * d))
+        for c, sampled in enumerate(pending):
+            out[chunk == c] = sampled()
+        return out
+
+    return VariationalSweep(edges, chunk, ends.reshape(-1, 2, d, d), x, samples)
 
 
 def find_cycle(
@@ -349,14 +379,15 @@ def find_cycle(
     at ``settings``, in at most ``MAX_NEWTON`` steps; a divergence names
     ``cycle.relax_time``.  Each step runs :func:`variational_sweep` from the
     current anchor and period: its end state gives the residual, its Phi
-    chunk product the Jacobian.  The first step below ``newton_tol`` is
-    recorded but not applied, so the anchor and period recompute its pass
-    (returned as ``sweep``) bitwise.  That pass gives the shooting residual
-    and the orbit at ``grid_size`` equispaced phases, analyzed into the
-    cycle's series; :func:`floquet_spectrum` decides from its monodromy
-    whether the cycle attracts.  A series whose present harmonics share a
-    factor m > 1 spans m periods: :class:`NewtonError` names m.  A series
-    not resolved by the grid raises :class:`GridError`.
+    chunk product the Jacobian; neither reads its samples, so the pass of
+    an applied step builds no interpolant.  The first step below
+    ``newton_tol`` is recorded but not applied, so the anchor and period
+    recompute its pass (returned as ``sweep``) bitwise.  That pass gives
+    the shooting residual and the orbit at ``grid_size`` equispaced phases,
+    analyzed into the cycle's series; :func:`floquet_spectrum` decides from
+    its monodromy whether the cycle attracts.  A series whose present
+    harmonics share a factor m > 1 spans m periods: :class:`NewtonError`
+    names m.  A series not resolved by the grid raises :class:`GridError`.
     A model whose component 0 has no simple maximum on the orbit raises
     :class:`SectionError`.
     """

@@ -17,6 +17,12 @@ sum is scaled and shifted in place (``dy *= h; dy += y``, the IEEE
 operations of ``dot * h`` and ``y + dy``); the error norm is
 ``sqrt(e.dot(e)) ** 2``, which is what ``np.linalg.norm`` computes for a real
 vector; and the step-size arithmetic runs on Python floats.
+
+A step's interpolant is built on demand: :meth:`DOP853.dense_output` builds
+the last step's, and :func:`dense_samples` builds those of steps kept by
+:meth:`DOP853.keep` and evaluates all their samples in one Horner sweep.
+Both share the construction and the Horner loop, so a batch is bitwise the
+per-step dense output.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import math
 
 import numpy as np
 
-__all__ = ["DOP853", "DenseOutput"]
+__all__ = ["DOP853", "DenseOutput", "dense_samples"]
 
 N_STAGES = 12
 
@@ -146,31 +152,68 @@ def _rms(x):
     return np.linalg.norm(x) / x.size ** 0.5
 
 
+def _horner(F, x, y_old):
+    """The interpolant with coefficient rows ``F`` at the step fractions
+    ``x``, from ``y_old``: a scalar ``x`` and (n,) rows give one state, and
+    a column of fractions against (n,) or (m, n) rows gives (m, n) states.
+    The same elementwise operations in every case, so a batch is bitwise
+    the scalar loop."""
+    y = np.zeros(np.broadcast_shapes(np.shape(x), F.shape[1:]))
+    for i, f in enumerate(reversed(F)):
+        y += f
+        if i % 2 == 0:
+            y *= x
+        else:
+            y *= 1 - x
+    y += y_old
+    return y
+
+
+def _coefficients(fun, K, t_old, h, y_old, y):
+    """The interpolant's (7, n) coefficient rows of the step from ``t_old``
+    by ``h``, ``y_old`` to ``y``: fills the three extra stages ``K[13:16]``
+    of the (16, n) stage array ``K``, whose rows 0-12 are the step's."""
+    KT = K.T  # KT[:, :s] has the strides of scipy's K[:s].T
+    for s in range(N_STAGES + 1, 16):
+        dy = np.dot(KT[:, :s], _A_STAGE[s])
+        dy *= h
+        dy += y_old
+        K[s] = fun(t_old + _C[s] * h, dy)
+    F = np.empty((7, y.size))
+    f_old = K[0]
+    delta_y = y - y_old
+    F[0] = delta_y
+    F[1] = h * f_old - delta_y
+    F[2] = 2 * delta_y - h * (K[N_STAGES] + f_old)
+    F[3:] = h * np.dot(D, K)
+    return F
+
+
+def dense_samples(fun, steps, which, t):
+    """The states at times ``t`` from the kept ``steps`` (each one
+    :meth:`DOP853.keep`), ``t[i]`` in the closed interval of step
+    ``which[i]``: each step's interpolant is built once, then every sample
+    is evaluated in one Horner sweep, bitwise :class:`DenseOutput`'s."""
+    F = np.empty((7, len(steps), steps[0][0].shape[1]))
+    for s, (K, t_old, h, y_old, y) in enumerate(steps):
+        F[:, s] = _coefficients(fun, K, t_old, h, y_old, y)
+    t_old = np.array([step[1] for step in steps])[which]
+    h = np.array([step[2] for step in steps])[which]
+    y_old = np.stack([step[3] for step in steps])[which]
+    return _horner(F[:, which], ((t - t_old) / h)[:, None], y_old)
+
+
 class DenseOutput:
     """The interpolant of one step, a polynomial of degree 7 in time."""
 
-    def __init__(self, t_old, t, y_old, F):
-        self.t_old, self.t, self.y_old, self.F = t_old, t, y_old, F
-        self.h = t - t_old
-        self.t_min, self.t_max = min(t, t_old), max(t, t_old)
+    def __init__(self, t_old, h, y_old, F):
+        self.t_old, self.h, self.y_old, self.F = t_old, h, y_old, F
 
     def __call__(self, t):
         """The state at time ``t``, or at each of an array of times (rows)."""
         t = np.asarray(t)
         x = (t - self.t_old) / self.h
-        if t.ndim == 0:
-            y = np.zeros_like(self.y_old)
-        else:
-            x = x[:, None]
-            y = np.zeros((len(x), len(self.y_old)))
-        for i, f in enumerate(reversed(self.F)):
-            y += f
-            if i % 2 == 0:
-                y *= x
-            else:
-                y *= 1 - x
-        y += self.y_old
-        return y
+        return _horner(self.F, x if t.ndim == 0 else x[:, None], self.y_old)
 
 
 class DOP853:
@@ -194,7 +237,7 @@ class DOP853:
         # columns[s] = K_extended.T[:, :s] has the strides of K[:s].T, so
         # every stage sum is the gemv call scipy makes
         KT = self.K_extended.T
-        self.columns = [KT[:, :s] for s in range(16)]
+        self.columns = [KT[:, :s] for s in range(N_STAGES + 2)]
         self.t_old = self.y_old = self.h_previous = None
         self.finished = False
 
@@ -289,18 +332,13 @@ class DOP853:
 
     def dense_output(self) -> DenseOutput:
         """The interpolant of the last step; call it before the next step."""
-        K = self.K_extended
-        h = self.h_previous
-        for s in range(N_STAGES + 1, 16):
-            dy = np.dot(self.columns[s], _A_STAGE[s])
-            dy *= h
-            dy += self.y_old
-            K[s] = self.fun(self.t_old + _C[s] * h, dy)
-        F = np.empty((7, self.y.size))
-        f_old = K[0]
-        delta_y = self.y - self.y_old
-        F[0] = delta_y
-        F[1] = h * f_old - delta_y
-        F[2] = 2 * delta_y - h * (self.f + f_old)
-        F[3:] = h * np.dot(D, K)
-        return DenseOutput(self.t_old, self.t, self.y_old, F)
+        F = _coefficients(self.fun, self.K_extended, self.t_old, self.h_previous,
+                          self.y_old, self.y)
+        return DenseOutput(self.t_old, self.h_previous, self.y_old, F)
+
+    def keep(self):
+        """The last step as :func:`dense_samples` reads it: a copy of its
+        stages, with rows for the extra stages, and ``(t_old, h, y_old, y)``."""
+        K = np.empty_like(self.K_extended)
+        K[: N_STAGES + 1] = self.K
+        return K, self.t_old, self.h_previous, self.y_old, self.y

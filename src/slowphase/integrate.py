@@ -4,8 +4,10 @@ Every integration of the package, the return-time search of the cycle stage
 included, runs through one driver, :func:`_integrate`, built on the in-house
 DOP853 stepper of :mod:`slowphase.dop853` (explicit embedded Runge-Kutta pair
 of order 8(5,3) with dense output).  The driver bounds the step count,
-reports a non-finite state with the time of failure, and fills sample times
-from the per-step dense interpolants.  Backward integration is supported by
+reports a non-finite state with the time of failure, and keeps the steps
+that hold sample times: after the last step their interpolants are built
+and every sample is evaluated in one batch, or later, when a caller defers
+the samples until it reads them.  Backward integration is supported by
 passing ``t1 < t0``; both times must be finite.  The package needs no scipy:
 the stepper does scipy's DOP853 arithmetic operation for operation, so flows
 are bitwise scipy's.  The cycle's relaxation, a seed that the shooting
@@ -28,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dop853 import DOP853
+from .dop853 import DOP853, dense_samples
 from .errors import ConfigError, IntegrationError, ModelError
 from .series import FourierSeries
 
@@ -84,9 +86,37 @@ def _seed_settings(settings: IntegratorSettings) -> IntegratorSettings:
     return replace(settings, rtol=SEED_RTOL, atol=settings.atol * factor)
 
 
-def _integrate(fun, t0, y0, t1, settings, t_eval=None, on_step=None):
+class DenseSamples:
+    """The samples of one integration at its sample times, from the steps
+    whose closed intervals hold them (:meth:`~slowphase.dop853.DOP853.keep`).
+    A call builds those steps' interpolants and evaluates every sample in one
+    batch (:func:`~slowphase.dop853.dense_samples`); samples at exactly the
+    initial time are the initial state.  The kept steps live as long as the
+    object."""
+
+    def __init__(self, fun, times, y0):
+        self.fun, self.times, self.y0 = fun, times, y0
+        self.steps = []
+        self.step_of = np.full(len(times), -1)  # index into steps; -1 at t0
+
+    def __call__(self) -> np.ndarray:
+        out = np.empty((len(self.times), self.y0.size))
+        inner = self.step_of >= 0
+        out[~inner] = self.y0
+        if self.steps:
+            out[inner] = dense_samples(self.fun, self.steps, self.step_of[inner],
+                                       self.times[inner])
+        return out
+
+
+def _integrate(fun, t0, y0, t1, settings, t_eval=None, on_step=None, deferred=False):
     """Drive DOP853 from t0 to t1; return (y_end, samples at t_eval).
 
+    A sample time is served at exactly ``t0`` or from the first step whose
+    closed interval holds it; any other time raises
+    :class:`IntegrationError`.  The steps that hold samples are kept and
+    sampled after the last step (:class:`DenseSamples`); with ``deferred``
+    the samples are returned unevaluated, as that callable.
     ``on_step(solver)`` runs after every accepted, finite step, with the
     :class:`~slowphase.dop853.DOP853` stepper (``.t``, ``.y``,
     ``.dense_output()``); a true return value ends the integration at that
@@ -100,32 +130,28 @@ def _integrate(fun, t0, y0, t1, settings, t_eval=None, on_step=None):
         )
     t0, t1 = float(t0), float(t1)
     y0 = np.asarray(y0, dtype=float)
-    if t1 == t0:
-        if t_eval is not None:
-            return y0.copy(), np.broadcast_to(y0, (len(t_eval), y0.size)).copy()
-        return y0.copy(), None
-
-    if not np.all(np.isfinite(y0)):
-        raise IntegrationError(f"non-finite initial state at t = {t0:.6g}", time=t0)
-    solver = DOP853(fun, t0, y0, t1, settings.rtol, settings.atol)
-    if not np.all(np.isfinite(solver.f)):
-        # the initial step is then NaN, and step() would never return
-        raise IntegrationError(f"non-finite field at t = {t0:.6g}", time=t0)
-    want = None
-    out = None
+    sampled = want = None
     if t_eval is not None:
         t_eval = np.asarray(t_eval, dtype=float)
+        sampled = DenseSamples(fun, t_eval, y0)
         order = np.argsort(t_eval if t1 > t0 else -t_eval, kind="stable")
         want = t_eval[order]
-        out = np.empty((len(t_eval), y0.size))
         cursor = 0
         # samples at the initial time need no interpolant
         while cursor < len(want) and want[cursor] == t0:
-            out[order[cursor]] = y0
             cursor += 1
 
+    solver = None
+    if t1 != t0:
+        if not np.all(np.isfinite(y0)):
+            raise IntegrationError(f"non-finite initial state at t = {t0:.6g}", time=t0)
+        solver = DOP853(fun, t0, y0, t1, settings.rtol, settings.atol)
+        if not np.all(np.isfinite(solver.f)):
+            # the initial step is then NaN, and step() would never return
+            raise IntegrationError(f"non-finite field at t = {t0:.6g}", time=t0)
+
     steps = 0
-    while not solver.finished:
+    while solver is not None and not solver.finished:
         if steps >= settings.max_steps:
             raise IntegrationError(
                 f"step budget {settings.max_steps} exhausted at t = {solver.t:.6g}",
@@ -143,27 +169,28 @@ def _integrate(fun, t0, y0, t1, settings, t_eval=None, on_step=None):
                 f"non-finite state at t = {solver.t:.6g}", time=solver.t
             )
         if want is not None and cursor < len(want):
-            dense = solver.dense_output()
-            lo, hi = sorted((dense.t_min, dense.t_max))
+            lo, hi = sorted((solver.t_old, solver.t))
             stop = cursor
             while stop < len(want) and lo <= want[stop] <= hi:
                 stop += 1
             if stop > cursor:
-                # one call for the whole batch: DOP853's dense output applies
-                # the same elementwise operations to an array as to a scalar
-                out[order[cursor:stop]] = dense(want[cursor:stop])
+                sampled.step_of[order[cursor:stop]] = len(sampled.steps)
+                sampled.steps.append(solver.keep())
                 cursor = stop
         if on_step is not None and on_step(solver):
             break
 
-    if want is not None and cursor < len(want):
-        # t_bound itself: the final state is exact
-        while cursor < len(want) and np.isclose(want[cursor], solver.t):
-            out[order[cursor]] = solver.y
-            cursor += 1
-        if cursor < len(want):
-            raise IntegrationError("sample times outside the integration span")
-    return solver.y, out
+    y_end = y0.copy() if solver is None else solver.y
+    if want is None:
+        return y_end, None
+    if cursor < len(want):
+        first = float(t_eval[order[cursor:].min()])  # in the caller's order
+        reached = t0 if solver is None else solver.t
+        raise IntegrationError(
+            f"sample time {first!r} lies outside the integrated span from "
+            f"t = {t0!r} to {reached!r}"
+        )
+    return y_end, (sampled if deferred else sampled())
 
 
 def _model_state(model, x0) -> np.ndarray:

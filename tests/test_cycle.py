@@ -795,3 +795,57 @@ def test_kept_pass_is_the_pass_of_the_stored_anchor(monkeypatch):
                                         DEFAULT_SETTINGS)
     for name in ("states", "flows", "ends", "end_state"):
         assert getattr(again, name).tobytes() == getattr(kept, name).tobytes(), name
+
+
+@pytest.mark.parametrize("name", ["oracle", "ei"])
+def test_only_the_kept_pass_builds_interpolants(monkeypatch, name):
+    """The passes keep the steps that hold grid times and build their
+    interpolants only when the samples are read: in a cold find_cycle only
+    the pass the cycle keeps builds any, one per kept step, and a Newton
+    step's applied pass builds none.  A fresh pass builds none until its
+    samples are read, and a second read builds nothing more."""
+    import slowphase.cycle as cycle_mod
+    from slowphase import dop853 as dop853_mod
+
+    rhs_of_pass, kept, built = [], [], []
+    variational_rhs, keep = cycle_mod._variational_rhs, dop853_mod.DOP853.keep
+    coefficients = dop853_mod._coefficients
+
+    def spy_rhs(model):
+        rhs_of_pass.append(variational_rhs(model))
+        return rhs_of_pass[-1]
+
+    def spy_keep(solver):
+        kept.append(solver.fun)
+        return keep(solver)
+
+    def spy_coefficients(fun, *args):
+        built.append(fun)
+        return coefficients(fun, *args)
+
+    monkeypatch.setattr(cycle_mod, "_variational_rhs", spy_rhs)
+    monkeypatch.setattr(dop853_mod.DOP853, "keep", spy_keep)
+    monkeypatch.setattr(dop853_mod, "_coefficients", spy_coefficients)
+    if name == "oracle":
+        model, guess, grid_size, relax_time = make_oracle_model(), [1.3, 0.0], 64, 20.0
+    else:
+        model, guess = models.make_ei_model(), DEFAULT_GUESSES["ei"]
+        grid_size, relax_time = 1024, 500.0
+    cycle = find_cycle(model, guess, grid_size=grid_size, relax_time=relax_time)
+
+    def counts(calls):
+        return [sum(fun is rhs for fun in calls) for rhs in rhs_of_pass]
+
+    assert len(rhs_of_pass) == len(cycle.search["newton_steps"]) >= 2
+    assert all(n > 0 for n in counts(kept))
+    assert counts(built) == [0] * (len(rhs_of_pass) - 1) + [counts(kept)[-1]]
+
+    kept.clear()
+    built.clear()
+    sweep = cycle_mod.variational_sweep(model, cycle.anchor, cycle.period, grid_size)
+    assert len(kept) == counts(kept)[-1] > 0 and built == []
+    flows = sweep.flows
+    assert built == kept
+    assert sweep.states is sweep.states and sweep.flows is flows and built == kept
+    for field_name in ("states", "flows"):
+        assert getattr(sweep, field_name).tobytes() == getattr(cycle.sweep, field_name).tobytes()

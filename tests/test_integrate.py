@@ -1,4 +1,5 @@
 import math
+import re
 import time
 from dataclasses import replace
 
@@ -154,9 +155,9 @@ def _spied_sweep(result, monkeypatch):
     chunks = []
     integrate = cycle_mod._integrate
 
-    def spy(fun, t0, y0, t1, settings, t_eval=None):
+    def spy(fun, t0, y0, t1, settings, t_eval=None, **kwargs):
         chunks.append((fun, t0, y0, t1, settings, t_eval))
-        return integrate(fun, t0, y0, t1, settings, t_eval=t_eval)
+        return integrate(fun, t0, y0, t1, settings, t_eval=t_eval, **kwargs)
 
     monkeypatch.setattr(cycle_mod, "_integrate", spy)
     cycle = result.cycle
@@ -199,13 +200,14 @@ def test_shifted_columns_equal_scipy_dop853(ei_run, direction, monkeypatch):
     lams, vecs = spectrum.exponents, spectrum.eigenvectors
     sweep, chunks = _spied_sweep(result, monkeypatch)
     d = model.dim
-    ends, flows = np.empty(sweep.ends.shape), np.empty(sweep.flows.shape)
+    ends = np.empty(sweep.ends.shape)
+    ref_samples = np.empty((len(sweep.chunk), d + 2 * d * d))
     for c, (fun, t0, y0, t1, settings, t_eval) in enumerate(chunks):
         ref, samples, _ = _scipy_integrate(fun, t0, y0, t1, settings, t_eval)
         assert ref.status == "finished"
         ends[c] = ref.y[d:].reshape(ends.shape[1:])
-        flows[sweep.chunk == c] = samples[:, d:].reshape((-1,) + flows.shape[1:])
-    ref_sweep = replace(sweep, flows=flows, ends=ends)
+        ref_samples[sweep.chunk == c] = samples
+    ref_sweep = replace(sweep, ends=ends, samples=ref_samples)
 
     for adjoint, exps, dual in ((False, lams, vecs), (True, -lams, np.linalg.inv(vecs).T)):
         group = [
@@ -415,22 +417,22 @@ def test_taylor_table_matches_two_sided_sum(
     assert np.max(np.abs(value - _two_sided_sum(series, t, period))) < 1e-13
 
 
+def _damped(t, y):
+    """A damped rotation, forced."""
+    return np.array([[-0.1, 1.0], [-1.0, -0.1]]) @ y + np.sin(t)
+
+
 @pytest.mark.parametrize("t0, t1", [(0.0, 5.0), (5.0, 0.0)])
 def test_integrate_samples_equal_scalar_dense_loop(t0, t1):
     """Batched dense-output sampling is bitwise the one-time-at-a-time loop."""
     settings = IntegratorSettings()
     y0 = np.array([1.4, -0.2])
     times = np.random.default_rng(1).permutation(np.linspace(0.0, 5.0, 101))
-    damped_rotation = np.array([[-0.1, 1.0], [-1.0, -0.1]])
-
-    def fun(t, y):
-        return damped_rotation @ y + np.sin(t)
-
-    _, samples = _integrate(fun, t0, y0, t1, settings, t_eval=times)
+    _, samples = _integrate(_damped, t0, y0, t1, settings, t_eval=times)
 
     expected = np.full((len(times), 2), np.nan)
     expected[times == t0] = y0
-    solver = DOP853(fun, t0, y0, t_bound=t1, rtol=settings.rtol, atol=settings.atol)
+    solver = DOP853(_damped, t0, y0, t_bound=t1, rtol=settings.rtol, atol=settings.atol)
     while solver.status == "running":
         solver.step()
         dense = solver.dense_output()
@@ -440,3 +442,73 @@ def test_integrate_samples_equal_scalar_dense_loop(t0, t1):
                 expected[i] = dense(t)
     assert not np.isnan(expected).any()
     assert samples.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("t0, t1, t_eval, named", [
+    (1.0, 1.0, [5.0, -3.0], "5.0"),
+    (0.0, 1.0, [0.5, 1.000009], "1.000009"),
+    (100.0, 0.0, [50.0, -5e-9], "-5e-09"),
+    (0.0, 1.0, [-0.5, 0.5], "-0.5"),
+], ids=["empty span", "past the end", "past the backward end", "before the start"])
+def test_samples_outside_the_span_raise(t0, t1, t_eval, named):
+    """A sample is served at exactly t0 or from a step whose closed interval
+    holds it; a time outside the span, however close to its end, raises and
+    is named, as is an empty span's time other than t0."""
+    with pytest.raises(IntegrationError, match=f"sample time {re.escape(named)} lies outside"):
+        _integrate(_damped, t0, np.array([1.4, -0.2]), t1, DEFAULT_SETTINGS, t_eval=t_eval)
+
+
+@pytest.mark.parametrize("t0, t1", [(0.0, 1.0), (1.0, 0.0), (1.0, 1.0)])
+def test_samples_at_the_ends_equal_scipy_dop853(t0, t1):
+    """Samples at exactly t0 are the initial state, and samples at exactly
+    t1 come from the last step's interpolant: both bitwise what the driver's
+    loop on scipy's DOP853 serves."""
+    y0 = np.array([1.4, -0.2])
+    t_eval = np.array([t1, t0, t1, t0])
+    end, samples = _integrate(_damped, t0, y0, t1, DEFAULT_SETTINGS, t_eval=t_eval)
+    if t1 == t0:
+        assert end.tobytes() == y0.tobytes()
+        assert samples.tobytes() == np.tile(y0, (4, 1)).tobytes()
+        return
+    _, ref_samples, _ = _scipy_integrate(_damped, t0, y0, t1, DEFAULT_SETTINGS, t_eval)
+    assert samples.tobytes() == ref_samples.tobytes()
+    assert samples[1].tobytes() == y0.tobytes()
+
+
+@st.composite
+def _sample_times(draw, horizon):
+    """Unsorted sample times on [0, horizon]: both ends, and fractions with
+    repeats."""
+    fractions = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=10))
+    repeats = draw(st.lists(st.integers(0, len(fractions) - 1), max_size=6))
+    times = [0.0, horizon] + [f * horizon for f in fractions + [fractions[i] for i in repeats]]
+    return np.array(draw(st.permutations(times)))
+
+
+@hyp_settings(max_examples=30, deadline=None)
+@given(
+    variational=st.booleans(),
+    kick=st.lists(st.floats(-0.2, 0.2), min_size=6, max_size=6),
+    horizon=st.floats(0.05, 3.0),
+    backward=st.booleans(),
+    data=st.data(),
+)
+def test_batched_samples_equal_scipy_dense_output(variational, kick, horizon, backward, data):
+    """Samples taken after the last step, all in one batch, are bitwise the
+    per-step dense output of scipy's DOP853, forward and backward, for
+    unsorted times with repeats and both ends: on the oracle's field and on
+    ei's variational right-hand side, the pass's system."""
+    if variational:
+        model = make_ei_model()
+        d = model.dim
+        fun = _variational_rhs(model)
+        y0 = np.concatenate([np.asarray(_START["ei"]) + kick, np.tile(np.eye(d).ravel(), 2)])
+    else:
+        fun = _field_rhs(make_oracle_model())
+        y0 = np.asarray(_START["oracle"]) + kick[:2]
+    t0, t1 = (horizon, 0.0) if backward else (0.0, horizon)
+    t_eval = data.draw(_sample_times(horizon))
+    _, samples = _integrate(fun, t0, y0, t1, DEFAULT_SETTINGS, t_eval=t_eval)
+    ref, ref_samples, _ = _scipy_integrate(fun, t0, y0, t1, DEFAULT_SETTINGS, t_eval)
+    assert ref.status == "finished"
+    assert samples.tobytes() == ref_samples.tobytes()
