@@ -6,7 +6,7 @@ order 9, both accuracy tolerances, and the complete validation suite.
 Expect about half a second of runtime (0.50-0.54 s on 2 cores at one
 OpenBLAS thread, of which 97-104 ms locate the cycle: the relaxation, then
 one variational pass per Newton step, two here, the last of which samples
-the orbit and gives the monodromy and the frames' seeds); the multiplier
+the orbit and gives the monodromy and the bundle frame's seeds); the multiplier
 table, per-order residuals, and accuracy-domain widths are printed at the
 end.
 

@@ -14,7 +14,7 @@ section, each step on one pass of the variational system,
 :func:`variational_sweep`.  The pass of the last step, measured but not
 applied, samples the orbit and gives the monodromy, whose eigenvectors are
 gauged at that canonical anchor, which fixes the sign of sigma, and the
-frames' seeds.
+bundle frame's seeds.
 """
 
 from __future__ import annotations
@@ -85,11 +85,11 @@ class VariationalSweep:
     from the anchor, chunk by chunk between ``edges`` (0 to the period): on
     each, Phi and Psi start at the identity and x at the previous chunk's end.
 
-    ``samples`` holds (x, Phi, Psi) at the grid times, raveled in rows of
-    d + 2 d^2.  :func:`variational_sweep` gives it as a callable over the
-    chunks' kept steps; the first read of ``states`` or ``flows`` evaluates
-    it, stores the array in its place and so frees the steps.  A pass that
-    is never read, as each applied Newton step's, builds no interpolant."""
+    ``samples`` holds (x, Phi) at the grid times, raveled in rows of d + d^2.
+    :func:`variational_sweep` gives it as a callable over the chunks' kept
+    steps; the first read of ``states`` or ``flows`` evaluates it, stores
+    the array in its place and so frees the steps.  A pass that is never
+    read, as each applied Newton step's, builds no interpolant."""
 
     edges: np.ndarray
     chunk: np.ndarray  # (N,): the chunk of each grid time
@@ -109,13 +109,12 @@ class VariationalSweep:
 
     @cached_property
     def flows(self) -> np.ndarray:
-        """(N, 2, d, d): (Phi, Psi) at the grid times from the chunk's start."""
-        return self._sampled()[:, len(self.end_state):].reshape(-1, *self.ends.shape[1:])
+        """(N, d, d): Phi at the grid times from the chunk's start."""
+        return self._sampled()[:, len(self.end_state):].reshape(-1, *self.ends.shape[2:])
 
-    def product(self, f: int = 0) -> np.ndarray:
-        """Phi's (``f`` = 0) or Psi's (1) chunk ends multiplied, last chunk
-        leftmost: the monodromy at the anchor, or the adjoint monodromy."""
-        return reduce(lambda m, end: end @ m, self.ends[:, f])
+    def product(self) -> np.ndarray:
+        """The monodromy at the anchor: Phi's chunk ends multiplied, last chunk leftmost."""
+        return reduce(lambda m, end: end @ m, self.ends[:, 0])
 
 
 @dataclass
@@ -328,11 +327,11 @@ def variational_sweep(model, anchor, period: float, grid_size: int,
                       settings: IntegratorSettings = DEFAULT_SETTINGS) -> VariationalSweep:
     """The :class:`VariationalSweep` from ``anchor``: one integration per
     chunk at ``settings``.  Each chunk keeps the steps that hold its grid
-    times, and the samples are taken from their dense output on first read
-    (which does not move the steps).  Chunks keep each factor's dynamic
-    range near one; over the period Phi carries 1/|mu_min|, which swamps
-    double precision.  A non-finite ``period`` raises
-    :class:`IntegrationError`."""
+    times, and the samples of x and Phi are taken from their dense output
+    on first read (which does not move the steps).  Chunks keep each
+    factor's dynamic range near one; over the period Phi carries
+    1/|mu_min|, which swamps double precision.  A non-finite ``period``
+    raises :class:`IntegrationError`."""
     if not math.isfinite(period):
         raise IntegrationError(f"variational sweep: period must be finite, got {period}")
     d, rhs = model.dim, _variational_rhs(model)
@@ -349,9 +348,9 @@ def variational_sweep(model, anchor, period: float, grid_size: int,
         x, ends[c] = y[:d], y[d:]
 
     def samples():
-        out = np.empty((grid_size, d + 2 * d * d))
+        out = np.empty((grid_size, d + d * d))
         for c, sampled in enumerate(pending):
-            out[chunk == c] = sampled()
+            out[chunk == c] = sampled(d + d * d)
         return out
 
     return VariationalSweep(edges, chunk, ends.reshape(-1, 2, d, d), x, samples)

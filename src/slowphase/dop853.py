@@ -189,18 +189,19 @@ def _coefficients(fun, K, t_old, h, y_old, y):
     return F
 
 
-def dense_samples(fun, steps, which, t):
+def dense_samples(fun, steps, which, t, size=None):
     """The states at times ``t`` from the kept ``steps`` (each one
     :meth:`DOP853.keep`), ``t[i]`` in the closed interval of step
     ``which[i]``: each step's interpolant is built once, then every sample
-    is evaluated in one Horner sweep, bitwise :class:`DenseOutput`'s."""
+    is evaluated in one Horner sweep, bitwise :class:`DenseOutput`'s, for
+    the first ``size`` components alone if given (stages stay full width)."""
     F = np.empty((7, len(steps), steps[0][0].shape[1]))
     for s, (K, t_old, h, y_old, y) in enumerate(steps):
         F[:, s] = _coefficients(fun, K, t_old, h, y_old, y)
     t_old = np.array([step[1] for step in steps])[which]
     h = np.array([step[2] for step in steps])[which]
-    y_old = np.stack([step[3] for step in steps])[which]
-    return _horner(F[:, which], ((t - t_old) / h)[:, None], y_old)
+    y_old = np.stack([step[3][:size] for step in steps])[which]
+    return _horner(F[:, which, :size], ((t - t_old) / h)[:, None], y_old)
 
 
 class DenseOutput:

@@ -2,16 +2,16 @@
 
 The complex bundle frame has columns [K0', C_1, ..., C_{d-1}] where C_j
 solves the order-1 variational equation (1/T) C' + lam_j C = DX(K0) C as a
-1-periodic function.  Nothing is integrated here: column seeds come from
-the transition matrices Phi and Psi (of -DX^T) that the cycle stage's pass,
+1-periodic function.  Nothing is integrated here: a bundle seed is
+e^{-lam_j (t - t_c)} Phi(t; t_c) C_j(t_c) on chunk c, from the transition
+matrices that the cycle stage's pass,
 :func:`~slowphase.cycle.variational_sweep`, gives on each chunk of the
-period.  A seed is e^{-lam_j (t - t_c)} F(t; t_c) C_j(t_c) on chunk c, F =
-Phi for the bundle and Psi for the adjoint frame, with C_j(t_c)
-carried forward or backward across the period -- the direction is chosen so
-that contamination by other Floquet directions is not amplified.  C_j
-starts as the monodromy's eigenvector for the bundle, and for the adjoint
-frame as column j of the dual basis inv(B_0)^T of the polished bundle B_0
-at theta = 0, so no formed monodromy is eigen-decomposed here.  The seeds
+period, with C_j(t_c) carried from the monodromy's eigenvector forward or
+backward across the period -- the direction is chosen so that contamination
+by other Floquet directions is not amplified.  The adjoint frame is seeded
+with the pointwise dual inv(B(theta))^T of the polished bundle B, the dual
+frame by construction (Perez-Cervera, Seara & Huguet, *Chaos* 30, 083117,
+2020), so no formed monodromy is eigen-decomposed here.  The seeds
 are polished by a Newton iteration carried out entirely in Fourier space,
 which also refines the exponents.  The polish is what reaches spectral
 accuracy: a single-shot integration of strongly contracting directions
@@ -30,11 +30,10 @@ frame ODE residual has one definition, ``_frame_residual``.
 All of this is written once, for a frame of an operator A with exponents mu:
 the bundle frame is the frame of A = DX with mu = lam, and the adjoint
 (response-curve) frame is the frame of A = -DX^T with mu = -lam, the dual of
-the bundle frame.  Both are seeded from the pass and polished once on the
-polished orbit; the adjoint columns are then scaled to pair with the bundle
-columns at grid mean 1.  The cross-check polishes and eigen-decomposes
-nothing: it compares the adjoint frame with the pointwise inverse transpose of
-the bundle frame, which is the dual frame by construction, and the two frames'
+the bundle frame.  Each is polished once on the polished orbit; the adjoint
+columns are then scaled to pair with the bundle columns at grid mean 1.  The
+cross-check polishes and eigen-decomposes nothing: it compares the adjoint
+frame with its seed, the bundle's pointwise dual, and the two frames'
 refined exponents, and checks Psi^T Phi = Id on the pass's chunks.
 ``solve_in_frame`` is the one homological solve in frame coordinates, for the
 manifold orders (DX) and the response orders (-DX^T) alike.
@@ -142,15 +141,13 @@ def _integration_route(lam: complex, exponents: np.ndarray, period: float) -> st
     return "forward" if amp_fwd <= amp_bwd else "backward"
 
 
-def _seed_columns(sweep: VariationalSweep, seeds, lams, adjoint=False):
-    """Seed columns from the sweep: column j at grid time t of chunk c is
-    e^{-lam_j (t - t_c)} F(t; t_c) C_j(t_c), F = Phi for the bundle (DX) and
-    Psi for the ``adjoint`` frame (-DX^T).  ``seeds`` maps j -> C_j at t = 0
-    on the forward route of :func:`_integration_route`, carried across chunk
-    c by e^{-lam_j h} F_c, or at t = T on the backward route, carried back by
-    e^{lam_j h} F_c^{-1} (the other factor's transpose, as Psi_c^T Phi_c = Id).
-    Returns the (N, d, d) columns, zero outside ``seeds``, and j -> route."""
-    f = int(adjoint)  # index of F in the sweep's (Phi, Psi)
+def _seed_columns(sweep: VariationalSweep, seeds, lams):
+    """Bundle seed columns from the sweep: column j at grid time t of chunk c
+    is e^{-lam_j (t - t_c)} Phi(t; t_c) C_j(t_c).  ``seeds`` maps j -> C_j at
+    t = 0 on the forward route of :func:`_integration_route`, carried across
+    chunk c by e^{-lam_j h} Phi_c, or at t = T on the backward route, carried
+    back by e^{lam_j h} Phi_c^{-1} = e^{lam_j h} Psi_c^T.  Returns the
+    (N, d, d) columns, zero outside ``seeds``, and j -> route."""
     steps, period = np.diff(sweep.edges), sweep.edges[-1]
     edge = np.zeros((len(sweep.edges),) + sweep.ends.shape[2:], dtype=complex)
     routes = {}
@@ -159,16 +156,16 @@ def _seed_columns(sweep: VariationalSweep, seeds, lams, adjoint=False):
         if routes[j] == "forward":
             edge[0, :, j] = w
             for c, h in enumerate(steps):
-                edge[c + 1, :, j] = np.exp(-lams[j] * h) * (sweep.ends[c, f] @ edge[c, :, j])
+                edge[c + 1, :, j] = np.exp(-lams[j] * h) * (sweep.ends[c, 0] @ edge[c, :, j])
         else:
             edge[-1, :, j] = w
             for c in reversed(range(len(steps))):
                 edge[c, :, j] = np.exp(lams[j] * steps[c]) * (
-                    sweep.ends[c, 1 - f].T @ edge[c + 1, :, j]
+                    sweep.ends[c, 1].T @ edge[c + 1, :, j]
                 )
     times = theta_grid(len(sweep.chunk)) * period
     shift = np.exp(-np.multiply.outer(times - sweep.edges[sweep.chunk], lams))
-    cols = np.einsum("nab,nbj->naj", sweep.flows[:, f], edge[sweep.chunk])
+    cols = np.einsum("nab,nbj->naj", sweep.flows, edge[sweep.chunk])
     return cols * shift[:, None, :], routes
 
 
@@ -426,32 +423,35 @@ def build_bundle_frame(
     return BundleBuildResult(frame, polished, diagnostics)
 
 
-def build_adjoint_frame(model, cycle: CycleResult, bundle: Frame,
-                        sweep: VariationalSweep, k_cut: int) -> Frame:
+def _dual_frame(bundle: Frame) -> np.ndarray:
+    """inv(B(theta))^T on the grid, (N, d, d): the pointwise dual of ``bundle``.
+    A FrameError names the first phase where the bundle is singular."""
+    transposed = np.swapaxes(bundle.grid_values(), 1, 2)
+    try:
+        return np.linalg.inv(transposed)
+    except np.linalg.LinAlgError as exc:
+        node = int(np.argmax(np.linalg.det(transposed) == 0))  # inv's zero pivot
+        raise FrameError(f"bundle frame singular at theta = {node / len(transposed):g}: "
+                         f"{exc}") from exc
+
+
+def build_adjoint_frame(model, cycle: CycleResult, bundle: Frame, k_cut: int) -> Frame:
     """Build the complex adjoint (response-curve) frame, the dual of ``bundle``.
 
-    Built as the bundle frame is: column j is seeded from column j of
-    inv(B_0)^T, the dual basis of the polished bundle B_0 at theta = 0 (the
-    adjoint monodromy's eigenvectors are the dual basis of the monodromy's),
-    carried by the chunk factors Psi of ``sweep``, and polished as a frame
-    of -DX^T with exponents -lam on the polished orbit ``cycle``, in the
-    bundle's band ``k_cut``.  A bundle singular at theta = 0 raises
-    :class:`~slowphase.errors.FrameError`.  Each column is then rescaled so
-    that its pairing with the bundle column has grid mean 1: column 0 is the
-    phase response curve (its pairing with K0' is 1), columns j >= 1 the
-    amplitude response curves.
-    The frame keeps its own refined exponents, stated as lam (the negated
-    exponents of -DX^T).
+    Every column is seeded at every grid node with the bundle's pointwise
+    dual (:func:`_dual_frame`) and polished as a frame of -DX^T with
+    exponents -lam on the polished orbit ``cycle``, in the bundle's band
+    ``k_cut``; the polish removes the dual's high-k noise, which the frame's
+    derivative would amplify.  Each column is then rescaled so that its
+    pairing with the bundle column has grid mean 1: column 0 is the phase
+    response curve (its pairing with K0' is 1), columns j >= 1 the amplitude
+    response curves.  The frame keeps its own refined exponents, stated as
+    lam (the negated exponents of -DX^T).
     """
     d, theta, period = model.dim, cycle.theta, cycle.period
     mus, classes = -bundle.exponents, bundle.classes
     bundle_vals = bundle.grid_values()
-    try:
-        dual = np.linalg.inv(bundle_vals[0]).T
-    except np.linalg.LinAlgError as exc:
-        raise FrameError(f"bundle frame singular at theta = 0: {exc}") from exc
-    seeds = {j: dual[:, j] for j in range(d) if classes[j] != CLASS_PAIR_CONJ}
-    cols, _ = _seed_columns(sweep, seeds, mus, adjoint=True)
+    cols = _dual_frame(bundle)
     _symmetrize_columns(cols, mus, classes, theta, period)
     op_grid = np.swapaxes(-model.jacobian(cycle.samples), 1, 2)
     # 1e-15 lies below the roundoff floor (the oracle plateaus at 3-5e-15);
@@ -517,11 +517,11 @@ def cross_check_adjoint_frame(
     """Check the adjoint frame against the bundle frame and the adjoint flow.
 
     Nothing is integrated, polished or eigen-decomposed: Psi comes from
-    ``sweep``, the pass both frames were seeded from.  The report contains
+    ``sweep``, the pass the bundle was seeded from.  The report contains
     the fundamental-solution duality Psi^T Phi = Id on every chunk, the
     duality of the adjoint frame's refined exponents with the bundle's, and
-    the per-column discrepancy of the adjoint frame from the pointwise
-    inverse transpose of the bundle, which is the dual frame by construction.
+    the per-column discrepancy of the adjoint frame from its seed, the
+    bundle's pointwise dual: how far the adjoint polish moved.
     """
     d = model.dim
 
@@ -531,10 +531,7 @@ def cross_check_adjoint_frame(
     identity_defect = float(np.max(np.abs(
         np.swapaxes(sweep.ends[:, 1], 1, 2) @ sweep.ends[:, 0] - np.eye(d))))
 
-    try:
-        inv_t = np.linalg.inv(np.swapaxes(bundle.grid_values(), 1, 2))
-    except np.linalg.LinAlgError as exc:
-        raise FrameError(f"bundle frame singular on the grid: {exc}") from exc
+    inv_t = _dual_frame(bundle)
     gap = np.max(np.abs(adjoint.grid_values() - inv_t), axis=(0, 1))
     discrepancies = gap / np.maximum(1.0, np.max(np.abs(inv_t), axis=(0, 1)))
 

@@ -91,21 +91,21 @@ class DenseSamples:
     whose closed intervals hold them (:meth:`~slowphase.dop853.DOP853.keep`).
     A call builds those steps' interpolants and evaluates every sample in one
     batch (:func:`~slowphase.dop853.dense_samples`); samples at exactly the
-    initial time are the initial state.  The kept steps live as long as the
-    object."""
+    initial time are the initial state.  A ``size`` samples only the first
+    ``size`` components.  The kept steps live as long as the object."""
 
     def __init__(self, fun, times, y0):
         self.fun, self.times, self.y0 = fun, times, y0
         self.steps = []
         self.step_of = np.full(len(times), -1)  # index into steps; -1 at t0
 
-    def __call__(self) -> np.ndarray:
-        out = np.empty((len(self.times), self.y0.size))
+    def __call__(self, size=None) -> np.ndarray:
+        out = np.empty((len(self.times), self.y0[:size].size))
         inner = self.step_of >= 0
-        out[~inner] = self.y0
+        out[~inner] = self.y0[:size]
         if self.steps:
             out[inner] = dense_samples(self.fun, self.steps, self.step_of[inner],
-                                       self.times[inner])
+                                       self.times[inner], size)
         return out
 
 

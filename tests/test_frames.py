@@ -250,8 +250,7 @@ def test_oracle_adjoint_polish_stops_at_roundoff(floquet_runs, monkeypatch):
         return history
 
     monkeypatch.setattr(frames_mod, "_refine_frame", counting)
-    build_adjoint_frame(model, build.cycle, build.bundle, sweep,
-                        build.diagnostics["band_cut"])
+    build_adjoint_frame(model, build.cycle, build.bundle, build.diagnostics["band_cut"])
     assert len(sweeps) == 1 and sweeps[0] <= 3, sweeps
 
 
@@ -262,10 +261,11 @@ def _sine_of_angle(a, b):
     return float(np.linalg.norm(b - a * np.vdot(a, b)))
 
 
-def test_adjoint_seeds_at_theta_0_are_the_polished_columns(floquet_runs, monkeypatch):
-    """The adjoint frame's seeds start from the dual basis of the polished
-    bundle at theta = 0: on ei at grid 2^10 every seed column there lies
-    within 1e-9 in angle of the polished adjoint column."""
+def test_adjoint_seeds_are_the_bundle_dual_at_every_node(floquet_runs, monkeypatch):
+    """The adjoint frame's seeds are the polished bundle's pointwise dual,
+    bitwise (after the reality symmetrization of its classes): on ei at grid
+    2^10 every seed column lies within 1e-9 in angle of the polished adjoint
+    column at every grid node."""
     partial = floquet_runs["ei"]
     model, sweep = partial.model, partial.cycle.sweep
     build = build_bundle_frame(model, partial.cycle, partial.spectrum, sweep)
@@ -279,27 +279,33 @@ def test_adjoint_seeds_at_theta_0_are_the_polished_columns(floquet_runs, monkeyp
         return history
 
     monkeypatch.setattr(frames_mod, "_refine_frame", spy)
-    build_adjoint_frame(model, build.cycle, build.bundle, sweep,
-                        build.diagnostics["band_cut"])
+    build_adjoint_frame(model, build.cycle, build.bundle, build.diagnostics["band_cut"])
     ((seeds, polished),) = pairs
-    angles = [_sine_of_angle(polished[0, :, j], seeds[0, :, j])
-              for j in range(model.dim)]
-    assert max(angles) < 1e-9, angles
+    dual, mus = frames_mod._dual_frame(build.bundle), -build.bundle.exponents
+    frames_mod._symmetrize_columns(dual, mus, build.bundle.classes, build.cycle.theta,
+                                   build.cycle.period)
+    assert seeds.tobytes() == dual.tobytes()
+    angle = max(_sine_of_angle(polished[n, :, j], seeds[n, :, j])
+                for n in range(len(seeds)) for j in range(model.dim))
+    assert angle < 1e-9, angle
 
 
 def test_adjoint_frame_refuses_a_bundle_singular_at_theta_0(floquet_runs):
-    """A bundle whose slow column vanishes at node 0 has no dual basis
-    there: a FrameError naming theta = 0, not a raw LinAlgError."""
+    """A bundle whose slow column vanishes at node 0, or at node N/2, has no
+    dual basis there: a FrameError naming that phase, not a raw
+    LinAlgError."""
     partial = floquet_runs["oracle"]
     model, sweep = partial.model, partial.cycle.sweep
     build = build_bundle_frame(model, partial.cycle, partial.spectrum, sweep)
-    vals = build.bundle.grid_values().copy()
-    vals[0, :, 1] = 0.0
-    singular = replace(build.bundle)
-    singular._grid_values = vals  # the cached grid values the build reads
-    with pytest.raises(FrameError, match="theta = 0"):
-        build_adjoint_frame(model, build.cycle, singular, sweep,
-                            build.diagnostics["band_cut"])
+    n = build.cycle.grid_size
+    for node, phase in ((0, "0"), (n // 2, "0.5")):
+        vals = build.bundle.grid_values().copy()
+        vals[node, :, 1] = 0.0
+        singular = replace(build.bundle)
+        singular._grid_values = vals  # the cached grid values the build reads
+        with pytest.raises(FrameError, match=f"singular at theta = {phase}: "):
+            build_adjoint_frame(model, build.cycle, singular,
+                                build.diagnostics["band_cut"])
 
 
 def test_refine_frame_stops_at_tolerance_or_first_sweep_not_halving(ei_run):
@@ -453,17 +459,17 @@ def floquet_runs(tmp_path_factory):
     }
 
 
-def _shifted_seed(model, cycle, w, lam, adjoint, route):
-    """Test-local seed: dC/dt = (A - lam) C from ``w`` over one period on
-    ``route``, A = DX or -DX^T along ``cycle``, at the default settings,
-    sampled at the grid times."""
+def _shifted_seed(model, cycle, w, lam, route):
+    """Test-local seed: dC/dt = (DX - lam) C from ``w`` over one period on
+    ``route``, along ``cycle``, at the default settings, sampled at the grid
+    times."""
     d, period = model.dim, cycle.period
     interp, jacobian = CycleInterpolant(cycle.series, period), model.point_jacobian()
 
     def rhs(t, y):
         a = jacobian(interp(t))
         c = y[:d] + 1j * y[d:]
-        dc = (-a.T if adjoint else a) @ c - lam * c
+        dc = a @ c - lam * c
         return np.concatenate([dc.real, dc.imag])
 
     t0, t1 = (0.0, period) if route == "forward" else (period, 0.0)
@@ -474,27 +480,22 @@ def _shifted_seed(model, cycle, w, lam, adjoint, route):
 
 @pytest.mark.parametrize("name", ["ei", "oracle"])
 def test_sweep_seeds_match_shifted_integrations(floquet_runs, name):
-    """Each seed column that the cycle stage's pass gives, bundle (DX, lam,
-    the monodromy's eigenvectors) and adjoint (-DX^T, -lam, the dual
-    eigenvectors), lies within 1e-9 of its peak of the exponent-shifted
-    integration of its seed over the whole period on its route, along the
-    interpolated cycle; both routes occur."""
+    """Each bundle seed column that the cycle stage's pass gives (DX, lam,
+    the monodromy's eigenvectors) lies within 1e-9 of its peak of the
+    exponent-shifted integration of its seed over the whole period on its
+    route, along the interpolated cycle.  Both routes occur on ei (forward
+    by Phi, backward by Psi^T); the oracle's one column goes backward."""
     partial = floquet_runs[name]
     model, cycle, spectrum = partial.model, partial.cycle, partial.spectrum
-    sweep = cycle.sweep
-    vecs = spectrum.eigenvectors
-    seen = set()
-    for adjoint, lams, dual in ((False, spectrum.exponents, vecs),
-                                (True, -spectrum.exponents, np.linalg.inv(vecs).T)):
-        seeds = {j: dual[:, j] for j in range(1, model.dim)
-                 if spectrum.classes[j] != CLASS_PAIR_CONJ}
-        cols, routes = _seed_columns(sweep, seeds, lams, adjoint=adjoint)
-        for j, route in routes.items():
-            expected = _shifted_seed(model, cycle, seeds[j], lams[j], adjoint, route)
-            gap = _peak_relative(cols[:, :, j], expected)
-            assert gap < 1e-9, (adjoint, j, route, gap)
-            seen.add(route)
-    assert seen == {"forward", "backward"}
+    lams = spectrum.exponents
+    seeds = {j: spectrum.eigenvectors[:, j] for j in range(1, model.dim)
+             if spectrum.classes[j] != CLASS_PAIR_CONJ}
+    cols, routes = _seed_columns(cycle.sweep, seeds, lams)
+    for j, route in routes.items():
+        expected = _shifted_seed(model, cycle, seeds[j], lams[j], route)
+        gap = _peak_relative(cols[:, :, j], expected)
+        assert gap < 1e-9, (j, route, gap)
+    assert set(routes.values()) == ({"forward", "backward"} if name == "ei" else {"backward"})
 
 
 def _peak_relative(a, b):
@@ -504,10 +505,11 @@ def _peak_relative(a, b):
 @pytest.mark.parametrize("name", ["ei", "oracle"])
 def test_seeds_at_floor_give_the_frames_of_seeds_at_user_settings(
         floquet_runs, name, tmp_path, monkeypatch):
-    """The polish owns the frames' accuracy: seed columns carrying a smooth
-    relative error of 1e-9, the size of the error of seeds integrated at the
-    seed floor, give the frames and expansions of the sweep's seeds at user
-    settings."""
+    """The polish owns the frames' accuracy: bundle seed columns carrying a
+    smooth relative error of 1e-9, the size of the error of seeds integrated
+    at the seed floor, give the frames and expansions of the sweep's seeds
+    at user settings.  The adjoint frame, seeded with the polished bundle's
+    dual, sees the noise only through the bundle."""
     partial = floquet_runs[name]
     config = _CONFIGS[name]
     exact = run_pipeline(replace(config, out_dir=str(tmp_path / "exact")),
@@ -515,18 +517,18 @@ def test_seeds_at_floor_give_the_frames_of_seeds_at_user_settings(
     seed_columns = frames_mod._seed_columns
     perturbed = []
 
-    def noisy_seed_columns(*args, adjoint=False):
-        cols, routes = seed_columns(*args, adjoint=adjoint)
+    def noisy_seed_columns(*args):
+        cols, routes = seed_columns(*args)
         n, d, _ = cols.shape
         phase = np.arange(d * d).reshape(d, d)
         wave = np.cos(2 * np.pi * theta_grid(n)[:, None, None] + phase)
-        perturbed.append(adjoint)
+        perturbed.append(routes)
         return cols * (1.0 + 1e-9 * wave), routes
 
     monkeypatch.setattr(frames_mod, "_seed_columns", noisy_seed_columns)
     noisy = run_pipeline(replace(config, out_dir=str(tmp_path / "noisy")),
                          through=Stage.RESPONSE, resume=replace(partial))
-    assert perturbed == [False, True]  # the bundle's seeds, then the adjoint's
+    assert len(perturbed) == 1  # the bundle's seeds alone
     assert exact.bundle.grid_values().tobytes() != noisy.bundle.grid_values().tobytes()
 
     assert _peak_relative(noisy.bundle.grid_values(), exact.bundle.grid_values()) < 1e-13
@@ -621,8 +623,8 @@ _negative = st.one_of(
     st.one_of(st.sampled_from([0.5, 1.0, 8.0]), st.floats(0.1, 100.0)),
 )
 def test_route_of_negated_spectrum_is_the_adjoint_rule(parts, period):
-    """The adjoint frame's columns take the route of the direct rule on the
-    negated spectrum: forward iff (Re lam_j - min Re lam) T <= -Re lam_j T."""
+    """The route rule on the negated spectrum, the exponents of -DX^T:
+    forward iff (Re lam_j - min Re lam) T <= -Re lam_j T."""
     lam = np.array([0.0] + [complex(re, im) for re, im in parts])
     re_min = float(np.min(lam.real))
     for lam_j in lam:

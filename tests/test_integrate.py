@@ -2,6 +2,7 @@ import math
 import re
 import time
 from dataclasses import replace
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -169,8 +170,8 @@ def _spied_sweep(result, monkeypatch):
 def test_sweep_chunks_equal_unsampled_chunks_and_scipy_dop853(ei_run, monkeypatch):
     """Each chunk of the variational sweep on ei, which integrates x with Phi
     and Psi, ends bitwise where the same chunk ends without sample times,
-    and both its end state and its samples are bitwise scipy's DOP853; each
-    chunk starts x at the previous chunk's end."""
+    and both its end state and its samples of x and Phi are bitwise scipy's
+    DOP853; each chunk starts x at the previous chunk's end."""
     result = ei_run.result
     sweep, chunks = _spied_sweep(result, monkeypatch)
     d = result.model.dim
@@ -185,42 +186,42 @@ def test_sweep_chunks_equal_unsampled_chunks_and_scipy_dop853(ei_run, monkeypatc
         assert end.tobytes() == ref.y.tobytes(), c
         inside = sweep.chunk == c
         assert sweep.states[inside].tobytes() == samples[:, :d].tobytes(), c
-        assert sweep.flows[inside].tobytes() == samples[:, d:].tobytes(), c
+        assert sweep.flows[inside].tobytes() == samples[:, d:d + d * d].tobytes(), c
         x = end[:d]
     assert sweep.end_state.tobytes() == x.tobytes()
 
 
 @pytest.mark.parametrize("direction", ["forward", "backward"])
 def test_shifted_columns_equal_scipy_dop853(ei_run, direction, monkeypatch):
-    """The frames' exponent-shifted seed columns on ei, bundle and adjoint,
-    for the exponents on one route, are bitwise the columns assembled from
-    scipy's DOP853 run over each chunk of the variational sweep."""
+    """The bundle's exponent-shifted seed columns on ei for the exponents on
+    one route (forward by Phi, backward by Psi^T) are bitwise the columns
+    assembled from scipy's DOP853 run over each chunk of the variational
+    sweep."""
     result = ei_run.result
     model, spectrum = result.model, result.spectrum
     lams, vecs = spectrum.exponents, spectrum.eigenvectors
     sweep, chunks = _spied_sweep(result, monkeypatch)
     d = model.dim
     ends = np.empty(sweep.ends.shape)
-    ref_samples = np.empty((len(sweep.chunk), d + 2 * d * d))
+    ref_samples = np.empty((len(sweep.chunk), d + d * d))
     for c, (fun, t0, y0, t1, settings, t_eval) in enumerate(chunks):
         ref, samples, _ = _scipy_integrate(fun, t0, y0, t1, settings, t_eval)
         assert ref.status == "finished"
         ends[c] = ref.y[d:].reshape(ends.shape[1:])
-        ref_samples[sweep.chunk == c] = samples
+        ref_samples[sweep.chunk == c] = samples[:, :d + d * d]
     ref_sweep = replace(sweep, ends=ends, samples=ref_samples)
 
-    for adjoint, exps, dual in ((False, lams, vecs), (True, -lams, np.linalg.inv(vecs).T)):
-        group = [
-            j for j in range(1, model.dim)
-            if spectrum.classes[j] != CLASS_PAIR_CONJ
-            and frames_mod._integration_route(exps[j], exps, result.cycle.period) == direction
-        ]
-        assert group, adjoint
-        seeds = {j: dual[:, j] for j in group}
-        cols, routes = frames_mod._seed_columns(sweep, seeds, exps, adjoint=adjoint)
-        expected, _ = frames_mod._seed_columns(ref_sweep, seeds, exps, adjoint=adjoint)
-        assert set(routes.values()) == {direction}
-        assert cols[:, :, group].tobytes() == expected[:, :, group].tobytes(), adjoint
+    group = [
+        j for j in range(1, model.dim)
+        if spectrum.classes[j] != CLASS_PAIR_CONJ
+        and frames_mod._integration_route(lams[j], lams, result.cycle.period) == direction
+    ]
+    assert group
+    seeds = {j: vecs[:, j] for j in group}
+    cols, routes = frames_mod._seed_columns(sweep, seeds, lams)
+    expected, _ = frames_mod._seed_columns(ref_sweep, seeds, lams)
+    assert set(routes.values()) == {direction}
+    assert cols[:, :, group].tobytes() == expected[:, :, group].tobytes()
 
 
 @pytest.mark.parametrize("horizon", [np.inf, -np.inf, np.nan])
@@ -288,21 +289,26 @@ def test_flow_backward_inverts_forward():
     assert np.linalg.norm(back - x0) < 1e-9
 
 
+def _psi_product(sweep):
+    # Psi's chunk ends multiplied, last chunk leftmost: the adjoint monodromy
+    return reduce(lambda m, end: end @ m, sweep.ends[:, 1])
+
+
 def test_variational_identity_at_time_zero():
     sweep = variational_sweep(make_oracle_model(), np.array([1.0, 0.0]), 0.0, 8)
     assert np.array_equal(sweep.end_state, [1.0, 0.0])
-    for f in (0, 1):
-        assert np.array_equal(sweep.product(f), np.eye(2))
+    for product in (sweep.product(), _psi_product(sweep)):
+        assert np.array_equal(product, np.eye(2))
 
 
 def test_variational_monodromy_eigenvalues():
     """Over one period of the oracle's unit circle, the pass's Phi product
     has multipliers 1 and e^{-4 pi}, and its Psi product their inverses."""
     sweep = variational_sweep(make_oracle_model(), np.array([1.0, 0.0]), 2.0 * np.pi, 8)
-    for f, rate in ((0, -4.0), (1, 4.0)):
-        eigs = np.sort(np.abs(np.linalg.eigvals(sweep.product(f))))
+    for product, rate in ((sweep.product(), -4.0), (_psi_product(sweep), 4.0)):
+        eigs = np.sort(np.abs(np.linalg.eigvals(product)))
         expected = np.sort([1.0, np.exp(rate * np.pi)])
-        assert np.max(np.abs(eigs - expected) / expected) < 1e-8, f
+        assert np.max(np.abs(eigs - expected) / expected) < 1e-8, rate
 
 
 def test_blowup_reports_failure_time():
