@@ -8,13 +8,17 @@ OpenBLAS thread, of which 97-104 ms locate the cycle: the relaxation, then
 one variational pass per Newton step, two here, the last of which samples
 the orbit and gives the monodromy and the bundle frame's seeds); the multiplier
 table, per-order residuals, and accuracy-domain widths are printed at the
-end.
+end.  The table is exp(lam T) of the polished Floquet frame's exponents lam
+and period T, which ``frames.json`` stores; ``manifest.json`` records the
+run's provenance and copies no number.
 
 Usage: python3 scripts/run_ei.py [out_dir]
 """
 
 import sys
 import time
+
+import numpy as np
 
 from slowphase.config import RunConfig
 from slowphase.pipeline import run_pipeline
@@ -34,12 +38,13 @@ def main():
     elapsed = time.time() - t0
 
     print(f"period T = {result.cycle.period:.10g}")
+    exponents, period = result.bundle.exponents, result.cycle.period
     print("multipliers (from the polished Floquet frame):")
-    for j, (mu_re, mu_im) in enumerate(result.manifest["multipliers"]):
-        print(f"  mu_{j} = {complex(mu_re, mu_im):.6g}")
+    for j, lam in enumerate(exponents):
+        print(f"  mu_{j} = {complex(np.exp(lam * period)):.6g}")
     print("exponents:")
-    for j, (lam_re, lam_im) in enumerate(result.manifest["exponents"]):
-        print(f"  lam_{j} = {complex(lam_re, lam_im):.6g}")
+    for j, lam in enumerate(exponents):
+        print(f"  lam_{j} = {complex(lam):.6g}")
     print(f"manifold residual max = {result.manifold.residuals.max():.3e}")
     print(f"response solvability  = {result.response.solvability_residual:.3e}")
     print(f"validation: {result.validation.summary()}")

@@ -343,7 +343,7 @@ def variational_sweep(model, anchor, period: float, grid_size: int,
     x = _model_state(model, anchor)
     for c in range(IDENTITY_CHUNKS):
         y, sampled = _integrate(rhs, edges[c], np.concatenate([x, identity]), edges[c + 1],
-                                settings, t_eval=times[chunk == c], deferred=True)
+                                settings, t_eval=times[chunk == c])
         pending.append(sampled)
         x, ends[c] = y[:d], y[d:]
 

@@ -11,7 +11,8 @@ Three formats:
   ``manifold_order_NN_coeff.csv``, ``response_{phase,amplitude}_order_NN_coeff.csv``),
   one row per stored wavenumber: k = 0..N/2 for the real cycle, manifold and
   response series, k = -N/2..N/2-1 for the complex frames.
-* ``json`` -- the manifest and the spectrum.
+* ``json`` -- byte copies of the manifest, then of every JSON file of its
+  inventory in sorted order: the stage metadata, which holds the numbers.
 * ``plotdata`` -- long-format tables ``theta,sigma,component,value``
   covering the accuracy domain at the loosest tolerance: the manifold
   surface and the response functions evaluated on it.
@@ -29,7 +30,7 @@ from .frames import build_real_frames
 from .manifold import evaluate_manifold
 from .pipeline import PipelineResult, cycle_sweep
 from .series import FourierTaylor
-from .store import write_function_csv, write_rows_csv, write_series_csv
+from .store import read_json, write_function_csv, write_rows_csv, write_series_csv
 from .validation import accuracy_domain
 
 __all__ = ["export_artifacts"]
@@ -118,12 +119,14 @@ def export_artifacts(
     files = []
 
     if fmt == "json":
-        for name in ("manifest.json", "spectrum.json"):
-            src, dst = os.path.join(result.config.out_dir, name), os.path.join(out, name)
-            if os.path.exists(src):
-                if os.path.abspath(src) != os.path.abspath(dst):
-                    shutil.copyfile(src, dst)
-                files.append(dst)
+        run = result.config.out_dir
+        inventory = read_json(os.path.join(run, "manifest.json"))["files"]
+        names = sorted(n for n in inventory if n.endswith(".json"))
+        for name in ["manifest.json"] + names:
+            src, dst = os.path.join(run, name), os.path.join(out, name)
+            if os.path.abspath(src) != os.path.abspath(dst):
+                shutil.copyfile(src, dst)
+            files.append(dst)
         return files
 
     if fmt == "plotdata":

@@ -5,12 +5,11 @@ included, runs through one driver, :func:`_integrate`, built on the in-house
 DOP853 stepper of :mod:`slowphase.dop853` (explicit embedded Runge-Kutta pair
 of order 8(5,3) with dense output).  The driver bounds the step count,
 reports a non-finite state with the time of failure, and keeps the steps
-that hold sample times: after the last step their interpolants are built
-and every sample is evaluated in one batch, or later, when a caller defers
-the samples until it reads them.  Backward integration is supported by
-passing ``t1 < t0``; both times must be finite.  The package needs no scipy:
-the stepper does scipy's DOP853 arithmetic operation for operation, so flows
-are bitwise scipy's.  The cycle's relaxation, a seed that the shooting
+that hold sample times: when the caller reads the samples, their
+interpolants are built and every sample is evaluated in one batch.
+Backward integration is supported by passing ``t1 < t0``; both times must
+be finite.  The package needs no scipy: the stepper does scipy's DOP853
+arithmetic operation for operation, so flows are bitwise scipy's.  The cycle's relaxation, a seed that the shooting
 Newton refines, runs no tighter than the floor ``SEED_RTOL``
 (:func:`_seed_settings`); the rest run at the user's settings.  The
 variational system has one integrator, the pass along the orbit that each
@@ -109,14 +108,14 @@ class DenseSamples:
         return out
 
 
-def _integrate(fun, t0, y0, t1, settings, t_eval=None, on_step=None, deferred=False):
-    """Drive DOP853 from t0 to t1; return (y_end, samples at t_eval).
+def _integrate(fun, t0, y0, t1, settings, t_eval=None, on_step=None):
+    """Drive DOP853 from t0 to t1; return (y_end, sampler of t_eval).
 
     A sample time is served at exactly ``t0`` or from the first step whose
     closed interval holds it; any other time raises
-    :class:`IntegrationError`.  The steps that hold samples are kept and
-    sampled after the last step (:class:`DenseSamples`); with ``deferred``
-    the samples are returned unevaluated, as that callable.
+    :class:`IntegrationError`.  The steps that hold samples are kept, and
+    the returned :class:`DenseSamples` evaluates them when called; without
+    ``t_eval`` the sampler is None.
     ``on_step(solver)`` runs after every accepted, finite step, with the
     :class:`~slowphase.dop853.DOP853` stepper (``.t``, ``.y``,
     ``.dense_output()``); a true return value ends the integration at that
@@ -190,7 +189,7 @@ def _integrate(fun, t0, y0, t1, settings, t_eval=None, on_step=None, deferred=Fa
             f"sample time {first!r} lies outside the integrated span from "
             f"t = {t0!r} to {reached!r}"
         )
-    return y_end, (sampled if deferred else sampled())
+    return y_end, sampled
 
 
 def _model_state(model, x0) -> np.ndarray:

@@ -2,27 +2,28 @@
 
 Stages: cycle -> floquet (+divisor tables) -> frames (+adjoint cross-check)
 -> manifold -> response -> validation.  The table ``STAGES`` gives each step
-its metadata file, the config keys it reads, and its compute-and-save, load
-and manifest steps; :func:`run_pipeline`, :func:`load_result` and the
-manifest each loop over it.  Each file has one writer: a step's run calls
-only its own ``save_*``, once it succeeded.  A stored stage writes a JSON
-metadata file, keyed by the fields of its result dataclass and ``inputs``
-(the config echo of the keys it and every earlier stored stage read, see
-:func:`_inputs`), and a ``.npy`` file per stored series.  The cycle stage
-stores the shooting anchor and period, not its pass, which is recomputed from
-them.  The frames stage stores the polished period, the adjoint cross-check's
-report and the frames' exponents and residuals in ``frames.json`` (their
-classes are the spectrum's), the polished orbit in ``cycle_coeff.npy``
-(N/2 + 1, d), and ``frame_{bundle,adjoint}_coeff.npy`` (N, d, d);
-``manifold_coeff.npy`` and ``response_{phase,amplitude}_coeff.npy`` are
-(orders, N/2 + 1, d): real series one-sided, complex frames all N rows
-(:mod:`slowphase.series`), all of period 1.  The divisor tables and the
-validation are recomputed on every run, never loaded.  The manifest records
-the configuration echo, the spectral tables, per-order residuals, and a
-checksummed file inventory, against which :func:`load_result` checks every
-file it reads.  A recursion divisor below ``solver.small_divisor_tol`` (a
-resonance) or a hyperbolicity failure aborts the run in the floquet stage;
-finished stages keep their files and the manifest records the failed one.
+its metadata file, the config keys it reads, and its compute-and-save and
+load steps; :func:`run_pipeline` and :func:`load_result` loop over it.  Each
+file has one writer: a step's run calls only its own ``save_*``, once it
+succeeded.  A stored stage writes a JSON metadata file, keyed by the fields
+of its result dataclass and ``inputs`` (the config echo of the keys it and
+every earlier stored stage read, see :func:`_inputs`), and a ``.npy`` file
+per stored series.  The cycle stage stores the shooting anchor and period,
+not its pass, which is recomputed from them.  The frames stage stores the
+polished period, the adjoint cross-check's report and the frames' exponents
+and residuals in ``frames.json`` (their classes are the spectrum's), the
+polished orbit in ``cycle_coeff.npy`` (N/2 + 1, d), and
+``frame_{bundle,adjoint}_coeff.npy`` (N, d, d); ``manifold_coeff.npy`` and
+``response_{phase,amplitude}_coeff.npy`` are (orders, N/2 + 1, d): real
+series one-sided, complex frames all N rows (:mod:`slowphase.series`), all
+of period 1.  The divisor tables and the validation are recomputed on every
+run, never loaded.  The manifest is the run's provenance alone: the
+configuration echo, the failed stage and its error, and a checksummed file
+inventory, against which :func:`load_result` checks every file it reads;
+every number lives in its stage file.  A recursion divisor below
+``solver.small_divisor_tol`` (a resonance) or a hyperbolicity failure aborts
+the run in the floquet stage; finished stages keep their files and the
+manifest records the failed one.
 """
 
 from __future__ import annotations
@@ -298,47 +299,6 @@ def _run_validation(result):
     save_validation(config.out_dir, result.validation)
 
 
-def _pairs(values) -> list:
-    return [[z.real, z.imag] for z in values]
-
-
-def _spectrum_entries(result) -> dict:
-    spectrum = result.spectrum
-    return {
-        "multipliers_shooting": _pairs(spectrum.multipliers),
-        "exponents_shooting": _pairs(spectrum.exponents),
-        "lyapunov": list(map(float, spectrum.exponents.real)),
-        "classes": list(spectrum.classes),
-        "hyperbolicity_defect": spectrum.hyperbolicity_defect,
-    }
-
-
-def _frames_entries(result) -> dict:
-    # table recomputed from the polished Floquet frame: the refined exponents
-    # are spectrally accurate, unlike raw eigenvalues of the monodromy for
-    # strongly contracting directions
-    T = result.cycle.period
-    refined = result.bundle.exponents
-    return {
-        "exponents": _pairs(refined),
-        "multipliers": _pairs(np.exp(z * T) for z in refined),
-        "frame_residuals": {"bundle": result.bundle.residual,
-                            "adjoint": result.adjoint.residual},
-        "band_cut": result.band_cut,
-        "adjoint_crosscheck": result.crosscheck,
-    }
-
-
-def _response_entries(result) -> dict:
-    response = result.response
-    return {"response": {
-        "solvability_residual": response.solvability_residual,
-        "normalization_defect": response.normalization_defect,
-        "phase_residuals": list(response.phase_residuals),
-        "amplitude_residuals": list(response.amplitude_residuals),
-    }}
-
-
 # ---------------------------------------------------------------------------
 # stages
 
@@ -362,7 +322,6 @@ class Step(NamedTuple):
     keys: tuple
     run: Callable  # (result): compute, set ``field`` and save
     load: Callable | None  # (result, meta, digests); None: never loaded
-    manifest: Callable  # (result) -> manifest entries
 
 
 STAGES = (
@@ -371,34 +330,24 @@ STAGES = (
         ("model.name", "integrator.rtol", "integrator.atol", "integrator.max_steps",
          "cycle.guess", "cycle.relax_time", "cycle.newton_tol", "cycle.grid_N"),
         _run_cycle, load_cycle,
-        lambda r: {"period": r.cycle.period, "shooting_residual": r.cycle.shooting_residual},
     ),
-    Step(Stage.FLOQUET, "spectrum", "spectrum.json", (),
-         _run_spectrum, load_spectrum, _spectrum_entries),
+    Step(Stage.FLOQUET, "spectrum", "spectrum.json", (), _run_spectrum, load_spectrum),
     # reads manifold.order and solver.small_divisor_tol, which the manifold
     # step declares; recomputed on every run, so neither makes a stored stage
     # stale
-    Step(Stage.FLOQUET, "resonance", "resonance.json", (),
-         _run_resonance, None, lambda r: {"resonance": r.resonance.summary()}),
-    Step(Stage.FRAMES, "bundle", "frames.json", (),
-         _run_frames, load_frames, _frames_entries),
+    Step(Stage.FLOQUET, "resonance", "resonance.json", (), _run_resonance, None),
+    Step(Stage.FRAMES, "bundle", "frames.json", (), _run_frames, load_frames),
     Step(
         Stage.MANIFOLD, "manifold", "manifold.json",
         ("manifold.order", "manifold.gauge", "solver.small_divisor_tol"),
         _run_manifold, load_manifold,
-        lambda r: {
-            "manifold_residuals": list(r.manifold.residuals),
-            "manifold_divisor_minima": {
-                str(k): v for k, v in r.manifold.divisor_minima.items()
-            },
-        },
     ),
     Step(Stage.RESPONSE, "response", "response.json", ("solver.solvability_tol",),
-         _run_response, load_response, _response_entries),
+         _run_response, load_response),
     Step(
         Stage.VALIDATE, "validation", "validation.json",
         ("validation.tolerances", "validation.samples", "run.seed"),
-        _run_validation, None, lambda r: {"validation": r.validation.summary()},
+        _run_validation, None,
     ),
 )
 
@@ -441,23 +390,21 @@ def run_pipeline(
 
 
 def _write_manifest(out, result: PipelineResult, failed_stage, error):
-    result.manifest = manifest = {
+    """The run's provenance: config echo, failure record and the sha256
+    inventory of every artifact; each number lives in its stage file."""
+    inventory = {
+        name: sha256_file(os.path.join(out, name)) for name in sorted(os.listdir(out))
+        if name != "manifest.json" and name.endswith((".npy", ".csv", ".json"))
+    }
+    result.manifest = {
         "tool": "slowphase",
         "version": __version__,
         "config": result.config.echo_text(),
         "failed_stage": failed_stage,
         "error": error,
+        "files": inventory,
     }
-    for step in STAGES:
-        if getattr(result, step.field) is not None:
-            manifest.update(step.manifest(result))
-    inventory = {}
-    for name in sorted(os.listdir(out)):
-        if name == "manifest.json" or not name.endswith((".npy", ".csv", ".json")):
-            continue
-        inventory[name] = sha256_file(os.path.join(out, name))
-    manifest["files"] = inventory
-    write_json(os.path.join(out, "manifest.json"), manifest)
+    write_json(os.path.join(out, "manifest.json"), result.manifest)
 
 
 def load_result(config: RunConfig) -> PipelineResult:

@@ -432,7 +432,7 @@ def test_sweep_samples_the_orbit_of_a_plain_flow(floquet_runs, name):
     assert np.array_equal(cycle.series.coef, FourierSeries.from_samples(sweep.states).coef)
     _, plain = _integrate(_field_rhs(result.model), 0.0, cycle.anchor, cycle.period,
                           DEFAULT_SETTINGS, t_eval=cycle.theta * cycle.period)
-    assert _peak_relative(sweep.states, plain) < 1e-10
+    assert _peak_relative(sweep.states, plain()) < 1e-10
     assert cycle.shooting_residual == float(np.linalg.norm(sweep.end_state - cycle.anchor))
 
 

@@ -474,7 +474,8 @@ def _shifted_seed(model, cycle, w, lam, route):
 
     t0, t1 = (0.0, period) if route == "forward" else (period, 0.0)
     y0 = np.concatenate([w.real, w.imag])
-    _, samples = _integrate(rhs, t0, y0, t1, DEFAULT_SETTINGS, t_eval=cycle.theta * period)
+    _, sampled = _integrate(rhs, t0, y0, t1, DEFAULT_SETTINGS, t_eval=cycle.theta * period)
+    samples = sampled()
     return samples[:, :d] + 1j * samples[:, d:]
 
 
@@ -622,12 +623,16 @@ _negative = st.one_of(
     st.lists(st.tuples(_negative, st.floats(-10.0, 10.0)), min_size=1, max_size=7),
     st.one_of(st.sampled_from([0.5, 1.0, 8.0]), st.floats(0.1, 100.0)),
 )
-def test_route_of_negated_spectrum_is_the_adjoint_rule(parts, period):
-    """The route rule on the negated spectrum, the exponents of -DX^T:
-    forward iff (Re lam_j - min Re lam) T <= -Re lam_j T."""
+def test_route_rule_of_the_bundle_seeds(parts, period):
+    """The route rule of the bundle's seed columns, on exponents with the
+    phase's 0: forward iff (max Re lam - Re lam_j) T <= (Re lam_j - min Re
+    lam) T, ties forward; so the phase column goes forward and the fastest
+    backward."""
     lam = np.array([0.0] + [complex(re, im) for re, im in parts])
-    re_min = float(np.min(lam.real))
+    re_max, re_min = float(np.max(lam.real)), float(np.min(lam.real))
     for lam_j in lam:
-        forward = (lam_j.real - re_min) * period <= -lam_j.real * period
+        forward = (re_max - lam_j.real) * period <= (lam_j.real - re_min) * period
         expected = "forward" if forward else "backward"
-        assert _integration_route(-lam_j, -lam, period) == expected
+        assert _integration_route(lam_j, lam, period) == expected
+    assert _integration_route(lam[0], lam, period) == "forward"
+    assert _integration_route(lam[np.argmin(lam.real)], lam, period) == "backward"

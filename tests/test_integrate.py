@@ -140,11 +140,11 @@ def test_driver_equals_scipy_dop853(name, variational, kick, horizon, backward, 
             _integrate(fun, t0, y0, t1, DEFAULT_SETTINGS, t_eval=t_eval, on_step=on_step)
         assert err.value.time == ref.t
     else:
-        end, samples = _integrate(
+        end, sampled = _integrate(
             fun, t0, y0, t1, DEFAULT_SETTINGS, t_eval=t_eval, on_step=on_step
         )
         assert end.tobytes() == ref.y.tobytes()
-        assert samples.tobytes() == ref_samples.tobytes()
+        assert sampled().tobytes() == ref_samples.tobytes()
     assert len(trail) == len(ref_trail)
     for (t, y), (ref_t, ref_y) in zip(trail, ref_trail):
         assert t == ref_t and y.tobytes() == ref_y.tobytes()
@@ -353,11 +353,11 @@ def test_integrate_samples_along_trajectory():
     model = make_oracle_model()
     x0 = np.array([1.0, 0.0])
     times = np.linspace(0.0, np.pi, 9)
-    end, samples = _integrate(
+    end, sampled = _integrate(
         lambda t, y: model.eval(y), 0.0, x0, 2.0 * np.pi, DEFAULT_SETTINGS, t_eval=times
     )
     expected = np.stack([np.cos(times), np.sin(times)], axis=1)
-    assert np.max(np.abs(samples - expected)) < 1e-9
+    assert np.max(np.abs(sampled() - expected)) < 1e-9
     assert np.array_equal(end, flow(model, x0, 2.0 * np.pi))
 
 
@@ -434,7 +434,8 @@ def test_integrate_samples_equal_scalar_dense_loop(t0, t1):
     settings = IntegratorSettings()
     y0 = np.array([1.4, -0.2])
     times = np.random.default_rng(1).permutation(np.linspace(0.0, 5.0, 101))
-    _, samples = _integrate(_damped, t0, y0, t1, settings, t_eval=times)
+    _, sampled = _integrate(_damped, t0, y0, t1, settings, t_eval=times)
+    samples = sampled()
 
     expected = np.full((len(times), 2), np.nan)
     expected[times == t0] = y0
@@ -471,7 +472,8 @@ def test_samples_at_the_ends_equal_scipy_dop853(t0, t1):
     loop on scipy's DOP853 serves."""
     y0 = np.array([1.4, -0.2])
     t_eval = np.array([t1, t0, t1, t0])
-    end, samples = _integrate(_damped, t0, y0, t1, DEFAULT_SETTINGS, t_eval=t_eval)
+    end, sampled = _integrate(_damped, t0, y0, t1, DEFAULT_SETTINGS, t_eval=t_eval)
+    samples = sampled()
     if t1 == t0:
         assert end.tobytes() == y0.tobytes()
         assert samples.tobytes() == np.tile(y0, (4, 1)).tobytes()
@@ -514,7 +516,7 @@ def test_batched_samples_equal_scipy_dense_output(variational, kick, horizon, ba
         y0 = np.asarray(_START["oracle"]) + kick[:2]
     t0, t1 = (horizon, 0.0) if backward else (0.0, horizon)
     t_eval = data.draw(_sample_times(horizon))
-    _, samples = _integrate(fun, t0, y0, t1, DEFAULT_SETTINGS, t_eval=t_eval)
+    _, sampled = _integrate(fun, t0, y0, t1, DEFAULT_SETTINGS, t_eval=t_eval)
     ref, ref_samples, _ = _scipy_integrate(fun, t0, y0, t1, DEFAULT_SETTINGS, t_eval)
     assert ref.status == "finished"
-    assert samples.tobytes() == ref_samples.tobytes()
+    assert sampled().tobytes() == ref_samples.tobytes()

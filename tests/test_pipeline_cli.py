@@ -38,6 +38,10 @@ output.directory = {out}
 """
 
 
+# the manifest is the run's provenance; every number lives in its stage file
+MANIFEST_KEYS = {"tool", "version", "config", "failed_stage", "error", "files"}
+
+
 def _read_json(path):
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
@@ -52,16 +56,21 @@ def _write_cfg(tmp_path, out_name="out"):
 def test_pipeline_artifacts_and_manifest(oracle_run):
     out = oracle_run.config.out_dir
     manifest = _read_json(os.path.join(out, "manifest.json"))
+    assert set(manifest) == MANIFEST_KEYS
     assert manifest["failed_stage"] is None
     assert manifest["version"]
-    assert manifest["period"] == pytest.approx(2 * np.pi, abs=1e-9)
     # every inventoried file exists and its checksum matches
     for name, digest in manifest["files"].items():
         path = os.path.join(out, name)
         assert os.path.exists(path)
         assert sha256_file(path) == digest
-    # the manifest multiplier table comes from the refined exponents
-    assert manifest["multipliers"][1][0] == pytest.approx(np.exp(-4 * np.pi), rel=1e-8)
+    # the multiplier table comes from the refined exponents and the polished
+    # period
+    frames = _read_json(os.path.join(out, "frames.json"))
+    period = frames["period"]
+    assert period == pytest.approx(2 * np.pi, abs=1e-9)
+    lam = complex(*frames["bundle"]["exponents"][1])
+    assert np.exp(lam * period).real == pytest.approx(np.exp(-4 * np.pi), rel=1e-8)
 
 
 def _assert_same_frame(loaded, original):
@@ -146,8 +155,7 @@ def test_staged_subcommands_resume(tmp_path):
     assert os.path.exists(os.path.join(out, "manifold.json"))
     assert main(["response", "--config", cfg]) == 0
     assert main(["validate", "--config", cfg]) == 0
-    manifest = _read_json(os.path.join(out, "manifest.json"))
-    assert manifest["validation"]["order0_residual"] < 1e-10
+    assert _read_json(os.path.join(out, "validation.json"))["order0_residual"] < 1e-10
 
     assert main(["export", "--config", cfg, "--what", "all", "--format", "csv"]) == 0
     assert os.path.exists(os.path.join(out, "exports", "curve_cycle.csv"))
@@ -724,9 +732,12 @@ def test_aborted_frames_stage_writes_nothing_and_resumes_cold(cold_run_dir, tmp_
     _assert_cold_bytes(out, cold)
 
 
-def test_export_json_copies_manifest_and_spectrum(oracle_run, tmp_path):
+def test_export_json_copies_manifest_and_stage_metadata(oracle_run, tmp_path):
+    """The json export copies the manifest and, in sorted order, every JSON
+    file of its inventory: each stage's metadata, byte for byte."""
     files = export_artifacts(oracle_run.result, "all", "json", out_dir=str(tmp_path))
-    names = ["manifest.json", "spectrum.json"]
+    names = ["manifest.json", "cycle.json", "frames.json", "manifold.json", "resonance.json",
+             "response.json", "spectrum.json", "validation.json"]
     assert files == [str(tmp_path / name) for name in names]
     for name in names:
         original = os.path.join(oracle_run.config.out_dir, name)
@@ -1083,10 +1094,11 @@ def test_resonance_abort_keeps_partial_artifacts(oracle_block, tmp_path, capsys)
     with pytest.raises(ResonanceError, match=message):
         run_pipeline(load_config(cfg))
     manifest = _read_json(out / "manifest.json")
+    assert set(manifest) == MANIFEST_KEYS
     assert manifest["failed_stage"] == "floquet"
     assert re.search(message, manifest["error"])
-    assert manifest["resonance"]["manifold_divisor_min"]["2"] < 1e-12
     assert sorted(manifest["files"]) == ["cycle.json", "resonance.json", "spectrum.json"]
+    assert _read_json(out / "resonance.json")["manifold_divisor_min"]["2"] < 1e-12
     cfg, out = _block_cfg(tmp_path, "cli", -4.0, -3.0, 0.0)
     capsys.readouterr()
     assert main(["run", "--config", cfg]) == 3
