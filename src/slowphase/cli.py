@@ -103,22 +103,14 @@ def _report(result, through) -> None:
         ):
             print(f"mu_{j} = {mu:.6g}    lam_{j} = {lam:.6g}")
     if Stage.MANIFOLD in ran:
-        print(
-            "manifold order %d, max residual %.3e"
-            % (
-                result.manifold.nominal_order,
-                float(result.manifold.residuals.max()),
-            )
-        )
+        man = result.manifold
+        print(f"manifold order {man.nominal_order}, max residual {man.residuals.max():.3e}")
     if Stage.RESPONSE in ran:
-        print(
-            "response order %d, solvability %.3e, normalization defect %.3e"
-            % (
-                result.response.order,
-                result.response.solvability_residual,
-                result.response.normalization_defect,
-            )
-        )
+        resp = result.response
+        residual = max(resp.phase_residuals.max(), resp.amplitude_residuals.max())
+        print(f"response order {resp.order}, max residual {residual:.3e}, solvability "
+              f"{resp.solvability_residual:.3e}, normalization defect "
+              f"{resp.normalization_defect:.3e}")
     if Stage.VALIDATE in ran:
         summary = result.validation.summary()
         print("validation:")

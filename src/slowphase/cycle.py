@@ -622,9 +622,9 @@ DIVISOR_TABLES = ("manifold", "phase", "amplitude")
 @dataclass
 class ResonanceReport:
     """Per table, each order n its recursion solves maps to the divisors over
-    frame directions j, minimized in closed form over all wavenumbers k."""
+    frame directions j, minimized in closed form over all wavenumbers k; the
+    orders are the tables' keys."""
 
-    order: int
     tables: dict  # name -> {n: row over j}
 
     def minima(self, name: str) -> dict:
@@ -639,7 +639,7 @@ class ResonanceReport:
         return name, n, j, row[j].item()
 
     def summary(self) -> dict:
-        return {"order": self.order} | {
+        return {
             f"{name}_divisor_min": {str(n): v for n, v in self.minima(name).items()}
             for name in DIVISOR_TABLES
         }
@@ -662,7 +662,7 @@ def check_resonances(spectrum: FloquetSpectrum, order: int) -> ResonanceReport:
     amplitude = _lattice_distance(lam + (n - 1) * lam_s, T)
     amplitude[1, 0] = 2.0 * np.pi / T  # k = 0 is free; k != 0 divide by 2 pi |k| / T
     solved = range(1, order + 1)
-    return ResonanceReport(order=order, tables={
+    return ResonanceReport(tables={
         "manifold": {k: manifold[k] for k in range(2, order + 2)},
         "phase": {k: phase[k] for k in solved},
         "amplitude": {k: amplitude[k] for k in solved},

@@ -275,7 +275,7 @@ def _refine_frame(
         for j in active:
             if classes[j] == CLASS_PAIR_CONJ:
                 continue
-            v, free, _ = solve_diagonal(
+            v, free = solve_diagonal(
                 FourierSeries.from_samples(rho[:, :, j]), lams[j] - lams, period,
                 free_modes=((0, j),), small_divisor_tol=1e-10,
             )
@@ -298,16 +298,16 @@ def solve_in_frame(rhs, reduce: Frame, expand: Frame, shifts, period,
     solve (1/T) c_j' + shifts_j c_j = (reduce^T rhs)_j with shifts = s - mu,
     which :func:`~slowphase.series.solve_diagonal` divides per Fourier mode
     (with its ``free_modes`` and ``small_divisor_tol``).  ``rhs`` holds grid
-    values of shape (N, d).  Returns ``(x, free, divisor_min)``: the complex
-    grid values of x and solve_diagonal's free-mode map and smallest divisor.
+    values of shape (N, d).  Returns ``(x, free)``: the complex grid values
+    of x and solve_diagonal's free-mode map.
     """
     reduced = np.einsum("nai,na->ni", reduce.grid_values(), rhs.astype(complex))
-    solution, free, div_min = solve_diagonal(
+    solution, free = solve_diagonal(
         FourierSeries.from_samples(reduced), shifts, period,
         free_modes=free_modes, small_divisor_tol=small_divisor_tol,
     )
     x = np.einsum("nab,nb->na", expand.grid_values(), solution.samples())
-    return x, free, div_min
+    return x, free
 
 
 def _polish_cycle_step(model, orbit, period, cols, lams, k_cut):
@@ -324,7 +324,7 @@ def _polish_cycle_step(model, orbit, period, cols, lams, k_cut):
         rho = np.linalg.solve(cols, defect.astype(complex)[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError as exc:
         raise FrameError(f"bundle frame singular in the orbit polish: {exc}") from exc
-    v, free, _ = solve_diagonal(
+    v, free = solve_diagonal(
         FourierSeries.from_samples(rho), -lams, period, free_modes=((0, 0),)
     )
     d_period = -(period**2) * free[(0, 0)].real

@@ -20,7 +20,7 @@ state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .series import FourierSeries, FourierTaylor
 __all__ = [
     "ManifoldExpansion",
     "expand_slow_manifold",
+    "slow_exponent",
     "solve_orders",
     "order_residuals",
     "evaluate_manifold",
@@ -54,7 +55,6 @@ class ManifoldExpansion:
     slow_exponent: float
     gauge: float
     residuals: np.ndarray
-    divisor_minima: dict = field(default_factory=dict)
     conjugation_drift: float = 0.0
 
     @property
@@ -84,11 +84,10 @@ def solve_orders(transport: JetTransport, first: int, reduce: Frame, expand: Fra
     dual, and s_n = (n + offset) lam_s.  Where s_n - mu_0 = 0 the (k=0,
     trivial) mode is free: ``on_free(n, x_n, rhs)`` gets the real solution
     with that mode zero and the mode's right-hand side, and returns the x_n
-    to write; without ``on_free`` the zero divisor raises.  Returns each
-    order's smallest divisor and the largest imaginary part discarded.
+    to write; without ``on_free`` the zero divisor raises.  Returns the
+    largest imaginary part discarded.
     """
     x = transport.orders[:, :, -transport.model.dim:]
-    divisor_minima = {}
     drift = 0.0
     for n in range(first, transport.order + 1):
         if np.any(x[n]):
@@ -96,14 +95,14 @@ def solve_orders(transport: JetTransport, first: int, reduce: Frame, expand: Fra
         transport.fill(n)
         shifts = (n + offset) * lam_s - mu
         free = ((0, 0),) if on_free is not None and shifts[0] == 0 else ()
-        x_n, free_rhs, divisor_minima[n] = solve_in_frame(
+        x_n, free_rhs = solve_in_frame(
             transport.out[n], reduce, expand, shifts, period, free,
             small_divisor_tol,
         )
         drift = max(drift, float(np.max(np.abs(x_n.imag))))
         x[n] = on_free(n, x_n.real, free_rhs[(0, 0)]) if free else x_n.real
         transport.fill(n)
-    return divisor_minima, drift
+    return drift
 
 
 def order_residuals(coeffs: FourierTaylor, x, composed, lam_s, offset, period):
@@ -122,6 +121,16 @@ def order_residuals(coeffs: FourierTaylor, x, composed, lam_s, offset, period):
     return out
 
 
+def slow_exponent(bundle: Frame) -> float:
+    """The real exponent of the slow direction, which is frame column 1."""
+    if bundle.classes[1] != CLASS_REAL_POSITIVE:
+        raise NumericalError(
+            "slow direction is not a real positive multiplier; the "
+            "2-dimensional slow submanifold expansion does not apply"
+        )
+    return float(bundle.exponents[1].real)
+
+
 def expand_slow_manifold(
     model: VectorFieldModel,
     cycle: CycleResult,
@@ -134,8 +143,8 @@ def expand_slow_manifold(
     """Assemble the expansion to ``order`` + 1 with residual checks: the
     normal-family pairing identities of the validation read K_{order+1}.
 
-    Order 0 is the orbit, order 1 the gauge-scaled slow bundle column (the
-    slow direction is frame column 1); :func:`solve_orders` then adds one
+    Order 0 is the orbit, order 1 the gauge-scaled slow bundle column (see
+    :func:`slow_exponent`); :func:`solve_orders` then adds one
     order at a time, on one jet transport of the field over the stack of
     orders, in bundle-frame coordinates.  Per-order residuals of the
     homological equations are measured at the end against the transport's
@@ -143,12 +152,7 @@ def expand_slow_manifold(
     """
     if order < 1:
         raise ModelError("expansion order must be >= 1")
-    if bundle.classes[1] != CLASS_REAL_POSITIVE:
-        raise NumericalError(
-            "slow direction is not a real positive multiplier; the "
-            "2-dimensional slow submanifold expansion does not apply"
-        )
-    lam_s = float(bundle.exponents[1].real)
+    lam_s = slow_exponent(bundle)
     period = cycle.period
 
     # an order not yet solved reads as zero, so filling it gives B_n
@@ -159,7 +163,7 @@ def expand_slow_manifold(
     transport.fill(0)
     transport.fill(1)
 
-    divisor_minima, drift = solve_orders(
+    drift = solve_orders(
         transport, 2, adjoint, bundle, bundle.exponents, lam_s, 0, period,
         small_divisor_tol,
     )
@@ -173,7 +177,6 @@ def expand_slow_manifold(
         slow_exponent=lam_s,
         gauge=gauge,
         residuals=residuals,
-        divisor_minima=divisor_minima,
         conjugation_drift=drift,
     )
 

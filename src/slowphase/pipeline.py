@@ -6,13 +6,14 @@ its metadata file, the config keys it reads, and its compute-and-save and
 load steps; :func:`run_pipeline` and :func:`load_result` loop over it.  Each
 file has one writer: a step's run calls only its own ``save_*``, once it
 succeeded.  A stored stage writes a JSON metadata file, keyed by the fields
-of its result dataclass and ``inputs`` (the config echo of the keys it and
-every earlier stored stage read, see :func:`_inputs`), and a ``.npy`` file
-per stored series.  The cycle stage stores the shooting anchor and period,
-not its pass, which is recomputed from them.  The frames stage stores the
-polished period, the adjoint cross-check's report and the frames' exponents
-and residuals in ``frames.json`` (their classes are the spectrum's), the
-polished orbit in ``cycle_coeff.npy`` (N/2 + 1, d), and
+of its result dataclass that it computes and ``inputs`` (the config echo of
+the keys it and every earlier stored stage read, see :func:`_inputs`), and a
+``.npy`` file per stored series; a field that ``inputs`` or an earlier file
+fixes is rebuilt on load.  The cycle stage stores the shooting anchor and
+period, not its pass, which is recomputed from them.  The frames stage stores
+the polished period, the adjoint cross-check's report and the frames'
+exponents and residuals in ``frames.json`` (their classes are the
+spectrum's), the polished orbit in ``cycle_coeff.npy`` (N/2 + 1, d), and
 ``frame_{bundle,adjoint}_coeff.npy`` (N, d, d); ``manifold_coeff.npy`` and
 ``response_{phase,amplitude}_coeff.npy`` are (orders, N/2 + 1, d): real
 series one-sided, complex frames all N rows (:mod:`slowphase.series`), all
@@ -40,7 +41,7 @@ from .cycle import (CycleResult, FloquetSpectrum, check_resonances, find_cycle,
                     floquet_spectrum, variational_sweep)
 from .errors import ConfigError, GridError, ResonanceError, SlowphaseError
 from .frames import Frame, build_adjoint_frame, build_bundle_frame, cross_check_adjoint_frame
-from .manifold import ManifoldExpansion, expand_slow_manifold
+from .manifold import ManifoldExpansion, expand_slow_manifold, slow_exponent
 from .models import get_model
 from .response import ResponseExpansion, expand_response_functions
 from .series import FourierSeries, FourierTaylor
@@ -92,29 +93,31 @@ def _load_orders(result, name, order, digests) -> FourierTaylor:
 
 
 def save_cycle(out, cycle: CycleResult, inputs: dict):
-    meta = _meta(cycle, skip=("series", "sweep"))
+    meta = _meta(cycle, skip=("series", "sweep", "grid_size"))
     write_json(os.path.join(out, "cycle.json"), {**meta, "inputs": inputs})
 
 
 def load_cycle(result, meta, digests):
     meta["anchor"] = np.asarray(meta["anchor"])
-    result.cycle = CycleResult(**meta)
+    result.cycle = CycleResult(**meta, grid_size=result.config.grid_size)
 
 
 def save_spectrum(out, spectrum: FloquetSpectrum, inputs: dict):
     # eigenvectors are stored column by column
-    meta = {**_meta(spectrum), "eigenvectors": spectrum.eigenvectors.T, "inputs": inputs}
+    meta = {**_meta(spectrum, skip=("period",)), "eigenvectors": spectrum.eigenvectors.T,
+            "inputs": inputs}
     write_json(os.path.join(out, "spectrum.json"), meta)
 
 
 def load_spectrum(result, meta, digests):
+    # the shooting period: the frames stage, which polishes it, loads later
     for key in ("multipliers", "exponents"):
         meta[key] = _complex(meta[key])
     meta["eigenvectors"] = _complex(meta["eigenvectors"]).T
     meta["monodromy"] = np.asarray(meta["monodromy"])
     meta["classes"] = tuple(meta["classes"])
     meta["gauge_components"] = tuple(meta["gauge_components"])
-    result.spectrum = FloquetSpectrum(**meta)
+    result.spectrum = FloquetSpectrum(**meta, period=result.cycle.period)
 
 
 def save_frames(out, result: PipelineResult, inputs: dict):
@@ -154,32 +157,30 @@ def load_frames(result, meta, digests):
 
 def save_manifold(out, manifold: ManifoldExpansion, inputs: dict):
     write_coeffs(os.path.join(out, "manifold_coeff.npy"), manifold.coeffs.coef)
-    meta = _meta(manifold, skip=("coeffs",))
-    meta["total_order"] = manifold.total_order
-    meta["inputs"] = inputs
-    # text keys, so the file sorts them as text ("10" before "2")
-    meta["divisor_minima"] = {str(k): v for k, v in manifold.divisor_minima.items()}
+    meta = {"residuals": manifold.residuals, "conjugation_drift": manifold.conjugation_drift,
+            "inputs": inputs}
     write_json(os.path.join(out, "manifold.json"), meta)
 
 
 def load_manifold(result, meta, digests):
-    coeffs = _load_orders(result, "manifold", meta.pop("total_order"), digests)
+    config = result.config
     meta["residuals"] = np.asarray(meta["residuals"])
-    meta["divisor_minima"] = {int(k): v for k, v in meta["divisor_minima"].items()}
-    result.manifold = ManifoldExpansion(coeffs=coeffs, **meta)
+    result.manifold = ManifoldExpansion(
+        coeffs=_load_orders(result, "manifold", config.order + 1, digests),
+        nominal_order=config.order, period=result.cycle.period,
+        slow_exponent=slow_exponent(result.bundle), gauge=config.gauge, **meta,
+    )
 
 
 def save_response(out, response: ResponseExpansion, inputs: dict):
     write_coeffs(os.path.join(out, "response_phase_coeff.npy"), response.phase.coef)
     write_coeffs(os.path.join(out, "response_amplitude_coeff.npy"), response.amplitude.coef)
-    meta = _meta(response, skip=("phase", "amplitude"))
-    meta["order"] = response.order
-    meta["inputs"] = inputs
+    meta = {**_meta(response, skip=("phase", "amplitude")), "inputs": inputs}
     write_json(os.path.join(out, "response.json"), meta)
 
 
 def load_response(result, meta, digests):
-    order = meta.pop("order")
+    order = result.config.order
     for key in ("phase_residuals", "amplitude_residuals"):
         meta[key] = np.asarray(meta[key])
     result.response = ResponseExpansion(
@@ -416,8 +417,8 @@ def load_result(config: RunConfig) -> PipelineResult:
     Raises ``ConfigError`` naming the file when the ``inputs`` a metadata file
     records differ from the config's (see :func:`_inputs`: the stage was built
     under another config), with each differing key's stored and requested
-    values; when a metadata file does not parse, lacks a field (``inputs`` too),
-    holds an unknown one or a grid size that is not a power of two; when a
+    values; when a metadata file does not parse, lacks a field (``inputs`` too)
+    or holds an unknown one (a field rebuilt on load included); when a
     coefficient file is missing, truncated, of the wrong dtype or shape, or
     non-finite; and then when ``manifest.json`` is missing, or a file read is
     absent from its inventory or differs from its sha256 there.  So stale or

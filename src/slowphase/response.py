@@ -124,7 +124,7 @@ def expand_response_functions(
         values = stack[:, :, d:]
         transport = JetTransport(model, stack, "adjoint_action")
         transport.fill(0)
-        _, drift = solve_orders(
+        drift = solve_orders(
             transport, 1, bundle, adjoint, -bundle.exponents, lam_s, offset,
             period, small_divisor_tol, on_free,
         )

@@ -265,10 +265,9 @@ def solve_diagonal(
 
     Returns
     -------
-    (FourierSeries, dict, float)
-        The solution, a map ``(k, j) -> rhs coefficient`` (complex) for each
-        free mode, and the smallest divisor magnitude divided by (free modes
-        and the Nyquist row excluded).
+    (FourierSeries, dict)
+        The solution and a map ``(k, j) -> rhs coefficient`` (complex) for
+        each free mode.
     """
     if rhs.real:
         raise GridError("solve_diagonal needs a two-sided series: with complex "
@@ -304,6 +303,5 @@ def solve_diagonal(
 
     safe = np.where(mask, 1.0, divisors)
     out = np.where(mask, 0.0, coef / safe)
-    smallest = float(np.min(magnitudes, where=~mask, initial=np.inf))
-    return FourierSeries(out.reshape(rhs.coef.shape)), free, smallest
+    return FourierSeries(out.reshape(rhs.coef.shape)), free
 

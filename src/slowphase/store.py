@@ -20,7 +20,6 @@ so identical runs produce identical bytes.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import io
 import json
@@ -217,8 +216,6 @@ class _Encoder(json.JSONEncoder):
             return [obj.real, obj.imag]
         if isinstance(obj, np.ndarray):
             return obj.tolist()
-        if dataclasses.is_dataclass(obj):
-            return dataclasses.asdict(obj)
         return super().default(obj)
 
 

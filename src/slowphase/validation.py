@@ -499,9 +499,6 @@ class ValidationReport:
     orthogonality: dict
     trajectory: dict
     slope: float
-    manifold_residual_max: float
-    response_residual_max: float
-    normalization_defect: float
 
     def summary(self) -> dict:
         return {
@@ -515,9 +512,6 @@ class ValidationReport:
             "trajectory_max_decay_defect": self.trajectory["max_decay_defect"],
             "trajectory_max_phase_defect": self.trajectory["max_phase_defect"],
             "truncation_slope": self.slope,
-            "manifold_residual_max": self.manifold_residual_max,
-            "response_residual_max": self.response_residual_max,
-            "normalization_defect": self.normalization_defect,
         }
 
 
@@ -562,11 +556,4 @@ def run_validation(
         orthogonality=ortho,
         trajectory=traj,
         slope=slope,
-        manifold_residual_max=float(
-            manifold.residuals[: manifold.nominal_order + 1].max()
-        ),
-        response_residual_max=float(
-            max(response.phase_residuals.max(), response.amplitude_residuals.max())
-        ),
-        normalization_defect=response.normalization_defect,
     )

@@ -3,7 +3,6 @@ from math import comb
 import numpy as np
 import pytest
 
-import slowphase.response as response_mod
 from slowphase import manifold, workers
 from slowphase.config import RunConfig
 from slowphase.cycle import DIVISOR_TABLES
@@ -17,7 +16,7 @@ from slowphase.manifold import (
 )
 from slowphase.models import JetTransport, jet_compose
 from slowphase.pipeline import Stage, run_pipeline
-from slowphase.series import FourierTaylor
+from slowphase.series import FourierTaylor, wavenumbers
 
 
 def radial_taylor_coefficient(n):
@@ -71,7 +70,7 @@ def test_zero_inhomogeneity_gives_zero_order(oracle_run):
     n_grid = result.cycle.grid_size
     zero_rhs = np.zeros((n_grid, 2))
     shifts = 3 * result.manifold.slow_exponent - result.bundle.exponents
-    out, _, _ = solve_in_frame(
+    out, _ = solve_in_frame(
         zero_rhs, result.adjoint, result.bundle, shifts, result.cycle.period
     )
     assert np.max(np.abs(out)) == 0.0
@@ -101,37 +100,52 @@ def test_solve_orders_matches_expansion(oracle_run):
     man = result.manifold
     partial = man.coeffs.truncated(2).samples().real
     transport = transport_through(result.model, partial)
-    divisor_minima, drift = solve_manifold_orders(result, transport, 3)
+    drift = solve_manifold_orders(result, transport, 3)
     stored = man.order_series(3).samples().real
     assert np.max(np.abs(transport.orders[3] - stored)) < 1e-12
-    assert list(divisor_minima) == [3]
-    assert divisor_minima[3] > 1.0  # oracle divisors are (n-1) |lam_s| and larger
     assert drift < 1e-10
     assert transport.fills == [1, 1, 1, 2]
 
 
+def _smallest_divisor(rhs, reduce, expand, shifts, period, free_modes=(),
+                      small_divisor_tol=1e-8):
+    """The smallest |2 pi i k/T + shift_j| that ``solve_in_frame`` called
+    with these arguments divides by: the Nyquist row and the free modes
+    excluded, as in ``solve_diagonal``."""
+    n = len(rhs)
+    k = wavenumbers(n)
+    magnitudes = np.abs((2j * np.pi / period) * k[:, None] + np.asarray(shifts)[None, :])
+    magnitudes[n // 2] = np.inf
+    for kf, jf in free_modes:
+        magnitudes[k == kf, jf] = np.inf
+    return float(magnitudes.min())
+
+
 def _spied_run(out, **settings):
     """A cold run through the response stage, and per divisor table the
-    smallest divisor of each order its recursion solved: the manifold's as
-    it records them, and the phase and amplitude ones, which the response
-    does not record, caught from ``solve_orders`` by a spy."""
+    smallest divisor of each order its recursion solved, computed from the
+    arguments of every ``solve_in_frame`` call of ``solve_orders``: the
+    manifold's orders 2..order + 1, then the phase and the amplitude
+    recursions' orders 1..order."""
     minima = []
-    solve = response_mod.solve_orders
+    solve = manifold.solve_in_frame
 
-    def spy(*args, **kwargs):
-        divisor_minima, drift = solve(*args, **kwargs)
-        minima.append(divisor_minima)
-        return divisor_minima, drift
+    def spy(*args):
+        minima.append(_smallest_divisor(*args))
+        return solve(*args)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(response_mod, "solve_orders", spy)
+        patch.setattr(manifold, "solve_in_frame", spy)
         # both recursions in this process, where the spy sees them
         patch.setattr(workers, "worth_splitting", lambda size: False)
         result = run_pipeline(RunConfig(out_dir=str(out), **settings),
                               through=Stage.RESPONSE)
-    phase, amplitude = minima
-    return result, {"manifold": result.manifold.divisor_minima,
-                    "phase": phase, "amplitude": amplitude}
+    order = result.config.order
+    assert len(minima) == 3 * order
+    return result, {
+        name: dict(zip(range(first, order + first), minima[i * order:(i + 1) * order]))
+        for i, (name, first) in enumerate((("manifold", 2), ("phase", 1), ("amplitude", 1)))
+    }
 
 
 @pytest.fixture(scope="module")

@@ -197,12 +197,15 @@ def test_stale_manifold_order_rejected(tmp_path, capsys, first, second):
 def test_stale_response_order_rejected(tmp_path, capsys):
     cfg, out = _write_cfg(tmp_path)
     assert main(["response", "--config", cfg]) == 0
-    # a response at order 4 next to a manifold claiming order 5
+    # a response at order 4 next to a manifold claiming order 5: its inputs
+    # say so, and its coefficients hold the 7 orders that order 5 loads
     manifold_json = os.path.join(out, "manifold.json")
     meta = _read_json(manifold_json)
-    meta["nominal_order"] = 5
     meta["inputs"]["manifold.order"] = "5"
     write_json(manifold_json, meta)
+    coeff_path = os.path.join(out, "manifold_coeff.npy")
+    coef = np.load(coeff_path)
+    write_coeffs(coeff_path, np.concatenate([coef, np.zeros_like(coef[:1])]))
     cfg_5 = tmp_path / "run5.cfg"
     cfg_5.write_text(ORACLE_CFG.replace("manifold.order = 4", "manifold.order = 5").format(out=out))
     capsys.readouterr()
@@ -245,7 +248,7 @@ def test_keys_read_downstream_do_not_make_stages_stale(tmp_path):
         + "run.seed = 7\nsolver.small_divisor_tol = 1e-9\n"
     )
     assert main(["response", "--config", str(changed)]) == 0
-    assert _read_json(os.path.join(moved, "response.json"))["order"] == 5
+    assert load_result(load_config(str(changed))).response.order == 5
 
 
 @pytest.mark.parametrize("value, code", [("-5.2", 4), ("-5.0", 0), ("-5", 0)])
@@ -338,21 +341,6 @@ def test_corrupt_metadata_is_config_error(tmp_path, capsys):
     assert main(["response", "--config", cfg]) == 4
     err = capsys.readouterr().err
     assert cycle_json in err and "period" in err
-
-
-def test_grid_size_not_power_of_two_is_config_error(tmp_path, capsys):
-    # a stored grid size of 96: the decoder's grid check names the metadata
-    # file and exits 4
-    cfg, out = _write_cfg(tmp_path)
-    assert main(["cycle", "--config", cfg]) == 0
-    cycle_json = os.path.join(out, "cycle.json")
-    meta = _read_json(cycle_json)
-    meta["grid_size"] = 96
-    write_json(cycle_json, meta)
-    capsys.readouterr()
-    assert main(["floquet", "--config", cfg]) == 4
-    err = capsys.readouterr().err
-    assert cycle_json in err and "power of two" in err
 
 
 def test_real_series_are_stored_one_sided(oracle_run):
@@ -463,16 +451,21 @@ def _drop_crosscheck(path):
     write_json(path, meta)
 
 
-def _add_unknown_key(path):
-    # frames.json with a key no loader reads, its inventory digest updated,
-    # so only the loader's refusal of the key stops it
+def _set_key(path, key, value):
+    # metadata with ``key`` set, its inventory digest updated, so only the
+    # loader's refusal of the key stops it
     meta = _read_json(path)
-    meta["bogus"] = 1
+    meta[key] = value
     write_json(path, meta)
     manifest_path = os.path.join(os.path.dirname(path), "manifest.json")
     manifest = _read_json(manifest_path)
     manifest["files"][os.path.basename(path)] = sha256_file(path)
     write_json(manifest_path, manifest)
+
+
+def _add_unknown_key(path):
+    # frames.json with a key no loader reads
+    _set_key(path, "bogus", 1)
 
 
 def _add_lyapunov(path):
@@ -525,6 +518,34 @@ def test_damaged_coefficient_file_exits_4(response_stage_dir, tmp_path, capsys, 
     capsys.readouterr()
     assert main(["validate", "--config", cfg]) == 4
     assert str(out / name) in capsys.readouterr().err
+    assert not os.path.exists(out / "validation.json")
+
+
+@pytest.mark.parametrize(
+    "name, key, value",
+    [
+        ("cycle.json", "grid_size", 128),
+        ("spectrum.json", "period", 2 * math.pi),
+        ("manifold.json", "total_order", 5),
+        ("manifold.json", "divisor_minima", {"2": 2.0}),
+        ("response.json", "order", 4),
+    ],
+    ids=["cycle_grid_size", "spectrum_period", "manifold_total_order",
+         "manifold_divisor_minima", "response_order"],
+)
+def test_stored_copy_of_a_rebuilt_field_exits_4(response_stage_dir, tmp_path, capsys,
+                                                 name, key, value):
+    """A field that the config or an earlier stage's file fixes is rebuilt on
+    load and has no key of its own: a file that holds it, as directories
+    written before were, is malformed metadata, exit 4, naming the file."""
+    out = tmp_path / "out"
+    shutil.copytree(response_stage_dir, out)
+    _set_key(str(out / name), key, value)
+    cfg, _ = _write_cfg(tmp_path)
+    capsys.readouterr()
+    assert main(["validate", "--config", cfg]) == 4
+    err = capsys.readouterr().err
+    assert f"{out / name}: malformed metadata" in err and key in err
     assert not os.path.exists(out / "validation.json")
 
 
@@ -743,6 +764,22 @@ def test_export_json_copies_manifest_and_stage_metadata(oracle_run, tmp_path):
         original = os.path.join(oracle_run.config.out_dir, name)
         with open(original, "rb") as fh:
             assert (tmp_path / name).read_bytes() == fh.read(), name
+
+
+def test_export_json_refuses_a_changed_file(oracle_run, tmp_path, capsys):
+    """A JSON file that differs from the manifest's inventory is not copied:
+    the export exits 4 naming it, and writes nothing."""
+    out = tmp_path / "out"
+    shutil.copytree(oracle_run.config.out_dir, out, ignore=shutil.ignore_patterns("exports"))
+    meta = _read_json(out / "validation.json")
+    meta["truncation_slope"] = 99.0
+    write_json(out / "validation.json", meta)
+    cfg = tmp_path / "oracle.cfg"
+    cfg.write_text(oracle_run.config.echo_text())
+    capsys.readouterr()
+    assert main(["export", "--config", str(cfg), "--format", "json", "--out", str(out)]) == 4
+    assert str(out / "validation.json") in capsys.readouterr().err
+    assert not os.listdir(out / "exports")
 
 
 def test_exit_code_missing_config(tmp_path):

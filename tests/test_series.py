@@ -139,16 +139,15 @@ def test_solve_diagonal_single_mode():
     n = 32
     theta = theta_grid(n)
     rhs = FourierSeries.from_samples(np.exp(2j * np.pi * theta)[:, None])
-    sol, free, smallest = solve_diagonal(rhs, [1.0], period_time=1.0)
+    sol, free = solve_diagonal(rhs, [1.0], period_time=1.0)
     assert free == {}
-    assert smallest == 1.0  # the k = 0 divisor
     expected = np.exp(2j * np.pi * theta) / (2j * np.pi + 1.0)
     assert np.max(np.abs(sol.samples()[:, 0] - expected)) < 1e-13
 
 
 def test_solve_diagonal_zero_rhs_gives_zero():
     rhs = FourierSeries(np.zeros((32, 2), dtype=complex))
-    sol, _, _ = solve_diagonal(rhs, [0.5, 1.5], period_time=2.0)
+    sol, _ = solve_diagonal(rhs, [0.5, 1.5], period_time=2.0)
     assert np.max(np.abs(sol.coef)) == 0.0
 
 
@@ -161,7 +160,7 @@ def test_solve_diagonal_operator_round_trip(seed):
     rhs = FourierSeries.from_samples(
         rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
     ).band_limited(n // 2)
-    sol, _, _ = solve_diagonal(rhs, shifts, period_time=T)
+    sol, _ = solve_diagonal(rhs, shifts, period_time=T)
     recovered = sol.differentiate().samples() / T + sol.samples() * shifts
     assert np.max(np.abs(recovered - rhs.samples())) < 1e-11
 
@@ -182,11 +181,9 @@ def test_solve_diagonal_free_mode_reports_residual():
     n = 16
     values = np.full((n, 1), 0.25 + 0j)
     rhs = FourierSeries.from_samples(values)
-    sol, free, smallest = solve_diagonal(
-        rhs, [0.0], period_time=1.0, free_modes=[(0, 0)]
-    )
+    # the free zero divisor does not raise
+    sol, free = solve_diagonal(rhs, [0.0], period_time=1.0, free_modes=[(0, 0)])
     assert free[(0, 0)] == pytest.approx(0.25)
-    assert smallest == pytest.approx(2 * np.pi)  # the free zero divisor is skipped
     assert abs(sol.coef[0, 0]) == 0.0
 
 
