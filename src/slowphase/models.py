@@ -396,9 +396,13 @@ class JetTransport:
     record a tape.  :meth:`fill` then evaluates order n of every node from
     orders 0..n of its operands: order n of a product is
     ``sum_m a_m b_(n-m)``, added to 0.0 in increasing m, and every other
-    node is pointwise in the order.  Only product operands keep their
-    history of orders; the outputs are written into :attr:`out`, shape
-    (L+1, N, d), which is allocated by the first fill.
+    node is pointwise in the order.  The n + 1 terms are one stacked
+    product, reduced across orders from the initial value 0.0: numpy adds
+    the rows of that reduction one after another, elementwise over the
+    grid, which keeps the order of the sum.  A one-point grid would be
+    summed pairwise, so there the terms are added in a loop.  Only product
+    operands keep their history of orders; the outputs are written into
+    :attr:`out`, shape (L+1, N, d), which is allocated by the first fill.
 
     Orders are filled in sequence: ``fill(n)`` needs orders 0..n-1 filled,
     and filling order n again (after its input changed) leaves orders above
@@ -457,13 +461,19 @@ class JetTransport:
                 f"0..{self.order} are filled"
             )
         history, current, keep = self._history, self._current, self._keep
+        # summed across orders (axis 0), a grid of two or more points is added
+        # row by row in order; a one-point grid would be summed pairwise
+        ordered = self.orders.shape[1] > 1
         try:
             for i, (kind, a, b) in enumerate(self._ops):
                 if kind == _PRODUCT:
-                    ha, hb = history[a], history[b]
-                    value = 0.0 + ha[0] * hb[n]
-                    for m in range(1, n + 1):
-                        value += ha[m] * hb[n - m]
+                    terms = history[a][: n + 1] * history[b][n::-1]
+                    if ordered:
+                        value = np.add.reduce(terms, axis=0, initial=0.0)
+                    else:
+                        value = 0.0 + terms[0]
+                        for term in terms[1:]:
+                            value += term
                 elif kind == _INPUT:
                     current[i] = self.orders[n, :, a]
                     continue

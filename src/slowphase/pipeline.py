@@ -21,7 +21,10 @@ of period 1.  The divisor tables and the validation are recomputed on every
 run, never loaded.  The manifest is the run's provenance alone: the
 configuration echo, the failed stage and its error, and a checksummed file
 inventory, against which :func:`load_result` checks every file it reads;
-every number lives in its stage file.  A recursion divisor below
+every number lives in its stage file.  The store's readers and writers
+record the sha256 of each file the run reads or writes in
+``PipelineResult.digests``; the inventory takes those, and hashes from disk
+only the files the run did neither.  A recursion divisor below
 ``solver.small_divisor_tol`` (a resonance) or a hyperbolicity failure aborts
 the run in the floquet stage; finished stages keep their files and the
 manifest records the failed one.
@@ -66,6 +69,8 @@ class PipelineResult:
     response: ResponseExpansion | None = None
     validation: object = None
     manifest: dict = field(default_factory=dict)
+    # path -> sha256 of every file this run read or wrote, for the manifest
+    digests: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -81,35 +86,35 @@ def _complex(pairs) -> np.ndarray:
     return np.asarray(pairs, dtype=float).view(complex)[..., 0]
 
 
-def _read(result, name, shape, digests) -> np.ndarray:
+def _read(result, name, shape) -> np.ndarray:
     path = os.path.join(result.config.out_dir, f"{name}_coeff.npy")
-    return read_coeffs(path, shape, digests)
+    return read_coeffs(path, shape, result.digests)
 
 
-def _load_orders(result, name, order, digests) -> FourierTaylor:
+def _load_orders(result, name, order) -> FourierTaylor:
     # every stored expansion is real, on the grid of the loaded cycle
     shape = (order + 1, result.cycle.grid_size // 2 + 1, len(result.cycle.anchor))
-    return FourierTaylor(_read(result, name, shape, digests), real=True)
+    return FourierTaylor(_read(result, name, shape), real=True)
 
 
-def save_cycle(out, cycle: CycleResult, inputs: dict):
+def save_cycle(out, cycle: CycleResult, inputs: dict, digests: dict | None = None):
     meta = _meta(cycle, skip=("series", "sweep", "grid_size"))
-    write_json(os.path.join(out, "cycle.json"), {**meta, "inputs": inputs})
+    write_json(os.path.join(out, "cycle.json"), {**meta, "inputs": inputs}, digests)
 
 
-def load_cycle(result, meta, digests):
+def load_cycle(result, meta):
     meta["anchor"] = np.asarray(meta["anchor"])
     result.cycle = CycleResult(**meta, grid_size=result.config.grid_size)
 
 
-def save_spectrum(out, spectrum: FloquetSpectrum, inputs: dict):
+def save_spectrum(out, spectrum: FloquetSpectrum, inputs: dict, digests: dict | None = None):
     # eigenvectors are stored column by column
     meta = {**_meta(spectrum, skip=("period",)), "eigenvectors": spectrum.eigenvectors.T,
             "inputs": inputs}
-    write_json(os.path.join(out, "spectrum.json"), meta)
+    write_json(os.path.join(out, "spectrum.json"), meta, digests)
 
 
-def load_spectrum(result, meta, digests):
+def load_spectrum(result, meta):
     # the shooting period: the frames stage, which polishes it, loads later
     for key in ("multipliers", "exponents"):
         meta[key] = _complex(meta[key])
@@ -123,17 +128,18 @@ def load_spectrum(result, meta, digests):
 def save_frames(out, result: PipelineResult, inputs: dict):
     """Write the polished orbit and period, the complex frames, and the
     adjoint cross-check's report as the ``crosscheck`` entry."""
-    write_coeffs(os.path.join(out, "cycle_coeff.npy"), result.cycle.series.coef)
+    digests = result.digests
+    write_coeffs(os.path.join(out, "cycle_coeff.npy"), result.cycle.series.coef, digests)
     meta = {"period": result.cycle.period, "band_cut": result.band_cut,
             "crosscheck": result.crosscheck, "inputs": inputs}
     for name in ("bundle", "adjoint"):
         frame = getattr(result, name)
-        write_coeffs(os.path.join(out, f"frame_{name}_coeff.npy"), frame.series.coef)
+        write_coeffs(os.path.join(out, f"frame_{name}_coeff.npy"), frame.series.coef, digests)
         meta[name] = _meta(frame, skip=("series", "classes"))
-    write_json(os.path.join(out, "frames.json"), meta)
+    write_json(os.path.join(out, "frames.json"), meta, digests)
 
 
-def load_frames(result, meta, digests):
+def load_frames(result, meta):
     """Replace the shooting cycle by the polished one, anchored at its theta =
     0 sample.  Only the complex frames, the only ones the pipeline uses, are
     stored: ``build_real_frames`` recomputes the real ones for an export.
@@ -143,65 +149,66 @@ def load_frames(result, meta, digests):
     if unknown:
         raise TypeError(f"unknown keys {unknown}")
     grid_size, dim = result.cycle.grid_size, len(result.cycle.anchor)
-    series = FourierSeries(_read(result, "cycle", (grid_size // 2 + 1, dim), digests), real=True)
+    series = FourierSeries(_read(result, "cycle", (grid_size // 2 + 1, dim)), real=True)
     result.cycle = replace(result.cycle, anchor=series.samples()[0].copy(),
                            period=meta["period"], series=series)
     result.band_cut, result.crosscheck = meta["band_cut"], meta["crosscheck"]
     for name in ("bundle", "adjoint"):
         frame = meta[name]
         frame["exponents"] = _complex(frame["exponents"])
-        coef = _read(result, f"frame_{name}", (grid_size, dim, dim), digests)
+        coef = _read(result, f"frame_{name}", (grid_size, dim, dim))
         setattr(result, name, Frame(series=FourierSeries(coef),
                                     classes=result.spectrum.classes, **frame))
 
 
-def save_manifold(out, manifold: ManifoldExpansion, inputs: dict):
-    write_coeffs(os.path.join(out, "manifold_coeff.npy"), manifold.coeffs.coef)
+def save_manifold(out, manifold: ManifoldExpansion, inputs: dict, digests: dict | None = None):
+    write_coeffs(os.path.join(out, "manifold_coeff.npy"), manifold.coeffs.coef, digests)
     meta = {"residuals": manifold.residuals, "conjugation_drift": manifold.conjugation_drift,
             "inputs": inputs}
-    write_json(os.path.join(out, "manifold.json"), meta)
+    write_json(os.path.join(out, "manifold.json"), meta, digests)
 
 
-def load_manifold(result, meta, digests):
+def load_manifold(result, meta):
     config = result.config
     meta["residuals"] = np.asarray(meta["residuals"])
     result.manifold = ManifoldExpansion(
-        coeffs=_load_orders(result, "manifold", config.order + 1, digests),
+        coeffs=_load_orders(result, "manifold", config.order + 1),
         nominal_order=config.order, period=result.cycle.period,
         slow_exponent=slow_exponent(result.bundle), gauge=config.gauge, **meta,
     )
 
 
-def save_response(out, response: ResponseExpansion, inputs: dict):
-    write_coeffs(os.path.join(out, "response_phase_coeff.npy"), response.phase.coef)
-    write_coeffs(os.path.join(out, "response_amplitude_coeff.npy"), response.amplitude.coef)
+def save_response(out, response: ResponseExpansion, inputs: dict, digests: dict | None = None):
+    write_coeffs(os.path.join(out, "response_phase_coeff.npy"), response.phase.coef, digests)
+    write_coeffs(os.path.join(out, "response_amplitude_coeff.npy"), response.amplitude.coef,
+                 digests)
     meta = {**_meta(response, skip=("phase", "amplitude")), "inputs": inputs}
-    write_json(os.path.join(out, "response.json"), meta)
+    write_json(os.path.join(out, "response.json"), meta, digests)
 
 
-def load_response(result, meta, digests):
+def load_response(result, meta):
     order = result.config.order
     for key in ("phase_residuals", "amplitude_residuals"):
         meta[key] = np.asarray(meta[key])
     result.response = ResponseExpansion(
-        phase=_load_orders(result, "response_phase", order, digests),
-        amplitude=_load_orders(result, "response_amplitude", order, digests),
+        phase=_load_orders(result, "response_phase", order),
+        amplitude=_load_orders(result, "response_amplitude", order),
         **meta,
     )
 
 
-def save_validation(out, report):
+def save_validation(out, report, digests: dict | None = None):
     payload = report.summary()
     payload["orthogonality"] = report.orthogonality
     payload["trajectory"] = report.trajectory
-    write_json(os.path.join(out, "validation.json"), payload)
+    write_json(os.path.join(out, "validation.json"), payload, digests)
     domain = report.domain
     header, columns = ["theta"], [domain.theta]
     for tol, pos, neg in zip(domain.tolerances, domain.sigma_pos, domain.sigma_neg):
         label = tolerance_labels(tol)[1]
         header += [f"sigma_max_pos_{label}", f"sigma_max_neg_{label}"]
         columns += [pos, neg]
-    write_rows_csv(os.path.join(out, "accuracy_domain.csv"), header, zip(*columns))
+    write_rows_csv(os.path.join(out, "accuracy_domain.csv"), header, zip(*columns), digests)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +236,7 @@ def _run_cycle(result):
         result.model, guess, settings=config.integrator, grid_size=config.grid_size,
         relax_time=config.relax_time, newton_tol=config.newton_tol,
     )
-    save_cycle(config.out_dir, result.cycle, _inputs(result, "cycle.json"))
+    save_cycle(config.out_dir, result.cycle, _inputs(result, "cycle.json"), result.digests)
 
 
 def cycle_sweep(result):
@@ -245,13 +252,15 @@ def cycle_sweep(result):
 
 def _run_spectrum(result):
     result.spectrum = floquet_spectrum(cycle_sweep(result))
-    save_spectrum(result.config.out_dir, result.spectrum, _inputs(result, "spectrum.json"))
+    save_spectrum(result.config.out_dir, result.spectrum, _inputs(result, "spectrum.json"),
+                  result.digests)
 
 
 def _run_resonance(result):
     config = result.config
     result.resonance = check_resonances(result.spectrum, config.order)
-    write_json(os.path.join(config.out_dir, "resonance.json"), result.resonance.summary())
+    write_json(os.path.join(config.out_dir, "resonance.json"), result.resonance.summary(),
+               result.digests)
     table, n, j, divisor = result.resonance.smallest()
     if divisor < config.small_divisor_tol:
         raise ResonanceError(
@@ -278,7 +287,8 @@ def _run_manifold(result):
         result.model, result.cycle, result.bundle, result.adjoint, order=config.order,
         gauge=config.gauge, small_divisor_tol=config.small_divisor_tol,
     )
-    save_manifold(config.out_dir, result.manifold, _inputs(result, "manifold.json"))
+    save_manifold(config.out_dir, result.manifold, _inputs(result, "manifold.json"),
+                  result.digests)
 
 
 def _run_response(result):
@@ -288,7 +298,8 @@ def _run_response(result):
         small_divisor_tol=config.small_divisor_tol,
         solvability_tol=config.solvability_tol,
     )
-    save_response(config.out_dir, result.response, _inputs(result, "response.json"))
+    save_response(config.out_dir, result.response, _inputs(result, "response.json"),
+                  result.digests)
 
 
 def _run_validation(result):
@@ -297,7 +308,7 @@ def _run_validation(result):
         result.model, result.manifold, result.response, tolerances=config.tolerances,
         n_samples=config.n_samples, seed=config.seed, settings=config.integrator,
     )
-    save_validation(config.out_dir, result.validation)
+    save_validation(config.out_dir, result.validation, result.digests)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +333,7 @@ class Step(NamedTuple):
     # every earlier stored step
     keys: tuple
     run: Callable  # (result): compute, set ``field`` and save
-    load: Callable | None  # (result, meta, digests); None: never loaded
+    load: Callable | None  # (result, meta); None: never loaded
 
 
 STAGES = (
@@ -392,11 +403,15 @@ def run_pipeline(
 
 def _write_manifest(out, result: PipelineResult, failed_stage, error):
     """The run's provenance: config echo, failure record and the sha256
-    inventory of every artifact; each number lives in its stage file."""
-    inventory = {
-        name: sha256_file(os.path.join(out, name)) for name in sorted(os.listdir(out))
-        if name != "manifest.json" and name.endswith((".npy", ".csv", ".json"))
-    }
+    inventory of every artifact; each number lives in its stage file.  A
+    file this run read or wrote is listed with the digest of those bytes,
+    so one changed on disk since is refused on the next load; only the
+    others are hashed here."""
+    inventory = {}
+    for name in sorted(os.listdir(out)):
+        if name != "manifest.json" and name.endswith((".npy", ".csv", ".json")):
+            path = os.path.join(out, name)
+            inventory[name] = result.digests.get(path) or sha256_file(path)
     result.manifest = {
         "tool": "slowphase",
         "version": __version__,
@@ -426,7 +441,6 @@ def load_result(config: RunConfig) -> PipelineResult:
     """
     result = PipelineResult(config=config)
     result.model = get_model(config.model, config.model_params)
-    digests = {}  # path -> sha256 of every file the loaders read
     for step in STAGES:
         if step.load is None:
             continue
@@ -434,17 +448,17 @@ def load_result(config: RunConfig) -> PipelineResult:
         if not os.path.exists(path):
             break
         try:
-            meta = read_json(path, digests)
+            meta = read_json(path, result.digests)
             stored, wanted = dict(meta.pop("inputs")), _inputs(result, step.meta)
             if stored != wanted:
                 raise _stale(path, step.stage, stored, wanted)
-            step.load(result, meta, digests)
+            step.load(result, meta)
         except (TypeError, KeyError, ValueError, GridError) as exc:
             raise ConfigError(
                 f"{path}: malformed metadata ({type(exc).__name__}: {exc})"
             ) from exc
-    if digests:
-        _check_inventory(config.out_dir, digests)
+    if result.digests:
+        _check_inventory(config.out_dir, result.digests)
     return result
 
 

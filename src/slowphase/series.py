@@ -301,7 +301,7 @@ def solve_diagonal(
             context=(kk, jj),
         )
 
-    safe = np.where(mask, 1.0, divisors)
-    out = np.where(mask, 0.0, coef / safe)
+    out = np.zeros(coef.shape, np.result_type(coef, divisors))
+    np.divide(coef, divisors, out=out, where=~mask)
     return FourierSeries(out.reshape(rhs.coef.shape)), free
 

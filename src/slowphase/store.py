@@ -9,6 +9,13 @@ rows in FFT order for a complex one (the frames).  The bytes are the doubles
 themselves, so a coefficient round-trips exactly, signed zeros included, and
 identical arrays give identical files.
 
+The readers (:func:`read_coeffs`, :func:`read_json`) and the pipeline's
+writers (:func:`write_coeffs`, :func:`write_json`, :func:`write_rows_csv`)
+take an optional ``digests`` dict, in which they record the sha256 of the
+bytes they read or wrote under the path; a run's manifest inventory takes
+those digests instead of hashing the files again (see
+:mod:`slowphase.pipeline`).
+
 The text formats serve exports and metadata.  Function CSVs carry a header
 ``theta,<component names>``; coefficient CSVs carry ``k`` followed by
 real/imaginary columns per component, with rows ordered by ascending
@@ -23,8 +30,11 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
+import tokenize
 
 import numpy as np
+from numpy.lib import format as npy
 
 from .errors import ConfigError
 from .series import FourierSeries
@@ -46,16 +56,55 @@ __all__ = [
 COEFF_DTYPE = np.dtype("<c16")  # little-endian complex128
 
 
-def write_coeffs(path, coef) -> str:
+def write_coeffs(path, coef, digests: dict | None = None) -> str:
     """Write a coefficient array as ``.npy``: little-endian complex128, C order.
 
     Any memory layout of ``coef`` (Fortran order, a strided view) writes the
-    bytes of its C-ordered copy.
+    bytes of its C-ordered copy.  The file holds the bytes ``np.save`` writes:
+    the version-1.0 header, which it picks for every numeric array, then the
+    array's own memory, written and hashed in place.
     """
     data = np.ascontiguousarray(coef, dtype=COEFF_DTYPE)
+    header = io.BytesIO()
+    npy.write_array_header_1_0(header, npy.header_data_from_array_1_0(data))
+    header = header.getvalue()
     with open(path, "wb") as fh:
-        np.save(fh, data, allow_pickle=False)
+        fh.write(header)
+        fh.write(data)
+    _record(digests, path, header, data)
     return path
+
+
+_HEADER_READERS = {
+    (1, 0): npy.read_array_header_1_0,
+    (2, 0): npy.read_array_header_2_0,
+    # a 3.0 header differs from a 2.0 one only in being UTF-8, which the
+    # ASCII header of a numeric dtype does not show
+    (3, 0): npy.read_array_header_2_0,
+}
+
+
+def _parse_npy(data: bytes) -> np.ndarray:
+    """The array of the ``.npy`` bytes ``data``, as ``np.load`` reads it
+    without pickling, copied out of ``data`` once."""
+    stream = io.BytesIO(data)  # shares the bytes; only the header is read
+    version = npy.read_magic(stream)
+    if version not in _HEADER_READERS:
+        raise ValueError(f"unsupported .npy format version {version}")
+    try:
+        shape, fortran_order, dtype = _HEADER_READERS[version](stream)
+    except tokenize.TokenError as exc:  # numpy's header filter on unbalanced brackets
+        raise ValueError(f"Cannot parse header ({exc})") from exc
+    count = math.prod(shape)
+    offset = stream.tell()
+    if len(data) - offset < count * dtype.itemsize:
+        raise ValueError(
+            f"EOF: reading array data, expected {count * dtype.itemsize} bytes "
+            f"got {len(data) - offset}"
+        )
+    order = "F" if fortran_order else "C"
+    flat = np.frombuffer(data, dtype=dtype, count=count, offset=offset)  # refuses objects
+    return flat.reshape(shape, order=order).copy(order=order)
 
 
 def read_coeffs(path, shape: tuple, digests: dict | None = None) -> np.ndarray:
@@ -69,7 +118,7 @@ def read_coeffs(path, shape: tuple, digests: dict | None = None) -> np.ndarray:
     try:
         with open(path, "rb") as fh:
             data = fh.read()
-        coef = np.lib.format.read_array(io.BytesIO(data), allow_pickle=False)
+        coef = _parse_npy(data)
     except FileNotFoundError as exc:
         raise ConfigError(
             f"{path}: coefficient file missing (directories written before "
@@ -84,16 +133,24 @@ def read_coeffs(path, shape: tuple, digests: dict | None = None) -> np.ndarray:
         )
     if not np.isfinite(coef).all():
         raise ConfigError(f"{path}: holds non-finite coefficients")
-    if digests is not None:
-        digests[path] = hashlib.sha256(data).hexdigest()
+    _record(digests, path, data)
     return coef
+
+
+def _record(digests, path, *parts) -> None:
+    """Store the sha256 of the concatenated ``parts`` in ``digests``, if given."""
+    if digests is not None:
+        digest = hashlib.sha256()
+        for part in parts:
+            digest.update(part)
+        digests[path] = digest.hexdigest()
 
 
 def format_float(x: float) -> str:
     return "%.17g" % float(x)
 
 
-def write_rows_csv(path, header, rows) -> str:
+def write_rows_csv(path, header, rows, digests: dict | None = None) -> str:
     """Write rows of str/float cells; floats formatted deterministically.
 
     Each row is formatted by one template for its cell types, '%s' for a
@@ -114,6 +171,7 @@ def write_rows_csv(path, header, rows) -> str:
     data = ("\n".join(lines) + "\n").encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(data)
+    _record(digests, path, data)
     return path
 
 
@@ -219,10 +277,11 @@ class _Encoder(json.JSONEncoder):
         return super().default(obj)
 
 
-def write_json(path, payload) -> str:
-    data = json.dumps(payload, indent=1, sort_keys=True, cls=_Encoder)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(data + "\n")
+def write_json(path, payload, digests: dict | None = None) -> str:
+    data = (json.dumps(payload, indent=1, sort_keys=True, cls=_Encoder) + "\n").encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    _record(digests, path, data)
     return path
 
 
@@ -230,8 +289,7 @@ def read_json(path, digests: dict | None = None):
     """Parsed JSON of ``path``; with ``digests``, as :func:`read_coeffs`."""
     with open(path, "rb") as fh:
         data = fh.read()
-    if digests is not None:
-        digests[path] = hashlib.sha256(data).hexdigest()
+    _record(digests, path, data)
     return json.loads(data)
 
 

@@ -1,3 +1,5 @@
+import io
+import tokenize
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from numpy.lib import format as npy
 
 from slowphase.config import (
     DEFAULT_GUESSES,
@@ -21,6 +24,7 @@ from slowphase.series import FourierSeries, FourierTaylor
 from slowphase.store import (
     format_float,
     read_coeffs,
+    read_json,
     read_series_csv,
     sha256_file,
     write_coeffs,
@@ -423,3 +427,104 @@ def test_coeffs_round_trip_any_shape(tmp_path_factory, coef, bad, where, imagina
     write_coeffs(path, broken)
     with pytest.raises(ConfigError, match="non-finite"):
         read_coeffs(path, coef.shape)
+
+
+def _npy_bytes(coef, layout) -> bytes:
+    """``.npy`` bytes of ``coef`` in a form np.load reads but write_coeffs
+    never writes."""
+    buffer = io.BytesIO()
+    if layout == "fortran":
+        np.save(buffer, np.asfortranarray(coef), allow_pickle=False)
+    else:
+        npy.write_array(buffer, coef, version={"version_2": (2, 0), "version_3": (3, 0)}[layout])
+    return buffer.getvalue()
+
+
+@pytest.mark.parametrize("layout", ["fortran", "version_2", "version_3"])
+def test_coeffs_read_what_np_load_reads(tmp_path, layout):
+    """A Fortran-ordered array and a 2.0 or 3.0 header read to the array
+    np.load gives, signed zeros included, with the digest of the file."""
+    rng = np.random.default_rng(3)
+    coef = np.empty((3, 8, 2), dtype=complex)
+    coef.real, coef.imag = rng.standard_normal((2, *coef.shape))
+    coef.real[0, 0], coef.imag[1, 2] = -0.0, -0.0
+    path = tmp_path / "coeff.npy"
+    path.write_bytes(_npy_bytes(coef, layout))
+    with open(path, "rb") as fh:
+        version = npy.read_magic(fh)
+        fortran = npy.read_array_header_2_0(fh)[1] if version != (1, 0) else \
+            npy.read_array_header_1_0(fh)[1]
+    assert (version, fortran) == {"fortran": ((1, 0), True), "version_2": ((2, 0), False),
+                                  "version_3": ((3, 0), False)}[layout]
+    digests = {}
+    back = read_coeffs(str(path), coef.shape, digests)
+    want = np.load(path, allow_pickle=False)
+    assert back.dtype == want.dtype and back.shape == want.shape
+    assert back.flags.f_contiguous == want.flags.f_contiguous
+    assert back.tobytes() == want.tobytes() == coef.tobytes()
+    assert digests == {str(path): sha256_file(str(path))}
+
+
+def _damaged_npy(kind) -> bytes:
+    data = bytearray(_npy_bytes(np.zeros((4, 2), dtype=complex), "version_2"))
+    if kind == "magic":
+        data[1:6] = b"NOPE!"
+    elif kind == "version":
+        data[6] = 4
+    elif kind == "header":
+        # an unbalanced bracket: numpy's header filter raises TokenError
+        data[12:20] = b"garbage!"
+    elif kind == "truncated":
+        del data[-1]
+    else:  # an object array, which np.load refuses without pickling
+        buffer = io.BytesIO()
+        np.save(buffer, np.array([None, 1], dtype=object), allow_pickle=True)
+        data = bytearray(buffer.getvalue())
+    return bytes(data)
+
+
+@pytest.mark.parametrize("kind", ["magic", "version", "header", "truncated", "object"])
+def test_coeffs_refuse_what_np_load_refuses(tmp_path, kind):
+    """Bytes np.load refuses are an unreadable coefficient file naming the
+    path, a garbled header too, and record no digest."""
+    path = tmp_path / "coeff.npy"
+    path.write_bytes(_damaged_npy(kind))
+    with pytest.raises((ValueError, tokenize.TokenError)):
+        np.load(path, allow_pickle=False)
+    digests = {}
+    with pytest.raises(ConfigError, match="unreadable coefficient file") as err:
+        read_coeffs(str(path), (4, 2), digests)
+    assert str(err.value).startswith(f"{path}: ")
+    assert digests == {}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    coef=hnp.arrays(
+        np.complex128,
+        hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=5),
+        elements=st.builds(complex, _PART, _PART),
+    ),
+    fortran=st.booleans(),
+)
+def test_coeffs_write_the_bytes_of_np_save_and_record_them(tmp_path_factory, coef, fortran):
+    """write_coeffs writes what np.save writes of the C-ordered array and
+    records the sha256 of those bytes."""
+    path = str(tmp_path_factory.mktemp("npy_save") / "coeff.npy")
+    digests = {}
+    write_coeffs(path, np.asfortranarray(coef) if fortran else coef, digests)
+    buffer = io.BytesIO()
+    np.save(buffer, np.ascontiguousarray(coef), allow_pickle=False)
+    assert Path(path).read_bytes() == buffer.getvalue()
+    assert digests == {path: sha256_file(path)}
+
+
+def test_json_and_rows_writers_record_their_digests(tmp_path):
+    digests = {}
+    paths = [
+        write_json(str(tmp_path / "meta.json"), {"b": [1.5, -0.0], "a": "x"}, digests),
+        write_rows_csv(str(tmp_path / "rows.csv"), ["a", "b"], [(1.0, "x"), (2.5, "y")], digests),
+    ]
+    assert digests == {path: sha256_file(path) for path in paths}
+    assert read_json(paths[0], digests) == {"a": "x", "b": [1.5, -0.0]}
+    assert digests[paths[0]] == sha256_file(paths[0])

@@ -521,6 +521,29 @@ def test_damaged_coefficient_file_exits_4(response_stage_dir, tmp_path, capsys, 
     assert not os.path.exists(out / "validation.json")
 
 
+def test_file_changed_after_its_load_is_refused(tmp_path, monkeypatch, capsys):
+    """The manifest lists the digest of the bytes a run loaded, not of what
+    lies on disk when it is written: a frame file changed after load_result
+    verified it is refused by the next resume, exit 4, naming the file."""
+    cfg, out = _write_cfg(tmp_path)
+    assert main(["manifold", "--config", cfg]) == 0
+    bundle = os.path.join(out, "frame_bundle_coeff.npy")
+    expand = slowphase.pipeline.expand_response_functions
+
+    def expand_after_a_change(*args, **kwargs):
+        _flip_bit(bundle)  # loaded and verified by now
+        return expand(*args, **kwargs)
+
+    monkeypatch.setattr(slowphase.pipeline, "expand_response_functions", expand_after_a_change)
+    assert main(["response", "--config", cfg]) == 0
+    monkeypatch.undo()
+    capsys.readouterr()
+    assert main(["validate", "--config", cfg]) == 4
+    err = capsys.readouterr().err
+    assert f"{bundle}: sha256 differs from the file inventory" in err
+    assert not os.path.exists(os.path.join(out, "validation.json"))
+
+
 @pytest.mark.parametrize(
     "name, key, value",
     [

@@ -165,6 +165,39 @@ def test_solve_diagonal_operator_round_trip(seed):
     assert np.max(np.abs(recovered - rhs.samples())) < 1e-11
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    log2_n=st.integers(1, 6),
+    dim=st.integers(1, 3),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    n_free=st.integers(0, 3),
+)
+def test_solve_diagonal_divides_unmasked_modes_and_zeroes_the_rest(log2_n, dim, seed, n_free):
+    """Each mode is its coefficient over its divisor, bit for bit; the
+    Nyquist row and the free modes are exactly 0+0j, with positive zeros."""
+    rng = np.random.default_rng(seed)
+    n, period = 2**log2_n, rng.uniform(0.5, 10.0)
+    coef = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
+    coef[rng.random(coef.shape) < 0.2] = complex(-0.0, -0.0)
+    shifts = rng.uniform(0.1, 2.0, dim) + 1j * rng.uniform(-1.0, 1.0, dim)
+    k = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)
+    free_modes = {(int(k[rng.integers(n)]), int(rng.integers(dim))) for _ in range(n_free)}
+    sol, free = solve_diagonal(FourierSeries(coef.copy()), shifts, period, free_modes)
+    masked = np.zeros((n, dim), dtype=bool)
+    masked[n // 2] = True
+    for kf, jf in free_modes:
+        masked[k == kf, jf] = True
+        assert free[(kf, jf)] == coef[k == kf, jf][0]
+    out = sol.coef
+    assert out.dtype == np.complex128 and out.shape == (n, dim)
+    assert not np.signbit(out[masked].real).any() and not np.signbit(out[masked].imag).any()
+    assert (out[masked] == 0).all()
+    divisors = (2j * np.pi / period) * k[:, None] + shifts[None, :]
+    for row, col in zip(*np.nonzero(~masked)):
+        expected = coef[row, col] / divisors[row, col]
+        assert out[row, col].tobytes() == np.complex128(expected).tobytes(), (row, col)
+
+
 def test_solve_diagonal_refuses_a_one_sided_series():
     with pytest.raises(GridError, match="two-sided"):
         solve_diagonal(FourierSeries.from_samples(np.ones((16, 1))), [1.0], 1.0)
