@@ -387,8 +387,8 @@ def find_cycle(
     its monodromy whether the cycle attracts.  A series whose present
     harmonics share a factor m > 1 spans m periods: :class:`NewtonError`
     names m.  A series not resolved by the grid raises :class:`GridError`.
-    A model whose component 0 has no simple maximum on the orbit raises
-    :class:`SectionError`.
+    A model whose component 0 has no simple maximum on the orbit, or an
+    anchor where X_0 is not crossed downward, raises :class:`SectionError`.
     """
     guess = np.asarray(guess, dtype=float)
     gap_tol = math.sqrt(newton_tol)
@@ -452,6 +452,10 @@ def find_cycle(
             f"orbit is not spectrally resolved: top-octave coefficient level "
             f"{tail:.2e} of the peak; increase cycle.grid_N"
         )
+    _, rate = _descent(model, x)  # the section row holds at a minimum too
+    if rate > -SECTION_TOL:
+        raise SectionError(f"the anchor is not a maximum of component 0: d X_0 / dt is "
+                           f"{rate:.2e} of |DX| |X| there, not below -{SECTION_TOL:.0e}")
     residual = float(np.linalg.norm(sweep.end_state - x))
     return CycleResult(anchor=x, period=float(period), grid_size=grid_size,
                        shooting_residual=residual, search=search, series=series, sweep=sweep)

@@ -13,7 +13,8 @@ Three formats:
   response series, k = -N/2..N/2-1 for the complex frames.
 * ``json`` -- byte copies of the manifest, then of every JSON file of its
   inventory in sorted order: the stage metadata, which holds the numbers.
-  Each file's sha256 must match the inventory's before any is copied.
+  Each file is read once and checked as :func:`~slowphase.pipeline.load_result`
+  checks it; the bytes read are written once every file passed.
 * ``plotdata`` -- long-format tables ``theta,sigma,component,value``
   covering the accuracy domain at the loosest tolerance: the manifold
   surface and the response functions evaluated on it.
@@ -22,17 +23,15 @@ Three formats:
 from __future__ import annotations
 
 import os
-import shutil
 
 import numpy as np
 
 from .errors import ConfigError
 from .frames import build_real_frames
 from .manifold import evaluate_manifold
-from .pipeline import PipelineResult, cycle_sweep
+from .pipeline import PipelineResult, _check_inventory, _read_manifest, cycle_sweep
 from .series import FourierTaylor
-from .store import (read_json, sha256_file, write_function_csv, write_rows_csv,
-                    write_series_csv)
+from .store import read_bytes, write_function_csv, write_rows_csv, write_series_csv
 from .validation import accuracy_domain
 
 __all__ = ["export_artifacts"]
@@ -122,18 +121,16 @@ def export_artifacts(
 
     if fmt == "json":
         run = result.config.out_dir
-        inventory = read_json(os.path.join(run, "manifest.json"))["files"]
-        names = sorted(n for n in inventory if n.endswith(".json"))
-        for name in names:
-            path = os.path.join(run, name)
-            if not os.path.exists(path) or sha256_file(path) != inventory[name]:
-                raise ConfigError(f"{path}: missing, or its sha256 differs from the "
-                                  "manifest's file inventory")
-        for name in ["manifest.json"] + names:
-            src, dst = os.path.join(run, name), os.path.join(out, name)
-            if os.path.abspath(src) != os.path.abspath(dst):
-                shutil.copyfile(src, dst)
-            files.append(dst)
+        manifest, inventory = _read_manifest(run)
+        digests = {}
+        data = {name: read_bytes(os.path.join(run, name), digests)
+                for name in sorted(n for n in inventory if n.endswith(".json"))}
+        _check_inventory(run, digests, inventory)
+        for name, content in {"manifest.json": manifest, **data}.items():
+            path = os.path.join(out, name)
+            with open(path, "wb") as fh:
+                fh.write(content)
+            files.append(path)
         return files
 
     if fmt == "plotdata":

@@ -21,17 +21,17 @@ of period 1.  The divisor tables and the validation are recomputed on every
 run, never loaded.  The manifest is the run's provenance alone: the
 configuration echo, the failed stage and its error, and a checksummed file
 inventory, against which :func:`load_result` checks every file it reads;
-every number lives in its stage file.  The store's readers and writers
-record the sha256 of each file the run reads or writes in
-``PipelineResult.digests``; the inventory takes those, and hashes from disk
-only the files the run did neither.  A recursion divisor below
-``solver.small_divisor_tol`` (a resonance) or a hyperbolicity failure aborts
-the run in the floquet stage; finished stages keep their files and the
-manifest records the failed one.
+every number lives in its stage file.  The inventory is
+``PipelineResult.digests``, the sha256 of each file in the output directory
+that the run read or wrote; any other file stays there unlisted and refused.
+A recursion divisor below ``solver.small_divisor_tol`` (a resonance) or a
+hyperbolicity failure aborts the run in the floquet stage; finished stages
+keep their files and the manifest records the failed one.
 """
 
 from __future__ import annotations
 
+import json
 import os
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, NamedTuple
@@ -48,7 +48,7 @@ from .manifold import ManifoldExpansion, expand_slow_manifold, slow_exponent
 from .models import get_model
 from .response import ResponseExpansion, expand_response_functions
 from .series import FourierSeries, FourierTaylor
-from .store import read_coeffs, read_json, sha256_file, write_coeffs, write_json, write_rows_csv
+from .store import read_bytes, read_coeffs, read_json, write_coeffs, write_json, write_rows_csv
 from .validation import run_validation, tolerance_labels
 
 __all__ = ["PipelineResult", "run_pipeline", "Stage", "STAGES", "load_result"]
@@ -403,15 +403,12 @@ def run_pipeline(
 
 def _write_manifest(out, result: PipelineResult, failed_stage, error):
     """The run's provenance: config echo, failure record and the sha256
-    inventory of every artifact; each number lives in its stage file.  A
-    file this run read or wrote is listed with the digest of those bytes,
-    so one changed on disk since is refused on the next load; only the
-    others are hashed here."""
-    inventory = {}
-    for name in sorted(os.listdir(out)):
-        if name != "manifest.json" and name.endswith((".npy", ".csv", ".json")):
-            path = os.path.join(out, name)
-            inventory[name] = result.digests.get(path) or sha256_file(path)
+    inventory of the files in ``out`` that this run read or wrote (not those
+    of a resumed result's other directory), each with the digest of those
+    bytes, so one changed on disk since is refused on the next load."""
+    here = os.path.abspath(out)
+    inventory = {os.path.basename(path): digest for path, digest in sorted(result.digests.items())
+                 if os.path.dirname(os.path.abspath(path)) == here}
     result.manifest = {
         "tool": "slowphase",
         "version": __version__,
@@ -458,7 +455,7 @@ def load_result(config: RunConfig) -> PipelineResult:
                 f"{path}: malformed metadata ({type(exc).__name__}: {exc})"
             ) from exc
     if result.digests:
-        _check_inventory(config.out_dir, result.digests)
+        _check_inventory(config.out_dir, result.digests, _read_manifest(config.out_dir)[1])
     return result
 
 
@@ -472,19 +469,22 @@ def _stale(path, stage, stored, wanted) -> ConfigError:
     )
 
 
-def _check_inventory(out, digests):
-    """Match each digest against the file inventory of the manifest."""
+def _read_manifest(out) -> tuple:
+    """The bytes of the manifest in ``out`` and its file inventory."""
     path = os.path.join(out, "manifest.json")
     try:
-        inventory = dict(read_json(path)["files"])
+        data = read_bytes(path)
+        return data, dict(json.loads(data)["files"])
     except FileNotFoundError as exc:
-        raise ConfigError(
-            f"{path}: manifest missing, so the stored artifacts cannot be checked"
-        ) from exc
+        raise ConfigError(f"{path}: manifest missing, so the stored artifacts cannot be "
+                          "checked") from exc
     except (TypeError, KeyError, ValueError) as exc:
-        raise ConfigError(
-            f"{path}: malformed manifest ({type(exc).__name__}: {exc})"
-        ) from exc
+        raise ConfigError(f"{path}: malformed manifest ({type(exc).__name__}: {exc})") from exc
+
+
+def _check_inventory(out, digests, inventory):
+    """Match each digest against ``inventory``, that of the manifest in ``out``."""
+    path = os.path.join(out, "manifest.json")
     for file, digest in digests.items():
         expected = inventory.get(os.path.basename(file))
         if expected is None:

@@ -9,12 +9,12 @@ rows in FFT order for a complex one (the frames).  The bytes are the doubles
 themselves, so a coefficient round-trips exactly, signed zeros included, and
 identical arrays give identical files.
 
-The readers (:func:`read_coeffs`, :func:`read_json`) and the pipeline's
-writers (:func:`write_coeffs`, :func:`write_json`, :func:`write_rows_csv`)
-take an optional ``digests`` dict, in which they record the sha256 of the
-bytes they read or wrote under the path; a run's manifest inventory takes
-those digests instead of hashing the files again (see
-:mod:`slowphase.pipeline`).
+The readers (:func:`read_coeffs` and :func:`read_json` read through
+:func:`read_bytes`) and the pipeline's writers (:func:`write_coeffs`,
+:func:`write_json`, :func:`write_rows_csv`) take an optional ``digests``
+dict, in which they record the sha256 of the bytes they read or wrote under
+the path; a run's manifest inventory is those digests, and no file is
+hashed twice (see :mod:`slowphase.pipeline`).
 
 The text formats serve exports and metadata.  Function CSVs carry a header
 ``theta,<component names>``; coefficient CSVs carry ``k`` followed by
@@ -49,7 +49,7 @@ __all__ = [
     "read_series_csv",
     "write_json",
     "read_json",
-    "sha256_file",
+    "read_bytes",
 ]
 
 
@@ -116,8 +116,7 @@ def read_coeffs(path, shape: tuple, digests: dict | None = None) -> np.ndarray:
     ``digests``, the sha256 of the bytes read is stored there under ``path``.
     """
     try:
-        with open(path, "rb") as fh:
-            data = fh.read()
+        data = read_bytes(path)
         coef = _parse_npy(data)
     except FileNotFoundError as exc:
         raise ConfigError(
@@ -285,17 +284,14 @@ def write_json(path, payload, digests: dict | None = None) -> str:
     return path
 
 
-def read_json(path, digests: dict | None = None):
-    """Parsed JSON of ``path``; with ``digests``, as :func:`read_coeffs`."""
+def read_bytes(path, digests: dict | None = None) -> bytes:
+    """The bytes of ``path``; ``digests`` records their sha256 under ``path``."""
     with open(path, "rb") as fh:
         data = fh.read()
     _record(digests, path, data)
-    return json.loads(data)
+    return data
 
 
-def sha256_file(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+def read_json(path, digests: dict | None = None):
+    """Parsed JSON of ``path``; with ``digests``, as :func:`read_bytes`."""
+    return json.loads(read_bytes(path, digests))

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import tokenize
 from dataclasses import fields, replace
@@ -23,16 +24,23 @@ from slowphase.integrate import RTOL_FLOOR, IntegratorSettings
 from slowphase.series import FourierSeries, FourierTaylor
 from slowphase.store import (
     format_float,
+    read_bytes,
     read_coeffs,
     read_json,
     read_series_csv,
-    sha256_file,
     write_coeffs,
     write_json,
     write_rows_csv,
     write_series_csv,
 )
 from slowphase.validation import tolerance_labels
+
+
+def _sha256(path):
+    """The sha256 of the bytes on disk, against which the store's recorded
+    digests are checked."""
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def test_parse_basic_grammar():
@@ -389,7 +397,7 @@ def test_json_and_checksum_determinism(tmp_path):
     p1, p2 = str(tmp_path / "one.json"), str(tmp_path / "two.json")
     write_json(p1, payload)
     write_json(p2, payload)
-    assert sha256_file(p1) == sha256_file(p2)
+    assert _sha256(p1) == _sha256(p2)
     assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
@@ -462,7 +470,7 @@ def test_coeffs_read_what_np_load_reads(tmp_path, layout):
     assert back.dtype == want.dtype and back.shape == want.shape
     assert back.flags.f_contiguous == want.flags.f_contiguous
     assert back.tobytes() == want.tobytes() == coef.tobytes()
-    assert digests == {str(path): sha256_file(str(path))}
+    assert digests == {str(path): _sha256(str(path))}
 
 
 def _damaged_npy(kind) -> bytes:
@@ -516,7 +524,7 @@ def test_coeffs_write_the_bytes_of_np_save_and_record_them(tmp_path_factory, coe
     buffer = io.BytesIO()
     np.save(buffer, np.ascontiguousarray(coef), allow_pickle=False)
     assert Path(path).read_bytes() == buffer.getvalue()
-    assert digests == {path: sha256_file(path)}
+    assert digests == {path: _sha256(path)}
 
 
 def test_json_and_rows_writers_record_their_digests(tmp_path):
@@ -525,6 +533,9 @@ def test_json_and_rows_writers_record_their_digests(tmp_path):
         write_json(str(tmp_path / "meta.json"), {"b": [1.5, -0.0], "a": "x"}, digests),
         write_rows_csv(str(tmp_path / "rows.csv"), ["a", "b"], [(1.0, "x"), (2.5, "y")], digests),
     ]
-    assert digests == {path: sha256_file(path) for path in paths}
+    assert digests == {path: _sha256(path) for path in paths}
     assert read_json(paths[0], digests) == {"a": "x", "b": [1.5, -0.0]}
-    assert digests[paths[0]] == sha256_file(paths[0])
+    assert digests[paths[0]] == _sha256(paths[0])
+    digests = {}
+    assert read_bytes(paths[1], digests) == b"a,b\n1,x\n2.5,y\n"
+    assert digests == {paths[1]: _sha256(paths[1])}

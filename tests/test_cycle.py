@@ -111,6 +111,38 @@ def test_flat_maximum_rejected():
         find_cycle(model, [0.0, 1.0, 0.0], relax_time=0.0, grid_size=64)
 
 
+def make_twomax_model(b=0.3):
+    """State (w, x, y): w' = -3 (w - 2 x y - b x) driven by the oracle circle
+    in (x, y), so w has two unequal maxima per period (b = 0: two equal ones,
+    a half-period symmetry)."""
+    from slowphase.models import VectorFieldModel
+
+    def rhs(u):
+        w, x, y = u
+        r2 = x * x + y * y
+        return (-3.0 * (w - 2.0 * x * y - b * x), x - y - r2 * x, x + y - r2 * y)
+
+    def jac_rows(u):
+        w, x, y = u
+        return (
+            (-3.0, 6.0 * y + 3.0 * b, 6.0 * x),
+            (0.0, 1.0 - 3.0 * x * x - y * y, -1.0 - 2.0 * x * y),
+            (0.0, 1.0 - 2.0 * x * y, 1.0 - x * x - 3.0 * y * y),
+        )
+
+    return VectorFieldModel("twomax", 3, {"b": b}, ("w", "x", "y"), rhs, jac_rows)
+
+
+@pytest.mark.parametrize("guess", [(0.0, 1.0, 0.0), (0.0, 0.0, 1.0)])
+def test_anchor_at_a_minimum_rejected(guess):
+    """Newton's section row X_0 = 0 holds at a minimum of component 0 too:
+    from these guesses shooting converges to w = -1.0337, the orbit's
+    minimum (its maximum is 1.044), where X_0 is crossed upward."""
+    with pytest.raises(SectionError, match=r"anchor is not a maximum of component 0: "
+                                           r"d X_0 / dt is 4\.68e-01 of \|DX\| \|X\|"):
+        find_cycle(make_twomax_model(), guess, grid_size=256, relax_time=40.0)
+
+
 def test_return_search_honours_step_budget():
     model = make_oracle_model()
     with pytest.raises(IntegrationError, match="step budget 3 exhausted"):

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -24,7 +25,7 @@ from slowphase.cycle import DIVISOR_TABLES
 from slowphase.errors import ConfigError, FrameError, ResonanceError
 from slowphase.pipeline import STAGES, Stage, load_result, run_pipeline
 from slowphase.series import FourierSeries
-from slowphase.store import sha256_file, write_coeffs, write_json, write_series_csv
+from slowphase.store import write_coeffs, write_json, write_series_csv
 
 
 ORACLE_CFG = """
@@ -47,6 +48,12 @@ def _read_json(path):
         return json.load(fh)
 
 
+def _sha256(path):
+    """The sha256 of the bytes on disk, for forged manifests and checks."""
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
 def _write_cfg(tmp_path, out_name="out"):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(ORACLE_CFG.format(out=tmp_path / out_name))
@@ -63,7 +70,7 @@ def test_pipeline_artifacts_and_manifest(oracle_run):
     for name, digest in manifest["files"].items():
         path = os.path.join(out, name)
         assert os.path.exists(path)
-        assert sha256_file(path) == digest
+        assert _sha256(path) == digest
     # the multiplier table comes from the refined exponents and the polished
     # period
     frames = _read_json(os.path.join(out, "frames.json"))
@@ -144,12 +151,12 @@ def test_staged_subcommands_resume(tmp_path):
     assert not os.path.exists(os.path.join(out, "spectrum.json"))
     # the cycle stage stores no coefficients: its pass is recomputed
     assert not [n for n in os.listdir(out) if n.endswith(".npy")]
-    cycle_digest = sha256_file(os.path.join(out, "cycle.json"))
+    cycle_digest = _sha256(os.path.join(out, "cycle.json"))
 
     assert main(["floquet", "--config", cfg]) == 0
     assert os.path.exists(os.path.join(out, "spectrum.json"))
     # the cycle stage was reused, not recomputed
-    assert sha256_file(os.path.join(out, "cycle.json")) == cycle_digest
+    assert _sha256(os.path.join(out, "cycle.json")) == cycle_digest
 
     assert main(["manifold", "--config", cfg]) == 0
     assert os.path.exists(os.path.join(out, "manifold.json"))
@@ -307,7 +314,7 @@ def test_replaced_upstream_stage_rejected(response_stage_dir, tmp_path, capsys, 
     manifest = _read_json(out / "manifest.json")
     for name in ("manifold.json", "manifold_coeff.npy"):
         shutil.copyfile(tmp_path / "out6" / name, out / name)
-        manifest["files"][name] = sha256_file(out / name)
+        manifest["files"][name] = _sha256(out / name)
     write_json(out / "manifest.json", manifest)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
@@ -367,6 +374,10 @@ def test_manifest_lists_every_artifact(oracle_run):
         if n.endswith((".npy", ".csv", ".json")) and n != "manifest.json"
     }
     assert set(manifest["files"]) == on_disk
+    # the inventory is the digests of the files the run wrote, by name
+    assert manifest["files"] == {
+        os.path.basename(path): digest for path, digest in oracle_run.result.digests.items()
+    }
     assert {n for n in on_disk if n.endswith(".npy")} == {
         "cycle_coeff.npy", "frame_bundle_coeff.npy", "frame_adjoint_coeff.npy",
         "manifold_coeff.npy", "response_phase_coeff.npy",
@@ -459,7 +470,7 @@ def _set_key(path, key, value):
     write_json(path, meta)
     manifest_path = os.path.join(os.path.dirname(path), "manifest.json")
     manifest = _read_json(manifest_path)
-    manifest["files"][os.path.basename(path)] = sha256_file(path)
+    manifest["files"][os.path.basename(path)] = _sha256(path)
     write_json(manifest_path, manifest)
 
 
@@ -606,7 +617,7 @@ def test_retired_manifold_key_of_earlier_versions_exits_4(response_stage_dir, tm
     meta["inputs"]["manifold.extra_orders"] = "1"
     write_json(path, meta)
     manifest = _read_json(out / "manifest.json")
-    manifest["files"]["manifold.json"] = sha256_file(path)
+    manifest["files"]["manifold.json"] = _sha256(path)
     write_json(out / "manifest.json", manifest)
     cfg, _ = _write_cfg(tmp_path)
     capsys.readouterr()
@@ -774,6 +785,74 @@ def test_aborted_frames_stage_writes_nothing_and_resumes_cold(cold_run_dir, tmp_
     assert _read_json(out / "manifest.json")["failed_stage"] == Stage.FRAMES
     assert main(["validate", "--config", cfg, "--out", str(out)]) == 0
     _assert_cold_bytes(out, cold)
+
+
+def _inventory(out):
+    """The manifest's file inventory, each digest checked against the disk."""
+    files = _read_json(os.path.join(out, "manifest.json"))["files"]
+    for name, digest in files.items():
+        assert _sha256(os.path.join(out, name)) == digest, name
+    return files
+
+
+def test_resume_lists_only_the_files_it_read_or_wrote(cold_run_dir, tmp_path, capsys):
+    """An order-5 resume of an order-4 run's frames leaves that run's
+    validation files on disk, but its manifest does not vouch for them, and
+    the json export copies only what the resume read or wrote."""
+    cfg, cold = cold_run_dir
+    out = tmp_path / "resumed"
+    shutil.copytree(cold, out)
+    for stage in (Stage.MANIFOLD, Stage.RESPONSE):
+        for name in STAGE_FILES[stage]:
+            os.remove(out / name)
+    cfg_5 = tmp_path / "run5.cfg"
+    cfg_5.write_text(pathlib.Path(cfg).read_text().replace("manifold.order = 4",
+                                                           "manifold.order = 5"))
+    assert main(["response", "--config", str(cfg_5), "--out", str(out)]) == 0
+    listed = sorted(sum((STAGE_FILES[stage] for stage in Stage.ORDER[:-1]), []))
+    assert sorted(_inventory(out)) == listed
+    assert len(listed) == 12
+    assert (out / "validation.json").exists() and (out / "accuracy_domain.csv").exists()
+    capsys.readouterr()
+    assert main(["export", "--config", str(cfg_5), "--out", str(out), "--format", "json"]) == 0
+    exported = capsys.readouterr().out.split()
+    assert sorted(os.listdir(out / "exports")) == sorted(map(os.path.basename, exported))
+    assert len(exported) == 7 and "validation.json" not in os.listdir(out / "exports")
+
+
+def test_refused_run_lists_only_its_own_files(cold_run_dir, tmp_path, capsys):
+    """A run refused in the floquet stage lists the three files it wrote, so
+    a resume under the first config refuses the earlier run's frames rather
+    than loading them."""
+    cfg, cold = cold_run_dir
+    out = tmp_path / "refused"
+    shutil.copytree(cold, out)
+    refusing = tmp_path / "refusing.cfg"
+    refusing.write_text(pathlib.Path(cfg).read_text() + "solver.small_divisor_tol = 10\n")
+    assert main(["run", "--config", str(refusing), "--out", str(out)]) == 3
+    assert sorted(_inventory(out)) == ["cycle.json", "resonance.json", "spectrum.json"]
+    capsys.readouterr()
+    assert main(["validate", "--config", cfg, "--out", str(out)]) == 4
+    assert f"{out / 'frames.json'}: not in the file inventory" in capsys.readouterr().err
+
+
+def test_result_run_into_another_directory_lists_none_of_the_first(cold_run_dir, tmp_path):
+    """Resuming a result loaded from one directory into another, which holds
+    a complete earlier run, lists only the files written there."""
+    cfg, cold = cold_run_dir
+    first, other = tmp_path / "first", tmp_path / "other"
+    shutil.copytree(cold, first)
+    shutil.copytree(cold, other)
+    for stage in (Stage.MANIFOLD, Stage.RESPONSE, Stage.VALIDATE):
+        for name in STAGE_FILES[stage]:
+            os.remove(first / name)
+    config = load_config(cfg)
+    loaded = load_result(replace(config, out_dir=str(first)))
+    run_pipeline(replace(config, out_dir=str(other)), resume=loaded)
+    # the divisor tables are recomputed on every run, never loaded
+    written = ["resonance.json"] + sum(
+        (STAGE_FILES[stage] for stage in (Stage.MANIFOLD, Stage.RESPONSE, Stage.VALIDATE)), [])
+    assert sorted(_inventory(other)) == sorted(written)
 
 
 def test_export_json_copies_manifest_and_stage_metadata(oracle_run, tmp_path):
