@@ -130,8 +130,8 @@ class CycleResult:
     period: float
     grid_size: int
     shooting_residual: float
-    # how find_cycle got there: relax_returns, relaxed_time, return_gap,
-    # newton_steps (the step norms) and section_value (X_0 at the anchor)
+    # how find_cycle got there: relax_returns, relaxed_time, return_gap and
+    # newton_steps (the step norms)
     search: dict
     series: FourierSeries | None = None
     # find_cycle's pass; not stored, so a loaded cycle has none
@@ -432,7 +432,6 @@ def find_cycle(
     else:
         raise diverged(f"shooting Newton did not converge in {MAX_NEWTON} iterations")
     search["newton_steps"] = steps
-    search["section_value"] = float(model.eval(x)[0])
 
     series = FourierSeries.from_samples(sweep.states)
     # m periods need m times the harmonics of one, so the tail check below
@@ -506,11 +505,11 @@ def _gauge_vector(w: np.ndarray):
     return w, idx
 
 
-def floquet_spectrum(sweep: VariationalSweep) -> FloquetSpectrum:
-    """Monodromy eigendecomposition, sorted, classified, and gauged.
+def floquet_spectrum(monodromy: np.ndarray, period: float) -> FloquetSpectrum:
+    """Eigendecomposition of the ``monodromy`` of a cycle of ``period``,
+    sorted, classified, and gauged; every field is a function of the two.
 
-    The monodromy is the product of the Phi chunk ends of ``sweep``.  A
-    multiplier whose imaginary part is below ``IMAG_CLASS_TOL`` of its
+    A multiplier whose imaginary part is below ``IMAG_CLASS_TOL`` of its
     modulus is treated as real; the bound is generous because the weakest
     multipliers sit near the integration noise floor.  Each eigenvector is
     gauged by :func:`_gauge_vector`; from :func:`find_cycle`'s canonical
@@ -523,7 +522,7 @@ def floquet_spectrum(sweep: VariationalSweep) -> FloquetSpectrum:
     monodromy M, ``|mu| <= UNDERFLOW_FACTOR eps |M|_2``, is rounding noise,
     so it raises :class:`MultiplierUnderflowError` naming it and the floor.
     """
-    period, monodromy = float(sweep.edges[-1]), sweep.product()
+    period = float(period)
     mu, vecs = np.linalg.eig(monodromy)
 
     cond = float(np.linalg.cond(vecs))
@@ -599,7 +598,7 @@ def floquet_spectrum(sweep: VariationalSweep) -> FloquetSpectrum:
             j += 2
 
     return FloquetSpectrum(
-        period=float(period),
+        period=period,
         multipliers=mu_sorted,
         exponents=exponents,
         eigenvectors=gauged,

@@ -70,18 +70,10 @@ class VectorFieldModel:
     jac_rows: callable
 
     def eval(self, x) -> np.ndarray:
-        """Evaluate X(x); supports batches with the state on the last axis.
-
-        One real state (shape (d,), float64) goes through the closure of
-        :meth:`point_field`, which passes it to ``rhs`` as Python floats and
-        skips numpy's per-component dispatch; the arithmetic, hence every bit
-        of the result, is the same.
-        """
+        """Evaluate X(x); supports batches with the state on the last axis."""
         x = np.asarray(x)
         if x.shape[-1:] != (self.dim,):
             raise ModelError(f"state shape {x.shape} does not end in model dim {self.dim}")
-        if x.ndim == 1 and x.dtype == np.float64:
-            return _point_value(self.rhs, x)
         comps = tuple(x[..., i] for i in range(self.dim))
         out = self.rhs(comps)
         return np.stack(np.broadcast_arrays(*out), axis=-1)
@@ -91,8 +83,6 @@ class VectorFieldModel:
         x = np.asarray(x)
         if x.shape[-1:] != (self.dim,):
             raise ModelError(f"state shape {x.shape} does not end in model dim {self.dim}")
-        if x.ndim == 1 and x.dtype == np.float64:
-            return _point_value(self.jac_rows, x)
         comps = tuple(x[..., i] for i in range(self.dim))
         rows = self.jac_rows(comps)
         base = x[..., 0]

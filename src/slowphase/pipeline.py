@@ -10,7 +10,9 @@ of its result dataclass that it computes and ``inputs`` (the config echo of
 the keys it and every earlier stored stage read, see :func:`_inputs`), and a
 ``.npy`` file per stored series; a field that ``inputs`` or an earlier file
 fixes is rebuilt on load.  The cycle stage stores the shooting anchor and
-period, not its pass, which is recomputed from them.  The frames stage stores
+period, not its pass, which is recomputed from them.  The floquet stage
+stores the monodromy alone: the loader classifies it again with
+:func:`~slowphase.cycle.floquet_spectrum`.  The frames stage stores
 the polished period, the adjoint cross-check's report and the frames'
 exponents and residuals in ``frames.json`` (their classes are the
 spectrum's), the polished orbit in ``cycle_coeff.npy`` (N/2 + 1, d), and
@@ -42,7 +44,7 @@ from . import __version__
 from .config import PARAMS_PREFIX, RunConfig, _show
 from .cycle import (CycleResult, FloquetSpectrum, check_resonances, find_cycle,
                     floquet_spectrum, variational_sweep)
-from .errors import ConfigError, GridError, ResonanceError, SlowphaseError
+from .errors import ConfigError, GridError, NumericalError, ResonanceError, SlowphaseError
 from .frames import Frame, build_adjoint_frame, build_bundle_frame, cross_check_adjoint_frame
 from .manifold import ManifoldExpansion, expand_slow_manifold, slow_exponent
 from .models import get_model
@@ -81,6 +83,15 @@ def _meta(obj, skip=()) -> dict:
     return {f.name: getattr(obj, f.name) for f in fields(obj) if f.name not in skip}
 
 
+def _exact(meta: dict, *keys) -> dict:
+    """``meta``, which must hold exactly ``keys``: a key this version does
+    not write, or a missing one, is malformed metadata."""
+    unknown, missing = sorted(meta.keys() - set(keys)), sorted(set(keys) - meta.keys())
+    if unknown or missing:
+        raise TypeError(f"unknown keys {unknown}, missing keys {missing}")
+    return meta
+
+
 def _complex(pairs) -> np.ndarray:
     """Complex array from nested [re, im] pairs, exact down to signed zeros."""
     return np.asarray(pairs, dtype=float).view(complex)[..., 0]
@@ -104,25 +115,20 @@ def save_cycle(out, cycle: CycleResult, inputs: dict, digests: dict | None = Non
 
 def load_cycle(result, meta):
     meta["anchor"] = np.asarray(meta["anchor"])
+    _exact(meta["search"], "relax_returns", "relaxed_time", "return_gap", "newton_steps")
     result.cycle = CycleResult(**meta, grid_size=result.config.grid_size)
 
 
 def save_spectrum(out, spectrum: FloquetSpectrum, inputs: dict, digests: dict | None = None):
-    # eigenvectors are stored column by column
-    meta = {**_meta(spectrum, skip=("period",)), "eigenvectors": spectrum.eigenvectors.T,
-            "inputs": inputs}
+    # every other field is floquet_spectrum's function of the monodromy
+    meta = {"monodromy": spectrum.monodromy, "inputs": inputs}
     write_json(os.path.join(out, "spectrum.json"), meta, digests)
 
 
 def load_spectrum(result, meta):
     # the shooting period: the frames stage, which polishes it, loads later
-    for key in ("multipliers", "exponents"):
-        meta[key] = _complex(meta[key])
-    meta["eigenvectors"] = _complex(meta["eigenvectors"]).T
-    meta["monodromy"] = np.asarray(meta["monodromy"])
-    meta["classes"] = tuple(meta["classes"])
-    meta["gauge_components"] = tuple(meta["gauge_components"])
-    result.spectrum = FloquetSpectrum(**meta, period=result.cycle.period)
+    monodromy = np.asarray(_exact(meta, "monodromy")["monodromy"])
+    result.spectrum = floquet_spectrum(monodromy, result.cycle.period)
 
 
 def save_frames(out, result: PipelineResult, inputs: dict):
@@ -145,9 +151,9 @@ def load_frames(result, meta):
     stored: ``build_real_frames`` recomputes the real ones for an export.
     Their classes are the loaded spectrum's.  An unknown key is refused,
     as the dataclass loaders refuse an unknown field."""
-    unknown = sorted(set(meta) - {"period", "band_cut", "crosscheck", "bundle", "adjoint"})
-    if unknown:
-        raise TypeError(f"unknown keys {unknown}")
+    _exact(meta, "period", "band_cut", "crosscheck", "bundle", "adjoint")
+    _exact(meta["crosscheck"], "eigenvalue_duality_rel_errors", "psi_phi_identity_defect",
+           "column_discrepancies")
     grid_size, dim = result.cycle.grid_size, len(result.cycle.anchor)
     series = FourierSeries(_read(result, "cycle", (grid_size // 2 + 1, dim)), real=True)
     result.cycle = replace(result.cycle, anchor=series.samples()[0].copy(),
@@ -251,7 +257,7 @@ def cycle_sweep(result):
 
 
 def _run_spectrum(result):
-    result.spectrum = floquet_spectrum(cycle_sweep(result))
+    result.spectrum = floquet_spectrum(cycle_sweep(result).product(), result.cycle.period)
     save_spectrum(result.config.out_dir, result.spectrum, _inputs(result, "spectrum.json"),
                   result.digests)
 
@@ -373,13 +379,15 @@ def run_pipeline(
     ``config.out_dir``.
 
     ``resume`` carries artifacts of earlier stages (e.g. loaded from disk by
-    the CLI); stages with artifacts present are skipped.
+    the CLI); stages with artifacts present are skipped.  The run goes into
+    a copy of ``resume`` with its own ``digests``, so ``resume`` is left as
+    it was, but for :func:`cycle_sweep` on its loaded cycle.
     """
     config = config.validate()
     out = config.out_dir
     os.makedirs(out, exist_ok=True)
-    result = resume or PipelineResult(config=config)
-    result.config = config
+    result = (PipelineResult(config=config) if resume is None
+              else replace(resume, config=config, digests=dict(resume.digests)))
     result.model = get_model(config.model, config.model_params)
     guess = config.effective_guess()
     if len(guess) != result.model.dim:
@@ -430,7 +438,8 @@ def load_result(config: RunConfig) -> PipelineResult:
     records differ from the config's (see :func:`_inputs`: the stage was built
     under another config), with each differing key's stored and requested
     values; when a metadata file does not parse, lacks a field (``inputs`` too)
-    or holds an unknown one (a field rebuilt on load included); when a
+    or holds an unknown one (a field rebuilt on load included), or holds a
+    monodromy that :func:`floquet_spectrum` refuses; when a
     coefficient file is missing, truncated, of the wrong dtype or shape, or
     non-finite; and then when ``manifest.json`` is missing, or a file read is
     absent from its inventory or differs from its sha256 there.  So stale or
@@ -450,7 +459,7 @@ def load_result(config: RunConfig) -> PipelineResult:
             if stored != wanted:
                 raise _stale(path, step.stage, stored, wanted)
             step.load(result, meta)
-        except (TypeError, KeyError, ValueError, GridError) as exc:
+        except (TypeError, KeyError, ValueError, GridError, NumericalError) as exc:
             raise ConfigError(
                 f"{path}: malformed metadata ({type(exc).__name__}: {exc})"
             ) from exc

@@ -156,8 +156,8 @@ def test_criterion_6_two_periodicity(ei_run):
 
 def test_criterion_7_flow_conjugacy(ei_run):
     traj = ei_run.result.validation.trajectory
-    state_gap = traj["max_state_gap"]
-    decay = traj["max_decay_defect"]
+    state_gap = float(traj["state_gap"].max())
+    decay = float(traj["decay_defect"].max())
     n_samples = len(traj["state_gap"])
     checks = [state_gap < 1e-6, decay < 1e-6, n_samples == 50]
     _line(

@@ -2,7 +2,7 @@ import json
 import math
 import os
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -42,7 +42,7 @@ from slowphase.integrate import (
     _integrate,
 )
 from slowphase.models import make_oracle_model
-from slowphase.pipeline import PipelineResult, Stage, _run_resonance, run_pipeline
+from slowphase.pipeline import PipelineResult, Stage, _run_resonance, load_result, run_pipeline
 from slowphase.series import FourierSeries
 from slowphase.store import read_json
 
@@ -51,7 +51,7 @@ from slowphase.store import read_json
 def oracle_cycle():
     model = make_oracle_model()
     cycle = find_cycle(model, [1.3, 0.0], grid_size=256, relax_time=20.0)
-    spectrum = floquet_spectrum(cycle.sweep)
+    spectrum = floquet_spectrum(cycle.sweep.product(), cycle.period)
     return model, cycle, spectrum
 
 
@@ -246,19 +246,19 @@ def test_ei_expansions_are_continuous_in_a_parameter(tmp_path):
 
 def test_cycle_and_spectrum_record_the_search_and_the_sign(ei_run, oracle_run):
     """cycle.json records the relaxation, which stops at the gap Newton needs
-    and well before the cap, the Newton steps, and the anchor's section
-    value; spectrum.json records the component whose sign each gauge fixed."""
+    and well before the cap, and the Newton steps; its anchor lies on the
+    section X_0 = 0.  The spectrum records the component whose sign each
+    gauge fixed."""
     for run in (ei_run, oracle_run):
         config, spectrum = run.config, run.result.spectrum
-        search = read_json(os.path.join(config.out_dir, "cycle.json"))["search"]
+        stored = read_json(os.path.join(config.out_dir, "cycle.json"))
+        search = stored["search"]
         assert search == run.result.cycle.search
         assert search["return_gap"] < math.sqrt(config.newton_tol)
         assert search["relax_returns"] >= 1
         assert search["relaxed_time"] < config.relax_time
         assert search["newton_steps"][-1] < config.newton_tol
-        assert abs(search["section_value"]) < 1e-12
-        stored = read_json(os.path.join(config.out_dir, "spectrum.json"))
-        assert tuple(stored["gauge_components"]) == spectrum.gauge_components
+        assert abs(run.result.model.eval(np.asarray(stored["anchor"]))[0]) < 1e-12
         for j, idx in enumerate(spectrum.gauge_components):
             mags = np.abs(spectrum.eigenvectors[:, j])
             assert idx == int(np.argmax(mags > 1e-8 * mags.max()))
@@ -453,6 +453,21 @@ def floquet_runs(tmp_path_factory):
 
 
 @pytest.mark.parametrize("name", ["ei", "oracle"])
+def test_loaded_spectrum_is_the_cold_runs_bit_for_bit(floquet_runs, name):
+    """spectrum.json stores the monodromy alone, and the loader classifies it
+    again with floquet_spectrum and the stored shooting period: every field
+    of the loaded spectrum is the cold run's, bit for bit."""
+    result = floquet_runs[name]
+    stored = read_json(os.path.join(result.config.out_dir, "spectrum.json"))
+    assert sorted(stored) == ["inputs", "monodromy"]
+    loaded = load_result(result.config).spectrum
+    for f in fields(FloquetSpectrum):
+        ours, cold = (np.asarray(getattr(s, f.name)) for s in (loaded, result.spectrum))
+        assert (ours.dtype, ours.shape) == (cold.dtype, cold.shape), f.name
+        assert ours.tobytes() == cold.tobytes(), f.name
+
+
+@pytest.mark.parametrize("name", ["ei", "oracle"])
 def test_sweep_samples_the_orbit_of_a_plain_flow(floquet_runs, name):
     """The pass integrates x with Phi and Psi, chunk by chunk: its x samples,
     the cycle's series, lie within 1e-10 of the peak of one plain-field
@@ -522,7 +537,7 @@ def test_non_attracting_cycle_reported():
     assert abs(cycle.period - 2.0 * np.pi) < 1e-10
     assert cycle.shooting_residual < 1e-10
     with pytest.raises(HyperbolicityError, match="on or outside the unit circle"):
-        floquet_spectrum(cycle.sweep)
+        floquet_spectrum(cycle.sweep.product(), cycle.period)
 
 
 def test_non_attracting_cycle_fails_the_floquet_stage(monkeypatch, tmp_path, capsys):

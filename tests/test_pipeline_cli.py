@@ -463,10 +463,14 @@ def _drop_crosscheck(path):
 
 
 def _set_key(path, key, value):
-    # metadata with ``key`` set, its inventory digest updated, so only the
-    # loader's refusal of the key stops it
+    # metadata with ``key`` set (a dotted key names one within an entry), its
+    # inventory digest updated, so only the loader's refusal of the key stops it
     meta = _read_json(path)
-    meta[key] = value
+    *entries, last = key.split(".")
+    target = meta
+    for entry in entries:
+        target = target[entry]
+    target[last] = value
     write_json(path, meta)
     manifest_path = os.path.join(os.path.dirname(path), "manifest.json")
     manifest = _read_json(manifest_path)
@@ -481,9 +485,23 @@ def _add_unknown_key(path):
 
 def _add_lyapunov(path):
     # spectrum.json as versions that stored the exponents' real parts wrote it
-    meta = _read_json(path)
-    meta["lyapunov"] = [re for re, _ in meta["exponents"]]
-    write_json(path, meta)
+    _set_key(path, "lyapunov", [0.0, -2.0])
+
+
+# keys that the stage files held while they stored numbers that another
+# stored number fixes; each loader now rebuilds them or has no use for them
+RETIRED_KEYS = [
+    *(("spectrum.json", key) for key in (
+        "multipliers", "exponents", "eigenvectors", "classes", "hyperbolicity_defect",
+        "eigenvector_condition", "gauge_components")),
+    ("cycle.json", "search.section_value"),
+    ("frames.json", "crosscheck.max_column_discrepancy"),
+    ("frames.json", "crosscheck.exponent_shift"),
+]
+
+
+def _retired(key):
+    return lambda path: _set_key(path, key, 0.0)
 
 
 def _drop_inputs(path):
@@ -511,12 +529,14 @@ def _drop_inputs(path):
         ("frames.json", _drop_crosscheck),
         ("spectrum.json", _add_lyapunov),
         ("frames.json", _add_unknown_key),
+        *((name, _retired(key)) for name, key in RETIRED_KEYS),
     ],
     ids=[
         "missing", "truncated", "dtype", "shape", "non_finite", "bit_flip",
         "manifest_missing", "not_inventoried", "digest_differs",
         "earlier_frame_keys", "no_polished_period", "no_inputs", "crosscheck_missing",
         "spectrum_lyapunov", "frames_unknown_key",
+        *(f"{name.split('.')[0]}_{key.split('.')[-1]}" for name, key in RETIRED_KEYS),
     ],
 )
 def test_damaged_coefficient_file_exits_4(response_stage_dir, tmp_path, capsys, name, damage):
@@ -580,6 +600,22 @@ def test_stored_copy_of_a_rebuilt_field_exits_4(response_stage_dir, tmp_path, ca
     assert main(["validate", "--config", cfg]) == 4
     err = capsys.readouterr().err
     assert f"{out / name}: malformed metadata" in err and key in err
+    assert not os.path.exists(out / "validation.json")
+
+
+def test_refused_monodromy_exits_4(response_stage_dir, tmp_path, capsys):
+    """The loader classifies the stored monodromy again: one that the
+    classifier refuses, here scaled by 2 so that the trivial multiplier is
+    2, is malformed metadata, exit 4 naming the file, not a numerical abort."""
+    out = tmp_path / "out"
+    shutil.copytree(response_stage_dir, out)
+    path = out / "spectrum.json"
+    _set_key(str(path), "monodromy", (2 * np.array(_read_json(path)["monodromy"])).tolist())
+    cfg, _ = _write_cfg(tmp_path)
+    capsys.readouterr()
+    assert main(["validate", "--config", cfg]) == 4
+    err = capsys.readouterr().err
+    assert f"{path}: malformed metadata (HyperbolicityError" in err
     assert not os.path.exists(out / "validation.json")
 
 
@@ -834,6 +870,23 @@ def test_refused_run_lists_only_its_own_files(cold_run_dir, tmp_path, capsys):
     capsys.readouterr()
     assert main(["validate", "--config", cfg, "--out", str(out)]) == 4
     assert f"{out / 'frames.json'}: not in the file inventory" in capsys.readouterr().err
+
+
+def test_resume_leaves_the_resumed_result_unchanged(tmp_path):
+    """A run resumes into a copy of the result it is given, with digests of
+    its own: resuming a loaded result, and a dataclasses.replace copy of it,
+    into other directories leaves the loaded result's digests and stages as
+    they were."""
+    cfg, _ = _write_cfg(tmp_path)
+    assert main(["floquet", "--config", cfg]) == 0
+    config = load_config(cfg)
+    partial = load_result(config)
+    digests = dict(partial.digests)
+    for name, resumed in (("a", partial), ("b", replace(partial))):
+        run_pipeline(replace(config, out_dir=str(tmp_path / name)), resume=resumed,
+                     through=Stage.FRAMES)
+    assert partial.digests == digests
+    assert partial.bundle is None
 
 
 def test_result_run_into_another_directory_lists_none_of_the_first(cold_run_dir, tmp_path):

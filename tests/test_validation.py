@@ -102,7 +102,10 @@ def test_truncation_slope_bracket(oracle_run, ei_run):
 def test_orthogonality_suite(oracle_run, ei_run):
     for ns in (oracle_run, ei_run):
         report = orthogonality_report(ns.result.manifold, ns.result.response)
-        assert report["max"] < 1e-8
+        assert sorted(report) == ["amplitude_normal", "amplitude_tangent", "phase_normal",
+                                  "phase_tangent"]
+        assert max(family.max() for family in report.values()) < 1e-8
+        assert ns.result.validation.summary()["orthogonality_max"] < 1e-8
         L = ns.result.response.order
         assert len(report["phase_tangent"]) == L + 1
         # the extra stored order lets the normal-family identities reach L
@@ -135,16 +138,16 @@ def test_trajectory_consistency_zero_horizon(oracle_run):
         result.manifold, result.model,
         theta_samples=[0.2, 0.6], sigma_samples=[0.03, -0.02], horizons=[0.0, 0.0],
     )
-    assert report["max_state_gap"] < 1e-12
-    assert report["max_phase_defect"] < 1e-10
-    assert report["max_decay_defect"] < 1e-9
+    assert report["state_gap"].max() < 1e-12
+    assert report["phase_defect"].max() < 1e-10
+    assert report["decay_defect"].max() < 1e-9
 
 
 def test_trajectory_consistency_oracle(oracle_run):
-    traj = oracle_run.result.validation.trajectory
-    assert traj["max_state_gap"] < 1e-8
-    assert traj["max_phase_defect"] < 1e-8
-    assert traj["max_decay_defect"] < 1e-6
+    summary = oracle_run.result.validation.summary()
+    assert summary["trajectory_max_state_gap"] < 1e-8
+    assert summary["trajectory_max_phase_defect"] < 1e-8
+    assert summary["trajectory_max_decay_defect"] < 1e-6
 
 
 def test_validation_failure_on_unreachable_tolerance(oracle_run):
@@ -212,6 +215,22 @@ def test_batched_inversion_recovers_oracle_points(oracle_run):
         alone = invert_manifold(man, x[i], theta[i] + 0.01, sigma[i] - 0.01)
         assert abs(alone.theta - inv.theta[i]) < 1e-12
         assert abs(alone.sigma - inv.sigma[i]) < 1e-12
+
+
+def test_validation_json_stores_each_maximum_once(oracle_run):
+    """The flat summary keys are validation.json's only record of the
+    orthogonality and trajectory maxima, each the max of the array stored
+    beside it."""
+    path = os.path.join(oracle_run.config.out_dir, "validation.json")
+    with open(path, encoding="utf-8") as fh:
+        stored = json.load(fh)
+    families = stored["orthogonality"]
+    assert sorted(families) == ["amplitude_normal", "amplitude_tangent", "phase_normal",
+                                "phase_tangent"]
+    assert stored["orthogonality_max"] == max(max(v) for v in families.values())
+    assert not [key for key in stored["trajectory"] if key.startswith("max")]
+    for name in ("state_gap", "phase_defect", "decay_defect"):
+        assert stored[f"trajectory_max_{name}"] == max(stored["trajectory"][name])
 
 
 def test_inversion_record_in_validation_json(oracle_run):
