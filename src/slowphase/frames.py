@@ -297,11 +297,17 @@ def solve_in_frame(rhs, reduce: Frame, expand: Frame, shifts, period,
     its dual (reduce^T expand = Id).  The frame coordinates c = reduce^T x
     solve (1/T) c_j' + shifts_j c_j = (reduce^T rhs)_j with shifts = s - mu,
     which :func:`~slowphase.series.solve_diagonal` divides per Fourier mode
-    (with its ``free_modes`` and ``small_divisor_tol``).  ``rhs`` holds grid
-    values of shape (N, d).  Returns ``(x, free)``: the complex grid values
-    of x and solve_diagonal's free-mode map.
+    (with its ``free_modes`` and ``small_divisor_tol``).  ``rhs`` holds real
+    grid values of shape (N, d).  Returns ``(x, free)``: the complex grid
+    values of x and solve_diagonal's free-mode map.
+
+    The reduction reads the dual frame as pairs of floats, shape (N, d, 2d),
+    so a real ``rhs`` is never multiplied by a zero imaginary part; it gives
+    the bytes of the complex contraction.
     """
-    reduced = np.einsum("nai,na->ni", reduce.grid_values(), rhs.astype(complex))
+    frame = reduce.grid_values()
+    pairs = frame.view(frame.real.dtype)
+    reduced = np.einsum("nak,na->nk", pairs, rhs).view(frame.dtype)
     solution, free = solve_diagonal(
         FourierSeries.from_samples(reduced), shifts, period,
         free_modes=free_modes, small_divisor_tol=small_divisor_tol,

@@ -214,7 +214,9 @@ def save_validation(out, report, digests: dict | None = None):
         label = tolerance_labels(tol)[1]
         header += [f"sigma_max_pos_{label}", f"sigma_max_neg_{label}"]
         columns += [pos, neg]
-    write_rows_csv(os.path.join(out, "accuracy_domain.csv"), header, zip(*columns), digests)
+    # '%.17g' formats Python floats faster than numpy scalars, to the same bytes
+    rows = zip(*(column.tolist() for column in columns))
+    write_rows_csv(os.path.join(out, "accuracy_domain.csv"), header, rows, digests)
 
 
 # ---------------------------------------------------------------------------

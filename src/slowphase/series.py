@@ -37,6 +37,7 @@ orbit (:mod:`slowphase.frames`), each order of the manifold recursion
 from __future__ import annotations
 
 from dataclasses import KW_ONLY, dataclass, replace
+from functools import lru_cache
 from typing import ClassVar
 
 import numpy as np
@@ -63,12 +64,27 @@ def theta_grid(n: int) -> np.ndarray:
     return np.arange(n) * (1.0 / n)
 
 
+@lru_cache(maxsize=None)
 def wavenumbers(n: int, real: bool = False) -> np.ndarray:
     """Integer wavenumbers of the coefficient rows of an ``n``-point grid: in
     FFT order, 0, 1, ..., N/2-1, -N/2, ..., -1, or 0, 1, ..., N/2 in the
-    one-sided (``real``) layout."""
+    one-sided (``real``) layout.  Built once per grid and layout, and
+    read-only: callers share the array."""
     freq = np.fft.rfftfreq if real else np.fft.fftfreq
-    return freq(n, d=1.0 / n).astype(np.int64)
+    k = freq(n, d=1.0 / n).astype(np.int64)
+    k.flags.writeable = False
+    return k
+
+
+@lru_cache(maxsize=8, typed=True)
+def _fourier_divisors(n: int, period_time: float) -> np.ndarray:
+    """The Fourier part 2 pi i k / T of :func:`solve_diagonal`'s divisors,
+    one column of N rows in FFT order; read-only, built once per grid and
+    period (a recursion solves every order at one period), keyed by the
+    period's type too, so each caller gets the bytes of its own expression."""
+    part = (2j * np.pi / period_time) * wavenumbers(n)[:, None]
+    part.flags.writeable = False
+    return part
 
 
 @dataclass(frozen=True)
@@ -279,7 +295,7 @@ def solve_diagonal(
             f"shift count {shifts.size} does not match components {coef.shape[1]}"
         )
     k = wavenumbers(rhs.grid_size)
-    divisors = (2j * np.pi / period_time) * k[:, None] + shifts[None, :]
+    divisors = _fourier_divisors(rhs.grid_size, period_time) + shifts[None, :]
 
     free = {}
     mask = np.zeros(divisors.shape, dtype=bool)

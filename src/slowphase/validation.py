@@ -260,14 +260,20 @@ def orthogonality_report(manifold: ManifoldExpansion, response: ResponseExpansio
     z = response.phase.samples()
     amp = response.amplitude.samples()
 
-    def pair(a, b):
-        return np.einsum("ni,ni->n", a, b)
+    def pairs(a, b):
+        """Grid pairings <a_i, b_i> of the orders stacked on axis 0."""
+        return np.einsum("mni,mni->mn", a, b)
+
+    def total(terms):
+        """The sum over axis 0, added in order from 0.0."""
+        return np.add.reduce(terms, axis=0, initial=0.0)
 
     n_z1 = np.zeros(L + 1)
     n_i1 = np.zeros(L + 1)
     for n in range(L + 1):
-        acc_z = sum(pair(z[i], dk[n - i]) for i in range(n + 1))
-        acc_i = sum(pair(amp[i], dk[n - i]) for i in range(n + 1))
+        # i = 0..n pairs order i with order n - i
+        acc_z = total(pairs(z[:n + 1], dk[n::-1]))
+        acc_i = total(pairs(amp[:n + 1], dk[n::-1]))
         n_z1[n] = np.max(np.abs(acc_z - (1.0 if n == 0 else 0.0)))
         n_i1[n] = np.max(np.abs(acc_i))
 
@@ -275,8 +281,10 @@ def orthogonality_report(manifold: ManifoldExpansion, response: ResponseExpansio
     n_z2 = np.zeros(cap + 1)
     n_i2 = np.zeros(cap + 1)
     for n in range(cap + 1):
-        acc_z = sum((n + 1 - i) * pair(z[i], k[n + 1 - i]) for i in range(n + 1))
-        acc_i = sum((n + 1 - i) * pair(amp[i], k[n + 1 - i]) for i in range(n + 1))
+        # i = 0..n pairs order i with n + 1 - i, weighed n + 1 - i
+        weights = np.arange(n + 1, 0, -1)[:, None]
+        acc_z = total(weights * pairs(z[:n + 1], k[n + 1:0:-1]))
+        acc_i = total(weights * pairs(amp[:n + 1], k[n + 1:0:-1]))
         n_z2[n] = np.max(np.abs(acc_z))
         n_i2[n] = np.max(np.abs(acc_i - (1.0 if n == 0 else 0.0)))
 

@@ -20,13 +20,17 @@ import signal
 
 from .errors import WorkerError
 
-# A fork round trip costs about 1.5 ms.  The response stage and the accuracy
-# domain split only from this many grid values, (L+1) N d.  Medians on 2
-# cores at one OpenBLAS thread, serial -> split, response stage and accuracy
-# domain: `oracle` (grid 128, order 4, 1,280 values) 1.5 -> 3.0 and 1.2 ->
-# 2.8 ms; `ei` (d = 6, grid 2^10) at order 4 (30,720 values) 5.8 -> 8.4 and
-# 13.8 -> 13.5 ms, at order 5 (36,864) 7.2 -> 7.4 and 14.1 -> 12.1 ms, at
-# order 9 (61,440) 13.5 -> 11.2 and 19.9 -> 16.3 ms.
+# A fork round trip, ``with_worker`` on two calls that do nothing, costs
+# about 2 to 2.5 ms (medians of 200, 2-vCPU Xeon VM, one OpenBLAS thread).
+# The response stage and the accuracy domain split only from this many grid
+# values, (L+1) N d.  Medians of 41 alternating pairs on that host, serial
+# -> split, response stage and accuracy domain: `oracle` (grid 128, order 4,
+# 1,280 values) 3.7 -> 6.2 and 2.6 -> 6.3 ms; `ei` (d = 6, grid 2^10) at
+# order 4 (30,720 values) 11.3 -> 14.9 and 25.1 -> 26.8 ms, at order 5
+# (36,864) 13.9 -> 17.3 and 29.2 -> 30.1 ms, at order 9 (61,440) 28.7 ->
+# 25.2 and 37.8 -> 37.7 ms.  The host's speed varied: repeated runs moved
+# single medians by up to a third, so below the gate a split loses clearly
+# and above it the gain is small beside that noise.
 SPLIT_SIZE = 32768
 
 

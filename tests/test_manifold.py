@@ -3,7 +3,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from slowphase import manifold, workers
+from slowphase import frames, manifold, workers
 from slowphase.config import RunConfig
 from slowphase.cycle import DIVISOR_TABLES
 from slowphase.errors import ModelError, NumericalError
@@ -16,7 +16,7 @@ from slowphase.manifold import (
 )
 from slowphase.models import JetTransport, jet_compose
 from slowphase.pipeline import Stage, run_pipeline
-from slowphase.series import FourierTaylor, wavenumbers
+from slowphase.series import FourierSeries, FourierTaylor, solve_diagonal, wavenumbers
 
 
 def radial_taylor_coefficient(n):
@@ -74,6 +74,33 @@ def test_zero_inhomogeneity_gives_zero_order(oracle_run):
         zero_rhs, result.adjoint, result.bundle, shifts, result.cycle.period
     )
     assert np.max(np.abs(out)) == 0.0
+
+
+@pytest.mark.parametrize("d", [2, 6])
+def test_real_reduction_is_the_complex_contraction_bit_for_bit(d, monkeypatch):
+    """``solve_in_frame`` reduces a real right-hand side with the frame read
+    as pairs of floats.  Pinned to the contraction over ``rhs.astype(complex)``
+    bit for bit, on a contiguous right-hand side and on a column view like
+    the response transport's, so a numpy that sums ``einsum`` otherwise
+    fails here instead of changing the artifacts."""
+    rng = np.random.default_rng(d)
+    n, period = 256, 3.7
+    values = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+    frame = Frame(FourierSeries.from_samples(values), np.zeros(d, complex), ("",) * d, 0.0)
+    shifts = rng.uniform(0.5, 2.0, d) + 1j * rng.uniform(-1.0, 1.0, d)
+    seen = []
+
+    def spy(rhs, *args, **kwargs):
+        seen.append(rhs.coef)
+        return solve_diagonal(rhs, *args, **kwargs)
+
+    monkeypatch.setattr(frames, "solve_diagonal", spy)
+    for rhs in (rng.standard_normal((n, d)), rng.standard_normal((n, 2 * d))[:, d:]):
+        x, _ = solve_in_frame(rhs, frame, frame, shifts, period)
+        reduced = np.einsum("nai,na->ni", frame.grid_values(), rhs.astype(complex))
+        assert np.array_equal(seen.pop(), FourierSeries.from_samples(reduced).coef)
+        solution, _ = solve_diagonal(FourierSeries.from_samples(reduced), shifts, period)
+        assert np.array_equal(x, np.einsum("nab,nb->na", frame.grid_values(), solution.samples()))
 
 
 def transport_through(model, partial):

@@ -120,10 +120,12 @@ def test_solvability_residual_reads_an_injected_defect(run, request, monkeypatch
     """Adding eps Z_0 to the amplitude order-1 right-hand side, the one solve
     with a free mode, moves that free (k = 0, trivial) coefficient by eps:
     <K_0', Z_0> = 1, and Z_0 pairs to 0 with the other bundle columns.  The
-    residual reads eps to 10 % below the tolerance, and above it raises."""
+    residual reads eps to 10 % below the tolerance, and above it raises.
+    Z_0 is taken real, as the recursion takes it: every right-hand side of
+    ``solve_in_frame`` is real."""
     ns = request.getfixturevalue(run)
     result, tol = ns.result, ns.config.solvability_tol
-    z0 = result.adjoint.grid_values()[:, :, 0]
+    z0 = result.adjoint.grid_values()[:, :, 0].real
     solve = manifold.solve_in_frame
 
     def residual(eps):

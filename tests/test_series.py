@@ -13,6 +13,7 @@ from slowphase.series import (
     horner,
     solve_diagonal,
     theta_grid,
+    wavenumbers,
 )
 
 
@@ -218,6 +219,24 @@ def test_solve_diagonal_free_mode_reports_residual():
     sol, free = solve_diagonal(rhs, [0.0], period_time=1.0, free_modes=[(0, 0)])
     assert free[(0, 0)] == pytest.approx(0.25)
     assert abs(sol.coef[0, 0]) == 0.0
+
+
+def test_wavenumbers_are_one_read_only_array_that_solves_leave_unchanged():
+    """One read-only array per grid and layout, shared by every caller; the
+    derivative and the solve build their factors and divisors from it and
+    leave it as it was."""
+    for real, freq in ((False, np.fft.fftfreq), (True, np.fft.rfftfreq)):
+        k = wavenumbers(16, real)
+        assert wavenumbers(16, real) is k and not k.flags.writeable
+        assert np.array_equal(k, freq(16, d=1.0 / 16))
+        with pytest.raises(ValueError):
+            k[0] = 1
+    values = np.random.default_rng(0).standard_normal((16, 2))
+    FourierSeries.from_samples(values).differentiate()
+    FourierSeries.from_samples(values.astype(complex)).differentiate()
+    solve_diagonal(FourierSeries.from_samples(values.astype(complex)), [1.0, 2.0], 3.0)
+    assert np.array_equal(wavenumbers(16), np.fft.fftfreq(16, d=1.0 / 16))
+    assert np.array_equal(wavenumbers(16, True), np.fft.rfftfreq(16, d=1.0 / 16))
 
 
 def test_fourier_taylor_requires_order_zero():

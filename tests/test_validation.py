@@ -112,6 +112,36 @@ def test_orthogonality_suite(oracle_run, ei_run):
         assert len(report["phase_normal"]) == L + 1
 
 
+def _orthogonality_by_terms(manifold, response):
+    """The pairing defects of ``orthogonality_report`` as a sum of one grid
+    pairing per term, each order's terms added one by one from 0."""
+    k = np.stack([manifold.order_series(n).samples() for n in range(manifold.total_order + 1)])
+    dk = np.stack([manifold.order_series(n).differentiate().samples()
+                   for n in range(manifold.total_order + 1)])
+    L, cap = response.order, min(response.order, manifold.total_order - 1)
+    out = {}
+    for name, x in (("phase", response.phase.samples()), ("amplitude", response.amplitude.samples())):
+        one = 1.0 if name == "phase" else 0.0
+        out[f"{name}_tangent"] = np.array([np.max(np.abs(
+            sum(np.einsum("ni,ni->n", x[i], dk[n - i]) for i in range(n + 1))
+            - (one if n == 0 else 0.0))) for n in range(L + 1)])
+        out[f"{name}_normal"] = np.array([np.max(np.abs(
+            sum((n + 1 - i) * np.einsum("ni,ni->n", x[i], k[n + 1 - i]) for i in range(n + 1))
+            - (1.0 - one if n == 0 else 0.0))) for n in range(cap + 1)])
+    return out
+
+
+def test_orthogonality_report_is_the_sum_of_its_terms_bit_for_bit(oracle_run, ei_run):
+    """One stacked pairing per order and family, summed along the stack,
+    gives the bytes of pairing term by term."""
+    for ns in (oracle_run, ei_run):
+        report = orthogonality_report(ns.result.manifold, ns.result.response)
+        expected = _orthogonality_by_terms(ns.result.manifold, ns.result.response)
+        assert report.keys() == expected.keys()
+        for name, values in expected.items():
+            assert report[name].tobytes() == values.tobytes(), name
+
+
 def test_order_zero_orthogonality_values(ei_run):
     report = orthogonality_report(ei_run.result.manifold, ei_run.result.response)
     # <Z_0, K_0'> = 1 and <I_0, K_1> = 1 at every grid point
