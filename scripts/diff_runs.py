@@ -14,6 +14,8 @@ equal.  Where they differ it says by how much:
 Files present in one directory only are listed.  Exits 1 on any difference;
 with ``--bound X``, only on a difference that is not numeric (a missing
 file, a key, a string, a shape) or on a relative difference above ``X``.
+An argument that is missing, not a directory or holds no file is a usage
+error: exit 2, naming the argument.
 
 Usage: python3 scripts/diff_runs.py A B [--bound X]
 """
@@ -139,6 +141,11 @@ def main(argv=None):
     parser.add_argument("--bound", type=float, default=None,
                         help="largest relative difference that passes")
     args = parser.parse_args(argv)
+    for label, path in (("A", args.a), ("B", args.b)):
+        if not os.path.isdir(path):
+            parser.error(f"{label} = {path!r} is not a directory")
+        if not any(os.path.isfile(os.path.join(path, f)) for f in os.listdir(path)):
+            parser.error(f"{label} = {path!r} holds no file to compare")
     return compare(args.a, args.b, args.bound)
 
 

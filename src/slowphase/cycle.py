@@ -26,6 +26,7 @@ from typing import Callable
 
 import numpy as np
 
+from .dop853 import dense_samples
 from .errors import (
     DefectiveSpectrumError,
     GridError,
@@ -86,10 +87,11 @@ class VariationalSweep:
     each, Phi and Psi start at the identity and x at the previous chunk's end.
 
     ``samples`` holds (x, Phi) at the grid times, raveled in rows of d + d^2.
-    :func:`variational_sweep` gives it as a callable over the chunks' kept
-    steps; the first read of ``states`` or ``flows`` evaluates it, stores
-    the array in its place and so frees the steps.  A pass that is never
-    read, as each applied Newton step's, builds no interpolant."""
+    :func:`variational_sweep` gives it as a callable over every step of
+    every chunk, each kept as it was taken; the first read of ``states`` or
+    ``flows`` evaluates it, stores the array in its place and so frees the
+    steps.  A pass that is never read, as each applied Newton step's, builds
+    no interpolant."""
 
     edges: np.ndarray
     chunk: np.ndarray  # (N,): the chunk of each grid time
@@ -326,31 +328,43 @@ def _variational_rhs(model):
 def variational_sweep(model, anchor, period: float, grid_size: int,
                       settings: IntegratorSettings = DEFAULT_SETTINGS) -> VariationalSweep:
     """The :class:`VariationalSweep` from ``anchor``: one integration per
-    chunk at ``settings``.  Each chunk keeps the steps that hold its grid
-    times, and the samples of x and Phi are taken from their dense output
-    on first read (which does not move the steps).  Chunks keep each
-    factor's dynamic range near one; over the period Phi carries
-    1/|mu_min|, which swamps double precision.  A non-finite ``period``
-    raises :class:`IntegrationError`."""
+    chunk at ``settings``, each keeping its steps through the driver's
+    ``on_step`` hook.  The samples of x and Phi are taken on first read
+    (which does not move the steps): a grid time at a chunk's start is the
+    chunk's initial state, and any other one comes from the dense output of
+    the first step whose closed interval holds it, a step ending where the
+    next begins and the last at the chunk's end.  Chunks keep each factor's
+    dynamic range near one; over the period Phi carries 1/|mu_min|, which
+    swamps double precision.  A non-finite ``period`` raises
+    :class:`IntegrationError`."""
     if not math.isfinite(period):
         raise IntegrationError(f"variational sweep: period must be finite, got {period}")
     d, rhs = model.dim, _variational_rhs(model)
+    size = d + d * d
     edges = np.linspace(0.0, period, IDENTITY_CHUNKS + 1)
     times = theta_grid(grid_size) * period
     chunk = np.searchsorted(edges, times, side="right") - 1
     identity = np.tile(np.eye(d).ravel(), 2)
-    pending, ends = [], np.empty((IDENTITY_CHUNKS, 2 * d * d))
+    kept, ends = [], np.empty((IDENTITY_CHUNKS, 2 * d * d))
     x = _model_state(model, anchor)
     for c in range(IDENTITY_CHUNKS):
-        y, sampled = _integrate(rhs, edges[c], np.concatenate([x, identity]), edges[c + 1],
-                                settings, t_eval=times[chunk == c])
-        pending.append(sampled)
+        y0, steps = np.concatenate([x, identity]), []
+        y = _integrate(rhs, edges[c], y0, edges[c + 1], settings,
+                       on_step=lambda solver: steps.append(solver.keep()))
+        kept.append((y0[:size], steps))
         x, ends[c] = y[:d], y[d:]
 
     def samples():
-        out = np.empty((grid_size, d + d * d))
-        for c, sampled in enumerate(pending):
-            out[chunk == c] = sampled(d + d * d)
+        out = np.empty((grid_size, size))
+        for c, (start, steps) in enumerate(kept):
+            rows = np.flatnonzero(chunk == c)
+            at_start = times[rows] == edges[c]
+            out[rows[at_start]] = start
+            rows = rows[~at_start]
+            if len(rows):
+                step_ends = np.array([step[1] for step in steps[1:]] + [edges[c + 1]])
+                which = np.searchsorted(step_ends, times[rows])
+                out[rows] = dense_samples(rhs, steps, which, times[rows], size)
         return out
 
     return VariationalSweep(edges, chunk, ends.reshape(-1, 2, d, d), x, samples)

@@ -192,9 +192,12 @@ def _coefficients(fun, K, t_old, h, y_old, y):
 def dense_samples(fun, steps, which, t, size=None):
     """The states at times ``t`` from the kept ``steps`` (each one
     :meth:`DOP853.keep`), ``t[i]`` in the closed interval of step
-    ``which[i]``: each step's interpolant is built once, then every sample
-    is evaluated in one Horner sweep, bitwise :class:`DenseOutput`'s, for
-    the first ``size`` components alone if given (stages stay full width)."""
+    ``which[i]``: the interpolant of each step that ``which`` names is built
+    once, then every sample is evaluated in one Horner sweep, bitwise
+    :class:`DenseOutput`'s, for the first ``size`` components alone if given
+    (stages stay full width)."""
+    used, which = np.unique(which, return_inverse=True)
+    steps = [steps[s] for s in used]
     F = np.empty((7, len(steps), steps[0][0].shape[1]))
     for s, (K, t_old, h, y_old, y) in enumerate(steps):
         F[:, s] = _coefficients(fun, K, t_old, h, y_old, y)

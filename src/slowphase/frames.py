@@ -342,17 +342,23 @@ def build_bundle_frame(
     model,
     cycle: CycleResult,
     spectrum: FloquetSpectrum,
-    sweep: VariationalSweep,
 ) -> BundleBuildResult:
     """Build the complex bundle frame and jointly polish the orbit.
 
-    The orbit starts as the series of ``sweep``, the pass of the shooting
-    ``cycle`` (which needs no series).  Columns are seeded from ``sweep`` and
+    The orbit starts as the series of the shooting ``cycle``, the x samples
+    of its pass ``cycle.sweep``.  Columns are seeded from that pass and
     gauged to unit grid-max vector norm (this makes the slow column directly
     usable as the order-1 manifold coefficient, scaled by
     ``expand_slow_manifold``'s gauge).  Returns the frame, whose exponents are
     the refined ones, and the polished cycle, anchored at its theta = 0 sample.
+    A cycle without its pass, as one loaded from the cycle stage holds until
+    :func:`slowphase.pipeline.cycle_sweep` recomputes it, raises
+    :class:`FrameError`.
     """
+    sweep = cycle.sweep
+    if sweep is None:
+        raise FrameError("the bundle frame is seeded from the cycle's pass, which this "
+                         "cycle does not hold: recompute it with pipeline.cycle_sweep")
     d = model.dim
     n = cycle.grid_size
     theta = theta_grid(n)
@@ -363,7 +369,7 @@ def build_bundle_frame(
     seeds = {j: spectrum.eigenvectors[:, j] for j in range(1, d)
              if classes[j] != CLASS_PAIR_CONJ}
     cols, routes = _seed_columns(sweep, seeds, lams)
-    orbit = FourierSeries.from_samples(sweep.states)
+    orbit = cycle.series
     cols[:, :, 0] = orbit.differentiate().samples()
 
     _symmetrize_columns(cols, lams, classes, theta, period)

@@ -1,19 +1,20 @@
 """High-accuracy initial-value integration.
 
-Every integration of the package, the return-time search of the cycle stage
-included, runs through one driver, :func:`_integrate`, built on the in-house
-DOP853 stepper of :mod:`slowphase.dop853` (explicit embedded Runge-Kutta pair
-of order 8(5,3) with dense output).  The driver bounds the step count,
-reports a non-finite state with the time of failure, and keeps the steps
-that hold sample times: when the caller reads the samples, their
-interpolants are built and every sample is evaluated in one batch.
-Backward integration is supported by passing ``t1 < t0``; both times must
-be finite.  The package needs no scipy: the stepper does scipy's DOP853
-arithmetic operation for operation, so flows are bitwise scipy's.  The cycle's relaxation, a seed that the shooting
-Newton refines, runs no tighter than the floor ``SEED_RTOL``
-(:func:`_seed_settings`); the rest run at the user's settings.  The
-variational system has one integrator, the pass along the orbit that each
-Newton step runs, :func:`slowphase.cycle.variational_sweep`.
+Every integration of the package runs through one driver, :func:`_integrate`,
+built on the in-house DOP853 stepper of :mod:`slowphase.dop853` (explicit
+embedded Runge-Kutta pair of order 8(5,3) with dense output).  The driver
+bounds the step count, reports a non-finite state with the time of failure,
+and returns the end state; a caller that watches the steps does so through
+one hook, ``on_step``.  The return-time search of the cycle stage brackets
+its crossings there, and the variational pass keeps its steps there for
+dense output.  Backward integration is supported by passing ``t1 < t0``;
+both times must be finite.  The package needs no scipy: the stepper does
+scipy's DOP853 arithmetic operation for operation, so flows are bitwise
+scipy's.  The cycle's relaxation, a seed that the shooting Newton refines,
+runs no tighter than the floor ``SEED_RTOL`` (:func:`_seed_settings`); the
+rest run at the user's settings.  The variational system has one
+integrator, the pass along the orbit that each Newton step runs,
+:func:`slowphase.cycle.variational_sweep`.
 
 Right-hand sides call the model through its point closures
 (:meth:`~slowphase.models.VectorFieldModel.point_field` and
@@ -29,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dop853 import DOP853, dense_samples
+from .dop853 import DOP853
 from .errors import ConfigError, IntegrationError, ModelError
 from .series import FourierSeries
 
@@ -85,43 +86,15 @@ def _seed_settings(settings: IntegratorSettings) -> IntegratorSettings:
     return replace(settings, rtol=SEED_RTOL, atol=settings.atol * factor)
 
 
-class DenseSamples:
-    """The samples of one integration at its sample times, from the steps
-    whose closed intervals hold them (:meth:`~slowphase.dop853.DOP853.keep`).
-    A call builds those steps' interpolants and evaluates every sample in one
-    batch (:func:`~slowphase.dop853.dense_samples`); samples at exactly the
-    initial time are the initial state.  A ``size`` samples only the first
-    ``size`` components.  The kept steps live as long as the object."""
+def _integrate(fun, t0, y0, t1, settings, on_step=None):
+    """Drive DOP853 from t0 to t1 and return the end state.
 
-    def __init__(self, fun, times, y0):
-        self.fun, self.times, self.y0 = fun, times, y0
-        self.steps = []
-        self.step_of = np.full(len(times), -1)  # index into steps; -1 at t0
-
-    def __call__(self, size=None) -> np.ndarray:
-        out = np.empty((len(self.times), self.y0[:size].size))
-        inner = self.step_of >= 0
-        out[~inner] = self.y0[:size]
-        if self.steps:
-            out[inner] = dense_samples(self.fun, self.steps, self.step_of[inner],
-                                       self.times[inner], size)
-        return out
-
-
-def _integrate(fun, t0, y0, t1, settings, t_eval=None, on_step=None):
-    """Drive DOP853 from t0 to t1; return (y_end, sampler of t_eval).
-
-    A sample time is served at exactly ``t0`` or from the first step whose
-    closed interval holds it; any other time raises
-    :class:`IntegrationError`.  The steps that hold samples are kept, and
-    the returned :class:`DenseSamples` evaluates them when called; without
-    ``t_eval`` the sampler is None.
     ``on_step(solver)`` runs after every accepted, finite step, with the
-    :class:`~slowphase.dop853.DOP853` stepper (``.t``, ``.y``,
-    ``.dense_output()``); a true return value ends the integration at that
-    step.  A non-finite start or end time, initial state or initial field
-    raises :class:`IntegrationError` before the first step: the step-size
-    control cannot converge on a NaN and would never return.
+    :class:`~slowphase.dop853.DOP853` stepper (``.t``, ``.y``, ``.t_old``,
+    ``.dense_output()``, ``.keep()``); a true return value ends the
+    integration at that step.  A non-finite start or end time, initial state
+    or initial field raises :class:`IntegrationError` before the first step:
+    the step-size control cannot converge on a NaN and would never return.
     """
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise IntegrationError(
@@ -129,28 +102,17 @@ def _integrate(fun, t0, y0, t1, settings, t_eval=None, on_step=None):
         )
     t0, t1 = float(t0), float(t1)
     y0 = np.asarray(y0, dtype=float)
-    sampled = want = None
-    if t_eval is not None:
-        t_eval = np.asarray(t_eval, dtype=float)
-        sampled = DenseSamples(fun, t_eval, y0)
-        order = np.argsort(t_eval if t1 > t0 else -t_eval, kind="stable")
-        want = t_eval[order]
-        cursor = 0
-        # samples at the initial time need no interpolant
-        while cursor < len(want) and want[cursor] == t0:
-            cursor += 1
-
-    solver = None
-    if t1 != t0:
-        if not np.all(np.isfinite(y0)):
-            raise IntegrationError(f"non-finite initial state at t = {t0:.6g}", time=t0)
-        solver = DOP853(fun, t0, y0, t1, settings.rtol, settings.atol)
-        if not np.all(np.isfinite(solver.f)):
-            # the initial step is then NaN, and step() would never return
-            raise IntegrationError(f"non-finite field at t = {t0:.6g}", time=t0)
+    if not np.all(np.isfinite(y0)):
+        raise IntegrationError(f"non-finite initial state at t = {t0:.6g}", time=t0)
+    if t1 == t0:
+        return y0.copy()
+    solver = DOP853(fun, t0, y0, t1, settings.rtol, settings.atol)
+    if not np.all(np.isfinite(solver.f)):
+        # the initial step is then NaN, and step() would never return
+        raise IntegrationError(f"non-finite field at t = {t0:.6g}", time=t0)
 
     steps = 0
-    while solver is not None and not solver.finished:
+    while not solver.finished:
         if steps >= settings.max_steps:
             raise IntegrationError(
                 f"step budget {settings.max_steps} exhausted at t = {solver.t:.6g}",
@@ -167,29 +129,9 @@ def _integrate(fun, t0, y0, t1, settings, t_eval=None, on_step=None):
             raise IntegrationError(
                 f"non-finite state at t = {solver.t:.6g}", time=solver.t
             )
-        if want is not None and cursor < len(want):
-            lo, hi = sorted((solver.t_old, solver.t))
-            stop = cursor
-            while stop < len(want) and lo <= want[stop] <= hi:
-                stop += 1
-            if stop > cursor:
-                sampled.step_of[order[cursor:stop]] = len(sampled.steps)
-                sampled.steps.append(solver.keep())
-                cursor = stop
         if on_step is not None and on_step(solver):
             break
-
-    y_end = y0.copy() if solver is None else solver.y
-    if want is None:
-        return y_end, None
-    if cursor < len(want):
-        first = float(t_eval[order[cursor:].min()])  # in the caller's order
-        reached = t0 if solver is None else solver.t
-        raise IntegrationError(
-            f"sample time {first!r} lies outside the integrated span from "
-            f"t = {t0!r} to {reached!r}"
-        )
-    return y_end, sampled
+    return solver.y
 
 
 def _model_state(model, x0) -> np.ndarray:
@@ -211,8 +153,7 @@ def _field_rhs(model):
 def flow(model, x0, t, settings: IntegratorSettings = DEFAULT_SETTINGS) -> np.ndarray:
     """Advance the state by time ``t`` along the model flow."""
     x0 = _model_state(model, x0)
-    y, _ = _integrate(_field_rhs(model), 0.0, x0, t, settings)
-    return y
+    return _integrate(_field_rhs(model), 0.0, x0, t, settings)
 
 
 class CycleInterpolant:

@@ -279,7 +279,7 @@ def _run_resonance(result):
 
 def _run_frames(result):
     model, spectrum, sweep = result.model, result.spectrum, cycle_sweep(result)
-    build = build_bundle_frame(model, result.cycle, spectrum, sweep)
+    build = build_bundle_frame(model, result.cycle, spectrum)
     cycle, bundle, band_cut = build.cycle, build.bundle, build.diagnostics["band_cut"]
     adjoint = build_adjoint_frame(model, cycle, bundle, band_cut)
     crosscheck = cross_check_adjoint_frame(model, cycle, bundle, adjoint, sweep)

@@ -46,6 +46,8 @@ from slowphase.pipeline import PipelineResult, Stage, _run_resonance, load_resul
 from slowphase.series import FourierSeries
 from slowphase.store import read_json
 
+from sampled_flow import sampled_flow
+
 
 @pytest.fixture(scope="module")
 def oracle_cycle():
@@ -411,9 +413,9 @@ def test_eigenvector_gauge(ei_run):
 def test_relaxation_at_the_seed_floor_newton_and_sampling_at_user_settings(
         monkeypatch):
     """The relaxation is a seed for Newton: its searches run at SEED_RTOL
-    (atol scaled alike), while Newton's passes, one sampling integration per
-    chunk and Newton step, keep the user's settings and follow the last
-    search; find_cycle integrates nothing else."""
+    (atol scaled alike), while Newton's passes, one integration of the
+    variational system per chunk and Newton step, keep the user's settings
+    and follow the last search; find_cycle integrates nothing else."""
     import slowphase.cycle as cycle_mod
     from slowphase.integrate import SEED_RTOL
 
@@ -422,7 +424,7 @@ def test_relaxation_at_the_seed_floor_newton_and_sampling_at_user_settings(
     integrate = cycle_mod._integrate
 
     def spy_integrate(fun, t0, y0, t1, settings, **kwargs):
-        kind = "sampling" if kwargs.get("t_eval") is not None else "search"
+        kind = "pass" if len(y0) > 2 else "search"  # the oracle's state has 2 components
         seen.append((kind, settings))
         return integrate(fun, t0, y0, t1, settings, **kwargs)
 
@@ -433,7 +435,7 @@ def test_relaxation_at_the_seed_floor_newton_and_sampling_at_user_settings(
     passes = IDENTITY_CHUNKS * len(cycle.search["newton_steps"])
     assert len(cycle.search["newton_steps"]) >= 2
     assert kinds.count("search") >= 2
-    assert kinds == ["search"] * (len(kinds) - passes) + ["sampling"] * passes
+    assert kinds == ["search"] * (len(kinds) - passes) + ["pass"] * passes
     for kind, settings in seen:
         if kind == "search":
             assert settings.rtol == SEED_RTOL
@@ -477,9 +479,9 @@ def test_sweep_samples_the_orbit_of_a_plain_flow(floquet_runs, name):
     cycle = result.cycle
     sweep = cycle.sweep
     assert np.array_equal(cycle.series.coef, FourierSeries.from_samples(sweep.states).coef)
-    _, plain = _integrate(_field_rhs(result.model), 0.0, cycle.anchor, cycle.period,
-                          DEFAULT_SETTINGS, t_eval=cycle.theta * cycle.period)
-    assert _peak_relative(sweep.states, plain()) < 1e-10
+    _, plain = sampled_flow(_field_rhs(result.model), 0.0, cycle.anchor, cycle.period,
+                            cycle.theta * cycle.period)
+    assert _peak_relative(sweep.states, plain) < 1e-10
     assert cycle.shooting_residual == float(np.linalg.norm(sweep.end_state - cycle.anchor))
 
 
@@ -502,8 +504,8 @@ def test_sweep_monodromy_matches_a_single_shot_flow(floquet_runs, name):
     def x_and_phi(t, y):
         return np.concatenate([field(y[:d]), (jacobian(y[:d]) @ y[d:].reshape(d, d)).ravel()])
 
-    end, _ = _integrate(x_and_phi, 0.0, np.concatenate([cycle.anchor, np.eye(d).ravel()]),
-                        cycle.period, DEFAULT_SETTINGS)
+    end = _integrate(x_and_phi, 0.0, np.concatenate([cycle.anchor, np.eye(d).ravel()]),
+                     cycle.period, DEFAULT_SETTINGS)
     single = end[d:].reshape(d, d)
     ours, theirs = np.linalg.eigvals(product), np.linalg.eigvals(single)
     for mu in theirs[np.abs(theirs) >= 1e-6]:
@@ -846,15 +848,15 @@ def test_kept_pass_is_the_pass_of_the_stored_anchor(monkeypatch):
 
 @pytest.mark.parametrize("name", ["oracle", "ei"])
 def test_only_the_kept_pass_builds_interpolants(monkeypatch, name):
-    """The passes keep the steps that hold grid times and build their
-    interpolants only when the samples are read: in a cold find_cycle only
-    the pass the cycle keeps builds any, one per kept step, and a Newton
-    step's applied pass builds none.  A fresh pass builds none until its
-    samples are read, and a second read builds nothing more."""
+    """The passes keep every step and build interpolants only when the
+    samples are read: in a cold find_cycle only the pass the cycle keeps
+    builds any, one per step that serves a grid time, and a Newton step's
+    applied pass builds none.  A fresh pass builds none until its samples
+    are read, and a second read builds nothing more."""
     import slowphase.cycle as cycle_mod
     from slowphase import dop853 as dop853_mod
 
-    rhs_of_pass, kept, built = [], [], []
+    rhs_of_pass, kept, spans, built = [], [], [], []
     variational_rhs, keep = cycle_mod._variational_rhs, dop853_mod.DOP853.keep
     coefficients = dop853_mod._coefficients
 
@@ -864,6 +866,7 @@ def test_only_the_kept_pass_builds_interpolants(monkeypatch, name):
 
     def spy_keep(solver):
         kept.append(solver.fun)
+        spans.append((solver.fun, solver.t_old, solver.t))
         return keep(solver)
 
     def spy_coefficients(fun, *args):
@@ -879,20 +882,31 @@ def test_only_the_kept_pass_builds_interpolants(monkeypatch, name):
         model, guess = models.make_ei_model(), DEFAULT_GUESSES["ei"]
         grid_size, relax_time = 1024, 500.0
     cycle = find_cycle(model, guess, grid_size=grid_size, relax_time=relax_time)
+    times = cycle.theta * cycle.period
+    # a grid time at a chunk's start is the chunk's initial state; any other
+    # one is served by the first step whose closed interval holds it
+    inner = times[~np.isin(times, np.linspace(0.0, cycle.period, IDENTITY_CHUNKS + 1))]
 
     def counts(calls):
         return [sum(fun is rhs for fun in calls) for rhs in rhs_of_pass]
 
+    def serving(rhs):
+        return sum(bool(np.any((t_old < inner) & (inner <= t)))
+                   for fun, t_old, t in spans if fun is rhs)
+
     assert len(rhs_of_pass) == len(cycle.search["newton_steps"]) >= 2
     assert all(n > 0 for n in counts(kept))
-    assert counts(built) == [0] * (len(rhs_of_pass) - 1) + [counts(kept)[-1]]
+    assert 0 < serving(rhs_of_pass[-1]) <= counts(kept)[-1]
+    assert counts(built) == [0] * (len(rhs_of_pass) - 1) + [serving(rhs_of_pass[-1])]
 
     kept.clear()
     built.clear()
     sweep = cycle_mod.variational_sweep(model, cycle.anchor, cycle.period, grid_size)
-    assert len(kept) == counts(kept)[-1] > 0 and built == []
+    fresh = rhs_of_pass[-1]
+    assert kept and all(fun is fresh for fun in kept) and built == []
     flows = sweep.flows
-    assert built == kept
-    assert sweep.states is sweep.states and sweep.flows is flows and built == kept
+    assert built == [fresh] * serving(fresh)
+    assert sweep.states is sweep.states and sweep.flows is flows
+    assert built == [fresh] * serving(fresh)
     for field_name in ("states", "flows"):
         assert getattr(sweep, field_name).tobytes() == getattr(cycle.sweep, field_name).tobytes()

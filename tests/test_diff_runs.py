@@ -81,3 +81,20 @@ def test_json_fields_keys_and_files(runs, tmp_path):
     [residual] = [line for line in lines if line.strip().startswith("residuals[1]")]
     assert float(residual.split()[1]) == pytest.approx(1e-9, rel=1e-3)
     assert "  not numeric: only in A: conjugation_drift" in lines
+
+
+@pytest.mark.parametrize("case", ["missing", "file", "empty"])
+def test_a_bad_argument_is_a_usage_error(runs, tmp_path, capsys, case):
+    """A missing path, a file, or a directory with no file is refused with
+    exit 2 and named, as A or as B; it is neither "differ" (1) nor equal."""
+    bad = tmp_path / case
+    if case == "file":
+        bad.write_text("")
+    elif case == "empty":
+        bad.mkdir()
+    for args, label in (([str(bad), str(runs[0])], "A"), ([str(runs[0]), str(bad)], "B")):
+        with pytest.raises(SystemExit) as exit_:
+            diff_runs.main(args)
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{label} = {str(bad)!r}" in err, err

@@ -31,10 +31,11 @@ from slowphase.integrate import (
     SEED_RTOL,
     CycleInterpolant,
     IntegratorSettings,
-    _integrate,
 )
 from slowphase.pipeline import Stage, run_pipeline
 from slowphase.series import FourierSeries, theta_grid
+
+from sampled_flow import sampled_flow
 
 
 def test_oracle_bundle_columns_closed_form(oracle_run):
@@ -239,8 +240,8 @@ def test_oracle_adjoint_polish_stops_at_roundoff(floquet_runs, monkeypatch):
     the frames stage's own inputs, within 3 sweeps, not after sweeps of
     noise."""
     partial = floquet_runs["oracle"]
-    model, sweep = partial.model, partial.cycle.sweep
-    build = build_bundle_frame(model, partial.cycle, partial.spectrum, sweep)
+    model = partial.model
+    build = build_bundle_frame(model, partial.cycle, partial.spectrum)
     refine = frames_mod._refine_frame
     sweeps = []
 
@@ -267,8 +268,8 @@ def test_adjoint_seeds_are_the_bundle_dual_at_every_node(floquet_runs, monkeypat
     2^10 every seed column lies within 1e-9 in angle of the polished adjoint
     column at every grid node."""
     partial = floquet_runs["ei"]
-    model, sweep = partial.model, partial.cycle.sweep
-    build = build_bundle_frame(model, partial.cycle, partial.spectrum, sweep)
+    model = partial.model
+    build = build_bundle_frame(model, partial.cycle, partial.spectrum)
     refine = frames_mod._refine_frame
     pairs = []
 
@@ -290,13 +291,23 @@ def test_adjoint_seeds_are_the_bundle_dual_at_every_node(floquet_runs, monkeypat
     assert angle < 1e-9, angle
 
 
+def test_bundle_frame_refuses_a_cycle_without_its_pass(floquet_runs):
+    """The bundle is seeded from the pass its cycle holds; a cycle loaded
+    from the cycle stage holds none until pipeline.cycle_sweep recomputes
+    it, and the build names that function."""
+    partial = floquet_runs["oracle"]
+    bare = replace(partial.cycle, sweep=None)
+    with pytest.raises(FrameError, match=r"pipeline\.cycle_sweep"):
+        build_bundle_frame(partial.model, bare, partial.spectrum)
+
+
 def test_adjoint_frame_refuses_a_bundle_singular_at_theta_0(floquet_runs):
     """A bundle whose slow column vanishes at node 0, or at node N/2, has no
     dual basis there: a FrameError naming that phase, not a raw
     LinAlgError."""
     partial = floquet_runs["oracle"]
-    model, sweep = partial.model, partial.cycle.sweep
-    build = build_bundle_frame(model, partial.cycle, partial.spectrum, sweep)
+    model = partial.model
+    build = build_bundle_frame(model, partial.cycle, partial.spectrum)
     n = build.cycle.grid_size
     for node, phase in ((0, "0"), (n // 2, "0.5")):
         vals = build.bundle.grid_values().copy()
@@ -473,8 +484,7 @@ def _shifted_seed(model, cycle, w, lam, route):
 
     t0, t1 = (0.0, period) if route == "forward" else (period, 0.0)
     y0 = np.concatenate([w.real, w.imag])
-    _, sampled = _integrate(rhs, t0, y0, t1, DEFAULT_SETTINGS, t_eval=cycle.theta * period)
-    samples = sampled()
+    _, samples = sampled_flow(rhs, t0, y0, t1, cycle.theta * period)
     return samples[:, :d] + 1j * samples[:, d:]
 
 
@@ -555,16 +565,16 @@ def test_cold_run_integrates_each_chunk_once_at_user_settings(
         tmp_path, monkeypatch, user):
     """A cold run through the frames stage integrates the variational system
     only in the shooting Newton's passes, exactly one per Newton step, each
-    of IDENTITY_CHUNKS chunks at the user's settings object however it
-    compares with the seed floor, each chunk sampling exactly its grid
-    times; the last pass spans the spectrum's period, and the spectrum and
-    both frame builders integrate nothing."""
-    calls = []  # (stage, t0, t1, settings, t_eval) of every integration
+    of IDENTITY_CHUNKS chunks, between its edges, at the user's settings
+    object however it compares with the seed floor; the last pass spans the
+    spectrum's period, and the spectrum and both frame builders integrate
+    nothing."""
+    calls = []  # (stage, t0, t1, settings, state size) of every integration
     stage = ["cycle"]
     integrate = integrate_mod._integrate
 
     def spy(fun, t0, y0, t1, settings, **kwargs):
-        calls.append((stage[0], t0, t1, settings, kwargs.get("t_eval")))
+        calls.append((stage[0], t0, t1, settings, len(y0)))
         return integrate(fun, t0, y0, t1, settings, **kwargs)
 
     for module in (integrate_mod, cycle_mod):
@@ -581,21 +591,18 @@ def test_cold_run_integrates_each_chunk_once_at_user_settings(
 
     assert stage[0] == "cross_check_adjoint_frame"  # every spy was entered
     assert all(where == "cycle" for where, *_ in calls)
-    sampled = [i for i, call in enumerate(calls) if call[4] is not None]
+    # the pass integrates x, Phi and Psi: 2 + 2 * 2 * 2 components on the oracle
+    passes = [i for i, call in enumerate(calls) if call[4] == 10]
     steps = len(result.cycle.search["newton_steps"])
-    assert len(sampled) == steps * IDENTITY_CHUNKS and steps >= 2
-    assert sampled == list(range(len(calls) - len(sampled), len(calls)))  # after the searches
+    assert len(passes) == steps * IDENTITY_CHUNKS and steps >= 2
+    assert passes == list(range(len(calls) - len(passes), len(calls)))  # after the searches
     for p in range(steps):
-        chunks = calls[sampled[p * IDENTITY_CHUNKS]:][:IDENTITY_CHUNKS]
+        chunks = calls[passes[p * IDENTITY_CHUNKS]:][:IDENTITY_CHUNKS]
         period = chunks[-1][2]
         edges = np.linspace(0.0, period, IDENTITY_CHUNKS + 1)
-        times = theta_grid(config.grid_size) * period
-        for c, (_, t0, t1, settings, t_eval) in enumerate(chunks):
+        for c, (_, t0, t1, settings, _) in enumerate(chunks):
             assert settings is user
             assert (t0, t1) == (edges[c], edges[c + 1])
-            inside = times[(times >= edges[c]) & (times < edges[c + 1])]
-            assert len(inside) == config.grid_size // IDENTITY_CHUNKS
-            assert t_eval.tobytes() == inside.tobytes()
     assert period == result.spectrum.period
 
 

@@ -1,5 +1,4 @@
 import math
-import re
 import time
 from dataclasses import replace
 from functools import reduce
@@ -25,7 +24,9 @@ from slowphase.integrate import (
     flow,
 )
 from slowphase.models import VectorFieldModel, make_ei_model, make_oracle_model
-from slowphase.series import FourierSeries
+from slowphase.series import FourierSeries, theta_grid
+
+from sampled_flow import sampled_flow
 
 
 def test_settings_validation():
@@ -112,8 +113,9 @@ _START = {
          horizon=1.0, backward=True, fractions=[0.5])
 def test_driver_equals_scipy_dop853(name, variational, kick, horizon, backward, fractions):
     """Forward and backward flows of model states (and of the variational
-    system) are bitwise scipy's: end state, step count, samples, and the
-    (t, y) that on_step sees after every step.  A flow that blows up fails
+    system) are bitwise scipy's: end state, step count, the samples of the
+    steps kept through on_step, and the (t, y) that on_step sees after every
+    step.  A flow that blows up fails
     at the same step in both.  The right-hand sides are the ones the package
     integrates: the point-field closure and the pass's (x, Phi, Psi)
     system, from the identity as each chunk starts."""
@@ -137,49 +139,51 @@ def test_driver_equals_scipy_dop853(name, variational, kick, horizon, backward, 
     ref, ref_samples, ref_trail = _scipy_integrate(fun, t0, y0, t1, DEFAULT_SETTINGS, t_eval)
     if ref.status == "failed":
         with pytest.raises(IntegrationError, match="integrator failed") as err:
-            _integrate(fun, t0, y0, t1, DEFAULT_SETTINGS, t_eval=t_eval, on_step=on_step)
+            _integrate(fun, t0, y0, t1, DEFAULT_SETTINGS, on_step=on_step)
         assert err.value.time == ref.t
     else:
-        end, sampled = _integrate(
-            fun, t0, y0, t1, DEFAULT_SETTINGS, t_eval=t_eval, on_step=on_step
-        )
+        end = _integrate(fun, t0, y0, t1, DEFAULT_SETTINGS, on_step=on_step)
         assert end.tobytes() == ref.y.tobytes()
-        assert sampled().tobytes() == ref_samples.tobytes()
+        kept_end, samples = sampled_flow(fun, t0, y0, t1, t_eval)
+        assert kept_end.tobytes() == end.tobytes()
+        assert samples.tobytes() == ref_samples.tobytes()
     assert len(trail) == len(ref_trail)
     for (t, y), (ref_t, ref_y) in zip(trail, ref_trail):
         assert t == ref_t and y.tobytes() == ref_y.tobytes()
 
 
-def _spied_sweep(result, monkeypatch):
-    """The variational sweep (the cycle stage's pass) from the anchor of
-    ``result``'s cycle, and the arguments of each chunk integration it ran."""
+def _spied_sweep(model, anchor, period, grid_size, monkeypatch):
+    """The variational sweep (the cycle stage's pass) from ``anchor``, and
+    per chunk integration it ran, its arguments and grid times."""
     chunks = []
     integrate = cycle_mod._integrate
 
-    def spy(fun, t0, y0, t1, settings, t_eval=None, **kwargs):
-        chunks.append((fun, t0, y0, t1, settings, t_eval))
-        return integrate(fun, t0, y0, t1, settings, t_eval=t_eval, **kwargs)
+    def spy(fun, t0, y0, t1, settings, **kwargs):
+        chunks.append((fun, t0, y0, t1, settings))
+        return integrate(fun, t0, y0, t1, settings, **kwargs)
 
     monkeypatch.setattr(cycle_mod, "_integrate", spy)
-    cycle = result.cycle
-    sweep = cycle_mod.variational_sweep(result.model, cycle.anchor, cycle.period,
-                                        cycle.grid_size)
-    return sweep, chunks
+    sweep = cycle_mod.variational_sweep(model, anchor, period, grid_size)
+    times = theta_grid(grid_size) * period
+    return sweep, [chunk + (times[sweep.chunk == c],) for c, chunk in enumerate(chunks)]
 
 
 def test_sweep_chunks_equal_unsampled_chunks_and_scipy_dop853(ei_run, monkeypatch):
     """Each chunk of the variational sweep on ei, which integrates x with Phi
-    and Psi, ends bitwise where the same chunk ends without sample times,
-    and both its end state and its samples of x and Phi are bitwise scipy's
-    DOP853; each chunk starts x at the previous chunk's end."""
+    and Psi, ends bitwise where the same chunk ends without keeping its
+    steps, and both its end state and its samples of x and Phi at the grid
+    times of the chunk are bitwise scipy's DOP853; each chunk starts x at the
+    previous chunk's end."""
     result = ei_run.result
-    sweep, chunks = _spied_sweep(result, monkeypatch)
+    cycle = result.cycle
+    sweep, chunks = _spied_sweep(result.model, cycle.anchor, cycle.period, cycle.grid_size,
+                                 monkeypatch)
     d = result.model.dim
     assert len(chunks) == cycle_mod.IDENTITY_CHUNKS
     x = result.cycle.anchor
     for c, (fun, t0, y0, t1, settings, t_eval) in enumerate(chunks):
         assert y0[:d].tobytes() == x.tobytes(), c
-        end, _ = _integrate(fun, t0, y0, t1, settings)
+        end = _integrate(fun, t0, y0, t1, settings)
         assert sweep.ends[c].tobytes() == end[d:].tobytes(), c
         ref, samples, _ = _scipy_integrate(fun, t0, y0, t1, settings, t_eval)
         assert ref.status == "finished"
@@ -200,7 +204,9 @@ def test_shifted_columns_equal_scipy_dop853(ei_run, direction, monkeypatch):
     result = ei_run.result
     model, spectrum = result.model, result.spectrum
     lams, vecs = spectrum.exponents, spectrum.eigenvectors
-    sweep, chunks = _spied_sweep(result, monkeypatch)
+    cycle = result.cycle
+    sweep, chunks = _spied_sweep(model, cycle.anchor, cycle.period, cycle.grid_size,
+                                 monkeypatch)
     d = model.dim
     ends = np.empty(sweep.ends.shape)
     ref_samples = np.empty((len(sweep.chunk), d + d * d))
@@ -222,6 +228,41 @@ def test_shifted_columns_equal_scipy_dop853(ei_run, direction, monkeypatch):
     expected, _ = frames_mod._seed_columns(ref_sweep, seeds, lams)
     assert set(routes.values()) == {direction}
     assert cols[:, :, group].tobytes() == expected[:, :, group].tobytes()
+
+
+@pytest.mark.parametrize("grid_size", [8, 32])
+def test_sweep_samples_at_chunk_starts_and_coarse_grids_equal_scipy_dop853(
+        grid_size, monkeypatch):
+    """On the oracle's unit circle at grid 8, where every other chunk holds
+    no grid time, and at grid 32, the pass's samples of x and Phi are
+    bitwise scipy's DOP853 run over each chunk.  A grid time at a chunk's
+    start is that chunk's initial state: x from the previous chunk's end
+    (the anchor for chunk 0) and Phi the identity."""
+    model, anchor, period = make_oracle_model(), np.array([1.0, 0.0]), 2.0 * np.pi
+    sweep, chunks = _spied_sweep(model, anchor, period, grid_size, monkeypatch)
+    d = model.dim
+    assert len(chunks) == cycle_mod.IDENTITY_CHUNKS
+    ref_samples = np.empty((grid_size, d + d * d))
+    x = anchor
+    for c, (fun, t0, y0, t1, settings, t_eval) in enumerate(chunks):
+        assert y0[:d].tobytes() == x.tobytes(), c
+        ref, samples, _ = _scipy_integrate(fun, t0, y0, t1, settings, t_eval)
+        assert ref.status == "finished"
+        ref_samples[sweep.chunk == c] = samples[:, :d + d * d]
+        x = ref.y[:d]
+    assert sweep.states.tobytes() == ref_samples[:, :d].tobytes()
+    assert sweep.flows.tobytes() == ref_samples[:, d:].reshape(-1, d, d).tobytes()
+    assert sweep.end_state.tobytes() == x.tobytes()
+
+    starts = theta_grid(grid_size) * period == sweep.edges[sweep.chunk]
+    assert np.count_nonzero(starts) == min(grid_size, cycle_mod.IDENTITY_CHUNKS)
+    held = np.bincount(sweep.chunk, minlength=cycle_mod.IDENTITY_CHUNKS)
+    assert (np.count_nonzero(held == 0) == 8) == (grid_size == 8)
+    for c in sweep.chunk[starts]:
+        x = anchor if c == 0 else chunks[c][2][:d]
+        row = np.flatnonzero(starts & (sweep.chunk == c))
+        assert sweep.states[row].tobytes() == x.tobytes()
+        assert np.array_equal(sweep.flows[row[0]], np.eye(d))
 
 
 @pytest.mark.parametrize("horizon", [np.inf, -np.inf, np.nan])
@@ -333,6 +374,9 @@ def test_non_finite_start_raises_before_stepping():
         _integrate(lambda t, y: y * np.nan, 0.0, np.ones(2), 1.0, DEFAULT_SETTINGS)
     with pytest.raises(IntegrationError, match="non-finite initial state"):
         _integrate(lambda t, y: y, 0.0, np.array([np.nan, 0.0]), 1.0, DEFAULT_SETTINGS)
+    # over a zero span too, where no step is taken
+    with pytest.raises(IntegrationError, match="non-finite initial state"):
+        flow(make_oracle_model(), np.array([np.nan, 0.0]), 0.0)
     # a finite state whose field overflows
     start = np.array([1e200, 1e200, 0.5, 0.05, -0.5, 0.5])
     with pytest.raises(IntegrationError, match="non-finite field") as err:
@@ -348,16 +392,14 @@ def test_step_budget_exhaustion():
 
 
 def test_integrate_samples_along_trajectory():
-    # find_cycle takes the grid samples and the shooting end state from one
-    # integration to t = T; its end state is the one flow returns, bit for bit
+    # steps kept through on_step sample the unit circle, and keeping them
+    # leaves the end state the one flow returns, bit for bit
     model = make_oracle_model()
     x0 = np.array([1.0, 0.0])
     times = np.linspace(0.0, np.pi, 9)
-    end, sampled = _integrate(
-        lambda t, y: model.eval(y), 0.0, x0, 2.0 * np.pi, DEFAULT_SETTINGS, t_eval=times
-    )
+    end, samples = sampled_flow(lambda t, y: model.eval(y), 0.0, x0, 2.0 * np.pi, times)
     expected = np.stack([np.cos(times), np.sin(times)], axis=1)
-    assert np.max(np.abs(sampled() - expected)) < 1e-9
+    assert np.max(np.abs(samples - expected)) < 1e-9
     assert np.array_equal(end, flow(model, x0, 2.0 * np.pi))
 
 
@@ -430,12 +472,12 @@ def _damped(t, y):
 
 @pytest.mark.parametrize("t0, t1", [(0.0, 5.0), (5.0, 0.0)])
 def test_integrate_samples_equal_scalar_dense_loop(t0, t1):
-    """Batched dense-output sampling is bitwise the one-time-at-a-time loop."""
+    """Batched dense-output sampling of kept steps is bitwise the
+    one-time-at-a-time loop."""
     settings = IntegratorSettings()
     y0 = np.array([1.4, -0.2])
     times = np.random.default_rng(1).permutation(np.linspace(0.0, 5.0, 101))
-    _, sampled = _integrate(_damped, t0, y0, t1, settings, t_eval=times)
-    samples = sampled()
+    _, samples = sampled_flow(_damped, t0, y0, t1, times, settings)
 
     expected = np.full((len(times), 2), np.nan)
     expected[times == t0] = y0
@@ -451,33 +493,14 @@ def test_integrate_samples_equal_scalar_dense_loop(t0, t1):
     assert samples.tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("t0, t1, t_eval, named", [
-    (1.0, 1.0, [5.0, -3.0], "5.0"),
-    (0.0, 1.0, [0.5, 1.000009], "1.000009"),
-    (100.0, 0.0, [50.0, -5e-9], "-5e-09"),
-    (0.0, 1.0, [-0.5, 0.5], "-0.5"),
-], ids=["empty span", "past the end", "past the backward end", "before the start"])
-def test_samples_outside_the_span_raise(t0, t1, t_eval, named):
-    """A sample is served at exactly t0 or from a step whose closed interval
-    holds it; a time outside the span, however close to its end, raises and
-    is named, as is an empty span's time other than t0."""
-    with pytest.raises(IntegrationError, match=f"sample time {re.escape(named)} lies outside"):
-        _integrate(_damped, t0, np.array([1.4, -0.2]), t1, DEFAULT_SETTINGS, t_eval=t_eval)
-
-
-@pytest.mark.parametrize("t0, t1", [(0.0, 1.0), (1.0, 0.0), (1.0, 1.0)])
+@pytest.mark.parametrize("t0, t1", [(0.0, 1.0), (1.0, 0.0)])
 def test_samples_at_the_ends_equal_scipy_dop853(t0, t1):
     """Samples at exactly t0 are the initial state, and samples at exactly
-    t1 come from the last step's interpolant: both bitwise what the driver's
-    loop on scipy's DOP853 serves."""
+    t1 come from the last kept step's interpolant: both bitwise what the
+    driver's loop on scipy's DOP853 serves."""
     y0 = np.array([1.4, -0.2])
     t_eval = np.array([t1, t0, t1, t0])
-    end, sampled = _integrate(_damped, t0, y0, t1, DEFAULT_SETTINGS, t_eval=t_eval)
-    samples = sampled()
-    if t1 == t0:
-        assert end.tobytes() == y0.tobytes()
-        assert samples.tobytes() == np.tile(y0, (4, 1)).tobytes()
-        return
+    _, samples = sampled_flow(_damped, t0, y0, t1, t_eval)
     _, ref_samples, _ = _scipy_integrate(_damped, t0, y0, t1, DEFAULT_SETTINGS, t_eval)
     assert samples.tobytes() == ref_samples.tobytes()
     assert samples[1].tobytes() == y0.tobytes()
@@ -502,8 +525,9 @@ def _sample_times(draw, horizon):
     data=st.data(),
 )
 def test_batched_samples_equal_scipy_dense_output(variational, kick, horizon, backward, data):
-    """Samples taken after the last step, all in one batch, are bitwise the
-    per-step dense output of scipy's DOP853, forward and backward, for
+    """Samples of the steps kept through on_step, taken after the last step
+    in one batch, are bitwise the per-step dense output of scipy's DOP853,
+    forward and backward, for
     unsorted times with repeats and both ends: on the oracle's field and on
     ei's variational right-hand side, the pass's system."""
     if variational:
@@ -516,7 +540,7 @@ def test_batched_samples_equal_scipy_dense_output(variational, kick, horizon, ba
         y0 = np.asarray(_START["oracle"]) + kick[:2]
     t0, t1 = (horizon, 0.0) if backward else (0.0, horizon)
     t_eval = data.draw(_sample_times(horizon))
-    _, sampled = _integrate(fun, t0, y0, t1, DEFAULT_SETTINGS, t_eval=t_eval)
+    _, samples = sampled_flow(fun, t0, y0, t1, t_eval)
     ref, ref_samples, _ = _scipy_integrate(fun, t0, y0, t1, DEFAULT_SETTINGS, t_eval)
     assert ref.status == "finished"
-    assert sampled().tobytes() == ref_samples.tobytes()
+    assert samples.tobytes() == ref_samples.tobytes()
