@@ -14,6 +14,8 @@ equal.  Where they differ it says by how much:
 Files present in one directory only are listed.  Exits 1 on any difference;
 with ``--bound X``, only on a difference that is not numeric (a missing
 file, a key, a string, a shape) or on a relative difference above ``X``.
+A value that is not finite on one side only, or on both sides and unequal,
+differs by inf, above every bound; the same NaN on both sides is equal.
 An argument that is missing, not a directory or holds no file is a usage
 error: exit 2, naming the argument.
 
@@ -32,9 +34,21 @@ EXPANSIONS = ("manifold_coeff.npy", "response_phase_coeff.npy",
               "response_amplitude_coeff.npy")
 
 
-def relative(a, b, peak):
-    """max |a - b| / peak, 0.0 when both are zero."""
+def relative(a, b):
+    """max |a - b| over the peak |value| of ``a`` and ``b``, 0.0 when both are
+    zero.  A value that is not finite on one side only, or on both sides and
+    unequal, differs by inf, above every bound; the same NaN on both sides
+    is equal.  Complex values compare by their real and imaginary parts."""
+    a, b = (np.asarray(x) for x in (a, b))
+    if np.iscomplexobj(a) or np.iscomplexobj(b):
+        a, b = (np.stack([x.real, x.imag]) for x in (a, b))
+    finite = np.isfinite(a) & np.isfinite(b)
+    same = (a == b) | (np.isnan(a) & np.isnan(b))
+    if not np.all(finite | same):
+        return np.inf
+    a, b = a[finite], b[finite]
     delta = float(np.max(np.abs(a - b), initial=0.0))
+    peak = float(max(np.max(np.abs(a), initial=0.0), np.max(np.abs(b), initial=0.0)))
     return delta / peak if peak > 0 else (0.0 if delta == 0 else np.inf)
 
 
@@ -44,9 +58,8 @@ def diff_npy(name, a_path, b_path):
     if a.shape != b.shape:
         return [], [f"shape {a.shape} != {b.shape}"]
     if name in EXPANSIONS:
-        return [(f"order {n}", relative(a[n], b[n], max(np.abs(a[n]).max(), np.abs(b[n]).max())))
-                for n in range(len(a))], []
-    return [("all", relative(a, b, max(np.abs(a).max(), np.abs(b).max())))], []
+        return [(f"order {n}", relative(a[n], b[n])) for n in range(len(a))], []
+    return [("all", relative(a, b))], []
 
 
 def _leaves(value, prefix=""):
@@ -75,8 +88,9 @@ def diff_json(name, a_path, b_path):
         if key not in b:
             other.append(f"only in A: {key}")
         elif _number(x) and _number(b[key]):
-            if x != b[key]:
-                numeric.append((key, relative(x, b[key], max(abs(x), abs(b[key])))))
+            r = relative(x, b[key])
+            if r:  # 0.0 for equal values, NaN on both sides included
+                numeric.append((key, r))
         elif x != b[key]:
             other.append(f"changed: {key}")
     other += [f"only in B: {key}" for key in b if key not in a]
@@ -94,8 +108,7 @@ def diff_csv(name, a_path, b_path):
     (ha, a), (hb, b) = _read_csv(a_path), _read_csv(b_path)
     if ha != hb or a.shape != b.shape:
         return [], ["header or shape"]
-    return [(col, relative(a[:, j], b[:, j], max(np.abs(a[:, j]).max(), np.abs(b[:, j]).max())))
-            for j, col in enumerate(ha)], []
+    return [(col, relative(a[:, j], b[:, j])) for j, col in enumerate(ha)], []
 
 
 DIFFERS = {".npy": diff_npy, ".json": diff_json, ".csv": diff_csv}

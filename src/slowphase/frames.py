@@ -25,16 +25,20 @@ corrections are diagonal per Fourier mode and go through
 :func:`~slowphase.series.solve_diagonal`, so this module applies no Fourier
 transform and computes no Fourier divisor of its own; a near-resonant
 divisor raises :class:`~slowphase.errors.SmallDivisorError` there.  The
-frame ODE residual has one definition, ``_frame_residual``.
+frame ODE residual has one definition, ``_frame_residual``, and both frame
+builds end in one step, ``_finish_frame``: measure that residual, band-limit
+the columns' series and construct the :class:`Frame`.
 
 All of this is written once, for a frame of an operator A with exponents mu:
 the bundle frame is the frame of A = DX with mu = lam, and the adjoint
 (response-curve) frame is the frame of A = -DX^T with mu = -lam, the dual of
-the bundle frame.  Each is polished once on the polished orbit; the adjoint
-columns are then scaled to pair with the bundle columns at grid mean 1.  The
-cross-check polishes and eigen-decomposes nothing: it compares the adjoint
-frame with its seed, the bundle's pointwise dual, and the two frames'
-refined exponents, and checks Psi^T Phi = Id on the pass's chunks.
+the bundle frame.  The bundle build returns the polished cycle, the frame
+and its band cut, which the adjoint frame is polished in.  Each frame is
+polished once on the polished orbit; the adjoint columns are then scaled to
+pair with the bundle columns at grid mean 1.  The cross-check polishes and
+eigen-decomposes nothing: it compares the adjoint frame with its seed, the
+bundle's pointwise dual, and the two frames' refined exponents over the
+polished period, and checks Psi^T Phi = Id on the pass's chunks.
 ``solve_in_frame`` is the one homological solve in frame coordinates, for the
 manifold orders (DX) and the response orders (-DX^T) alike.
 
@@ -66,7 +70,6 @@ from .series import FourierSeries, solve_diagonal, theta_grid
 
 __all__ = [
     "Frame",
-    "BundleBuildResult",
     "build_bundle_frame",
     "build_adjoint_frame",
     "build_real_frames",
@@ -98,13 +101,6 @@ class Frame:
             self._grid_values = self.series.samples()
             self._grid_values.flags.writeable = False
         return self._grid_values
-
-
-@dataclass
-class BundleBuildResult:
-    bundle: Frame
-    cycle: CycleResult  # spectrally polished orbit and period
-    diagnostics: dict
 
 
 def _active_bandwidth(series: FourierSeries, n: int) -> int:
@@ -338,20 +334,29 @@ def _polish_cycle_step(samples, defect, period, cols, lams, k_cut):
     return orbit, period + d_period
 
 
-def build_bundle_frame(
-    model,
-    cycle: CycleResult,
-    spectrum: FloquetSpectrum,
-) -> BundleBuildResult:
+def _finish_frame(cols, op_grid, mus, period, k_cut, classes, exponents) -> Frame:
+    """The :class:`Frame` of the polished grid columns ``cols`` of the operator
+    A (grid samples ``op_grid``) with exponents ``mus``: its series
+    band-limited to |k| < k_cut, and its residual the grid maximum of
+    :func:`_frame_residual`.  It states ``exponents``: ``mus`` for the bundle,
+    ``-mus`` for the adjoint frame of -DX^T."""
+    residual = float(np.max(np.abs(_frame_residual(cols, op_grid, mus, period, k_cut))))
+    return Frame(series=FourierSeries.from_samples(cols).band_limited(k_cut),
+                 exponents=exponents, classes=classes, residual=residual)
+
+
+def build_bundle_frame(model, cycle: CycleResult, spectrum: FloquetSpectrum):
     """Build the complex bundle frame and jointly polish the orbit.
 
     The orbit starts as the series of the shooting ``cycle``, the x samples
     of its pass ``cycle.sweep``.  Columns are seeded from that pass and
     gauged to unit grid-max vector norm (this makes the slow column directly
     usable as the order-1 manifold coefficient, scaled by
-    ``expand_slow_manifold``'s gauge).  Returns the frame, whose exponents are
-    the refined ones, and the polished cycle, anchored at its theta = 0 sample.
-    A cycle without its pass, as one loaded from the cycle stage holds until
+    ``expand_slow_manifold``'s gauge).  Returns ``(cycle, bundle, band_cut)``:
+    the polished cycle, anchored at its theta = 0 sample; the frame, whose
+    exponents are the refined ones; and the band |k| < band_cut that both
+    are limited to, which the adjoint frame is polished in.  A cycle without
+    its pass, as one loaded from the cycle stage holds until
     :func:`slowphase.pipeline.cycle_sweep` recomputes it, raises
     :class:`FrameError`.
     """
@@ -368,7 +373,7 @@ def build_bundle_frame(
 
     seeds = {j: spectrum.eigenvectors[:, j] for j in range(1, d)
              if classes[j] != CLASS_PAIR_CONJ}
-    cols, routes = _seed_columns(sweep, seeds, lams)
+    cols, _ = _seed_columns(sweep, seeds, lams)
     orbit = cycle.series
     cols[:, :, 0] = orbit.differentiate().samples()
 
@@ -378,7 +383,6 @@ def build_bundle_frame(
     orbit = orbit.band_limited(k_cut)
     samples = orbit.samples()
     defect = model.eval(samples) - orbit.differentiate().samples() / period
-    histories = []
     cycle_defect = np.inf
     for _ in range(MAX_OUTER):
         orbit, period = _polish_cycle_step(samples, defect, period, cols, lams, k_cut)
@@ -387,10 +391,8 @@ def build_bundle_frame(
         jac_grid = model.jacobian(samples)
         cols[:, :, 0] = deriv
         _symmetrize_columns(cols, lams, classes, theta, period)
-        histories.append(_refine_frame(
-            jac_grid, period, cols, lams, classes, theta, fixed_columns=(0,),
-            k_cut=k_cut,
-        ))
+        _refine_frame(jac_grid, period, cols, lams, classes, theta, fixed_columns=(0,),
+                      k_cut=k_cut)
         field_x = model.eval(samples)
         defect = field_x - deriv / period
         previous_defect = cycle_defect
@@ -413,28 +415,10 @@ def build_bundle_frame(
     # the refinement re-band-limits the fixed tangent column at roundoff
     cols[:, :, 0] = deriv
 
-    residual = float(np.max(np.abs(
-        _frame_residual(cols, jac_grid, lams, period, k_cut)
-    )))
-
-    frame = Frame(
-        series=FourierSeries.from_samples(cols).band_limited(k_cut),
-        exponents=lams.copy(),
-        classes=classes,
-        residual=residual,
-    )
+    bundle = _finish_frame(cols, jac_grid, lams, period, k_cut, classes, lams)
     polished = replace(cycle, anchor=samples[0].copy(), period=float(period),
                        series=orbit, sweep=None)
-    diagnostics = {
-        "routes": routes,
-        "refine_histories": histories,
-        "cycle_defect": cycle_defect,
-        "band_cut": k_cut,
-        "exponent_shift": float(
-            np.max(np.abs(lams - spectrum.exponents))
-        ),
-    }
-    return BundleBuildResult(frame, polished, diagnostics)
+    return polished, bundle, k_cut
 
 
 def _dual_frame(bundle: Frame) -> np.ndarray:
@@ -480,13 +464,7 @@ def build_adjoint_frame(model, cycle: CycleResult, bundle: Frame, k_cut: int) ->
         if abs(factor) < 1e-12:
             raise FrameError(f"adjoint column {j} orthogonal to the bundle column")
         cols[:, :, j] /= factor
-    residual = float(np.max(np.abs(_frame_residual(cols, op_grid, mus, period, k_cut))))
-    return Frame(
-        series=FourierSeries.from_samples(cols).band_limited(k_cut),
-        exponents=-mus,
-        classes=classes,
-        residual=residual,
-    )
+    return _finish_frame(cols, op_grid, mus, period, k_cut, classes, -mus)
 
 
 def build_real_frames(bundle: Frame, adjoint: Frame):
@@ -521,23 +499,19 @@ def build_real_frames(bundle: Frame, adjoint: Frame):
     return theta, out[0], out[1]
 
 
-def cross_check_adjoint_frame(
-    model,
-    cycle: CycleResult,
-    bundle: Frame,
-    adjoint: Frame,
-    sweep: VariationalSweep,
-) -> dict:
+def cross_check_adjoint_frame(bundle: Frame, adjoint: Frame, sweep: VariationalSweep,
+                              period: float) -> dict:
     """Check the adjoint frame against the bundle frame and the adjoint flow.
 
     Nothing is integrated, polished or eigen-decomposed: Psi comes from
     ``sweep``, the pass the bundle was seeded from.  The report contains
     the fundamental-solution duality Psi^T Phi = Id on every chunk, the
-    duality of the adjoint frame's refined exponents with the bundle's, and
-    the per-column discrepancy of the adjoint frame from its seed, the
-    bundle's pointwise dual: how far the adjoint polish moved.
+    duality of the adjoint frame's refined exponents with the bundle's over
+    ``period`` (the polished one), and the per-column discrepancy of the
+    adjoint frame from its seed, the bundle's pointwise dual: how far the
+    adjoint polish moved.
     """
-    d = model.dim
+    d = bundle.dim
 
     # The duality Psi(t)^T Phi(t) = Id holds on every chunk for the
     # transition matrices started there, and the full-period identity
@@ -553,7 +527,7 @@ def cross_check_adjoint_frame(
     # come purely from the adjoint machinery, so their agreement with the
     # bundle's is exp((lam_adj - lam) T) = 1, free of a formed product's
     # eps |M| eigenvalue error
-    shift = (adjoint.exponents - bundle.exponents) * cycle.period
+    shift = (adjoint.exponents - bundle.exponents) * period
     shift = np.clip(shift.real, -700.0, 700.0) + 1j * shift.imag
     refined_duality = np.abs(np.exp(shift) - 1.0)
 

@@ -34,6 +34,7 @@ keep their files and the manifest records the failed one.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, NamedTuple
@@ -92,6 +93,22 @@ def _exact(meta: dict, *keys) -> dict:
     return meta
 
 
+def _number(name, value, shape=(), kind=float, low=-math.inf, high=math.inf):
+    """``value``, a number of a stage file or nested lists of them of
+    ``shape`` (a None entry: any length), returned as it is once every number
+    is of type ``kind`` (a bool, an integer or a string is no float), finite
+    and in (low, high].  A ValueError names ``name`` otherwise."""
+    array = np.asarray(value, dtype=object)
+    if len(array.shape) != len(shape) or any(
+            want not in (None, got) for got, want in zip(array.shape, shape)):
+        raise ValueError(f"{name}: shape {array.shape}, not {shape}")
+    for x in array.flat:
+        if type(x) is not kind or not math.isfinite(x) or not low < x <= high:
+            raise ValueError(f"{name}: {x!r} is not a finite {kind.__name__} in "
+                             f"({low}, {high}]")
+    return value
+
+
 def _complex(pairs) -> np.ndarray:
     """Complex array from nested [re, im] pairs, exact down to signed zeros."""
     return np.asarray(pairs, dtype=float).view(complex)[..., 0]
@@ -114,8 +131,15 @@ def save_cycle(out, cycle: CycleResult, inputs: dict, digests: dict | None = Non
 
 
 def load_cycle(result, meta):
-    meta["anchor"] = np.asarray(meta["anchor"])
-    _exact(meta["search"], "relax_returns", "relaxed_time", "return_gap", "newton_steps")
+    meta["anchor"] = np.asarray(_number("anchor", meta["anchor"], (result.model.dim,)))
+    _number("period", meta["period"], low=0.0)
+    _number("shooting_residual", meta["shooting_residual"])
+    search = _exact(meta["search"], "relax_returns", "relaxed_time", "return_gap",
+                    "newton_steps")
+    _number("search.relax_returns", search["relax_returns"], kind=int, low=0)
+    for key in ("relaxed_time", "return_gap"):
+        _number(f"search.{key}", search[key])
+    _number("search.newton_steps", search["newton_steps"], (None,))
     result.cycle = CycleResult(**meta, grid_size=result.config.grid_size)
 
 
@@ -127,7 +151,9 @@ def save_spectrum(out, spectrum: FloquetSpectrum, inputs: dict, digests: dict | 
 
 def load_spectrum(result, meta):
     # the shooting period: the frames stage, which polishes it, loads later
-    monodromy = np.asarray(_exact(meta, "monodromy")["monodromy"])
+    dim = result.model.dim
+    monodromy = np.asarray(_number("monodromy", _exact(meta, "monodromy")["monodromy"],
+                                   (dim, dim)))
     result.spectrum = floquet_spectrum(monodromy, result.cycle.period)
 
 
@@ -152,16 +178,24 @@ def load_frames(result, meta):
     Their classes are the loaded spectrum's.  An unknown key is refused,
     as the dataclass loaders refuse an unknown field."""
     _exact(meta, "period", "band_cut", "crosscheck", "bundle", "adjoint")
-    _exact(meta["crosscheck"], "eigenvalue_duality_rel_errors", "psi_phi_identity_defect",
-           "column_discrepancies")
+    crosscheck = _exact(meta["crosscheck"], "eigenvalue_duality_rel_errors",
+                        "psi_phi_identity_defect", "column_discrepancies")
     grid_size, dim = result.cycle.grid_size, len(result.cycle.anchor)
+    _number("period", meta["period"], low=0.0)
+    # the range _active_bandwidth returns
+    _number("band_cut", meta["band_cut"], kind=int, low=0, high=grid_size // 3)
+    for key, value in crosscheck.items():
+        shape = () if key == "psi_phi_identity_defect" else (dim,)
+        _number(f"crosscheck.{key}", value, shape)
     series = FourierSeries(_read(result, "cycle", (grid_size // 2 + 1, dim)), real=True)
     result.cycle = replace(result.cycle, anchor=series.samples()[0].copy(),
                            period=meta["period"], series=series)
     result.band_cut, result.crosscheck = meta["band_cut"], meta["crosscheck"]
     for name in ("bundle", "adjoint"):
-        frame = meta[name]
-        frame["exponents"] = _complex(frame["exponents"])
+        frame = _exact(meta[name], "exponents", "residual")
+        _number(f"{name}.residual", frame["residual"])
+        frame["exponents"] = _complex(_number(f"{name}.exponents", frame["exponents"],
+                                              (dim, 2)))
         coef = _read(result, f"frame_{name}", (grid_size, dim, dim))
         setattr(result, name, Frame(series=FourierSeries(coef),
                                     classes=result.spectrum.classes, **frame))
@@ -176,7 +210,10 @@ def save_manifold(out, manifold: ManifoldExpansion, inputs: dict, digests: dict 
 
 def load_manifold(result, meta):
     config = result.config
-    meta["residuals"] = np.asarray(meta["residuals"])
+    _exact(meta, "residuals", "conjugation_drift")
+    meta["residuals"] = np.asarray(_number("residuals", meta["residuals"],
+                                           (config.order + 2,)))
+    _number("conjugation_drift", meta["conjugation_drift"])
     result.manifold = ManifoldExpansion(
         coeffs=_load_orders(result, "manifold", config.order + 1),
         nominal_order=config.order, period=result.cycle.period,
@@ -195,7 +232,10 @@ def save_response(out, response: ResponseExpansion, inputs: dict, digests: dict 
 def load_response(result, meta):
     order = result.config.order
     for key in ("phase_residuals", "amplitude_residuals"):
-        meta[key] = np.asarray(meta[key])
+        meta[key] = np.asarray(_number(key, meta[key], (order + 1,)))
+    for key in ("solvability_residual", "free_coefficient", "normalization_defect",
+                "conjugation_drift"):
+        _number(key, meta[key])
     result.response = ResponseExpansion(
         phase=_load_orders(result, "response_phase", order),
         amplitude=_load_orders(result, "response_amplitude", order),
@@ -270,7 +310,7 @@ def _run_resonance(result):
     write_json(os.path.join(config.out_dir, "resonance.json"), result.resonance.summary(),
                result.digests)
     table, n, j, divisor = result.resonance.smallest()
-    if divisor < config.small_divisor_tol:
+    if not divisor >= config.small_divisor_tol:  # a NaN divisor too
         raise ResonanceError(
             f"{table} divisor of order {n} in direction {j} is {divisor:.3e}, below "
             f"solver.small_divisor_tol = {_show(config.small_divisor_tol)}"
@@ -278,11 +318,10 @@ def _run_resonance(result):
 
 
 def _run_frames(result):
-    model, spectrum, sweep = result.model, result.spectrum, cycle_sweep(result)
-    build = build_bundle_frame(model, result.cycle, spectrum)
-    cycle, bundle, band_cut = build.cycle, build.bundle, build.diagnostics["band_cut"]
+    model, sweep = result.model, cycle_sweep(result)
+    cycle, bundle, band_cut = build_bundle_frame(model, result.cycle, result.spectrum)
     adjoint = build_adjoint_frame(model, cycle, bundle, band_cut)
-    crosscheck = cross_check_adjoint_frame(model, cycle, bundle, adjoint, sweep)
+    crosscheck = cross_check_adjoint_frame(bundle, adjoint, sweep, cycle.period)
     # the polished cycle replaces the shooting one only once the stage succeeded
     result.cycle, result.bundle, result.adjoint = cycle, bundle, adjoint
     result.crosscheck, result.band_cut = crosscheck, band_cut
@@ -440,8 +479,10 @@ def load_result(config: RunConfig) -> PipelineResult:
     records differ from the config's (see :func:`_inputs`: the stage was built
     under another config), with each differing key's stored and requested
     values; when a metadata file does not parse, lacks a field (``inputs`` too)
-    or holds an unknown one (a field rebuilt on load included), or holds a
-    monodromy that :func:`floquet_spectrum` refuses; when a
+    or holds an unknown one (a field rebuilt on load included), holds a
+    number that is not finite, of its type and shape and in its range (see
+    :func:`_number`: a period is positive, a band cut in 1..N // 3), or holds
+    a monodromy that :func:`floquet_spectrum` refuses; when a
     coefficient file is missing, truncated, of the wrong dtype or shape, or
     non-finite; and then when ``manifest.json`` is missing, or a file read is
     absent from its inventory or differs from its sha256 there.  So stale or

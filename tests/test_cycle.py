@@ -628,6 +628,16 @@ def test_resonance_synthetic_flag(tmp_path):
     assert check_resonances(spectrum, 3).tables["manifold"][2][2] == 0.0
 
 
+def test_resonance_gate_refuses_a_nan_divisor(tmp_path):
+    """A NaN divisor, here from a NaN period, is no divisor above the
+    tolerance: the gate raises, where a `divisor < tol` test passed it."""
+    spectrum = _spectrum(math.nan, [0.0, -0.5, -1.2])
+    result = PipelineResult(config=RunConfig(order=3, out_dir=str(tmp_path)),
+                            spectrum=spectrum)
+    with pytest.raises(ResonanceError, match=r"divisor of order \d+ in direction \d+ is nan"):
+        _run_resonance(result)
+
+
 def test_resonance_lattice_reduction(tmp_path):
     # divisors are measured modulo 2 pi i / T: 2 lam_s - lam_2 = 2 pi i / T
     # is one lattice step, so the manifold divisor at k = -1 is zero

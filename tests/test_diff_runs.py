@@ -3,6 +3,7 @@
 import importlib.util
 import io
 import json
+import math
 import shutil
 from pathlib import Path
 
@@ -81,6 +82,47 @@ def test_json_fields_keys_and_files(runs, tmp_path):
     [residual] = [line for line in lines if line.strip().startswith("residuals[1]")]
     assert float(residual.split()[1]) == pytest.approx(1e-9, rel=1e-3)
     assert "  not numeric: only in A: conjugation_drift" in lines
+
+
+def _nan_in(run, where, change=None):
+    """Set one number of ``run``'s manifold files to NaN: residuals[1] of
+    manifold.json, or one order-2 coefficient; with ``change``, also move
+    another number by that relative amount.  Returns the file's name."""
+    if where == "json":
+        meta = json.loads((run / "manifold.json").read_text())
+        meta["residuals"][1] = math.nan
+        if change:
+            meta["residuals"][2] *= 1.0 + change
+        (run / "manifold.json").write_text(json.dumps(meta))
+        return "manifold.json"
+    coef = np.load(run / "manifold_coeff.npy")
+    coef[2, 1, 0] = math.nan
+    if change:
+        coef[3, 1, 0] += change * np.abs(coef[3]).max()
+    np.save(run / "manifold_coeff.npy", coef)
+    return "manifold_coeff.npy"
+
+
+@pytest.mark.parametrize("where", ["json", "npy"])
+def test_nan_on_one_side_is_above_every_bound(runs, tmp_path, where):
+    """A NaN against a finite value is a difference above every bound, not a
+    "max relative nan" that passes; the same NaN on both sides is equal, so
+    a small change elsewhere in the file passes a bound."""
+    a, b = runs
+    c, d = tmp_path / "c", tmp_path / "d"
+    shutil.copytree(b, c)
+    name = _nan_in(c, where)
+    status, lines = compare(a, c, bound=1e-3)
+    assert status == 1 and lines[-1] == "status: differ"
+    [line] = [line for line in lines if line.startswith(name)]
+    assert line.endswith("differs, max relative inf"), line
+
+    shutil.copytree(b, d)
+    _nan_in(d, where, change=1e-9)
+    status, lines = compare(c, d, bound=1e-3)
+    assert status == 0 and lines[-1] == "status: within bound"
+    worst = float(next(line for line in lines if "max relative" in line).split()[-1])
+    assert worst == pytest.approx(1e-9, rel=1e-3)
 
 
 @pytest.mark.parametrize("case", ["missing", "file", "empty"])

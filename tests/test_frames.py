@@ -241,7 +241,7 @@ def test_oracle_adjoint_polish_stops_at_roundoff(floquet_runs, monkeypatch):
     noise."""
     partial = floquet_runs["oracle"]
     model = partial.model
-    build = build_bundle_frame(model, partial.cycle, partial.spectrum)
+    cycle, bundle, band_cut = build_bundle_frame(model, partial.cycle, partial.spectrum)
     refine = frames_mod._refine_frame
     sweeps = []
 
@@ -251,7 +251,7 @@ def test_oracle_adjoint_polish_stops_at_roundoff(floquet_runs, monkeypatch):
         return history
 
     monkeypatch.setattr(frames_mod, "_refine_frame", counting)
-    build_adjoint_frame(model, build.cycle, build.bundle, build.diagnostics["band_cut"])
+    build_adjoint_frame(model, cycle, bundle, band_cut)
     assert len(sweeps) == 1 and sweeps[0] <= 3, sweeps
 
 
@@ -269,7 +269,7 @@ def test_adjoint_seeds_are_the_bundle_dual_at_every_node(floquet_runs, monkeypat
     column at every grid node."""
     partial = floquet_runs["ei"]
     model = partial.model
-    build = build_bundle_frame(model, partial.cycle, partial.spectrum)
+    cycle, bundle, band_cut = build_bundle_frame(model, partial.cycle, partial.spectrum)
     refine = frames_mod._refine_frame
     pairs = []
 
@@ -280,11 +280,10 @@ def test_adjoint_seeds_are_the_bundle_dual_at_every_node(floquet_runs, monkeypat
         return history
 
     monkeypatch.setattr(frames_mod, "_refine_frame", spy)
-    build_adjoint_frame(model, build.cycle, build.bundle, build.diagnostics["band_cut"])
+    build_adjoint_frame(model, cycle, bundle, band_cut)
     ((seeds, polished),) = pairs
-    dual, mus = frames_mod._dual_frame(build.bundle), -build.bundle.exponents
-    frames_mod._symmetrize_columns(dual, mus, build.bundle.classes, build.cycle.theta,
-                                   build.cycle.period)
+    dual, mus = frames_mod._dual_frame(bundle), -bundle.exponents
+    frames_mod._symmetrize_columns(dual, mus, bundle.classes, cycle.theta, cycle.period)
     assert seeds.tobytes() == dual.tobytes()
     angle = max(_sine_of_angle(polished[n, :, j], seeds[n, :, j])
                 for n in range(len(seeds)) for j in range(model.dim))
@@ -307,16 +306,15 @@ def test_adjoint_frame_refuses_a_bundle_singular_at_theta_0(floquet_runs):
     LinAlgError."""
     partial = floquet_runs["oracle"]
     model = partial.model
-    build = build_bundle_frame(model, partial.cycle, partial.spectrum)
-    n = build.cycle.grid_size
+    cycle, bundle, band_cut = build_bundle_frame(model, partial.cycle, partial.spectrum)
+    n = cycle.grid_size
     for node, phase in ((0, "0"), (n // 2, "0.5")):
-        vals = build.bundle.grid_values().copy()
+        vals = bundle.grid_values().copy()
         vals[node, :, 1] = 0.0
-        singular = replace(build.bundle)
+        singular = replace(bundle)
         singular._grid_values = vals  # the cached grid values the build reads
         with pytest.raises(FrameError, match=f"singular at theta = {phase}: "):
-            build_adjoint_frame(model, build.cycle, singular,
-                                build.diagnostics["band_cut"])
+            build_adjoint_frame(model, cycle, singular, band_cut)
 
 
 def test_refine_frame_stops_at_tolerance_or_first_sweep_not_halving(ei_run):
@@ -360,9 +358,7 @@ def test_cross_check_oracle(oracle_run):
     result = oracle_run.result
     cycle = result.cycle
     sweep = variational_sweep(result.model, cycle.anchor, cycle.period, cycle.grid_size)
-    rep = cross_check_adjoint_frame(
-        result.model, cycle, result.bundle, result.adjoint, sweep,
-    )
+    rep = cross_check_adjoint_frame(result.bundle, result.adjoint, sweep, cycle.period)
     assert np.max(rep["column_discrepancies"]) < 1e-8
     assert np.max(rep["eigenvalue_duality_rel_errors"]) < 1e-8
     assert rep["psi_phi_identity_defect"] < 1e-8
@@ -403,8 +399,8 @@ def ei_sweep(ei_run):
 
 
 def _cross_check(result, sweep, adjoint=None):
-    return cross_check_adjoint_frame(result.model, result.cycle, result.bundle,
-                                     adjoint or result.adjoint, sweep)
+    return cross_check_adjoint_frame(result.bundle, adjoint or result.adjoint, sweep,
+                                     result.cycle.period)
 
 
 def test_cross_check_reports_a_column_defect(ei_run, ei_sweep):
@@ -467,6 +463,60 @@ def floquet_runs(tmp_path_factory):
                            through=Stage.FLOQUET)
         for name, config in _CONFIGS.items()
     }
+
+
+def _arrays(obj, path=""):
+    """path -> (dtype, shape, bytes) of every array reachable from ``obj``
+    through the attributes of slowphase objects, dicts, lists and tuples."""
+    if isinstance(obj, np.ndarray):
+        return {path: (obj.dtype, obj.shape, obj.tobytes())}
+    if isinstance(obj, dict):
+        items = ((f"{path}[{k!r}]", v) for k, v in obj.items())
+    elif isinstance(obj, (list, tuple)):
+        items = ((f"{path}[{i}]", v) for i, v in enumerate(obj))
+    elif type(obj).__module__.startswith("slowphase") and hasattr(obj, "__dict__"):
+        items = ((f"{path}.{k}", v) for k, v in vars(obj).items())
+    else:
+        return {}
+    return {key: leaf for sub, v in items for key, leaf in _arrays(v, sub).items()}
+
+
+def _call(fn, *args):
+    """``fn(*args)``, asserting that no array of the arguments changed; a
+    cache that the call adds (``Frame.grid_values``'s) is no change."""
+    before = _arrays(args)
+    out = fn(*args)
+    after = _arrays(args)
+    changed = [key for key, leaf in before.items() if after.get(key) != leaf]
+    assert not changed, (fn.__name__, changed)
+    return out
+
+
+@pytest.mark.parametrize("name", ["ei", "oracle"])
+def test_readme_frames_calls_give_the_pipelines_frames(floquet_runs, name, tmp_path):
+    """README's three frames-stage library calls give the frames stage's
+    results byte for byte: the polished cycle's series and period, both
+    frames' coefficients, exponents and residuals, the band cut and the
+    cross-check's report; and none changes an array of its arguments."""
+    partial = floquet_runs[name]
+    model, cycle, spectrum = partial.model, partial.cycle, partial.spectrum
+    sweep = cycle.sweep
+    polished, bundle, band_cut = _call(build_bundle_frame, model, cycle, spectrum)
+    adjoint = _call(build_adjoint_frame, model, polished, bundle, band_cut)
+    crosscheck = _call(cross_check_adjoint_frame, bundle, adjoint, sweep, polished.period)
+
+    staged = run_pipeline(replace(_CONFIGS[name], out_dir=str(tmp_path)),
+                          through=Stage.FRAMES, resume=replace(partial))
+    assert staged.cycle.series.coef.tobytes() == polished.series.coef.tobytes()
+    assert staged.cycle.period == polished.period
+    assert staged.band_cut == band_cut
+    for ours, theirs in ((bundle, staged.bundle), (adjoint, staged.adjoint)):
+        assert theirs.series.coef.tobytes() == ours.series.coef.tobytes()
+        assert theirs.exponents.tobytes() == ours.exponents.tobytes()
+        assert theirs.residual == ours.residual
+    assert staged.crosscheck.keys() == crosscheck.keys()
+    for key, value in crosscheck.items():
+        assert np.asarray(staged.crosscheck[key]).tobytes() == np.asarray(value).tobytes(), key
 
 
 def _shifted_seed(model, cycle, w, lam, route):

@@ -205,10 +205,12 @@ def test_stale_response_order_rejected(tmp_path, capsys):
     cfg, out = _write_cfg(tmp_path)
     assert main(["response", "--config", cfg]) == 0
     # a response at order 4 next to a manifold claiming order 5: its inputs
-    # say so, and its coefficients hold the 7 orders that order 5 loads
+    # say so, and its coefficients and residuals hold the 7 orders that
+    # order 5 loads
     manifold_json = os.path.join(out, "manifold.json")
     meta = _read_json(manifold_json)
     meta["inputs"]["manifold.order"] = "5"
+    meta["residuals"].append(0.0)
     write_json(manifold_json, meta)
     coeff_path = os.path.join(out, "manifold_coeff.npy")
     coef = np.load(coeff_path)
@@ -488,6 +490,10 @@ def _add_lyapunov(path):
     _set_key(path, "lyapunov", [0.0, -2.0])
 
 
+def _set(key, value):
+    return lambda path: _set_key(path, key, value)
+
+
 # keys that the stage files held while they stored numbers that another
 # stored number fixes; each loader now rebuilds them or has no use for them
 RETIRED_KEYS = [
@@ -500,8 +506,32 @@ RETIRED_KEYS = [
 ]
 
 
-def _retired(key):
-    return lambda path: _set_key(path, key, 0.0)
+def _drop_last_exponent(path):
+    # a bundle exponent list one pair short of the model's dimension
+    _set_key(path, "bundle.exponents", _read_json(path)["bundle"]["exponents"][:-1])
+
+
+def _nan_phase_residuals(path):
+    _set_key(path, "phase_residuals", [math.nan] * len(_read_json(path)["phase_residuals"]))
+
+
+# a number that a loader keeps, set to a value of the wrong type, shape or
+# range, or to a non-finite one; every other byte as the run wrote it
+DAMAGED_NUMBERS = [
+    ("frames.json", "period_nan", _set("period", math.nan)),
+    ("frames.json", "period_negative", _set("period", -1.0)),
+    ("frames.json", "period_string", _set("period", "abc")),
+    ("frames.json", "exponents_short", _drop_last_exponent),
+    ("frames.json", "band_cut_string", _set("band_cut", "abc")),
+    ("frames.json", "adjoint_residual_string", _set("adjoint.residual", "abc")),
+    ("cycle.json", "period_nan", _set("period", math.nan)),
+    ("cycle.json", "period_negative", _set("period", -6.28)),
+    ("cycle.json", "period_string", _set("period", "x")),
+    ("manifold.json", "residuals_short", _set("residuals", [0.0])),
+    ("manifold.json", "drift_string", _set("conjugation_drift", "x")),
+    ("response.json", "solvability_string", _set("solvability_residual", "x")),
+    ("response.json", "phase_residuals_nan", _nan_phase_residuals),
+]
 
 
 def _drop_inputs(path):
@@ -529,7 +559,8 @@ def _drop_inputs(path):
         ("frames.json", _drop_crosscheck),
         ("spectrum.json", _add_lyapunov),
         ("frames.json", _add_unknown_key),
-        *((name, _retired(key)) for name, key in RETIRED_KEYS),
+        *((name, _set(key, 0.0)) for name, key in RETIRED_KEYS),
+        *((name, damage) for name, _, damage in DAMAGED_NUMBERS),
     ],
     ids=[
         "missing", "truncated", "dtype", "shape", "non_finite", "bit_flip",
@@ -537,6 +568,7 @@ def _drop_inputs(path):
         "earlier_frame_keys", "no_polished_period", "no_inputs", "crosscheck_missing",
         "spectrum_lyapunov", "frames_unknown_key",
         *(f"{name.split('.')[0]}_{key.split('.')[-1]}" for name, key in RETIRED_KEYS),
+        *(f"{name.split('.')[0]}_{label}" for name, label, _ in DAMAGED_NUMBERS),
     ],
 )
 def test_damaged_coefficient_file_exits_4(response_stage_dir, tmp_path, capsys, name, damage):
