@@ -1,25 +1,33 @@
 """Analytic vector fields: evaluation, Jacobians, and jet composition.
 
-A model is defined by two closures written in plain arithmetic on the state
-components, so the same code serves every kind of component it is given:
-Python floats for one state, numpy arrays for a batch of states, and
-symbolic components for Taylor transport in the amplitude variable.  Called
-once on symbolic components, a closure records its operations on a tape;
-:class:`JetTransport` evaluates the tape on grid values one sigma-order at a
+A model is one closure, its field ``u -> X(u)``, written in plain
+arithmetic on the state components, so the same code serves every kind of
+component it is given: Python floats for one state, numpy arrays for a
+batch of states, and symbolic components for Taylor transport in the
+amplitude variable.  Called once on symbolic components, the closure records
+its operations on a tape.  Everything else is derived from that tape:
+
+* the Jacobian rows, once, when the model is built: forward mode over the
+  tape gives the entries dX_a/dx_b as straight-line arithmetic, compiled to
+  a closure that also serves floats, arrays and symbolic components;
+* the adjoint action ``(u, z) -> -DX(u)^T z``, recorded from those rows.
+
+:class:`JetTransport` evaluates a tape on grid values one sigma-order at a
 time, so a recursion that needs order n of the composed field pays for
-order n alone, and :func:`jet_compose` fills every order.  Two closures are
-transported: the field, ``u -> X(u)``, whose jet drives the manifold
-recursion, and the adjoint action ``(u, z) -> -DX(u)^T z``, recorded from
-``jac_rows``, whose jet drives the response recursions.  The adjoint action
-carries the sign of the operator -DX^T, so both recursions solve the same
-equation (:func:`~slowphase.manifold.solve_orders`).  Both built-in
-models are polynomial, hence add/multiply/integer powers are the only
-operations required; user models registered through :func:`register_model`
-may use the same protocol.  Jet transport supports only ``+``, ``-``, ``*``,
-division by a constant and positive integral powers (any ``int``-like
-exponent, ``np.int64`` included); anything else (a numpy ufunc such as
-``np.sin``, a fractional or float power) makes :func:`jet_compose` raise
-:class:`~slowphase.errors.ModelError`.
+order n alone, and :func:`jet_compose` fills every order.  The field's jet
+drives the manifold recursion and the adjoint action's jet the response
+recursions.  The adjoint action carries the sign of the operator -DX^T, so
+both recursions solve the same equation
+(:func:`~slowphase.manifold.solve_orders`).
+
+Tapes, hence models, support only ``+``, ``-``, ``*``, division by a
+constant and positive integral powers (any ``int``-like exponent,
+``np.int64`` included): the operations of polynomial fields, which both
+built-in models and every model registered through :func:`register_model`
+must be.  Anything else (a numpy ufunc such as ``np.sin``, a fractional or
+float power, a division by a state component) raises
+:class:`~slowphase.errors.ModelError` when the model is built, before any
+integration.
 
 Built-ins:
 
@@ -33,8 +41,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, fields
-from functools import partial
+from dataclasses import dataclass, field, fields
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -54,12 +62,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class VectorFieldModel:
-    """Immutable autonomous vector field with analytic Jacobian.
+    """Immutable autonomous vector field, described by its field alone.
 
     ``rhs`` maps a sequence of d state components to d components of the
-    field; ``jac_rows`` returns the d x d nested rows of the Jacobian
-    (entry [a][b] = d X_a / d x_b).  Entries may be scalars for constant
-    terms; they are broadcast as needed.
+    field, in the arithmetic tapes support (see the module docstring).
+    ``jac_rows`` is derived from it when the model is built, and is no
+    argument: it returns the d x d nested rows of the Jacobian (entry
+    [a][b] = d X_a / d x_b) for components of any of the kinds ``rhs``
+    takes.  Constant entries are scalars; they are broadcast as needed.
+    A field that tapes cannot carry raises :class:`ModelError` here.
     """
 
     name: str
@@ -67,7 +78,13 @@ class VectorFieldModel:
     params: dict
     state_names: tuple
     rhs: callable
-    jac_rows: callable
+    jac_rows: callable = field(init=False, repr=False, compare=False)
+    _point_jacobian: callable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        jac_rows, point = _derive_jacobian(self)
+        object.__setattr__(self, "jac_rows", jac_rows)
+        object.__setattr__(self, "_point_jacobian", point)
 
     def eval(self, x) -> np.ndarray:
         """Evaluate X(x); supports batches with the state on the last axis."""
@@ -102,8 +119,9 @@ class VectorFieldModel:
 
     def point_jacobian(self):
         """The closure ``x -> DX(x)`` for one real state, without checks; the
-        counterpart of :meth:`point_field` for :meth:`jacobian`."""
-        return partial(_point_value, self.jac_rows)
+        counterpart of :meth:`point_field` for :meth:`jacobian`, compiled
+        with ``jac_rows`` from the same lines."""
+        return self._point_jacobian
 
 
 def _point_value(closure, x) -> np.ndarray:
@@ -158,7 +176,7 @@ def make_ei_model(params: EIParameters | None = None) -> VectorFieldModel:
     """Build the 6D mean-field network model.
 
     State order is (r_e, V_e, S_ei, r_i, V_i, S_ie).  All right-hand sides
-    are polynomial in the state, so the analytic Jacobian rows are linear in
+    are polynomial in the state, so the derived Jacobian rows are linear in
     the state and jet composition is exact.
     """
     p = params or EIParameters()
@@ -180,24 +198,12 @@ def make_ei_model(params: EIParameters | None = None) -> VectorFieldModel:
         d_sie = (-1.0 / tse) * sie + (p.j_ie / tse) * re
         return (d_re, d_ve, d_sei, d_ri, d_vi, d_sie)
 
-    def jac_rows(u):
-        re, ve, sei, ri, vi, sie = u
-        return (
-            ((2.0 / te) * ve, (2.0 / te) * re, 0.0, 0.0, 0.0, 0.0),
-            ((-2.0 * ke / te) * re, (2.0 / te) * ve, -1.0, 0.0, 0.0, 0.0),
-            (0.0, 0.0, -1.0 / tsi, p.j_ei / tsi, 0.0, 0.0),
-            (0.0, 0.0, 0.0, (2.0 / ti) * vi, (2.0 / ti) * ri, 0.0),
-            (0.0, 0.0, 0.0, (-2.0 * ki / ti) * ri, (2.0 / ti) * vi, 1.0),
-            (p.j_ie / tse, 0.0, 0.0, 0.0, 0.0, -1.0 / tse),
-        )
-
     return VectorFieldModel(
         name="ei",
         dim=6,
         params=p.as_dict(),
         state_names=("r_e", "V_e", "S_ei", "r_i", "V_i", "S_ie"),
         rhs=rhs,
-        jac_rows=jac_rows,
     )
 
 
@@ -214,21 +220,12 @@ def make_oracle_model() -> VectorFieldModel:
         r2 = x * x + y * y
         return (x - y - r2 * x, x + y - r2 * y)
 
-    def jac_rows(u):
-        x, y = u
-        xx, yy, xy = x * x, y * y, x * y
-        return (
-            (1.0 - 3.0 * xx - yy, -1.0 - 2.0 * xy),
-            (1.0 - 2.0 * xy, 1.0 - xx - 3.0 * yy),
-        )
-
     return VectorFieldModel(
         name="oracle",
         dim=2,
         params={},
         state_names=("x", "y"),
         rhs=rhs,
-        jac_rows=jac_rows,
     )
 
 
@@ -360,6 +357,170 @@ def _jet_error(model: VectorFieldModel, exc: Exception) -> ModelError:
     )
 
 
+# -- derived Jacobian ----------------------------------------------------
+
+
+def _derive_jacobian(model: VectorFieldModel) -> tuple:
+    """The Jacobian of ``model.rhs``, compiled from its tape: the closure
+    ``jac_rows`` and the point closure of :meth:`VectorFieldModel.point_jacobian`.
+
+    The field is recorded on a tape, differentiated there in forward mode
+    (:func:`_jacobian_entries`), and the live nodes of the result are
+    emitted as straight-line Python (:func:`_emit`).  A field that tapes
+    cannot carry raises :class:`ModelError`.
+    """
+    tape = _Tape()
+    inputs = tuple(tape.push(_INPUT, i) for i in range(model.dim))
+    try:
+        derived, rows = _jacobian_entries(tape.ops, model.dim, list(model.rhs(inputs)))
+    except (TypeError, ValueError) as exc:
+        raise _jet_error(model, exc) from exc
+    source, constants = _emit(derived, rows, model.dim)
+    return _compile_factory(source)(np.array, *constants)
+
+
+def _times(x, y):
+    """``x * y`` of tape values (a ``_Var`` or a constant each): constants
+    fold, a scaling's scalar included, and a zero or unit constant factor
+    drops.  So a negation is a scaling by -1.0, folded like any other, and
+    no negation node is recorded."""
+    if not isinstance(x, _Var):
+        x, y = y, x
+    if not isinstance(x, _Var) or isinstance(y, _Var):
+        return x * y
+    if y == 0:
+        return 0.0
+    if y == 1:
+        return x
+    kind, a, scale = x.tape.ops[x.index]
+    if kind == _SCALE:
+        return _times(_Var(x.tape, a), scale * y)
+    return x * y
+
+
+def _plus(x, y):
+    """``x + y`` of tape values; a node added to itself is its scaling by
+    2.0, which is exact, so a later constant factor folds into it."""
+    if isinstance(x, _Var) and isinstance(y, _Var) and x.index == y.index:
+        return _times(x, 2.0)
+    return x + y
+
+
+def _jacobian_entries(ops, dim: int, outputs) -> tuple:
+    """A new tape and the rows of d(outputs)/dx on it, by forward mode over
+    the tape ``ops``.
+
+    The tape is replayed on the new one, and each node carries its sparse
+    tangent, a dict from input index to a nonzero entry: a ``_Var`` of the
+    new tape or a constant.  The product rule is da * b + a * db; exact
+    zeros drop, and constants fold (:func:`_times`, :func:`_plus`).  The
+    rows' entries are those of the new tape, or constants (0.0 where no
+    tangent reaches).
+    """
+    tape = _Tape()
+    value, tangent = [], []
+    for kind, a, b in ops:
+        if kind == _INPUT:
+            v, t = tape.push(_INPUT, a), {a: 1.0}
+        elif kind == _CONST:
+            v, t = b, {}
+        elif kind in (_ADD, _SUB):
+            combine, sign = (_plus, 1.0) if kind == _ADD else (operator.sub, -1.0)
+            v, t = combine(value[a], value[b]), dict(tangent[a])
+            for key, entry in tangent[b].items():
+                t[key] = combine(t[key], entry) if key in t else _times(entry, sign)
+        elif kind == _NEG:
+            v, t = _times(value[a], -1.0), {k: _times(e, -1.0) for k, e in tangent[a].items()}
+        elif kind == _SCALE:
+            v, t = _times(value[a], b), {k: _times(e, b) for k, e in tangent[a].items()}
+        elif kind == _DIV:
+            v, t = value[a] / b, {k: e / b for k, e in tangent[a].items()}
+        else:  # _PRODUCT
+            v, t = _times(value[a], value[b]), {}
+            da, db = tangent[a], tangent[b]
+            for key in sorted(da.keys() | db.keys()):
+                terms = [_times(da[key], value[b])] if key in da else []
+                if key in db:
+                    terms.append(_times(value[a], db[key]))
+                t[key] = _plus(*terms) if len(terms) == 2 else terms[0]
+        value.append(v)
+        tangent.append({k: e for k, e in t.items() if isinstance(e, _Var) or e != 0})
+    return tape, [
+        [tangent[entry.index].get(b, 0.0) if isinstance(entry, _Var) else 0.0
+         for b in range(dim)]
+        for entry in outputs
+    ]
+
+
+_SYMBOLS = {_ADD: "+", _SUB: "-", _SCALE: "*", _DIV: "/", _PRODUCT: "*"}
+
+
+def _emit(tape: _Tape, rows, dim: int) -> tuple:
+    """Python source of a factory of the closures ``u -> rows`` and ``x ->
+    array of rows``, and the constants it takes after ``array``.
+
+    Only the nodes the rows read are emitted, one assignment each, in tape
+    order; both closures run these lines.  The point closure reads the
+    components of a float64 array ``x`` and returns a new (d, d) array.
+    Every constant, of the tape or of a row, is bound by reference as an
+    argument of the factory, so the source depends on the tape's structure
+    alone.
+    """
+    live = [False] * len(tape.ops)
+    for row in rows:
+        for entry in row:
+            if isinstance(entry, _Var):
+                live[entry.index] = True
+    for i in reversed(range(len(tape.ops))):
+        kind, a, b = tape.ops[i]
+        if live[i] and kind not in (_INPUT, _CONST):
+            live[a] = True
+            if kind in (_ADD, _SUB, _PRODUCT):
+                live[b] = True
+    constants, names, lines = [], {}, []
+
+    def bind(constant) -> str:
+        constants.append(constant)
+        return f"c{len(constants) - 1}"
+
+    for i, (kind, a, b) in enumerate(tape.ops):
+        if not live[i]:
+            continue
+        if kind == _INPUT:
+            names[i] = f"x{a}"
+        elif kind == _CONST:
+            names[i] = bind(b)
+        else:
+            right = names[b] if kind in (_ADD, _SUB, _PRODUCT) else bind(b)
+            names[i] = f"v{i}"
+            lines.append(f"        v{i} = {names[a]} {_SYMBOLS[kind]} {right}\n")
+    entries = [[names[e.index] if isinstance(e, _Var) else bind(e) for e in row] for row in rows]
+    inputs = "".join(f"x{i}, " for i in range(dim))
+    body = "".join(lines)
+    nested = "".join("(" + "".join(f"{e}, " for e in row) + "), " for row in entries)
+    flat = "".join(f"{e}, " for row in entries for e in row)
+    source = (
+        f"def factory(array, {''.join(f'c{j}, ' for j in range(len(constants)))}):\n"
+        "    def jac_rows(u):\n"
+        f"        {inputs}= u\n{body}"
+        f"        return ({nested})\n"
+        "    def point(x):\n"
+        f"        {inputs}= x.tolist()\n{body}"
+        f"        return array(({flat}), float).reshape({len(rows)}, {dim})\n"
+        "    return jac_rows, point\n"
+    )
+    return source, constants
+
+
+@lru_cache(maxsize=64)
+def _compile_factory(source: str):
+    """The factory that ``source`` defines, compiled once per source text:
+    every model of one structure (``ei`` at any parameters) shares it."""
+    namespace = {}
+    exec(compile(source, "<derived jacobian>", "exec"), namespace)
+    return namespace["factory"]
+
+
 def _adjoint_action(model: VectorFieldModel, components) -> list:
     """Entries of -DX(u)^T z on symbolic components (u, z): entry a negates
     the sum of ``z_b * dX_b/dx_a`` over b in increasing order, skipping
@@ -380,7 +541,7 @@ class JetTransport:
     ``orders`` holds the grid values of orders 0..L of the argument, shape
     (L+1, N, d) for ``mode="field"`` (the closure ``model.rhs``) and
     (L+1, N, 2d) for ``mode="adjoint_action"`` (the closure
-    ``(u, z) -> -DX(u)^T z`` built from ``model.jac_rows``, argument
+    ``(u, z) -> -DX(u)^T z`` recorded from ``model.jac_rows``, argument
     ``[u | z]``); it is read in place, so a caller may write order n before
     filling it.  The closure is called once, on symbolic components, to
     record a tape.  :meth:`fill` then evaluates order n of every node from
@@ -412,15 +573,13 @@ class JetTransport:
         self.model = model
         self.orders = orders
         self.order = orders.shape[0] - 1
+        # the model was built from this tape, so recording cannot fail
         tape = _Tape()
         components = tuple(tape.push(_INPUT, i) for i in range(widths[mode]))
-        try:
-            if mode == "field":
-                entries = list(model.rhs(components))
-            else:
-                entries = _adjoint_action(model, components)
-        except (TypeError, ValueError) as exc:
-            raise _jet_error(model, exc) from exc
+        if mode == "field":
+            entries = list(model.rhs(components))
+        else:
+            entries = _adjoint_action(model, components)
         self._ops = tape.ops
         self._outputs = [
             (k, entry.index) for k, entry in enumerate(entries) if isinstance(entry, _Var)

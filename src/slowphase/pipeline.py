@@ -425,17 +425,20 @@ def run_pipeline(
     it was, but for :func:`cycle_sweep` on its loaded cycle.
     """
     config = config.validate()
+    # the model is built, and a field tapes cannot carry refused, before
+    # anything is written
+    model = get_model(config.model, config.model_params)
+    guess = config.effective_guess()
+    if len(guess) != model.dim:
+        raise ConfigError(
+            f"cycle.guess has {len(guess)} values, but model '{config.model}' "
+            f"has dimension {model.dim}"
+        )
     out = config.out_dir
     os.makedirs(out, exist_ok=True)
     result = (PipelineResult(config=config) if resume is None
               else replace(resume, config=config, digests=dict(resume.digests)))
-    result.model = get_model(config.model, config.model_params)
-    guess = config.effective_guess()
-    if len(guess) != result.model.dim:
-        raise ConfigError(
-            f"cycle.guess has {len(guess)} values, but model '{config.model}' "
-            f"has dimension {result.model.dim}"
-        )
+    result.model = model
     last = Stage.ORDER.index(through)
     try:
         for step in STAGES:

@@ -9,8 +9,8 @@ rows in FFT order for a complex one (the frames).  The bytes are the doubles
 themselves, so a coefficient round-trips exactly, signed zeros included, and
 identical arrays give identical files.
 
-The readers (:func:`read_coeffs` and :func:`read_json` read through
-:func:`read_bytes`) and the pipeline's writers (:func:`write_coeffs`,
+The readers (:func:`read_coeffs`, and :func:`read_json`, which reads
+through :func:`read_bytes`) and the pipeline's writers (:func:`write_coeffs`,
 :func:`write_json`, :func:`write_rows_csv`) take an optional ``digests``
 dict, in which they record the sha256 of the bytes they read or wrote under
 the path; a run's manifest inventory is those digests, and no file is
@@ -84,27 +84,29 @@ _HEADER_READERS = {
 }
 
 
-def _parse_npy(data: bytes) -> np.ndarray:
-    """The array of the ``.npy`` bytes ``data``, as ``np.load`` reads it
-    without pickling, copied out of ``data`` once."""
-    stream = io.BytesIO(data)  # shares the bytes; only the header is read
-    version = npy.read_magic(stream)
+def _read_npy(fh) -> tuple:
+    """The array of the open ``.npy`` file ``fh``, as ``np.load`` reads it
+    without pickling, and the file's bytes in three parts: the header, the
+    array's data and any bytes after it.  The data are read once, into the
+    writable buffer the array keeps."""
+    version = npy.read_magic(fh)
     if version not in _HEADER_READERS:
         raise ValueError(f"unsupported .npy format version {version}")
     try:
-        shape, fortran_order, dtype = _HEADER_READERS[version](stream)
+        shape, fortran_order, dtype = _HEADER_READERS[version](fh)
     except tokenize.TokenError as exc:  # numpy's header filter on unbalanced brackets
         raise ValueError(f"Cannot parse header ({exc})") from exc
     count = math.prod(shape)
-    offset = stream.tell()
-    if len(data) - offset < count * dtype.itemsize:
-        raise ValueError(
-            f"EOF: reading array data, expected {count * dtype.itemsize} bytes "
-            f"got {len(data) - offset}"
-        )
-    order = "F" if fortran_order else "C"
-    flat = np.frombuffer(data, dtype=dtype, count=count, offset=offset)  # refuses objects
-    return flat.reshape(shape, order=order).copy(order=order)
+    offset = fh.tell()
+    data = bytearray(count * dtype.itemsize)
+    size = fh.readinto(data)
+    if size < len(data):
+        raise ValueError(f"EOF: reading array data, expected {len(data)} bytes got {size}")
+    tail = fh.read()
+    fh.seek(0)
+    header = fh.read(offset)
+    flat = np.frombuffer(data, dtype=dtype, count=count)  # refuses objects
+    return flat.reshape(shape, order="F" if fortran_order else "C"), (header, data, tail)
 
 
 def read_coeffs(path, shape: tuple, digests: dict | None = None) -> np.ndarray:
@@ -116,8 +118,8 @@ def read_coeffs(path, shape: tuple, digests: dict | None = None) -> np.ndarray:
     ``digests``, the sha256 of the bytes read is stored there under ``path``.
     """
     try:
-        data = read_bytes(path)
-        coef = _parse_npy(data)
+        with open(path, "rb") as fh:
+            coef, parts = _read_npy(fh)
     except FileNotFoundError as exc:
         raise ConfigError(
             f"{path}: coefficient file missing (directories written before "
@@ -132,7 +134,7 @@ def read_coeffs(path, shape: tuple, digests: dict | None = None) -> np.ndarray:
         )
     if not np.isfinite(coef).all():
         raise ConfigError(f"{path}: holds non-finite coefficients")
-    _record(digests, path, data)
+    _record(digests, path, *parts)
     return coef
 
 

@@ -40,16 +40,7 @@ def make_oracle_block(overrides: dict) -> models.VectorFieldModel:
         x, y, p, q = u
         return (*oracle.rhs((x, y)), a * p - omega * q, omega * p + b * q)
 
-    def jac_rows(u):
-        (xx, xy), (yx, yy) = oracle.jac_rows(u[:2])
-        return (
-            (xx, xy, 0.0, 0.0),
-            (yx, yy, 0.0, 0.0),
-            (0.0, 0.0, a, -omega),
-            (0.0, 0.0, omega, b),
-        )
-
     return models.VectorFieldModel(
         name="oracle_block", dim=4, params=params,
-        state_names=("x", "y", "p", "q"), rhs=rhs, jac_rows=jac_rows,
+        state_names=("x", "y", "p", "q"), rhs=rhs,
     )

@@ -47,6 +47,13 @@ from slowphase.series import FourierSeries
 from slowphase.store import read_json
 
 from sampled_flow import sampled_flow
+from zoo import (
+    make_flat_model,
+    make_reversed_oracle,
+    make_stiff_oracle,
+    make_twomax_model,
+    make_van_der_pol,
+)
 
 
 @pytest.fixture(scope="module")
@@ -93,46 +100,9 @@ def test_degenerate_section_rejected():
 def test_flat_maximum_rejected():
     """A crossing of X_0 = 0 at which d X_0 / dt vanishes is no simple
     maximum: component 0 of x0' = -y^3 on the unit circle peaks flat."""
-    from slowphase.models import VectorFieldModel
-
-    def rhs(u):
-        x0, x, y = u
-        r2 = x * x + y * y
-        return (-(y * y * y), x - y - r2 * x, x + y - r2 * y)
-
-    def jac_rows(u):
-        x0, x, y = u
-        return (
-            (0.0, 0.0, -3.0 * y * y),
-            (0.0, 1.0 - 3 * x * x - y * y, -1.0 - 2 * x * y),
-            (0.0, 1.0 - 2 * x * y, 1.0 - x * x - 3 * y * y),
-        )
-
-    model = VectorFieldModel("flat", 3, {}, ("x0", "x", "y"), rhs, jac_rows)
+    model = make_flat_model()
     with pytest.raises(SectionError, match="no simple maximum"):
         find_cycle(model, [0.0, 1.0, 0.0], relax_time=0.0, grid_size=64)
-
-
-def make_twomax_model(b=0.3):
-    """State (w, x, y): w' = -3 (w - 2 x y - b x) driven by the oracle circle
-    in (x, y), so w has two unequal maxima per period (b = 0: two equal ones,
-    a half-period symmetry)."""
-    from slowphase.models import VectorFieldModel
-
-    def rhs(u):
-        w, x, y = u
-        r2 = x * x + y * y
-        return (-3.0 * (w - 2.0 * x * y - b * x), x - y - r2 * x, x + y - r2 * y)
-
-    def jac_rows(u):
-        w, x, y = u
-        return (
-            (-3.0, 6.0 * y + 3.0 * b, 6.0 * x),
-            (0.0, 1.0 - 3.0 * x * x - y * y, -1.0 - 2.0 * x * y),
-            (0.0, 1.0 - 2.0 * x * y, 1.0 - x * x - 3.0 * y * y),
-        )
-
-    return VectorFieldModel("twomax", 3, {"b": b}, ("w", "x", "y"), rhs, jac_rows)
 
 
 @pytest.mark.parametrize("guess", [(0.0, 1.0, 0.0), (0.0, 0.0, 1.0)])
@@ -513,29 +483,11 @@ def test_sweep_monodromy_matches_a_single_shot_flow(floquet_runs, name):
         assert gap < 1e-10, (mu, gap)
 
 
-def _make_reversed_oracle(overrides=None):
-    """The oracle with time reversed: the unit circle repels."""
-
-    def rhs(u):
-        x, y = u
-        r2 = x * x + y * y
-        return (-(x - y - r2 * x), -(x + y - r2 * y))
-
-    def jac_rows(u):
-        x, y = u
-        return (
-            (-(1.0 - 3 * x * x - y * y), -(-1.0 - 2 * x * y)),
-            (-(1.0 - 2 * x * y), -(1.0 - x * x - 3 * y * y)),
-        )
-
-    return models.VectorFieldModel("reversed", 2, {}, ("x", "y"), rhs, jac_rows)
-
-
 def test_non_attracting_cycle_reported():
     """Shooting converges on a repelling cycle started on it; the Floquet
     stage, which reads the pass's monodromy, refuses it."""
     # start exactly on the (now repelling) cycle so the return map exists
-    cycle = find_cycle(_make_reversed_oracle(), [1.0, 0.0], relax_time=0.0, grid_size=64)
+    cycle = find_cycle(make_reversed_oracle(), [1.0, 0.0], relax_time=0.0, grid_size=64)
     assert abs(cycle.period - 2.0 * np.pi) < 1e-10
     assert cycle.shooting_residual < 1e-10
     with pytest.raises(HyperbolicityError, match="on or outside the unit circle"):
@@ -546,7 +498,7 @@ def test_non_attracting_cycle_fails_the_floquet_stage(monkeypatch, tmp_path, cap
     """A repelling cycle passes the cycle stage and is refused by the
     Floquet stage: a numerical abort (exit 3) recorded as the floquet
     stage's, with cycle.json kept and no spectrum written."""
-    monkeypatch.setitem(models._REGISTRY, "reversed", _make_reversed_oracle)
+    monkeypatch.setitem(models._REGISTRY, "reversed", make_reversed_oracle)
     config = RunConfig(model="reversed", guess=(1.0, 0.0), relax_time=0.0,
                        grid_size=64, out_dir=str(tmp_path / "api"))
     with pytest.raises(HyperbolicityError, match="on or outside the unit circle"):
@@ -719,33 +671,10 @@ def test_divisor_tables_match_scalar_loop():
     ]
 
 
-def _make_stiff_oracle():
-    """The oracle with its radial rate times 5: the nontrivial multiplier
-    e^{-20 pi} ~ 5e-28 sits far below the monodromy's roundoff."""
-
-    def rhs(u):
-        x, y = u
-        s = 5.0 * (1.0 - (x * x + y * y))
-        return (s * x - y, s * y + x)
-
-    def jac_rows(u):
-        x, y = u
-        xy = x * y
-        return (
-            (5.0 * (1.0 - 3.0 * (x * x) - y * y), -10.0 * xy - 1.0),
-            (1.0 - 10.0 * xy, 5.0 * (1.0 - x * x - 3.0 * (y * y))),
-        )
-
-    return models.VectorFieldModel(
-        name="stiff_oracle", dim=2, params={}, state_names=("x", "y"),
-        rhs=rhs, jac_rows=jac_rows,
-    )
-
-
 @pytest.fixture
 def stiff_oracle(monkeypatch):
     monkeypatch.setattr(models, "_REGISTRY", dict(models._REGISTRY))
-    models.register_model("stiff_oracle", lambda overrides: _make_stiff_oracle())
+    models.register_model("stiff_oracle", lambda overrides: make_stiff_oracle())
 
 
 def test_multiplier_rounding_to_zero_is_a_typed_abort(stiff_oracle, tmp_path, capsys):
@@ -773,28 +702,10 @@ def test_multiplier_rounding_to_zero_is_a_typed_abort(stiff_oracle, tmp_path, ca
     assert re.search(message, capsys.readouterr().err)
 
 
-def _make_van_der_pol(overrides):
-    """x'' - mu (1 - x^2) x' + x = 0 as (x, x'); mu defaults to 1."""
-    mu = float(overrides.get("mu", 1.0))
-
-    def rhs(u):
-        x, v = u
-        return (v, mu * (1.0 - x * x) * v - x)
-
-    def jac_rows(u):
-        x, v = u
-        return ((0.0, 1.0), (-2.0 * mu * x * v - 1.0, mu * (1.0 - x * x)))
-
-    return models.VectorFieldModel(
-        name="vdp", dim=2, params={"mu": mu}, state_names=("x", "v"),
-        rhs=rhs, jac_rows=jac_rows,
-    )
-
-
 @pytest.fixture
 def van_der_pol(monkeypatch):
     monkeypatch.setattr(models, "_REGISTRY", dict(models._REGISTRY))
-    models.register_model("vdp", _make_van_der_pol)
+    models.register_model("vdp", make_van_der_pol)
 
 
 @pytest.mark.parametrize("mu", [1.0, 3.0, 4.0, 6.0])

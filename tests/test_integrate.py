@@ -359,7 +359,6 @@ def test_blowup_reports_failure_time():
         params={},
         state_names=("x",),
         rhs=lambda u: (u[0] * u[0],),
-        jac_rows=lambda u: ((2.0 * u[0],),),
     )
     # dx/dt = x^2 from x=1 blows up at t=1
     with pytest.raises(IntegrationError) as err:

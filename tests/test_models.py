@@ -5,7 +5,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from oracle_block import make_oracle_block
 from slowphase import models
+from slowphase.cli import main
 from slowphase.config import RunConfig
 from slowphase.errors import ConfigError, ModelError
 from slowphase.integrate import CycleInterpolant
@@ -20,6 +22,7 @@ from slowphase.models import (
 )
 from slowphase.pipeline import Stage, run_pipeline
 from slowphase.series import FourierSeries, theta_grid
+from zoo import make_flat_model, make_reversed_oracle, make_twomax_model, make_van_der_pol
 
 
 def random_bandlimited_expansion(rng, n, d, order, modes=4):
@@ -68,6 +71,122 @@ def ei_jacobian_transpose_orders(params: EIParameters, k_orders):
         f[:, 5, 5] = delta * (-1.0 / p.tau_se)
         out[n] = f
     return out
+
+
+def ei_hand_jacobian(params: EIParameters):
+    """The hand-written Jacobian rows of the network model, the reference
+    for the rows the model derives from its field."""
+    p = params
+    pi = math.pi
+    te, ti, tse, tsi = p.tau_e, p.tau_i, p.tau_se, p.tau_si
+    ke = (pi * te) ** 2
+    ki = (pi * ti) ** 2
+
+    def rows(u):
+        re, ve, sei, ri, vi, sie = u
+        return (
+            ((2.0 / te) * ve, (2.0 / te) * re, 0.0, 0.0, 0.0, 0.0),
+            ((-2.0 * ke / te) * re, (2.0 / te) * ve, -1.0, 0.0, 0.0, 0.0),
+            (0.0, 0.0, -1.0 / tsi, p.j_ei / tsi, 0.0, 0.0),
+            (0.0, 0.0, 0.0, (2.0 / ti) * vi, (2.0 / ti) * ri, 0.0),
+            (0.0, 0.0, 0.0, (-2.0 * ki / ti) * ri, (2.0 / ti) * vi, 1.0),
+            (p.j_ie / tse, 0.0, 0.0, 0.0, 0.0, -1.0 / tse),
+        )
+
+    return rows
+
+
+def oracle_hand_jacobian(u):
+    """The hand-written Jacobian rows of the oracle."""
+    x, y = u
+    xx, yy, xy = x * x, y * y, x * y
+    return (
+        (1.0 - 3.0 * xx - yy, -1.0 - 2.0 * xy),
+        (1.0 - 2.0 * xy, 1.0 - xx - 3.0 * yy),
+    )
+
+
+@pytest.mark.parametrize("name, reference", [
+    ("ei", ei_hand_jacobian(EIParameters())), ("oracle", oracle_hand_jacobian),
+], ids=["ei", "oracle"])
+def test_derived_jacobian_matches_the_hand_reference(name, reference):
+    """On 20,000 seeded states the derived Jacobian is the hand-written one
+    to roundoff: each entry lies within two units in the last place of its
+    matrix's peak |entry|, so within 4.5e-16 of the peak.  ``ei``'s entries
+    are equal; the oracle sums 1 - 3 x^2 - y^2 in another order, and about
+    a fifth of its entries differ."""
+    model = get_model(name)
+    x = np.random.default_rng(20).uniform(-2.0, 2.0, (20_000, model.dim))
+    derived = model.jacobian(x)
+    rows = reference(tuple(x[:, i] for i in range(model.dim)))
+    hand = np.stack([np.stack(np.broadcast_arrays(*row, x[:, 0])[:-1], axis=-1)
+                     for row in rows], axis=-2)
+    peak = np.abs(hand).max(axis=(1, 2))
+    gap = np.abs(derived - hand).max(axis=(1, 2))
+    assert np.all(gap <= 2 * np.spacing(peak))
+    assert np.all(gap <= 4.5e-16 * peak)
+
+
+def test_a_model_states_its_field_alone():
+    """The Jacobian is derived, so a second description cannot be written."""
+    rhs = make_oracle_model().rhs
+    with pytest.raises(TypeError):
+        VectorFieldModel("oracle", 2, {}, ("x", "y"), rhs, oracle_hand_jacobian)
+    with pytest.raises(TypeError):
+        VectorFieldModel(name="oracle", dim=2, params={}, state_names=("x", "y"),
+                         rhs=rhs, jac_rows=oracle_hand_jacobian)
+
+
+def _sine_oracle(overrides):
+    """The oracle plus 0 sin(x): the same field, in an operation tapes lack."""
+    rhs = make_oracle_model().rhs
+
+    def sine(u):
+        x, y = rhs(u)
+        return (x + 0.0 * np.sin(u[0]), y)
+
+    return VectorFieldModel("sine_oracle", 2, {}, ("x", "y"), sine)
+
+
+def _root_field(overrides):
+    return VectorFieldModel("root", 2, {}, ("x", "y"), lambda u: (u[0] ** 0.5, -u[1]))
+
+
+def _quotient_field(overrides):
+    return VectorFieldModel("quotient", 2, {}, ("x", "y"), lambda u: (u[0] / u[1], -u[1]))
+
+
+@pytest.mark.parametrize("name, factory, operation", [
+    ("sine_oracle", _sine_oracle, "sin method"),
+    ("root", _root_field, "integer"),
+    ("quotient", _quotient_field, "divide only by a constant"),
+], ids=["sine", "root", "quotient"])
+def test_field_tapes_cannot_carry_is_refused_when_built(monkeypatch, name, factory, operation):
+    """get_model refuses a field whose tape cannot be recorded, naming the
+    model and the operation, before anything is integrated."""
+    monkeypatch.setattr(models, "_REGISTRY", dict(models._REGISTRY))
+    register_model(name, factory)
+    with pytest.raises(ModelError, match=f"'{name}' cannot be composed with a jet.*{operation}"):
+        get_model(name)
+
+
+def test_field_tapes_cannot_carry_exits_3_before_writing(monkeypatch, tmp_path, capsys):
+    """``slowphase run`` on the oracle plus 0 sin(x) is refused when the
+    model is built: exit 3, and no output directory is made."""
+    monkeypatch.setattr(models, "_REGISTRY", dict(models._REGISTRY))
+    register_model("sine_oracle", _sine_oracle)
+    out = tmp_path / "out"
+    cfg = tmp_path / "sine.cfg"
+    cfg.write_text(
+        "model.name = sine_oracle\n"
+        "cycle.guess = 1.3, 0.0\n"
+        "cycle.grid_N = 128\n"
+        f"output.directory = {out}\n"
+    )
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg)]) == 3
+    assert "'sine_oracle' cannot be composed with a jet" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_ei_field_at_origin():
@@ -121,10 +240,21 @@ def test_oracle_on_cycle_values():
     assert jac[0, 0] == pytest.approx(-2.0)
 
 
-@pytest.mark.parametrize("name", ["ei", "oracle"])
+ZOO = {
+    "ei": make_ei_model,
+    "oracle": make_oracle_model,
+    "vdp": lambda: make_van_der_pol({}),
+    "twomax": make_twomax_model,
+    "oracle_block": lambda: make_oracle_block({}),
+    "flat": make_flat_model,
+    "reversed": make_reversed_oracle,
+}
+
+
+@pytest.mark.parametrize("name", list(ZOO))
 def test_finite_difference_jacobian_agreement(name):
-    """Analytic Jacobian vs finite differences, with quadratic remainders."""
-    model = get_model(name)
+    """Derived Jacobian vs finite differences, with quadratic remainders."""
+    model = ZOO[name]()
     rng = np.random.default_rng(42)
     worst_ratio = 0.0
     for _ in range(100):
@@ -151,36 +281,15 @@ def test_finite_difference_jacobian_agreement(name):
     assert worst_ratio < 0.3
 
 
-def make_pendulum_model():
-    """Damped pendulum: a user model whose closures call np.sin / np.cos."""
-
-    def rhs(u):
-        x, y = u
-        return (y, -np.sin(x) - 0.5 * y)
-
-    def jac_rows(u):
-        x, y = u
-        return ((0.0, 1.0), (-np.cos(x), -0.5))
-
-    return VectorFieldModel(
-        name="pendulum",
-        dim=2,
-        params={},
-        state_names=("x", "y"),
-        rhs=rhs,
-        jac_rows=jac_rows,
-    )
-
-
 @pytest.fixture
-def pendulum(monkeypatch):
+def vdp(monkeypatch):
+    """The van der Pol oscillator, registered as a user model."""
     monkeypatch.setattr(models, "_REGISTRY", dict(models._REGISTRY))
-    register_model("pendulum", lambda overrides: make_pendulum_model())
-    return get_model("pendulum")
+    register_model("vdp", make_van_der_pol)
 
 
-@pytest.mark.parametrize("name", ["ei", "oracle", "pendulum"])
-def test_single_state_matches_batch_of_one(name, pendulum):
+@pytest.mark.parametrize("name", ["ei", "oracle", "vdp"])
+def test_single_state_matches_batch_of_one(name, vdp):
     model = get_model(name)
     rng = np.random.default_rng(7)
     for _ in range(20):
@@ -217,11 +326,11 @@ def _layout(values, layout):
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
-    name=st.sampled_from(["ei", "oracle", "pendulum"]),
+    name=st.sampled_from(["ei", "oracle", "vdp"]),
     values=st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6),
     layout=st.sampled_from(["contiguous", "complex_real", "every_other", "interpolant"]),
 )
-def test_point_closures_equal_eval_bitwise(pendulum, name, values, layout):
+def test_point_closures_equal_eval_bitwise(vdp, name, values, layout):
     """The integrators' point closures are bitwise ``eval`` and ``jacobian``
     on every layout, strided views included, and each call returns a new
     array."""
@@ -244,16 +353,6 @@ def test_point_closures_equal_eval_bitwise(pendulum, name, values, layout):
         expected = first.copy()
         first[...] = np.nan
         assert closure(x).tobytes() == expected.tobytes()
-
-
-def test_jet_compose_unsupported_operation_is_model_error(pendulum):
-    rng = np.random.default_rng(4)
-    arg = random_bandlimited_expansion(rng, 32, 2, order=2)
-    # the message names the model and, through numpy's, the ufunc
-    arg_z = np.concatenate([arg, arg], axis=2)
-    for mode, ufunc, a in (("field", "sin", arg), ("adjoint_action", "cos", arg_z)):
-        with pytest.raises(ModelError, match=f"'pendulum'.*{ufunc} method"):
-            jet_compose(pendulum, a, mode)
 
 
 def test_batched_evaluation_shapes():
@@ -312,8 +411,9 @@ def test_ei_jacobian_transpose_jet_matches_analytic():
 
 
 def oracle_jacobian_transpose_orders(k_orders):
-    """The oracle's DX^T jet from the dense reference jets of ``Jet``."""
-    rows = make_oracle_model().jac_rows(tuple(Jet(k_orders[:, :, i]) for i in range(2)))
+    """The oracle's DX^T jet: its hand-written rows on the dense reference
+    jets of ``Jet``."""
+    rows = oracle_hand_jacobian(tuple(Jet(k_orders[:, :, i]) for i in range(2)))
     out = np.zeros(k_orders.shape + (2,))
     for a in range(2):
         for b in range(2):
@@ -366,19 +466,15 @@ def test_adjoint_action_is_the_convolution_with_the_jacobian_jet(name, order, se
 
 
 def _shared_scaling_model():
-    """A planar field whose Jacobian reads one scaling node in two entries."""
+    """A planar field whose Jacobian reads one node, d(x * x)/dx, in two
+    entries."""
 
     def rhs(u):
         x, y = u
         return (x * x + y, x * x - 1.5 * (y * y))
 
-    def jac_rows(u):
-        x, y = u
-        s = 2.0 * x
-        return ((s, 1.0), (s, -3.0 * y))
-
     return VectorFieldModel(name="shared", dim=2, params={}, state_names=("x", "y"),
-                            rhs=rhs, jac_rows=jac_rows)
+                            rhs=rhs)
 
 
 @pytest.mark.parametrize("model, negations", [
@@ -555,7 +651,7 @@ def test_tape_equals_dense_cauchy_products(
     model = VectorFieldModel(
         name="program", dim=dim, params={},
         state_names=tuple(f"x{i}" for i in range(dim)),
-        rhs=closure, jac_rows=None,
+        rhs=closure,
     )
     with np.errstate(all="ignore"):  # deep powers may overflow alike
         outputs = closure(tuple(Jet(orders[:, :, i]) for i in range(dim)))
@@ -612,7 +708,7 @@ def test_stacked_cauchy_sum_is_the_ordered_loop(grid, order, dtype, seed):
             x.imag = draw()
     model = VectorFieldModel(
         name="product", dim=2, params={}, state_names=("a", "b"),
-        rhs=lambda u: (u[0] * u[1],), jac_rows=None,
+        rhs=lambda u: (u[0] * u[1],),
     )
     got = jet_compose(model, np.stack([a, b], axis=-1), "field")[..., 0]
     for n in range(order + 1):
@@ -631,16 +727,8 @@ def make_int64_power_oracle(overrides):
         r2 = x**two + y**two
         return (x - y - r2 * x, x + y - r2 * y)
 
-    def jac_rows(u):
-        x, y = u
-        return (
-            (1.0 - 3.0 * x**two - y**two, -1.0 - 2.0 * x * y),
-            (1.0 - 2.0 * x * y, 1.0 - x**two - 3.0 * y**two),
-        )
-
     return VectorFieldModel(
-        name="int64_oracle", dim=2, params={}, state_names=("x", "y"),
-        rhs=rhs, jac_rows=jac_rows,
+        name="int64_oracle", dim=2, params={}, state_names=("x", "y"), rhs=rhs,
     )
 
 
@@ -668,10 +756,9 @@ def test_numpy_integer_power_composes(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("exponent", [2.0, np.float64(2.0), 0.5, 0, -1])
 def test_non_integral_or_non_positive_power_is_model_error(exponent):
-    model = VectorFieldModel(
-        name="power", dim=1, params={}, state_names=("x",),
-        rhs=lambda u: (u[0] ** exponent,), jac_rows=None,
-    )
-    arg = np.ones((2, 8, 1))
+    # refused when the model is built, as every field tapes cannot carry
     with pytest.raises(ModelError, match="'power' cannot be composed with a jet"):
-        jet_compose(model, arg, "field")
+        VectorFieldModel(
+            name="power", dim=1, params={}, state_names=("x",),
+            rhs=lambda u: (u[0] ** exponent,),
+        )

@@ -1138,16 +1138,9 @@ def planar(monkeypatch):
             r2 = x * x + y * y
             return (a * x - y - r2 * x, x + a * y - r2 * y)
 
-        def jac_rows(u):
-            x, y = u
-            return (
-                (a - 3.0 * x * x - y * y, -1.0 - 2.0 * x * y),
-                (1.0 - 2.0 * x * y, a - x * x - 3.0 * y * y),
-            )
-
         return models.VectorFieldModel(
             name="planar", dim=2, params={"a": a}, state_names=("x", "y"),
-            rhs=rhs, jac_rows=jac_rows,
+            rhs=rhs,
         )
 
     models.register_model("planar", factory)
@@ -1266,17 +1259,8 @@ def test_component_without_maximum_exits_3(monkeypatch, tmp_path, capsys):
         r2 = x * x + y * y
         return (-z, x - y - r2 * x, x + y - r2 * y)
 
-    def jac_rows(u):
-        z, x, y = u
-        return (
-            (-1.0, 0.0, 0.0),
-            (0.0, 1.0 - 3 * x * x - y * y, -1.0 - 2 * x * y),
-            (0.0, 1.0 - 2 * x * y, 1.0 - x * x - 3 * y * y),
-        )
-
     models.register_model("decaying", lambda overrides: models.VectorFieldModel(
-        name="decaying", dim=3, params={}, state_names=("z", "x", "y"),
-        rhs=rhs, jac_rows=jac_rows,
+        name="decaying", dim=3, params={}, state_names=("z", "x", "y"), rhs=rhs,
     ))
     cfg = tmp_path / "decaying.cfg"
     cfg.write_text(

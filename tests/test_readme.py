@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 
+from slowphase import models
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -17,14 +19,16 @@ def _python_blocks():
 
 
 def test_readme_python_blocks_run(tmp_path, monkeypatch):
-    """The library example, the staged pipeline and the NumPy table snippet
-    run in a fresh directory: the library blocks first, since the staged
-    block writes the ``out`` directory that the snippet reads."""
+    """The user-model example, the library example, the staged pipeline and
+    the NumPy table snippet run in a fresh directory: the library blocks
+    first, since the staged block writes the ``out`` directory that the
+    snippet reads.  The model the example registers stays in this test."""
     blocks = _python_blocks()
-    assert len(blocks) == 3
+    assert len(blocks) == 4
     snippet = next(block for block in blocks if "np.load(" in block)
     library = [block for block in blocks if block is not snippet]
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(models, "_REGISTRY", dict(models._REGISTRY))
     for i, block in enumerate(library + [snippet]):
         scope = {}
         exec(compile(block, f"{README.name}, Python block {i}", "exec"), scope)

@@ -345,7 +345,7 @@ def compose(closure, *inputs):
     model = VectorFieldModel(
         name="closure", dim=len(inputs), params={},
         state_names=tuple(f"x{i}" for i in range(len(inputs))),
-        rhs=closure, jac_rows=None,
+        rhs=closure,
     )
     return jet_compose(model, np.stack(inputs, axis=-1), "field")
 
