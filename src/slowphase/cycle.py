@@ -490,20 +490,15 @@ class FloquetSpectrum:
     eigenvectors: np.ndarray  # complex (d, d), columns
     classes: tuple
     monodromy: np.ndarray
-    hyperbolicity_defect: float
-    eigenvector_condition: float
-    # per column, the component whose sign (phase, for a complex column) the
-    # gauge fixed; column 1's decides the sign of sigma
-    gauge_components: tuple = ()
 
     @property
     def dim(self) -> int:
         return len(self.multipliers)
 
 
-def _gauge_vector(w: np.ndarray):
+def _gauge_vector(w: np.ndarray) -> np.ndarray:
     """``w`` at unit norm, rotated so that its first component above 1e-8 of
-    its largest is real positive; returns the vector and that component.
+    its largest is real positive.
 
     This is the one rule for the sign (and phase) of every eigenvector, the
     slow one included, and so for the sign of sigma: it reads the eigenvector
@@ -516,7 +511,7 @@ def _gauge_vector(w: np.ndarray):
     w = w * np.exp(-1j * np.angle(w[idx]))
     if w[idx].real < 0:
         w = -w
-    return w, idx
+    return w
 
 
 def floquet_spectrum(monodromy: np.ndarray, period: float) -> FloquetSpectrum:
@@ -528,8 +523,7 @@ def floquet_spectrum(monodromy: np.ndarray, period: float) -> FloquetSpectrum:
     multipliers sit near the integration noise floor.  Each eigenvector is
     gauged by :func:`_gauge_vector`; from :func:`find_cycle`'s canonical
     anchor that fixes the sign of the slow column, hence of sigma, from the
-    model alone, and ``gauge_components`` records the deciding component of
-    each column.  This is the only hyperbolicity check: a trivial multiplier
+    model alone.  This is the only hyperbolicity check: a trivial multiplier
     more than ``HYPERBOLICITY_TOL`` from 1, or a nontrivial one on or outside
     the unit circle (a cycle that does not attract), raises
     :class:`HyperbolicityError`.  A multiplier at the roundoff floor of the
@@ -573,19 +567,15 @@ def floquet_spectrum(monodromy: np.ndarray, period: float) -> FloquetSpectrum:
     classes = [CLASS_TRIVIAL]
     exponents = np.zeros(d, dtype=complex)
     gauged = np.zeros((d, d), dtype=complex)
-    w, idx = _gauge_vector(vec_sorted[:, 0])
-    gauged[:, 0] = w.real.astype(complex)
-    deciding = [idx]
+    gauged[:, 0] = _gauge_vector(vec_sorted[:, 0]).real.astype(complex)
 
     j = 1
     while j < d:
         m = mu_sorted[j]
         if abs(m.imag) <= IMAG_CLASS_TOL * abs(m):
             re = m.real
-            w, idx = _gauge_vector(vec_sorted[:, j])
-            w = (w.real / np.linalg.norm(w.real)).astype(complex)
-            gauged[:, j] = w
-            deciding.append(idx)
+            w = _gauge_vector(vec_sorted[:, j]).real
+            gauged[:, j] = (w / np.linalg.norm(w)).astype(complex)
             if re > 0:
                 classes.append(CLASS_REAL_POSITIVE)
                 exponents[j] = np.log(abs(m)) / period
@@ -597,9 +587,7 @@ def floquet_spectrum(monodromy: np.ndarray, period: float) -> FloquetSpectrum:
             if j + 1 >= d:
                 raise DefectiveSpectrumError("unpaired complex multiplier")
             lead = j if mu_sorted[j].imag > 0 else j + 1
-            conj = j + 1 if lead == j else j
-            w, idx = _gauge_vector(vec_sorted[:, lead])
-            deciding.extend([idx, idx])
+            w = _gauge_vector(vec_sorted[:, lead])
             m_lead = mu_sorted[lead]
             mu_sorted[j] = m_lead
             mu_sorted[j + 1] = np.conj(m_lead)
@@ -618,9 +606,6 @@ def floquet_spectrum(monodromy: np.ndarray, period: float) -> FloquetSpectrum:
         eigenvectors=gauged,
         classes=tuple(classes),
         monodromy=monodromy,
-        hyperbolicity_defect=defect,
-        eigenvector_condition=cond,
-        gauge_components=tuple(deciding),
     )
 
 

@@ -31,7 +31,7 @@ import math
 
 import numpy as np
 
-__all__ = ["DOP853", "DenseOutput", "dense_samples"]
+__all__ = ["DOP853", "dense_samples"]
 
 N_STAGES = 12
 
@@ -194,7 +194,7 @@ def dense_samples(fun, steps, which, t, size=None):
     :meth:`DOP853.keep`), ``t[i]`` in the closed interval of step
     ``which[i]``: the interpolant of each step that ``which`` names is built
     once, then every sample is evaluated in one Horner sweep, bitwise
-    :class:`DenseOutput`'s, for the first ``size`` components alone if given
+    :meth:`DOP853.dense_output`'s, for the first ``size`` components alone if given
     (stages stay full width)."""
     used, which = np.unique(which, return_inverse=True)
     steps = [steps[s] for s in used]
@@ -205,19 +205,6 @@ def dense_samples(fun, steps, which, t, size=None):
     h = np.array([step[2] for step in steps])[which]
     y_old = np.stack([step[3][:size] for step in steps])[which]
     return _horner(F[:, which, :size], ((t - t_old) / h)[:, None], y_old)
-
-
-class DenseOutput:
-    """The interpolant of one step, a polynomial of degree 7 in time."""
-
-    def __init__(self, t_old, h, y_old, F):
-        self.t_old, self.h, self.y_old, self.F = t_old, h, y_old, F
-
-    def __call__(self, t):
-        """The state at time ``t``, or at each of an array of times (rows)."""
-        t = np.asarray(t)
-        x = (t - self.t_old) / self.h
-        return _horner(self.F, x if t.ndim == 0 else x[:, None], self.y_old)
 
 
 class DOP853:
@@ -334,11 +321,13 @@ class DOP853:
         self.finished = direction * (t_new - self.t_bound) >= 0
         return True
 
-    def dense_output(self) -> DenseOutput:
-        """The interpolant of the last step; call it before the next step."""
-        F = _coefficients(self.fun, self.K_extended, self.t_old, self.h_previous,
-                          self.y_old, self.y)
-        return DenseOutput(self.t_old, self.h_previous, self.y_old, F)
+    def dense_output(self):
+        """The interpolant of the last step, a polynomial of degree 7 in time:
+        a function of one time that returns the state there.  Call this
+        before the next step."""
+        t_old, h, y_old = self.t_old, self.h_previous, self.y_old
+        F = _coefficients(self.fun, self.K_extended, t_old, h, y_old, self.y)
+        return lambda t: _horner(F, (t - t_old) / h, y_old)
 
     def keep(self):
         """The last step as :func:`dense_samples` reads it: a copy of its

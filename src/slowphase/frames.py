@@ -143,13 +143,11 @@ def _seed_columns(sweep: VariationalSweep, seeds, lams):
     t = 0 on the forward route of :func:`_integration_route`, carried across
     chunk c by e^{-lam_j h} Phi_c, or at t = T on the backward route, carried
     back by e^{lam_j h} Phi_c^{-1} = e^{lam_j h} Psi_c^T.  Returns the
-    (N, d, d) columns, zero outside ``seeds``, and j -> route."""
+    (N, d, d) columns, zero outside ``seeds``."""
     steps, period = np.diff(sweep.edges), sweep.edges[-1]
     edge = np.zeros((len(sweep.edges),) + sweep.ends.shape[2:], dtype=complex)
-    routes = {}
     for j, w in seeds.items():
-        routes[j] = _integration_route(lams[j], lams, period)
-        if routes[j] == "forward":
+        if _integration_route(lams[j], lams, period) == "forward":
             edge[0, :, j] = w
             for c, h in enumerate(steps):
                 edge[c + 1, :, j] = np.exp(-lams[j] * h) * (sweep.ends[c, 0] @ edge[c, :, j])
@@ -162,7 +160,7 @@ def _seed_columns(sweep: VariationalSweep, seeds, lams):
     times = theta_grid(len(sweep.chunk)) * period
     shift = np.exp(-np.multiply.outer(times - sweep.edges[sweep.chunk], lams))
     cols = np.einsum("nab,nbj->naj", sweep.flows, edge[sweep.chunk])
-    return cols * shift[:, None, :], routes
+    return cols * shift[:, None, :]
 
 
 def _symmetrize_columns(cols, lams, classes, theta, period_time):
@@ -373,7 +371,7 @@ def build_bundle_frame(model, cycle: CycleResult, spectrum: FloquetSpectrum):
 
     seeds = {j: spectrum.eigenvectors[:, j] for j in range(1, d)
              if classes[j] != CLASS_PAIR_CONJ}
-    cols, _ = _seed_columns(sweep, seeds, lams)
+    cols = _seed_columns(sweep, seeds, lams)
     orbit = cycle.series
     cols[:, :, 0] = orbit.differentiate().samples()
 
@@ -422,15 +420,19 @@ def build_bundle_frame(model, cycle: CycleResult, spectrum: FloquetSpectrum):
 
 
 def _dual_frame(bundle: Frame) -> np.ndarray:
-    """inv(B(theta))^T on the grid, (N, d, d): the pointwise dual of ``bundle``.
+    """inv(B(theta))^T on the grid, (N, d, d): the pointwise dual of ``bundle``,
+    computed on first use and kept read-only on it, as its grid values are.
     A FrameError names the first phase where the bundle is singular."""
-    transposed = np.swapaxes(bundle.grid_values(), 1, 2)
-    try:
-        return np.linalg.inv(transposed)
-    except np.linalg.LinAlgError as exc:
-        node = int(np.argmax(np.linalg.det(transposed) == 0))  # inv's zero pivot
-        raise FrameError(f"bundle frame singular at theta = {node / len(transposed):g}: "
-                         f"{exc}") from exc
+    if not hasattr(bundle, "_dual"):
+        transposed = np.swapaxes(bundle.grid_values(), 1, 2)
+        try:
+            bundle._dual = np.linalg.inv(transposed)
+        except np.linalg.LinAlgError as exc:
+            node = int(np.argmax(np.linalg.det(transposed) == 0))  # inv's zero pivot
+            raise FrameError(f"bundle frame singular at theta = "
+                             f"{node / len(transposed):g}: {exc}") from exc
+        bundle._dual.flags.writeable = False
+    return bundle._dual
 
 
 def build_adjoint_frame(model, cycle: CycleResult, bundle: Frame, k_cut: int) -> Frame:
@@ -449,7 +451,7 @@ def build_adjoint_frame(model, cycle: CycleResult, bundle: Frame, k_cut: int) ->
     d, theta, period = model.dim, cycle.theta, cycle.period
     mus, classes = -bundle.exponents, bundle.classes
     bundle_vals = bundle.grid_values()
-    cols = _dual_frame(bundle)
+    cols = _dual_frame(bundle).copy()
     _symmetrize_columns(cols, mus, classes, theta, period)
     op_grid = np.swapaxes(-model.jacobian(cycle.samples), 1, 2)
     # 1e-15 lies below the roundoff floor (the oracle plateaus at 3-5e-15);

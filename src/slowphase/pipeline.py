@@ -125,7 +125,7 @@ def _load_orders(result, name, order) -> FourierTaylor:
     return FourierTaylor(_read(result, name, shape), real=True)
 
 
-def save_cycle(out, cycle: CycleResult, inputs: dict, digests: dict | None = None):
+def save_cycle(out, cycle: CycleResult, inputs: dict, digests: dict):
     meta = _meta(cycle, skip=("series", "sweep", "grid_size"))
     write_json(os.path.join(out, "cycle.json"), {**meta, "inputs": inputs}, digests)
 
@@ -143,7 +143,7 @@ def load_cycle(result, meta):
     result.cycle = CycleResult(**meta, grid_size=result.config.grid_size)
 
 
-def save_spectrum(out, spectrum: FloquetSpectrum, inputs: dict, digests: dict | None = None):
+def save_spectrum(out, spectrum: FloquetSpectrum, inputs: dict, digests: dict):
     # every other field is floquet_spectrum's function of the monodromy
     meta = {"monodromy": spectrum.monodromy, "inputs": inputs}
     write_json(os.path.join(out, "spectrum.json"), meta, digests)
@@ -201,7 +201,7 @@ def load_frames(result, meta):
                                     classes=result.spectrum.classes, **frame))
 
 
-def save_manifold(out, manifold: ManifoldExpansion, inputs: dict, digests: dict | None = None):
+def save_manifold(out, manifold: ManifoldExpansion, inputs: dict, digests: dict):
     write_coeffs(os.path.join(out, "manifold_coeff.npy"), manifold.coeffs.coef, digests)
     meta = {"residuals": manifold.residuals, "conjugation_drift": manifold.conjugation_drift,
             "inputs": inputs}
@@ -221,7 +221,7 @@ def load_manifold(result, meta):
     )
 
 
-def save_response(out, response: ResponseExpansion, inputs: dict, digests: dict | None = None):
+def save_response(out, response: ResponseExpansion, inputs: dict, digests: dict):
     write_coeffs(os.path.join(out, "response_phase_coeff.npy"), response.phase.coef, digests)
     write_coeffs(os.path.join(out, "response_amplitude_coeff.npy"), response.amplitude.coef,
                  digests)
@@ -243,7 +243,7 @@ def load_response(result, meta):
     )
 
 
-def save_validation(out, report, digests: dict | None = None):
+def save_validation(out, report, digests: dict):
     payload = report.summary()
     payload["orthogonality"] = report.orthogonality
     payload["trajectory"] = report.trajectory

@@ -31,6 +31,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import tokenize
 
 import numpy as np
@@ -88,7 +89,8 @@ def _read_npy(fh) -> tuple:
     """The array of the open ``.npy`` file ``fh``, as ``np.load`` reads it
     without pickling, and the file's bytes in three parts: the header, the
     array's data and any bytes after it.  The data are read once, into the
-    writable buffer the array keeps."""
+    writable buffer the array keeps, which is allocated only once the file
+    is known to hold as many bytes as the header claims."""
     version = npy.read_magic(fh)
     if version not in _HEADER_READERS:
         raise ValueError(f"unsupported .npy format version {version}")
@@ -98,10 +100,12 @@ def _read_npy(fh) -> tuple:
         raise ValueError(f"Cannot parse header ({exc})") from exc
     count = math.prod(shape)
     offset = fh.tell()
-    data = bytearray(count * dtype.itemsize)
-    size = fh.readinto(data)
-    if size < len(data):
-        raise ValueError(f"EOF: reading array data, expected {len(data)} bytes got {size}")
+    nbytes = count * dtype.itemsize
+    held = os.fstat(fh.fileno()).st_size - offset
+    if held < nbytes:
+        raise ValueError(f"EOF: reading array data, expected {nbytes} bytes got {held}")
+    data = bytearray(nbytes)
+    fh.readinto(data)
     tail = fh.read()
     fh.seek(0)
     header = fh.read(offset)
@@ -112,9 +116,10 @@ def _read_npy(fh) -> tuple:
 def read_coeffs(path, shape: tuple, digests: dict | None = None) -> np.ndarray:
     """The array :func:`write_coeffs` wrote to ``path``, which must have ``shape``.
 
-    Raises :class:`ConfigError` naming the file when it is missing, truncated
-    or not an ``.npy`` file, holds another dtype or shape, or holds a
-    non-finite value, so a damaged artifact is never resumed.  With
+    Raises :class:`ConfigError` naming the file when it is missing, not an
+    ``.npy`` file, or truncated (its header claims more data than the file
+    holds, whatever the shape claimed), holds another dtype or shape, or holds
+    a non-finite value, so a damaged artifact is never resumed.  With
     ``digests``, the sha256 of the bytes read is stored there under ``path``.
     """
     try:

@@ -454,14 +454,10 @@ def _check_inversions(trajectory: dict) -> None:
             )
 
 
-def truncation_slope(
-    manifold: ManifoldExpansion,
-    model,
-    domain: AccuracyDomain,
-    evaluator: ResidualEvaluator | None = None,
-) -> float:
-    """Median log-log slope of the residual against sigma near the boundary
-    of the loosest tolerance, at 8 phases spread over the grid.
+def truncation_slope(evaluator: ResidualEvaluator, domain: AccuracyDomain) -> float:
+    """Median log-log slope of the residual that ``evaluator`` computes for
+    its manifold against sigma near the boundary of the loosest tolerance of
+    ``domain``, at 8 phases spread over the grid.
 
     For an order-L truncation the residual scales like sigma**(L+1), so the
     fitted slope should fall in [L, L+2].  The probes sit at 0.8 and 0.4 of
@@ -472,7 +468,6 @@ def truncation_slope(
     amplitudes of all 8 phases go into one (2, N) residual evaluation (zero
     amplitude elsewhere); each entry depends only on its own phase.
     """
-    ev = evaluator or ResidualEvaluator(manifold, model)
     n = len(domain.theta)
     idx = np.linspace(0, n - 1, 8, dtype=int)
     s_hi = 0.8 * domain.sigma_pos[0][idx]
@@ -480,7 +475,7 @@ def truncation_slope(
     probes = np.zeros((2, n))
     probes[0, idx] = s_hi
     probes[1, idx] = s_lo
-    e_hi, e_lo = ev.grid_residual(probes)[:, idx]
+    e_hi, e_lo = evaluator.grid_residual(probes)[:, idx]
     slopes = [
         np.log(e_hi[j] / e_lo[j]) / np.log(s_hi[j] / s_lo[j])
         for j in range(len(idx))
@@ -552,7 +547,7 @@ def run_validation(
     horizons = rng.uniform(0.1 * manifold.period, t_cap, size=n_samples)
     traj = trajectory_consistency(manifold, model, theta_s, sigma_s, horizons, settings)
     _check_inversions(traj)
-    slope = truncation_slope(manifold, model, domain, evaluator=ev)
+    slope = truncation_slope(ev, domain)
     return ValidationReport(
         order0_residual=order0,
         domain=domain,

@@ -124,17 +124,17 @@ def test_return_search_honours_step_budget():
 
 
 @pytest.mark.parametrize(
-    "x0",
-    [(1.0, 0.0), (1.3, 0.2)],  # at a maximum of x, and off the cycle
-    ids=["on_cycle", "off_cycle"],
+    "name, x0",
+    # the oracle at a maximum of x and off the cycle; ei at its default guess
+    [("oracle", (1.0, 0.0)), ("oracle", (1.3, 0.2)), ("ei", DEFAULT_GUESSES["ei"])],
+    ids=["on_cycle", "off_cycle", "ei"],
 )
-def test_return_time_equals_standalone_crossing_loop(x0):
+def test_return_time_equals_standalone_crossing_loop(name, x0):
     """The search for the next maximum, run through _integrate, is bitwise a
     DOP853 + brentq loop over the downward crossings of X_0."""
-    model = make_oracle_model()
+    model = models.get_model(name)
     settings = IntegratorSettings()
-    x0 = np.array(x0)
-    t_return, x_return = _next_maximum(model, x0, settings, 30.0)
+    t_return, x_return = _next_maximum(model, np.array(x0), settings, 30.0)
 
     def g(y):
         return float(model.eval(y)[0])
@@ -156,7 +156,7 @@ def test_return_time_equals_standalone_crossing_loop(x0):
         g_prev, t_prev = g_now, solver.t
     assert t_return == expected
     assert np.array_equal(x_return, dense(expected))
-    if x0[1] == 0.0:  # one period of the unit circle, from its maximum of x
+    if x0 == (1.0, 0.0):  # one period of the oracle's unit circle, from its maximum of x
         assert t_return == pytest.approx(2.0 * np.pi, abs=1e-10)
     assert abs(g(x_return)) < 1e-12
 
@@ -219,8 +219,8 @@ def test_ei_expansions_are_continuous_in_a_parameter(tmp_path):
 def test_cycle_and_spectrum_record_the_search_and_the_sign(ei_run, oracle_run):
     """cycle.json records the relaxation, which stops at the gap Newton needs
     and well before the cap, and the Newton steps; its anchor lies on the
-    section X_0 = 0.  The spectrum records the component whose sign each
-    gauge fixed."""
+    section X_0 = 0.  The gauge makes each eigenvector's first component
+    above 1e-8 of its peak real positive."""
     for run in (ei_run, oracle_run):
         config, spectrum = run.config, run.result.spectrum
         stored = read_json(os.path.join(config.out_dir, "cycle.json"))
@@ -231,10 +231,10 @@ def test_cycle_and_spectrum_record_the_search_and_the_sign(ei_run, oracle_run):
         assert search["relaxed_time"] < config.relax_time
         assert search["newton_steps"][-1] < config.newton_tol
         assert abs(run.result.model.eval(np.asarray(stored["anchor"]))[0]) < 1e-12
-        for j, idx in enumerate(spectrum.gauge_components):
-            mags = np.abs(spectrum.eigenvectors[:, j])
-            assert idx == int(np.argmax(mags > 1e-8 * mags.max()))
-            assert spectrum.eigenvectors[idx, j].real > 0
+        for w in spectrum.eigenvectors.T:
+            mags = np.abs(w)
+            first = w[np.argmax(mags > 1e-8 * mags.max())]
+            assert first.real > 0 and abs(first.imag) <= 1e-15 * first.real, first
 
 
 def _recorded(f, calls):
@@ -565,8 +565,6 @@ def _spectrum(period, exponents):
         eigenvectors=np.eye(len(exponents), dtype=complex),
         classes=(CLASS_TRIVIAL,) + (CLASS_REAL_POSITIVE,) * (len(exponents) - 1),
         monodromy=np.eye(len(exponents)),
-        hyperbolicity_defect=0.0,
-        eigenvector_condition=1.0,
     )
 
 
@@ -625,8 +623,6 @@ def ei_like_spectrum():
         classes=(CLASS_TRIVIAL, CLASS_REAL_POSITIVE, CLASS_PAIR_LEAD,
                  CLASS_PAIR_CONJ, "real_negative", "real_negative"),
         monodromy=np.eye(6),
-        hyperbolicity_defect=0.0,
-        eigenvector_condition=1.0,
     )
 
 

@@ -282,7 +282,7 @@ def test_adjoint_seeds_are_the_bundle_dual_at_every_node(floquet_runs, monkeypat
     monkeypatch.setattr(frames_mod, "_refine_frame", spy)
     build_adjoint_frame(model, cycle, bundle, band_cut)
     ((seeds, polished),) = pairs
-    dual, mus = frames_mod._dual_frame(bundle), -bundle.exponents
+    dual, mus = frames_mod._dual_frame(bundle).copy(), -bundle.exponents
     frames_mod._symmetrize_columns(dual, mus, bundle.classes, cycle.theta, cycle.period)
     assert seeds.tobytes() == dual.tobytes()
     angle = max(_sine_of_angle(polished[n, :, j], seeds[n, :, j])
@@ -519,6 +519,22 @@ def test_readme_frames_calls_give_the_pipelines_frames(floquet_runs, name, tmp_p
         assert np.asarray(staged.crosscheck[key]).tobytes() == np.asarray(value).tobytes(), key
 
 
+def test_a_frames_stage_inverts_the_bundle_once(floquet_runs, tmp_path, monkeypatch):
+    """The bundle's pointwise dual seeds the adjoint frame and is the
+    cross-check's reference: one batched inverse serves both."""
+    partial = floquet_runs["oracle"]
+    inverse, inverted = np.linalg.inv, []
+
+    def counted(a):
+        inverted.append(a.shape)
+        return inverse(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    run_pipeline(replace(_CONFIGS["oracle"], out_dir=str(tmp_path)), through=Stage.FRAMES,
+                 resume=replace(partial))
+    assert inverted == [(256, 2, 2)]
+
+
 def _shifted_seed(model, cycle, w, lam, route):
     """Test-local seed: dC/dt = (DX - lam) C from ``w`` over one period on
     ``route``, along ``cycle``, at the default settings, sampled at the grid
@@ -550,7 +566,8 @@ def test_sweep_seeds_match_shifted_integrations(floquet_runs, name):
     lams = spectrum.exponents
     seeds = {j: spectrum.eigenvectors[:, j] for j in range(1, model.dim)
              if spectrum.classes[j] != CLASS_PAIR_CONJ}
-    cols, routes = _seed_columns(cycle.sweep, seeds, lams)
+    cols = _seed_columns(cycle.sweep, seeds, lams)
+    routes = {j: _integration_route(lams[j], lams, cycle.period) for j in seeds}
     for j, route in routes.items():
         expected = _shifted_seed(model, cycle, seeds[j], lams[j], route)
         gap = _peak_relative(cols[:, :, j], expected)
@@ -578,12 +595,12 @@ def test_seeds_at_floor_give_the_frames_of_seeds_at_user_settings(
     perturbed = []
 
     def noisy_seed_columns(*args):
-        cols, routes = seed_columns(*args)
+        cols = seed_columns(*args)
         n, d, _ = cols.shape
         phase = np.arange(d * d).reshape(d, d)
         wave = np.cos(2 * np.pi * theta_grid(n)[:, None, None] + phase)
-        perturbed.append(routes)
-        return cols * (1.0 + 1e-9 * wave), routes
+        perturbed.append(cols)
+        return cols * (1.0 + 1e-9 * wave)
 
     monkeypatch.setattr(frames_mod, "_seed_columns", noisy_seed_columns)
     noisy = run_pipeline(replace(config, out_dir=str(tmp_path / "noisy")),

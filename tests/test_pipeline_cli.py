@@ -410,6 +410,17 @@ def _drop_order(path):
     write_coeffs(path, np.load(path)[:-1])
 
 
+def _claim_2_60_rows(path):
+    # the file's own data under a header that claims 2**60 orders: a buffer
+    # of the claimed size cannot be allocated
+    coef = np.load(path)
+    header = {"descr": np.lib.format.dtype_to_descr(coef.dtype), "fortran_order": False,
+              "shape": (2**60,) + coef.shape[1:]}
+    with open(path, "wb") as fh:
+        np.lib.format.write_array_header_1_0(fh, header)
+        fh.write(coef.tobytes())
+
+
 def _poison(path):
     coef = np.load(path)
     coef[3, 5, 1] = complex(np.nan, 0.0)
@@ -548,6 +559,7 @@ def _drop_inputs(path):
         ("frame_bundle_coeff.npy", _truncate),
         ("cycle_coeff.npy", _retype),
         ("manifold_coeff.npy", _drop_order),
+        ("manifold_coeff.npy", _claim_2_60_rows),
         ("response_amplitude_coeff.npy", _poison),
         ("frame_adjoint_coeff.npy", _flip_bit),
         ("manifest.json", os.remove),
@@ -563,7 +575,7 @@ def _drop_inputs(path):
         *((name, damage) for name, _, damage in DAMAGED_NUMBERS),
     ],
     ids=[
-        "missing", "truncated", "dtype", "shape", "non_finite", "bit_flip",
+        "missing", "truncated", "dtype", "shape", "claims_2_60_rows", "non_finite", "bit_flip",
         "manifest_missing", "not_inventoried", "digest_differs",
         "earlier_frame_keys", "no_polished_period", "no_inputs", "crosscheck_missing",
         "spectrum_lyapunov", "frames_unknown_key",

@@ -313,7 +313,7 @@ def test_response_is_independent_of_memory_layout(ei_run, tmp_path):
         )
         out = tmp_path / str(k)
         out.mkdir()
-        save_response(str(out), resp, {})
+        save_response(str(out), resp, {}, {})
         outputs.append({
             name: (out / name).read_bytes()
             for name in ("response_phase_coeff.npy", "response_amplitude_coeff.npy",

@@ -224,8 +224,7 @@ def test_stacked_slope_probes_match_one_probe_at_a_time(oracle_run):
         if e[0] > 0 and e[1] > 1e-15:
             slopes.append(np.log(e[0] / e[1]) / np.log(s_hi / s_lo))
     reference = float(np.median(slopes))
-    assert truncation_slope(man, model, domain, evaluator=ev) == reference
-    assert truncation_slope(man, model, domain) == reference == result.validation.slope
+    assert truncation_slope(ev, domain) == reference == result.validation.slope
 
 
 def test_batched_inversion_recovers_oracle_points(oracle_run):
@@ -410,7 +409,7 @@ def test_truncation_slope_survives_two_ulps_of_the_coefficients(ei_1024_samples)
     def slope(manifold):
         ev = ResidualEvaluator(manifold, model)
         domain = accuracy_domain(manifold, model, (1e-6, 1e-8), evaluator=ev)
-        return truncation_slope(manifold, model, domain, evaluator=ev)
+        return truncation_slope(ev, domain)
 
     base = slope(man)
     assert 9.0 <= base <= 11.0
